@@ -82,6 +82,24 @@ fn open_backing(dir: &std::path::Path, name: &str, part: usize) -> FileBacking {
     FileBacking::create(&dir.join(format!("{name}-{part}.dat"))).expect("create backing file")
 }
 
+/// Which of a partition's two edge sets, as files and panics name it.
+fn edge_set_name(reverse: bool) -> &'static str {
+    if reverse {
+        "redges"
+    } else {
+        "edges"
+    }
+}
+
+/// Unwraps a chunk-set operation on one (structure, partition) pair. An
+/// in-memory set never fails; under `spill_dir` the set is a real file and
+/// this is where a filesystem error or a checksum mismatch on stored
+/// bytes arrives. There is no second copy to repair a real file from, so
+/// the run stops, naming what failed.
+fn chunk_io<T>(res: std::io::Result<T>, structure: &str, part: usize) -> T {
+    res.unwrap_or_else(|e| panic!("{structure} chunk set of partition {part}: {e}"))
+}
+
 /// Latency of a metadata-only reply (exhausted notices, remaining-bytes
 /// queries) and of page-cache hits.
 const METADATA_NS: Time = 2_000;
@@ -296,9 +314,7 @@ impl<P: GasProgram> StorageEngine<P> {
     /// Pre-loads an input chunk during cluster setup (the input edge list
     /// starts "randomly distributed over all storage devices", §8).
     pub fn preload_input(&mut self, chunk: Arc<Vec<Edge>>) {
-        self.input
-            .append(chunk)
-            .expect("in-memory chunk set cannot fail");
+        chunk_io(self.input.append(chunk), "input", 0);
     }
 
     /// Read access to the stored vertex chunks (used by the cluster to
@@ -389,17 +405,24 @@ impl<P: GasProgram> StorageEngine<P> {
             } else {
                 &mut self.edges[part]
             };
+            let name = edge_set_name(reverse);
             match entry {
                 None => {
-                    set.append_with_blocks(data, Some(index), blocks)
-                        .expect("mem io");
+                    chunk_io(
+                        set.append_with_blocks(data, Some(index), blocks),
+                        name,
+                        part,
+                    );
                 }
                 Some(e) => {
                     // Compaction rewrite: the survivors of a sorted chunk
                     // arrive sorted (the filter preserves order), so the
                     // rebuilt block index refines the narrowed window.
-                    set.replace_with_blocks(e, data, Some(index), blocks)
-                        .expect("mem io");
+                    chunk_io(
+                        set.replace_with_blocks(e, data, Some(index), blocks),
+                        name,
+                        part,
+                    );
                 }
             }
         }
@@ -448,8 +471,11 @@ impl<P: GasProgram> StorageEngine<P> {
             // end-of-pre-processing partials take the merge path below.
             let (index, blocks) =
                 prepare_edge_chunk(&mut data, reverse, self.params.block_records);
-            set.append_with_blocks(data, Some(index), blocks)
-                .expect("edge chunk io");
+            chunk_io(
+                set.append_with_blocks(data, Some(index), blocks),
+                edge_set_name(reverse),
+                part,
+            );
             return;
         }
         buf.extend(data.iter().copied());
@@ -466,8 +492,11 @@ impl<P: GasProgram> StorageEngine<P> {
                     == self.params.cluster.bin_of(&self.params.spec, part, index.hi),
                 "cut chunk of partition {part} spans multiple cluster bins"
             );
-            set.append_with_blocks(chunk, Some(index), blocks)
-                .expect("edge chunk io");
+            chunk_io(
+                set.append_with_blocks(chunk, Some(index), blocks),
+                edge_set_name(reverse),
+                part,
+            );
         }
     }
 
@@ -506,15 +535,21 @@ impl<P: GasProgram> StorageEngine<P> {
                         let rest = run.split_off(epc);
                         let mut chunk = Arc::new(std::mem::replace(&mut run, rest));
                         let (index, blocks) = prepare_edge_chunk(&mut chunk, reverse, br);
-                        set.append_with_blocks(chunk, Some(index), blocks)
-                            .expect("edge chunk io");
+                        chunk_io(
+                            set.append_with_blocks(chunk, Some(index), blocks),
+                            edge_set_name(reverse),
+                            part,
+                        );
                     }
                 }
                 if !run.is_empty() {
                     let mut chunk = Arc::new(run);
                     let (index, blocks) = prepare_edge_chunk(&mut chunk, reverse, br);
-                    set.append_with_blocks(chunk, Some(index), blocks)
-                        .expect("edge chunk io");
+                    chunk_io(
+                        set.append_with_blocks(chunk, Some(index), blocks),
+                        edge_set_name(reverse),
+                        part,
+                    );
                 }
             }
         }
@@ -694,7 +729,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
         let me = self.machine;
         match msg {
             // ------------------------------------------------------ reads
-            Msg::InputChunkReq { from } => match self.input.serve_next().expect("mem io") {
+            Msg::InputChunkReq { from } => match chunk_io(self.input.serve_next(), "input", 0) {
                 Some(data) => {
                     let bytes = data.len() as u64 * self.params.edge_bytes;
                     let done = self.framed_read(now, bytes, Repair::Reread);
@@ -740,9 +775,11 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 // without touching accounting), and a partial serve reads
                 // only the active block runs — the device and the wire are
                 // charged below for exactly the records served.
-                let outcome = set
-                    .serve_next_selective(active.as_deref(), materialize)
-                    .expect("edge chunk io");
+                let outcome = chunk_io(
+                    set.serve_next_selective(active.as_deref(), materialize),
+                    edge_set_name(reverse),
+                    part,
+                );
                 let skipped = SkipInfo {
                     chunks: outcome.skipped_chunks,
                     records: outcome.skipped_records,
@@ -785,7 +822,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 }
             }
             Msg::UpdateChunkReq { part, from } => {
-                match self.updates[part].serve_next().expect("mem io") {
+                match chunk_io(self.updates[part].serve_next(), "updates", part) {
                     Some(data) => {
                         let bytes = data.len() as u64 * self.params.update_bytes;
                         let done = if self.cache.read_hits() {
@@ -897,7 +934,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
             } => self.store_edge_chunk(ctx, part, reverse, data, Some(entry), from),
             Msg::WriteUpdateChunk { part, data, from } => {
                 let bytes = data.len() as u64 * self.params.update_bytes;
-                self.updates[part].append(data).expect("mem io");
+                chunk_io(self.updates[part].append(data), "updates", part);
                 self.cache.insert(bytes);
                 let done = self.framed_write(now, bytes);
                 self.respond_at(
@@ -930,7 +967,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
             }
             Msg::DeleteUpdates { part } => {
                 let bytes = self.updates[part].stats().bytes;
-                self.updates[part].clear().expect("mem io");
+                chunk_io(self.updates[part].clear(), "updates", part);
                 self.cache.remove(bytes);
                 // Metadata-only; no reply needed.
             }
@@ -1093,7 +1130,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 for part in 0..self.updates.len() {
                     let b = self.updates[part].stats().bytes;
                     self.cache.remove(b);
-                    self.updates[part].clear().expect("mem io");
+                    chunk_io(self.updates[part].clear(), "updates", part);
                     self.edges[part].reset_epoch();
                     self.redges[part].reset_epoch();
                 }
@@ -1193,6 +1230,13 @@ mod tests {
             writes: true,
         }]);
         d
+    }
+
+    #[test]
+    #[should_panic(expected = "updates chunk set of partition 3: checksum mismatch")]
+    fn chunk_set_failures_name_structure_partition_and_error() {
+        let bad = std::io::Error::new(std::io::ErrorKind::InvalidData, "checksum mismatch");
+        chunk_io::<()>(Err(bad), "updates", 3);
     }
 
     /// From `now = 0` the probe times are 0, 100 µs, 300 µs, 700 µs,

@@ -7,16 +7,22 @@ use chaos::prelude::*;
 use chaos::storage::ScratchDir;
 use common::{close, directed_graph, test_config, undirected_graph};
 
-#[test]
-fn file_backend_matches_memory_backend_exactly() {
-    let g = undirected_graph(8);
+/// Runs `program` in memory and on real files; everything simulated and
+/// every final state must agree. Returns the file run's report.
+fn assert_file_backend_matches_memory<P: GasProgram>(
+    mem_cfg: ChaosConfig,
+    program: P,
+    g: &InputGraph,
+) -> RunReport
+where
+    P::VertexState: PartialEq + std::fmt::Debug,
+{
     let scratch = ScratchDir::new("chaos-test-backend").expect("scratch");
-    let mem_cfg = test_config(3);
     let mut file_cfg = mem_cfg.clone();
     file_cfg.spill_dir = Some(scratch.path().to_path_buf());
 
-    let (mem_rep, mem_states) = run_chaos(mem_cfg, Wcc::new(), &g);
-    let (file_rep, file_states) = run_chaos(file_cfg, Wcc::new(), &g);
+    let (mem_rep, mem_states) = run_chaos(mem_cfg, program.clone(), g);
+    let (file_rep, file_states) = run_chaos(file_cfg, program, g);
 
     assert_eq!(mem_states, file_states);
     assert_eq!(
@@ -24,6 +30,27 @@ fn file_backend_matches_memory_backend_exactly() {
         "virtual time must not depend on the backend"
     );
     assert_eq!(mem_rep.events, file_rep.events);
+    assert_eq!(mem_rep.blocks_skipped(), file_rep.blocks_skipped());
+    file_rep
+}
+
+#[test]
+fn file_backend_matches_memory_backend_exactly() {
+    let g = undirected_graph(8);
+    assert_file_backend_matches_memory(test_config(3), Wcc::new(), &g);
+    // BFS serves block runs as ranged file reads, which verify by the CRC
+    // runs (64 records) enclosing them: blocks smaller than a run, blocks
+    // that do not divide one, and no blocks at all.
+    for block_records in [16, 24, 0] {
+        let mut cfg = test_config(3);
+        cfg.block_records = block_records;
+        let rep = assert_file_backend_matches_memory(cfg, Bfs::new(0), &g);
+        assert_eq!(
+            rep.blocks_skipped() > 0,
+            block_records > 0,
+            "ranged reads ran"
+        );
+    }
 }
 
 #[test]
