@@ -4,9 +4,9 @@
 //! simulator itself runs), complementing the simulated-time figure
 //! harnesses in `src/`. One bench per hot component: the event queue, the
 //! RNG, graph generation, the streaming-partition pass, the record codec,
-//! the chunk-store serve path, the scatter/gather inner kernels via the
-//! sequential executor, the reference oracles, the grid partitioner, and
-//! one end-to-end simulated cluster run.
+//! the chunk-store serve path, sort-on-seal of one edge chunk, the
+//! scatter/gather inner kernels via the sequential executor, the reference
+//! oracles, the grid partitioner, and one end-to-end simulated cluster run.
 
 use std::sync::Arc;
 
@@ -19,9 +19,9 @@ use chaos_baselines::GridPartitioner;
 use chaos_core::{run_chaos, ChaosConfig};
 use chaos_gas::record::{decode_all, encode_all};
 use chaos_gas::run_sequential;
-use chaos_graph::{partition_edges, reference, PartitionSpec, RmatConfig};
+use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig};
 use chaos_sim::{EventQueue, Rng};
-use chaos_storage::ChunkSet;
+use chaos_storage::{seal_chunk, ChunkSet, SealScratch};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("sim/event_queue_push_pop_10k", |b| {
@@ -102,6 +102,31 @@ fn bench_chunk_store(c: &mut Criterion) {
     });
 }
 
+/// Sort-on-seal plus both index builds over 4096-edge chunks in arrival
+/// order, 64 chunks per iteration (divide by 262144 for ns/record): a
+/// 256-key window is one cluster bin of a small partition (a single
+/// counting pass), a 2^20-key window a whole unclustered partition (two).
+fn bench_seal(c: &mut Criterion) {
+    for (window, name) in [(256, "narrow"), (1 << 20, "wide")] {
+        let mut rng = Rng::new(11);
+        let chunks: Vec<Vec<Edge>> = (0..64u64)
+            .map(|c| {
+                (0..4096)
+                    .map(|i| Edge::new(c * window + rng.below(window), i))
+                    .collect()
+            })
+            .collect();
+        let mut scratch = SealScratch::default();
+        c.bench_function(&format!("storage/seal_edge_chunk_4096_{name}_x64"), |b| {
+            b.iter(|| {
+                for chunk in &chunks {
+                    black_box(seal_chunk(black_box(chunk), |e| e.src, 512, &mut scratch));
+                }
+            })
+        });
+    }
+}
+
 fn bench_gas_kernels(c: &mut Criterion) {
     let g = RmatConfig::paper(13).generate();
     c.bench_function("gas/sequential_pagerank_3it_scale13", |b| {
@@ -152,6 +177,7 @@ criterion_group!(
         bench_partitioner,
         bench_record_codec,
         bench_chunk_store,
+        bench_seal,
         bench_gas_kernels,
         bench_oracles,
         bench_grid_partitioner,

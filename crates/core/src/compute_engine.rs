@@ -1455,7 +1455,6 @@ impl<P: GasProgram> ComputeEngine<P> {
     /// Checks whether the current partition's stream is complete, and if so
     /// finishes the partition.
     fn check_stream_done(&mut self, ctx: &mut Ctx<P>) {
-        let centralized = self.centralized();
         let m = self.m();
         let Some(w) = &self.work else {
             return;
@@ -1463,7 +1462,6 @@ impl<P: GasProgram> ComputeEngine<P> {
         if !w.stream_done(m) {
             return;
         }
-        let _ = centralized;
         let part = w.part;
         let stolen = w.stolen;
         if !stolen {

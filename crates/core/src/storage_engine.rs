@@ -22,7 +22,7 @@ use chaos_graph::Edge;
 use chaos_runtime::Actor;
 use chaos_sim::{rng::mix2, Time, MICROS};
 use chaos_storage::{
-    BlockIndex, ChunkIndex, ChunkSet, Device, PageCache, VertexArray, FRAME_BYTES,
+    seal_chunk, ChunkIndex, ChunkSet, Device, PageCache, SealScratch, VertexArray, FRAME_BYTES,
 };
 
 use chaos_storage::FileBacking;
@@ -31,51 +31,6 @@ use crate::config::Streaming;
 use crate::metrics::WindowHistogram;
 use crate::msg::{DataKind, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
-
-/// Scatter-key index of an edge chunk: the inclusive key window plus the
-/// stride-occupancy summary selective streaming tests active sets against.
-/// Forward chunks key on `src`, destination-keyed (reverse) chunks on
-/// `dst` — whichever endpoint supplies scatter state when the chunk
-/// streams. An empty chunk yields the canonical inverted window,
-/// skippable under any active set.
-fn edge_index(data: &[Edge], reverse: bool) -> ChunkIndex {
-    if reverse {
-        ChunkIndex::from_keys(data.iter().map(|e| e.dst))
-    } else {
-        ChunkIndex::from_keys(data.iter().map(|e| e.src))
-    }
-}
-
-/// Prepares one edge chunk for sealing: under block indexing
-/// (`block_records > 0`) the interior is stably sorted by scatter key —
-/// equal-key records keep their arrival order, so the sealed layout is a
-/// pure function of the written record sequence — and a [`BlockIndex`] of
-/// per-block key windows is derived from the sorted keys. With block
-/// indexing off (or a chunk too small to split) only the chunk-level
-/// index is computed, reproducing the pre-block layout byte for byte.
-/// The payload is sorted in place via `Arc::make_mut`, cloning only if
-/// the writer still shares it.
-fn prepare_edge_chunk(
-    data: &mut Arc<Vec<Edge>>,
-    reverse: bool,
-    block_records: u32,
-) -> (ChunkIndex, Option<BlockIndex>) {
-    if block_records == 0 {
-        return (edge_index(data, reverse), None);
-    }
-    let v = Arc::make_mut(data);
-    if reverse {
-        v.sort_by_key(|e| e.dst);
-        let index = edge_index(v, reverse);
-        let blocks = BlockIndex::from_sorted_keys(v.iter().map(|e| e.dst), block_records);
-        (index, blocks)
-    } else {
-        v.sort_by_key(|e| e.src);
-        let index = edge_index(v, reverse);
-        let blocks = BlockIndex::from_sorted_keys(v.iter().map(|e| e.src), block_records);
-        (index, blocks)
-    }
-}
 
 /// Opens the backing file for one (structure, partition) pair.
 fn open_backing(dir: &std::path::Path, name: &str, part: usize) -> FileBacking {
@@ -98,6 +53,25 @@ fn edge_set_name(reverse: bool) -> &'static str {
 /// the run stops, naming what failed.
 fn chunk_io<T>(res: std::io::Result<T>, structure: &str, part: usize) -> T {
     res.unwrap_or_else(|e| panic!("{structure} chunk set of partition {part}: {e}"))
+}
+
+/// Moves records from the front of `rest` into the open buffer `buf` until
+/// it holds `target` records, and then hands the buffer over whole, leaving
+/// an empty one behind. The buffer is allocated at exactly `target` when
+/// its first record arrives, so a sealed chunk never carries spare
+/// capacity. `None` once `rest` is used up short of the target.
+fn fill_open_chunk(
+    buf: &mut Vec<Edge>,
+    rest: &mut &[Edge],
+    target: usize,
+) -> Option<Arc<Vec<Edge>>> {
+    if buf.capacity() == 0 {
+        buf.reserve_exact(target);
+    }
+    let (head, tail) = rest.split_at(rest.len().min(target - buf.len()));
+    buf.extend_from_slice(head);
+    *rest = tail;
+    (buf.len() == target && target > 0).then(|| Arc::new(std::mem::take(buf)))
 }
 
 /// Latency of a metadata-only reply (exhausted notices, remaining-bytes
@@ -192,6 +166,7 @@ pub struct StorageEngine<P: GasProgram> {
     open_edges: Vec<Vec<Edge>>,
     open_redges: Vec<Vec<Edge>>,
     sealed: bool,
+    seal_scratch: SealScratch,
     updates: Vec<ChunkSet<Update<P::Update>>>,
     vertices: Vec<VertexArray<P::VertexState>>,
     ckpt_pending: Vec<VertexArray<P::VertexState>>,
@@ -274,6 +249,7 @@ impl<P: GasProgram> StorageEngine<P> {
             open_edges: (0..slots).map(|_| Vec::new()).collect(),
             open_redges: (0..slots).map(|_| Vec::new()).collect(),
             sealed: params.cluster.bins() == 1,
+            seal_scratch: SealScratch::default(),
             updates: (0..parts)
                 .map(|p| match &dir {
                     Some(d) => ChunkSet::file_backed(
@@ -374,9 +350,9 @@ impl<P: GasProgram> StorageEngine<P> {
     }
 
     /// Stores an edge chunk: appends it (`entry: None`) or replaces an
-    /// existing entry in place (compaction), computing the scatter-key
-    /// index either way, charging one device write of the chunk's bytes,
-    /// and acking `WriteKind::Edges`.
+    /// existing entry in place (compaction), sealing it either way,
+    /// charging one device write of the chunk's bytes, and acking
+    /// `WriteKind::Edges`.
     ///
     /// Under the clustered layout (`bins > 1`) appends route through the
     /// open per-(partition, bin) buffer instead: incoming bin-pure
@@ -388,43 +364,16 @@ impl<P: GasProgram> StorageEngine<P> {
         ctx: &mut Ctx<P>,
         part: usize,
         reverse: bool,
-        mut data: Arc<Vec<Edge>>,
+        data: Arc<Vec<Edge>>,
         entry: Option<u32>,
         from: usize,
     ) {
         let now = ctx.now;
         let bytes = data.len() as u64 * self.params.edge_bytes;
-        let bins = self.params.cluster.bins();
-        if entry.is_none() && bins > 1 && !data.is_empty() {
+        if entry.is_none() && self.params.cluster.bins() > 1 && !data.is_empty() {
             self.merge_edge_write(part, reverse, data);
         } else {
-            let (index, blocks) =
-                prepare_edge_chunk(&mut data, reverse, self.params.block_records);
-            let set = if reverse {
-                &mut self.redges[part]
-            } else {
-                &mut self.edges[part]
-            };
-            let name = edge_set_name(reverse);
-            match entry {
-                None => {
-                    chunk_io(
-                        set.append_with_blocks(data, Some(index), blocks),
-                        name,
-                        part,
-                    );
-                }
-                Some(e) => {
-                    // Compaction rewrite: the survivors of a sorted chunk
-                    // arrive sorted (the filter preserves order), so the
-                    // rebuilt block index refines the narrowed window.
-                    chunk_io(
-                        set.replace_with_blocks(e, data, Some(index), blocks),
-                        name,
-                        part,
-                    );
-                }
-            }
+            self.seal_edge_chunk(part, reverse, entry, data);
         }
         let done = self.framed_write(now, bytes);
         self.respond_at(
@@ -438,64 +387,80 @@ impl<P: GasProgram> StorageEngine<P> {
         );
     }
 
+    /// Seals one edge chunk into its set — appended, or replacing `entry`
+    /// in place — and returns its chunk-level index. The one place the
+    /// sort-on-seal contract is applied ([`seal_chunk`]): forward chunks
+    /// key on `src`, destination-keyed (reverse) chunks on `dst`,
+    /// whichever endpoint supplies scatter state when the chunk streams.
+    /// A chunk that arrives in key order (compaction survivors of a sorted
+    /// chunk do) or with block indexing off keeps its shared payload;
+    /// anything else is stored as the exactly sized sorted copy.
+    fn seal_edge_chunk(
+        &mut self,
+        part: usize,
+        reverse: bool,
+        entry: Option<u32>,
+        data: Arc<Vec<Edge>>,
+    ) -> ChunkIndex {
+        let (scratch, blocks) = (&mut self.seal_scratch, self.params.block_records);
+        let (sealed, set) = if reverse {
+            (seal_chunk(&data, |e| e.dst, blocks, scratch), &mut self.redges[part])
+        } else {
+            (seal_chunk(&data, |e| e.src, blocks, scratch), &mut self.edges[part])
+        };
+        let payload = sealed.sorted.map_or(data, Arc::new);
+        let index = Some(sealed.index);
+        let stored = match entry {
+            None => set.append_with_blocks(payload, index, sealed.blocks).map(drop),
+            Some(e) => set.replace_with_blocks(e, payload, index, sealed.blocks).map(drop),
+        };
+        chunk_io(stored, edge_set_name(reverse), part);
+        sealed.index
+    }
+
+    /// The open accumulation buffers of one direction, by slot.
+    fn open_buffers(&mut self, reverse: bool) -> &mut Vec<Vec<Edge>> {
+        if reverse {
+            &mut self.open_redges
+        } else {
+            &mut self.open_edges
+        }
+    }
+
     /// Consolidates one bin-pure edge write into the open per-(partition,
-    /// bin) buffer, cutting full-size chunks off as it fills. Every chunk
-    /// cut here is single-bin by construction — the narrow-window
-    /// invariant of the clustered layout (debug-asserted below).
-    fn merge_edge_write(&mut self, part: usize, reverse: bool, mut data: Arc<Vec<Edge>>) {
+    /// bin) buffer, sealing the buffer whole each time it reaches the
+    /// chunk size. Every chunk cut here is single-bin by construction —
+    /// the narrow-window invariant of the clustered layout
+    /// (debug-asserted below).
+    fn merge_edge_write(&mut self, part: usize, reverse: bool, data: Arc<Vec<Edge>>) {
         debug_assert!(!self.sealed, "edge appends happen only before the first read");
-        let bins = self.params.cluster.bins();
+        let bin_of = |params: &RunParams, key| params.cluster.bin_of(&params.spec, part, key);
         let key = |e: &Edge| if reverse { e.dst } else { e.src };
-        let bin = self
-            .params
-            .cluster
-            .bin_of(&self.params.spec, part, key(&data[0]));
+        let bin = bin_of(&self.params, key(&data[0]));
         debug_assert!(
-            data.iter()
-                .all(|e| self.params.cluster.bin_of(&self.params.spec, part, key(e)) == bin),
+            data.iter().all(|e| bin_of(&self.params, key(e)) == bin),
             "writer sent a bin-impure edge chunk for partition {part}"
         );
-        let slot = part * bins as usize + bin as usize;
+        let slot = part * self.params.cluster.bins() as usize + bin as usize;
         let epc = self.params.edges_per_chunk;
-        let (buf, set) = if reverse {
-            (&mut self.open_redges[slot], &mut self.redges[part])
-        } else {
-            (&mut self.open_edges[slot], &mut self.edges[part])
-        };
-        if buf.is_empty() && data.len() == epc {
+        if self.open_buffers(reverse)[slot].is_empty() && data.len() == epc {
             // Fast path for the common case: writers cut their mid-stream
             // flushes at exactly the chunk size, so a full bin-pure chunk
             // arriving on an empty buffer is already a storage chunk —
             // seal the shared payload as-is instead of copying the whole
             // edge set through the open buffers. Only the tiny
             // end-of-pre-processing partials take the merge path below.
-            let (index, blocks) =
-                prepare_edge_chunk(&mut data, reverse, self.params.block_records);
-            chunk_io(
-                set.append_with_blocks(data, Some(index), blocks),
-                edge_set_name(reverse),
-                part,
-            );
+            self.seal_edge_chunk(part, reverse, None, data);
             return;
         }
-        buf.extend(data.iter().copied());
-        while buf.len() >= epc {
-            // Cut the front `epc` records off without shifting the whole
-            // tail: split the tail into a fresh buffer and hand the front
-            // allocation to the chunk set.
-            let rest = buf.split_off(epc);
-            let mut chunk = Arc::new(std::mem::replace(buf, rest));
-            let (index, blocks) =
-                prepare_edge_chunk(&mut chunk, reverse, self.params.block_records);
+        let mut rest = &data[..];
+        while let Some(full) =
+            fill_open_chunk(&mut self.open_buffers(reverse)[slot], &mut rest, epc)
+        {
+            let index = self.seal_edge_chunk(part, reverse, None, full);
             debug_assert!(
-                self.params.cluster.bin_of(&self.params.spec, part, index.lo)
-                    == self.params.cluster.bin_of(&self.params.spec, part, index.hi),
+                bin_of(&self.params, index.lo) == bin && bin_of(&self.params, index.hi) == bin,
                 "cut chunk of partition {part} spans multiple cluster bins"
-            );
-            chunk_io(
-                set.append_with_blocks(chunk, Some(index), blocks),
-                edge_set_name(reverse),
-                part,
             );
         }
     }
@@ -522,34 +487,19 @@ impl<P: GasProgram> StorageEngine<P> {
         let epc = self.params.edges_per_chunk;
         for part in 0..self.edges.len() {
             for reverse in [false, true] {
-                let (opens, set) = if reverse {
-                    (&mut self.open_redges, &mut self.redges[part])
-                } else {
-                    (&mut self.open_edges, &mut self.edges[part])
-                };
-                let br = self.params.block_records;
-                let mut run: Vec<Edge> = Vec::new();
-                for slot in part * bins..(part + 1) * bins {
-                    run.append(&mut opens[slot]);
-                    while run.len() >= epc {
-                        let rest = run.split_off(epc);
-                        let mut chunk = Arc::new(std::mem::replace(&mut run, rest));
-                        let (index, blocks) = prepare_edge_chunk(&mut chunk, reverse, br);
-                        chunk_io(
-                            set.append_with_blocks(chunk, Some(index), blocks),
-                            edge_set_name(reverse),
-                            part,
-                        );
+                let slots = part * bins..(part + 1) * bins;
+                // Records of this partition not yet sealed: the last chunk
+                // is cut, and allocated, at what is left of them.
+                let mut left: usize =
+                    self.open_buffers(reverse)[slots.clone()].iter().map(Vec::len).sum();
+                let mut run = Vec::new();
+                for slot in slots {
+                    let leftover = std::mem::take(&mut self.open_buffers(reverse)[slot]);
+                    let mut rest = &leftover[..];
+                    while let Some(full) = fill_open_chunk(&mut run, &mut rest, epc.min(left)) {
+                        left -= full.len();
+                        self.seal_edge_chunk(part, reverse, None, full);
                     }
-                }
-                if !run.is_empty() {
-                    let mut chunk = Arc::new(run);
-                    let (index, blocks) = prepare_edge_chunk(&mut chunk, reverse, br);
-                    chunk_io(
-                        set.append_with_blocks(chunk, Some(index), blocks),
-                        edge_set_name(reverse),
-                        part,
-                    );
                 }
             }
         }
@@ -1219,7 +1169,13 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaos_storage::{DeviceProfile, FaultWindow};
+    use chaos_algos::bfs::Bfs;
+    use chaos_graph::PartitionSpec;
+    use chaos_storage::{BlockIndex, DeviceProfile, FaultWindow};
+
+    use crate::alloc_count::thread_allocations;
+    use crate::config::ChaosConfig;
+    use crate::msg::EdgeWrite;
 
     fn faulted_device(until: Time) -> Device {
         let mut d = Device::new(DeviceProfile::ssd());
@@ -1275,5 +1231,92 @@ mod tests {
         assert_eq!(retries, 2, "fails at 0 and 100 µs, succeeds at 300 µs");
         assert_eq!(waited, 300 * MICROS);
         assert_eq!(d.stats().writes, 1);
+    }
+
+    /// Partition 0 (keys 0..128) in four 32-key bins, 64-edge chunks in
+    /// 16-record blocks. Partial writes — bin 0's in key order, the other
+    /// bins' shuffled — go through the merge cut and the tail seal; the
+    /// sealed set must be what `extend` + cut + stable sort lays out, and
+    /// every payload exactly as long as its allocation.
+    #[test]
+    fn merged_partials_seal_sorted_and_exactly_sized() {
+        const EPC: usize = 64;
+        let mut cfg = ChaosConfig::new(1);
+        cfg.chunk_bytes = EPC as u64 * 8;
+        let spec = PartitionSpec::with_partitions(256, 2);
+        let params = RunParams::new(&cfg, spec, 8, 8, 4)
+            .with_cluster_bins(4)
+            .with_block_records(16);
+        let device = Device::new(DeviceProfile::ssd());
+        let mut eng = StorageEngine::<Bfs>::new(0, Arc::new(params), device, 0, None);
+        let mut ctx = Ctx::new(0, 0);
+
+        let mut open: Vec<Vec<Edge>> = vec![Vec::new(); 4];
+        let mut want: Vec<Vec<Edge>> = Vec::new();
+        let seal = |mut chunk: Vec<Edge>| {
+            chunk.sort_by_key(|e| e.src);
+            chunk
+        };
+        let mut arrival = 0u64;
+        for round in 0..5u64 {
+            let mut writes = Vec::new();
+            for bin in 0..4u64 {
+                let data: Vec<Edge> = (0..25u64)
+                    .map(|i| {
+                        let nth = round * 25 + i;
+                        let key = if bin == 0 { nth * 32 / 125 } else { nth * 13 % 32 };
+                        arrival += 1;
+                        Edge::new(bin * 32 + key, arrival)
+                    })
+                    .collect();
+                let buf = &mut open[bin as usize];
+                buf.extend_from_slice(&data);
+                if buf.len() >= EPC {
+                    let rest = buf.split_off(EPC);
+                    want.push(seal(std::mem::replace(buf, rest)));
+                }
+                writes.push(EdgeWrite {
+                    part: 0,
+                    reverse: false,
+                    data: Arc::new(data),
+                });
+            }
+            eng.handle(&mut ctx, Msg::WriteEdgeBatch { writes, from: 0 });
+        }
+        assert_eq!(want.len(), 4, "one merge cut per bin");
+        want.extend(open.concat().chunks(EPC).map(|c| seal(c.to_vec())));
+        eng.seal_edge_sets();
+        assert!(eng.open_edges.iter().all(|b| b.capacity() == 0), "open buffers released");
+
+        let blocks: Vec<usize> = eng.edges[0]
+            .block_indexes()
+            .map(|b| b.map_or(1, BlockIndex::blocks))
+            .collect();
+        for (i, chunk) in want.iter().enumerate() {
+            let got = eng.edges[0].serve_next().unwrap().expect("a chunk per expected chunk");
+            assert_eq!(*got, *chunk, "chunk {i}");
+            assert_eq!(got.capacity(), got.len(), "chunk {i} carries spare capacity");
+            assert_eq!(blocks[i], chunk.len().div_ceil(16), "chunk {i}");
+        }
+        assert!(eng.edges[0].serve_next().unwrap().is_none());
+    }
+
+    /// Once the scratch has grown, sealing a chunk allocates the sorted
+    /// payload and the block-window vector; a chunk that arrives sorted
+    /// allocates the windows alone.
+    #[test]
+    fn seal_allocates_the_payload_and_the_block_windows_only() {
+        let chunk: Vec<Edge> = (0..4096).map(|i| Edge::new(i * 7919 % 256, i)).collect();
+        let mut scratch = SealScratch::default();
+        seal_chunk(&chunk, |e| e.src, 512, &mut scratch);
+        let before = thread_allocations();
+        let sealed = seal_chunk(&chunk, |e| e.src, 512, &mut scratch);
+        assert_eq!(thread_allocations() - before, 2);
+        let sorted = sealed.sorted.expect("shuffled keys move");
+        assert_eq!(sealed.blocks.expect("eight blocks").blocks(), 8);
+        let before = thread_allocations();
+        let again = seal_chunk(&sorted, |e| e.src, 512, &mut scratch);
+        assert_eq!(thread_allocations() - before, 1);
+        assert!(again.sorted.is_none(), "a sorted chunk stays where it is");
     }
 }

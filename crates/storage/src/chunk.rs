@@ -231,6 +231,170 @@ impl BlockIndex {
     }
 }
 
+/// Widest radix digit of one [`seal_chunk`] ordering pass: 4096 `u32`
+/// counters, half of a 32 KiB L1. A key window up to that wide — a bin-pure
+/// chunk of a partition of up to 64 K vertices at the default 16 bins —
+/// orders in a single counting pass; a wider one splits into equal digits.
+const MAX_DIGIT_BITS: u32 = 12;
+
+/// Caller-owned scratch of [`seal_chunk`]: the digit histograms and the two
+/// index permutations of the ordering passes. Grows to the largest chunk
+/// sealed and is reused from then on.
+#[derive(Debug, Default)]
+pub struct SealScratch {
+    counts: Vec<u32>,
+    order: Vec<u32>,
+    next: Vec<u32>,
+}
+
+/// What [`seal_chunk`] derives from one chunk's records.
+#[derive(Debug)]
+pub struct SealedChunk<T> {
+    /// The records in stable scatter-key order, in an exactly sized buffer;
+    /// `None` when they arrived in that order (or block indexing is off)
+    /// and nothing had to move.
+    pub sorted: Option<Vec<T>>,
+    /// Chunk-level key window and stride occupancy.
+    pub index: ChunkIndex,
+    /// Per-block key windows of the sorted interior; `None` with block
+    /// indexing off or a chunk of at most one block.
+    pub blocks: Option<BlockIndex>,
+}
+
+/// Seals one chunk: the sort-on-seal ordering contract and both indexes.
+///
+/// With `block_records > 0` the sealed interior is the records in *stable*
+/// scatter-key order — equal keys keep their arrival order, so the layout
+/// is a pure function of the written record sequence — indexed exactly as
+/// [`ChunkIndex::from_keys`] and [`BlockIndex::from_sorted_keys`] index it.
+/// One pass finds the key window and whether the records already arrive
+/// ordered (compaction survivors do, and are left where they are);
+/// otherwise an LSD counting sort over `key - lo` orders record *indices*
+/// — one pass for a window of up to `2^MAX_DIGIT_BITS` keys — and the
+/// records move once, into a buffer of exactly their length. The stride
+/// bitmap and the block windows are then read off the sorted run by
+/// stepping from stride to stride and sampling block ends: no key is
+/// divided, no window is grown record by record.
+///
+/// With `block_records == 0` nothing is ordered and only the chunk-level
+/// index is built, the layout of the chunk-granularity serves.
+///
+/// # Panics
+///
+/// Panics on a chunk of `2^32` records or more.
+pub fn seal_chunk<T: Copy>(
+    records: &[T],
+    key: impl Fn(&T) -> u64,
+    block_records: u32,
+    scratch: &mut SealScratch,
+) -> SealedChunk<T> {
+    if block_records == 0 {
+        return SealedChunk {
+            sorted: None,
+            index: ChunkIndex::from_keys(records.iter().map(&key)),
+            blocks: None,
+        };
+    }
+    let (mut lo, mut hi, mut ordered) = (u64::MAX, 0u64, true);
+    for r in records {
+        let k = key(r);
+        // While the run is ordered, `hi` is the previous key.
+        ordered &= k >= hi;
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    let sorted = (!ordered).then(|| stable_key_order(records, &key, lo, hi, scratch));
+    let run = sorted.as_deref().unwrap_or(records);
+    SealedChunk {
+        index: stride_index(run, &key, lo, hi),
+        blocks: block_windows(run, &key, block_records),
+        sorted,
+    }
+}
+
+/// The records in stable key order: LSD counting passes over the digits of
+/// `key - lo` permute record indices, then one gather moves the records.
+fn stable_key_order<T: Copy>(
+    records: &[T],
+    key: &impl Fn(&T) -> u64,
+    lo: u64,
+    hi: u64,
+    scratch: &mut SealScratch,
+) -> Vec<T> {
+    let n = u32::try_from(records.len()).expect("chunk record indices fit in 32 bits");
+    let bits = u64::BITS - (hi - lo).leading_zeros();
+    // Out of order, so `hi > lo`: at least one bit, hence one pass.
+    let passes = bits.div_ceil(MAX_DIGIT_BITS);
+    let digit_bits = bits.div_ceil(passes);
+    let buckets = 1usize << digit_bits;
+    let digit = |r: &T, pass: u32| ((key(r) - lo) >> (pass * digit_bits)) as usize & (buckets - 1);
+
+    let SealScratch { counts, order, next } = scratch;
+    counts.clear();
+    counts.resize(passes as usize * buckets, 0);
+    for r in records {
+        for pass in 0..passes {
+            counts[pass as usize * buckets + digit(r, pass)] += 1;
+        }
+    }
+    order.clear();
+    order.extend(0..n);
+    next.clear();
+    next.resize(records.len(), 0);
+    for (pass, starts) in counts.chunks_exact_mut(buckets).enumerate() {
+        // Counts to first positions, then a stable placement pass.
+        let mut at = 0;
+        for c in starts.iter_mut() {
+            at += std::mem::replace(c, at);
+        }
+        for &i in order.iter() {
+            let slot = &mut starts[digit(&records[i as usize], pass as u32)];
+            next[*slot as usize] = i;
+            *slot += 1;
+        }
+        std::mem::swap(order, next);
+    }
+    order.iter().map(|&i| records[i as usize]).collect()
+}
+
+/// [`ChunkIndex::from_keys`] of a key-sorted run with known window: the
+/// stride a key falls in is stepped up to, never divided out.
+fn stride_index<T>(run: &[T], key: &impl Fn(&T) -> u64, lo: u64, hi: u64) -> ChunkIndex {
+    if run.is_empty() {
+        return ChunkIndex::EMPTY;
+    }
+    let mut index = ChunkIndex { lo, hi, strides: 0 };
+    let width = index.stride_width();
+    // The stride being filled: its first key (relative to `lo`) and its bit.
+    let (mut start, mut bit) = (0u64, 1u64);
+    for r in run {
+        let rel = key(r) - lo;
+        while rel - start >= width {
+            start += width;
+            bit <<= 1;
+        }
+        index.strides |= bit;
+    }
+    index
+}
+
+/// [`BlockIndex::from_sorted_keys`] of a key-sorted run, sampling each
+/// block's first and last record.
+fn block_windows<T>(
+    run: &[T],
+    key: &impl Fn(&T) -> u64,
+    block_records: u32,
+) -> Option<BlockIndex> {
+    let block = block_records as usize;
+    (run.len() > block).then(|| BlockIndex {
+        block_records,
+        windows: run
+            .chunks(block)
+            .map(|b| (key(&b[0]), key(&b[b.len() - 1])))
+            .collect(),
+    })
+}
+
 #[derive(Debug)]
 struct Entry<T> {
     payload: Payload<T>,
@@ -1306,6 +1470,99 @@ mod tests {
         assert_eq!(cs.bytes_remaining(), (2 + 10 + 10 + 1) * 8);
         cs.clear().unwrap();
         assert_eq!(cs.bytes_remaining(), 0);
+    }
+
+    /// A record whose `tag` is its arrival position, so that comparing
+    /// whole records checks stability too.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Rec {
+        fwd: u64,
+        rev: u64,
+        tag: u32,
+    }
+
+    /// The contract [`seal_chunk`] must reproduce: the stable comparison
+    /// sort followed by both index builds.
+    fn oracle_seal(
+        records: &[Rec],
+        key: impl Fn(&Rec) -> u64,
+        block_records: u32,
+    ) -> (Vec<Rec>, ChunkIndex, Option<BlockIndex>) {
+        let mut sorted = records.to_vec();
+        sorted.sort_by_key(&key);
+        let index = ChunkIndex::from_keys(sorted.iter().map(&key));
+        let blocks = BlockIndex::from_sorted_keys(sorted.iter().map(&key), block_records);
+        (sorted, index, blocks)
+    }
+
+    #[test]
+    fn seal_chunk_matches_the_stable_sort_oracle() {
+        let mut rng = chaos_sim::Rng::new(13);
+        let mut draw = |n: usize, lo: u64, width: u64| -> Vec<u64> {
+            (0..n).map(|_| lo + rng.below(width)).collect()
+        };
+        let sorted = |mut keys: Vec<u64>| {
+            keys.sort_unstable();
+            keys
+        };
+        let reversed = |mut keys: Vec<u64>| {
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            keys
+        };
+        let cases: Vec<(&str, Vec<u64>)> = vec![
+            ("empty", Vec::new()),
+            ("one record", vec![77]),
+            ("all keys equal", vec![5; 300]),
+            ("already sorted", sorted(draw(1000, 4096, 256))),
+            ("reverse sorted", reversed(draw(1000, 4096, 256))),
+            // 150 sorted records of keys 0, 1, 2: each key's run crosses a
+            // block end at every block size below.
+            ("equal keys straddling block ends", (0..150u64).map(|i| i / 50).collect()),
+            ("equal keys straddling, shuffled", (0..150u64).map(|i| i * 7 % 3).collect()),
+            ("one-bin window", draw(4096, 1 << 20, 2048)),
+            ("window of exactly one digit", draw(4096, 9, 1 << MAX_DIGIT_BITS)),
+            ("two-digit window", draw(4096, 0, (1 << MAX_DIGIT_BITS) + 1)),
+            ("whole-partition window", draw(4096, 1 << 33, 1 << 22)),
+            ("window far wider than the chunk", draw(999, 3, u64::MAX - 3)),
+            ("window touching both ends of u64", vec![u64::MAX, 0, u64::MAX - 1, 1, u64::MAX]),
+        ];
+        let mut scratch = SealScratch::default();
+        for (what, keys) in &cases {
+            let records: Vec<Rec> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| Rec {
+                    fwd: k,
+                    // An unrelated order for the reverse direction.
+                    rev: k.rotate_left(17) ^ (i as u64 * 0x9E37_79B9 % 1024),
+                    tag: i as u32,
+                })
+                .collect();
+            // Blocks that divide the length, that do not, of one record
+            // short of it, of exactly it, and longer than it.
+            let n = records.len() as u32;
+            for block_records in [16, 50, 512, n.saturating_sub(1).max(1), n.max(1), n + 7] {
+                for reverse in [false, true] {
+                    let key = |r: &Rec| if reverse { r.rev } else { r.fwd };
+                    let got = seal_chunk(&records, key, block_records, &mut scratch);
+                    let (sorted, index, blocks) = oracle_seal(&records, key, block_records);
+                    let case = format!("{what}, blocks of {block_records}, reverse {reverse}");
+                    assert_eq!(got.index, index, "{case}");
+                    assert_eq!(got.blocks, blocks, "{case}");
+                    match &got.sorted {
+                        Some(moved) => {
+                            assert_eq!(moved, &sorted, "{case}");
+                            assert_eq!(moved.capacity(), moved.len(), "{case}: exactly sized");
+                        }
+                        None => assert_eq!(records, sorted, "{case}: left in place unsorted"),
+                    }
+                }
+            }
+            // Block indexing off: arrival order kept, chunk index only.
+            let got = seal_chunk(&records, |r| r.fwd, 0, &mut scratch);
+            assert!(got.sorted.is_none() && got.blocks.is_none(), "{what}");
+            assert_eq!(got.index, ChunkIndex::from_keys(keys.iter().copied()), "{what}");
+        }
     }
 
     #[test]

@@ -23,7 +23,10 @@ pub mod frame;
 pub mod vertex;
 
 pub use cache::PageCache;
-pub use chunk::{BlockIndex, ChunkIndex, ChunkSet, ChunkSetStats, ServeOutcome, ServedChunk};
+pub use chunk::{
+    seal_chunk, BlockIndex, ChunkIndex, ChunkSet, ChunkSetStats, SealScratch, SealedChunk,
+    ServeOutcome, ServedChunk,
+};
 pub use device::{CorruptionWindow, Device, DeviceError, DeviceProfile, FaultWindow};
 pub use file::{FileBacking, ScratchDir};
 pub use frame::{crc32, ExtentFrame, FRAME_BYTES, FRAME_MAGIC};
