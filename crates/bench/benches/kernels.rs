@@ -2,9 +2,10 @@
 //!
 //! These measure the *host* performance of the substrates (how fast the
 //! simulator itself runs), complementing the simulated-time figure
-//! harnesses in `src/`. One bench per hot component: the event queue, the
-//! RNG, graph generation, the streaming-partition pass, the record codec,
-//! the chunk-store serve path, sort-on-seal of one edge chunk, the
+//! harnesses in `src/`. One bench per hot component: the event queue
+//! (narrow payloads, and the hold model with engine-width ones), the RNG,
+//! graph generation, the streaming-partition pass, the record codec, the
+//! chunk-store serve path, sort-on-seal of one edge chunk, the
 //! scatter/gather inner kernels via the sequential executor, the reference
 //! oracles, the grid partitioner, and one end-to-end simulated cluster run.
 
@@ -20,7 +21,7 @@ use chaos_core::{run_chaos, ChaosConfig};
 use chaos_gas::record::{decode_all, encode_all};
 use chaos_gas::run_sequential;
 use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig};
-use chaos_sim::{EventQueue, Rng};
+use chaos_sim::{EventQueue, QueueKind, Rng, MICROS};
 use chaos_storage::{seal_chunk, ChunkSet, SealScratch};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -39,6 +40,44 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(sum)
         })
     });
+}
+
+/// The hold model of `chaos-perf`'s `sim.queue_hold` probe at 32 machines
+/// — 512 pending events, every pop schedules a successor one of the four
+/// fabric/SSD quanta ahead, buckets tuned to local delivery — but carrying
+/// a payload as wide as the engine's `Envelope<Msg>` (96 bytes), which the
+/// probe's `u64` is not: the cost of keeping order then depends on how much
+/// of an entry the store has to move. 200 000 holds per iteration (divide
+/// by 400 000 for ns per push or pop).
+fn bench_event_queue_hold_env96(c: &mut Criterion) {
+    let fabric = ChaosConfig::new(32).fabric;
+    let quanta = [
+        fabric.local_delivery,
+        fabric.propagation,
+        fabric.propagation + 7 * MICROS,
+        50 * MICROS,
+    ];
+    let (machines, depth) = (32, 512);
+    for (kind, name) in [(QueueKind::Calendar, "calendar"), (QueueKind::Heap, "heap")] {
+        let name = format!("sim/event_queue_hold_env96_{name}_d{depth}");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let mut q: EventQueue<[u64; 12]> = EventQueue::with_kind(kind);
+                q.tune(fabric.local_delivery);
+                for i in 0..depth {
+                    let at = quanta[i % 4] * (1 + i as u64 % 7);
+                    q.push(at, i % machines, [i as u64; 12]);
+                }
+                let mut sum = 0u64;
+                for i in 0..200_000usize {
+                    let e = q.pop().expect("the hold model never drains the queue");
+                    sum = sum.wrapping_add(e.msg[i % 12]);
+                    q.push(e.time + quanta[i % 4], e.dst, e.msg);
+                }
+                black_box(sum)
+            })
+        });
+    }
 }
 
 fn bench_rng(c: &mut Criterion) {
@@ -172,6 +211,7 @@ criterion_group!(
     config = Criterion::default().sample_size(10);
     targets =
         bench_event_queue,
+        bench_event_queue_hold_env96,
         bench_rng,
         bench_rmat,
         bench_partitioner,

@@ -2203,27 +2203,47 @@ fn pick_engine(
         // eligible engine (its device queue serializes them).
         return (!exhausted[l]).then_some(l);
     }
-    // Uniform pick without materializing the candidate list (this runs
-    // once per chunk request): count the eligible engines, then draw an
-    // index and scan to it. Same distribution and rng consumption as
-    // indexing into a collected Vec.
-    let idle = (0..requested.len())
-        .filter(|&e| requested[e] == 0 && !exhausted[e])
-        .count();
-    if idle > 0 {
-        let k = rng.below(idle as u64) as usize;
-        return (0..requested.len())
-            .filter(|&e| requested[e] == 0 && !exhausted[e])
-            .nth(k);
+    // Same distribution and rng consumption as indexing into a collected
+    // Vec of candidates: one draw over the idle engines if there are any,
+    // else (oversubscribed) one over the live ones.
+    let idle = pick_kth(
+        rng,
+        requested.iter().zip(exhausted).map(|(&r, &x)| r == 0 && !x),
+    );
+    if idle.is_some() || !oversubscribe {
+        return idle;
     }
-    if oversubscribe {
-        let live = exhausted.iter().filter(|&&x| !x).count();
-        if live > 0 {
-            let k = rng.below(live as u64) as usize;
-            return (0..exhausted.len()).filter(|&e| !exhausted[e]).nth(k);
+    pick_kth(rng, exhausted.iter().map(|&x| !x))
+}
+
+/// A uniform pick among the positions where `eligible` yields `true`: one
+/// `below(count)` draw, then the drawn-th such position; `None`, and no
+/// draw, when there is none. This runs once per chunk request with an
+/// eligibility that is close to a coin flip per engine, so neither pass
+/// branches on it: the count is a sum, and the select packs 64 engines to
+/// a word and clears the low set bits.
+fn pick_kth(rng: &mut Rng, mut eligible: impl Iterator<Item = bool> + Clone) -> Option<usize> {
+    let count: u64 = eligible.clone().map(u64::from).sum();
+    if count == 0 {
+        return None;
+    }
+    let mut k = rng.below(count) as u32;
+    for base in (0..).step_by(64) {
+        let mut word = eligible
+            .by_ref()
+            .take(64)
+            .enumerate()
+            .fold(0u64, |w, (i, ok)| w | u64::from(ok) << i);
+        let ones = word.count_ones();
+        if k < ones {
+            for _ in 0..k {
+                word &= word - 1;
+            }
+            return Some(base + word.trailing_zeros() as usize);
         }
+        k -= ones;
     }
-    None
+    unreachable!("the draw is below the eligible count")
 }
 
 #[cfg(test)]
@@ -2488,6 +2508,74 @@ mod tests {
             let mut ctx = Ctx::new(0, 0);
             eng.on_remaining(&mut ctx, 0, 1 << 20);
             assert_eq!(eng.stealers.get(&0).map(Vec::len), Some(1));
+        }
+    }
+
+    /// `pick_engine` as it was before the eligibility mask — two filtered
+    /// scans per draw — kept as the oracle for the test below.
+    fn pick_engine_two_scan(
+        rng: &mut Rng,
+        requested: &[u32],
+        exhausted: &[bool],
+        local: Option<usize>,
+        oversubscribe: bool,
+    ) -> Option<usize> {
+        if let Some(l) = local {
+            return (!exhausted[l]).then_some(l);
+        }
+        let idle = (0..requested.len())
+            .filter(|&e| requested[e] == 0 && !exhausted[e])
+            .count();
+        if idle > 0 {
+            let k = rng.below(idle as u64) as usize;
+            return (0..requested.len())
+                .filter(|&e| requested[e] == 0 && !exhausted[e])
+                .nth(k);
+        }
+        if oversubscribe {
+            let live = exhausted.iter().filter(|&&x| !x).count();
+            if live > 0 {
+                let k = rng.below(live as u64) as usize;
+                return (0..exhausted.len()).filter(|&e| !exhausted[e]).nth(k);
+            }
+        }
+        None
+    }
+
+    /// Same engine, same rng state afterwards, over random request and
+    /// exhaustion states — sparse, dense, all busy, all exhausted — at
+    /// machine counts on both sides of the mask's 64-engine word.
+    #[test]
+    fn pick_engine_matches_the_two_scan_oracle() {
+        let mut gen = Rng::new(0xE1161B1E);
+        for machines in [1usize, 7, 32, 64, 65, 130] {
+            for case in 0..600u64 {
+                // Out of 8: how many engines are busy, how many exhausted.
+                let (busy, gone) = (gen.below(10), gen.below(10));
+                let requested: Vec<u32> = (0..machines)
+                    .map(|_| u32::from(gen.below(8) < busy) * (1 + gen.below(3) as u32))
+                    .collect();
+                let exhausted: Vec<bool> = (0..machines).map(|_| gen.below(8) < gone).collect();
+                let local = (gen.below(4) == 0).then(|| gen.below(machines as u64) as usize);
+                let oversubscribe = gen.below(2) == 0;
+                let mut rng = Rng::new(case).derive(machines as u64);
+                let mut oracle_rng = rng.clone();
+                // Several draws per state: the rng states must stay in step.
+                for _ in 0..4 {
+                    assert_eq!(
+                        pick_engine(&mut rng, &requested, &exhausted, local, oversubscribe),
+                        pick_engine_two_scan(
+                            &mut oracle_rng,
+                            &requested,
+                            &exhausted,
+                            local,
+                            oversubscribe
+                        ),
+                        "m={machines} case={case} requested={requested:?} exhausted={exhausted:?}"
+                    );
+                    assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "rng out of step");
+                }
+            }
         }
     }
 

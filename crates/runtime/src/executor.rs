@@ -427,13 +427,7 @@ impl<T: Topology, M: Batchable> Executor<T, M> for SequentialExecutor<T, M> {
         // One context for the whole drain: its send buffer's capacity is
         // reused across events, so the steady-state loop never allocates.
         let mut ctx = Ctx::new(self.queue.now(), 0);
-        loop {
-            match self.queue.peek_time() {
-                None => break,
-                Some(t) if t > until => break,
-                Some(_) => {}
-            }
-            let ev = self.queue.pop().expect("peeked event present");
+        while let Some(ev) = self.queue.pop_until(until) {
             assert!(
                 self.delivered() < self.max_events,
                 "event budget exceeded; protocol likely wedged"

@@ -12,9 +12,8 @@
 //!
 //! - `current` holds the bucket being drained (`day`) as a deque sorted
 //!   *ascending* by `(time, seq)`: popping the minimum is a `pop_front`,
-//!   and a push landing in the staged bucket — the common case, since new
-//!   events carry near-maximal times — binary-inserts near the *back*,
-//!   where the deque's memmove is shortest.
+//!   and a push landing in the staged bucket — the common case — probes
+//!   the back, then binary-inserts; the deque moves the shorter side.
 //! - `ring` holds the next [`CalendarQueue::RING_BUCKETS`] buckets as
 //!   unsorted append-only `Vec`s, indexed by bucket number modulo ring
 //!   size. Entries are sorted once, when their bucket becomes `day`.
@@ -92,6 +91,13 @@ struct Entry<P> {
     time: Time,
     seq: u64,
     payload: P,
+}
+
+/// `(time, seq)` as one integer: the pair's order in a single branch-free
+/// compare, which is what the binary insert into `current` spends its
+/// time on.
+fn key(time: Time, seq: u64) -> u128 {
+    (time as u128) << 64 | seq as u128
 }
 
 /// Reversed ordering wrapper so `BinaryHeap` acts as a min-heap on
@@ -235,16 +241,16 @@ impl<P> CalendarQueue<P> {
                 self.rewind(b);
             }
             // Binary insert keeps `current` sorted. With millisecond-wide
-            // buckets most latency-scale pushes land here, but new events
-            // usually carry a maximal `(time, seq)` key (times grow with
-            // the clock and `seq` with every push), so probe the back
-            // before paying for the binary search; off-path inserts still
-            // sit near the back, where the deque's memmove is short.
+            // buckets most latency-scale pushes land here. On few machines
+            // a new event usually carries the maximal `(time, seq)` key
+            // (times grow with the clock, `seq` with every push), so probe
+            // the back first; on many, latencies of different kinds
+            // interleave and most pushes insert mid-deque, which is why
+            // entries should be narrow (see `EventQueue`'s slab).
+            let at = key(time, seq);
             match self.current.back() {
-                Some(last) if (last.time, last.seq) > (time, seq) => {
-                    let pos = self
-                        .current
-                        .partition_point(|x| (x.time, x.seq) < (time, seq));
+                Some(last) if key(last.time, last.seq) > at => {
+                    let pos = self.current.partition_point(|x| key(x.time, x.seq) < at);
                     self.current.insert(pos, e);
                 }
                 _ => self.current.push_back(e),
@@ -309,7 +315,7 @@ impl<P> CalendarQueue<P> {
     fn sort_current(&mut self) {
         self.current
             .make_contiguous()
-            .sort_unstable_by_key(|e| (e.time, e.seq));
+            .sort_unstable_by_key(|e| key(e.time, e.seq));
     }
 
     /// Ensures `current` is non-empty when the queue is non-empty,
@@ -375,7 +381,12 @@ impl<P> CalendarQueue<P> {
 
     /// Pops the earliest entry.
     pub fn pop(&mut self) -> Option<(Time, u64, P)> {
-        if !self.restage() {
+        self.pop_until(Time::MAX)
+    }
+
+    /// Pops the earliest entry unless its time lies after `until`.
+    pub fn pop_until(&mut self, until: Time) -> Option<(Time, u64, P)> {
+        if !self.restage() || self.current.front()?.time > until {
             return None;
         }
         let e = self

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# profile.sh — wrap the gprofng collect/display recipe used to find hot
-# cells (perf and valgrind are unavailable in the dev container; gprofng
-# works, and while its sample totals under-report, relative shares are
-# usable).
+# profile.sh — wrap the gprofng collect/display recipe (perf and valgrind
+# are unavailable in the dev container; gprofng runs). Mind how little it
+# sees there: `gprofng collect` returns 40 to 60 samples for a 5 s
+# chaos-perf run, with or without `-p hi`, which is too few to rank
+# anything — a function at 10% is five samples. Use it for minutes-long
+# commands (a whole fig7), or to learn that one function dominates; the
+# shares quoted in DESIGN.md's "Measured effect (PR 14)" came from a
+# SIGPROF sampler (250 Hz, frame-pointer walk) patched into a scratch copy
+# of chaos-perf instead.
 #
 # Usage:
 #   scripts/profile.sh <command...>
