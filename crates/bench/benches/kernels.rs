@@ -97,6 +97,13 @@ fn bench_rmat(c: &mut Criterion) {
     c.bench_function("graph/rmat_scale14_generate", |b| {
         b.iter(|| black_box(RmatConfig::paper(14).generate().num_edges()))
     });
+    c.bench_function("graph/rmat_scale14_weighted_generate", |b| {
+        b.iter(|| black_box(RmatConfig::paper_weighted(14).generate().num_edges()))
+    });
+    let g = RmatConfig::paper(14).generate();
+    c.bench_function("graph/to_undirected_scale14", |b| {
+        b.iter(|| black_box(g.to_undirected().num_edges()))
+    });
 }
 
 fn bench_partitioner(c: &mut Criterion) {

@@ -40,9 +40,6 @@
 //!
 //! `--metrics-json <path>` dumps every run's report plus per-iteration
 //! selectivity as stable JSON after the experiments finish.
-//!
-//! `--no-cache` bypasses the on-disk RMAT graph cache (default location
-//! `target/rmat-cache`, override with `CHAOS_RMAT_CACHE`).
 
 use std::process::ExitCode;
 
@@ -189,7 +186,6 @@ fn main() -> ExitCode {
         };
         args.drain(i..=i + 1);
     }
-    let no_cache = args.iter().any(|a| a == "--no-cache");
     let full = args.iter().any(|a| a == "--full");
     let ids: Vec<&str> = args
         .iter()
@@ -202,8 +198,7 @@ fn main() -> ExitCode {
         .with_cluster_bins(cluster_bins)
         .with_block_records(block_records)
         .with_queue(queue)
-        .with_batching(batching)
-        .with_disk_cache(!no_cache);
+        .with_batching(batching);
 
     match ids.first().copied() {
         None | Some("list") => {

@@ -2,7 +2,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -50,9 +49,6 @@ pub struct Scale {
     /// Same-machine envelope batching for every run — also host-side only;
     /// `bench_smoke.sh` byte-compares figure output across this flag too.
     pub batching: bool,
-    /// Reuse generated RMAT graphs from the on-disk cache (see
-    /// [`Harness::rmat_for`]). `figures --no-cache` turns it off.
-    pub disk_cache: bool,
 }
 
 impl Scale {
@@ -70,7 +66,6 @@ impl Scale {
             block_records: None,
             queue: QueueKind::default(),
             batching: true,
-            disk_cache: true,
         }
     }
 
@@ -88,7 +83,6 @@ impl Scale {
             block_records: None,
             queue: QueueKind::default(),
             batching: true,
-            disk_cache: true,
         }
     }
 
@@ -125,12 +119,6 @@ impl Scale {
     /// The same sizing with envelope batching toggled.
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
-        self
-    }
-
-    /// The same sizing with the on-disk RMAT cache toggled.
-    pub fn with_disk_cache(mut self, disk_cache: bool) -> Self {
-        self.disk_cache = disk_cache;
         self
     }
 }
@@ -298,16 +286,8 @@ impl Harness {
     }
 
     /// RMAT graph at `scale`, shaped for the named algorithm (undirected
-    /// expansion and/or weights per Table 1), memoized in memory and — by
-    /// default — on disk, so consecutive `figures` invocations (the four
-    /// runs of `scripts/bench_smoke.sh`) stop regenerating the same graph.
-    ///
-    /// The cache lives in `target/rmat-cache` (override with
-    /// `CHAOS_RMAT_CACHE`); files are keyed on the full generator
-    /// configuration plus the undirected expansion, written atomically
-    /// (temp file + rename) and validated on read — a corrupt or
-    /// mismatched file falls back to regeneration. Hits and misses are
-    /// logged to stderr; `figures --no-cache` bypasses the disk entirely.
+    /// expansion and/or weights per Table 1), memoized for the life of the
+    /// harness.
     pub fn rmat_for(&self, scale: u32, algo: &str) -> Rc<InputGraph> {
         let undirected = needs_undirected(algo);
         let weighted = needs_weights(algo);
@@ -323,23 +303,10 @@ impl Harness {
         } else {
             RmatConfig::paper(scale)
         };
-        let path = self
-            .scale
-            .disk_cache
-            .then(|| rmat_cache_dir().join(rmat_cache_name(&cfg, undirected)));
-        let g = match path.as_deref().and_then(|p| load_cached_rmat(p, &cfg)) {
-            Some(g) => g,
-            None => {
-                let mut g = cfg.generate();
-                if undirected {
-                    g = g.to_undirected();
-                }
-                if let Some(p) = path.as_deref() {
-                    store_cached_rmat(p, &g);
-                }
-                g
-            }
-        };
+        let mut g = cfg.generate();
+        if undirected {
+            g = g.to_undirected();
+        }
         let g = Rc::new(g);
         self.graphs.borrow_mut().insert(key, Rc::clone(&g));
         g
@@ -500,63 +467,6 @@ impl Harness {
         } else {
             vec!["BFS", "WCC", "PR", "Cond", "SpMV", "BP"]
         }
-    }
-}
-
-/// The on-disk RMAT cache directory: `$CHAOS_RMAT_CACHE`, or
-/// `target/rmat-cache` under the working directory.
-fn rmat_cache_dir() -> PathBuf {
-    std::env::var_os("CHAOS_RMAT_CACHE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/rmat-cache"))
-}
-
-/// Cache filename for a generator configuration: a readable prefix plus an
-/// FNV-1a digest of every field that shapes the edge list, so any change
-/// to the generator parameters misses cleanly.
-fn rmat_cache_name(cfg: &RmatConfig, undirected: bool) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [
-        u64::from(cfg.edge_factor),
-        cfg.probs.0.to_bits(),
-        cfg.probs.1.to_bits(),
-        cfg.probs.2.to_bits(),
-        cfg.seed,
-    ] {
-        h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!(
-        "rmat-s{}{}{}-{h:016x}.el",
-        cfg.scale,
-        if cfg.weighted { "-w" } else { "" },
-        if undirected { "-und" } else { "" },
-    )
-}
-
-/// Reads a cached graph back, validating it against the configuration that
-/// keyed it. Any failure (missing, truncated, mismatched) is a miss.
-fn load_cached_rmat(path: &std::path::Path, cfg: &RmatConfig) -> Option<InputGraph> {
-    let g = chaos_graph::io::read_binary(path).ok()?;
-    if g.num_vertices != cfg.num_vertices() || g.weighted != cfg.weighted {
-        eprintln!("[rmat-cache] stale {}, regenerating", path.display());
-        return None;
-    }
-    eprintln!("[rmat-cache] hit {}", path.display());
-    Some(g)
-}
-
-/// Writes a graph to the cache atomically (temp file + rename); failures
-/// only cost the cache, never the run.
-fn store_cached_rmat(path: &std::path::Path, g: &InputGraph) {
-    let Some(dir) = path.parent() else { return };
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if chaos_graph::io::write_binary(g, &tmp).is_ok() && std::fs::rename(&tmp, path).is_ok() {
-        eprintln!("[rmat-cache] miss, wrote {}", path.display());
-    } else {
-        std::fs::remove_file(&tmp).ok();
     }
 }
 

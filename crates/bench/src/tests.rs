@@ -16,8 +16,6 @@ fn tiny() -> Harness {
         block_records: None,
         queue: chaos_core::QueueKind::default(),
         batching: true,
-        // Unit tests must not touch the shared target/rmat-cache dir.
-        disk_cache: false,
     })
 }
 

@@ -51,13 +51,32 @@ impl WebGraphConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `pages == 0` or `pages_per_host == 0`.
+    /// Panics with [`WebGraphConfig::try_generate`]'s message where that
+    /// fails.
     pub fn generate(&self) -> InputGraph {
-        assert!(self.pages > 0 && self.pages_per_host > 0);
+        self.try_generate().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Generates the graph, or says why it cannot.
+    ///
+    /// # Errors
+    ///
+    /// `pages`, `pages_per_host` or `max_out_degree` is zero, or not even
+    /// one link per page fits in memory.
+    pub fn try_generate(&self) -> Result<InputGraph, String> {
+        if self.pages == 0 || self.pages_per_host == 0 || self.max_out_degree == 0 {
+            return Err("need at least one page, one page per host and one link per page".into());
+        }
         let mut rng = Rng::new(self.seed);
         let n = self.pages;
         let hosts = n.div_ceil(self.pages_per_host);
+        // Every page has at least one out-link, so this is a lower bound on
+        // the edge count: a page count that cannot be held is refused here,
+        // before the loop, not by an abort somewhere inside it.
         let mut edges = Vec::new();
+        if !usize::try_from(n).is_ok_and(|n| edges.try_reserve_exact(n).is_ok()) {
+            return Err(format!("cannot hold the links of {n} pages in memory"));
+        }
         for src in 0..n {
             let deg = self.sample_degree(&mut rng);
             let host = src / self.pages_per_host;
@@ -82,7 +101,7 @@ impl WebGraphConfig {
                 edges.push(Edge::new(src, dst));
             }
         }
-        InputGraph::new(n, edges, false)
+        Ok(InputGraph::new(n, edges, false))
     }
 
     /// Discrete bounded Pareto sample with the configured mean.
@@ -140,6 +159,19 @@ mod tests {
             .count();
         let frac = intra as f64 / g.edges.len() as f64;
         assert!(frac > 0.6, "intra-host fraction {frac}");
+    }
+
+    #[test]
+    fn unusable_parameters_are_errors_not_panics_or_aborts() {
+        let with = |f: fn(&mut WebGraphConfig)| {
+            let mut cfg = WebGraphConfig::scaled(64);
+            f(&mut cfg);
+            cfg.try_generate().expect_err("must be rejected")
+        };
+        assert!(with(|c| c.pages = 0).contains("at least one page"));
+        assert!(with(|c| c.pages_per_host = 0).contains("at least one page"));
+        assert!(with(|c| c.max_out_degree = 0).contains("at least one page"));
+        assert!(with(|c| c.pages = 1 << 50).contains("cannot hold"));
     }
 
     #[test]

@@ -26,11 +26,6 @@
 # via their states-digest lines, and requires the frame checks to have
 # detected and repaired at least one corruption.
 #
-# The first run doubles as a warm-up for the on-disk RMAT cache
-# (target/rmat-cache), so the timed sequential run measures the engine,
-# not the graph generator. BENCH_NO_CACHE=1 disables the cache for every
-# run.
-#
 # Usage: scripts/bench_smoke.sh [output.json]
 set -euo pipefail
 
@@ -38,10 +33,6 @@ cd "$(dirname "$0")/.."
 OUT_JSON="${1:-BENCH_pr9.json}"
 EXPERIMENT="${BENCH_EXPERIMENT:-fig7}"
 PAR_BACKEND="${BENCH_PAR_BACKEND:-par:4}"
-CACHE_FLAG=()
-if [ "${BENCH_NO_CACHE:-0}" = "1" ]; then
-    CACHE_FLAG=(--no-cache)
-fi
 
 cargo build --release -p chaos-bench --bin figures --bin cellstats
 
@@ -65,16 +56,13 @@ trap 'rm -f "$SEQ_OUT" "$SEQ_ERR" "$PAR_OUT" "$REF_OUT" "$FLAT_OUT" "$NOBLOCK_OU
 run_mode() {
     local out="$1" err="$2"
     shift 2
-    if ! "$BIN" "$EXPERIMENT" "${CACHE_FLAG[@]}" "$@" >"$out" 2>"$err"; then
+    if ! "$BIN" "$EXPERIMENT" "$@" >"$out" 2>"$err"; then
         echo "FAIL: $EXPERIMENT $* exited nonzero; stderr:" >&2
         cat "$err" >&2
         exit 1
     fi
 }
 
-# The heap-queue run goes first: it doubles as the RMAT disk-cache
-# warm-up, so the timed sequential run below measures the event loop, not
-# graph generation.
 t0=$(date +%s.%N)
 run_mode "$HEAP_OUT" "$ERR_LOG" --backend seq --queue heap
 t1=$(date +%s.%N)
@@ -94,7 +82,7 @@ t7=$(date +%s.%N)
 # Checkpoint-overhead measurement (fig13: per-barrier two-phase vertex
 # snapshots on the HDD cluster). Simulated, so the ratio is
 # host-independent — gate it hard at <15% per algorithm.
-if ! "$BIN" fig13 "${CACHE_FLAG[@]}" --backend seq >"$CKPT_OUT" 2>"$ERR_LOG"; then
+if ! "$BIN" fig13 --backend seq >"$CKPT_OUT" 2>"$ERR_LOG"; then
     echo "FAIL: fig13 exited nonzero; stderr:" >&2
     cat "$ERR_LOG" >&2
     exit 1

@@ -4,10 +4,11 @@
 # sees there: `gprofng collect` returns 40 to 60 samples for a 5 s
 # chaos-perf run, with or without `-p hi`, which is too few to rank
 # anything — a function at 10% is five samples. Use it for minutes-long
-# commands (a whole fig7), or to learn that one function dominates; the
-# shares quoted in DESIGN.md's "Measured effect (PR 14)" came from a
-# SIGPROF sampler (250 Hz, frame-pointer walk) patched into a scratch copy
-# of chaos-perf instead.
+# commands (a whole fig7), or to learn that one function dominates. For a
+# chaos-perf workload use scripts/pcsample.sh instead: a 250 Hz SIGPROF
+# program-counter sampler (about 2000 samples per 8 s run) that needs no
+# patched copy of any tree; DESIGN.md's "Measured effect (PR 17)" shares
+# came from it.
 #
 # Usage:
 #   scripts/profile.sh <command...>

@@ -97,14 +97,18 @@ fn load_or_generate(args: &Args, algo: Option<&str>) -> Result<InputGraph, Strin
             .map_err(|e| format!("cannot read {path}: {e}"))?
     } else if let Some(pages) = args.value("--web-pages") {
         let pages: u64 = pages.parse().map_err(|_| "bad --web-pages".to_string())?;
-        WebGraphConfig::scaled(pages).generate()
+        WebGraphConfig::scaled(pages)
+            .try_generate()
+            .map_err(|e| format!("--web-pages {pages}: {e}"))?
     } else {
         let scale: u32 = args.parsed("--scale", 12)?;
-        if weighted_needed {
-            RmatConfig::paper_weighted(scale).generate()
+        let rmat = if weighted_needed {
+            RmatConfig::paper_weighted(scale)
         } else {
-            RmatConfig::paper(scale).generate()
-        }
+            RmatConfig::paper(scale)
+        };
+        rmat.try_generate()
+            .map_err(|e| format!("--scale {scale}: {e}"))?
     };
     if weighted_needed && !g.weighted {
         return Err("this algorithm needs edge weights; use a weighted graph".into());
