@@ -110,7 +110,8 @@ fn main() {
     } else {
         RmatConfig::paper(scale)
     };
-    let mut g = cfg_rmat.generate();
+    let mut g =
+        chaos_bench::harness::graph_or_exit(format_args!("scale {scale}"), cfg_rmat.try_generate());
     if needs_undirected(&algo) {
         g = g.to_undirected();
     }

@@ -175,6 +175,20 @@ pub fn digest_states<S: chaos_gas::Record>(states: &[S]) -> u64 {
     h
 }
 
+/// The generated graph, or one `error:` line naming `what` was asked for
+/// and exit status 1. A generator limit (scale 48, an edge list beyond
+/// memory) is the caller's argument, not a bug to unwind from, and neither
+/// a figure nor a probe has anything to do without its input.
+pub fn graph_or_exit(
+    what: impl std::fmt::Display,
+    graph: Result<InputGraph, String>,
+) -> InputGraph {
+    graph.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
+}
+
 impl Harness {
     /// Creates a harness with the given sizing.
     pub fn new(scale: Scale) -> Self {
@@ -303,7 +317,7 @@ impl Harness {
         } else {
             RmatConfig::paper(scale)
         };
-        let mut g = cfg.generate();
+        let mut g = graph_or_exit(format_args!("RMAT scale {scale}"), cfg.try_generate());
         if undirected {
             g = g.to_undirected();
         }
@@ -373,7 +387,10 @@ impl Harness {
         if let Some(g) = self.webgraphs.borrow().get(&key) {
             return Rc::clone(g);
         }
-        let mut g = WebGraphConfig::scaled(pages).generate();
+        let mut g = graph_or_exit(
+            format_args!("web graph of {pages} pages"),
+            WebGraphConfig::scaled(pages).try_generate(),
+        );
         if undirected {
             g = g.to_undirected();
         }

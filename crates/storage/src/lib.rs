@@ -29,5 +29,5 @@ pub use chunk::{
 };
 pub use device::{CorruptionWindow, Device, DeviceError, DeviceProfile, FaultWindow};
 pub use file::{FileBacking, ScratchDir};
-pub use frame::{crc32, ExtentFrame, FRAME_BYTES, FRAME_MAGIC};
+pub use frame::{crc32, crc32_table, ExtentFrame, FRAME_BYTES, FRAME_MAGIC};
 pub use vertex::VertexArray;

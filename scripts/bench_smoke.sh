@@ -9,8 +9,9 @@
 # the states digest. Wall-clock timings plus the hot-path metrics (record
 # throughput, chunk- and block-level skip counts, and the event-loop
 # dispatch account parsed from the sequential run's stderr) land in the
-# output file (default BENCH_pr9.json), including the same-window A/B of
-# block-indexed serves vs --block-records 0. The timings are a record, not
+# output file (default target/bench_smoke.json — never a committed
+# BENCH_pr<N>.json, the record of its PR), including the same-window A/B
+# of block-indexed serves vs --block-records 0. The timings are a record, not
 # a gate — one `date` delta cannot tell a regression from host drift;
 # host-time claims are measured with chaos-perf (chaos-perf/README.md).
 #
@@ -30,7 +31,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-OUT_JSON="${1:-BENCH_pr9.json}"
+OUT_JSON="${1:-target/bench_smoke.json}"
 EXPERIMENT="${BENCH_EXPERIMENT:-fig7}"
 PAR_BACKEND="${BENCH_PAR_BACKEND:-par:4}"
 
