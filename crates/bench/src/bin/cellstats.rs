@@ -4,17 +4,16 @@
 //! without a full figure sweep.
 //!
 //! ```text
-//! cellstats PR 4 14 [seq|par:N] [selective|reference|dense] \
+//! cellstats PR 4 14 [selective|reference|dense] \
 //!     [--bins N] [--block-records N] [--queue calendar|heap] \
-//!     [--batching on|off] [--iters] [--metrics-json <path>] \
-//!     [--fault-seed N]
+//!     [--iters] [--metrics-json <path>] [--fault-seed N] [--scrub]
 //! ```
 //!
 //! `--bins N` overrides the clustered-layout bin count (1 = unclustered
 //! arrival-order layout). `--block-records N` overrides the sub-chunk
-//! block-index granularity (0 = chunk-granularity serves). `--queue` and
-//! `--batching` probe the event-loop core (host-side only — the simulated
-//! columns never move). `--iters` adds a per-iteration table:
+//! block-index granularity (0 = chunk-granularity serves). `--queue`
+//! selects the event-queue store (host-side only — the simulated columns
+//! never move). `--iters` adds a per-iteration table:
 //! active-vertex fraction, chunks/records and blocks/records skipped
 //! (split into empty-frontier and mid-wavefront skips), and
 //! tombstone/compaction counts — the shape of a frontier collapsing or a
@@ -25,18 +24,33 @@
 //! corruption windows); the fault account and integrity lines show what
 //! the recovery protocol absorbed. `--scrub` enables the between-
 //! iteration integrity scrub pass. The `states digest` line is a
-//! layout-, backend- and fault-invariant fingerprint of the final vertex
-//! states — `scripts/bench_smoke.sh` compares it between corruption-
-//! seeded and fault-free runs.
+//! layout- and fault-invariant fingerprint of the final vertex states —
+//! `scripts/bench_smoke.sh` compares it between corruption-seeded and
+//! fault-free runs. Any other `--option` is an error: one `error:` line,
+//! exit 1, nothing run.
 
 use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, Backend, ChaosConfig, FaultPlan, FaultPlanConfig, QueueKind, Streaming};
+use chaos_core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, QueueKind, Streaming};
 use chaos_graph::RmatConfig;
+
+const OPTIONS: &[&str] = &[
+    "--iters",
+    "--bins",
+    "--block-records",
+    "--metrics-json",
+    "--queue",
+    "--scrub",
+    "--fault-seed",
+];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = chaos_bench::harness::check_options(&args, OPTIONS) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     let per_iter = args.iter().any(|a| a == "--iters");
     args.retain(|a| a != "--iters");
     let mut bins: Option<u32> = None;
@@ -84,24 +98,11 @@ fn main() {
         );
         args.drain(i..=i + 1);
     }
-    let mut batching = true;
-    if let Some(i) = args.iter().position(|a| a == "--batching") {
-        batching = match args.get(i + 1).map(String::as_str) {
-            Some("on" | "true") => true,
-            Some("off" | "false") => false,
-            _ => panic!("--batching needs on or off"),
-        };
-        args.drain(i..=i + 1);
-    }
     let algo = args.first().map(|s| s.as_str()).unwrap_or("PR").to_string();
     let machines: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
     let scale: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(14);
-    let backend: Backend = args
-        .get(3)
-        .map(|s| s.parse().expect("bad backend"))
-        .unwrap_or(Backend::Sequential);
     let streaming: Streaming = args
-        .get(4)
+        .get(3)
         .map(|s| s.parse().expect("bad streaming mode"))
         .unwrap_or(Streaming::Selective);
 
@@ -118,10 +119,8 @@ fn main() {
     let mut cfg = ChaosConfig::new(machines);
     cfg.chunk_bytes = 32 * 1024;
     cfg.mem_budget = 256 * 1024;
-    cfg.backend = backend;
     cfg.streaming = streaming;
     cfg.queue = queue;
-    cfg.batching = batching;
     if let Some(b) = bins {
         cfg.cluster_bins = b;
     }
@@ -143,9 +142,8 @@ fn main() {
     // `cluster_bins` is the run's *effective* layout — dense-activity
     // programs keep the single-bin arrival order whatever was requested.
     println!(
-        "{algo} m={machines} scale={scale} backend={} streaming={streaming} bins={}: \
+        "{algo} m={machines} scale={scale} streaming={streaming} bins={}: \
          wall {:.3}s, events {}, records {}, iters {}, {:.0} events/s, {:.0} records/s",
-        rep.backend,
         rep.cluster_bins,
         wall,
         rep.events,
@@ -153,15 +151,6 @@ fn main() {
         rep.iterations,
         rep.events as f64 / wall,
         rep.records_streamed as f64 / wall,
-    );
-    println!(
-        "dispatch: queue={queue} batching={} — {} events in {} envelopes \
-         ({:.3} msgs/envelope), {} queue ops",
-        if batching { "on" } else { "off" },
-        rep.events,
-        rep.envelopes,
-        rep.batching_ratio(),
-        rep.queue_ops,
     );
     let fa = &rep.faults;
     println!(

@@ -3,18 +3,12 @@
 //! ```text
 //! figures list                      # show experiment ids
 //! figures fig7                      # one experiment at the quick scale
-//! figures fig7 --backend par:4      # same rows, parallel event loop
 //! figures all                       # everything, quick scale
 //! figures all --full                # everything, larger scale
 //! ```
 //!
-//! `--backend {seq|par|par:N}` selects the execution backend for every
-//! run. Figure output is bit-identical across backends — the simulation
-//! is backend-invariant — so the flag only changes host wall-clock
-//! behavior (see `scripts/bench_smoke.sh`, which relies on the identity).
-//!
 //! `--streaming {selective|reference|dense}` selects the scatter
-//! streaming mode. `selective` (default) and `reference` also produce
+//! streaming mode. `selective` (default) and `reference` produce
 //! bit-identical output — the reference mode is the dense-streaming
 //! oracle that additionally verifies every skipped chunk scatters to
 //! nothing; `bench_smoke.sh` byte-compares across this flag too.
@@ -24,11 +18,9 @@
 //! legitimately differ across layouts; the figures' "states digest"
 //! lines do not, and `bench_smoke.sh` compares them.
 //!
-//! `--queue {calendar|heap}` selects the event-queue store and
-//! `--batching {on|off}` toggles same-machine envelope batching. Both are
-//! host-side-only like the backend: stdout is bit-identical across every
-//! combination (`bench_smoke.sh` byte-compares the cross), and the
-//! dispatch accounting that *does* differ goes to stderr.
+//! `--queue {calendar|heap}` selects the event-queue store — host-side
+//! only: stdout is bit-identical across both (`bench_smoke.sh`
+//! byte-compares them).
 //!
 //! `--block-records N` overrides the sub-chunk block-index granularity
 //! (0 = chunk-granularity serves, the pre-block behavior). Like the bin
@@ -40,22 +32,29 @@
 //!
 //! `--metrics-json <path>` dumps every run's report plus per-iteration
 //! selectivity as stable JSON after the experiments finish.
+//!
+//! Any other `--option` is an error: one `error:` line, exit 1, nothing
+//! run.
 
 use std::process::ExitCode;
 
+use chaos_bench::harness::check_options;
 use chaos_bench::{run_experiment, Harness, Scale, EXPERIMENTS};
-use chaos_core::{Backend, QueueKind, Streaming};
+use chaos_core::{QueueKind, Streaming};
 
-/// Prints the host-side dispatch account to stderr (stdout must stay
-/// byte-identical across queue/batching configurations).
-fn dispatch_stats(h: &Harness) {
-    eprintln!(
-        "dispatch stats: events={} envelopes={} ratio={:.3} queue-ops={}",
-        h.events_dispatched(),
-        h.envelopes_sent(),
-        h.batching_ratio(),
-        h.queue_ops(),
-    );
+const OPTIONS: &[&str] = &[
+    "--streaming",
+    "--cluster-bins",
+    "--block-records",
+    "--queue",
+    "--dataset",
+    "--metrics-json",
+    "--full",
+];
+
+/// Prints the summed fault account to stderr (stdout carries the figure
+/// and nothing else).
+fn fault_stats(h: &Harness) {
     let fa = h.fault_account();
     eprintln!(
         "fault account:  aborts={} redone={} device-retries={} faulted-ns={} \
@@ -79,24 +78,13 @@ fn dispatch_stats(h: &Harness) {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut backend = Backend::Sequential;
+    if let Err(e) = check_options(&args, OPTIONS) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let mut streaming = Streaming::Selective;
     // Loop so a repeated flag is fully consumed (last one wins) instead of
     // its value leaking through as an experiment id.
-    while let Some(i) = args.iter().position(|a| a == "--backend") {
-        let Some(spec) = args.get(i + 1) else {
-            eprintln!("--backend needs a value: seq, par or par:N");
-            return ExitCode::FAILURE;
-        };
-        backend = match spec.parse() {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        args.drain(i..=i + 1);
-    }
     let mut cluster_bins: Option<u32> = None;
     while let Some(i) = args.iter().position(|a| a == "--cluster-bins") {
         let Some(spec) = args.get(i + 1) else {
@@ -174,18 +162,6 @@ fn main() -> ExitCode {
         };
         args.drain(i..=i + 1);
     }
-    let mut batching = true;
-    while let Some(i) = args.iter().position(|a| a == "--batching") {
-        batching = match args.get(i + 1).map(String::as_str) {
-            Some("on" | "true") => true,
-            Some("off" | "false") => false,
-            _ => {
-                eprintln!("--batching needs a value: on or off");
-                return ExitCode::FAILURE;
-            }
-        };
-        args.drain(i..=i + 1);
-    }
     let full = args.iter().any(|a| a == "--full");
     let ids: Vec<&str> = args
         .iter()
@@ -193,12 +169,10 @@ fn main() -> ExitCode {
         .map(String::as_str)
         .collect();
     let scale = if full { Scale::full() } else { Scale::quick() }
-        .with_backend(backend)
         .with_streaming(streaming)
         .with_cluster_bins(cluster_bins)
         .with_block_records(block_records)
-        .with_queue(queue)
-        .with_batching(batching);
+        .with_queue(queue);
 
     match ids.first().copied() {
         None | Some("list") => {
@@ -226,7 +200,7 @@ fn main() -> ExitCode {
                     run_experiment(id, &h);
                 }
             }
-            dispatch_stats(&h);
+            fault_stats(&h);
             if let Some(path) = &metrics_json {
                 if let Err(e) = h.write_metrics_json(std::path::Path::new(path)) {
                     eprintln!("error: cannot write metrics to {path}: {e}");

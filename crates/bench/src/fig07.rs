@@ -46,8 +46,8 @@ pub fn run(h: &Harness) {
         sum_at_max / count as f64
     );
     // Host-throughput numerator for scripts/bench_smoke.sh: simulated
-    // quantities, so the lines are identical across execution backends and
-    // across the selective/reference streaming modes.
+    // quantities, so the lines are identical across the
+    // selective/reference streaming modes.
     println!("records streamed: {}", h.records_streamed());
     println!("records skipped: {}", h.records_skipped());
     println!("records skipped mid-wavefront: {}", h.records_skipped_mid());

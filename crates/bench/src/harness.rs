@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, Backend, ChaosConfig, FaultAccount, QueueKind, RunReport, Streaming};
+use chaos_core::{run_chaos, ChaosConfig, FaultAccount, QueueKind, RunReport, Streaming};
 use chaos_graph::{InputGraph, RmatConfig, WebGraphConfig};
 
 /// Experiment sizing.
@@ -23,10 +23,6 @@ pub struct Scale {
     /// Run the expensive algorithms (MCST, SCC, SSSP, MIS) in the
     /// all-algorithm figures.
     pub all_algorithms: bool,
-    /// Execution backend for every run this harness drives. Figure output
-    /// is bit-identical across backends (the simulation is backend-
-    /// invariant); this only changes host wall-clock behavior.
-    pub backend: Backend,
     /// Streaming mode for every run. `Selective` and `Reference` produce
     /// bit-identical figure output (the reference mode merely streams
     /// skipped chunks host-side to enforce the activity contract), so
@@ -43,12 +39,9 @@ pub struct Scale {
     /// Like the bin count, a layout knob: the "states digest" lines are
     /// byte-identical across values while skip counts differ.
     pub block_records: Option<u32>,
-    /// Event-queue store for every run. Like the backend, a pure host-side
-    /// choice: figure output is bit-identical across queue kinds.
+    /// Event-queue store for every run. A pure host-side choice: figure
+    /// output is bit-identical across queue kinds.
     pub queue: QueueKind,
-    /// Same-machine envelope batching for every run — also host-side only;
-    /// `bench_smoke.sh` byte-compares figure output across this flag too.
-    pub batching: bool,
 }
 
 impl Scale {
@@ -60,12 +53,10 @@ impl Scale {
             mem_budget: 256 * 1024,
             machines: &[1, 2, 4, 8, 16, 32],
             all_algorithms: true,
-            backend: Backend::Sequential,
             streaming: Streaming::Selective,
             cluster_bins: None,
             block_records: None,
             queue: QueueKind::default(),
-            batching: true,
         }
     }
 
@@ -77,19 +68,11 @@ impl Scale {
             mem_budget: 1 << 20,
             machines: &[1, 2, 4, 8, 16, 32],
             all_algorithms: true,
-            backend: Backend::Sequential,
             streaming: Streaming::Selective,
             cluster_bins: None,
             block_records: None,
             queue: QueueKind::default(),
-            batching: true,
         }
-    }
-
-    /// The same sizing with a different execution backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// The same sizing with a different streaming mode.
@@ -113,12 +96,6 @@ impl Scale {
     /// The same sizing with a different event-queue store.
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// The same sizing with envelope batching toggled.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 }
@@ -148,9 +125,6 @@ pub struct Harness {
     blocks_skipped: Cell<u64>,
     skipped_intra: Cell<u64>,
     digest: Cell<u64>,
-    events: Cell<u64>,
-    envelopes: Cell<u64>,
-    queue_ops: Cell<u64>,
     faults: RefCell<FaultAccount>,
     /// Every run's report in drive order, labeled `algo/m<machines>`, for
     /// the `--metrics-json` dump.
@@ -159,9 +133,9 @@ pub struct Harness {
 
 /// FNV-1a over the storage encodings of the final vertex states — a
 /// deterministic fingerprint of *what* a run computed, independent of how
-/// the data was laid out or executed. Identical across execution backends,
-/// streaming modes and cluster-bin layouts; `scripts/bench_smoke.sh`
-/// byte-compares the printed digests across layouts.
+/// the data was laid out. Identical across streaming modes and cluster-bin
+/// layouts; `scripts/bench_smoke.sh` byte-compares the printed digests
+/// across layouts.
 pub fn digest_states<S: chaos_gas::Record>(states: &[S]) -> u64 {
     let mut buf = Vec::new();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -189,6 +163,22 @@ pub fn graph_or_exit(
     })
 }
 
+/// Checks that every `--option` among `args` is one the binary knows, so
+/// a misspelt or removed flag stops the run instead of being ignored.
+///
+/// # Errors
+///
+/// Names the first unknown option.
+pub fn check_options(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(a) => Err(format!("unknown option {a}")),
+        None => Ok(()),
+    }
+}
+
 impl Harness {
     /// Creates a harness with the given sizing.
     pub fn new(scale: Scale) -> Self {
@@ -206,9 +196,6 @@ impl Harness {
             blocks_skipped: Cell::new(0),
             skipped_intra: Cell::new(0),
             digest: Cell::new(0xcbf2_9ce4_8422_2325),
-            events: Cell::new(0),
-            envelopes: Cell::new(0),
-            queue_ops: Cell::new(0),
             faults: RefCell::new(FaultAccount::default()),
             reports: RefCell::new(Vec::new()),
         }
@@ -221,16 +208,15 @@ impl Harness {
 
     /// Edge + update records streamed by every run this harness drove so
     /// far (the numerator of the bench-smoke throughput metric). The count
-    /// is a simulated quantity — identical across backends — so printing
-    /// it keeps figure output byte-comparable.
+    /// is a simulated quantity, so printing it keeps figure output
+    /// byte-comparable.
     pub fn records_streamed(&self) -> u64 {
         self.records.get()
     }
 
     /// Edge records selective streaming consumed without reading, summed
-    /// over every run so far (also a simulated, backend- and mode-
-    /// invariant quantity: the reference mode makes identical skip
-    /// decisions).
+    /// over every run so far (also a simulated, mode-invariant quantity:
+    /// the reference mode makes identical skip decisions).
     pub fn records_skipped(&self) -> u64 {
         self.skipped.get()
     }
@@ -244,8 +230,8 @@ impl Harness {
 
     /// Blocks skipped *inside* served chunks by their block indexes,
     /// summed over every run so far — the sub-chunk selectivity the
-    /// key-sorted interiors buy (simulated, backend- and mode-invariant;
-    /// zero with `--block-records 0`).
+    /// key-sorted interiors buy (simulated, mode-invariant; zero with
+    /// `--block-records 0`).
     pub fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped.get()
     }
@@ -257,46 +243,17 @@ impl Harness {
     }
 
     /// Combined fingerprint of the final vertex states of every run so
-    /// far (see [`digest_states`]); layout-, backend- and mode-invariant.
+    /// far (see [`digest_states`]); layout- and mode-invariant.
     pub fn states_digest(&self) -> u64 {
         self.digest.get()
     }
 
-    /// Logical events dispatched by every run so far — invariant across
-    /// backends, queue kinds and batching (an unpacked envelope counts
-    /// once per inner message).
-    pub fn events_dispatched(&self) -> u64 {
-        self.events.get()
-    }
-
-    /// Physical envelopes popped from the event queue by every run so far.
-    /// Host-side provenance: batching coalesces same-machine message runs,
-    /// so this drops below [`Harness::events_dispatched`] when it engages.
-    pub fn envelopes_sent(&self) -> u64 {
-        self.envelopes.get()
-    }
-
-    /// Event-queue pushes + pops across every run so far (host-side).
-    pub fn queue_ops(&self) -> u64 {
-        self.queue_ops.get()
-    }
-
     /// The summed fault account of every run so far: aborts, redone
     /// iterations, device retries, faulted time and checkpoint cost — all
-    /// simulated quantities, so figure output stays byte-comparable
-    /// across backends. Zero everywhere under empty fault plans with
+    /// simulated quantities. Zero everywhere under empty fault plans with
     /// checkpointing off.
     pub fn fault_account(&self) -> FaultAccount {
         self.faults.borrow().clone()
-    }
-
-    /// Mean logical messages per envelope (1.0 = no coalescing).
-    pub fn batching_ratio(&self) -> f64 {
-        if self.envelopes.get() == 0 {
-            1.0
-        } else {
-            self.events.get() as f64 / self.envelopes.get() as f64
-        }
     }
 
     /// RMAT graph at `scale`, shaped for the named algorithm (undirected
@@ -405,10 +362,8 @@ impl Harness {
         let mut cfg = ChaosConfig::new(machines);
         cfg.chunk_bytes = self.scale.chunk_bytes;
         cfg.mem_budget = self.scale.mem_budget;
-        cfg.backend = self.scale.backend;
         cfg.streaming = self.scale.streaming;
         cfg.queue = self.scale.queue;
-        cfg.batching = self.scale.batching;
         if let Some(bins) = self.scale.cluster_bins {
             cfg.cluster_bins = bins;
         }
@@ -433,9 +388,6 @@ impl Harness {
             .set(self.blocks_skipped.get() + rep.blocks_skipped());
         self.skipped_intra
             .set(self.skipped_intra.get() + rep.records_skipped_intra());
-        self.events.set(self.events.get() + rep.events);
-        self.envelopes.set(self.envelopes.get() + rep.envelopes);
-        self.queue_ops.set(self.queue_ops.get() + rep.queue_ops);
         {
             let mut fa = self.faults.borrow_mut();
             fa.aborts += rep.faults.aborts;
@@ -489,9 +441,9 @@ impl Harness {
 
 /// Serializes labeled run reports as JSON with a fixed key order, so two
 /// runs of the same build produce byte-identical dumps (a "stable JSON"
-/// diff target for tooling; all quantities here are simulated and thus
-/// backend-invariant). Hand-rolled — the workspace takes no serialization
-/// dependency for one fixed shape.
+/// diff target for tooling; all quantities here are simulated).
+/// Hand-rolled — the workspace takes no serialization dependency for one
+/// fixed shape.
 pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
     let mut out = String::from("{\n  \"runs\": [\n");
     for (i, (label, rep)) in reports.iter().enumerate() {
@@ -504,8 +456,6 @@ pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
             ("partitions", rep.partitions as u64),
             ("steals", rep.steals),
             ("events", rep.events),
-            ("envelopes", rep.envelopes),
-            ("queue_ops", rep.queue_ops),
             ("records_streamed", rep.records_streamed),
             ("chunks_skipped", rep.chunks_skipped()),
             ("records_skipped", rep.records_skipped()),

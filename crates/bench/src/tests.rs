@@ -10,22 +10,11 @@ fn tiny() -> Harness {
         mem_budget: 16 * 1024,
         machines: &[1, 2, 4],
         all_algorithms: false,
-        backend: chaos_core::Backend::Sequential,
         streaming: chaos_core::Streaming::Selective,
         cluster_bins: None,
         block_records: None,
         queue: chaos_core::QueueKind::default(),
-        batching: true,
     })
-}
-
-#[test]
-fn experiments_run_on_the_parallel_backend() {
-    let mut h = tiny();
-    h.scale = h.scale.with_backend(chaos_core::Backend::Parallel { threads: 3 });
-    for id in ["fig7", "fig16"] {
-        run_experiment(id, &h);
-    }
 }
 
 #[test]

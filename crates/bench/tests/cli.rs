@@ -1,6 +1,7 @@
-//! `cellstats` turns the RMAT generator's size limits into one error line
-//! and exit status 1, never a panic (exit 101) or an allocation abort
-//! (exit 134) — `chaos-cli`'s contract (`tests/cli.rs` at the root), here
+//! `cellstats` and `figures` turn the RMAT generator's size limits and
+//! unknown options into one error line and exit status 1, never a panic
+//! (exit 101), an allocation abort (exit 134) or a run that ignores the
+//! option — `chaos-cli`'s contract (`tests/cli.rs` at the root), here
 //! because Cargo hands a test the path of its own package's binaries only.
 
 use std::process::Command;
@@ -30,4 +31,33 @@ fn scale_at_the_generators_limit_is_an_error() {
 #[test]
 fn scale_beyond_memory_is_an_error_not_an_abort() {
     scale_fails_cleanly("40");
+}
+
+/// `bin args` must stop before running anything, naming `option`.
+fn unknown_option_is_rejected(bin: &str, args: &[&str], option: &str) {
+    let run = Command::new(bin).args(args).output().expect("binary starts");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        format!("error: unknown option {option}"),
+        "{args:?}"
+    );
+    assert!(run.stdout.is_empty(), "{args:?} ran something");
+}
+
+#[test]
+fn unknown_options_are_errors_not_ignored() {
+    for (bin, cell) in [
+        (env!("CARGO_BIN_EXE_cellstats"), &["PR", "4", "8"][..]),
+        (env!("CARGO_BIN_EXE_figures"), &["fig5"][..]),
+    ] {
+        for (flags, option) in [
+            (&["--backend", "par"][..], "--backend"),
+            (&["--batching", "off"][..], "--batching"),
+            (&["--no-such-flag"][..], "--no-such-flag"),
+        ] {
+            unknown_option_is_rejected(bin, &[cell, flags].concat(), option);
+        }
+    }
 }

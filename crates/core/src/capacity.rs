@@ -110,15 +110,11 @@ mod tests {
             steals: 0,
             partitions: 1,
             events: 0,
-            envelopes: 0,
-            queue_ops: 0,
             records_streamed: 0,
             selectivity: vec![],
             window_widths: Default::default(),
             cluster_bins: 1,
             faults: Default::default(),
-            backend: crate::config::Backend::Sequential,
-            windows: 0,
         }
     }
 

@@ -3,44 +3,41 @@
 //! A [`Cluster`] owns one computation engine and one storage engine per
 //! machine (Figure 6), the barrier coordinator, the optional centralized
 //! directory and the fabric model. The event loop itself lives in
-//! `chaos-runtime` behind the `Executor` trait: the cluster builds the
-//! [`ClusterExecutor`] backend its [`Backend`] configuration selects over
-//! the [`ClusterTopology`] and hands it the four actor kinds as one table
+//! `chaos-runtime`: the cluster builds a `SequentialExecutor` over the
+//! [`ClusterTopology`] and hands it the four actor kinds as one table
 //! ordered by executor slot — all dispatch, generation filtering and
-//! fabric routing happen behind the generic [`Actor`] trait. `run()`
+//! fabric routing happen behind the generic `Actor` trait. `run()`
 //! executes the whole computation — pre-processing from the unsorted edge
 //! list through convergence — on the virtual clock and returns a
 //! [`RunReport`].
 //!
-//! The run is deterministic *across backends*: same (config, program,
-//! graph) ⇒ same final vertex states *and* same simulated completion
-//! time, whether the event loop runs sequentially or on a worker pool.
+//! The run is deterministic: same (config, program, graph) ⇒ same final
+//! vertex states *and* same simulated completion time.
 
 use std::sync::Arc;
 
 use chaos_gas::GasProgram;
 use chaos_graph::{InputGraph, PartitionSpec, SizeModel};
 use chaos_net::{DegradedWindow, Fabric};
-use chaos_runtime::{DynActor, Executor};
+use chaos_runtime::{DynActor, Executor, SequentialExecutor};
 use chaos_sim::{rng::mix64, Rng, Time};
 use chaos_storage::{CorruptionWindow, Device, FaultWindow};
 
 use crate::compute_engine::ComputeEngine;
-use crate::config::{Backend, ChaosConfig, Placement};
+use crate::config::{ChaosConfig, Placement};
 use crate::coordinator::Coordinator;
 use crate::directory::Directory;
 use crate::metrics::RunReport;
 use crate::msg::{DataKind, Msg};
-use crate::runtime::{Addr, ClusterExecutor, ClusterTopology, Ctx, RunParams};
+use crate::runtime::{Addr, ClusterTopology, Ctx, RunParams};
 use crate::storage_engine::StorageEngine;
 
 /// A fully wired simulated Chaos cluster, ready to run one computation.
 pub struct Cluster<P: GasProgram> {
     cfg: Arc<ChaosConfig>,
     params: Arc<RunParams>,
-    sched: ClusterExecutor<P>,
+    sched: SequentialExecutor<ClusterTopology, Msg<P>>,
     fabric: Fabric,
-    windows: u64,
     computes: Vec<ComputeEngine<P>>,
     storages: Vec<StorageEngine<P>>,
     coordinator: Coordinator<P>,
@@ -171,23 +168,17 @@ impl<P: GasProgram> Cluster<P> {
             cfg.checkpoint,
             cfg.placement == Placement::Centralized,
         );
-        let topology = ClusterTopology {
+        let mut sched = SequentialExecutor::new(ClusterTopology {
             machines: cfg.machines,
-        };
-        let mut sched = match cfg.backend {
-            Backend::Sequential => ClusterExecutor::sequential(topology),
-            Backend::Parallel { threads } => ClusterExecutor::parallel(topology, threads),
-        };
+        });
         // Safety valve for the event loop (a wedged protocol would
         // otherwise spin forever); generously above any legitimate run.
-        sched.set_max_events(20_000_000_000);
+        sched.max_events = 20_000_000_000;
         sched.set_queue_kind(cfg.queue);
-        sched.set_batching(cfg.batching);
         Ok(Self {
             params,
             sched,
             fabric,
-            windows: 0,
             computes,
             storages,
             coordinator,
@@ -249,8 +240,7 @@ impl<P: GasProgram> Cluster<P> {
             .collect();
         actors.push(&mut self.coordinator);
         actors.push(&mut self.directory);
-        let stats = self.sched.run(&mut actors, &mut self.fabric, Time::MAX);
-        self.windows = stats.windows;
+        self.sched.run(&mut actors, &mut self.fabric, Time::MAX);
         assert!(
             self.coordinator.done && self.computes.iter().all(|c| c.is_done()),
             "event queue drained before completion: protocol deadlock"
@@ -301,15 +291,11 @@ impl<P: GasProgram> Cluster<P> {
             steals: self.computes.iter().map(|c| c.steals).sum(),
             partitions: self.params.spec.num_partitions,
             events: self.sched.delivered(),
-            envelopes: self.sched.envelopes(),
-            queue_ops: self.sched.queue_ops(),
             records_streamed: self.computes.iter().map(|c| c.records_processed).sum(),
             selectivity,
             window_widths,
             cluster_bins: self.params.cluster.bins(),
             faults,
-            backend: self.cfg.backend,
-            windows: self.windows,
         }
     }
 

@@ -305,7 +305,7 @@ pub struct ComputeEngine<P: GasProgram> {
     /// Stolen-partition count (metrics).
     pub steals: u64,
     /// Edge + update records streamed through this engine's scatter/gather
-    /// kernels (throughput accounting; backend- and kernel-invariant).
+    /// kernels (throughput accounting; kernel-invariant).
     pub records_processed: u64,
     /// Per-iteration selective-streaming account (indexed by iteration).
     pub selectivity: Vec<IterSelectivity>,

@@ -20,67 +20,6 @@ pub enum Placement {
     Centralized,
 }
 
-/// Which execution backend drives the simulated cluster's event loop.
-///
-/// Both backends produce bit-identical runs — same final vertex states,
-/// same simulated completion time, same event count and device/fabric
-/// statistics; the choice only affects host wall-clock behavior. See
-/// `chaos_runtime::parallel` for the determinism argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// One global event queue on the calling thread.
-    #[default]
-    Sequential,
-    /// Per-machine event lanes dispatched across a worker pool under
-    /// conservative time-window synchronization (lookahead = the fabric's
-    /// minimum end-to-end latency).
-    Parallel {
-        /// Worker threads (clamped to the machine count at run time).
-        threads: usize,
-    },
-}
-
-impl Backend {
-    /// A parallel backend sized to the host's available parallelism.
-    pub fn parallel_auto() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        Backend::Parallel { threads }
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    /// Parses the CLI spelling: `seq`, `par` (host parallelism), or
-    /// `par:N`.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "seq" | "sequential" => Ok(Backend::Sequential),
-            "par" | "parallel" => Ok(Backend::parallel_auto()),
-            _ => match s.strip_prefix("par:") {
-                Some(n) => match n.parse::<usize>() {
-                    Ok(threads) if threads > 0 => Ok(Backend::Parallel { threads }),
-                    _ => Err(format!("bad thread count in backend spec {s:?}")),
-                },
-                None => Err(format!(
-                    "unknown backend {s:?}; expected seq, par or par:N"
-                )),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Sequential => write!(f, "seq"),
-            Backend::Parallel { threads } => write!(f, "par:{threads}"),
-        }
-    }
-}
-
 /// How the scatter phase consumes edge chunks.
 ///
 /// Programs with a non-dense [`chaos_gas::ActivityModel`] let the engine
@@ -174,18 +113,10 @@ pub struct ChaosConfig {
     /// §7 of the paper). `None` keeps payloads in memory; simulated I/O
     /// timing is identical either way.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Execution backend driving the event loop. Results are bit-identical
-    /// across backends; only host wall-clock behavior differs.
-    pub backend: Backend,
     /// Event-queue store behind the executor (calendar by default, binary
     /// heap as the bit-identical oracle). Host-side only: pop order and
     /// therefore every simulated quantity are unchanged.
     pub queue: QueueKind,
-    /// Coalesce runs of same-machine messages into one queue envelope per
-    /// (machine, destination actor) inside a handler's send burst
-    /// (sequential backend). Host-side only: dispatch order, byte totals
-    /// and message counts are exactly those of individual sends.
-    pub batching: bool,
     /// How the scatter phase consumes edge chunks (see [`Streaming`]).
     pub streaming: Streaming,
     /// Minimum dead-edge fraction (per chunk) that triggers in-place
@@ -253,9 +184,7 @@ impl ChaosConfig {
             directory_op_ns: 10_000,
             faults: FaultPlan::none(),
             spill_dir: None,
-            backend: Backend::Sequential,
             queue: QueueKind::default(),
-            batching: true,
             streaming: Streaming::Selective,
             compact_threshold: 0.5,
             cluster_bins: 16,
@@ -297,21 +226,9 @@ impl ChaosConfig {
         self
     }
 
-    /// Switches the execution backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Switches the event-queue store.
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// Enables or disables same-machine envelope batching.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -368,9 +285,6 @@ impl ChaosConfig {
                     .into(),
             );
         }
-        if self.backend == (Backend::Parallel { threads: 0 }) {
-            return Err("parallel backend needs at least one thread".into());
-        }
         if self.compact_threshold.is_nan() || self.compact_threshold <= 0.0 {
             return Err("compaction threshold must be positive (above 1.0 disables)".into());
         }
@@ -419,27 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_spec_parses() {
-        assert_eq!("seq".parse::<Backend>(), Ok(Backend::Sequential));
-        assert_eq!(
-            "par:4".parse::<Backend>(),
-            Ok(Backend::Parallel { threads: 4 })
-        );
-        assert!(matches!(
-            "par".parse::<Backend>(),
-            Ok(Backend::Parallel { threads }) if threads > 0
-        ));
-        assert!("par:0".parse::<Backend>().is_err());
-        assert!("threads".parse::<Backend>().is_err());
-        assert_eq!(Backend::Parallel { threads: 4 }.to_string(), "par:4");
-        assert_eq!(Backend::Sequential.to_string(), "seq");
-        let mut c = ChaosConfig::new(2).with_backend(Backend::Parallel { threads: 2 });
-        assert!(c.validate().is_ok());
-        c.backend = Backend::Parallel { threads: 0 };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn streaming_spec_parses() {
         assert_eq!("selective".parse::<Streaming>(), Ok(Streaming::Selective));
         assert_eq!("reference".parse::<Streaming>(), Ok(Streaming::Reference));
@@ -473,13 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn queue_and_batching_knobs() {
+    fn queue_knob() {
         let c = ChaosConfig::new(2);
         assert_eq!(c.queue, QueueKind::Calendar, "calendar by default");
-        assert!(c.batching, "batching on by default");
-        let c = c.with_queue(QueueKind::Heap).with_batching(false);
+        let c = c.with_queue(QueueKind::Heap);
         assert_eq!(c.queue, QueueKind::Heap);
-        assert!(!c.batching);
         assert!(c.validate().is_ok());
     }
 

@@ -10,8 +10,7 @@
 //!
 //! Everything is driven off *simulated* time and simulated protocol points
 //! (barrier arrivals, commit broadcasts), never off host state, so a run
-//! with a fault plan is still a pure function of (config, program, graph)
-//! and stays bit-identical across the sequential and parallel backends.
+//! with a fault plan is still a pure function of (config, program, graph).
 //! [`FaultPlan::generate`] derives a randomized-but-reproducible schedule
 //! from a seed.
 
@@ -89,9 +88,9 @@ pub struct DeviceFault {
 /// `from <= now < until` may fail their checksum check. Whether a given
 /// read is corrupted is a pure function of `(salt, simulated time, read
 /// key)` — see `chaos_storage::CorruptionWindow` — so faulted runs stay
-/// bit-identical across executor backends. Corruption never alters stored
-/// data, only what a read returns: re-reads draw fresh verdicts, repairs
-/// restore from the committed checkpoint copy.
+/// reproducible. Corruption never alters stored data, only what a read
+/// returns: re-reads draw fresh verdicts, repairs restore from the
+/// committed checkpoint copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptionFault {
     /// Machine whose device corrupts reads.
@@ -110,8 +109,7 @@ pub struct CorruptionFault {
 
 /// A fabric degradation window: every remote message sent to or from
 /// `machine` while `from <= now < until` takes `extra` longer — a slow
-/// NIC / straggler link. Purely additive, so the parallel executor's
-/// minimum-latency lookahead bound still holds.
+/// NIC / straggler link. Purely additive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricFault {
     /// Machine whose NIC is slow.

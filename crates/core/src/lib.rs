@@ -20,12 +20,10 @@
 //! every scatter/gather function really computed, while devices, NICs and
 //! CPUs are queueing models. The four actor kinds — [`ComputeEngine`],
 //! [`StorageEngine`], [`Coordinator`] and [`Directory`] — implement the
-//! generic `chaos_runtime::Actor` trait and are driven by whichever
-//! `chaos_runtime::Executor` backend the configuration selects
-//! ([`config::Backend`]: the classic sequential loop, or deterministic
-//! windowed parallel dispatch — runs are bit-identical either way);
-//! [`Cluster`] is thin wiring over it. See `DESIGN.md` at the repository
-//! root for the fidelity argument and the experiment index.
+//! generic `chaos_runtime::Actor` trait and are driven by
+//! `chaos_runtime::SequentialExecutor`, the one event loop; [`Cluster`]
+//! is thin wiring over it. See `DESIGN.md` at the repository root for the
+//! fidelity argument and the experiment index.
 //!
 //! [`ComputeEngine`]: compute_engine::ComputeEngine
 //! [`StorageEngine`]: storage_engine::StorageEngine
@@ -61,16 +59,13 @@ pub mod runtime;
 pub mod storage_engine;
 
 pub use capacity::{CapacityModel, CapacityPrediction};
-pub use chaos_runtime::{
-    Actor, BackendExecutor, ExecStats, Executor, Network, ParallelExecutor, Scheduler,
-    SequentialExecutor, Topology,
-};
+pub use chaos_runtime::{Actor, ExecStats, Executor, Network, SequentialExecutor, Topology};
 pub use cluster::{run_chaos, Cluster};
 pub use chaos_sim::QueueKind;
-pub use config::{Backend, ChaosConfig, Placement, Streaming};
+pub use config::{ChaosConfig, Placement, Streaming};
 pub use fault::{
     CorruptionFault, CrashFault, CrashTrigger, DeviceFault, FabricFault, FaultPlan,
     FaultPlanConfig,
 };
 pub use metrics::{Breakdown, FaultAccount, IterSelectivity, RunReport, WindowHistogram};
-pub use runtime::{Addr, ChaosActor, ClusterExecutor, ClusterScheduler, ClusterTopology, RunParams};
+pub use runtime::{Addr, ChaosActor, ClusterTopology, RunParams};

@@ -59,9 +59,9 @@ impl Breakdown {
 /// scatter work the activity filter proved unnecessary, and how far
 /// shrinking-graph compaction has eaten into the stored edge set.
 ///
-/// All quantities are simulated and deterministic — identical across
-/// execution backends, and identical between [`crate::config::Streaming::Selective`]
-/// and [`crate::config::Streaming::Reference`] runs (that equality is what the
+/// All quantities are simulated and deterministic, and identical between
+/// [`crate::config::Streaming::Selective`] and
+/// [`crate::config::Streaming::Reference`] runs (that equality is what the
 /// property tests pin).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IterSelectivity {
@@ -212,10 +212,8 @@ pub struct AbortRecord {
 }
 
 /// The fault-injection account of a run: recovery work performed and
-/// fault-induced costs. Everything here is simulated and deterministic —
-/// identical across execution backends — so none of it is cleared by
-/// [`RunReport::normalized`]. All zeros (and an empty log) for fault-free
-/// runs without checkpointing.
+/// fault-induced costs. Everything here is simulated and deterministic.
+/// All zeros (and an empty log) for fault-free runs without checkpointing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultAccount {
     /// Abort rounds broadcast (one per crash, including overlapping
@@ -252,11 +250,9 @@ pub struct FaultAccount {
 
 /// Everything measured over one run of the engine.
 ///
-/// Reports compare equal (`PartialEq`) field by field; the backend-
-/// equivalence tests rely on this to pin that the sequential and parallel
-/// executors produce bit-identical runs (after normalizing the two
-/// provenance fields, [`RunReport::backend`] and [`RunReport::windows`],
-/// which record *how* the run was executed rather than what it computed).
+/// Every field is a simulated quantity, so reports compare equal
+/// (`PartialEq`) field by field across every host-side axis; the
+/// equivalence tests rely on this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Total simulated wall-clock time, pre-processing included (§8:
@@ -281,21 +277,12 @@ pub struct RunReport {
     pub steals: u64,
     /// Number of streaming partitions used.
     pub partitions: usize,
-    /// Total events processed by the simulation kernel. Counts *logical*
-    /// messages: a coalesced envelope contributes one event per message it
-    /// carries, so this is invariant across backends and batching modes.
+    /// Total events processed by the simulation kernel: one per message
+    /// delivered.
     pub events: u64,
-    /// Physical queue entries dispatched (envelope batching coalesces
-    /// several logical messages into one). Equals [`RunReport::events`]
-    /// when batching is off or the backend does not batch — host-side
-    /// provenance, cleared by [`RunReport::normalized`].
-    pub envelopes: u64,
-    /// Event-queue pushes + pops the executor performed (host-side
-    /// provenance, cleared by [`RunReport::normalized`]).
-    pub queue_ops: u64,
     /// Edge + update records streamed through the scatter/gather kernels,
     /// summed over machines (host-throughput accounting; invariant across
-    /// backends and across batched/per-record kernels). Records skipped by
+    /// batched/per-record kernels). Records skipped by
     /// selective streaming are *not* counted here — they appear in
     /// [`RunReport::selectivity`].
     pub records_streamed: u64,
@@ -303,8 +290,8 @@ pub struct RunReport {
     /// (all zeros under [`crate::config::Streaming::Dense`]).
     pub selectivity: Vec<IterSelectivity>,
     /// End-of-run edge-chunk window-width histogram across all storage
-    /// engines (a simulated-layout quantity: identical across backends and
-    /// between selective/reference streaming).
+    /// engines (a simulated-layout quantity: identical between
+    /// selective/reference streaming).
     pub window_widths: WindowHistogram,
     /// The *effective* clustered-layout bin count of the run: the
     /// configured [`crate::config::ChaosConfig::cluster_bins`], or 1 when
@@ -313,15 +300,8 @@ pub struct RunReport {
     /// layout.
     pub cluster_bins: u32,
     /// Fault-injection account: aborts, redone iterations, device retries,
-    /// fault-induced latency and checkpoint costs (simulated quantities,
-    /// backend-invariant).
+    /// fault-induced latency and checkpoint costs (simulated quantities).
     pub faults: FaultAccount,
-    /// Execution backend that drove the run (provenance; does not affect
-    /// any simulated quantity).
-    pub backend: crate::config::Backend,
-    /// Synchronization windows the parallel backend executed (0 for
-    /// sequential runs).
-    pub windows: u64,
 }
 
 impl RunReport {
@@ -400,28 +380,6 @@ impl RunReport {
     /// Total chunk compactions performed.
     pub fn compactions(&self) -> u64 {
         self.selectivity.iter().map(|s| s.compactions).sum()
-    }
-
-    /// Logical messages per dispatched envelope (1.0 when nothing was
-    /// coalesced) — the batching ratio the dispatch-accounting figures
-    /// report.
-    pub fn batching_ratio(&self) -> f64 {
-        if self.envelopes == 0 {
-            1.0
-        } else {
-            self.events as f64 / self.envelopes as f64
-        }
-    }
-
-    /// The report with the backend-provenance fields cleared, for
-    /// comparing runs across execution backends (and queue/batching
-    /// configurations): everything else must be bit-identical.
-    pub fn normalized(mut self) -> Self {
-        self.backend = crate::config::Backend::Sequential;
-        self.windows = 0;
-        self.envelopes = 0;
-        self.queue_ops = 0;
-        self
     }
 
     /// Mean Figure 17 breakdown across machines, normalized by `runtime`.

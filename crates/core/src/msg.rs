@@ -454,7 +454,7 @@ pub enum Msg<P: GasProgram> {
     /// Coordinator self-event arming a time-triggered crash from the fault
     /// plan. Carries no payload: on delivery the coordinator fires every
     /// due time trigger (the event time is the trigger time, so injection
-    /// is a pure function of simulated time and stays backend-invariant).
+    /// is a pure function of simulated time).
     FaultTimer,
     /// Storage-internal deferred send: fires when the device completes,
     /// then routes `inner` over the fabric (keeps fabric calls
@@ -468,28 +468,6 @@ pub enum Msg<P: GasProgram> {
         /// The deferred message.
         inner: Box<Msg<P>>,
     },
-
-    // -------------------------------------------------- transport internal
-    /// Executor-internal envelope: a run of same-machine messages bound for
-    /// one actor, coalesced into a single queue entry
-    /// ([`chaos_runtime::Batchable`]). Unpacked back into the individual
-    /// messages at dispatch — actor `handle` code never sees this variant.
-    Batch(Vec<Msg<P>>),
-}
-
-impl<P: GasProgram> chaos_runtime::Batchable for Msg<P> {
-    const CAN_BATCH: bool = true;
-
-    fn wrap_batch(batch: Vec<Self>) -> Self {
-        Msg::Batch(batch)
-    }
-
-    fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
-        match self {
-            Msg::Batch(batch) => Ok(batch),
-            other => Err(other),
-        }
-    }
 }
 
 /// A unit of CPU work whose completion is signalled by [`Msg::Processed`].
@@ -574,7 +552,6 @@ impl<P: GasProgram> std::fmt::Debug for Msg<P> {
             Msg::RebootDone => "RebootDone",
             Msg::FaultTimer => "FaultTimer",
             Msg::StorageRespond { .. } => "StorageRespond",
-            Msg::Batch(_) => "Batch",
         };
         f.write_str(name)
     }

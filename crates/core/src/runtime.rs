@@ -21,14 +21,6 @@ pub type Ctx<P> = chaos_runtime::Ctx<Addr, Msg<P>>;
 /// A buffered outgoing Chaos message.
 pub type Send<P> = chaos_runtime::Send<Addr, Msg<P>>;
 
-/// The sequential executor driving a Chaos cluster (the only backend of
-/// earlier revisions; kept as a convenience alias).
-pub type ClusterScheduler<P> = chaos_runtime::SequentialExecutor<ClusterTopology, Msg<P>>;
-
-/// The configuration-selected execution backend driving a Chaos cluster
-/// (see [`crate::config::Backend`]).
-pub type ClusterExecutor<P> = chaos_runtime::BackendExecutor<ClusterTopology, Msg<P>>;
-
 /// Address of an actor in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Addr {
@@ -79,29 +71,6 @@ impl Topology for ClusterTopology {
 
     fn machine(&self, addr: Addr) -> usize {
         addr.machine()
-    }
-
-    fn machines(&self) -> usize {
-        self.machines
-    }
-
-    fn machine_of_slot(&self, slot: usize) -> usize {
-        self.addr_of(slot).machine()
-    }
-}
-
-impl ClusterTopology {
-    /// Inverse of [`Topology::slot`] (diagnostics).
-    pub fn addr_of(&self, slot: usize) -> Addr {
-        if slot < self.machines {
-            Addr::Compute(slot)
-        } else if slot < 2 * self.machines {
-            Addr::Storage(slot - self.machines)
-        } else if slot == 2 * self.machines {
-            Addr::Coordinator
-        } else {
-            Addr::Directory
-        }
     }
 }
 
@@ -240,22 +209,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addr_slot_roundtrip() {
+    fn slots_are_dense_in_actor_table_order() {
         let topo = ClusterTopology { machines: 5 };
-        for a in [
-            Addr::Compute(0),
-            Addr::Compute(4),
-            Addr::Storage(0),
-            Addr::Storage(4),
-            Addr::Coordinator,
-            Addr::Directory,
-        ] {
-            assert_eq!(topo.addr_of(topo.slot(a)), a);
-            assert!(topo.slot(a) < topo.slots());
-            // The lane-partitioning contract of the parallel backend.
-            assert_eq!(topo.machine_of_slot(topo.slot(a)), topo.machine(a));
-            assert!(topo.machine(a) < topo.machines());
-        }
+        let addrs = (0..5)
+            .map(Addr::Compute)
+            .chain((0..5).map(Addr::Storage))
+            .chain([Addr::Coordinator, Addr::Directory]);
+        // Slot order is the actor-table order `Cluster::run` builds.
+        let slots: Vec<usize> = addrs.map(|a| topo.slot(a)).collect();
+        assert_eq!(slots, (0..topo.slots()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -82,7 +82,7 @@ const METADATA_NS: Time = 2_000;
 /// `RETRY_BASE`, doubling up to `RETRY_CAP`; after `RETRY_MAX_ATTEMPTS`
 /// consecutive failures the engine stops probing and waits out the fault
 /// window itself. Fully deterministic — no randomness — so retry latency
-/// is identical on every backend.
+/// is a pure function of the run's inputs.
 pub(crate) const RETRY_BASE: Time = 100 * MICROS;
 pub(crate) const RETRY_CAP: Time = 1_600 * MICROS;
 pub(crate) const RETRY_MAX_ATTEMPTS: u32 = 6;
@@ -181,7 +181,7 @@ pub struct StorageEngine<P: GasProgram> {
     /// round.
     torn_chunk: Option<(usize, u32)>,
     /// Monotone framed-read counter: the deterministic "offset" identity
-    /// the corruption oracle hashes, advanced identically on every backend
+    /// the corruption oracle hashes, advanced identically on every run
     /// because per-engine message order is deterministic.
     read_seq: u64,
     /// Fault-injection hook for the validation round: marks the pending
@@ -544,7 +544,7 @@ impl<P: GasProgram> StorageEngine<P> {
     /// The read transfers `bytes + FRAME_BYTES` and then evaluates its
     /// frame check at the completion instant against the device's
     /// corruption oracle — a pure function of `(window salt, completion
-    /// time, read sequence)`, so the same reads corrupt on every backend.
+    /// time, read sequence)`, so the same reads corrupt on every run.
     /// On a mismatch the engine re-reads with the PR 8 bounded-backoff
     /// discipline (transient corruption usually clears: the stored bytes
     /// are fine, the wire flipped a bit); if every attempt inside the

@@ -98,7 +98,7 @@ pub trait GasProgram: Clone + Send + 'static {
     type Update: Record;
     /// In-memory accumulator; `Default` must be the gather identity.
     /// `Sync` because accumulator arrays are shared (`Arc`) across engine
-    /// actors, which the parallel backend dispatches on worker threads.
+    /// actors, and the runtime's actor table is `Send`.
     type Accum: Clone + Default + Send + Sync + 'static;
 
     /// Short human-readable name ("BFS", "PR", ...).

@@ -11,8 +11,8 @@ use chaos_graph::VertexId;
 ///
 /// Implementations must write exactly [`Record::ENCODED_BYTES`] bytes and
 /// round-trip: `decode(encode(x)) == x`. Records are `Send + Sync` because
-/// chunk payloads are shared (`Arc`) across engine actors, which the
-/// parallel execution backend dispatches on worker threads.
+/// chunk payloads are shared (`Arc`) across engine actors, and the
+/// runtime's actor table (`chaos_runtime::DynActor`) is `Send`.
 pub trait Record: Clone + Send + Sync + 'static {
     /// Exact encoded width in bytes.
     const ENCODED_BYTES: usize;

@@ -61,23 +61,13 @@ impl FabricConfig {
     pub fn rtt(&self) -> Time {
         2 * self.propagation
     }
-
-    /// Minimum end-to-end latency of any cross-machine message: the switch
-    /// propagation delay (serialization only adds to it). This is the safe
-    /// lookahead bound for conservatively-synchronized parallel execution —
-    /// no message sent at `t` to another machine can arrive before
-    /// `t + min_latency()`.
-    pub fn min_latency(&self) -> Time {
-        self.propagation
-    }
 }
 
 /// One fabric degradation window: remote messages touching `machine` —
 /// as sender or receiver — pay `extra` additional delivery latency while
 /// `from <= now < until`, modelling a slow-NIC straggler. The penalty is
-/// purely *additive*, so the conservative [`FabricConfig::min_latency`]
-/// lookahead bound the parallel executor synchronizes on stays valid and
-/// degraded runs remain bit-identical across backends.
+/// purely *additive*: a degraded message never arrives earlier than its
+/// healthy twin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradedWindow {
     /// The straggler machine.
@@ -161,17 +151,11 @@ impl Fabric {
         self.stats
     }
 
-    /// Minimum end-to-end latency of any cross-machine message (see
-    /// [`FabricConfig::min_latency`]); the safe lookahead bound the
-    /// parallel executor synchronizes on.
-    pub fn min_end_to_end_latency(&self) -> Time {
-        self.cfg.min_latency()
-    }
-
     /// Computes the delivery time of a `bytes`-sized message sent at `now`
     /// from machine `from` to machine `to`, updating NIC queues.
     ///
-    /// Local messages (`from == to`) bypass the NICs.
+    /// Local messages (`from == to`) bypass the NICs and pay the constant
+    /// `local_delivery` hop, independent of size and fabric state.
     ///
     /// # Panics
     ///
@@ -228,33 +212,10 @@ impl Fabric {
 }
 
 /// The fabric is the actor runtime's network model: the executor asks it
-/// for arrival times when absorbing `Send::Net` messages, and the parallel
-/// backend sizes its synchronization windows from the latency bounds.
+/// for arrival times when absorbing `Send::Net` messages.
 impl chaos_runtime::Network for Fabric {
     fn send(&mut self, now: Time, from: usize, to: usize, bytes: u64) -> Time {
         Fabric::send(self, now, from, to, bytes)
-    }
-
-    fn min_latency(&self) -> Time {
-        self.min_end_to_end_latency()
-    }
-
-    fn local_latency(&self, _machine: usize) -> Time {
-        // Same-machine deliveries bypass the NICs and pay a constant
-        // in-process hop, independent of size and fabric state — exactly
-        // the contract `Network::local_latency` requires.
-        self.cfg.local_delivery
-    }
-
-    fn send_local_batch(&mut self, now: Time, machine: usize, total_bytes: u64, count: u64) -> Time {
-        // One accounting update for a whole coalesced envelope: byte and
-        // message totals land exactly where `count` individual local sends
-        // would have put them, and the arrival is the same constant hop.
-        assert!(machine < self.cfg.machines);
-        debug_assert!(count >= 1);
-        self.stats.local_messages += count;
-        self.stats.local_bytes += total_bytes;
-        now + self.cfg.local_delivery
     }
 
     fn time_quantum(&self) -> Time {
@@ -354,45 +315,46 @@ mod tests {
         assert_eq!(f.send(1500, 1, 1, 64), healthy.send(1500, 1, 1, 64));
         assert_eq!(f.stats().degraded_messages, 2);
         assert_eq!(f.stats().degraded_time, 154);
-        // The penalty is additive: the lookahead bound still holds.
-        assert!(f.send(1999, 0, 1, 1) >= 1999 + f.min_end_to_end_latency());
     }
 
     #[test]
-    fn min_latency_bounds_every_cross_machine_send() {
-        use chaos_runtime::Network as _;
-        let mut f = fabric(4);
-        let lookahead = f.min_end_to_end_latency();
-        assert!(lookahead > 0);
-        assert_eq!(lookahead, f.config().min_latency());
-        // Stress the NIC queues; arrivals must never undercut the bound.
-        for i in 0..50u64 {
-            let now = i * 3;
-            let t = f.send(now, (i % 4) as usize, ((i + 1) % 4) as usize, 1 + i * MIB / 8);
-            assert!(t >= now + lookahead, "arrival {t} < {now} + {lookahead}");
-        }
-        // Local deliveries are the constant the parallel backend predicts.
-        for m in 0..4 {
-            assert_eq!(f.send(1000, m, m, 123), 1000 + f.local_latency(m));
-        }
-    }
+    fn consecutive_local_sends_arrive_in_send_order_after_the_local_hop() {
+        use chaos_runtime::{Actor, Ctx, Executor, SequentialExecutor, SlotTopology};
 
-    #[test]
-    fn local_batch_accounts_like_individual_sends() {
-        use chaos_runtime::Network as _;
-        let mut a = fabric(2);
-        let mut b = fabric(2);
-        let t1 = a.send(50, 1, 1, 300);
-        let t2 = a.send(50, 1, 1, 700);
-        let t3 = a.send(50, 1, 1, 0);
-        let tb = b.send_local_batch(50, 1, 1000, 3);
-        // Same arrival (local delivery is state- and size-independent)
-        // and identical fabric statistics.
-        assert_eq!(tb, t3);
-        assert_eq!(t1, t2);
-        assert_eq!(a.stats(), b.stats());
+        /// On payload 0, sends three messages to its same-machine neighbour.
+        struct Burst {
+            seen: Vec<(Time, u64)>,
+        }
+        impl Actor for Burst {
+            type Addr = usize;
+            type Msg = u64;
+            fn handle(&mut self, ctx: &mut Ctx<usize, u64>, msg: u64) {
+                self.seen.push((ctx.now, msg));
+                if msg == 0 {
+                    // Slots 0 and 2 both live on machine 0 of 2.
+                    for (payload, bytes) in [(1, 300), (2, 700), (3, 0)] {
+                        ctx.send(0, 2, payload, bytes);
+                    }
+                }
+            }
+        }
+        let mut actors: Vec<Burst> = (0..4).map(|_| Burst { seen: Vec::new() }).collect();
+        let mut f = fabric(2);
+        let mut exec: SequentialExecutor<SlotTopology, u64> =
+            SequentialExecutor::new(SlotTopology::round_robin(4, 2));
+        exec.post(50, 0, 0, 0);
+        let mut table: Vec<chaos_runtime::DynActor<'_, usize, u64>> =
+            actors.iter_mut().map(|a| a as _).collect();
+        exec.run(&mut table, &mut f, Time::MAX);
+        // Local delivery is state- and size-independent: one shared
+        // arrival time, ties broken by send order.
+        let at = 50 + f.config().local_delivery;
+        assert_eq!(actors[2].seen, vec![(at, 1), (at, 2), (at, 3)]);
+        assert_eq!(f.stats().local_messages, 3);
+        assert_eq!(f.stats().local_bytes, 1000);
+        assert_eq!(f.stats().remote_messages, 0);
         // The calendar-queue hint is the smaller latency constant.
-        assert_eq!(a.time_quantum(), MICROS);
+        assert_eq!(chaos_runtime::Network::time_quantum(&f), MICROS);
     }
 
     #[test]

@@ -1,20 +1,17 @@
-//! The [`Executor`] trait and the sequential backend.
+//! The [`Executor`] trait and the event loop behind it.
 //!
-//! The event loop is a swappable component: anything that can accept
-//! posted events, drive an actor table against a network model and report
-//! virtual time implements [`Executor`]. [`SequentialExecutor`] is the
-//! classic single-queue discrete-event loop (the `Scheduler` of earlier
-//! revisions, extracted unchanged); `parallel::ParallelExecutor` dispatches
-//! per-machine event lanes across a thread pool while producing the same
-//! run bit for bit.
+//! Anything that can accept posted events, drive an actor table against a
+//! network model and report virtual time implements [`Executor`].
+//! [`SequentialExecutor`] is the implementation: the classic single-queue
+//! discrete-event loop.
 
 use chaos_sim::{EventQueue, QueueKind, Time};
 
-use crate::{Actor, Batchable, Ctx, Network, Topology};
+use crate::{Actor, Ctx, Network, Topology};
 
-/// A type-erased actor as executors consume it. The `Send` bound exists
-/// for the parallel backend, which moves lane actors onto worker threads;
-/// the sequential backend never crosses a thread.
+/// A type-erased actor as the executor consumes it. The event loop never
+/// crosses a thread; the `Send` bound stays because callers that build
+/// actor tables (`chaos-perf`, frozen) spell this type out with it.
 pub type DynActor<'a, A, M> = &'a mut (dyn Actor<Addr = A, Msg = M> + std::marker::Send);
 
 /// What a finished [`Executor::run`] reports.
@@ -24,22 +21,17 @@ pub struct ExecStats {
     pub now: Time,
     /// Events delivered so far (cumulative across runs).
     pub delivered: u64,
-    /// Synchronization windows executed (0 for the sequential backend and
-    /// for parallel runs that degraded to a sequential drain).
-    pub windows: u64,
 }
 
-/// A pluggable event-loop backend: posts events, runs the actor table to
+/// The event loop's interface: posts events, runs the actor table to
 /// quiescence (or a time horizon), and reports progress.
 ///
-/// `run` and `absorb` are generic over the network model so backends stay
-/// usable with any [`Network`]; the parallel backend additionally consults
-/// [`Network::min_latency`] as its lookahead bound.
+/// `run` and `absorb` are generic over the network model so the loop stays
+/// usable with any [`Network`].
 ///
 /// Determinism contract: for the same `(posted events, actors, net)`
-/// inputs, every conforming backend must deliver the same events in the
-/// same order at the same virtual times — a run is a pure function of its
-/// inputs, never of the backend.
+/// inputs, the same events are delivered in the same order at the same
+/// virtual times — a run is a pure function of its inputs.
 pub trait Executor<T: Topology, M> {
     /// The topology this executor routes with.
     fn topology(&self) -> &T;
@@ -47,24 +39,9 @@ pub trait Executor<T: Topology, M> {
     /// Current virtual time (timestamp of the last delivered event).
     fn now(&self) -> Time;
 
-    /// Number of events delivered so far. With envelope batching this
-    /// counts *logical* messages (each message inside a coalesced
-    /// envelope counts), so the figure is invariant across backends and
-    /// batching configurations.
+    /// Number of events delivered so far (stale-generation drops
+    /// included).
     fn delivered(&self) -> u64;
-
-    /// Number of physical envelopes delivered: equals
-    /// [`Executor::delivered`] unless the backend coalesced messages.
-    /// Host-side dispatch accounting, not a simulated quantity.
-    fn envelopes(&self) -> u64 {
-        self.delivered()
-    }
-
-    /// Total queue operations (pushes + pops) performed. Host-side
-    /// dispatch accounting, not a simulated quantity.
-    fn queue_ops(&self) -> u64 {
-        0
-    }
 
     /// Number of events still queued.
     fn pending(&self) -> usize;
@@ -98,25 +75,21 @@ pub trait Executor<T: Topology, M> {
 }
 
 /// A queued message plus the generation it was sent under.
-pub(crate) struct Envelope<M> {
-    pub(crate) gen: u32,
-    pub(crate) msg: M,
+struct Envelope<M> {
+    gen: u32,
+    msg: M,
 }
 
-/// The one definition of the per-event delivery contract every backend
-/// shares: stale-generation filtering, context arming, handler dispatch.
+/// The per-event delivery contract: stale-generation filtering, context
+/// arming, handler dispatch.
 ///
 /// Returns whether the handler ran. `false` means the envelope was stale
 /// (its generation predates the actor's) and was dropped without side
 /// effects — the context is untouched and holds no sends. When `true`, the
-/// handler's buffered sends are left in `ctx` for the caller to absorb:
-/// queue-and-go for the serial paths ([`absorb_sends_into`]), record-for-
-/// replay inside the parallel backend's windows.
+/// handler's buffered sends are left in `ctx` for the caller to absorb.
 ///
-/// `ctx` is reused across deliveries (capacity retained); both executors
-/// route every event through this function, so the bit-identical contract
-/// between them has exactly one implementation.
-pub(crate) fn dispatch<A: Copy, M>(
+/// `ctx` is reused across deliveries (capacity retained).
+fn dispatch<A: Copy, M>(
     actor: &mut (dyn Actor<Addr = A, Msg = M> + std::marker::Send),
     ctx: &mut Ctx<A, M>,
     time: Time,
@@ -132,103 +105,6 @@ pub(crate) fn dispatch<A: Copy, M>(
     true
 }
 
-/// The one definition of the absorb contract: `Net` sends are timed by the
-/// network model (in buffered order — network state evolves with call
-/// order), `At` sends are delivered verbatim, and every envelope is
-/// stamped with the context's (possibly handler-updated) generation.
-/// `push` receives `(time, slot, machine, gen, msg)` and enqueues into
-/// whatever structure the backend uses (global queue or per-machine lane).
-pub(crate) fn absorb_sends_into<T: Topology, M, N: Network + ?Sized>(
-    ctx: &mut Ctx<T::Addr, M>,
-    topology: &T,
-    net: &mut N,
-    mut push: impl FnMut(Time, usize, usize, u32, M),
-) {
-    let gen = ctx.gen;
-    let now = ctx.now;
-    for s in ctx.drain_sends() {
-        match s {
-            crate::Send::Net {
-                from,
-                to,
-                bytes,
-                msg,
-            } => {
-                let machine = topology.machine(to);
-                let arrival = net.send(now, from, machine, bytes);
-                push(arrival, topology.slot(to), machine, gen, msg);
-            }
-            crate::Send::At { at, to, msg } => {
-                push(at, topology.slot(to), topology.machine(to), gen, msg);
-            }
-        }
-    }
-}
-
-/// A run of same-machine sends being coalesced during a batched absorb:
-/// all share one destination slot and (by the local-latency contract) one
-/// arrival time, so they may travel as a single envelope.
-enum PendingRun<M> {
-    None,
-    One {
-        machine: usize,
-        slot: usize,
-        bytes: u64,
-        msg: M,
-    },
-    Many {
-        machine: usize,
-        slot: usize,
-        bytes: u64,
-        msgs: Vec<M>,
-    },
-}
-
-/// Emits a pending run: one ordinary send, or one
-/// [`Network::send_local_batch`]-accounted envelope wrapping the whole
-/// run. Called before any send that would break the run's consecutiveness
-/// (so network calls keep their unbatched order) and at end of absorb.
-fn flush_run<M: Batchable, N: Network + ?Sized>(
-    pending: &mut PendingRun<M>,
-    queue: &mut EventQueue<Envelope<M>>,
-    net: &mut N,
-    now: Time,
-    gen: u32,
-) {
-    match std::mem::replace(pending, PendingRun::None) {
-        PendingRun::None => {}
-        PendingRun::One {
-            machine,
-            slot,
-            bytes,
-            msg,
-        } => {
-            let arrival = net.send(now, machine, machine, bytes);
-            queue.push(arrival, slot, Envelope { gen, msg });
-        }
-        PendingRun::Many {
-            machine,
-            slot,
-            bytes,
-            msgs,
-        } => {
-            // One accounting call for the whole run: charges exactly what
-            // the per-message calls would have (the batch is still
-            // `count` logical messages totalling `bytes` on the wire).
-            let count = msgs.len() as u64;
-            let arrival = net.send_local_batch(now, machine, bytes, count);
-            queue.push(
-                arrival,
-                slot,
-                Envelope {
-                    gen,
-                    msg: M::wrap_batch(msgs),
-                },
-            );
-        }
-    }
-}
-
 /// The sequential executor: one global event queue, generation filtering
 /// and dispatch — the classic deterministic DES loop.
 ///
@@ -236,29 +112,15 @@ fn flush_run<M: Batchable, N: Network + ?Sized>(
 /// actor table ordered by [`Topology`] slot, so the embedding system keeps
 /// typed access to its actors for reporting and result collection.
 ///
-/// Two transport optimizations are on by default and provably invisible
-/// to the simulation (same dispatch order, same virtual times, same
-/// network charges):
-///
-/// - the event queue is a calendar queue ([`QueueKind::Calendar`]); the
-///   original binary heap stays selectable via
-///   [`SequentialExecutor::set_queue_kind`] as a bit-identical oracle;
-/// - consecutive same-machine sends from one handler to one destination
-///   slot are coalesced into a single envelope (see [`Batchable`]) and
-///   unpacked at dispatch; [`SequentialExecutor::set_batching`] turns
-///   this off.
+/// The event queue is a calendar queue ([`QueueKind::Calendar`]); the
+/// original binary heap stays selectable via
+/// [`SequentialExecutor::set_queue_kind`] as a bit-identical oracle.
 pub struct SequentialExecutor<T: Topology, M> {
     topology: T,
     queue: EventQueue<Envelope<M>>,
     /// Safety valve for the event loop (a wedged protocol would otherwise
     /// spin forever). Defaults to effectively unlimited.
     pub max_events: u64,
-    /// Whether to coalesce same-destination send runs (only effective
-    /// when `M::CAN_BATCH`).
-    batching: bool,
-    /// Logical deliveries in excess of physical envelope pops: each
-    /// coalesced envelope of k messages adds k - 1 here.
-    extra_delivered: u64,
 }
 
 impl<T: Topology, M> SequentialExecutor<T, M> {
@@ -268,8 +130,6 @@ impl<T: Topology, M> SequentialExecutor<T, M> {
             topology,
             queue: EventQueue::new(),
             max_events: u64::MAX,
-            batching: true,
-            extra_delivered: 0,
         }
     }
 
@@ -283,95 +143,9 @@ impl<T: Topology, M> SequentialExecutor<T, M> {
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         self.queue.set_kind(kind);
     }
-
-    /// Enables or disables envelope batching (default on). Batching never
-    /// changes simulated quantities — it only reduces queue traffic — so
-    /// this switch exists for A/B verification and profiling.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
-    }
-
-    /// Absorb with run coalescing: consecutive same-machine `Net` sends
-    /// to one destination slot share an arrival time (the local-latency
-    /// contract), so they travel as one envelope. Any send that breaks
-    /// the run (different destination, cross-machine, or an `At`) flushes
-    /// first, which keeps every network call in its unbatched order.
-    fn absorb_batched<N: Network + ?Sized>(&mut self, ctx: &mut Ctx<T::Addr, M>, net: &mut N)
-    where
-        M: Batchable,
-    {
-        let gen = ctx.gen;
-        let now = ctx.now;
-        let queue = &mut self.queue;
-        let topology = &self.topology;
-        let mut pending = PendingRun::None;
-        for s in ctx.drain_sends() {
-            match s {
-                crate::Send::Net {
-                    from,
-                    to,
-                    bytes,
-                    msg,
-                } => {
-                    let machine = topology.machine(to);
-                    let slot = topology.slot(to);
-                    if from == machine {
-                        pending = match std::mem::replace(&mut pending, PendingRun::None) {
-                            PendingRun::One {
-                                machine: m,
-                                slot: sl,
-                                bytes: b,
-                                msg: first,
-                            } if m == machine && sl == slot => PendingRun::Many {
-                                machine,
-                                slot,
-                                bytes: b + bytes,
-                                msgs: vec![first, msg],
-                            },
-                            PendingRun::Many {
-                                machine: m,
-                                slot: sl,
-                                bytes: b,
-                                mut msgs,
-                            } if m == machine && sl == slot => {
-                                msgs.push(msg);
-                                PendingRun::Many {
-                                    machine,
-                                    slot,
-                                    bytes: b + bytes,
-                                    msgs,
-                                }
-                            }
-                            mut other => {
-                                flush_run(&mut other, queue, net, now, gen);
-                                PendingRun::One {
-                                    machine,
-                                    slot,
-                                    bytes,
-                                    msg,
-                                }
-                            }
-                        };
-                    } else {
-                        flush_run(&mut pending, queue, net, now, gen);
-                        let arrival = net.send(now, from, machine, bytes);
-                        queue.push(arrival, slot, Envelope { gen, msg });
-                    }
-                }
-                crate::Send::At { at, to, msg } => {
-                    // An interleaved timer send would break the
-                    // consecutive-sequence argument; flush so only true
-                    // runs coalesce.
-                    flush_run(&mut pending, queue, net, now, gen);
-                    queue.push(at, topology.slot(to), Envelope { gen, msg });
-                }
-            }
-        }
-        flush_run(&mut pending, queue, net, now, gen);
-    }
 }
 
-impl<T: Topology, M: Batchable> Executor<T, M> for SequentialExecutor<T, M> {
+impl<T: Topology, M> Executor<T, M> for SequentialExecutor<T, M> {
     fn topology(&self) -> &T {
         &self.topology
     }
@@ -381,15 +155,7 @@ impl<T: Topology, M: Batchable> Executor<T, M> for SequentialExecutor<T, M> {
     }
 
     fn delivered(&self) -> u64 {
-        self.queue.delivered() + self.extra_delivered
-    }
-
-    fn envelopes(&self) -> u64 {
         self.queue.delivered()
-    }
-
-    fn queue_ops(&self) -> u64 {
-        self.queue.pushed() + self.queue.delivered()
     }
 
     fn pending(&self) -> usize {
@@ -402,14 +168,26 @@ impl<T: Topology, M: Batchable> Executor<T, M> for SequentialExecutor<T, M> {
     }
 
     fn absorb<N: Network + ?Sized>(&mut self, ctx: &mut Ctx<T::Addr, M>, net: &mut N) {
-        if M::CAN_BATCH && self.batching {
-            self.absorb_batched(ctx, net);
-            return;
+        // Network state evolves with call order, so sends are timed in the
+        // order the handler buffered them.
+        let gen = ctx.gen;
+        let now = ctx.now;
+        for s in ctx.drain_sends() {
+            let (at, to, msg) = match s {
+                crate::Send::Net {
+                    from,
+                    to,
+                    bytes,
+                    msg,
+                } => {
+                    let arrival = net.send(now, from, self.topology.machine(to), bytes);
+                    (arrival, to, msg)
+                }
+                crate::Send::At { at, to, msg } => (at, to, msg),
+            };
+            self.queue
+                .push(at, self.topology.slot(to), Envelope { gen, msg });
         }
-        let queue = &mut self.queue;
-        absorb_sends_into(ctx, &self.topology, net, |time, slot, _machine, gen, msg| {
-            queue.push(time, slot, Envelope { gen, msg });
-        });
     }
 
     fn run<N: Network + ?Sized>(
@@ -433,29 +211,6 @@ impl<T: Topology, M: Batchable> Executor<T, M> for SequentialExecutor<T, M> {
                 "event budget exceeded; protocol likely wedged"
             );
             let Envelope { gen, msg } = ev.msg;
-            if M::CAN_BATCH {
-                // A coalesced envelope dispatches each inner message in
-                // its original order, absorbing sends after each one and
-                // re-checking the generation per message — exactly the
-                // unbatched interleaving.
-                match msg.unwrap_batch() {
-                    Ok(batch) => {
-                        self.extra_delivered += batch.len() as u64 - 1;
-                        for inner in batch {
-                            if dispatch(&mut *actors[ev.dst], &mut ctx, ev.time, gen, inner) {
-                                self.absorb(&mut ctx, net);
-                            }
-                        }
-                        continue;
-                    }
-                    Err(single) => {
-                        if dispatch(&mut *actors[ev.dst], &mut ctx, ev.time, gen, single) {
-                            self.absorb(&mut ctx, net);
-                        }
-                        continue;
-                    }
-                }
-            }
             if dispatch(&mut *actors[ev.dst], &mut ctx, ev.time, gen, msg) {
                 self.absorb(&mut ctx, net);
             }
@@ -463,7 +218,6 @@ impl<T: Topology, M: Batchable> Executor<T, M> for SequentialExecutor<T, M> {
         ExecStats {
             now: self.queue.now(),
             delivered: self.delivered(),
-            windows: 0,
         }
     }
 }
@@ -561,13 +315,12 @@ mod tests {
         sched.post(10, 0, 0, 1);
         sched.post(20, 0, 0, 3);
         sched.post(30, 0, 0, 5);
-        let stats = sched.run(&mut [&mut a], &mut (), 20);
+        sched.run(&mut [&mut a], &mut (), 20);
         assert_eq!(a.seen, vec![1, 3], "horizon is inclusive");
         assert_eq!(sched.pending(), 1);
         // Resuming picks up where the horizon stopped.
         sched.run(&mut [&mut a], &mut (), Time::MAX);
         assert_eq!(a.seen, vec![1, 3, 5]);
-        assert_eq!(stats.windows, 0);
     }
 
     #[test]

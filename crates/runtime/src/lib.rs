@@ -15,16 +15,13 @@
 //!   slots and to host machines for network timing;
 //! - the [`Network`] trait — computes message arrival times (implemented by
 //!   `chaos-net`'s `Fabric`; `()` gives a zero-latency network for tests);
-//! - the [`Executor`] trait and its backends — the event loop as a
-//!   swappable component: [`SequentialExecutor`] (one global queue, the
-//!   classic DES loop) and [`ParallelExecutor`] (per-machine event lanes
-//!   dispatched across a thread pool under conservative time-window
-//!   synchronization). Both produce bit-identical runs; see the
-//!   [`parallel`] module docs for the determinism argument.
+//! - the [`Executor`] trait and [`SequentialExecutor`], the one event
+//!   loop: a single global queue popped in `(time, insertion order)`,
+//!   stale-generation filtering, dispatch, absorb.
 //!
-//! Determinism: executors inherit the kernel's `(time, insertion order)`
-//! tie-breaking, so a run is a pure function of its inputs as long as
-//! actors themselves are deterministic.
+//! Determinism: the executor inherits the kernel's `(time, insertion
+//! order)` tie-breaking, so a run is a pure function of its inputs as
+//! long as actors themselves are deterministic.
 //!
 //! # Examples
 //!
@@ -57,14 +54,8 @@
 use chaos_sim::Time;
 
 pub mod executor;
-pub mod parallel;
 
 pub use executor::{DynActor, ExecStats, Executor, SequentialExecutor};
-pub use parallel::{BackendExecutor, ParallelExecutor};
-
-/// The scheduler type of earlier revisions; the event loop is now the
-/// [`Executor`] trait and this alias names its sequential backend.
-pub type Scheduler<T, M> = SequentialExecutor<T, M>;
 
 /// An actor: a deterministic state machine driven by messages.
 pub trait Actor {
@@ -97,16 +88,6 @@ pub trait Topology {
 
     /// Machine hosting the address, for network timing.
     fn machine(&self, addr: Self::Addr) -> usize;
-
-    /// Number of machines (event lanes for the parallel backend). Must be
-    /// an upper bound for every value [`Topology::machine`] returns.
-    fn machines(&self) -> usize;
-
-    /// Machine hosting a slot; the inverse composition
-    /// `machine_of_slot(slot(a)) == machine(a)` must hold for every
-    /// address, so the parallel backend can partition the actor table
-    /// into per-machine lanes.
-    fn machine_of_slot(&self, slot: usize) -> usize;
 }
 
 /// The trivial topology: addresses *are* slots.
@@ -152,67 +133,20 @@ impl Topology for SlotTopology {
     fn machine(&self, addr: usize) -> usize {
         addr % self.machines
     }
-
-    fn machines(&self) -> usize {
-        self.machines
-    }
-
-    fn machine_of_slot(&self, slot: usize) -> usize {
-        slot % self.machines
-    }
 }
 
 /// Computes arrival times for messages between machines.
 ///
 /// Implementations account bandwidth/latency however they like
 /// (`chaos-net`'s `Fabric` models NIC rate servers and a switch); the
-/// executors only need the delivery timestamp.
+/// executor only needs the delivery timestamp.
 pub trait Network {
     /// Delivery time of a `bytes`-sized message sent at `now` from machine
     /// `from` to machine `to`.
     fn send(&mut self, now: Time, from: usize, to: usize, bytes: u64) -> Time;
 
-    /// A lower bound on cross-machine delivery delay: for every
-    /// `from != to`, `send(now, from, to, bytes) >= now + min_latency()`
-    /// must hold regardless of network state. This is the safe lookahead
-    /// the parallel backend uses to size its synchronization windows; `0`
-    /// (the default) disables parallel dispatch and degrades it to a
-    /// sequential drain.
-    fn min_latency(&self) -> Time {
-        0
-    }
-
-    /// The exact, state-independent latency of a machine-local delivery:
-    /// `send(now, m, m, bytes) == now + local_latency(m)` must hold for
-    /// every `bytes`. The parallel backend uses this to time same-machine
-    /// sends inside a window without touching shared network state (the
-    /// real `send` call is replayed afterwards and cross-checked).
-    fn local_latency(&self, machine: usize) -> Time {
-        let _ = machine;
-        0
-    }
-
-    /// Accounts `count` same-machine messages totalling `total_bytes` in
-    /// one call, returning their (shared) arrival time. The local-delivery
-    /// contract above makes the arrival state- and bytes-independent, so
-    /// implementations must charge exactly what `count` individual
-    /// [`Network::send`] calls would have charged — this is the
-    /// sequential executor's fast path for coalesced same-machine batches,
-    /// and it must be observationally identical to the slow path.
-    fn send_local_batch(&mut self, now: Time, machine: usize, total_bytes: u64, count: u64) -> Time {
-        debug_assert!(count >= 1);
-        // Default: replicate `count` local sends (bytes lumped into the
-        // first — local arrivals are bytes-independent by contract, and
-        // byte *totals* per machine stay exact).
-        let mut arrival = self.send(now, machine, machine, total_bytes);
-        for _ in 1..count {
-            arrival = self.send(now, machine, machine, 0);
-        }
-        arrival
-    }
-
     /// The smallest latency quantum this network produces (typically the
-    /// machine-local delivery latency): a hint the executors use to size
+    /// machine-local delivery latency): a hint the executor uses to size
     /// calendar-queue buckets. `0` (the default) means "no hint"; it never
     /// affects results, only scheduling cost.
     fn time_quantum(&self) -> Time {
@@ -226,43 +160,6 @@ impl Network for () {
         now
     }
 }
-
-/// A message type the executors may coalesce: several messages bound for
-/// the same actor at the same delivery time can travel as one envelope
-/// and be unpacked at dispatch.
-///
-/// Coalescing is an executor-internal transport optimization — actors
-/// never see the wrapped form, because the executor unpacks it and
-/// dispatches each inner message individually (re-checking the
-/// generation per message). Implementations must round-trip exactly:
-/// `unwrap_batch(wrap_batch(v)) == Ok(v)`.
-///
-/// The default implementation opts out (`CAN_BATCH == false`), so plain
-/// payload types (`u64`, strings, ...) can implement the trait with an
-/// empty `impl` block and executors will never try to coalesce them.
-pub trait Batchable: Sized {
-    /// Whether the executor may coalesce runs of messages into envelopes.
-    const CAN_BATCH: bool = false;
-
-    /// Wraps `batch` (at least two messages) into one carrier message.
-    fn wrap_batch(batch: Vec<Self>) -> Self {
-        let _ = batch;
-        unreachable!("wrap_batch on a type with CAN_BATCH == false")
-    }
-
-    /// Recovers the messages of a carrier produced by
-    /// [`Batchable::wrap_batch`], or returns an ordinary message
-    /// unchanged as `Err`.
-    fn unwrap_batch(self) -> Result<Vec<Self>, Self> {
-        Err(self)
-    }
-}
-
-impl Batchable for () {}
-impl Batchable for u32 {}
-impl Batchable for u64 {}
-impl Batchable for String {}
-impl Batchable for &'static str {}
 
 /// A buffered outgoing message (applied by the executor after the handler
 /// returns, preserving in-handler ordering).
@@ -315,8 +212,8 @@ impl<A, M> Ctx<A, M> {
 
     /// Rearms a reused context for the next delivery: new clock and
     /// generation, send buffer kept (its capacity is what makes reuse
-    /// worthwhile — executors dispatch millions of events through one
-    /// context without allocating).
+    /// worthwhile — the executor dispatches millions of events through
+    /// one context without allocating).
     ///
     /// The previous delivery's sends must already have been drained.
     pub fn reset(&mut self, now: Time, gen: u32) {
@@ -356,10 +253,8 @@ mod tests {
     #[test]
     fn round_robin_saturates_zero_machines() {
         let topo = SlotTopology::round_robin(4, 0);
-        assert_eq!(topo.machines(), 1);
         for s in 0..4 {
             assert_eq!(topo.machine(s), 0);
-            assert_eq!(topo.machine_of_slot(s), 0);
         }
     }
 
@@ -367,26 +262,9 @@ mod tests {
     fn round_robin_allows_zero_slots() {
         let topo = SlotTopology::round_robin(0, 3);
         assert_eq!(topo.slots(), 0);
-        assert_eq!(topo.machines(), 3);
         // An empty topology still drives an (empty) run to completion.
         let mut sched: SequentialExecutor<SlotTopology, ()> = SequentialExecutor::new(topo);
         let stats = sched.run(&mut [], &mut (), u64::MAX);
         assert_eq!(stats.delivered, 0);
-    }
-
-    #[test]
-    fn round_robin_degenerate_both_zero() {
-        let topo = SlotTopology::round_robin(0, 0);
-        assert_eq!(topo.slots(), 0);
-        assert_eq!(topo.machines(), 1);
-    }
-
-    #[test]
-    fn slot_machine_inverse_contract() {
-        let topo = SlotTopology::round_robin(10, 3);
-        for addr in 0..10 {
-            assert_eq!(topo.machine(addr), topo.machine_of_slot(topo.slot(addr)));
-            assert!(topo.machine(addr) < topo.machines());
-        }
     }
 }

@@ -43,7 +43,7 @@ impl DeviceProfile {
 /// One transient fault window: the device rejects the selected operation
 /// kinds while `from <= now < until`. Windows are static for a run —
 /// injection is a pure function of simulated time, which keeps faulted
-/// runs bit-identical across executor backends.
+/// runs reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {
     /// First faulted instant (inclusive).
@@ -60,10 +60,10 @@ pub struct FaultWindow {
 /// frame check is evaluated at `now` is corrupted iff
 /// `mix2(salt, now ^ key) % one_in == 0` — a pure function of
 /// `(seed-derived salt, simulated time, read key)`, so faulted runs stay
-/// bit-identical across executor backends. The window flips bits *on the
-/// wire*, never in the stored chunk: a later re-read of the same data
-/// draws a fresh verdict, which is what makes bounded-backoff re-reads the
-/// right first rung of the repair ladder.
+/// reproducible. The window flips bits *on the wire*, never in the stored
+/// chunk: a later re-read of the same data draws a fresh verdict, which is
+/// what makes bounded-backoff re-reads the right first rung of the repair
+/// ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptionWindow {
     /// First corruptible instant (inclusive).

@@ -3,7 +3,7 @@
 //! The simulated cluster normally keeps chunk payloads in memory (the DES
 //! charges virtual I/O time either way), but the file backend writes and
 //! reads genuine files through the [`chaos_gas::Record`] codec. The
-//! out-of-core examples and the backend-equivalence tests use it to
+//! out-of-core examples and `tests/backends.rs` use it to
 //! demonstrate that the engine really can run with its working set on disk.
 
 use std::collections::BTreeMap;

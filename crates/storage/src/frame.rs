@@ -20,8 +20,7 @@
 //!   checksum overhead per framed device transfer, and frame-check
 //!   *failures* are decided by the deterministic corruption oracle on
 //!   [`crate::Device`], so faulted runs stay a pure function of
-//!   `(seed, machine, simulated time, offset)` and bit-identical across
-//!   executor backends.
+//!   `(seed, machine, simulated time, offset)`.
 //!
 //! # Two kernels, one value
 //!

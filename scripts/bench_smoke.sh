@@ -1,17 +1,14 @@
 #!/usr/bin/env bash
-# Bench smoke: run the Figure 7 harness across every host-side
-# configuration axis — both execution backends, the dense-streaming
-# reference mode, the unclustered edge layout, chunk-granularity serves
-# (block indexing off), the binary-heap event queue and with envelope
-# batching disabled — and verify the invariants: stdout byte-identical
-# across backends, streaming modes, queue kinds and batching; computed
-# results byte-identical across chunk layouts and block granularities via
-# the states digest. Wall-clock timings plus the hot-path metrics (record
-# throughput, chunk- and block-level skip counts, and the event-loop
-# dispatch account parsed from the sequential run's stderr) land in the
-# output file (default target/bench_smoke.json — never a committed
-# BENCH_pr<N>.json, the record of its PR), including the same-window A/B
-# of block-indexed serves vs --block-records 0. The timings are a record, not
+# Bench smoke: run the Figure 7 harness across every remaining
+# configuration axis — the dense-streaming reference mode, the unclustered
+# edge layout, chunk-granularity serves (block indexing off) and the
+# binary-heap event queue — and verify the invariants: stdout
+# byte-identical across streaming modes and queue kinds; computed results
+# byte-identical across chunk layouts and block granularities via the
+# states digest. Wall-clock timings plus the hot-path metrics (record
+# throughput, chunk- and block-level skip counts) land in the output file
+# (default target/bench_smoke.json), including the same-window A/B of
+# block-indexed serves vs --block-records 0. The timings are a record, not
 # a gate — one `date` delta cannot tell a regression from host drift;
 # host-time claims are measured with chaos-perf (chaos-perf/README.md).
 #
@@ -33,24 +30,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT_JSON="${1:-target/bench_smoke.json}"
 EXPERIMENT="${BENCH_EXPERIMENT:-fig7}"
-PAR_BACKEND="${BENCH_PAR_BACKEND:-par:4}"
 
 cargo build --release -p chaos-bench --bin figures --bin cellstats
 
 BIN=./target/release/figures
 SEQ_OUT=$(mktemp)
-SEQ_ERR=$(mktemp)
-PAR_OUT=$(mktemp)
 REF_OUT=$(mktemp)
 FLAT_OUT=$(mktemp)
 NOBLOCK_OUT=$(mktemp)
 HEAP_OUT=$(mktemp)
-NOBATCH_OUT=$(mktemp)
 CKPT_OUT=$(mktemp)
 CELL_CLEAN=$(mktemp)
 CELL_DIRTY=$(mktemp)
 ERR_LOG=$(mktemp)
-trap 'rm -f "$SEQ_OUT" "$SEQ_ERR" "$PAR_OUT" "$REF_OUT" "$FLAT_OUT" "$NOBLOCK_OUT" "$HEAP_OUT" "$NOBATCH_OUT" "$CKPT_OUT" "$CELL_CLEAN" "$CELL_DIRTY" "$ERR_LOG"' EXIT
+trap 'rm -f "$SEQ_OUT" "$REF_OUT" "$FLAT_OUT" "$NOBLOCK_OUT" "$HEAP_OUT" "$CKPT_OUT" "$CELL_CLEAN" "$CELL_DIRTY" "$ERR_LOG"' EXIT
 
 # Keep stderr (panics, asserts) out of the compared output but dump it on
 # failure so CI logs show *why* a run died, not just that it did.
@@ -65,30 +58,26 @@ run_mode() {
 }
 
 t0=$(date +%s.%N)
-run_mode "$HEAP_OUT" "$ERR_LOG" --backend seq --queue heap
+run_mode "$HEAP_OUT" "$ERR_LOG" --queue heap
 t1=$(date +%s.%N)
-run_mode "$SEQ_OUT" "$SEQ_ERR" --backend seq
+run_mode "$SEQ_OUT" "$ERR_LOG"
 t2=$(date +%s.%N)
-run_mode "$NOBATCH_OUT" "$ERR_LOG" --backend seq --batching off
+run_mode "$REF_OUT" "$ERR_LOG" --streaming reference
 t3=$(date +%s.%N)
-run_mode "$PAR_OUT" "$ERR_LOG" --backend "$PAR_BACKEND"
+run_mode "$FLAT_OUT" "$ERR_LOG" --cluster-bins 1
 t4=$(date +%s.%N)
-run_mode "$REF_OUT" "$ERR_LOG" --backend seq --streaming reference
+run_mode "$NOBLOCK_OUT" "$ERR_LOG" --block-records 0
 t5=$(date +%s.%N)
-run_mode "$FLAT_OUT" "$ERR_LOG" --backend seq --cluster-bins 1
-t6=$(date +%s.%N)
-run_mode "$NOBLOCK_OUT" "$ERR_LOG" --backend seq --block-records 0
-t7=$(date +%s.%N)
 
 # Checkpoint-overhead measurement (fig13: per-barrier two-phase vertex
 # snapshots on the HDD cluster). Simulated, so the ratio is
 # host-independent — gate it hard at <15% per algorithm.
-if ! "$BIN" fig13 --backend seq >"$CKPT_OUT" 2>"$ERR_LOG"; then
+if ! "$BIN" fig13 >"$CKPT_OUT" 2>"$ERR_LOG"; then
     echo "FAIL: fig13 exited nonzero; stderr:" >&2
     cat "$ERR_LOG" >&2
     exit 1
 fi
-t8=$(date +%s.%N)
+t6=$(date +%s.%N)
 
 # Integrity byte-compare: the same cell fault-free and under a generated
 # fault schedule (crashes + torn writes + device/fabric/corruption
@@ -96,11 +85,11 @@ t8=$(date +%s.%N)
 # must actually fire: a gate that never detects anything gates nothing.
 CELL=./target/release/cellstats
 FAULT_SEED="${BENCH_FAULT_SEED:-2}"
-"$CELL" PR 4 12 seq selective >"$CELL_CLEAN" 2>"$ERR_LOG" \
+"$CELL" PR 4 12 >"$CELL_CLEAN" 2>"$ERR_LOG" \
     || { echo "FAIL: fault-free cellstats run died" >&2; cat "$ERR_LOG" >&2; exit 1; }
-"$CELL" PR 4 12 seq selective --scrub --fault-seed "$FAULT_SEED" >"$CELL_DIRTY" 2>"$ERR_LOG" \
+"$CELL" PR 4 12 --scrub --fault-seed "$FAULT_SEED" >"$CELL_DIRTY" 2>"$ERR_LOG" \
     || { echo "FAIL: corruption-seeded cellstats run died" >&2; cat "$ERR_LOG" >&2; exit 1; }
-t9=$(date +%s.%N)
+t7=$(date +%s.%N)
 CLEAN_DIGEST=$(grep '^states digest:' "$CELL_CLEAN" || true)
 DIRTY_DIGEST=$(grep '^states digest:' "$CELL_DIRTY" || true)
 if [ -z "$CLEAN_DIGEST" ] || [ "$CLEAN_DIGEST" != "$DIRTY_DIGEST" ]; then
@@ -135,8 +124,6 @@ check_identical() {
     echo "OK: $EXPERIMENT output is byte-identical $what"
 }
 check_identical "$HEAP_OUT" "between the calendar and binary-heap event queues"
-check_identical "$NOBATCH_OUT" "with envelope batching on vs off"
-check_identical "$PAR_OUT" "across backends"
 check_identical "$REF_OUT" "vs the dense-streaming reference mode"
 
 # Across layouts — cluster bins and block granularity alike — the timings
@@ -174,18 +161,15 @@ PY
 
 HEAP_S=$(python3 -c "print(f'{$t1 - $t0:.2f}')")
 SEQ_S=$(python3 -c "print(f'{$t2 - $t1:.2f}')")
-NOBATCH_S=$(python3 -c "print(f'{$t3 - $t2:.2f}')")
-PAR_S=$(python3 -c "print(f'{$t4 - $t3:.2f}')")
-REF_S=$(python3 -c "print(f'{$t5 - $t4:.2f}')")
-FLAT_S=$(python3 -c "print(f'{$t6 - $t5:.2f}')")
-NOBLOCK_S=$(python3 -c "print(f'{$t7 - $t6:.2f}')")
-CKPT_S=$(python3 -c "print(f'{$t8 - $t7:.2f}')")
-INTEGRITY_S=$(python3 -c "print(f'{$t9 - $t8:.2f}')")
-SPEEDUP=$(python3 -c "print(f'{($t2 - $t1) / ($t4 - $t3):.3f}')")
+REF_S=$(python3 -c "print(f'{$t3 - $t2:.2f}')")
+FLAT_S=$(python3 -c "print(f'{$t4 - $t3:.2f}')")
+NOBLOCK_S=$(python3 -c "print(f'{$t5 - $t4:.2f}')")
+CKPT_S=$(python3 -c "print(f'{$t6 - $t5:.2f}')")
+INTEGRITY_S=$(python3 -c "print(f'{$t7 - $t6:.2f}')")
 NCPU=$(nproc 2>/dev/null || echo 0)
 # The fig7 harness prints the records-streamed/skipped totals (simulated,
-# backend- and mode-invariant quantities); throughput = records per seq
-# wall-second. The same-window A/B: the chunk-granularity run's streamed
+# mode-invariant quantities); throughput = records per wall-second of
+# the default run. The same-window A/B: the chunk-granularity run's streamed
 # count shows what the block indexes saved this very invocation.
 RECORDS=$(sed -n 's/^records streamed: \([0-9]*\)$/\1/p' "$SEQ_OUT" | tail -1)
 RECORDS=${RECORDS:-0}
@@ -200,33 +184,15 @@ SKIPPED_INTRA=${SKIPPED_INTRA:-0}
 NOBLOCK_RECORDS=$(sed -n 's/^records streamed: \([0-9]*\)$/\1/p' "$NOBLOCK_OUT" | tail -1)
 NOBLOCK_RECORDS=${NOBLOCK_RECORDS:-0}
 THROUGHPUT=$(python3 -c "print(f'{$RECORDS / ($t2 - $t1):.0f}')")
-# The event-loop dispatch account is host-side provenance (it legitimately
-# differs across queue/batching configs), so the figures binary prints it
-# to stderr; parse the sequential run's line.
-DISPATCH=$(sed -n 's/^dispatch stats: //p' "$SEQ_ERR" | tail -1)
-EVENTS=$(sed -n 's/.*events=\([0-9]*\).*/\1/p' <<<"$DISPATCH")
-EVENTS=${EVENTS:-0}
-ENVELOPES=$(sed -n 's/.*envelopes=\([0-9]*\).*/\1/p' <<<"$DISPATCH")
-ENVELOPES=${ENVELOPES:-0}
-RATIO=$(sed -n 's/.*ratio=\([0-9.]*\).*/\1/p' <<<"$DISPATCH")
-RATIO=${RATIO:-1.0}
-QUEUE_OPS=$(sed -n 's/.*queue-ops=\([0-9]*\).*/\1/p' <<<"$DISPATCH")
-QUEUE_OPS=${QUEUE_OPS:-0}
-
 cat >"$OUT_JSON" <<EOF
 {
   "experiment": "$EXPERIMENT",
   "scale": "quick",
-  "backends": {
-    "seq": { "wall_seconds": $SEQ_S },
-    "$PAR_BACKEND": { "wall_seconds": $PAR_S }
-  },
+  "wall_seconds": $SEQ_S,
   "reference_streaming_seq_wall_seconds": $REF_S,
   "unclustered_layout_seq_wall_seconds": $FLAT_S,
   "chunk_granular_seq_wall_seconds": $NOBLOCK_S,
   "heap_queue_seq_wall_seconds": $HEAP_S,
-  "unbatched_seq_wall_seconds": $NOBATCH_S,
-  "seq_over_par_speedup": $SPEEDUP,
   "records_streamed": $RECORDS,
   "records_streamed_without_blocks": $NOBLOCK_RECORDS,
   "records_skipped": $SKIPPED,
@@ -234,10 +200,6 @@ cat >"$OUT_JSON" <<EOF
   "blocks_skipped": $BLOCKS_SKIPPED,
   "records_skipped_intra_chunk": $SKIPPED_INTRA,
   "records_per_wall_second_seq": $THROUGHPUT,
-  "events_dispatched": $EVENTS,
-  "envelopes_sent": $ENVELOPES,
-  "batching_ratio": $RATIO,
-  "queue_ops": $QUEUE_OPS,
   "fig13_wall_seconds": $CKPT_S,
   "checkpoint_overhead_worst_pct": $CKPT_OVERHEAD,
   "integrity_wall_seconds": $INTEGRITY_S,

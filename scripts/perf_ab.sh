@@ -12,9 +12,9 @@
 #   scripts/perf_ab.sh HEAD pr_events            # working tree against HEAD
 #   scripts/perf_ab.sh HEAD~1 pr_dense 5 20 7    # five pairs on seed 7
 #
-# The parent is checked out into a git worktree under target/perf_ab/ (and
-# the worktree is unregistered again on exit); the change is the working
-# tree as it stands. Both build into their own target directories under
+# The parent is checked out into a local clone under target/perf_ab/ (and
+# the clone is removed again on exit); the change is the working tree as
+# it stands. Both build into their own target directories under
 # target/perf_ab/, where the runs' perf/ directories land too: nothing is
 # written outside target/.
 #
@@ -45,14 +45,10 @@ PARENT_SRC="$OUT/parent-src"
 RUNS="$OUT/runs.txt"
 mkdir -p "$OUT"
 
-drop_worktree() {
-    git worktree remove --force "$PARENT_SRC" >/dev/null 2>&1 || true
-    rm -rf "$PARENT_SRC"
-    git worktree prune
-}
-trap drop_worktree EXIT
-drop_worktree # what an interrupted run left behind
-git worktree add --detach "$PARENT_SRC" "$PARENT_REV" >/dev/null
+trap 'rm -rf "$PARENT_SRC"' EXIT
+rm -rf "$PARENT_SRC" # what an interrupted run left behind
+git clone --local --quiet "$ROOT" "$PARENT_SRC"
+git -C "$PARENT_SRC" checkout --quiet --detach "$(git rev-parse "$PARENT_REV")"
 
 # build <source tree> <target directory>
 build() {

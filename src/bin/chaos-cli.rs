@@ -15,8 +15,35 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use chaos::algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
-use chaos::core::{run_chaos, Backend, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
+use chaos::core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
 use chaos::graph::{io as graph_io, InputGraph, RmatConfig, WebGraphConfig};
+
+/// Every option any subcommand reads; anything else starting with `--` is
+/// an error, not a silent no-op.
+const OPTIONS: &[&str] = &[
+    "--out",
+    "--scale",
+    "--web-pages",
+    "--weighted",
+    "--text",
+    "--algo",
+    "--graph",
+    "--dataset",
+    "--machines",
+    "--chunk-kb",
+    "--mem-kb",
+    "--iters",
+    "--hdd",
+    "--one-gige",
+    "--checkpoint",
+    "--alpha",
+    "--streaming",
+    "--cluster-bins",
+    "--seed",
+    "--fault-seed",
+    "--scrub",
+    "--metrics-json",
+];
 
 struct Args(Vec<String>);
 
@@ -67,8 +94,6 @@ CLUSTER OPTIONS:
   --one-gige          1 GigE fabric instead of 40 GigE
   --checkpoint        checkpoint vertex values at gather barriers
   --alpha <A>         work-stealing bias (default 1.0; 0 disables, inf always)
-  --backend <B>       event-loop backend: seq (default), par, or par:N
-                      (results are bit-identical; only wall clock differs)
   --streaming <S>     scatter streaming: selective (default), reference
                       (dense oracle, bit-identical report), or dense
   --cluster-bins <N>  source-clustered layout bins per partition
@@ -153,7 +178,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     cfg.mem_budget = args.parsed("--mem-kb", 1024u64)? * 1024;
     cfg.steal_alpha = args.parsed("--alpha", 1.0f64)?;
     cfg.checkpoint = args.flag("--checkpoint");
-    cfg.backend = args.parsed("--backend", Backend::Sequential)?;
     cfg.streaming = args.parsed("--streaming", Streaming::Selective)?;
     cfg.cluster_bins = args.parsed("--cluster-bins", cfg.cluster_bins)?;
     cfg.seed = args.parsed("--seed", cfg.seed)?;
@@ -175,12 +199,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     params.bp_iterations = params.pr_iterations;
 
     println!(
-        "running {algo} on {} vertices / {} edges over {machines} machines ({}, {}, backend {})...",
+        "running {algo} on {} vertices / {} edges over {machines} machines ({}, {})...",
         g.num_vertices,
         g.num_edges(),
         cfg.device.name,
         if args.flag("--one-gige") { "1GigE" } else { "40GigE" },
-        cfg.backend,
     );
     let report = with_algo!(algo, &params, |p| run_chaos(cfg, p, &g).0);
     println!("simulated runtime   {:>10.3} s (preprocess {:.3} s)",
@@ -255,7 +278,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let args = Args(argv);
-    let result = match cmd.as_str() {
+    // `argv[0]` is the command (`--help` included); options follow it.
+    let options = chaos::bench::harness::check_options(&args.0[1..], OPTIONS);
+    let result = options.and_then(|()| match cmd.as_str() {
         "list" => {
             for a in ALGO_NAMES {
                 println!(
@@ -273,7 +298,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -16,7 +16,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`sim`] | deterministic discrete-event kernel (clock, queue, RNG, rate servers) |
-//! | [`runtime`] | generic actor runtime (Actor trait, pluggable sequential/parallel executors, topology, network routing) |
+//! | [`runtime`] | generic actor runtime (Actor trait, the event loop, topology, network routing) |
 //! | [`net`] | NIC/switch fabric model |
 //! | [`storage`] | chunk sets (memory + real files), device models, page cache |
 //! | [`graph`] | edge lists, RMAT + web-graph generators, partitioner, oracles |
@@ -64,7 +64,7 @@ pub mod prelude {
     pub use chaos_algos::wcc::Wcc;
     pub use chaos_algos::{AlgoParams, ALGO_NAMES};
     pub use chaos_core::{
-        run_chaos, Backend, ChaosConfig, Cluster, CorruptionFault, CrashFault, CrashTrigger,
+        run_chaos, ChaosConfig, Cluster, CorruptionFault, CrashFault, CrashTrigger,
         DeviceFault, FabricFault, FaultAccount, FaultPlan, FaultPlanConfig, IterSelectivity,
         Placement, QueueKind, RunReport, Streaming,
     };

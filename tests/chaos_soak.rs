@@ -5,9 +5,9 @@
 //! write), device-fault windows, fabric stragglers and silent-corruption
 //! windows, and the run must end with final vertex states
 //! **bit-identical** to the fault-free run of the same
-//! `(config, program, graph)` — on the sequential and parallel backends,
-//! in selective and reference streaming modes, for an
-//! aggregate-converging, a frontier and a stateful multi-phase algorithm.
+//! `(config, program, graph)` — in selective and reference streaming
+//! modes, for an aggregate-converging, a frontier and a stateful
+//! multi-phase algorithm.
 //!
 //! On top of each generated schedule the soak scripts one wide, early
 //! corruption window (machine 0, one-in-two reads), so every schedule is
@@ -47,56 +47,53 @@ where
 {
     let machines = 4;
     let shape = FaultPlanConfig::soak(machines);
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        for streaming in [Streaming::Selective, Streaming::Reference] {
-            let mut base = test_config(machines);
-            base.backend = backend;
-            base.streaming = streaming;
-            base.checkpoint = true;
-            let (clean, clean_states) = run_chaos(base.clone(), program.clone(), graph);
-            assert_eq!(clean.faults.aborts, 0);
-            for seed in 0..soak_seeds() {
-                let plan = FaultPlan::generate(seed, &shape).with_corruption_fault(
-                    CorruptionFault {
-                        machine: 0,
-                        from: 0,
-                        until: chaos::sim::SECS,
-                        salt: seed ^ 0x5C0B_B1E5,
-                        one_in: 2,
-                    },
-                );
-                let crashes = plan.crashes.len();
-                let mut cfg = base.clone();
-                cfg.faults = plan;
-                let (rep, states) = run_chaos(cfg, program.clone(), graph);
-                let tag = format!("{label} seed {seed} {backend:?} {streaming:?}");
-                assert_eq!(clean_states, states, "{tag}: states must be bit-identical");
-                assert_eq!(
-                    clean.iteration_aggs, rep.iteration_aggs,
-                    "{tag}: per-iteration aggregates must match"
-                );
+    for streaming in [Streaming::Selective, Streaming::Reference] {
+        let mut base = test_config(machines);
+        base.streaming = streaming;
+        base.checkpoint = true;
+        let (clean, clean_states) = run_chaos(base.clone(), program.clone(), graph);
+        assert_eq!(clean.faults.aborts, 0);
+        for seed in 0..soak_seeds() {
+            let plan = FaultPlan::generate(seed, &shape).with_corruption_fault(
+                CorruptionFault {
+                    machine: 0,
+                    from: 0,
+                    until: chaos::sim::SECS,
+                    salt: seed ^ 0x5C0B_B1E5,
+                    one_in: 2,
+                },
+            );
+            let crashes = plan.crashes.len();
+            let mut cfg = base.clone();
+            cfg.faults = plan;
+            let (rep, states) = run_chaos(cfg, program.clone(), graph);
+            let tag = format!("{label} seed {seed} {streaming:?}");
+            assert_eq!(clean_states, states, "{tag}: states must be bit-identical");
+            assert_eq!(
+                clean.iteration_aggs, rep.iteration_aggs,
+                "{tag}: per-iteration aggregates must match"
+            );
+            assert!(
+                rep.faults.corruption_detected >= 1,
+                "{tag}: the scripted window must be exercised"
+            );
+            assert!(
+                rep.faults.corruption_repaired >= 1,
+                "{tag}: every detected corruption must be repaired"
+            );
+            if crashes > 0 {
+                assert!(rep.faults.aborts >= 1, "{tag}: crash schedule, no abort");
                 assert!(
-                    rep.faults.corruption_detected >= 1,
-                    "{tag}: the scripted window must be exercised"
+                    rep.faults.iterations_redone >= 1,
+                    "{tag}: crash schedule, nothing redone"
                 );
+            }
+            assert_eq!(rep.faults.aborts as usize, rep.faults.abort_log.len());
+            for pair in rep.faults.abort_log.windows(2) {
                 assert!(
-                    rep.faults.corruption_repaired >= 1,
-                    "{tag}: every detected corruption must be repaired"
+                    pair[1].gen > pair[0].gen && pair[1].time >= pair[0].time,
+                    "{tag}: abort generations must strictly increase"
                 );
-                if crashes > 0 {
-                    assert!(rep.faults.aborts >= 1, "{tag}: crash schedule, no abort");
-                    assert!(
-                        rep.faults.iterations_redone >= 1,
-                        "{tag}: crash schedule, nothing redone"
-                    );
-                }
-                assert_eq!(rep.faults.aborts as usize, rep.faults.abort_log.len());
-                for pair in rep.faults.abort_log.windows(2) {
-                    assert!(
-                        pair[1].gen > pair[0].gen && pair[1].time >= pair[0].time,
-                        "{tag}: abort generations must strictly increase"
-                    );
-                }
             }
         }
     }

@@ -17,11 +17,7 @@
 //!    `tests/selective_streaming.rs`, now with stride-bitmap skips in
 //!    play.
 //!
-//! 3. **Backend invariance under clustering.** The parallel executor
-//!    replays the same clustered run bit-identically (modulo backend
-//!    provenance).
-//!
-//! 4. **Block-granularity invariance.** Key-sorted chunk interiors with
+//! 3. **Block-granularity invariance.** Key-sorted chunk interiors with
 //!    block indexes (`cfg.block_records > 0`) change which byte ranges
 //!    are read — never what is computed: final states, aggregates and
 //!    iteration counts are identical between `block_records = 0`
@@ -71,17 +67,7 @@ where
         "whole run report must be bit-identical between selective and \
          reference under the clustered layout"
     );
-    // 3. Backend invariance.
-    let mut par = cfg.clone();
-    par.backend = Backend::Parallel { threads: 2 };
-    let (rep_par, states_par) = run_chaos(par, program.clone(), g);
-    assert_eq!(states_clu, states_par, "final states: seq vs par");
-    assert_eq!(
-        rep_clu.clone().normalized(),
-        rep_par.normalized(),
-        "clustered layout must stay backend-invariant"
-    );
-    // 4. Block-granularity invariance: sub-chunk serving (and the
+    // 3. Block-granularity invariance: sub-chunk serving (and the
     //    compaction suppression it implies on partial serves) must not
     //    change what is computed.
     let mut nob = cfg.clone();

@@ -118,25 +118,22 @@ fn crash_during_checkpoint_commit_promotes_the_pending_snapshot() {
     // copy phase, so the pending snapshot is globally consistent: recovery
     // finishes the commit and advances — no iteration is redone.
     let g = directed_graph(9);
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        let mut cfg = test_config(3);
-        cfg.backend = backend;
-        cfg.checkpoint = true;
-        let (_, clean) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
-        cfg.faults = FaultPlan::none().with_crash(CrashFault {
-            machine: 1,
-            trigger: CrashTrigger::Commit { iteration: 2 },
-            downtime: SECS / 10,
-            torn: false,
-        });
-        let (failed, states) = run_chaos(cfg, Pagerank::new(4), &g);
-        assert_eq!(clean, states, "{backend:?}");
-        assert_eq!(failed.faults.aborts, 1);
-        assert_eq!(
-            failed.faults.iterations_redone, 0,
-            "a mid-commit crash promotes the snapshot instead of redoing"
-        );
-    }
+    let mut cfg = test_config(3);
+    cfg.checkpoint = true;
+    let (_, clean) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
+    cfg.faults = FaultPlan::none().with_crash(CrashFault {
+        machine: 1,
+        trigger: CrashTrigger::Commit { iteration: 2 },
+        downtime: SECS / 10,
+        torn: false,
+    });
+    let (failed, states) = run_chaos(cfg, Pagerank::new(4), &g);
+    assert_eq!(clean, states);
+    assert_eq!(failed.faults.aborts, 1);
+    assert_eq!(
+        failed.faults.iterations_redone, 0,
+        "a mid-commit crash promotes the snapshot instead of redoing"
+    );
 }
 
 #[test]
@@ -146,36 +143,33 @@ fn two_machines_failing_the_same_iteration_recover_exactly() {
     // is reached again and the second trigger fires — the same iteration
     // fails twice with strictly increasing generations.
     let g = directed_graph(9);
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        let mut cfg = test_config(3);
-        cfg.backend = backend;
-        cfg.checkpoint = true;
-        let (_, clean) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
-        cfg.faults = FaultPlan::none()
-            .with_crash(CrashFault {
-                machine: 0,
-                trigger: CrashTrigger::Iteration {
-                    iteration: 2,
-                    phase: PhaseKind::Scatter,
-                },
-                downtime: 0,
-                torn: false,
-            })
-            .with_crash(CrashFault {
-                machine: 1,
-                trigger: CrashTrigger::Iteration {
-                    iteration: 2,
-                    phase: PhaseKind::Scatter,
-                },
-                downtime: SECS / 20,
-                torn: false,
-            });
-        let (failed, states) = run_chaos(cfg, Pagerank::new(4), &g);
-        assert_eq!(clean, states, "{backend:?}");
-        assert_eq!(failed.faults.aborts, 2);
-        assert_eq!(failed.faults.iterations_redone, 2);
-        assert!(failed.faults.abort_log[1].gen > failed.faults.abort_log[0].gen);
-    }
+    let mut cfg = test_config(3);
+    cfg.checkpoint = true;
+    let (_, clean) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
+    cfg.faults = FaultPlan::none()
+        .with_crash(CrashFault {
+            machine: 0,
+            trigger: CrashTrigger::Iteration {
+                iteration: 2,
+                phase: PhaseKind::Scatter,
+            },
+            downtime: 0,
+            torn: false,
+        })
+        .with_crash(CrashFault {
+            machine: 1,
+            trigger: CrashTrigger::Iteration {
+                iteration: 2,
+                phase: PhaseKind::Scatter,
+            },
+            downtime: SECS / 20,
+            torn: false,
+        });
+    let (failed, states) = run_chaos(cfg, Pagerank::new(4), &g);
+    assert_eq!(clean, states);
+    assert_eq!(failed.faults.aborts, 2);
+    assert_eq!(failed.faults.iterations_redone, 2);
+    assert!(failed.faults.abort_log[1].gen > failed.faults.abort_log[0].gen);
 }
 
 #[test]
@@ -196,29 +190,26 @@ fn crash_during_abort_collection_composes_recoveries() {
     assert_eq!(scout.faults.aborts, 1);
     let t_abort = scout.faults.abort_log[0].time;
     // ...then schedule a time-triggered crash just inside its recovery
-    // window, on both backends.
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        let mut cfg2 = cfg.clone();
-        cfg2.backend = backend;
-        cfg2.faults = cfg2.faults.with_crash(CrashFault {
-            machine: 2,
-            trigger: CrashTrigger::Time(t_abort + SECS / 1000),
-            downtime,
-            torn: false,
-        });
-        let (failed, states) = run_chaos(cfg2, Pagerank::new(4), &g);
-        assert_eq!(clean, states, "{backend:?}");
-        assert_eq!(failed.faults.aborts, 2, "{backend:?}");
-        let log = &failed.faults.abort_log;
-        assert!(log[1].gen > log[0].gen, "generations strictly increase");
-        assert!(
-            log[1].time > log[0].time && log[1].time < log[0].time + downtime,
-            "second crash must land inside the first recovery window"
-        );
-        // One interrupted iteration, resumed once: the redo happens once
-        // even though the abort was broadcast twice.
-        assert_eq!(failed.faults.iterations_redone, 1, "{backend:?}");
-    }
+    // window.
+    let mut cfg2 = cfg.clone();
+    cfg2.faults = cfg2.faults.with_crash(CrashFault {
+        machine: 2,
+        trigger: CrashTrigger::Time(t_abort + SECS / 1000),
+        downtime,
+        torn: false,
+    });
+    let (failed, states) = run_chaos(cfg2, Pagerank::new(4), &g);
+    assert_eq!(clean, states);
+    assert_eq!(failed.faults.aborts, 2);
+    let log = &failed.faults.abort_log;
+    assert!(log[1].gen > log[0].gen, "generations strictly increase");
+    assert!(
+        log[1].time > log[0].time && log[1].time < log[0].time + downtime,
+        "second crash must land inside the first recovery window"
+    );
+    // One interrupted iteration, resumed once: the redo happens once
+    // even though the abort was broadcast twice.
+    assert_eq!(failed.faults.iterations_redone, 1);
 }
 
 #[test]

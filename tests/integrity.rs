@@ -8,8 +8,8 @@
 //! write is the persistent case: it surfaces during rollback when the
 //! torn chunk's frame check fails, and the cluster falls back one
 //! snapshot down the depth-2 committed-checkpoint chain. Either way the
-//! final vertex states must be bit-identical to the fault-free run, on
-//! both executor backends and in both streaming modes.
+//! final vertex states must be bit-identical to the fault-free run, in
+//! both streaming modes.
 
 mod common;
 
@@ -32,58 +32,31 @@ fn wide_window(machine: usize) -> CorruptionFault {
 #[test]
 fn corruption_windows_detect_and_repair_without_changing_results() {
     let g = directed_graph(9);
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        for streaming in [Streaming::Selective, Streaming::Reference] {
-            let mut cfg = test_config(3);
-            cfg.backend = backend;
-            cfg.streaming = streaming;
-            let (clean, clean_states) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
-            cfg.faults = FaultPlan::none().with_corruption_fault(wide_window(0));
-            let (rep, states) = run_chaos(cfg, Pagerank::new(4), &g);
-            let tag = format!("{backend:?} {streaming:?}");
-            assert_eq!(clean_states, states, "{tag}: repair must be exact");
-            assert_eq!(clean.iteration_aggs, rep.iteration_aggs, "{tag}");
-            assert!(rep.faults.corruption_detected > 0, "{tag}: window never hit");
-            assert!(rep.faults.corruption_repaired > 0, "{tag}: nothing repaired");
-            assert!(
-                rep.runtime > clean.runtime,
-                "{tag}: re-reads must cost simulated time"
-            );
-            assert!(rep.faults.faulted_time > 0, "{tag}");
-            assert_eq!(rep.faults.aborts, 0, "{tag}: detection alone never aborts");
-            // Frames are always on; corruption only adds re-read charges.
-            assert!(clean.faults.checksum_bytes > 0, "{tag}");
-            assert!(
-                rep.faults.checksum_bytes > clean.faults.checksum_bytes,
-                "{tag}: repair re-reads re-verify frames"
-            );
-            assert_eq!(clean.faults.corruption_detected, 0, "{tag}");
-        }
-    }
-}
-
-#[test]
-fn corruption_accounting_is_backend_invariant() {
-    // The oracle keys on (simulated completion time, per-engine read
-    // sequence), both backend-invariant, so the *counts* — not just the
-    // states — must match across executors.
-    let g = directed_graph(9);
-    let mut reports = Vec::new();
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
+    for streaming in [Streaming::Selective, Streaming::Reference] {
         let mut cfg = test_config(3);
-        cfg.backend = backend;
-        cfg.faults = FaultPlan::none()
-            .with_corruption_fault(wide_window(0))
-            .with_corruption_fault(wide_window(2));
-        let (rep, _) = run_chaos(cfg, Pagerank::new(4), &g);
-        reports.push(rep);
+        cfg.streaming = streaming;
+        let (clean, clean_states) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
+        cfg.faults = FaultPlan::none().with_corruption_fault(wide_window(0));
+        let (rep, states) = run_chaos(cfg, Pagerank::new(4), &g);
+        let tag = format!("{streaming:?}");
+        assert_eq!(clean_states, states, "{tag}: repair must be exact");
+        assert_eq!(clean.iteration_aggs, rep.iteration_aggs, "{tag}");
+        assert!(rep.faults.corruption_detected > 0, "{tag}: window never hit");
+        assert!(rep.faults.corruption_repaired > 0, "{tag}: nothing repaired");
+        assert!(
+            rep.runtime > clean.runtime,
+            "{tag}: re-reads must cost simulated time"
+        );
+        assert!(rep.faults.faulted_time > 0, "{tag}");
+        assert_eq!(rep.faults.aborts, 0, "{tag}: detection alone never aborts");
+        // Frames are always on; corruption only adds re-read charges.
+        assert!(clean.faults.checksum_bytes > 0, "{tag}");
+        assert!(
+            rep.faults.checksum_bytes > clean.faults.checksum_bytes,
+            "{tag}: repair re-reads re-verify frames"
+        );
+        assert_eq!(clean.faults.corruption_detected, 0, "{tag}");
     }
-    let (seq, par) = (&reports[0], &reports[1]);
-    assert_eq!(seq.faults.corruption_detected, par.faults.corruption_detected);
-    assert_eq!(seq.faults.corruption_repaired, par.faults.corruption_repaired);
-    assert_eq!(seq.faults.checksum_bytes, par.faults.checksum_bytes);
-    assert_eq!(seq.faults.faulted_time, par.faults.faulted_time);
-    assert_eq!(seq.runtime, par.runtime);
 }
 
 #[test]
@@ -94,41 +67,37 @@ fn torn_checkpoint_write_falls_back_down_the_depth2_chain() {
     // engine reports the fallback, and the coordinator aborts again one
     // snapshot deeper — two aborts, two redone iterations, exact states.
     let g = directed_graph(10);
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        let mut cfg = test_config(4);
-        cfg.backend = backend;
-        cfg.checkpoint = true;
-        let (_, clean_states) = run_chaos(cfg.clone(), Pagerank::new(5), &g);
-        cfg.faults = FaultPlan::none().with_crash(CrashFault {
-            machine: 1,
-            trigger: CrashTrigger::Iteration {
-                iteration: 3,
-                phase: chaos::core::msg::PhaseKind::Scatter,
-            },
-            downtime: SECS / 10,
-            torn: true,
-        });
-        let (rep, states) = run_chaos(cfg, Pagerank::new(5), &g);
-        let tag = format!("{backend:?}");
-        assert_eq!(clean_states, states, "{tag}: depth-2 recovery must be exact");
-        assert_eq!(
-            rep.faults.aborts, 2,
-            "{tag}: the tear forces a second, deeper abort"
-        );
-        assert_eq!(rep.faults.iterations_redone, 2, "{tag}");
-        // Six probes of the torn chunk (the bounded-backoff retry budget)
-        // all fail their frame check before the engine reports the tear.
-        assert!(
-            rep.faults.corruption_detected >= 6,
-            "{tag}: every probe of the torn chunk fails its frame check"
-        );
-        assert!(
-            rep.faults.corruption_repaired >= 1,
-            "{tag}: the deeper restore repairs the torn chunk"
-        );
-        let log = &rep.faults.abort_log;
-        assert!(log[1].gen > log[0].gen, "{tag}: generations strictly increase");
-    }
+    let mut cfg = test_config(4);
+    cfg.checkpoint = true;
+    let (_, clean_states) = run_chaos(cfg.clone(), Pagerank::new(5), &g);
+    cfg.faults = FaultPlan::none().with_crash(CrashFault {
+        machine: 1,
+        trigger: CrashTrigger::Iteration {
+            iteration: 3,
+            phase: chaos::core::msg::PhaseKind::Scatter,
+        },
+        downtime: SECS / 10,
+        torn: true,
+    });
+    let (rep, states) = run_chaos(cfg, Pagerank::new(5), &g);
+    assert_eq!(clean_states, states, "depth-2 recovery must be exact");
+    assert_eq!(
+        rep.faults.aborts, 2,
+        "the tear forces a second, deeper abort"
+    );
+    assert_eq!(rep.faults.iterations_redone, 2);
+    // Six probes of the torn chunk (the bounded-backoff retry budget)
+    // all fail their frame check before the engine reports the tear.
+    assert!(
+        rep.faults.corruption_detected >= 6,
+        "every probe of the torn chunk fails its frame check"
+    );
+    assert!(
+        rep.faults.corruption_repaired >= 1,
+        "the deeper restore repairs the torn chunk"
+    );
+    let log = &rep.faults.abort_log;
+    assert!(log[1].gen > log[0].gen, "generations strictly increase");
 }
 
 #[test]

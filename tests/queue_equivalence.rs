@@ -1,14 +1,7 @@
-//! Event-queue and batching invariance: the calendar queue and the
-//! same-machine envelope batching are *host-side* optimizations of the
-//! executor — every simulated quantity (final vertex states, completion
-//! time, logical event count, device/fabric statistics) must be
-//! bit-identical to the binary-heap, unbatched reference, for every
-//! program and both execution backends.
-//!
-//! This is the PR-6 counterpart of `backend_equivalence`: that suite pins
-//! sequential vs parallel; this one pins the (queue store × batching)
-//! cross against the reference configuration on top of whichever backend
-//! the config selects.
+//! Event-queue invariance: the calendar queue is a *host-side*
+//! optimization of the executor — every simulated quantity (final vertex
+//! states, completion time, event count, device/fabric statistics) must
+//! be bit-identical to the binary-heap reference, for every program.
 
 mod common;
 
@@ -16,10 +9,10 @@ use chaos::prelude::*;
 use chaos::storage::ScratchDir;
 use common::{directed_graph, test_config, undirected_graph, weighted_graph};
 
-/// Runs `(cfg, program, graph)` under every (queue, batching) combination
-/// and asserts the final states and the whole normalized report match the
-/// binary-heap/unbatched reference. Returns the default-configuration
-/// (calendar + batching) report for further assertions.
+/// Runs `(cfg, program, graph)` on the calendar queue and on the
+/// binary-heap reference and asserts the final states and the whole
+/// report match. Returns the calendar (default) report for further
+/// assertions.
 fn assert_queue_invariant<P: GasProgram>(
     cfg: ChaosConfig,
     program: P,
@@ -28,53 +21,18 @@ fn assert_queue_invariant<P: GasProgram>(
 where
     P::VertexState: std::fmt::Debug + PartialEq,
 {
-    let reference = cfg.clone().with_queue(QueueKind::Heap).with_batching(false);
+    let reference = cfg.clone().with_queue(QueueKind::Heap);
     let (rep_ref, states_ref) = run_chaos(reference, program.clone(), g);
-    let mut default_rep = None;
-    for (queue, batching) in [
-        (QueueKind::Calendar, true),
-        (QueueKind::Calendar, false),
-        (QueueKind::Heap, true),
-    ] {
-        let c = cfg.clone().with_queue(queue).with_batching(batching);
-        let (rep, states) = run_chaos(c, program.clone(), g);
-        let tag = format!("queue={queue}, batching={batching}");
-        assert_eq!(states_ref, states, "final states must match ({tag})");
-        assert_eq!(
-            rep_ref.runtime, rep.runtime,
-            "simulated completion time must match ({tag})"
-        );
-        assert_eq!(
-            rep_ref.events, rep.events,
-            "logical event count is invariant ({tag})"
-        );
-        assert!(
-            rep.envelopes <= rep.events,
-            "an envelope carries at least one message ({tag})"
-        );
-        if !batching {
-            assert_eq!(
-                rep.envelopes, rep.events,
-                "without batching every envelope is one message ({tag})"
-            );
-        }
-        assert_eq!(
-            rep_ref.clone().normalized(),
-            rep.clone().normalized(),
-            "whole report must match after clearing provenance ({tag})"
-        );
-        if queue == QueueKind::Calendar && batching {
-            default_rep = Some(rep);
-        }
-    }
-    default_rep.expect("default configuration ran")
+    let (rep, states) = run_chaos(cfg.with_queue(QueueKind::Calendar), program, g);
+    assert_eq!(states_ref, states, "final states must match");
+    assert_eq!(rep_ref, rep, "whole report must match");
+    rep
 }
 
 #[test]
 fn all_ten_programs_are_queue_invariant() {
-    // Every Table 1 algorithm, sequential backend. Graphs are small but
-    // multi-partition (see `test_config`), so requests, steals and
-    // barriers all flow.
+    // Every Table 1 algorithm. Graphs are small but multi-partition (see
+    // `test_config`), so requests, steals and barriers all flow.
     let d = directed_graph(7);
     let u = undirected_graph(7);
     let w = weighted_graph(400, 600, 7);
@@ -92,53 +50,17 @@ fn all_ten_programs_are_queue_invariant() {
 }
 
 #[test]
-fn parallel_backend_is_queue_invariant() {
-    // The lane queues take the same calendar/heap switch; batching is a
-    // sequential-only path, so here it must simply change nothing.
-    let g = directed_graph(8);
-    let mut cfg = test_config(3);
-    cfg.backend = Backend::Parallel { threads: 3 };
-    let rep = assert_queue_invariant(cfg, Pagerank::new(3), &g);
-    assert!(rep.windows > 0, "windowed parallel path must engage");
-    assert_eq!(
-        rep.envelopes, rep.events,
-        "the parallel backend never coalesces"
-    );
-}
-
-#[test]
-fn parallel_and_sequential_agree_under_default_queue() {
-    // Cross-check the two suites' contracts compose: calendar + batching
-    // (the defaults) on both backends, one normalized report.
-    let g = undirected_graph(8);
-    let cfg = test_config(3);
-    let (rep_seq, states_seq) = run_chaos(cfg.clone(), Wcc::new(), &g);
-    let mut par = cfg;
-    par.backend = Backend::Parallel { threads: 3 };
-    let (rep_par, states_par) = run_chaos(par, Wcc::new(), &g);
-    assert_eq!(states_seq, states_par);
-    assert_eq!(rep_seq.events, rep_par.events);
-    assert_eq!(rep_seq.normalized(), rep_par.normalized());
-}
-
-#[test]
 fn stealing_is_queue_invariant() {
     // Locality-seeking placement plus always-steal maximizes the
     // master/stealer accumulator exchange — and with LocalOnly placement
-    // every chunk request hits the local storage engine, so this is also
-    // where envelope batching actually coalesces.
+    // every chunk request hits the local storage engine, so bursts of
+    // same-time local deliveries lean on the queue's insertion-order
+    // tie-break.
     let g = weighted_graph(600, 900, 42);
     let mut cfg = test_config(3);
     cfg.placement = Placement::LocalOnly;
     cfg.steal_alpha = f64::INFINITY;
-    let rep = assert_queue_invariant(cfg, Sssp::new(0), &g);
-    assert!(
-        rep.envelopes < rep.events,
-        "local request batches must coalesce: {} envelopes for {} events",
-        rep.envelopes,
-        rep.events
-    );
-    assert!(rep.batching_ratio() > 1.0);
+    assert_queue_invariant(cfg, Sssp::new(0), &g);
 }
 
 #[test]
@@ -168,8 +90,7 @@ fn spill_under_pressure_is_queue_invariant() {
 #[test]
 fn failure_recovery_is_queue_invariant() {
     // Generation bumps, stale-message drops and the reboot self-event:
-    // the paths most sensitive to event ordering, now crossed with the
-    // envelope unpack path (each inner message re-checks the generation).
+    // the paths most sensitive to event ordering.
     let g = undirected_graph(8);
     let mut cfg = test_config(3);
     cfg.checkpoint = true;
