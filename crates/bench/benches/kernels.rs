@@ -7,7 +7,8 @@
 //! graph generation, the streaming-partition pass, the record codec, the
 //! chunk-store serve path, sort-on-seal of one edge chunk, the CRC-32
 //! kernels at the out-of-core path's widths, the scatter/gather inner
-//! kernels via the sequential executor, the reference oracles, the grid
+//! kernels via the sequential executor, the engine's scatter sink (block
+//! driver, no `Cluster`), the reference oracles, the grid
 //! partitioner, and one end-to-end simulated cluster run.
 
 use std::sync::Arc;
@@ -18,9 +19,10 @@ use std::hint::black_box;
 use chaos_algos::pagerank::Pagerank;
 use chaos_algos::wcc::Wcc;
 use chaos_baselines::GridPartitioner;
+use chaos_core::sink::{BlockSink, PartitionSink};
 use chaos_core::{run_chaos, ChaosConfig};
 use chaos_gas::record::{decode_all, encode_all};
-use chaos_gas::run_sequential;
+use chaos_gas::{run_sequential, Update};
 use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig};
 use chaos_sim::{EventQueue, QueueKind, Rng, MICROS};
 use chaos_storage::{crc32, crc32_table, seal_chunk, ChunkSet, SealScratch};
@@ -211,6 +213,42 @@ fn bench_gas_kernels(c: &mut Criterion) {
     });
 }
 
+/// The scatter sink's seam without a `Cluster`: PageRank's kernel over a
+/// warm 4096-edge chunk (sources in partition 0, destinations uniform over
+/// 8192 vertices, as at `pr_dense`'s scale) through the block driver into
+/// `p` pooled output buffers that flush at 4096 records — a flush here
+/// clears the buffer, so destinations stay warm. One iteration is 244
+/// passes, 999 424 edges: ms per iteration reads as ns per edge.
+fn bench_scatter_sink(c: &mut Criterion) {
+    const PASSES: usize = 244;
+    for parts in [4usize, 32] {
+        let spec = PartitionSpec::with_partitions(8192, parts);
+        let src = spec.range(0);
+        let mut rng = Rng::new(13);
+        let edges: Vec<Edge> = (0..4096)
+            .map(|_| Edge::new(src.start + rng.below(src.end - src.start), rng.below(8192)))
+            .collect();
+        let states: Vec<(f32, u32)> = src.clone().map(|v| (1.0, 1 + (v % 16) as u32)).collect();
+        let pr = Pagerank::new(1);
+        let mut bufs: Vec<Vec<Update<f32>>> = vec![Vec::new(); parts];
+        let mut full = Vec::new();
+        let mut sink = BlockSink::new(parts);
+        c.bench_function(&format!("core/scatter_sink_pr_4096_p{parts}"), |b| {
+            b.iter(|| {
+                for _ in 0..PASSES {
+                    let mut out = PartitionSink::new(&spec, &mut bufs, 4096, &mut full);
+                    sink.scatter_chunk(&pr, src.start, &states, &edges, 0, &mut out);
+                    for &tp in &full {
+                        bufs[tp].clear();
+                    }
+                    full.clear();
+                }
+                black_box(bufs[0].len())
+            })
+        });
+    }
+}
+
 fn bench_oracles(c: &mut Criterion) {
     let g = RmatConfig::paper(13).generate();
     c.bench_function("reference/tarjan_scc_scale13", |b| {
@@ -254,6 +292,7 @@ criterion_group!(
         bench_seal,
         bench_crc32,
         bench_gas_kernels,
+        bench_scatter_sink,
         bench_oracles,
         bench_grid_partitioner,
         bench_cluster

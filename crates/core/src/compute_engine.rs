@@ -10,8 +10,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use chaos_gas::{ActiveSet, ActivityModel, Direction, GasProgram, IterationAggregates, Update, UpdateSink};
-use chaos_graph::{Edge, PartitionSpec, VertexId};
+use chaos_gas::{ActiveSet, ActivityModel, Direction, GasProgram, IterationAggregates, Update};
+use chaos_graph::{Edge, VertexId};
 use chaos_runtime::Actor;
 use chaos_sim::rng::mix2;
 use chaos_sim::{Resource, Rng, Time};
@@ -20,6 +20,7 @@ use crate::config::{ChaosConfig, Placement, Streaming};
 use crate::metrics::{Breakdown, IterSelectivity};
 use crate::msg::{DataKind, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
+use crate::sink::{BlockSink, CountSink, PartitionSink};
 
 /// Progress of one partition being streamed (scatter or gather).
 ///
@@ -97,44 +98,6 @@ impl<P: GasProgram> PartWork<P> {
     fn stream_done(&self, machines: usize) -> bool {
         let exhausted = self.dir_exhausted || self.exhausted_count == machines;
         self.loaded && exhausted && self.outstanding == 0 && self.inflight_compute == 0
-    }
-}
-
-/// Routes kernel-emitted updates into the engine's pooled per-partition
-/// output buffers, recording which buffers filled during the chunk.
-struct PartitionSink<'a, U> {
-    spec: &'a PartitionSpec,
-    bufs: &'a mut [Vec<Update<U>>],
-    /// Target records per update chunk; a buffer crossing this is flushed
-    /// after the kernel returns.
-    cap: usize,
-    /// Buffers that reached `cap` during this chunk, in fill order.
-    full: &'a mut Vec<usize>,
-    produced: u64,
-}
-
-impl<U> UpdateSink<U> for PartitionSink<'_, U> {
-    #[inline]
-    fn push(&mut self, dst: VertexId, payload: U) {
-        self.produced += 1;
-        let tp = self.spec.partition_of(dst);
-        let b = &mut self.bufs[tp];
-        b.push(Update { dst, payload });
-        if b.len() == self.cap {
-            self.full.push(tp);
-        }
-    }
-}
-
-/// Counting-only sink for the dense-streaming reference mode: skipped
-/// chunks stream into it, and any update that lands here is an activity-
-/// contract violation.
-struct CountSink(u64);
-
-impl<U> UpdateSink<U> for CountSink {
-    #[inline]
-    fn push(&mut self, _dst: VertexId, _payload: U) {
-        self.0 += 1;
     }
 }
 
@@ -256,6 +219,8 @@ pub struct ComputeEngine<P: GasProgram> {
     /// Scratch: partitions whose output buffer filled during the current
     /// chunk (fill order).
     flush_scratch: Vec<usize>,
+    /// The scatter sink's block driver (one cursor per output buffer).
+    sink: BlockSink<P::Update>,
     /// Recycled vertex-state buffers (partition-sized).
     state_pool: Vec<Vec<P::VertexState>>,
     /// Recycled accumulator buffers (partition-sized).
@@ -360,6 +325,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             spare_work: None,
             out_bufs: (0..parts).map(|_| Vec::new()).collect(),
             flush_scratch: Vec::new(),
+            sink: BlockSink::new(parts),
             state_pool: Vec::new(),
             accum_pool: Vec::new(),
             scan: StealScan::idle(),
@@ -1244,20 +1210,19 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.records_processed += data.len() as u64;
         let w = self.work.as_mut().expect("scatter work in progress");
         debug_assert_eq!(w.part, part);
-        // One batched kernel call per chunk; the sink routes updates into
-        // the pooled per-partition buffers. In steady state (no buffer
-        // crossing its flush threshold) this path performs no allocation.
+        // The block driver routes updates into the pooled per-partition
+        // buffers. In steady state (no buffer crossing its flush
+        // threshold) this path performs no allocation.
         let produced = {
-            let mut sink = PartitionSink {
-                spec: &self.params.spec,
-                bufs: &mut self.out_bufs,
-                cap: self.params.updates_per_chunk,
-                full: &mut self.flush_scratch,
-                produced: 0,
-            };
-            self.program
-                .scatter_chunk(base, &w.vertices, &data, self.iter, &mut sink);
-            sink.produced
+            let mut out = PartitionSink::new(
+                &self.params.spec,
+                &mut self.out_bufs,
+                self.params.updates_per_chunk,
+                &mut self.flush_scratch,
+            );
+            self.sink
+                .scatter_chunk(&self.program, base, &w.vertices, &data, self.iter, &mut out);
+            out.produced()
         };
         self.agg.updates_produced += produced;
         w.inflight_compute -= 1;

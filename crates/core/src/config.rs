@@ -268,11 +268,16 @@ impl ChaosConfig {
         if self.chunk_bytes < 1024 {
             return Err("chunks below 1 KiB defeat sequential access".into());
         }
+        if self.mem_budget == 0 {
+            return Err("memory budget must be at least one byte".into());
+        }
         if self.batch_window == 0 {
             return Err("batch window must be at least 1".into());
         }
-        if self.steal_alpha < 0.0 {
-            return Err("steal alpha must be non-negative".into());
+        // NaN would compare false in Equation 2 and silently disable
+        // stealing; infinity is the documented "always steal".
+        if self.steal_alpha.is_nan() || self.steal_alpha < 0.0 {
+            return Err("steal alpha must be a non-negative number".into());
         }
         if self.cores == 0 {
             return Err("need at least one core".into());
@@ -323,6 +328,14 @@ mod tests {
         assert!(c.validate().is_ok());
         c.placement = Placement::Centralized;
         assert!(c.validate().is_err(), "crashes need abort-aware placement");
+        let mut c = ChaosConfig::new(2);
+        c.mem_budget = 0;
+        assert!(c.validate().is_err(), "no room for any partition");
+        let mut c = ChaosConfig::new(2);
+        c.steal_alpha = f64::NAN;
+        assert!(c.validate().is_err(), "NaN alpha");
+        c.steal_alpha = f64::INFINITY;
+        assert!(c.validate().is_ok(), "infinite alpha always steals");
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod fault;
 pub mod metrics;
 pub mod msg;
 pub mod runtime;
+pub mod sink;
 pub mod storage_engine;
 
 pub use capacity::{CapacityModel, CapacityPrediction};

@@ -50,10 +50,17 @@ impl IterationAggregates {
 /// Destination for updates emitted by a scatter kernel.
 ///
 /// The engine supplies the sink; [`GasProgram::scatter_chunk`] calls
-/// [`UpdateSink::push`] once per produced update, in edge order. Keeping
-/// the sink a trait (rather than a `Vec`) lets the distributed engine
-/// route updates straight into per-partition output buffers without an
-/// intermediate copy.
+/// [`UpdateSink::push`] once per produced update, in edge order, and **at
+/// most once per edge** of the chunk it was given. Keeping the sink a
+/// trait (rather than a `Vec`) lets the distributed engine route updates
+/// straight into per-partition output buffers without an intermediate
+/// copy.
+///
+/// The at-most-one-per-edge bound is load-bearing: the engine's sink
+/// (`chaos_core::sink`) writes a block of edges' updates into spare
+/// capacity it sized by the block's edge count. It counts its writes and
+/// panics, naming the program, when a kernel exceeds the bound, so a
+/// kernel that breaks it fails loudly rather than unsafely.
 pub trait UpdateSink<U> {
     /// Emits one update addressed to vertex `dst`.
     fn push(&mut self, dst: VertexId, payload: U);
@@ -173,7 +180,9 @@ pub trait GasProgram: Clone + Send + 'static {
     /// (loaded) vertex set, so the scatter-side state of vertex `v` is
     /// `states[v - base]`. The kernel must emit exactly the updates the
     /// per-edge [`GasProgram::scatter`] would, in edge order — the engine's
-    /// batched/per-edge equivalence is property-tested. Override it on hot
+    /// batched/per-edge equivalence is property-tested — so at most one
+    /// update per edge, whatever slice of a stored chunk it is handed (the
+    /// engine's sink hands it fixed-size blocks). Override it on hot
     /// programs with a branch-light batched body; the default simply loops
     /// over `scatter` honoring [`GasProgram::direction`].
     fn scatter_chunk<S: UpdateSink<Self::Update>>(

@@ -66,11 +66,13 @@ impl PartitionSpec {
 
     /// Partition of a vertex.
     ///
-    /// This sits on the engine's per-update scatter path (one call per
-    /// emitted update), so the common power-of-two stride (2^k vertices
-    /// over a partition count dividing evenly) takes a shift instead of a
-    /// 64-bit division; `is_power_of_two` is a single-cycle test that
-    /// predicts perfectly.
+    /// The common power-of-two stride (2^k vertices over a partition count
+    /// dividing evenly) takes a shift instead of a 64-bit division. The
+    /// engine's scatter sink (`chaos_core::sink`) routes every update by
+    /// this rule with the stride test hoisted out of its loop, and is
+    /// tested against this function. The clamp to the last partition is
+    /// part of the rule, so the sink keeps it too: without it an
+    /// out-of-range id would index past the sink's per-partition cursors.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> usize {
         debug_assert!(v < self.num_vertices);

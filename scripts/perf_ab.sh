@@ -23,9 +23,11 @@
 # exclusive method, as chaos-perf's suite and Python's statistics.quantiles
 # compute it), the ratio change/parent of the medians, and in how many
 # pairs the change was the lower side ("n of n pairs"; a tie counts for
-# neither). A gain may be claimed when the change wins at least nine tenths
-# of the pairs and the medians differ by more than the parent's
-# inter-quartile distance. Exits non-zero if any run failed its check.
+# neither). The last column is the claim rule's verdict: "lower" when the
+# change is the lower side in at least nine tenths of the pairs and the
+# medians differ by more than the parent's inter-quartile distance,
+# "higher" for the mirror case, "no claim" otherwise. Exits non-zero if any
+# run failed its check.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -111,14 +113,16 @@ function isort(v, n,    i, j, t) {
     if ($1 > pairs) pairs = $1
 }
 END {
-    printf "%-12s %12s %12s %12s %8s  %s\n", "metric", "parent med", "change med", "parent IQR", "ratio", "change lower in"
+    printf "%-12s %12s %12s %12s %8s  %-16s %s\n", "metric", "parent med", "change med", "parent IQR", "ratio", "change lower in", "verdict"
     for (k = 1; k <= metrics; k++) {
         name = order[k]
         wins = 0
+        losses = 0
         for (p = 1; p <= pairs; p++) {
             a[p] = value[name, "parent", p]
             b[p] = value[name, "change", p]
             if (b[p] < a[p]) wins++
+            if (b[p] > a[p]) losses++
         }
         isort(a, pairs)
         isort(b, pairs)
@@ -129,7 +133,12 @@ END {
         } else {
             iqr = 0; ma = a[1]; mb = b[1]
         }
-        printf "%-12s %12.6f %12.6f %12.6f %8.3f  %d of %d pairs\n", name, ma, mb, iqr, mb / ma, wins, pairs
+        # The claim rule: one side in at least nine tenths of the pairs,
+        # and the medians further apart than the IQR of the parent.
+        verdict = "no claim"
+        if (10 * wins >= 9 * pairs && ma - mb > iqr) verdict = "lower"
+        if (10 * losses >= 9 * pairs && mb - ma > iqr) verdict = "higher"
+        printf "%-12s %12.6f %12.6f %12.6f %8.3f  %-16s %s\n", name, ma, mb, iqr, mb / ma, wins " of " pairs " pairs", verdict
     }
 }' "$RUNS"
 exit "$FAILED"

@@ -68,6 +68,13 @@ impl Args {
                 .map_err(|_| format!("bad value for {name}: {v:?}")),
         }
     }
+
+    /// A size given in KiB, in bytes.
+    fn kib(&self, name: &str, default: u64) -> Result<u64, String> {
+        let k = self.parsed(name, default)?;
+        k.checked_mul(1024)
+            .ok_or_else(|| format!("{name} {k}: more than 2^64 bytes"))
+    }
 }
 
 fn usage() {
@@ -174,8 +181,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let g = load_or_generate(args, Some(algo))?;
     let machines: usize = args.parsed("--machines", 4)?;
     let mut cfg = ChaosConfig::new(machines);
-    cfg.chunk_bytes = args.parsed("--chunk-kb", 64u64)? * 1024;
-    cfg.mem_budget = args.parsed("--mem-kb", 1024u64)? * 1024;
+    cfg.chunk_bytes = args.kib("--chunk-kb", 64)?;
+    cfg.mem_budget = args.kib("--mem-kb", 1024)?;
     cfg.steal_alpha = args.parsed("--alpha", 1.0f64)?;
     cfg.checkpoint = args.flag("--checkpoint");
     cfg.streaming = args.parsed("--streaming", Streaming::Selective)?;
@@ -194,9 +201,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         cfg = cfg.with_one_gige();
     }
     cfg.validate()?;
-    let mut params = AlgoParams::default();
-    params.pr_iterations = args.parsed("--iters", 5u32)?;
-    params.bp_iterations = params.pr_iterations;
+    let iters: u32 = args.parsed("--iters", 5)?;
+    if iters == 0 {
+        return Err("--iters 0: need at least one iteration".into());
+    }
+    let params = AlgoParams {
+        pr_iterations: iters,
+        bp_iterations: iters,
+        ..AlgoParams::default()
+    };
 
     println!(
         "running {algo} on {} vertices / {} edges over {machines} machines ({}, {})...",

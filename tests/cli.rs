@@ -63,6 +63,54 @@ fn unknown_option_is_rejected(flags: &[&str], option: &str) {
     assert!(run.stdout.is_empty(), "{flags:?} ran the cell");
 }
 
+/// `chaos-cli run` with `flags` must end in one `error:` line containing
+/// `names` and exit 1 — not a panic (101) and not a run with a wrapped or
+/// silently ignored value.
+fn run_fails_cleanly(flags: &[&str], names: &str) {
+    let run = Command::new(env!("CARGO_BIN_EXE_chaos-cli"))
+        .args(["run", "--algo", "PR", "--scale", "8"])
+        .args(flags)
+        .output()
+        .expect("chaos-cli starts");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{flags:?}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{flags:?}: {stderr}");
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("error: "))
+        .collect();
+    assert_eq!(errors.len(), 1, "{flags:?}: {stderr}");
+    assert!(errors[0].contains(names), "{flags:?}: {stderr}");
+}
+
+#[test]
+fn zero_memory_budget_is_an_error() {
+    run_fails_cleanly(&["--mem-kb", "0"], "memory budget");
+}
+
+#[test]
+fn zero_iterations_is_an_error() {
+    run_fails_cleanly(&["--iters", "0"], "--iters 0");
+}
+
+#[test]
+fn nan_steal_alpha_is_an_error() {
+    run_fails_cleanly(&["--alpha", "NaN"], "steal alpha");
+}
+
+/// 2^54 + 64 KiB is 64 KiB modulo 2^64 bytes: a wrapping multiply would
+/// run with 64 KiB chunks.
+#[test]
+fn chunk_size_beyond_u64_is_an_error() {
+    run_fails_cleanly(&["--chunk-kb", "18014398509482048"], "--chunk-kb");
+}
+
+/// 2^54 + 1 KiB wraps to a 1 KiB budget.
+#[test]
+fn memory_budget_beyond_u64_is_an_error() {
+    run_fails_cleanly(&["--mem-kb", "18014398509481985"], "--mem-kb");
+}
+
 #[test]
 fn unknown_options_are_errors_not_ignored() {
     unknown_option_is_rejected(&["--backend", "par"], "--backend");
