@@ -1,6 +1,6 @@
 //! Breadth-First Search: level-synchronous frontier expansion.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// Level of vertices not (yet) reached.
@@ -91,15 +91,15 @@ impl GasProgram for Bfs {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<()>>(
         &self,
         base: VertexId,
         _states: &[u32],
         accums: &mut [bool],
-        updates: &[Update<()>],
+        updates: &[R],
     ) {
         for u in updates {
-            accums[(u.dst - base) as usize] = true;
+            accums[u.offset(base)] = true;
         }
     }
 

@@ -4,7 +4,7 @@
 //! derived from its current belief over its out-edges; receivers combine
 //! incoming messages with their prior in log space.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::reference::{bp_prior, message_from_belief};
 use chaos_graph::{Edge, VertexId};
 
@@ -94,17 +94,17 @@ impl GasProgram for BeliefPropagation {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<f64>>(
         &self,
         base: VertexId,
         _states: &[f64],
         accums: &mut [LogLikelihoods],
-        updates: &[Update<f64>],
+        updates: &[R],
     ) {
         for u in updates {
-            let a = &mut accums[(u.dst - base) as usize];
-            a.log1 += u.payload.ln();
-            a.log0 += (1.0 - u.payload).ln();
+            let a = &mut accums[u.offset(base)];
+            a.log1 += u.payload().ln();
+            a.log0 += (1.0 - *u.payload()).ln();
         }
     }
 

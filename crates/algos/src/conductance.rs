@@ -1,6 +1,6 @@
 //! Conductance of a deterministic pseudo-random vertex cut.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 use chaos_sim::rng::mix2;
 
@@ -129,16 +129,16 @@ impl GasProgram for Conductance {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<bool>>(
         &self,
         base: VertexId,
         _states: &[(bool, u32, u32)],
         accums: &mut [SideCounts],
-        updates: &[Update<bool>],
+        updates: &[R],
     ) {
         for u in updates {
-            let a = &mut accums[(u.dst - base) as usize];
-            if u.payload {
+            let a = &mut accums[u.offset(base)];
+            if *u.payload() {
                 a.from_in += 1;
             } else {
                 a.from_out += 1;

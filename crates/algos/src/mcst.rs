@@ -24,7 +24,7 @@
 //! Edge weights must be distinct (the standard Borůvka assumption; the
 //! generators in `chaos-graph` guarantee it).
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Record, Update, UpdateSink};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Record, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// Candidate weight meaning "no outgoing edge".
@@ -472,18 +472,18 @@ impl GasProgram for Mcst {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<McstMsg>>(
         &self,
         base: VertexId,
         states: &[McstState],
         accums: &mut [McstAccum],
-        updates: &[Update<McstMsg>],
+        updates: &[R],
     ) {
         match self.phase {
             Phase::MinEdge => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
-                    let m = &u.payload;
+                    let off = u.offset(base);
+                    let m = u.payload();
                     if m.comp != states[off].comp {
                         let acc = &mut accums[off];
                         let cand = (m.edge_w, m.comp);
@@ -495,8 +495,8 @@ impl GasProgram for Mcst {
             }
             Phase::Reduce => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
-                    let m = &u.payload;
+                    let off = u.offset(base);
+                    let m = u.payload();
                     if m.comp == states[off].comp && m.cand_w < NO_EDGE {
                         let acc = &mut accums[off];
                         let cand = (m.cand_w, m.cand_target);
@@ -508,9 +508,9 @@ impl GasProgram for Mcst {
             }
             Phase::Contract => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
+                    let off = u.offset(base);
                     let dst = &states[off];
-                    let m = &u.payload;
+                    let m = u.payload();
                     let acc = &mut accums[off];
                     let chosen_by_sender = m.cand_w == m.edge_w && m.cand_target == dst.comp;
                     let chosen_by_us = dst.cand_w == m.edge_w && dst.cand_target == m.comp;

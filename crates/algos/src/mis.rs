@@ -7,7 +7,7 @@
 //! priority function is shared with the oracle in
 //! `chaos_graph::reference::mis`, so results match exactly.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::reference::luby_priority;
 use chaos_graph::{Edge, VertexId};
 
@@ -204,22 +204,22 @@ impl GasProgram for Mis {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<(u64, u64)>>(
         &self,
         base: VertexId,
         states: &[(u32, bool)],
         accums: &mut [MisAccum],
-        updates: &[Update<(u64, u64)>],
+        updates: &[R],
     ) {
         match self.phase {
             Phase::Select => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
+                    let off = u.offset(base);
                     if states[off].0 != UNDECIDED {
                         continue;
                     }
                     let acc = &mut accums[off];
-                    let rival = Some(u.payload);
+                    let rival = Some(*u.payload());
                     if acc.min_rival.is_none() || rival < acc.min_rival {
                         acc.min_rival = rival;
                     }
@@ -227,7 +227,7 @@ impl GasProgram for Mis {
             }
             Phase::Notify => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
+                    let off = u.offset(base);
                     if states[off].0 == UNDECIDED {
                         accums[off].blocked = true;
                     }

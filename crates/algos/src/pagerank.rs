@@ -1,6 +1,6 @@
 //! Pagerank, exactly as in Figure 2 of the paper.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// Pagerank with damping 0.85 for a fixed number of iterations:
@@ -80,15 +80,15 @@ impl GasProgram for Pagerank {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<f32>>(
         &self,
         base: VertexId,
         _states: &[(f32, u32)],
         accums: &mut [RankSum],
-        updates: &[Update<f32>],
+        updates: &[R],
     ) {
         for u in updates {
-            accums[(u.dst - base) as usize].0 += u.payload as f64;
+            accums[u.offset(base)].0 += *u.payload() as f64;
         }
     }
 

@@ -9,7 +9,7 @@
 //! SCC used by X-Stream, expressible edge-centrically because both sweeps
 //! are pure label propagations.
 
-use chaos_gas::{ActivityModel, Control, Direction, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{ActivityModel, Control, Direction, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// SCC label of unassigned vertices.
@@ -231,32 +231,32 @@ impl GasProgram for Scc {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<(u64, bool)>>(
         &self,
         base: VertexId,
         states: &[(u64, u64, bool)],
         accums: &mut [SccAccum],
-        updates: &[Update<(u64, bool)>],
+        updates: &[R],
     ) {
         match self.phase {
             Phase::Forward => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
+                    let off = u.offset(base);
                     if states[off].1 != UNASSIGNED {
                         continue;
                     }
                     let acc = &mut accums[off];
-                    if !acc.any || u.payload.0 > acc.max_color {
-                        acc.max_color = u.payload.0;
+                    if !acc.any || u.payload().0 > acc.max_color {
+                        acc.max_color = u.payload().0;
                         acc.any = true;
                     }
                 }
             }
             Phase::BackwardInit | Phase::Backward => {
                 for u in updates {
-                    let off = (u.dst - base) as usize;
+                    let off = u.offset(base);
                     let dst = &states[off];
-                    if dst.1 == UNASSIGNED && u.payload.1 && u.payload.0 == dst.0 {
+                    if dst.1 == UNASSIGNED && u.payload().1 && u.payload().0 == dst.0 {
                         accums[off].member_hit = true;
                     }
                 }

@@ -1,6 +1,6 @@
 //! Sparse matrix-vector multiplication: one scatter/gather round.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 use chaos_sim::rng::mix2;
 
@@ -76,15 +76,15 @@ impl GasProgram for Spmv {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<f32>>(
         &self,
         base: VertexId,
         _states: &[(f32, f32)],
         accums: &mut [ProductSum],
-        updates: &[Update<f32>],
+        updates: &[R],
     ) {
         for u in updates {
-            accums[(u.dst - base) as usize].0 += u.payload as f64;
+            accums[u.offset(base)].0 += *u.payload() as f64;
         }
     }
 

@@ -1,6 +1,6 @@
 //! Single-Source Shortest Paths: Bellman-Ford style relaxation.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// Distance of unreached vertices.
@@ -107,16 +107,16 @@ impl GasProgram for Sssp {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<f32>>(
         &self,
         base: VertexId,
         _states: &[(f32, bool)],
         accums: &mut [MinDist],
-        updates: &[Update<f32>],
+        updates: &[R],
     ) {
         for u in updates {
-            let a = &mut accums[(u.dst - base) as usize];
-            a.0 = a.0.min(u.payload);
+            let a = &mut accums[u.offset(base)];
+            a.0 = a.0.min(*u.payload());
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Weakly Connected Components via min-label propagation.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Update, UpdateSink};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// WCC: every vertex converges to the minimum vertex id in its (weakly)
@@ -88,16 +88,16 @@ impl GasProgram for Wcc {
         }
     }
 
-    fn gather_chunk(
+    fn gather_chunk<R: UpdateRef<u64>>(
         &self,
         base: VertexId,
         _states: &[(u64, bool)],
         accums: &mut [MinLabel],
-        updates: &[Update<u64>],
+        updates: &[R],
     ) {
         for u in updates {
-            let a = &mut accums[(u.dst - base) as usize];
-            a.0 = a.0.min(u.payload);
+            let a = &mut accums[u.offset(base)];
+            a.0 = a.0.min(*u.payload());
         }
     }
 }

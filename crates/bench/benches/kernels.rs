@@ -8,7 +8,8 @@
 //! chunk-store serve path, sort-on-seal of one edge chunk, the CRC-32
 //! kernels at the out-of-core path's widths, the scatter/gather inner
 //! kernels via the sequential executor, the engine's scatter sink (block
-//! driver, no `Cluster`), the reference oracles, the grid
+//! driver, no `Cluster`) and gather over its partition-local update
+//! records, the reference oracles, the grid
 //! partitioner, and one end-to-end simulated cluster run.
 
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use chaos_baselines::GridPartitioner;
 use chaos_core::sink::{BlockSink, PartitionSink};
 use chaos_core::{run_chaos, ChaosConfig};
 use chaos_gas::record::{decode_all, encode_all};
-use chaos_gas::{run_sequential, Update};
+use chaos_gas::{run_sequential, GasProgram, LocalUpdate};
 use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig};
 use chaos_sim::{EventQueue, QueueKind, Rng, MICROS};
 use chaos_storage::{crc32, crc32_table, seal_chunk, ChunkSet, SealScratch};
@@ -230,7 +231,7 @@ fn bench_scatter_sink(c: &mut Criterion) {
             .collect();
         let states: Vec<(f32, u32)> = src.clone().map(|v| (1.0, 1 + (v % 16) as u32)).collect();
         let pr = Pagerank::new(1);
-        let mut bufs: Vec<Vec<Update<f32>>> = vec![Vec::new(); parts];
+        let mut bufs: Vec<Vec<LocalUpdate<f32>>> = vec![Vec::new(); parts];
         let mut full = Vec::new();
         let mut sink = BlockSink::new(parts);
         c.bench_function(&format!("core/scatter_sink_pr_4096_p{parts}"), |b| {
@@ -247,6 +248,34 @@ fn bench_scatter_sink(c: &mut Criterion) {
             })
         });
     }
+}
+
+/// Gather's seam without a `Cluster`: PageRank's kernel folds a warm
+/// 4096-record chunk of partition-local updates (offsets uniform over a
+/// 2048-vertex partition, `pr_dense`'s four partitions of 8192 vertices)
+/// into the partition's accumulators. One iteration is 244 passes,
+/// 999 424 records: ms per iteration reads as ns per record.
+fn bench_gather(c: &mut Criterion) {
+    const PASSES: usize = 244;
+    const VERTICES: u64 = 2048;
+    let mut rng = Rng::new(17);
+    let updates: Vec<LocalUpdate<f32>> = (0..4096)
+        .map(|i| LocalUpdate {
+            off: rng.below(VERTICES) as u32,
+            payload: 1.0 / (1 + i % 16) as f32,
+        })
+        .collect();
+    let states = vec![(1.0f32, 1u32); VERTICES as usize];
+    let pr = Pagerank::new(1);
+    let mut accums = vec![Default::default(); VERTICES as usize];
+    c.bench_function("core/gather_pr_4096", |b| {
+        b.iter(|| {
+            for _ in 0..PASSES {
+                pr.gather_chunk(0, &states, &mut accums, black_box(&updates));
+            }
+            black_box(accums.len())
+        })
+    });
 }
 
 fn bench_oracles(c: &mut Criterion) {
@@ -293,6 +322,7 @@ criterion_group!(
         bench_crc32,
         bench_gas_kernels,
         bench_scatter_sink,
+        bench_gather,
         bench_oracles,
         bench_grid_partitioner,
         bench_cluster

@@ -67,6 +67,15 @@ impl<P: GasProgram> Cluster<P> {
             cfg.mem_budget,
             cfg.machines,
         );
+        // The engine stores an update as its destination's offset within
+        // the partition, in a `u32` (`chaos_gas::LocalUpdate`).
+        if spec.stride > 1 << 32 {
+            return Err(format!(
+                "partitions of {} vertices exceed the 2^32 an update's partition \
+                 offset addresses; add machines or lower the memory budget",
+                spec.stride
+            ));
+        }
         // The clustered layout pays only when the run can skip chunks:
         // a non-dense activity model, decentralized chunk metadata and
         // the streaming machinery on. Everything else keeps the

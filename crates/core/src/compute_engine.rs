@@ -10,7 +10,9 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use chaos_gas::{ActiveSet, ActivityModel, Direction, GasProgram, IterationAggregates, Update};
+use chaos_gas::{
+    ActiveSet, ActivityModel, Direction, GasProgram, IterationAggregates, LocalUpdate,
+};
 use chaos_graph::{Edge, VertexId};
 use chaos_runtime::Actor;
 use chaos_sim::rng::mix2;
@@ -184,7 +186,7 @@ enum PendingDirWrite<P: GasProgram> {
     },
     Updates {
         part: usize,
-        data: Arc<Vec<Update<P::Update>>>,
+        data: Arc<Vec<LocalUpdate<P::Update>>>,
     },
 }
 
@@ -215,7 +217,7 @@ pub struct ComputeEngine<P: GasProgram> {
     /// engine (not per-[`PartWork`]) so their capacity survives across
     /// partitions and phases; flushing swaps a full buffer out instead of
     /// reallocating it (see [`ComputeEngine::flush_updates`]).
-    out_bufs: Vec<Vec<Update<P::Update>>>,
+    out_bufs: Vec<Vec<LocalUpdate<P::Update>>>,
     /// Scratch: partitions whose output buffer filled during the current
     /// chunk (fill order).
     flush_scratch: Vec<usize>,
@@ -1357,7 +1359,12 @@ impl<P: GasProgram> ComputeEngine<P> {
         }
     }
 
-    fn gather_chunk(&mut self, ctx: &mut Ctx<P>, part: usize, data: Arc<Vec<Update<P::Update>>>) {
+    fn gather_chunk(
+        &mut self,
+        ctx: &mut Ctx<P>,
+        part: usize,
+        data: Arc<Vec<LocalUpdate<P::Update>>>,
+    ) {
         let base = self.params.spec.range(part).start;
         self.records_processed += data.len() as u64;
         let w = self.work.as_mut().expect("gather work in progress");
@@ -1381,7 +1388,12 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.write_updates(ctx, tp, Arc::new(full));
     }
 
-    fn write_updates(&mut self, ctx: &mut Ctx<P>, part: usize, data: Arc<Vec<Update<P::Update>>>) {
+    fn write_updates(
+        &mut self,
+        ctx: &mut Ctx<P>,
+        part: usize,
+        data: Arc<Vec<LocalUpdate<P::Update>>>,
+    ) {
         if data.is_empty() {
             return;
         }
@@ -2142,7 +2154,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                     );
                 }
                 None => self
-                    .on_stream_chunk::<Update<P::Update>>(ctx, part, None, None, |_| {
+                    .on_stream_chunk::<LocalUpdate<P::Update>>(ctx, part, None, None, |_| {
                         unreachable!()
                     }),
             },
@@ -2223,7 +2235,7 @@ mod tests {
     mod allocation_free {
         use std::sync::Arc;
 
-        use chaos_gas::{Control, GasProgram, IterationAggregates};
+        use chaos_gas::{Control, GasProgram, IterationAggregates, LocalUpdate};
         use chaos_graph::{Edge, PartitionSpec, VertexId};
         use chaos_runtime::Actor;
         use chaos_sim::Rng;
@@ -2337,10 +2349,10 @@ mod tests {
         #[test]
         fn gather_chunk_is_allocation_free() {
             let mut eng = mid_stream_engine(PhaseKind::Gather);
-            let updates: Arc<Vec<chaos_gas::Update<u64>>> = Arc::new(
+            let updates: Arc<Vec<LocalUpdate<u64>>> = Arc::new(
                 (0..512u64)
-                    .map(|i| chaos_gas::Update {
-                        dst: i % 64,
+                    .map(|i| LocalUpdate {
+                        off: (i % 64) as u32,
                         payload: i,
                     })
                     .collect(),

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, Update};
+use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, LocalUpdate};
 use chaos_graph::Edge;
 
 /// Account of chunks an activity filter consumed without serving (piggy-
@@ -158,7 +158,7 @@ pub enum Msg<P: GasProgram> {
         /// Responding storage engine.
         source: usize,
         /// Chunk payload, or `None` when exhausted here.
-        data: Option<Arc<Vec<Update<P::Update>>>>,
+        data: Option<Arc<Vec<LocalUpdate<P::Update>>>>,
     },
     /// Read one vertex chunk (§6.4).
     VertexChunkReq {
@@ -210,7 +210,7 @@ pub enum Msg<P: GasProgram> {
         /// Partition of the updates' destination vertices.
         part: usize,
         /// Update records.
-        data: Arc<Vec<Update<P::Update>>>,
+        data: Arc<Vec<LocalUpdate<P::Update>>>,
         /// Writing machine.
         from: usize,
     },
@@ -488,7 +488,7 @@ pub enum Work<P: GasProgram> {
         /// Partition being gathered.
         part: usize,
         /// The updates.
-        data: Arc<Vec<Update<P::Update>>>,
+        data: Arc<Vec<LocalUpdate<P::Update>>>,
     },
     /// Bin an input chunk into per-partition edge buffers (pre-processing).
     BinInputChunk {

@@ -18,8 +18,13 @@
 //! Memory safety of the call-free form rests on the sink, not on the
 //! kernel: it counts a write budget of one update per edge of the block
 //! and panics, naming the program, when a kernel emits more.
+//!
+//! Kernels push global destination ids; both forms store a
+//! [`LocalUpdate`], the destination's offset within its partition
+//! (`dst - tp·stride`), since the buffer an update sits in already names
+//! its partition.
 
-use chaos_gas::{GasProgram, Update, UpdateSink};
+use chaos_gas::{GasProgram, LocalUpdate, UpdateSink};
 use chaos_graph::{Edge, PartitionSpec, VertexId};
 
 /// Edges per block: the unit the spare-capacity check is made for.
@@ -27,10 +32,10 @@ pub const BLOCK: usize = 256;
 
 /// Routes kernel-emitted updates into the engine's pooled per-partition
 /// output buffers, recording which buffers filled during the chunk. Each
-/// update is one `partition_of` and one bounds-checked push.
+/// update is one route and one bounds-checked push.
 pub struct PartitionSink<'a, U> {
-    spec: &'a PartitionSpec,
-    bufs: &'a mut [Vec<Update<U>>],
+    route: Route,
+    bufs: &'a mut [Vec<LocalUpdate<U>>],
     /// Target records per update chunk; a buffer crossing this is flushed
     /// after the kernel returns.
     cap: usize,
@@ -46,8 +51,8 @@ impl<'a, U> PartitionSink<'a, U> {
     ///
     /// Panics if `bufs` does not hold exactly one buffer per partition.
     pub fn new(
-        spec: &'a PartitionSpec,
-        bufs: &'a mut [Vec<Update<U>>],
+        spec: &PartitionSpec,
+        bufs: &'a mut [Vec<LocalUpdate<U>>],
         cap: usize,
         full: &'a mut Vec<usize>,
     ) -> Self {
@@ -57,7 +62,7 @@ impl<'a, U> PartitionSink<'a, U> {
             "one output buffer per partition"
         );
         Self {
-            spec,
+            route: Route::new(spec),
             bufs,
             cap,
             full,
@@ -75,9 +80,9 @@ impl<U> UpdateSink<U> for PartitionSink<'_, U> {
     #[inline]
     fn push(&mut self, dst: VertexId, payload: U) {
         self.produced += 1;
-        let tp = self.spec.partition_of(dst);
+        let (tp, off) = self.route.of(dst);
         let b = &mut self.bufs[tp];
-        b.push(Update { dst, payload });
+        b.push(local(off, payload));
         if b.len() == self.cap {
             self.full.push(tp);
         }
@@ -97,12 +102,15 @@ impl<U> UpdateSink<U> for CountSink {
 }
 
 /// [`PartitionSpec::partition_of`] with the stride test hoisted out of
-/// the loop: a shift for a power-of-two stride, the division otherwise,
-/// and the same clamp to the last partition.
+/// the loop — a shift for a power-of-two stride, the division otherwise,
+/// and the same clamp to the last partition — and the offset within the
+/// partition it names.
 #[derive(Debug, Clone, Copy)]
 struct Route {
     shift: Option<u32>,
     stride: u64,
+    /// `stride - 1`: the offset under a power-of-two stride.
+    mask: u64,
     last: usize,
 }
 
@@ -114,26 +122,46 @@ impl Route {
                 .is_power_of_two()
                 .then(|| spec.stride.trailing_zeros()),
             stride: spec.stride,
+            mask: spec.stride - 1,
             last: spec.num_partitions - 1,
         }
     }
 
+    /// `(partition, v mod stride)`: for an id in range the offset is
+    /// `v - partition·stride`. It is taken from the unclamped quotient (a
+    /// mask, or the remainder the division yields anyway), so it does
+    /// not wait on the clamp; the clamp is for memory safety, and an id
+    /// past the last partition breaks the kernel's contract either way.
     #[inline]
-    fn of(self, v: VertexId) -> usize {
-        let q = match self.shift {
-            Some(s) => v >> s,
-            None => v / self.stride,
+    fn of(self, v: VertexId) -> (usize, u64) {
+        let (q, off) = match self.shift {
+            Some(s) => (v >> s, v & self.mask),
+            None => (v / self.stride, v % self.stride),
         };
-        (q as usize).min(self.last)
+        ((q as usize).min(self.last), off)
+    }
+}
+
+/// The stored record. `Cluster::new` rejects a partitioning whose stride
+/// a `u32` offset cannot address, so a valid destination always fits.
+#[inline]
+fn local<U>(off: u64, payload: U) -> LocalUpdate<U> {
+    debug_assert!(
+        off <= u64::from(u32::MAX),
+        "partition offset {off} does not fit an update record"
+    );
+    LocalUpdate {
+        off: off as u32,
+        payload,
     }
 }
 
 /// One output buffer's write position during a call-free run.
 struct Cursor<U> {
     /// The next free slot.
-    at: *mut Update<U>,
+    at: *mut LocalUpdate<U>,
     /// `at` after the write that brings the buffer to `cap` records.
-    mark: *const Update<U>,
+    mark: *const LocalUpdate<U>,
 }
 
 /// The block driver and its scratch: one cursor per output buffer and a
@@ -177,7 +205,7 @@ impl<U> BlockSink<U> {
         iter: u32,
         out: &mut PartitionSink<'_, U>,
     ) -> usize {
-        let route = Route::new(out.spec);
+        let route = out.route;
         let mut spare_blocks = 0;
         let mut rest = edges;
         while !rest.is_empty() {
@@ -296,7 +324,7 @@ impl<U> UpdateSink<U> for SpareSink<'_, U> {
             overrun(self.program, self.edges);
         }
         self.budget -= 1;
-        let tp = self.route.of(dst);
+        let (tp, off) = self.route.of(dst);
         let c = &mut self.cursors[tp];
         let (at, mark) = (c.at, c.mark);
         // SAFETY: `spare_run` starts a block only while every buffer has at
@@ -304,7 +332,7 @@ impl<U> UpdateSink<U> for SpareSink<'_, U> {
         // `edges` writes in the block, so `at` is a free slot inside the
         // buffer's spare capacity.
         let next = unsafe {
-            at.write(Update { dst, payload });
+            at.write(local(off, payload));
             at.add(1)
         };
         c.at = next;
@@ -326,7 +354,7 @@ fn overrun(program: &str, edges: usize) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use chaos_gas::{Control, GasProgram, IterationAggregates, Update, UpdateSink};
+    use chaos_gas::{Control, GasProgram, IterationAggregates, LocalUpdate, Update, UpdateSink};
     use chaos_graph::{Edge, PartitionSpec, VertexId};
     use chaos_sim::Rng;
 
@@ -418,27 +446,45 @@ mod tests {
 
     /// Output buffers with the given `(len, capacity)` each; built afresh
     /// per side because a clone does not keep capacity.
-    fn buffers(init: &[(usize, usize)]) -> Vec<Vec<Update<u64>>> {
+    fn buffers(init: &[(usize, usize)]) -> Vec<Vec<LocalUpdate<u64>>> {
         init.iter()
             .map(|&(len, capacity)| {
                 let mut b = Vec::with_capacity(capacity);
-                b.extend((0..len as u64).map(|i| Update {
-                    dst: i,
-                    payload: !i,
+                b.extend((0..len as u32).map(|i| LocalUpdate {
+                    off: i,
+                    payload: !u64::from(i),
                 }));
                 b
             })
             .collect()
     }
 
-    fn capacities(bufs: &[Vec<Update<u64>>]) -> Vec<usize> {
+    fn capacities<T>(bufs: &[Vec<T>]) -> Vec<usize> {
         bufs.iter().map(Vec::capacity).collect()
     }
 
+    /// Each buffer's records as global updates: `(partition, base + off)`.
+    fn globalize(spec: &PartitionSpec, bufs: &[Vec<LocalUpdate<u64>>]) -> Vec<Vec<Update<u64>>> {
+        bufs.iter()
+            .enumerate()
+            .map(|(tp, b)| {
+                let base = spec.range(tp).start;
+                b.iter()
+                    .map(|u| Update {
+                        dst: base + u64::from(u.off),
+                        payload: u.payload,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Scatters `edges` three ways from the same buffer state — a plain
-    /// `Vec` oracle routed afterwards, one `PartitionSink` call, the block
-    /// driver — and asserts identical contents, capacities, fill-order
-    /// lists and `produced`. Returns the blocks that ran call-free.
+    /// `Vec<Update>` oracle routed afterwards by `partition_of`, one
+    /// `PartitionSink` call, the block driver — and asserts that each
+    /// buffer holds, as `(partition, base + off)`, the oracle's updates of
+    /// its partition, with identical capacities, fill-order lists and
+    /// `produced`. Returns the blocks that ran call-free.
     fn check(
         case: &str,
         parts: usize,
@@ -451,10 +497,18 @@ mod tests {
 
         let mut all: Vec<Update<u64>> = Vec::new();
         Sieve.scatter_chunk(0, &states, edges, 0, &mut all);
-        let (mut want, mut want_full) = (buffers(init), Vec::new());
+        // The oracle in global ids, and plain pushes for the capacities
+        // (a `Vec` grows by record count, whatever the record).
+        let start = buffers(init);
+        let (mut want, mut want_caps) = (globalize(&spec, &start), start);
+        let mut want_full = Vec::new();
         for u in &all {
             let tp = spec.partition_of(u.dst);
             want[tp].push(u.clone());
+            want_caps[tp].push(LocalUpdate {
+                off: 0,
+                payload: 0,
+            });
             if want[tp].len() == cap {
                 want_full.push(tp);
             }
@@ -470,16 +524,24 @@ mod tests {
         let spare = BlockSink::new(parts).scatter_chunk(&Sieve, 0, &states, edges, 0, &mut sink);
         let blocked_produced = sink.produced();
 
-        assert_eq!(per_update, want, "{case}: PartitionSink contents");
-        assert_eq!(blocked, want, "{case}: block driver contents");
+        assert_eq!(
+            globalize(&spec, &per_update),
+            want,
+            "{case}: PartitionSink contents"
+        );
+        assert_eq!(
+            globalize(&spec, &blocked),
+            want,
+            "{case}: block driver contents"
+        );
         assert_eq!(
             capacities(&per_update),
-            capacities(&want),
+            capacities(&want_caps),
             "{case}: PartitionSink capacities"
         );
         assert_eq!(
             capacities(&blocked),
-            capacities(&want),
+            capacities(&want_caps),
             "{case}: block driver capacities"
         );
         assert_eq!(
@@ -506,19 +568,20 @@ mod tests {
     }
 
     #[test]
-    fn route_is_partition_of() {
+    fn route_is_partition_of_and_offset_in_it() {
         for parts in [1, 3, 4, 7, 8, 32, 100, 1024, 2000] {
             let spec = PartitionSpec::with_partitions(N, parts);
             let route = Route::new(&spec);
             for v in 0..N {
+                let tp = spec.partition_of(v);
                 assert_eq!(
                     route.of(v),
-                    spec.partition_of(v),
+                    (tp, v - spec.range(tp).start),
                     "{parts} partitions, v = {v}"
                 );
             }
             assert_eq!(
-                route.of(u64::MAX),
+                route.of(u64::MAX).0,
                 parts - 1,
                 "out-of-range ids clamp like partition_of"
             );

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use chaos_gas::{GasProgram, Update};
+use chaos_gas::{GasProgram, LocalUpdate};
 use chaos_graph::Edge;
 use chaos_runtime::Actor;
 use chaos_sim::{rng::mix2, Time, MICROS};
@@ -167,7 +167,7 @@ pub struct StorageEngine<P: GasProgram> {
     open_redges: Vec<Vec<Edge>>,
     sealed: bool,
     seal_scratch: SealScratch,
-    updates: Vec<ChunkSet<Update<P::Update>>>,
+    updates: Vec<ChunkSet<LocalUpdate<P::Update>>>,
     vertices: Vec<VertexArray<P::VertexState>>,
     ckpt_pending: Vec<VertexArray<P::VertexState>>,
     ckpt_committed: Vec<VertexArray<P::VertexState>>,

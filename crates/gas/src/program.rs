@@ -3,7 +3,7 @@
 use chaos_graph::{Edge, VertexId};
 
 use crate::active::ActivityModel;
-use crate::record::{Record, Update};
+use crate::record::{Record, Update, UpdateRef};
 
 /// Which edge endpoint supplies scatter state this iteration.
 ///
@@ -217,18 +217,21 @@ pub trait GasProgram: Clone + Send + 'static {
     ///
     /// `base`, `states` and `accums` are partition-local (`v - base`
     /// indexed); `accums[i]` must end exactly as the per-update
-    /// [`GasProgram::gather`] fold would leave it. Override on hot programs
-    /// for a tight batched loop.
-    fn gather_chunk(
+    /// [`GasProgram::gather`] fold would leave it. The records are either
+    /// form of [`UpdateRef`] — the engine's partition-local
+    /// [`LocalUpdate`](crate::LocalUpdate)s or global [`Update`]s — and a
+    /// body indexes by `u.offset(base)`, so one body serves both. Override
+    /// on hot programs for a tight batched loop.
+    fn gather_chunk<R: UpdateRef<Self::Update>>(
         &self,
         base: VertexId,
         states: &[Self::VertexState],
         accums: &mut [Self::Accum],
-        updates: &[Update<Self::Update>],
+        updates: &[R],
     ) {
         for u in updates {
-            let off = (u.dst - base) as usize;
-            self.gather(&mut accums[off], u.dst, &states[off], &u.payload);
+            let off = u.offset(base);
+            self.gather(&mut accums[off], base + off as u64, &states[off], u.payload());
         }
     }
 

@@ -132,6 +132,73 @@ impl<U: Record> Record for Update<U> {
     }
 }
 
+/// An update addressed within its destination's streaming partition: the
+/// offset of the destination from the partition's first vertex, plus the
+/// payload. The engine stores and ships its updates in this form — an
+/// update's partition is known wherever it is held (it names the output
+/// buffer, the chunk set, the gather work), so the global id would repeat
+/// it. With a 4-byte payload the record is 8 bytes in memory instead of
+/// [`Update`]'s 16.
+///
+/// Its encoding is [`Update`]'s width, the offset written as a `u64`, so
+/// a stored update chunk occupies the same bytes as before.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalUpdate<U> {
+    /// Destination vertex minus the first vertex of its partition.
+    pub off: u32,
+    /// Algorithm-specific payload.
+    pub payload: U,
+}
+
+impl<U: Record> Record for LocalUpdate<U> {
+    const ENCODED_BYTES: usize = 8 + U::ENCODED_BYTES;
+    fn encode(&self, out: &mut Vec<u8>) {
+        u64::from(self.off).encode(out);
+        self.payload.encode(out);
+    }
+    fn decode(buf: &[u8]) -> Self {
+        Self {
+            off: u32::try_from(u64::decode(buf)).expect("update offset fits in u32"),
+            payload: U::decode(&buf[8..]),
+        }
+    }
+}
+
+/// What a gather kernel reads off an update record, whichever form it is
+/// in: the destination's partition-local offset and the payload.
+/// [`GasProgram::gather_chunk`](crate::GasProgram::gather_chunk) is
+/// generic over it, so one kernel body serves the engine's
+/// [`LocalUpdate`]s and the global [`Update`]s of the sequential executor.
+pub trait UpdateRef<U> {
+    /// Offset of the destination from `base`, the first vertex of the
+    /// partition being gathered.
+    fn offset(&self, base: VertexId) -> usize;
+    /// The payload.
+    fn payload(&self) -> &U;
+}
+
+impl<U> UpdateRef<U> for Update<U> {
+    #[inline]
+    fn offset(&self, base: VertexId) -> usize {
+        (self.dst - base) as usize
+    }
+    #[inline]
+    fn payload(&self) -> &U {
+        &self.payload
+    }
+}
+
+impl<U> UpdateRef<U> for LocalUpdate<U> {
+    #[inline]
+    fn offset(&self, _base: VertexId) -> usize {
+        self.off as usize
+    }
+    #[inline]
+    fn payload(&self) -> &U {
+        &self.payload
+    }
+}
+
 /// Encodes a slice of records into a contiguous byte buffer.
 pub fn encode_all<R: Record>(records: &[R]) -> Vec<u8> {
     let mut out = Vec::with_capacity(records.len() * R::ENCODED_BYTES);
@@ -194,6 +261,53 @@ mod tests {
             payload: (7u32, 1.5f32),
         });
         assert_eq!(<Update<(u32, f32)> as Record>::ENCODED_BYTES, 16);
+    }
+
+    #[test]
+    fn local_update_roundtrip() {
+        roundtrip(LocalUpdate {
+            off: u32::MAX,
+            payload: 0.5f32,
+        });
+        roundtrip(LocalUpdate { off: 0, payload: () });
+        roundtrip(LocalUpdate {
+            off: u32::MAX,
+            payload: (),
+        });
+        assert_eq!(<LocalUpdate<()> as Record>::ENCODED_BYTES, 8);
+        assert_eq!(std::mem::size_of::<LocalUpdate<()>>(), 4);
+        assert_eq!(std::mem::size_of::<LocalUpdate<f32>>(), 8);
+    }
+
+    #[test]
+    fn local_update_encodes_as_wide_as_update() {
+        // The offset is written as a `u64`: a stored update chunk keeps
+        // its size and layout.
+        let local = LocalUpdate {
+            off: 77,
+            payload: 1.5f32,
+        };
+        let global = Update {
+            dst: 77,
+            payload: 1.5f32,
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        local.encode(&mut a);
+        global.encode(&mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn both_record_forms_give_the_same_offset() {
+        let base = 1 << 40;
+        let global = Update {
+            dst: base + 9,
+            payload: 3u64,
+        };
+        let local = LocalUpdate { off: 9, payload: 3u64 };
+        assert_eq!(global.offset(base), 9);
+        assert_eq!(local.offset(base), 9);
+        assert_eq!(global.payload(), local.payload());
     }
 
     #[test]

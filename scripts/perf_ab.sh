@@ -8,9 +8,13 @@
 # both.
 #
 # Usage:
-#   scripts/perf_ab.sh <parent-rev> <workload> [pairs=10] [seconds=20] [seed=1]
+#   scripts/perf_ab.sh <parent-rev> <workload[,workload...]> [pairs=10] [seconds=20] [seed=1]
 #   scripts/perf_ab.sh HEAD pr_events            # working tree against HEAD
 #   scripts/perf_ab.sh HEAD~1 pr_dense 5 20 7    # five pairs on seed 7
+#   scripts/perf_ab.sh HEAD pr_dense,pr_faulted,pr_events 10 10
+#
+# A comma-separated list runs the pairs of each workload in turn, from one
+# clone and one build per side, and prints one table per workload.
 #
 # The parent is checked out into a local clone under target/perf_ab/ (and
 # the clone is removed again on exit); the change is the working tree as
@@ -31,11 +35,11 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    echo "usage: scripts/perf_ab.sh <parent-rev> <workload> [pairs=10] [seconds=20] [seed=1]" >&2
+    echo "usage: scripts/perf_ab.sh <parent-rev> <workload[,workload...]> [pairs=10] [seconds=20] [seed=1]" >&2
     exit 2
 fi
 PARENT_REV=$1
-WORKLOAD=$2
+IFS=, read -r -a WORKLOADS <<<"$2"
 PAIRS=${3:-10}
 RUN_SECONDS=${4:-20}
 SEED=${5:-1}
@@ -44,7 +48,6 @@ ROOT=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 cd "$ROOT"
 OUT="$ROOT/target/perf_ab"
 PARENT_SRC="$OUT/parent-src"
-RUNS="$OUT/runs.txt"
 mkdir -p "$OUT"
 
 trap 'rm -rf "$PARENT_SRC"' EXIT
@@ -61,8 +64,8 @@ echo "building parent ($(git rev-parse --short "$PARENT_REV")) and change ..." >
 build "$PARENT_SRC" "$OUT/parent-build"
 build "$ROOT" "$OUT/change-build"
 
-# run <pair> <side>: one benchmark run; appends "<pair> <side> <metric>
-# <value>" lines to $RUNS and echoes them.
+# run <pair> <side>: one benchmark run of $WORKLOAD; appends "<pair>
+# <side> <metric> <value>" lines to $RUNS and echoes them.
 FAILED=0
 run() {
     local out
@@ -77,19 +80,22 @@ run() {
         '$0 !~ /^[#{]/ && NF >= 2 { print pair, side, $1, $2 }' | tee -a "$RUNS"
 }
 
-: >"$RUNS"
-for pair in $(seq 1 "$PAIRS"); do
-    if [ $((pair % 2)) -eq 1 ]; then
-        run "$pair" parent
-        run "$pair" change
-    else
-        run "$pair" change
-        run "$pair" parent
-    fi
+for WORKLOAD in "${WORKLOADS[@]}"; do
+    RUNS="$OUT/runs-$WORKLOAD.txt"
+    : >"$RUNS"
+    for pair in $(seq 1 "$PAIRS"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run "$pair" parent
+            run "$pair" change
+        else
+            run "$pair" change
+            run "$pair" parent
+        fi
+    done
 done
 
-echo
-echo "== $WORKLOAD, seed $SEED, $PAIRS pairs of ${RUN_SECONDS} s runs, parent $(git rev-parse --short "$PARENT_REV")"
+# table <runs file>: the per-metric summary of one workload's pairs.
+table() {
 awk '
 # The exclusive quartile method over v[1..n], sorted ascending.
 function quartile(v, n, i,    m, j, delta) {
@@ -140,5 +146,12 @@ END {
         if (10 * losses >= 9 * pairs && mb - ma > iqr) verdict = "higher"
         printf "%-12s %12.6f %12.6f %12.6f %8.3f  %-16s %s\n", name, ma, mb, iqr, mb / ma, wins " of " pairs " pairs", verdict
     }
-}' "$RUNS"
+}' "$1"
+}
+
+for WORKLOAD in "${WORKLOADS[@]}"; do
+    echo
+    echo "== $WORKLOAD, seed $SEED, $PAIRS pairs of ${RUN_SECONDS} s runs, parent $(git rev-parse --short "$PARENT_REV")"
+    table "$OUT/runs-$WORKLOAD.txt"
+done
 exit "$FAILED"

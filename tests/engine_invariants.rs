@@ -212,3 +212,21 @@ fn invalid_configs_are_rejected_by_cluster() {
         "centralized + reverse edges unsupported"
     );
 }
+
+#[test]
+fn partitions_past_u32_offsets_are_a_config_error() {
+    // One machine with memory for every vertex: a single partition of
+    // 2^32 + 1 vertices, one more than a `u32` update offset addresses.
+    // Rejected before anything is sized by the vertex count.
+    let g = InputGraph::new((1 << 32) + 1, Vec::new(), false);
+    let mut cfg = test_config(1);
+    cfg.mem_budget = u64::MAX / 2;
+    let err = match Cluster::new(cfg, Pagerank::new(1), &g) {
+        Ok(_) => panic!("a partition past u32 offsets must be rejected"),
+        Err(e) => e,
+    };
+    assert!(
+        err.contains("4294967297 vertices") && err.contains("2^32"),
+        "names the problem: {err}"
+    );
+}

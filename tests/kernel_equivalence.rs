@@ -9,9 +9,16 @@
 //! specification, the chunk kernels a pure optimization. Everything is
 //! compared — final vertex states, simulated completion time, event
 //! counts, device/fabric statistics and the records-streamed counter.
+//!
+//! Each program's one `gather_chunk` body serves both update record forms
+//! — the engine's partition-local `LocalUpdate`s and global `Update`s —
+//! and both must leave the accumulators exactly as the per-record
+//! `gather` fold does.
 
 mod common;
 
+use chaos::gas::{LocalUpdate, Update};
+use chaos::graph::PartitionSpec;
 use chaos::prelude::*;
 use common::{test_config, undirected_graph, weighted_graph};
 use proptest::prelude::*;
@@ -107,4 +114,106 @@ fn sequential_oracle_is_kernel_invariant() {
     let slow = run_sequential(PerRecordKernels(Wcc::new()), &g, 10_000);
     assert_eq!(fast.states, slow.states);
     assert_eq!(fast.iterations, slow.iterations);
+}
+
+/// Runs `program` sequentially for up to `iters` iterations and, at every
+/// gather, folds each partition's updates three ways into fresh
+/// accumulators — `gather_chunk` over `LocalUpdate`s, `gather_chunk` over
+/// the same updates as global `Update`s, and the per-record `gather` —
+/// asserting the three bit-identical (compared by their `Debug` form,
+/// which spells out every float). The run advances on the result, so each
+/// phase of a multi-phase program is reached. Returns the gathers checked.
+fn assert_gather_forms_agree<P: GasProgram>(mut program: P, g: &InputGraph, iters: u32) -> u32
+where
+    P::Accum: std::fmt::Debug,
+{
+    let spec = PartitionSpec::with_partitions(g.num_vertices, 3);
+    let degrees = g.out_degrees();
+    let mut states: Vec<P::VertexState> = (0..g.num_vertices)
+        .map(|v| program.init(v, degrees[v as usize]))
+        .collect();
+    let mut checked = 0;
+    for iter in 0..iters {
+        let mut updates: Vec<Update<P::Update>> = Vec::new();
+        program.scatter_chunk(0, &states, &g.edges, iter, &mut updates);
+        let mut accums: Vec<P::Accum> = Vec::new();
+        for p in 0..spec.num_partitions {
+            let range = spec.range(p);
+            let base = range.start;
+            let part_states = &states[range.start as usize..range.end as usize];
+            let global: Vec<Update<P::Update>> = updates
+                .iter()
+                .filter(|u| range.contains(&u.dst))
+                .cloned()
+                .collect();
+            let local: Vec<LocalUpdate<P::Update>> = global
+                .iter()
+                .map(|u| LocalUpdate {
+                    off: (u.dst - base) as u32,
+                    payload: u.payload.clone(),
+                })
+                .collect();
+            let fresh = || vec![P::Accum::default(); part_states.len()];
+            let (mut by_local, mut by_global, mut by_record) = (fresh(), fresh(), fresh());
+            program.gather_chunk(base, part_states, &mut by_local, &local);
+            program.gather_chunk(base, part_states, &mut by_global, &global);
+            for u in &global {
+                let off = (u.dst - base) as usize;
+                program.gather(&mut by_record[off], u.dst, &part_states[off], &u.payload);
+            }
+            let name = program.name();
+            assert_eq!(
+                format!("{by_local:?}"),
+                format!("{by_record:?}"),
+                "{name}, iteration {iter}, partition {p}: local records vs per-record gather"
+            );
+            assert_eq!(
+                format!("{by_global:?}"),
+                format!("{by_record:?}"),
+                "{name}, iteration {iter}, partition {p}: global records vs per-record gather"
+            );
+            accums.extend(by_local);
+            checked += 1;
+        }
+        let mut agg = IterationAggregates {
+            updates_produced: updates.len() as u64,
+            ..Default::default()
+        };
+        for (v, (s, a)) in states.iter_mut().zip(&accums).enumerate() {
+            if program.apply(v as u64, s, a, iter) {
+                agg.vertices_changed += 1;
+            }
+        }
+        for s in &states {
+            for (slot, x) in agg.custom.iter_mut().zip(program.aggregate(s)) {
+                *slot += x;
+            }
+        }
+        if program.end_iteration(iter, &agg) == Control::Done {
+            break;
+        }
+    }
+    checked
+}
+
+#[test]
+fn gather_is_record_form_invariant_for_every_program() {
+    let g_dir = RmatConfig::paper(7).generate();
+    let g_und = undirected_graph(7);
+    let g_w = weighted_graph(300, 450, 11);
+    let checked = [
+        assert_gather_forms_agree(Pagerank::new(3), &g_dir, 3),
+        assert_gather_forms_agree(Wcc::new(), &g_und, 50),
+        assert_gather_forms_agree(Bfs::new(0), &g_und, 50),
+        assert_gather_forms_agree(Spmv::new(2), &g_dir, 2),
+        assert_gather_forms_agree(Mis::new(42), &g_und, 100),
+        assert_gather_forms_agree(BeliefPropagation::new(42, 3), &g_dir, 3),
+        assert_gather_forms_agree(Conductance::new(42), &g_dir, 2),
+        assert_gather_forms_agree(Sssp::new(0), &g_w, 400),
+        // Forward, backward and reset phases, streamed both directions.
+        assert_gather_forms_agree(Scc::new(), &g_dir, 60),
+        // All four MCST sub-phases.
+        assert_gather_forms_agree(Mcst::new(), &g_w, 200),
+    ];
+    assert!(checked.iter().all(|&n| n >= 3), "every program gathered: {checked:?}");
 }
