@@ -4,139 +4,101 @@
 //! without a full figure sweep.
 //!
 //! ```text
-//! cellstats PR 4 14 [selective|reference|dense] \
-//!     [--bins N] [--block-records N] [--queue calendar|heap] \
+//! cellstats [ALGO [MACHINES [SCALE [selective|reference|dense]]]] \
 //!     [--iters] [--metrics-json <path>] [--fault-seed N] [--scrub]
 //! ```
 //!
-//! `--bins N` overrides the clustered-layout bin count (1 = unclustered
-//! arrival-order layout). `--block-records N` overrides the sub-chunk
-//! block-index granularity (0 = chunk-granularity serves). `--queue`
-//! selects the event-queue store (host-side only — the simulated columns
-//! never move). `--iters` adds a per-iteration table:
-//! active-vertex fraction, chunks/records and blocks/records skipped
-//! (split into empty-frontier and mid-wavefront skips), and
-//! tombstone/compaction counts — the shape of a frontier collapsing or a
-//! Borůvka contraction eating the edge set. `--metrics-json <path>` dumps
-//! the run's report plus per-iteration selectivity as stable JSON.
-//! `--fault-seed N` turns on checkpointing and injects the seed-`N`
-//! generated fault plan (crashes + torn writes + device + fabric +
-//! corruption windows); the fault account and integrity lines show what
-//! the recovery protocol absorbed. `--scrub` enables the between-
-//! iteration integrity scrub pass. The `states digest` line is a
+//! The positionals default to `PR 4 14 selective`. `--iters` adds a
+//! per-iteration table: active-vertex fraction, chunks/records and
+//! blocks/records skipped (split into empty-frontier and mid-wavefront
+//! skips), and tombstone/compaction counts — the shape of a frontier
+//! collapsing or a Borůvka contraction eating the edge set.
+//! `--metrics-json <path>` dumps the run's report plus per-iteration
+//! selectivity as stable JSON. `--fault-seed N` turns on checkpointing
+//! and injects the seed-`N` generated fault plan (crashes + torn writes +
+//! device + fabric + corruption windows); the fault account and integrity
+//! lines show what the recovery protocol absorbed. `--scrub` enables the
+//! between-iteration integrity scrub pass. The `states digest` line is a
 //! layout- and fault-invariant fingerprint of the final vertex states —
 //! `scripts/bench_smoke.sh` compares it between corruption-seeded and
-//! fault-free runs. Any other `--option` is an error: one `error:` line,
-//! exit 1, nothing run.
+//! fault-free runs.
+//!
+//! An unknown algorithm or option, a missing or bad value, an extra
+//! positional, a graph past the generator's limits, a configuration
+//! `Cluster::new` rejects or a path that cannot be written is one
+//! `error:` line and exit 1, with nothing run (the option rules are
+//! `chaos_bench::cli`'s).
 
+use std::io::Write;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, QueueKind, Streaming};
+use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
+use chaos_bench::cli::{self, parse, Args, Flag, Options, Value};
+use chaos_core::{ChaosConfig, Cluster, FaultPlan, FaultPlanConfig, Streaming};
 use chaos_graph::RmatConfig;
 
-const OPTIONS: &[&str] = &[
-    "--iters",
-    "--bins",
-    "--block-records",
-    "--metrics-json",
-    "--queue",
-    "--scrub",
-    "--fault-seed",
+const OPTIONS: &Options = &[
+    ("--iters", Flag),
+    ("--metrics-json", Value),
+    ("--scrub", Flag),
+    ("--fault-seed", Value),
 ];
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = chaos_bench::harness::check_options(&args, OPTIONS) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-    let per_iter = args.iter().any(|a| a == "--iters");
-    args.retain(|a| a != "--iters");
-    let mut bins: Option<u32> = None;
-    if let Some(i) = args.iter().position(|a| a == "--bins") {
-        bins = match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(b) if b > 0 => Some(b),
-            _ => panic!("--bins needs a positive integer (1 = unclustered)"),
-        };
-        args.drain(i..=i + 1);
-    }
-    let mut block_records: Option<u32> = None;
-    if let Some(i) = args.iter().position(|a| a == "--block-records") {
-        block_records = Some(
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--block-records needs a record count (0 = chunk-granularity)"),
-        );
-        args.drain(i..=i + 1);
-    }
-    let mut metrics_json: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--metrics-json") {
-        metrics_json = Some(
-            args.get(i + 1)
-                .cloned()
-                .expect("--metrics-json needs an output path"),
-        );
-        args.drain(i..=i + 1);
-    }
-    let mut queue = QueueKind::default();
-    if let Some(i) = args.iter().position(|a| a == "--queue") {
-        queue = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--queue needs calendar or heap");
-        args.drain(i..=i + 1);
-    }
-    let scrub = args.iter().any(|a| a == "--scrub");
-    args.retain(|a| a != "--scrub");
-    let mut fault_seed: Option<u64> = None;
-    if let Some(i) = args.iter().position(|a| a == "--fault-seed") {
-        fault_seed = Some(
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--fault-seed needs an integer seed"),
-        );
-        args.drain(i..=i + 1);
-    }
-    let algo = args.first().map(|s| s.as_str()).unwrap_or("PR").to_string();
-    let machines: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let scale: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(14);
-    let streaming: Streaming = args
-        .get(3)
-        .map(|s| s.parse().expect("bad streaming mode"))
-        .unwrap_or(Streaming::Selective);
+fn main() -> ExitCode {
+    cli::exit_code(run())
+}
 
-    let cfg_rmat = if needs_weights(&algo) {
+fn run() -> Result<(), String> {
+    let args = Args::parse(OPTIONS, std::env::args().skip(1))?;
+    let cell = args.at_most(4)?;
+    let algo = cell.first().map_or("PR", String::as_str);
+    if !ALGO_NAMES.contains(&algo) {
+        return Err(format!(
+            "unknown algorithm {algo:?}; one of {}",
+            ALGO_NAMES.join(", ")
+        ));
+    }
+    let machines: usize = cell.get(1).map_or(Ok(4), |s| parse("machines", s))?;
+    let scale: u32 = cell.get(2).map_or(Ok(14), |s| parse("scale", s))?;
+    let streaming: Streaming = cell
+        .get(3)
+        .map_or(Ok(Streaming::Selective), |s| parse("streaming mode", s))?;
+    let fault_seed: Option<u64> = args.get("--fault-seed")?;
+    let mut metrics = match args.value("--metrics-json") {
+        Some(path) => Some((cli::create(path)?, path)),
+        None => None,
+    };
+
+    let cfg_rmat = if needs_weights(algo) {
         RmatConfig::paper_weighted(scale)
     } else {
         RmatConfig::paper(scale)
     };
-    let mut g =
-        chaos_bench::harness::graph_or_exit(format_args!("scale {scale}"), cfg_rmat.try_generate());
-    if needs_undirected(&algo) {
+    let mut g = cfg_rmat
+        .try_generate()
+        .map_err(|e| format!("scale {scale}: {e}"))?;
+    if needs_undirected(algo) {
         g = g.to_undirected();
     }
     let mut cfg = ChaosConfig::new(machines);
     cfg.chunk_bytes = 32 * 1024;
     cfg.mem_budget = 256 * 1024;
     cfg.streaming = streaming;
-    cfg.queue = queue;
-    if let Some(b) = bins {
-        cfg.cluster_bins = b;
-    }
-    if let Some(br) = block_records {
-        cfg.block_records = br;
-    }
     if let Some(seed) = fault_seed {
         cfg.checkpoint = true;
         cfg.faults = FaultPlan::generate(seed, &FaultPlanConfig::soak(machines));
     }
-    cfg.scrub = scrub;
+    cfg.scrub = args.flag("--scrub");
     let t0 = Instant::now();
     let params = AlgoParams::default();
-    let (rep, digest) = with_algo!(algo.as_str(), &params, |p| {
-        let (rep, states) = run_chaos(cfg, p, &g);
-        (rep, chaos_bench::harness::digest_states(&states))
+    let (rep, digest) = with_algo!(algo, &params, |p| {
+        let mut cluster = Cluster::new(cfg, p, &g)?;
+        let rep = cluster.run();
+        (
+            rep,
+            chaos_bench::harness::digest_states(&cluster.final_states()),
+        )
     });
     let wall = t0.elapsed().as_secs_f64();
     // `cluster_bins` is the run's *effective* layout — dense-activity
@@ -187,8 +149,8 @@ fn main() {
         rep.edges_tombstoned(),
     );
     // Sub-chunk selectivity: blocks the block indexes proved inactive
-    // inside chunks that were otherwise served (zero with
-    // `--block-records 0` or under dense activity).
+    // inside chunks that were otherwise served (zero under dense
+    // activity).
     println!(
         "block selectivity: {} blocks skipped inside served chunks \
          ({} records never read or streamed)",
@@ -219,7 +181,7 @@ fn main() {
         },
         parts.join(", "),
     );
-    if per_iter {
+    if args.flag("--iters") {
         println!(
             "{:>5} {:>8} {:>10} {:>12} {:>12} {:>12} {:>10} {:>12} {:>12} {:>12}",
             "iter",
@@ -248,10 +210,11 @@ fn main() {
             );
         }
     }
-    if let Some(path) = metrics_json {
-        let label = format!("{algo}/m{machines}");
-        let dump = chaos_bench::metrics_json(&[(label, rep)]);
-        std::fs::write(&path, dump).expect("write metrics json");
+    if let Some((file, path)) = &mut metrics {
+        let dump = chaos_bench::metrics_json(&[(format!("{algo}/m{machines}"), rep)]);
+        file.write_all(dump.as_bytes())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("[metrics-json] wrote 1 run to {path}");
     }
+    Ok(())
 }

@@ -51,13 +51,10 @@ pub fn run(h: &Harness) {
     println!("records streamed: {}", h.records_streamed());
     println!("records skipped: {}", h.records_skipped());
     println!("records skipped mid-wavefront: {}", h.records_skipped_mid());
-    // Sub-chunk selectivity from the block indexes: zero with
-    // `--block-records 0`, so bench_smoke.sh compares the runs that differ
-    // in this flag by their states-digest lines only.
+    // Sub-chunk selectivity from the block indexes.
     println!("blocks skipped: {}", h.blocks_skipped());
     println!("records skipped intra-chunk: {}", h.records_skipped_intra());
-    // Layout-invariant fingerprint of every cell's final vertex states:
-    // identical across cluster-bin layouts too (bench_smoke.sh compares
-    // it between the clustered and unclustered runs).
+    // Layout-invariant fingerprint of every cell's final vertex states
+    // (tests/clustered_layout.rs pins the invariance per program).
     println!("states digest: {:016x}", h.states_digest());
 }

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, ChaosConfig, FaultAccount, QueueKind, RunReport, Streaming};
+use chaos_core::{run_chaos, ChaosConfig, FaultAccount, RunReport, Streaming};
 use chaos_graph::{InputGraph, RmatConfig, WebGraphConfig};
 
 /// Experiment sizing.
@@ -28,20 +28,6 @@ pub struct Scale {
     /// skipped chunks host-side to enforce the activity contract), so
     /// `scripts/bench_smoke.sh` byte-compares across this flag too.
     pub streaming: Streaming,
-    /// Clustered-layout bin count override (`None` keeps the config
-    /// default). `Some(1)` is the unclustered arrival-order layout; the
-    /// per-figure "states digest" lines are byte-identical across layouts
-    /// (`bench_smoke.sh` compares them), while timings and skip counts
-    /// legitimately differ.
-    pub cluster_bins: Option<u32>,
-    /// Block-index granularity override (`None` keeps the config default,
-    /// `Some(0)` disables block indexing — chunk-granularity serves).
-    /// Like the bin count, a layout knob: the "states digest" lines are
-    /// byte-identical across values while skip counts differ.
-    pub block_records: Option<u32>,
-    /// Event-queue store for every run. A pure host-side choice: figure
-    /// output is bit-identical across queue kinds.
-    pub queue: QueueKind,
 }
 
 impl Scale {
@@ -54,9 +40,6 @@ impl Scale {
             machines: &[1, 2, 4, 8, 16, 32],
             all_algorithms: true,
             streaming: Streaming::Selective,
-            cluster_bins: None,
-            block_records: None,
-            queue: QueueKind::default(),
         }
     }
 
@@ -69,33 +52,12 @@ impl Scale {
             machines: &[1, 2, 4, 8, 16, 32],
             all_algorithms: true,
             streaming: Streaming::Selective,
-            cluster_bins: None,
-            block_records: None,
-            queue: QueueKind::default(),
         }
     }
 
     /// The same sizing with a different streaming mode.
     pub fn with_streaming(mut self, streaming: Streaming) -> Self {
         self.streaming = streaming;
-        self
-    }
-
-    /// The same sizing with a clustered-layout bin override.
-    pub fn with_cluster_bins(mut self, bins: Option<u32>) -> Self {
-        self.cluster_bins = bins;
-        self
-    }
-
-    /// The same sizing with a block-index granularity override.
-    pub fn with_block_records(mut self, block_records: Option<u32>) -> Self {
-        self.block_records = block_records;
-        self
-    }
-
-    /// The same sizing with a different event-queue store.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 }
@@ -133,9 +95,9 @@ pub struct Harness {
 
 /// FNV-1a over the storage encodings of the final vertex states — a
 /// deterministic fingerprint of *what* a run computed, independent of how
-/// the data was laid out. Identical across streaming modes and cluster-bin
-/// layouts; `scripts/bench_smoke.sh` byte-compares the printed digests
-/// across layouts.
+/// the data was laid out. Identical across streaming modes, chunk layouts
+/// and fault schedules; `scripts/bench_smoke.sh` compares a fault-seeded
+/// `cellstats` run's against the fault-free one's.
 pub fn digest_states<S: chaos_gas::Record>(states: &[S]) -> u64 {
     let mut buf = Vec::new();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -161,22 +123,6 @@ pub fn graph_or_exit(
         eprintln!("error: {what}: {e}");
         std::process::exit(1)
     })
-}
-
-/// Checks that every `--option` among `args` is one the binary knows, so
-/// a misspelt or removed flag stops the run instead of being ignored.
-///
-/// # Errors
-///
-/// Names the first unknown option.
-pub fn check_options(args: &[String], known: &[&str]) -> Result<(), String> {
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        Some(a) => Err(format!("unknown option {a}")),
-        None => Ok(()),
-    }
 }
 
 impl Harness {
@@ -230,8 +176,8 @@ impl Harness {
 
     /// Blocks skipped *inside* served chunks by their block indexes,
     /// summed over every run so far — the sub-chunk selectivity the
-    /// key-sorted interiors buy (simulated, mode-invariant; zero with
-    /// `--block-records 0`).
+    /// key-sorted interiors buy (simulated, mode-invariant; zero under
+    /// dense activity).
     pub fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped.get()
     }
@@ -363,13 +309,6 @@ impl Harness {
         cfg.chunk_bytes = self.scale.chunk_bytes;
         cfg.mem_budget = self.scale.mem_budget;
         cfg.streaming = self.scale.streaming;
-        cfg.queue = self.scale.queue;
-        if let Some(bins) = self.scale.cluster_bins {
-            cfg.cluster_bins = bins;
-        }
-        if let Some(br) = self.scale.block_records {
-            cfg.block_records = br;
-        }
         cfg
     }
 
@@ -412,19 +351,16 @@ impl Harness {
     }
 
     /// Writes every run driven so far (label + report + per-iteration
-    /// selectivity) to `path` as stable JSON — see [`metrics_json`].
+    /// selectivity) to `out` as stable JSON — see [`metrics_json`] — and
+    /// returns how many runs it wrote.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying file I/O error.
-    pub fn write_metrics_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, metrics_json(&self.reports.borrow()))?;
-        eprintln!(
-            "[metrics-json] wrote {} run(s) to {}",
-            self.reports.borrow().len(),
-            path.display()
-        );
-        Ok(())
+    /// Propagates the underlying I/O error.
+    pub fn write_metrics_json(&self, out: &mut impl std::io::Write) -> std::io::Result<usize> {
+        let reports = self.reports.borrow();
+        out.write_all(metrics_json(&reports).as_bytes())?;
+        Ok(reports.len())
     }
 
     /// The algorithm set for all-algorithm figures, cheap ones first.

@@ -17,6 +17,7 @@
 
 pub mod ablations;
 pub mod capacity;
+pub mod cli;
 pub mod fig05;
 pub mod fig07;
 pub mod fig08;

@@ -11,9 +11,6 @@ fn tiny() -> Harness {
         machines: &[1, 2, 4],
         all_algorithms: false,
         streaming: chaos_core::Streaming::Selective,
-        cluster_bins: None,
-        block_records: None,
-        queue: chaos_core::QueueKind::default(),
     })
 }
 

@@ -1,36 +1,84 @@
-//! `cellstats` and `figures` turn the RMAT generator's size limits and
-//! unknown options into one error line and exit status 1, never a panic
-//! (exit 101), an allocation abort (exit 134) or a run that ignores the
-//! option — `chaos-cli`'s contract (`tests/cli.rs` at the root), here
-//! because Cargo hands a test the path of its own package's binaries only.
+//! `cellstats` and `figures` turn the RMAT generator's size limits,
+//! unknown options and malformed arguments into one error line and exit
+//! status 1, never a panic (exit 101), an allocation abort (exit 134), a
+//! partial run or a run that ignores or misreads the argument —
+//! `chaos-cli`'s contract (`tests/cli.rs` at the root), here because Cargo
+//! hands a test the path of its own package's binaries only.
 
 use std::process::Command;
 
-fn scale_fails_cleanly(scale: &str) {
-    let run = Command::new(env!("CARGO_BIN_EXE_cellstats"))
-        .args(["PR", "4", scale])
+/// `bin args` must exit 1 with exactly one `error:` line, containing
+/// `names`, and print nothing to stdout.
+fn fails_cleanly(bin: &str, args: &[&str], names: &str) {
+    let run = Command::new(bin)
+        .args(args)
         .output()
-        .expect("cellstats starts");
+        .expect("binary starts");
     let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(1), "scale {scale}: {stderr}");
-    assert!(!stderr.contains("panicked at"), "scale {scale}: {stderr}");
+    assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     let errors: Vec<&str> = stderr
         .lines()
         .filter(|l| l.starts_with("error: "))
         .collect();
-    assert_eq!(errors.len(), 1, "scale {scale}: {stderr}");
-    assert!(errors[0].contains(&format!("scale {scale}")), "{stderr}");
-    assert!(run.stdout.is_empty(), "scale {scale} ran a cell");
+    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+    assert!(errors[0].contains(names), "{args:?}: {stderr}");
+    assert!(run.stdout.is_empty(), "{args:?} ran something");
 }
 
 #[test]
 fn scale_at_the_generators_limit_is_an_error() {
-    scale_fails_cleanly("48");
+    fails_cleanly(
+        env!("CARGO_BIN_EXE_cellstats"),
+        &["PR", "4", "48"],
+        "scale 48",
+    );
 }
 
 #[test]
 fn scale_beyond_memory_is_an_error_not_an_abort() {
-    scale_fails_cleanly("40");
+    fails_cleanly(
+        env!("CARGO_BIN_EXE_cellstats"),
+        &["PR", "4", "40"],
+        "scale 40",
+    );
+}
+
+/// One case per malformed invocation: the arguments, and what the error
+/// line must name.
+#[test]
+fn malformed_invocations_are_errors() {
+    let cellstats = env!("CARGO_BIN_EXE_cellstats");
+    for (args, names) in [
+        (&["PR", "four", "8"][..], "\"four\""),
+        (&["PR", "4", "1x"][..], "\"1x\""),
+        (&["PR", "4", "8", "--bins", "0"][..], "--bins"),
+        (&["PR", "4", "8", "--fault-seed", "x"][..], "--fault-seed"),
+        (&["PR", "4", "8", "--fault-seed"][..], "--fault-seed"),
+        (&["XYZ", "4", "8"][..], "\"XYZ\""),
+        (&["PR", "0", "8"][..], "machine"),
+        (&["PR", "4", "8", "eager"][..], "\"eager\""),
+        (&["PR", "4", "8", "selective", "extra"][..], "\"extra\""),
+        (
+            &["PR", "4", "8", "--metrics-json", "/nonexistent/x.json"][..],
+            "/nonexistent/x.json",
+        ),
+    ] {
+        fails_cleanly(cellstats, args, names);
+    }
+    let figures = env!("CARGO_BIN_EXE_figures");
+    for (args, names) in [
+        (&["fig5", "fig99"][..], "\"fig99\""),
+        (&["fig5", "--streaming", "eager"][..], "--streaming"),
+        (&["fig5", "--streaming"][..], "--streaming"),
+        (&["fig5", "--full", "1"][..], "\"1\""),
+        (
+            &["fig5", "--metrics-json", "/nonexistent/x.json"][..],
+            "/nonexistent/x.json",
+        ),
+    ] {
+        fails_cleanly(figures, args, names);
+    }
 }
 
 /// `bin args` must stop before running anything, naming `option`.
@@ -56,6 +104,10 @@ fn unknown_options_are_errors_not_ignored() {
             (&["--backend", "par"][..], "--backend"),
             (&["--batching", "off"][..], "--batching"),
             (&["--no-such-flag"][..], "--no-such-flag"),
+            (&["--queue", "heap"][..], "--queue"),
+            (&["--cluster-bins", "1"][..], "--cluster-bins"),
+            (&["--bins", "1"][..], "--bins"),
+            (&["--block-records", "0"][..], "--block-records"),
         ] {
             unknown_option_is_rejected(bin, &[cell, flags].concat(), option);
         }

@@ -20,7 +20,7 @@ use chaos_gas::GasProgram;
 use chaos_graph::{InputGraph, PartitionSpec, SizeModel};
 use chaos_net::{DegradedWindow, Fabric};
 use chaos_runtime::{DynActor, Executor, SequentialExecutor};
-use chaos_sim::{rng::mix64, Rng, Time};
+use chaos_sim::{rng::mix64, QueueKind, Rng, Time};
 use chaos_storage::{CorruptionWindow, Device, FaultWindow};
 
 use crate::compute_engine::ComputeEngine;
@@ -183,7 +183,6 @@ impl<P: GasProgram> Cluster<P> {
         // Safety valve for the event loop (a wedged protocol would
         // otherwise spin forever); generously above any legitimate run.
         sched.max_events = 20_000_000_000;
-        sched.set_queue_kind(cfg.queue);
         Ok(Self {
             params,
             sched,
@@ -324,6 +323,19 @@ impl<P: GasProgram> Cluster<P> {
     /// whole snapshot is dropped cluster-wide.
     pub fn inject_pending_tear(&mut self, machine: usize) {
         self.storages[machine].pending_torn = true;
+    }
+
+    /// Test hook: runs the event loop on `kind`'s store instead of the
+    /// calendar queue. Pop order, and with it every simulated quantity, is
+    /// the same for every kind, so the binary heap is the calendar's
+    /// whole-run reference without being a configuration axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the run has started.
+    pub fn set_queue_kind(&mut self, kind: QueueKind) {
+        assert!(!self.started, "the event queue is chosen before the run");
+        self.sched.set_queue_kind(kind);
     }
 
     /// Pending snapshots dropped by failed validation rounds, summed over

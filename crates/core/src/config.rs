@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use chaos_net::FabricConfig;
-use chaos_sim::{QueueKind, Time, GIB, KIB, MIB};
+use chaos_sim::{Time, GIB, KIB, MIB};
 use chaos_storage::DeviceProfile;
 
 use crate::fault::FaultPlan;
@@ -113,10 +113,6 @@ pub struct ChaosConfig {
     /// §7 of the paper). `None` keeps payloads in memory; simulated I/O
     /// timing is identical either way.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Event-queue store behind the executor (calendar by default, binary
-    /// heap as the bit-identical oracle). Host-side only: pop order and
-    /// therefore every simulated quantity are unchanged.
-    pub queue: QueueKind,
     /// How the scatter phase consumes edge chunks (see [`Streaming`]).
     pub streaming: Streaming,
     /// Minimum dead-edge fraction (per chunk) that triggers in-place
@@ -184,7 +180,6 @@ impl ChaosConfig {
             directory_op_ns: 10_000,
             faults: FaultPlan::none(),
             spill_dir: None,
-            queue: QueueKind::default(),
             streaming: Streaming::Selective,
             compact_threshold: 0.5,
             cluster_bins: 16,
@@ -223,12 +218,6 @@ impl ChaosConfig {
     /// Switches the streaming mode.
     pub fn with_streaming(mut self, streaming: Streaming) -> Self {
         self.streaming = streaming;
-        self
-    }
-
-    /// Switches the event-queue store.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -376,15 +365,6 @@ mod tests {
         assert!(ChaosConfig::new(2).with_block_records(0).validate().is_ok());
         assert!(ChaosConfig::new(2).with_block_records(16).validate().is_ok());
         assert!(ChaosConfig::new(2).with_block_records(7).validate().is_err());
-    }
-
-    #[test]
-    fn queue_knob() {
-        let c = ChaosConfig::new(2);
-        assert_eq!(c.queue, QueueKind::Calendar, "calendar by default");
-        let c = c.with_queue(QueueKind::Heap);
-        assert_eq!(c.queue, QueueKind::Heap);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -10,71 +10,51 @@
 //! Graphs are loaded from the binary or text edge-list formats of
 //! `chaos::graph::io`, or generated on the fly with `--scale` (RMAT) /
 //! `--web-pages` (the Data-Commons-shaped generator).
+//!
+//! Options follow the command. An unknown option, a missing or bad value,
+//! a positional after the command or an invalid configuration is one
+//! `error:` line and exit 1, with nothing run (the option rules are
+//! `chaos::bench::cli`'s; the last of a repeated option wins).
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use chaos::algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
+use chaos::bench::cli::{self, Args, Flag, Options, Value};
 use chaos::core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
 use chaos::graph::{io as graph_io, InputGraph, RmatConfig, WebGraphConfig};
 
-/// Every option any subcommand reads; anything else starting with `--` is
-/// an error, not a silent no-op.
-const OPTIONS: &[&str] = &[
-    "--out",
-    "--scale",
-    "--web-pages",
-    "--weighted",
-    "--text",
-    "--algo",
-    "--graph",
-    "--dataset",
-    "--machines",
-    "--chunk-kb",
-    "--mem-kb",
-    "--iters",
-    "--hdd",
-    "--one-gige",
-    "--checkpoint",
-    "--alpha",
-    "--streaming",
-    "--cluster-bins",
-    "--seed",
-    "--fault-seed",
-    "--scrub",
-    "--metrics-json",
+/// Every option any subcommand reads; the rules are `chaos::bench::cli`'s.
+const OPTIONS: &Options = &[
+    ("--out", Value),
+    ("--scale", Value),
+    ("--web-pages", Value),
+    ("--weighted", Flag),
+    ("--text", Flag),
+    ("--algo", Value),
+    ("--graph", Value),
+    ("--dataset", Value),
+    ("--machines", Value),
+    ("--chunk-kb", Value),
+    ("--mem-kb", Value),
+    ("--iters", Value),
+    ("--hdd", Flag),
+    ("--one-gige", Flag),
+    ("--checkpoint", Flag),
+    ("--alpha", Value),
+    ("--streaming", Value),
+    ("--seed", Value),
+    ("--fault-seed", Value),
+    ("--scrub", Flag),
+    ("--metrics-json", Value),
 ];
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad value for {name}: {v:?}")),
-        }
-    }
-
-    /// A size given in KiB, in bytes.
-    fn kib(&self, name: &str, default: u64) -> Result<u64, String> {
-        let k = self.parsed(name, default)?;
-        k.checked_mul(1024)
-            .ok_or_else(|| format!("{name} {k}: more than 2^64 bytes"))
-    }
+/// A size option given in KiB, in bytes.
+fn kib(args: &Args, name: &str, default: u64) -> Result<u64, String> {
+    let k = args.get_or(name, default)?;
+    k.checked_mul(1024)
+        .ok_or_else(|| format!("{name} {k}: more than 2^64 bytes"))
 }
 
 fn usage() {
@@ -103,9 +83,6 @@ CLUSTER OPTIONS:
   --alpha <A>         work-stealing bias (default 1.0; 0 disables, inf always)
   --streaming <S>     scatter streaming: selective (default), reference
                       (dense oracle, bit-identical report), or dense
-  --cluster-bins <N>  source-clustered layout bins per partition
-                      (default 16; 1 = unclustered arrival order;
-                      results are identical for any value)
   --seed <S>          RNG seed
   --fault-seed <S>    inject the seed-S generated fault plan (crashes +
                       torn writes + device faults + fabric stragglers +
@@ -127,13 +104,12 @@ fn load_or_generate(args: &Args, algo: Option<&str>) -> Result<InputGraph, Strin
         graph_io::read_binary(&p)
             .or_else(|_| graph_io::read_text(&p))
             .map_err(|e| format!("cannot read {path}: {e}"))?
-    } else if let Some(pages) = args.value("--web-pages") {
-        let pages: u64 = pages.parse().map_err(|_| "bad --web-pages".to_string())?;
+    } else if let Some(pages) = args.get::<u64>("--web-pages")? {
         WebGraphConfig::scaled(pages)
             .try_generate()
             .map_err(|e| format!("--web-pages {pages}: {e}"))?
     } else {
-        let scale: u32 = args.parsed("--scale", 12)?;
+        let scale: u32 = args.get_or("--scale", 12)?;
         let rmat = if weighted_needed {
             RmatConfig::paper_weighted(scale)
         } else {
@@ -179,17 +155,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
     let algo: &str = algo;
     let g = load_or_generate(args, Some(algo))?;
-    let machines: usize = args.parsed("--machines", 4)?;
+    let machines: usize = args.get_or("--machines", 4)?;
     let mut cfg = ChaosConfig::new(machines);
-    cfg.chunk_bytes = args.kib("--chunk-kb", 64)?;
-    cfg.mem_budget = args.kib("--mem-kb", 1024)?;
-    cfg.steal_alpha = args.parsed("--alpha", 1.0f64)?;
+    cfg.chunk_bytes = kib(args, "--chunk-kb", 64)?;
+    cfg.mem_budget = kib(args, "--mem-kb", 1024)?;
+    cfg.steal_alpha = args.get_or("--alpha", 1.0f64)?;
     cfg.checkpoint = args.flag("--checkpoint");
-    cfg.streaming = args.parsed("--streaming", Streaming::Selective)?;
-    cfg.cluster_bins = args.parsed("--cluster-bins", cfg.cluster_bins)?;
-    cfg.seed = args.parsed("--seed", cfg.seed)?;
-    if let Some(seed) = args.value("--fault-seed") {
-        let seed: u64 = seed.parse().map_err(|_| "bad --fault-seed".to_string())?;
+    cfg.streaming = args.get_or("--streaming", Streaming::Selective)?;
+    cfg.seed = args.get_or("--seed", cfg.seed)?;
+    if let Some(seed) = args.get::<u64>("--fault-seed")? {
         cfg.checkpoint = true;
         cfg.faults = FaultPlan::generate(seed, &FaultPlanConfig::soak(machines));
     }
@@ -201,10 +175,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         cfg = cfg.with_one_gige();
     }
     cfg.validate()?;
-    let iters: u32 = args.parsed("--iters", 5)?;
+    let iters: u32 = args.get_or("--iters", 5)?;
     if iters == 0 {
         return Err("--iters 0: need at least one iteration".into());
     }
+    let mut metrics = match args.value("--metrics-json") {
+        Some(path) => Some((cli::create(path)?, path)),
+        None => None,
+    };
     let params = AlgoParams {
         pr_iterations: iters,
         bp_iterations: iters,
@@ -275,42 +253,43 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if let Some(agg) = report.iteration_aggs.last() {
         println!("final aggregates    updates={} changed={}", agg.updates_produced, agg.vertices_changed);
     }
-    if let Some(path) = args.value("--metrics-json") {
-        let label = format!("{algo}/m{machines}");
-        let dump = chaos::bench::metrics_json(&[(label, report)]);
-        std::fs::write(path, dump).map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some((file, path)) = &mut metrics {
+        let dump = chaos::bench::metrics_json(&[(format!("{algo}/m{machines}"), report)]);
+        file.write_all(dump.as_bytes())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("[metrics-json] wrote 1 run to {path}");
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
+    let mut argv = std::env::args().skip(1);
+    // The first argument is the command (`--help` included); options follow.
+    let Some(cmd) = argv.next() else {
         usage();
         return ExitCode::FAILURE;
     };
-    let args = Args(argv);
-    // `argv[0]` is the command (`--help` included); options follow it.
-    let options = chaos::bench::harness::check_options(&args.0[1..], OPTIONS);
-    let result = options.and_then(|()| match cmd.as_str() {
-        "list" => {
-            for a in ALGO_NAMES {
-                println!(
-                    "{a:<6} {}{}",
-                    if needs_undirected(a) { "undirected " } else { "directed " },
-                    if needs_weights(a) { "weighted" } else { "" }
-                );
+    let result = Args::parse(OPTIONS, argv).and_then(|args| {
+        args.at_most(0)?;
+        match cmd.as_str() {
+            "list" => {
+                for a in ALGO_NAMES {
+                    println!(
+                        "{a:<6} {}{}",
+                        if needs_undirected(a) { "undirected " } else { "directed " },
+                        if needs_weights(a) { "weighted" } else { "" }
+                    );
+                }
+                Ok(())
             }
-            Ok(())
+            "gen" => cmd_gen(&args),
+            "run" => cmd_run(&args),
+            "help" | "--help" | "-h" => {
+                usage();
+                Ok(())
+            }
+            other => Err(format!("unknown command {other:?}")),
         }
-        "gen" => cmd_gen(&args),
-        "run" => cmd_run(&args),
-        "help" | "--help" | "-h" => {
-            usage();
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -29,7 +29,7 @@
 mod common;
 
 use chaos::prelude::*;
-use common::{directed_graph, test_config, undirected_graph, weighted_graph};
+use common::{directed_graph, run_on_heap, test_config, undirected_graph, weighted_graph};
 
 fn soak_seeds() -> u64 {
     std::env::var("CHAOS_SOAK_SEEDS")
@@ -114,9 +114,9 @@ fn mcst_soaks_clean() {
     soak(Mcst::new(), &weighted_graph(220, 260, 7), "mcst");
 }
 
-/// Host-side and layout axes under a faulted schedule: the heap event
-/// queue (vs the calendar default) must not perturb the simulation at
-/// all — identical report — and chunk-granularity serving
+/// The heap reference and a layout axis under a faulted schedule: the
+/// binary-heap event queue (vs the calendar default) must not perturb the
+/// simulation at all — identical report — and chunk-granularity serving
 /// (`block_records = 0`) must still converge to identical states with
 /// identical fault accounting under the same seeded schedule.
 #[test]
@@ -137,17 +137,11 @@ fn seeded_schedules_survive_queue_and_block_index_axes() {
     let (calendar, calendar_states) = run_chaos(base.clone(), Pagerank::new(4), &g);
     assert!(calendar.faults.corruption_detected >= 1);
 
-    let mut heap = base.clone();
-    heap.queue = QueueKind::Heap;
-    let (heap_rep, heap_states) = run_chaos(heap, Pagerank::new(4), &g);
+    let (heap_rep, heap_states) = run_on_heap(base.clone(), Pagerank::new(4), &g);
     assert_eq!(calendar_states, heap_states, "queue kind is host-side only");
-    assert_eq!(calendar.runtime, heap_rep.runtime);
-    assert_eq!(calendar.faults.corruption_detected, heap_rep.faults.corruption_detected);
-    assert_eq!(calendar.faults.checksum_bytes, heap_rep.faults.checksum_bytes);
-    assert_eq!(calendar.faults.aborts, heap_rep.faults.aborts);
+    assert_eq!(calendar, heap_rep, "whole report must match on the heap");
 
-    let mut coarse = base.clone();
-    coarse.block_records = 0;
+    let coarse = base.with_block_records(0);
     let (coarse_rep, coarse_states) = run_chaos(coarse, Pagerank::new(4), &g);
     assert_eq!(
         calendar_states, coarse_states,

@@ -64,8 +64,8 @@ fn unknown_option_is_rejected(flags: &[&str], option: &str) {
 }
 
 /// `chaos-cli run` with `flags` must end in one `error:` line containing
-/// `names` and exit 1 — not a panic (101) and not a run with a wrapped or
-/// silently ignored value.
+/// `names` and exit 1, having printed nothing — not a panic (101) and not
+/// a run with a wrapped, defaulted or silently ignored value.
 fn run_fails_cleanly(flags: &[&str], names: &str) {
     let run = Command::new(env!("CARGO_BIN_EXE_chaos-cli"))
         .args(["run", "--algo", "PR", "--scale", "8"])
@@ -81,6 +81,7 @@ fn run_fails_cleanly(flags: &[&str], names: &str) {
         .collect();
     assert_eq!(errors.len(), 1, "{flags:?}: {stderr}");
     assert!(errors[0].contains(names), "{flags:?}: {stderr}");
+    assert!(run.stdout.is_empty(), "{flags:?} ran the cell");
 }
 
 #[test]
@@ -111,9 +112,27 @@ fn memory_budget_beyond_u64_is_an_error() {
     run_fails_cleanly(&["--mem-kb", "18014398509481985"], "--mem-kb");
 }
 
+/// A value option at the end of the line has no value; the parent read it
+/// as absent and ran with the default.
+#[test]
+fn value_option_without_its_value_is_an_error() {
+    run_fails_cleanly(&["--machines"], "--machines");
+    run_fails_cleanly(&["--seed"], "--seed");
+    run_fails_cleanly(&["--seed", "--hdd"], "--seed");
+}
+
+#[test]
+fn stray_positional_is_an_error() {
+    run_fails_cleanly(&["extra"], "\"extra\"");
+}
+
 #[test]
 fn unknown_options_are_errors_not_ignored() {
     unknown_option_is_rejected(&["--backend", "par"], "--backend");
     unknown_option_is_rejected(&["--batching", "off"], "--batching");
     unknown_option_is_rejected(&["--no-such-flag"], "--no-such-flag");
+    unknown_option_is_rejected(&["--queue", "heap"], "--queue");
+    unknown_option_is_rejected(&["--cluster-bins", "1"], "--cluster-bins");
+    unknown_option_is_rejected(&["--bins", "1"], "--bins");
+    unknown_option_is_rejected(&["--block-records", "0"], "--block-records");
 }

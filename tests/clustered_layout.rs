@@ -27,7 +27,7 @@
 mod common;
 
 use chaos::prelude::*;
-use common::{test_config, undirected_graph, weighted_graph};
+use common::{directed_graph, test_config, undirected_graph, weighted_graph};
 use proptest::prelude::*;
 
 /// Pins all three properties for one (config, program, graph) cell.
@@ -70,9 +70,7 @@ where
     // 3. Block-granularity invariance: sub-chunk serving (and the
     //    compaction suppression it implies on partial serves) must not
     //    change what is computed.
-    let mut nob = cfg.clone();
-    nob.block_records = 0;
-    let (rep_nob, states_nob) = run_chaos(nob, program.clone(), g);
+    let (rep_nob, states_nob) = run_chaos(cfg.clone().with_block_records(0), program.clone(), g);
     assert_eq!(states_clu, states_nob, "final states: blocks on vs off");
     assert_eq!(
         rep_clu.iteration_aggs, rep_nob.iteration_aggs,
@@ -122,6 +120,26 @@ proptest! {
             _ => assert_layout_equivalent(cfg, BeliefPropagation::new(seed, 3), &g_dir),
         }
     }
+}
+
+/// Every Table 1 program once, at the default layout (16 bins, 512-record
+/// blocks): the property test above draws only some of them per run.
+#[test]
+fn every_program_is_layout_invariant() {
+    let d = directed_graph(7);
+    let u = undirected_graph(7);
+    let w = weighted_graph(300, 450, 7);
+    let cfg = || test_config(3);
+    assert_layout_equivalent(cfg(), Pagerank::new(3), &d);
+    assert_layout_equivalent(cfg(), Spmv::new(2), &d);
+    assert_layout_equivalent(cfg(), Scc::new(), &d);
+    assert_layout_equivalent(cfg(), BeliefPropagation::new(3, 3), &d);
+    assert_layout_equivalent(cfg(), Conductance::new(9), &d);
+    assert_layout_equivalent(cfg(), Wcc::new(), &u);
+    assert_layout_equivalent(cfg(), Bfs::new(0), &u);
+    assert_layout_equivalent(cfg(), Mis::new(5), &u);
+    assert_layout_equivalent(cfg(), Sssp::new(0), &w);
+    assert_layout_equivalent(cfg(), Mcst::new(), &w);
 }
 
 #[test]
@@ -233,10 +251,10 @@ fn mid_wavefront_skips_appear_only_with_activity() {
 
 #[test]
 fn block_records_cross_states_digest_invariant() {
-    // The bench-smoke cross in test form: `--block-records {0, 512}` over
-    // selective/reference must agree on the states digest (FNV-1a over
-    // the storage encodings, as `figures` prints it), with the block runs
-    // actually skipping intra-chunk on the frontier program.
+    // `block_records` in {0, 512, 64} over selective/reference must agree
+    // on the states digest (FNV-1a over the storage encodings, as
+    // `figures` prints it), with the block runs actually skipping
+    // intra-chunk on the frontier program.
     fn digest<S: chaos::gas::Record>(states: &[S]) -> u64 {
         let mut buf = Vec::new();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -252,7 +270,7 @@ fn block_records_cross_states_digest_invariant() {
     let g = chaos::graph::builder::path(600).to_undirected();
     let mut digests = Vec::new();
     let mut skipped_intra = Vec::new();
-    // 0 = blocks off, 512 = the bench-smoke granularity (coarser than
+    // 0 = blocks off, 512 = the default granularity (coarser than
     // this cell's ~500-record chunks, so it degenerates to single-block
     // chunks — the degenerate case must also hold), 64 = blocks that
     // genuinely split these chunks.

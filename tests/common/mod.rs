@@ -35,3 +35,16 @@ pub fn undirected_graph(scale: u32) -> InputGraph {
 pub fn weighted_graph(n: u64, extra: u64, seed: u64) -> InputGraph {
     chaos::graph::builder::connected_weighted(n, extra, seed)
 }
+
+/// `run_chaos` on the binary-heap event queue, the calendar queue's
+/// whole-run reference (`Cluster::set_queue_kind`).
+pub fn run_on_heap<P: GasProgram>(
+    cfg: ChaosConfig,
+    program: P,
+    g: &InputGraph,
+) -> (RunReport, Vec<P::VertexState>) {
+    let mut cluster = Cluster::new(cfg, program, g).expect("valid configuration");
+    cluster.set_queue_kind(QueueKind::Heap);
+    let report = cluster.run();
+    (report, cluster.final_states())
+}

@@ -7,12 +7,11 @@ mod common;
 
 use chaos::prelude::*;
 use chaos::storage::ScratchDir;
-use common::{directed_graph, test_config, undirected_graph, weighted_graph};
+use common::{directed_graph, run_on_heap, test_config, undirected_graph, weighted_graph};
 
-/// Runs `(cfg, program, graph)` on the calendar queue and on the
-/// binary-heap reference and asserts the final states and the whole
-/// report match. Returns the calendar (default) report for further
-/// assertions.
+/// Runs `(cfg, program, graph)` on the calendar queue (the default) and on
+/// the binary-heap reference and asserts the final states and the whole
+/// report match. Returns the calendar report for further assertions.
 fn assert_queue_invariant<P: GasProgram>(
     cfg: ChaosConfig,
     program: P,
@@ -21,9 +20,8 @@ fn assert_queue_invariant<P: GasProgram>(
 where
     P::VertexState: std::fmt::Debug + PartialEq,
 {
-    let reference = cfg.clone().with_queue(QueueKind::Heap);
-    let (rep_ref, states_ref) = run_chaos(reference, program.clone(), g);
-    let (rep, states) = run_chaos(cfg.with_queue(QueueKind::Calendar), program, g);
+    let (rep_ref, states_ref) = run_on_heap(cfg.clone(), program.clone(), g);
+    let (rep, states) = run_chaos(cfg, program, g);
     assert_eq!(states_ref, states, "final states must match");
     assert_eq!(rep_ref, rep, "whole report must match");
     rep
