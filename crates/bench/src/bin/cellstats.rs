@@ -134,19 +134,19 @@ fn run() -> Result<(), String> {
         fa.checksum_bytes,
     );
     println!("states digest: {digest:016x}");
-    let streamed_plus_skipped = rep.records_streamed + rep.records_skipped();
-    let skipped_empty = rep.records_skipped() - rep.records_skipped_mid();
+    let sel = rep.selectivity_total();
+    let streamed_plus_skipped = rep.records_streamed + sel.records_skipped;
     println!(
         "selectivity: {} chunks ({} records, {:.1}% of edge+update traffic) skipped \
          [{} records on empty frontiers, {} mid-wavefront]; \
          {} compactions dropped {} edges",
-        rep.chunks_skipped(),
-        rep.records_skipped(),
-        100.0 * rep.records_skipped() as f64 / streamed_plus_skipped.max(1) as f64,
-        skipped_empty,
-        rep.records_skipped_mid(),
-        rep.compactions(),
-        rep.edges_tombstoned(),
+        sel.chunks_skipped,
+        sel.records_skipped,
+        100.0 * sel.records_skipped as f64 / streamed_plus_skipped.max(1) as f64,
+        sel.records_skipped - sel.records_skipped_mid,
+        sel.records_skipped_mid,
+        sel.compactions,
+        sel.edges_tombstoned,
     );
     // Sub-chunk selectivity: blocks the block indexes proved inactive
     // inside chunks that were otherwise served (zero under dense
@@ -154,8 +154,7 @@ fn run() -> Result<(), String> {
     println!(
         "block selectivity: {} blocks skipped inside served chunks \
          ({} records never read or streamed)",
-        rep.blocks_skipped(),
-        rep.records_skipped_intra(),
+        sel.blocks_skipped, sel.records_skipped_intra,
     );
     // The layout's direct observable: how narrow the stored chunk windows
     // are relative to their partition's span.

@@ -48,12 +48,13 @@ pub fn run(h: &Harness) {
     // Host-throughput numerator for scripts/bench_smoke.sh: simulated
     // quantities, so the lines are identical across the
     // selective/reference streaming modes.
+    let sel = h.selectivity_total();
     println!("records streamed: {}", h.records_streamed());
-    println!("records skipped: {}", h.records_skipped());
-    println!("records skipped mid-wavefront: {}", h.records_skipped_mid());
+    println!("records skipped: {}", sel.records_skipped);
+    println!("records skipped mid-wavefront: {}", sel.records_skipped_mid);
     // Sub-chunk selectivity from the block indexes.
-    println!("blocks skipped: {}", h.blocks_skipped());
-    println!("records skipped intra-chunk: {}", h.records_skipped_intra());
+    println!("blocks skipped: {}", sel.blocks_skipped);
+    println!("records skipped intra-chunk: {}", sel.records_skipped_intra);
     // Layout-invariant fingerprint of every cell's final vertex states
     // (tests/clustered_layout.rs pins the invariance per program).
     println!("states digest: {:016x}", h.states_digest());

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, ChaosConfig, FaultAccount, RunReport, Streaming};
+use chaos_core::{run_chaos, ChaosConfig, FaultAccount, IterSelectivity, RunReport, Streaming};
 use chaos_graph::{InputGraph, RmatConfig, WebGraphConfig};
 
 /// Experiment sizing.
@@ -81,15 +81,11 @@ pub struct Harness {
     dataset: RefCell<Option<Rc<InputGraph>>>,
     dataset_shaped: RefCell<HashMap<(bool, bool), Rc<InputGraph>>>,
     start: Instant,
-    records: Cell<u64>,
-    skipped: Cell<u64>,
-    skipped_mid: Cell<u64>,
-    blocks_skipped: Cell<u64>,
-    skipped_intra: Cell<u64>,
+    /// Order-sensitive mix of every run's final-state digest (the one
+    /// total the reports do not carry).
     digest: Cell<u64>,
-    faults: RefCell<FaultAccount>,
-    /// Every run's report in drive order, labeled `algo/m<machines>`, for
-    /// the `--metrics-json` dump.
+    /// Every run's report in drive order, labeled `algo/m<machines>`: the
+    /// `--metrics-json` dump and every total below are read from here.
     reports: RefCell<Vec<(String, RunReport)>>,
 }
 
@@ -136,13 +132,7 @@ impl Harness {
             dataset: RefCell::new(None),
             dataset_shaped: RefCell::new(HashMap::new()),
             start: Instant::now(),
-            records: Cell::new(0),
-            skipped: Cell::new(0),
-            skipped_mid: Cell::new(0),
-            blocks_skipped: Cell::new(0),
-            skipped_intra: Cell::new(0),
             digest: Cell::new(0xcbf2_9ce4_8422_2325),
-            faults: RefCell::new(FaultAccount::default()),
             reports: RefCell::new(Vec::new()),
         }
     }
@@ -157,35 +147,19 @@ impl Harness {
     /// is a simulated quantity, so printing it keeps figure output
     /// byte-comparable.
     pub fn records_streamed(&self) -> u64 {
-        self.records.get()
+        self.reports.borrow().iter().map(|(_, rep)| rep.records_streamed).sum()
     }
 
-    /// Edge records selective streaming consumed without reading, summed
-    /// over every run so far (also a simulated, mode-invariant quantity:
-    /// the reference mode makes identical skip decisions).
-    pub fn records_skipped(&self) -> u64 {
-        self.skipped.get()
-    }
-
-    /// The mid-wavefront share of [`Harness::records_skipped`]: records
-    /// skipped while the partition's frontier was non-empty — the
-    /// clustered layout's direct contribution.
-    pub fn records_skipped_mid(&self) -> u64 {
-        self.skipped_mid.get()
-    }
-
-    /// Blocks skipped *inside* served chunks by their block indexes,
-    /// summed over every run so far — the sub-chunk selectivity the
-    /// key-sorted interiors buy (simulated, mode-invariant; zero under
-    /// dense activity).
-    pub fn blocks_skipped(&self) -> u64 {
-        self.blocks_skipped.get()
-    }
-
-    /// Records in those skipped blocks: edges neither read nor streamed
-    /// even though their chunk was served.
-    pub fn records_skipped_intra(&self) -> u64 {
-        self.skipped_intra.get()
+    /// The selectivity account summed over every iteration of every run so
+    /// far: chunk, mid-wavefront and intra-chunk block skips (simulated,
+    /// mode-invariant quantities: the reference mode makes identical skip
+    /// decisions).
+    pub fn selectivity_total(&self) -> IterSelectivity {
+        let mut total = IterSelectivity::default();
+        for (_, rep) in self.reports.borrow().iter() {
+            total.absorb(&rep.selectivity_total());
+        }
+        total
     }
 
     /// Combined fingerprint of the final vertex states of every run so
@@ -195,11 +169,15 @@ impl Harness {
     }
 
     /// The summed fault account of every run so far: aborts, redone
-    /// iterations, device retries, faulted time and checkpoint cost — all
-    /// simulated quantities. Zero everywhere under empty fault plans with
-    /// checkpointing off.
+    /// iterations, device retries, faulted time, checkpoint cost and the
+    /// integrity counts — all simulated quantities. Zero everywhere under
+    /// empty fault plans with checkpointing off.
     pub fn fault_account(&self) -> FaultAccount {
-        self.faults.borrow().clone()
+        let mut total = FaultAccount::default();
+        for (_, rep) in self.reports.borrow().iter() {
+            total.absorb(&rep.faults);
+        }
+        total
     }
 
     /// RMAT graph at `scale`, shaped for the named algorithm (undirected
@@ -319,27 +297,6 @@ impl Harness {
             let (rep, states) = run_chaos(cfg, p, graph);
             (rep, digest_states(&states))
         });
-        self.records.set(self.records.get() + rep.records_streamed);
-        self.skipped.set(self.skipped.get() + rep.records_skipped());
-        self.skipped_mid
-            .set(self.skipped_mid.get() + rep.records_skipped_mid());
-        self.blocks_skipped
-            .set(self.blocks_skipped.get() + rep.blocks_skipped());
-        self.skipped_intra
-            .set(self.skipped_intra.get() + rep.records_skipped_intra());
-        {
-            let mut fa = self.faults.borrow_mut();
-            fa.aborts += rep.faults.aborts;
-            fa.iterations_redone += rep.faults.iterations_redone;
-            fa.device_retries += rep.faults.device_retries;
-            fa.faulted_time += rep.faults.faulted_time;
-            fa.checkpoint_bytes += rep.faults.checkpoint_bytes;
-            fa.checkpoint_time += rep.faults.checkpoint_time;
-            fa.corruption_detected += rep.faults.corruption_detected;
-            fa.corruption_repaired += rep.faults.corruption_repaired;
-            fa.frames_scrubbed += rep.faults.frames_scrubbed;
-            fa.checksum_bytes += rep.faults.checksum_bytes;
-        }
         // Order-sensitive mix of the per-run digests (runs are driven in a
         // fixed order per experiment).
         self.digest
@@ -385,6 +342,7 @@ pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
     for (i, (label, rep)) in reports.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"label\": \"{label}\",\n"));
+        let sel = rep.selectivity_total();
         for (k, v) in [
             ("runtime_ns", rep.runtime),
             ("preprocess_ns", rep.preprocess_time),
@@ -393,14 +351,14 @@ pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
             ("steals", rep.steals),
             ("events", rep.events),
             ("records_streamed", rep.records_streamed),
-            ("chunks_skipped", rep.chunks_skipped()),
-            ("records_skipped", rep.records_skipped()),
-            ("chunks_skipped_mid", rep.chunks_skipped_mid()),
-            ("records_skipped_mid", rep.records_skipped_mid()),
-            ("blocks_skipped", rep.blocks_skipped()),
-            ("records_skipped_intra", rep.records_skipped_intra()),
-            ("edges_tombstoned", rep.edges_tombstoned()),
-            ("compactions", rep.compactions()),
+            ("chunks_skipped", sel.chunks_skipped),
+            ("records_skipped", sel.records_skipped),
+            ("chunks_skipped_mid", sel.chunks_skipped_mid),
+            ("records_skipped_mid", sel.records_skipped_mid),
+            ("blocks_skipped", sel.blocks_skipped),
+            ("records_skipped_intra", sel.records_skipped_intra),
+            ("edges_tombstoned", sel.edges_tombstoned),
+            ("compactions", sel.compactions),
             ("cluster_bins", u64::from(rep.cluster_bins)),
             ("device_bytes", rep.total_device_bytes()),
             ("aborts", rep.faults.aborts),

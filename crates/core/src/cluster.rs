@@ -269,20 +269,16 @@ impl<P: GasProgram> Cluster<P> {
         for s in &self.storages {
             s.accumulate_window_stats(&mut window_widths);
         }
-        let faults = crate::metrics::FaultAccount {
+        let mut faults = crate::metrics::FaultAccount {
             aborts: self.coordinator.aborts,
             iterations_redone: self.coordinator.iterations_redone,
-            device_retries: self.storages.iter().map(|s| s.device_retries).sum(),
-            faulted_time: self.storages.iter().map(|s| s.faulted_time).sum::<Time>()
-                + self.fabric.stats().degraded_time,
-            checkpoint_bytes: self.storages.iter().map(|s| s.checkpoint_bytes).sum(),
-            checkpoint_time: self.storages.iter().map(|s| s.checkpoint_time).sum(),
-            corruption_detected: self.storages.iter().map(|s| s.corruption_detected).sum(),
-            corruption_repaired: self.storages.iter().map(|s| s.corruption_repaired).sum(),
-            frames_scrubbed: self.storages.iter().map(|s| s.frames_scrubbed).sum(),
-            checksum_bytes: self.storages.iter().map(|s| s.checksum_bytes).sum(),
+            faulted_time: self.fabric.stats().degraded_time,
             abort_log: self.coordinator.abort_log.clone(),
+            ..Default::default()
         };
+        for s in &self.storages {
+            faults.absorb(&s.account);
+        }
         RunReport {
             runtime: self.sched.now(),
             preprocess_time: self.coordinator.preprocess_end,
@@ -336,12 +332,6 @@ impl<P: GasProgram> Cluster<P> {
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         assert!(!self.started, "the event queue is chosen before the run");
         self.sched.set_queue_kind(kind);
-    }
-
-    /// Pending snapshots dropped by failed validation rounds, summed over
-    /// all storage engines.
-    pub fn snapshots_dropped(&self) -> u64 {
-        self.storages.iter().map(|s| s.snapshots_dropped).sum()
     }
 
     fn collect(

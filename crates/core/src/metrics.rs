@@ -244,8 +244,30 @@ pub struct FaultAccount {
     /// Checksum-frame bytes charged to devices on framed transfers — the
     /// direct integrity overhead of end-to-end checksumming.
     pub checksum_bytes: u64,
+    /// Pending checkpoint snapshots dropped by a failed validation round,
+    /// summed over storage engines (one per engine per refused round).
+    pub snapshots_dropped: u64,
     /// One entry per abort broadcast, in order.
     pub abort_log: Vec<AbortRecord>,
+}
+
+impl FaultAccount {
+    /// Accumulation (merging engines' or runs' accounts): counts and
+    /// times add, abort logs concatenate.
+    pub fn absorb(&mut self, o: &FaultAccount) {
+        self.aborts += o.aborts;
+        self.iterations_redone += o.iterations_redone;
+        self.device_retries += o.device_retries;
+        self.faulted_time += o.faulted_time;
+        self.checkpoint_bytes += o.checkpoint_bytes;
+        self.checkpoint_time += o.checkpoint_time;
+        self.corruption_detected += o.corruption_detected;
+        self.corruption_repaired += o.corruption_repaired;
+        self.frames_scrubbed += o.frames_scrubbed;
+        self.checksum_bytes += o.checksum_bytes;
+        self.snapshots_dropped += o.snapshots_dropped;
+        self.abort_log.extend_from_slice(&o.abort_log);
+    }
 }
 
 /// Everything measured over one run of the engine.
@@ -340,46 +362,28 @@ impl RunReport {
         self.runtime as f64 / 1e9
     }
 
+    /// The selectivity account summed over every iteration.
+    pub fn selectivity_total(&self) -> IterSelectivity {
+        let mut total = IterSelectivity::default();
+        for s in &self.selectivity {
+            total.absorb(s);
+        }
+        total
+    }
+
     /// Total edge records the activity filter consumed without reading.
     pub fn records_skipped(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.records_skipped).sum()
+        self.selectivity_total().records_skipped
     }
 
     /// Total edge chunks consumed without being read.
     pub fn chunks_skipped(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.chunks_skipped).sum()
-    }
-
-    /// Edge records skipped while the partition's frontier was non-empty
-    /// (mid-wavefront skips — the clustered layout's contribution).
-    pub fn records_skipped_mid(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.records_skipped_mid).sum()
-    }
-
-    /// Edge chunks skipped mid-wavefront.
-    pub fn chunks_skipped_mid(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.chunks_skipped_mid).sum()
-    }
-
-    /// Total blocks skipped inside served chunks (intra-chunk
-    /// selectivity from the block indexes).
-    pub fn blocks_skipped(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.blocks_skipped).sum()
+        self.selectivity_total().chunks_skipped
     }
 
     /// Total edge records skipped inside served chunks.
     pub fn records_skipped_intra(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.records_skipped_intra).sum()
-    }
-
-    /// Total edges dropped from storage by compaction.
-    pub fn edges_tombstoned(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.edges_tombstoned).sum()
-    }
-
-    /// Total chunk compactions performed.
-    pub fn compactions(&self) -> u64 {
-        self.selectivity.iter().map(|s| s.compactions).sum()
+        self.selectivity_total().records_skipped_intra
     }
 
     /// Mean Figure 17 breakdown across machines, normalized by `runtime`.
@@ -425,6 +429,30 @@ mod tests {
         s.edge_records_streamed = 30;
         s.records_skipped = 70;
         assert!((s.live_fraction() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fault_account_absorb_adds_counts_and_concatenates_logs() {
+        let rec = |gen| AbortRecord {
+            time: 7,
+            gen,
+            resume_iter: 1,
+            redo: true,
+        };
+        let mut a = FaultAccount {
+            aborts: 1,
+            abort_log: vec![rec(1)],
+            ..Default::default()
+        };
+        let b = FaultAccount {
+            aborts: 2,
+            snapshots_dropped: 3,
+            abort_log: vec![rec(2)],
+            ..Default::default()
+        };
+        a.absorb(&b);
+        assert_eq!((a.aborts, a.snapshots_dropped), (3, 3));
+        assert_eq!(a.abort_log, [rec(1), rec(2)]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use chaos_storage::{
 use chaos_storage::FileBacking;
 
 use crate::config::Streaming;
-use crate::metrics::WindowHistogram;
+use crate::metrics::{FaultAccount, WindowHistogram};
 use crate::msg::{DataKind, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
 
@@ -78,22 +78,38 @@ fn fill_open_chunk(
 /// queries) and of page-cache hits.
 const METADATA_NS: Time = 2_000;
 
-/// Device-fault retry policy: bounded exponential backoff starting at
-/// `RETRY_BASE`, doubling up to `RETRY_CAP`; after `RETRY_MAX_ATTEMPTS`
-/// consecutive failures the engine stops probing and waits out the fault
-/// window itself. Fully deterministic — no randomness — so retry latency
-/// is a pure function of the run's inputs.
-pub(crate) const RETRY_BASE: Time = 100 * MICROS;
-pub(crate) const RETRY_CAP: Time = 1_600 * MICROS;
-pub(crate) const RETRY_MAX_ATTEMPTS: u32 = 6;
+/// The fault layer's one retry rule, shared by device retries, framed
+/// re-reads and the torn-checkpoint probe: bounded exponential backoff
+/// starting at [`Backoff::BASE`], doubling up to [`Backoff::CAP`]; after
+/// [`Backoff::MAX_ATTEMPTS`] consecutive failures the caller stops probing
+/// and waits out the fault window itself. Fully deterministic — no
+/// randomness — so retry latency is a pure function of the run's inputs.
+#[derive(Default)]
+struct Backoff {
+    /// Probes that have failed so far.
+    failures: u32,
+}
+
+impl Backoff {
+    const BASE: Time = 100 * MICROS;
+    const CAP: Time = 1_600 * MICROS;
+    const MAX_ATTEMPTS: u32 = 6;
+
+    /// A probe failed: the delay before the next probe, or `None` once
+    /// `MAX_ATTEMPTS` probes have failed — stop probing.
+    fn failed(&mut self) -> Option<Time> {
+        self.failures += 1;
+        let doublings = self.failures - 1;
+        (self.failures < Self::MAX_ATTEMPTS).then(|| (Self::BASE << doublings).min(Self::CAP))
+    }
+}
 
 /// One device operation through the transient-fault retry discipline, as a
 /// free function so the boundary behavior is unit-testable in isolation: a
-/// [`chaos_storage::DeviceError`] is absorbed by retrying with bounded
-/// exponential backoff (`RETRY_BASE` doubling to `RETRY_CAP`); after
-/// `RETRY_MAX_ATTEMPTS` failures the caller stops probing and jumps to the
-/// fault window's reported close. Returns `(completion, retries, waited)`
-/// where `waited` is the simulated time lost before the successful dispatch.
+/// [`chaos_storage::DeviceError`] is absorbed by retrying on the
+/// [`Backoff`] ladder; once it gives up, the caller jumps to the fault
+/// window's reported close. Returns `(completion, retries, waited)` where
+/// `waited` is the simulated time lost before the successful dispatch.
 pub(crate) fn retry_device_io(
     device: &mut Device,
     now: Time,
@@ -101,9 +117,7 @@ pub(crate) fn retry_device_io(
     write: bool,
 ) -> (Time, u64, Time) {
     let mut at = now;
-    let mut backoff = RETRY_BASE;
-    let mut attempts = 0u32;
-    let mut retries = 0u64;
+    let mut backoff = Backoff::default();
     loop {
         let res = if write {
             device.try_write(at, bytes)
@@ -111,19 +125,10 @@ pub(crate) fn retry_device_io(
             device.try_read(at, bytes)
         };
         match res {
-            Ok(done) => return (done, retries, at - now),
-            Err(e) => {
-                retries += 1;
-                attempts += 1;
-                at = if attempts >= RETRY_MAX_ATTEMPTS {
-                    // Give up probing: the device told us when the
-                    // fault window closes; resume right there.
-                    at.max(e.until)
-                } else {
-                    at + backoff
-                };
-                backoff = (backoff * 2).min(RETRY_CAP);
-            }
+            Ok(done) => return (done, u64::from(backoff.failures), at - now),
+            // Out of probes: the device told us when the fault window
+            // closes; resume right there.
+            Err(e) => at = backoff.failed().map_or(at.max(e.until), |delay| at + delay),
         }
     }
 }
@@ -189,25 +194,10 @@ pub struct StorageEngine<P: GasProgram> {
     /// failed frame check and the coordinator drops the snapshot instead
     /// of promoting it.
     pub pending_torn: bool,
-    /// Fault account: transient device faults absorbed by retrying.
-    pub device_retries: u64,
-    /// Fault account: simulated time spent backing off on faulted devices.
-    pub faulted_time: Time,
-    /// Fault account: bytes written into checkpoint snapshots.
-    pub checkpoint_bytes: u64,
-    /// Fault account: device time charged to checkpoint snapshot writes.
-    pub checkpoint_time: Time,
-    /// Integrity account: framed reads whose checksum check failed.
-    pub corruption_detected: u64,
-    /// Integrity account: corruption episodes resolved (re-read clean,
-    /// extent rewritten, or checkpoint chain fallback completed).
-    pub corruption_repaired: u64,
-    /// Integrity account: frames walked by scrub passes.
-    pub frames_scrubbed: u64,
-    /// Integrity account: frame bytes charged to checksummed transfers.
-    pub checksum_bytes: u64,
-    /// Pending snapshots dropped by a failed validation round.
-    pub snapshots_dropped: u64,
+    /// This engine's share of the run's fault and integrity account; the
+    /// cluster report absorbs every engine's. The coordinator-side fields
+    /// (aborts, redone iterations, the abort log) stay zero here.
+    pub account: FaultAccount,
 }
 
 impl<P: GasProgram> StorageEngine<P> {
@@ -274,15 +264,7 @@ impl<P: GasProgram> StorageEngine<P> {
             torn_chunk: None,
             read_seq: 0,
             pending_torn: false,
-            device_retries: 0,
-            faulted_time: 0,
-            checkpoint_bytes: 0,
-            checkpoint_time: 0,
-            corruption_detected: 0,
-            corruption_repaired: 0,
-            frames_scrubbed: 0,
-            checksum_bytes: 0,
-            snapshots_dropped: 0,
+            account: FaultAccount::default(),
             params,
         }
     }
@@ -507,17 +489,16 @@ impl<P: GasProgram> StorageEngine<P> {
 
     /// Serves one device operation through the fault layer. A transient
     /// device fault ([`chaos_storage::DeviceError`]) is absorbed by
-    /// retrying with bounded exponential backoff; after
-    /// `RETRY_MAX_ATTEMPTS` failures the engine waits out the fault
-    /// window reported by the device. The backoff delay is charged as
-    /// storage latency (the request completes later), counted in
-    /// `device_retries` / `faulted_time`. With no fault window covering
-    /// `now` this is arithmetically identical to a plain
+    /// retrying on the [`Backoff`] ladder; once it gives up, the engine
+    /// waits out the fault window reported by the device. The backoff
+    /// delay is charged as storage latency (the request completes later),
+    /// counted in `device_retries` / `faulted_time`. With no fault window
+    /// covering `now` this is arithmetically identical to a plain
     /// `Device::read`/`Device::write`.
     fn device_io(&mut self, now: Time, bytes: u64, write: bool) -> Time {
         let (done, retries, waited) = retry_device_io(&mut self.device, now, bytes, write);
-        self.device_retries += retries;
-        self.faulted_time += waited;
+        self.account.device_retries += retries;
+        self.account.faulted_time += waited;
         done
     }
 
@@ -535,7 +516,7 @@ impl<P: GasProgram> StorageEngine<P> {
     /// [`FRAME_BYTES`]-wide checksum frame, charged to the device and to
     /// the `checksum_bytes` account so integrity overhead is measurable.
     fn framed_write(&mut self, now: Time, bytes: u64) -> Time {
-        self.checksum_bytes += FRAME_BYTES;
+        self.account.checksum_bytes += FRAME_BYTES;
         self.device_write(now, bytes + FRAME_BYTES)
     }
 
@@ -545,68 +526,65 @@ impl<P: GasProgram> StorageEngine<P> {
     /// frame check at the completion instant against the device's
     /// corruption oracle — a pure function of `(window salt, completion
     /// time, read sequence)`, so the same reads corrupt on every run.
-    /// On a mismatch the engine re-reads with the PR 8 bounded-backoff
-    /// discipline (transient corruption usually clears: the stored bytes
-    /// are fine, the wire flipped a bit); if every attempt inside the
-    /// window fails, it escalates per `repair`: wait the window out,
-    /// re-read clean, and — for vertex/checkpoint extents — rewrite the
-    /// extent from its verified committed copy.
+    /// On a mismatch the engine re-reads on the [`Backoff`] ladder
+    /// (transient corruption usually clears: the stored bytes are fine,
+    /// the wire flipped a bit); if every probe inside the window fails, it
+    /// escalates per `repair`: wait the window out, re-read clean, and —
+    /// for vertex/checkpoint extents — rewrite the extent from its
+    /// verified committed copy.
     fn framed_read_frames(&mut self, now: Time, bytes: u64, frames: u64, repair: Repair) -> Time {
-        self.checksum_bytes += frames * FRAME_BYTES;
         let total = bytes + frames * FRAME_BYTES;
         self.read_seq += 1;
         let key = mix2(self.read_seq, bytes);
         let mut start = now;
-        let mut backoff = RETRY_BASE;
-        let mut attempts = 0u32;
+        let mut backoff = Backoff::default();
         loop {
+            // Every read, first or re-read, moves the frame bytes.
+            self.account.checksum_bytes += frames * FRAME_BYTES;
             let done = self.device_io(start, total, false);
             let Some(window_end) = self.device.corrupt_read(done, key) else {
                 // A clean read after at least one failed frame check is a
                 // repaired episode (the backoff re-read did its job).
-                if attempts > 0 {
-                    self.corruption_repaired += 1;
+                if backoff.failures > 0 {
+                    self.account.corruption_repaired += 1;
                 }
                 return done;
             };
-            self.corruption_detected += 1;
-            attempts += 1;
-            if attempts >= RETRY_MAX_ATTEMPTS {
-                // Persistent inside this window: stop probing, resume at
-                // the window's close, and re-read clean.
-                let mut resume = done.max(window_end);
-                loop {
-                    self.faulted_time += resume - done;
-                    // The re-read moves the frame bytes again.
-                    self.checksum_bytes += frames * FRAME_BYTES;
-                    let fin = self.device_io(resume, total, false);
-                    match self.device.corrupt_read(fin, key) {
-                        Some(until) => {
-                            // Another window covers the re-read; hop again.
-                            self.corruption_detected += 1;
-                            resume = fin.max(until);
-                        }
-                        None => {
-                            self.corruption_repaired += 1;
-                            return match repair {
-                                Repair::Reread => fin,
-                                Repair::Rewrite => {
-                                    // Re-seal the extent from the verified
-                                    // copy: one read of the source plus one
-                                    // framed write of the extent.
-                                    let r = self.device_io(fin, total, false);
-                                    self.checksum_bytes += FRAME_BYTES;
-                                    self.device_io(r, total, true)
-                                }
-                            };
-                        }
+            self.account.corruption_detected += 1;
+            if let Some(delay) = backoff.failed() {
+                self.account.faulted_time += delay;
+                start = done + delay;
+                continue;
+            }
+            // Persistent inside this window: stop probing, resume at the
+            // window's close, and re-read clean.
+            let mut resume = done.max(window_end);
+            loop {
+                self.account.faulted_time += resume - done;
+                self.account.checksum_bytes += frames * FRAME_BYTES;
+                let fin = self.device_io(resume, total, false);
+                match self.device.corrupt_read(fin, key) {
+                    Some(until) => {
+                        // Another window covers the re-read; hop again.
+                        self.account.corruption_detected += 1;
+                        resume = fin.max(until);
+                    }
+                    None => {
+                        self.account.corruption_repaired += 1;
+                        return match repair {
+                            Repair::Reread => fin,
+                            Repair::Rewrite => {
+                                // Re-seal the extent from the verified
+                                // copy: one read of the source plus one
+                                // framed write of the extent.
+                                let r = self.device_io(fin, total, false);
+                                self.account.checksum_bytes += FRAME_BYTES;
+                                self.device_io(r, total, true)
+                            }
+                        };
                     }
                 }
             }
-            self.faulted_time += backoff;
-            self.checksum_bytes += frames * FRAME_BYTES;
-            start = done + backoff;
-            backoff = (backoff * 2).min(RETRY_CAP);
         }
     }
 
@@ -955,7 +933,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                             bytes += va.total_bytes();
                         }
                     }
-                    self.frames_scrubbed += frames;
+                    self.account.frames_scrubbed += frames;
                     let done = self.framed_read_frames(now, bytes, frames, Repair::Reread);
                     self.respond_at(ctx, done, usize::MAX, Msg::EpochResetAck, CONTROL_BYTES);
                 } else {
@@ -978,8 +956,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 // is still in the cache; the checkpoint copy costs one
                 // framed device write.
                 let done = self.framed_write(now, bytes);
-                self.checkpoint_bytes += bytes;
-                self.checkpoint_time += done - now;
+                self.account.checkpoint_bytes += bytes;
+                self.account.checkpoint_time += done - now;
                 self.respond_at(
                     ctx,
                     done,
@@ -1000,7 +978,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 // still cache-resident, so verification is a memory-path
                 // pass (a torn write is visible there too: the frame simply
                 // does not match the payload).
-                self.checksum_bytes += frames * FRAME_BYTES;
+                self.account.checksum_bytes += frames * FRAME_BYTES;
                 let done = self.device.cache_read(now, frames * FRAME_BYTES) + METADATA_NS;
                 let ok = !self.pending_torn;
                 self.respond_at(
@@ -1023,7 +1001,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     // committed chain is untouched and the next checkpoint
                     // round starts from scratch.
                     self.pending_torn = false;
-                    self.snapshots_dropped += 1;
+                    self.account.snapshots_dropped += 1;
                     for part in 0..self.ckpt_pending.len() {
                         self.ckpt_pending[part] = VertexArray::new(self.params.vstate_bytes);
                     }
@@ -1059,7 +1037,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         );
                     }
                     if self.torn_chunk.take().is_some() {
-                        self.corruption_repaired += 1;
+                        self.account.corruption_repaired += 1;
                     }
                 } else if commit {
                     // The crash hit after every machine finished its copy
@@ -1093,21 +1071,20 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         // backoff per attempt — and then the engine
                         // escalates instead of restoring from damaged data.
                         self.torn_chunk = Some((part, no));
-                        self.checksum_bytes += FRAME_BYTES;
+                        self.account.checksum_bytes += FRAME_BYTES;
                         let bytes =
                             self.ckpt_committed[part].chunk_bytes(no) + FRAME_BYTES;
                         let mut start = now;
-                        let mut backoff = RETRY_BASE;
-                        let mut done = now;
-                        for attempt in 1..=RETRY_MAX_ATTEMPTS {
-                            done = self.device_read(start, bytes);
-                            self.corruption_detected += 1;
-                            if attempt < RETRY_MAX_ATTEMPTS {
-                                self.faulted_time += backoff;
-                                start = done + backoff;
-                                backoff = (backoff * 2).min(RETRY_CAP);
-                            }
-                        }
+                        let mut backoff = Backoff::default();
+                        let done = loop {
+                            let done = self.device_read(start, bytes);
+                            self.account.corruption_detected += 1;
+                            let Some(delay) = backoff.failed() else {
+                                break done;
+                            };
+                            self.account.faulted_time += delay;
+                            start = done + delay;
+                        };
                         ctx.at(
                             done,
                             Addr::Storage(me),
@@ -1137,7 +1114,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 // copies — through the fault layer, so a device fault
                 // during recovery only delays the AbortAck.
                 self.framed_read_frames(now, restored_bytes, restored_frames, Repair::Reread);
-                self.checksum_bytes += restored_frames * FRAME_BYTES;
+                self.account.checksum_bytes += restored_frames * FRAME_BYTES;
                 let done =
                     self.device_write(now, restored_bytes + restored_frames * FRAME_BYTES);
                 ctx.at(
@@ -1193,6 +1170,16 @@ mod tests {
     fn chunk_set_failures_name_structure_partition_and_error() {
         let bad = std::io::Error::new(std::io::ErrorKind::InvalidData, "checksum mismatch");
         chunk_io::<()>(Err(bad), "updates", 3);
+    }
+
+    /// The one ladder: 100, 200, 400, 800 and 1600 µs before the second
+    /// to sixth probes, then stop — and stay stopped.
+    #[test]
+    fn backoff_doubles_to_the_cap_then_gives_up() {
+        let mut b = Backoff::default();
+        let delays: Vec<Time> = std::iter::from_fn(|| b.failed()).collect();
+        assert_eq!(delays, [100, 200, 400, 800, 1600].map(|us| us * MICROS));
+        assert_eq!(b.failed(), None);
     }
 
     /// From `now = 0` the probe times are 0, 100 µs, 300 µs, 700 µs,

@@ -1251,6 +1251,41 @@ mod tests {
         assert_eq!(r.skipped_payloads[1].as_slice(), c1.as_slice());
     }
 
+    /// What the stride bitmap skips that the block index would not: a
+    /// block window straddling an active key in an unoccupied stride. The
+    /// sealed chunk is skipped whole although `active_runs` names a
+    /// block; with window-only chunk semantics the same chunk is served
+    /// partially — records read and streamed for nothing.
+    #[test]
+    fn stride_bitmap_skips_a_block_indexed_chunk_the_blocks_would_serve() {
+        use chaos_gas::ActiveSet;
+        // Window [0, 639] in 10-key strides; only strides 0 and 63 are
+        // occupied, and block 1's window (4, 635) spans the gap.
+        let keys: Vec<u64> = vec![0, 1, 2, 3, 4, 5, 6, 635, 636, 637, 638, 639];
+        let sealed = seal_chunk(&keys, |&k| k, 4, &mut SealScratch::default());
+        let blocks = sealed.blocks.expect("three blocks");
+        assert_eq!(blocks.window(1), (4, 635));
+        let active = ActiveSet::from_fn(0, 640, |off| off == 300);
+        assert_eq!(blocks.active_runs(&active), vec![(1, 2)]);
+
+        let serve = |index: ChunkIndex| {
+            let mut cs = ChunkSet::<u64>::in_memory(8);
+            cs.append_with_blocks(Arc::new(keys.clone()), Some(index), Some(blocks.clone()))
+                .unwrap();
+            cs.serve_next_selective(Some(&active), false).unwrap()
+        };
+        let strided = serve(sealed.index);
+        assert!(strided.served.is_none(), "the strides prove the chunk dead");
+        assert_eq!((strided.skipped_chunks, strided.skipped_records), (1, 12));
+        assert_eq!(strided.skipped_blocks, 0);
+
+        let window_only = serve(ChunkIndex::span(0, 639));
+        let served = window_only.served.expect("the block index serves block 1");
+        assert!(served.partial);
+        assert_eq!(served.data.as_slice(), &[4, 5, 6, 635]);
+        assert_eq!(window_only.skipped_chunks, 0);
+    }
+
     #[test]
     fn block_index_windows_and_ranges() {
         // 10 sorted keys, 3 per block -> 4 blocks, last short.

@@ -2,8 +2,8 @@
 # Bench smoke: run the Figure 7 harness in the default selective mode and
 # in the dense-streaming reference mode, and require byte-identical stdout.
 # Wall-clock timings plus the hot-path metrics (record throughput, chunk-
-# and block-level skip counts) land in the output file (default
-# target/bench_smoke.json). The timings are a record, not a gate — one
+# and block-level skip counts, read from the runs' --metrics-json dumps)
+# land in the output file (default target/bench_smoke.json). The timings are a record, not a gate — one
 # `date` delta cannot tell a regression from host drift; host-time claims
 # are measured with chaos-perf (chaos-perf/README.md). Layout invariance
 # (unclustered, chunk-granularity serves) and the binary-heap event queue
@@ -33,12 +33,21 @@ cargo build --release -p chaos-bench --bin figures --bin cellstats
 
 BIN=./target/release/figures
 SEQ_OUT=$(mktemp)
+SEQ_JSON=$(mktemp)
 REF_OUT=$(mktemp)
 CKPT_OUT=$(mktemp)
 CELL_CLEAN=$(mktemp)
 CELL_DIRTY=$(mktemp)
+DIRTY_JSON=$(mktemp)
 ERR_LOG=$(mktemp)
-trap 'rm -f "$SEQ_OUT" "$REF_OUT" "$CKPT_OUT" "$CELL_CLEAN" "$CELL_DIRTY" "$ERR_LOG"' EXIT
+trap 'rm -f "$SEQ_OUT" "$SEQ_JSON" "$REF_OUT" "$CKPT_OUT" "$CELL_CLEAN" "$CELL_DIRTY" \
+    "$DIRTY_JSON" "$ERR_LOG"' EXIT
+
+# One --metrics-json counter summed over every run of a dump.
+metric() {
+    python3 -c 'import json, sys
+print(sum(run[sys.argv[2]] for run in json.load(open(sys.argv[1]))["runs"]))' "$1" "$2"
+}
 
 # Keep stderr (panics, asserts) out of the compared output but dump it on
 # failure so CI logs show *why* a run died, not just that it did.
@@ -53,7 +62,7 @@ run_mode() {
 }
 
 t0=$(date +%s.%N)
-run_mode "$SEQ_OUT" "$ERR_LOG"
+run_mode "$SEQ_OUT" "$ERR_LOG" --metrics-json "$SEQ_JSON"
 t1=$(date +%s.%N)
 run_mode "$REF_OUT" "$ERR_LOG" --streaming reference
 t2=$(date +%s.%N)
@@ -82,7 +91,8 @@ CELL=./target/release/cellstats
 FAULT_SEED="${BENCH_FAULT_SEED:-2}"
 "$CELL" PR 4 12 >"$CELL_CLEAN" 2>"$ERR_LOG" \
     || { echo "FAIL: fault-free cellstats run died" >&2; cat "$ERR_LOG" >&2; exit 1; }
-"$CELL" PR 4 12 --scrub --fault-seed "$FAULT_SEED" >"$CELL_DIRTY" 2>"$ERR_LOG" \
+"$CELL" PR 4 12 --scrub --fault-seed "$FAULT_SEED" --metrics-json "$DIRTY_JSON" \
+    >"$CELL_DIRTY" 2>"$ERR_LOG" \
     || { echo "FAIL: corruption-seeded cellstats run died" >&2; cat "$ERR_LOG" >&2; exit 1; }
 t4=$(date +%s.%N)
 CLEAN_DIGEST=$(grep '^states digest:' "$CELL_CLEAN" || true)
@@ -94,15 +104,12 @@ if [ -z "$CLEAN_DIGEST" ] || [ "$CLEAN_DIGEST" != "$DIRTY_DIGEST" ]; then
     exit 1
 fi
 echo "OK: corruption-seeded results are byte-identical to fault-free (seed $FAULT_SEED)"
-INTEGRITY=$(sed -n 's/^integrity: //p' "$CELL_DIRTY" | tail -1)
-CORR_DETECTED=$(sed -n 's/^integrity: \([0-9]*\) corruptions detected.*/\1/p' "$CELL_DIRTY")
-CORR_DETECTED=${CORR_DETECTED:-0}
-CORR_REPAIRED=$(sed -n 's/.* detected, \([0-9]*\) repaired.*/\1/p' "$CELL_DIRTY")
-CORR_REPAIRED=${CORR_REPAIRED:-0}
-FRAMES_SCRUBBED=$(sed -n 's/.* repaired, \([0-9]*\) frames scrubbed.*/\1/p' "$CELL_DIRTY")
-FRAMES_SCRUBBED=${FRAMES_SCRUBBED:-0}
-CHECKSUM_BYTES=$(sed -n 's/.* scrubbed, \([0-9]*\) checksum bytes.*/\1/p' "$CELL_DIRTY")
-CHECKSUM_BYTES=${CHECKSUM_BYTES:-0}
+CORR_DETECTED=$(metric "$DIRTY_JSON" corruption_detected)
+CORR_REPAIRED=$(metric "$DIRTY_JSON" corruption_repaired)
+FRAMES_SCRUBBED=$(metric "$DIRTY_JSON" frames_scrubbed)
+CHECKSUM_BYTES=$(metric "$DIRTY_JSON" checksum_bytes)
+INTEGRITY="$CORR_DETECTED corruptions detected, $CORR_REPAIRED repaired, \
+$FRAMES_SCRUBBED frames scrubbed, $CHECKSUM_BYTES checksum bytes"
 if [ "$CORR_DETECTED" -lt 1 ] || [ "$CORR_REPAIRED" -lt 1 ]; then
     echo "FAIL: seed $FAULT_SEED never exercised the detect-repair ladder ($INTEGRITY)" >&2
     exit 1
@@ -127,19 +134,14 @@ REF_S=$(python3 -c "print(f'{$t2 - $t1:.2f}')")
 CKPT_S=$(python3 -c "print(f'{$t3 - $t2:.2f}')")
 INTEGRITY_S=$(python3 -c "print(f'{$t4 - $t3:.2f}')")
 NCPU=$(nproc 2>/dev/null || echo 0)
-# The fig7 harness prints the records-streamed/skipped totals (simulated,
-# mode-invariant quantities); throughput = records per wall-second of
-# the default run.
-RECORDS=$(sed -n 's/^records streamed: \([0-9]*\)$/\1/p' "$SEQ_OUT" | tail -1)
-RECORDS=${RECORDS:-0}
-SKIPPED=$(sed -n 's/^records skipped: \([0-9]*\)$/\1/p' "$SEQ_OUT" | tail -1)
-SKIPPED=${SKIPPED:-0}
-SKIPPED_MID=$(sed -n 's/^records skipped mid-wavefront: \([0-9]*\)$/\1/p' "$SEQ_OUT" | tail -1)
-SKIPPED_MID=${SKIPPED_MID:-0}
-BLOCKS_SKIPPED=$(sed -n 's/^blocks skipped: \([0-9]*\)$/\1/p' "$SEQ_OUT" | tail -1)
-BLOCKS_SKIPPED=${BLOCKS_SKIPPED:-0}
-SKIPPED_INTRA=$(sed -n 's/^records skipped intra-chunk: \([0-9]*\)$/\1/p' "$SEQ_OUT" | tail -1)
-SKIPPED_INTRA=${SKIPPED_INTRA:-0}
+# Records streamed/skipped summed over the default run's metrics dump
+# (simulated, mode-invariant quantities); throughput = records per
+# wall-second of that run.
+RECORDS=$(metric "$SEQ_JSON" records_streamed)
+SKIPPED=$(metric "$SEQ_JSON" records_skipped)
+SKIPPED_MID=$(metric "$SEQ_JSON" records_skipped_mid)
+BLOCKS_SKIPPED=$(metric "$SEQ_JSON" blocks_skipped)
+SKIPPED_INTRA=$(metric "$SEQ_JSON" records_skipped_intra)
 THROUGHPUT=$(python3 -c "print(f'{$RECORDS / ($t1 - $t0):.0f}')")
 cat >"$OUT_JSON" <<EOF
 {

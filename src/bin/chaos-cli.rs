@@ -206,15 +206,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     println!("aggregate bandwidth {:>10.1} MB/s", report.aggregate_bandwidth() / 1e6);
     println!("network traffic     {:>10.1} MB", report.fabric.remote_bytes as f64 / 1e6);
     println!("device utilization  {:>10.1} %", 100.0 * report.mean_device_utilization());
-    if report.chunks_skipped() > 0 || report.compactions() > 0 {
+    let sel = report.selectivity_total();
+    if sel.chunks_skipped > 0 || sel.compactions > 0 {
         println!(
             "selective streaming {:>10} chunks skipped ({} records; {} mid-wavefront); \
              {} compactions dropped {} edges",
-            report.chunks_skipped(),
-            report.records_skipped(),
-            report.records_skipped_mid(),
-            report.compactions(),
-            report.edges_tombstoned(),
+            sel.chunks_skipped,
+            sel.records_skipped,
+            sel.records_skipped_mid,
+            sel.compactions,
+            sel.edges_tombstoned,
         );
     }
     let fa = &report.faults;

@@ -30,7 +30,7 @@ where
         "virtual time must not depend on the backend"
     );
     assert_eq!(mem_rep.events, file_rep.events);
-    assert_eq!(mem_rep.blocks_skipped(), file_rep.blocks_skipped());
+    assert_eq!(mem_rep.selectivity_total(), file_rep.selectivity_total());
     file_rep
 }
 
@@ -46,7 +46,7 @@ fn file_backend_matches_memory_backend_exactly() {
         cfg.block_records = block_records;
         let rep = assert_file_backend_matches_memory(cfg, Bfs::new(0), &g);
         assert_eq!(
-            rep.blocks_skipped() > 0,
+            rep.selectivity_total().blocks_skipped > 0,
             block_records > 0,
             "ranged reads ran"
         );

@@ -149,5 +149,5 @@ fn seeded_schedules_survive_queue_and_block_index_axes() {
     );
     assert_eq!(calendar.faults.aborts, coarse_rep.faults.aborts);
     assert!(coarse_rep.faults.corruption_detected >= 1);
-    assert_eq!(coarse_rep.blocks_skipped(), 0, "no block indexes to skip with");
+    assert_eq!(coarse_rep.selectivity_total().blocks_skipped, 0, "no block indexes to skip with");
 }

@@ -78,7 +78,7 @@ where
     );
     assert_eq!(rep_clu.iterations, rep_nob.iterations);
     assert_eq!(
-        rep_nob.blocks_skipped(),
+        rep_nob.selectivity_total().blocks_skipped,
         0,
         "chunk-granularity serves must not report block skips"
     );
@@ -173,8 +173,8 @@ fn compaction_is_layout_invariant_and_reports_tombstones() {
     let cfg = test_config(2);
     assert_layout_equivalent(cfg.clone(), Mis::new(3), &g);
     let (rep, _) = run_chaos(cfg, Mis::new(3), &g);
-    assert!(rep.compactions() > 0, "MIS must still compact under clustering");
-    assert!(rep.edges_tombstoned() > 0);
+    assert!(rep.selectivity_total().compactions > 0, "MIS must still compact under clustering");
+    assert!(rep.selectivity_total().edges_tombstoned > 0);
 }
 
 #[test]
@@ -238,10 +238,10 @@ fn mid_wavefront_skips_appear_only_with_activity() {
     cfg.cluster_bins = 16;
     let (rep, _) = run_chaos(cfg, Bfs::new(0), &g);
     assert!(
-        rep.records_skipped_mid() > 0,
+        rep.selectivity_total().records_skipped_mid > 0,
         "narrow windows must skip mid-wavefront on a sparse frontier"
     );
-    assert!(rep.records_skipped() >= rep.records_skipped_mid());
+    assert!(rep.records_skipped() >= rep.selectivity_total().records_skipped_mid);
     // The mid share is per-iteration consistent.
     for s in &rep.selectivity {
         assert!(s.records_skipped_mid <= s.records_skipped);
@@ -312,7 +312,7 @@ fn block_serves_split_chunks_mid_wavefront() {
     cfg.chunk_bytes = 4 * 1024;
     cfg.block_records = 32;
     let (rep, _) = run_chaos(cfg, Bfs::new(0), &g);
-    assert!(rep.blocks_skipped() > 0, "block serves must split chunks");
+    assert!(rep.selectivity_total().blocks_skipped > 0, "block serves must split chunks");
     assert!(rep.records_skipped_intra() > 0);
     for s in &rep.selectivity {
         assert!(s.blocks_skipped_mid <= s.blocks_skipped);

@@ -141,7 +141,7 @@ fn failed_validation_drops_the_pending_snapshot_cluster_wide() {
     cluster.inject_pending_tear(0);
     let rep = cluster.run();
     assert_eq!(
-        cluster.snapshots_dropped() as usize,
+        rep.faults.snapshots_dropped as usize,
         machines,
         "one machine's tear drops the round on every machine"
     );

@@ -164,20 +164,20 @@ fn shrinking_compaction_reports_tombstones() {
     let mut cfg = test_config(2);
     cfg.block_records = 0;
     let (rep, _) = run_chaos(cfg, Mis::new(3), &g);
-    assert!(rep.compactions() > 0, "MIS must compact decided regions");
+    assert!(rep.selectivity_total().compactions > 0, "MIS must compact decided regions");
     assert!(
-        rep.edges_tombstoned() > g.num_edges() / 2,
+        rep.selectivity_total().edges_tombstoned > g.num_edges() / 2,
         "most of the edge set dies: {} of {}",
-        rep.edges_tombstoned(),
+        rep.selectivity_total().edges_tombstoned,
         g.num_edges()
     );
     // Under block indexing the same dead regions are served around rather
     // than rewritten: compaction still runs on fully served chunks, and
     // the skip account moves intra-chunk.
     let (blocked, _) = run_chaos(test_config(2), Mis::new(3), &g);
-    assert!(blocked.compactions() > 0, "full serves still compact");
+    assert!(blocked.selectivity_total().compactions > 0, "full serves still compact");
     assert!(
-        blocked.blocks_skipped() > 0,
+        blocked.selectivity_total().blocks_skipped > 0,
         "decided regions must skip at block granularity"
     );
     assert!(blocked.records_skipped_intra() > 0);
@@ -212,7 +212,7 @@ fn centralized_placement_stays_dense() {
     cfg.placement = Placement::Centralized;
     let (rep, states) = run_chaos(cfg.clone(), Bfs::new(0), &g);
     assert_eq!(rep.chunks_skipped(), 0);
-    assert_eq!(rep.compactions(), 0);
+    assert_eq!(rep.selectivity_total().compactions, 0);
     cfg.streaming = Streaming::Dense;
     let (rep_dense, states_dense) = run_chaos(cfg, Bfs::new(0), &g);
     assert_eq!(states, states_dense);
