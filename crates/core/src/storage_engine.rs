@@ -1071,12 +1071,13 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         // backoff per attempt — and then the engine
                         // escalates instead of restoring from damaged data.
                         self.torn_chunk = Some((part, no));
-                        self.account.checksum_bytes += FRAME_BYTES;
                         let bytes =
                             self.ckpt_committed[part].chunk_bytes(no) + FRAME_BYTES;
                         let mut start = now;
                         let mut backoff = Backoff::default();
                         let done = loop {
+                            // Every probe moves the frame bytes.
+                            self.account.checksum_bytes += FRAME_BYTES;
                             let done = self.device_read(start, bytes);
                             self.account.corruption_detected += 1;
                             let Some(delay) = backoff.failed() else {
