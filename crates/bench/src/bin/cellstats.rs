@@ -4,11 +4,11 @@
 //! without a full figure sweep.
 //!
 //! ```text
-//! cellstats [ALGO [MACHINES [SCALE [selective|reference|dense]]]] \
+//! cellstats [ALGO [MACHINES [SCALE]]] \
 //!     [--iters] [--metrics-json <path>] [--fault-seed N] [--scrub]
 //! ```
 //!
-//! The positionals default to `PR 4 14 selective`. `--iters` adds a
+//! The positionals default to `PR 4 14`. `--iters` adds a
 //! per-iteration table: active-vertex fraction, chunks/records and
 //! blocks/records skipped (split into empty-frontier and mid-wavefront
 //! skips), and tombstone/compaction counts — the shape of a frontier
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
 use chaos_bench::cli::{self, parse, Args, Flag, Options, Value};
-use chaos_core::{ChaosConfig, Cluster, FaultPlan, FaultPlanConfig, Streaming};
+use chaos_core::{ChaosConfig, Cluster, FaultPlan, FaultPlanConfig};
 use chaos_graph::RmatConfig;
 
 const OPTIONS: &Options = &[
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), String> {
     let args = Args::parse(OPTIONS, std::env::args().skip(1))?;
-    let cell = args.at_most(4)?;
+    let cell = args.at_most(3)?;
     let algo = cell.first().map_or("PR", String::as_str);
     if !ALGO_NAMES.contains(&algo) {
         return Err(format!(
@@ -61,9 +61,6 @@ fn run() -> Result<(), String> {
     }
     let machines: usize = cell.get(1).map_or(Ok(4), |s| parse("machines", s))?;
     let scale: u32 = cell.get(2).map_or(Ok(14), |s| parse("scale", s))?;
-    let streaming: Streaming = cell
-        .get(3)
-        .map_or(Ok(Streaming::Selective), |s| parse("streaming mode", s))?;
     let fault_seed: Option<u64> = args.get("--fault-seed")?;
     let mut metrics = match args.value("--metrics-json") {
         Some(path) => Some((cli::create(path)?, path)),
@@ -84,7 +81,6 @@ fn run() -> Result<(), String> {
     let mut cfg = ChaosConfig::new(machines);
     cfg.chunk_bytes = 32 * 1024;
     cfg.mem_budget = 256 * 1024;
-    cfg.streaming = streaming;
     if let Some(seed) = fault_seed {
         cfg.checkpoint = true;
         cfg.faults = FaultPlan::generate(seed, &FaultPlanConfig::soak(machines));
@@ -104,7 +100,7 @@ fn run() -> Result<(), String> {
     // `cluster_bins` is the run's *effective* layout — dense-activity
     // programs keep the single-bin arrival order whatever was requested.
     println!(
-        "{algo} m={machines} scale={scale} streaming={streaming} bins={}: \
+        "{algo} m={machines} scale={scale} bins={}: \
          wall {:.3}s, events {}, records {}, iters {}, {:.0} events/s, {:.0} records/s",
         rep.cluster_bins,
         wall,

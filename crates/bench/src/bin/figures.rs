@@ -8,12 +8,6 @@
 //! figures all --full                # everything, larger scale
 //! ```
 //!
-//! `--streaming {selective|reference|dense}` selects the scatter
-//! streaming mode. `selective` (default) and `reference` produce
-//! bit-identical output — the reference mode is the dense-streaming
-//! oracle that additionally verifies every skipped chunk scatters to
-//! nothing; `bench_smoke.sh` byte-compares across this flag too.
-//!
 //! `--dataset <path>` replaces the RMAT generator with an external edge
 //! list (binary web-graph format, or `src dst [weight]` text) for every
 //! run; experiments keep their machine sweeps on that one graph.
@@ -30,10 +24,8 @@ use std::process::ExitCode;
 
 use chaos_bench::cli::{self, Args, Flag, Options, Value};
 use chaos_bench::{run_experiment, Harness, Scale, EXPERIMENTS};
-use chaos_core::Streaming;
 
 const OPTIONS: &Options = &[
-    ("--streaming", Value),
     ("--dataset", Value),
     ("--metrics-json", Value),
     ("--full", Flag),
@@ -65,7 +57,6 @@ fn fault_stats(h: &Harness) {
 
 fn run() -> Result<(), String> {
     let args = Args::parse(OPTIONS, std::env::args().skip(1))?;
-    let streaming = args.get_or("--streaming", Streaming::Selective)?;
     let all = args.positionals() == ["all"];
     let ids: Vec<&str> = match args.positionals() {
         [] => Vec::new(),
@@ -95,7 +86,7 @@ fn run() -> Result<(), String> {
     } else {
         Scale::quick()
     };
-    let h = Harness::new(scale.with_streaming(streaming));
+    let h = Harness::new(scale);
     if let Some(path) = args.value("--dataset") {
         h.set_dataset(std::path::Path::new(path))?;
     }

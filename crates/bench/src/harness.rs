@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, ChaosConfig, FaultAccount, IterSelectivity, RunReport, Streaming};
+use chaos_core::{run_chaos, ChaosConfig, FaultAccount, IterSelectivity, RunReport};
 use chaos_graph::{InputGraph, RmatConfig, WebGraphConfig};
 
 /// Experiment sizing.
@@ -23,11 +23,6 @@ pub struct Scale {
     /// Run the expensive algorithms (MCST, SCC, SSSP, MIS) in the
     /// all-algorithm figures.
     pub all_algorithms: bool,
-    /// Streaming mode for every run. `Selective` and `Reference` produce
-    /// bit-identical figure output (the reference mode merely streams
-    /// skipped chunks host-side to enforce the activity contract), so
-    /// `scripts/bench_smoke.sh` byte-compares across this flag too.
-    pub streaming: Streaming,
 }
 
 impl Scale {
@@ -39,7 +34,6 @@ impl Scale {
             mem_budget: 256 * 1024,
             machines: &[1, 2, 4, 8, 16, 32],
             all_algorithms: true,
-            streaming: Streaming::Selective,
         }
     }
 
@@ -51,14 +45,7 @@ impl Scale {
             mem_budget: 1 << 20,
             machines: &[1, 2, 4, 8, 16, 32],
             all_algorithms: true,
-            streaming: Streaming::Selective,
         }
-    }
-
-    /// The same sizing with a different streaming mode.
-    pub fn with_streaming(mut self, streaming: Streaming) -> Self {
-        self.streaming = streaming;
-        self
     }
 }
 
@@ -91,8 +78,8 @@ pub struct Harness {
 
 /// FNV-1a over the storage encodings of the final vertex states — a
 /// deterministic fingerprint of *what* a run computed, independent of how
-/// the data was laid out. Identical across streaming modes, chunk layouts
-/// and fault schedules; `scripts/bench_smoke.sh` compares a fault-seeded
+/// the data was laid out. Identical across builds, chunk layouts and
+/// fault schedules; `scripts/bench_smoke.sh` compares a fault-seeded
 /// `cellstats` run's against the fault-free one's.
 pub fn digest_states<S: chaos_gas::Record>(states: &[S]) -> u64 {
     let mut buf = Vec::new();
@@ -151,9 +138,8 @@ impl Harness {
     }
 
     /// The selectivity account summed over every iteration of every run so
-    /// far: chunk, mid-wavefront and intra-chunk block skips (simulated,
-    /// mode-invariant quantities: the reference mode makes identical skip
-    /// decisions).
+    /// far: chunk, mid-wavefront and intra-chunk block skips (simulated
+    /// quantities).
     pub fn selectivity_total(&self) -> IterSelectivity {
         let mut total = IterSelectivity::default();
         for (_, rep) in self.reports.borrow().iter() {
@@ -163,7 +149,7 @@ impl Harness {
     }
 
     /// Combined fingerprint of the final vertex states of every run so
-    /// far (see [`digest_states`]); layout- and mode-invariant.
+    /// far (see [`digest_states`]); layout-invariant.
     pub fn states_digest(&self) -> u64 {
         self.digest.get()
     }
@@ -286,7 +272,6 @@ impl Harness {
         let mut cfg = ChaosConfig::new(machines);
         cfg.chunk_bytes = self.scale.chunk_bytes;
         cfg.mem_budget = self.scale.mem_budget;
-        cfg.streaming = self.scale.streaming;
         cfg
     }
 

@@ -10,7 +10,6 @@ fn tiny() -> Harness {
         mem_budget: 16 * 1024,
         machines: &[1, 2, 4],
         all_algorithms: false,
-        streaming: chaos_core::Streaming::Selective,
     })
 }
 

@@ -76,21 +76,17 @@ impl<P: GasProgram> Cluster<P> {
                 spec.stride
             ));
         }
-        // The clustered layout pays only when the run can skip chunks:
-        // a non-dense activity model, decentralized chunk metadata and
-        // the streaming machinery on. Everything else keeps the
-        // single-bin (arrival-order) layout — clustering would only add
-        // partial chunks there.
-        let clustered = cfg.streaming != crate::config::Streaming::Dense
-            && cfg.placement != Placement::Centralized
+        // The one "can this run skip" rule (see `RunParams::selective`).
+        let selective = cfg.placement != Placement::Centralized
             && program.activity() != chaos_gas::ActivityModel::Dense;
-        let params = Arc::new(
-            RunParams::new(&cfg, spec, sizes.edge_bytes(), update_bytes, vstate)
-                .with_cluster_bins(if clustered { cfg.cluster_bins } else { 1 })
-                // Block indexes ride the same gate: they refine skip
-                // decisions, so runs that cannot skip keep plain chunks.
-                .with_block_records(if clustered { cfg.block_records } else { 0 }),
-        );
+        let params = Arc::new(RunParams::new(
+            &cfg,
+            spec,
+            sizes.edge_bytes(),
+            update_bytes,
+            vstate,
+            selective,
+        ));
         let cfg = Arc::new(cfg);
         let mut rng = Rng::new(cfg.seed);
         let mut fabric = Fabric::new(cfg.fabric.clone());

@@ -18,7 +18,7 @@ use chaos_runtime::Actor;
 use chaos_sim::rng::mix2;
 use chaos_sim::{Resource, Rng, Time};
 
-use crate::config::{ChaosConfig, Placement, Streaming};
+use crate::config::{ChaosConfig, Placement};
 use crate::metrics::{Breakdown, IterSelectivity};
 use crate::msg::{DataKind, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
@@ -376,22 +376,9 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.cfg.placement == Placement::Centralized
     }
 
-    /// Whether activity tracking applies to this run: the program declares
-    /// a non-dense model, the streaming mode wants it, and chunk metadata
-    /// is decentralized (the Figure 15 directory strawman keeps the
-    /// paper's dense streaming — its per-engine chunk counts cannot see
-    /// multi-chunk consumption).
-    fn activity_on(&self) -> bool {
-        self.cfg.streaming != Streaming::Dense
-            && !self.centralized()
-            && self.program.activity() != ActivityModel::Dense
-    }
-
     /// Whether shrinking-graph tombstoning/compaction applies.
     fn shrinking_on(&self) -> bool {
-        self.cfg.streaming != Streaming::Dense
-            && !self.centralized()
-            && self.program.activity() == ActivityModel::Shrinking
+        self.params.selective && self.program.activity() == ActivityModel::Shrinking
     }
 
     /// The selectivity account of the current iteration.
@@ -408,7 +395,7 @@ impl<P: GasProgram> ComputeEngine<P> {
     /// the program's current phase). Masters additionally record the
     /// active-vertex fraction — each partition counted once per iteration.
     fn arm_scatter_activity(&mut self) {
-        if self.phase != PhaseKind::Scatter || !self.activity_on() {
+        if self.phase != PhaseKind::Scatter || !self.params.selective {
             return;
         }
         let iter = self.iter;
@@ -1228,7 +1215,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         };
         self.agg.updates_produced += produced;
         w.inflight_compute -= 1;
-        if self.activity_on() {
+        if self.params.selective {
             // The live side of the skip account: what actually streamed
             // (feeds the steal criterion's density correction).
             let n = data.len() as u64;
@@ -1246,8 +1233,8 @@ impl<P: GasProgram> ComputeEngine<P> {
     }
 
     /// Shrinking-graph support: scans the just-scattered chunk for
-    /// permanently dead edges and, once dead density crosses the
-    /// configured threshold, ships the survivors back to the source
+    /// permanently dead edges and, once dead density crosses
+    /// `COMPACT_THRESHOLD`, ships the survivors back to the source
     /// storage engine as an in-place replacement. The serve-once-per-epoch
     /// protocol makes this engine the chunk's unique consumer this
     /// iteration, so exactly one replacement can target an entry per
@@ -1271,7 +1258,9 @@ impl<P: GasProgram> ComputeEngine<P> {
         let dead = self
             .program
             .dead_edges(base, &w.vertices, data, self.iter);
-        if dead == 0 || (dead as f64) < data.len() as f64 * self.cfg.compact_threshold {
+        /// Minimum dead-edge fraction of a chunk that pays for rewriting it.
+        const COMPACT_THRESHOLD: f64 = 0.5;
+        if dead == 0 || (dead as f64) < data.len() as f64 * COMPACT_THRESHOLD {
             return;
         }
         let reverse = self.program.direction() == Direction::In;
@@ -1310,9 +1299,9 @@ impl<P: GasProgram> ComputeEngine<P> {
 
     /// Accounts chunks — and, under block indexing, block runs inside the
     /// served chunk — the activity filter consumed without serving and, in
-    /// the dense-streaming reference mode, streams their payloads through
-    /// the scatter kernel to enforce the activity contract: a skipped
-    /// chunk or block must produce nothing.
+    /// debug builds, streams their payloads through the scatter kernel to
+    /// enforce the activity contract: a skipped chunk or block must
+    /// produce nothing.
     fn on_edge_skips(&mut self, part: usize, skipped: &SkipInfo) {
         if skipped.chunks == 0 && skipped.blocks == 0 {
             return;
@@ -1671,9 +1660,9 @@ impl<P: GasProgram> ComputeEngine<P> {
         // Scale D by this engine's observed live fraction for the current
         // scatter iteration so stealers stop chasing work that will be
         // skipped (a fully-skipped remainder offers D = 0 and is never
-        // handed out). Deterministic and identical in the reference mode,
-        // which makes the same skip decisions.
-        if self.phase == PhaseKind::Scatter && self.activity_on() {
+        // handed out). Deterministic, and identical in debug builds, which
+        // make the same skip decisions.
+        if self.phase == PhaseKind::Scatter && self.params.selective {
             d *= self
                 .selectivity
                 .get(self.iter as usize)
@@ -2133,7 +2122,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                             reverse: kind == DataKind::EdgesReverse,
                             from: self.machine,
                             // Centralized placement keeps dense streaming
-                            // (see `activity_on`).
+                            // (see `RunParams::selective`).
                             active: None,
                         },
                         CONTROL_BYTES,
@@ -2290,7 +2279,7 @@ mod tests {
         fn mid_stream_engine(phase: PhaseKind) -> ComputeEngine<Flood> {
             let cfg = Arc::new(ChaosConfig::new(2));
             let spec = PartitionSpec::with_partitions(256, 4);
-            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8));
+            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, false));
             let mut eng =
                 ComputeEngine::new(0, Arc::clone(&cfg), params, Flood, Rng::new(7));
             eng.phase = phase;
@@ -2440,7 +2429,7 @@ mod tests {
         fn scatter_master() -> ComputeEngine<Sparse> {
             let cfg = Arc::new(ChaosConfig::new(2));
             let spec = PartitionSpec::with_partitions(256, 4);
-            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8));
+            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, true));
             let mut eng = ComputeEngine::new(0, cfg, params, Sparse, Rng::new(1));
             eng.phase = PhaseKind::Scatter;
             eng.steal_queries.entry(0).or_default().push_back(1);

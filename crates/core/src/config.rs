@@ -20,56 +20,6 @@ pub enum Placement {
     Centralized,
 }
 
-/// How the scatter phase consumes edge chunks.
-///
-/// Programs with a non-dense [`chaos_gas::ActivityModel`] let the engine
-/// prove that whole chunks cannot produce updates; this knob selects what
-/// the engine does with the proof. [`Streaming::Selective`] and
-/// [`Streaming::Reference`] make *identical* simulated decisions — same
-/// skips, same device/fabric accounting, same compactions — and therefore
-/// produce bit-identical [`crate::RunReport`]s; the reference mode
-/// additionally streams every skipped chunk through the scatter kernel on
-/// the host and panics if anything comes out, enforcing the activity
-/// contract at run time. [`Streaming::Dense`] switches the machinery off
-/// entirely (the paper's full-stream behavior).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Streaming {
-    /// Activity-aware: skippable chunks are consumed without being read.
-    #[default]
-    Selective,
-    /// The dense-streaming oracle: identical simulated accounting to
-    /// `Selective`, but skipped chunks are still read and streamed through
-    /// the kernels host-side to verify they produce nothing.
-    Reference,
-    /// Full streaming, no activity tracking, no compaction.
-    Dense,
-}
-
-impl std::str::FromStr for Streaming {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "selective" => Ok(Streaming::Selective),
-            "reference" => Ok(Streaming::Reference),
-            "dense" => Ok(Streaming::Dense),
-            _ => Err(format!(
-                "unknown streaming mode {s:?}; expected selective, reference or dense"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Streaming {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Streaming::Selective => "selective",
-            Streaming::Reference => "reference",
-            Streaming::Dense => "dense",
-        })
-    }
-}
-
 /// Full configuration of a Chaos run.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
@@ -113,12 +63,6 @@ pub struct ChaosConfig {
     /// §7 of the paper). `None` keeps payloads in memory; simulated I/O
     /// timing is identical either way.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// How the scatter phase consumes edge chunks (see [`Streaming`]).
-    pub streaming: Streaming,
-    /// Minimum dead-edge fraction (per chunk) that triggers in-place
-    /// compaction under [`chaos_gas::ActivityModel::Shrinking`]. Values
-    /// above 1.0 disable compaction.
-    pub compact_threshold: f64,
     /// Source-clustered edge layout: radix bins per partition at
     /// pre-processing time. Each partition's edges are binned by scatter
     /// key (src, or dst for the reverse copy) into this many consecutive
@@ -128,7 +72,7 @@ pub struct ChaosConfig {
     /// mid-wavefront, not just on empty frontiers. `1` is the unclustered
     /// (arrival-order) layout. Only layout changes: computed results are
     /// identical for any value. Programs with a dense activity model (and
-    /// runs with streaming/placement modes that cannot skip) keep the
+    /// runs under centralized placement, which cannot skip) keep the
     /// single-bin layout regardless, since clustering buys them nothing.
     pub cluster_bins: u32,
     /// Block-granular selective serving: each sealed edge chunk's interior
@@ -141,7 +85,7 @@ pub struct ChaosConfig {
     /// indexing (chunk-granularity serves only). Like `cluster_bins`, the
     /// knob only changes layout and serve granularity: computed results
     /// are identical for any value, and runs that cannot skip (dense
-    /// activity, centralized placement, dense streaming) ignore it.
+    /// activity, centralized placement) ignore it.
     pub block_records: u32,
     /// Between-iterations integrity scrub: at every epoch reset each
     /// storage engine re-reads and re-verifies every frame it holds (edge,
@@ -180,8 +124,6 @@ impl ChaosConfig {
             directory_op_ns: 10_000,
             faults: FaultPlan::none(),
             spill_dir: None,
-            streaming: Streaming::Selective,
-            compact_threshold: 0.5,
             cluster_bins: 16,
             block_records: 512,
             scrub: false,
@@ -212,12 +154,6 @@ impl ChaosConfig {
     /// Enables or disables the between-iterations integrity scrub.
     pub fn with_scrub(mut self, scrub: bool) -> Self {
         self.scrub = scrub;
-        self
-    }
-
-    /// Switches the streaming mode.
-    pub fn with_streaming(mut self, streaming: Streaming) -> Self {
-        self.streaming = streaming;
         self
     }
 
@@ -279,9 +215,6 @@ impl ChaosConfig {
                     .into(),
             );
         }
-        if self.compact_threshold.is_nan() || self.compact_threshold <= 0.0 {
-            return Err("compaction threshold must be positive (above 1.0 disables)".into());
-        }
         if self.cluster_bins == 0 {
             return Err("cluster bins must be at least 1 (1 = unclustered layout)".into());
         }
@@ -332,19 +265,6 @@ mod tests {
         // SSD latency 50us, 40GigE RTT 50us => phi = 2 (§10.1).
         let c = ChaosConfig::new(8);
         assert!((c.phi() - 2.0).abs() < 0.01, "phi = {}", c.phi());
-    }
-
-    #[test]
-    fn streaming_spec_parses() {
-        assert_eq!("selective".parse::<Streaming>(), Ok(Streaming::Selective));
-        assert_eq!("reference".parse::<Streaming>(), Ok(Streaming::Reference));
-        assert_eq!("dense".parse::<Streaming>(), Ok(Streaming::Dense));
-        assert!("eager".parse::<Streaming>().is_err());
-        assert_eq!(Streaming::Reference.to_string(), "reference");
-        let mut c = ChaosConfig::new(2).with_streaming(Streaming::Dense);
-        assert!(c.validate().is_ok());
-        c.compact_threshold = 0.0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

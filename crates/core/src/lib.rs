@@ -63,7 +63,7 @@ pub use capacity::{CapacityModel, CapacityPrediction};
 pub use chaos_runtime::{Actor, ExecStats, Executor, Network, SequentialExecutor, Topology};
 pub use cluster::{run_chaos, Cluster};
 pub use chaos_sim::QueueKind;
-pub use config::{ChaosConfig, Placement, Streaming};
+pub use config::{ChaosConfig, Placement};
 pub use fault::{
     CorruptionFault, CrashFault, CrashTrigger, DeviceFault, FabricFault, FaultPlan,
     FaultPlanConfig,

@@ -60,9 +60,8 @@ impl Breakdown {
 /// shrinking-graph compaction has eaten into the stored edge set.
 ///
 /// All quantities are simulated and deterministic, and identical between
-/// [`crate::config::Streaming::Selective`] and
-/// [`crate::config::Streaming::Reference`] runs (that equality is what the
-/// property tests pin).
+/// release and debug builds (which read every skipped payload to check the
+/// activity contract, without charging for it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IterSelectivity {
     /// Scatter-side vertices the activity contract declared able to emit,
@@ -309,17 +308,16 @@ pub struct RunReport {
     /// [`RunReport::selectivity`].
     pub records_streamed: u64,
     /// Per-iteration selective-streaming account, summed over machines
-    /// (all zeros under [`crate::config::Streaming::Dense`]).
+    /// (all zeros when the run cannot skip: see
+    /// [`crate::RunParams::selective`]).
     pub selectivity: Vec<IterSelectivity>,
     /// End-of-run edge-chunk window-width histogram across all storage
-    /// engines (a simulated-layout quantity: identical between
-    /// selective/reference streaming).
+    /// engines (a simulated-layout quantity).
     pub window_widths: WindowHistogram,
     /// The *effective* clustered-layout bin count of the run: the
     /// configured [`crate::config::ChaosConfig::cluster_bins`], or 1 when
-    /// the run cannot skip chunks anyway (dense activity model, dense
-    /// streaming, centralized placement) and keeps the arrival-order
-    /// layout.
+    /// the run cannot skip chunks anyway (dense activity model,
+    /// centralized placement) and keeps the arrival-order layout.
     pub cluster_bins: u32,
     /// Fault-injection account: aborts, redone iterations, device retries,
     /// fault-induced latency and checkpoint costs (simulated quantities).

@@ -28,9 +28,9 @@ pub struct SkipInfo {
     /// its chunk. A partial payload must not seed a compaction rewrite —
     /// the skipped blocks' records would be silently dropped.
     pub partial: bool,
-    /// Skipped payloads, riding along only in the dense-streaming
-    /// reference mode so the engine can verify they scatter to nothing
-    /// (a host-side testing artifact, not simulated traffic).
+    /// Skipped payloads, riding along only in debug builds so the engine
+    /// can verify they scatter to nothing (a host-side check, not
+    /// simulated traffic).
     pub oracle: Vec<Arc<Vec<Edge>>>,
 }
 

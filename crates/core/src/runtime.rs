@@ -11,7 +11,7 @@ use chaos_graph::{BinSpec, PartitionSpec};
 use chaos_runtime::Topology;
 use chaos_sim::rng::mix2;
 
-use crate::config::{ChaosConfig, Placement, Streaming};
+use crate::config::{ChaosConfig, Placement};
 use crate::msg::Msg;
 
 /// Handler context for Chaos actors (generic context over [`Addr`] and
@@ -99,12 +99,15 @@ pub struct RunParams {
     pub window: usize,
     /// Chunk placement policy (affects vertex-chunk homes).
     pub placement: Placement,
-    /// How the scatter phase consumes edge chunks.
-    pub streaming: Streaming,
+    /// Whether the run can skip chunks: the program's activity model is
+    /// not dense and chunk metadata is decentralized (the Figure 15
+    /// directory strawman keeps the paper's dense streaming — its
+    /// per-engine chunk counts cannot see multi-chunk consumption). Off,
+    /// every edge streams every iteration and nothing is compacted.
+    pub selective: bool,
     /// Clustered-layout bin geometry: how pre-processing sub-bins each
     /// partition's edges by scatter key before chunking. Single-bin when
-    /// the run cannot skip chunks anyway (dense activity model, dense
-    /// streaming, centralized placement); see
+    /// the run cannot skip chunks anyway; see
     /// [`crate::config::ChaosConfig::cluster_bins`].
     pub cluster: BinSpec,
     /// Records per block in sealed edge chunks' block indexes; `0`
@@ -119,17 +122,21 @@ pub struct RunParams {
 
 impl RunParams {
     /// Builds the derived parameters for a `(config, program, graph)` run.
+    /// A `selective` run takes its clustered layout and block indexes from
+    /// `cfg`; any other keeps the single-bin layout and plain chunks, which
+    /// only refine skip decisions it never makes.
     pub fn new(
         cfg: &ChaosConfig,
         spec: PartitionSpec,
         edge_bytes: u64,
         update_bytes: u64,
         vstate_bytes: u64,
+        selective: bool,
     ) -> Self {
         let cb = cfg.chunk_bytes;
         Self {
             machines: cfg.machines,
-            cluster: BinSpec::single(&spec),
+            cluster: BinSpec::new(&spec, if selective { cfg.cluster_bins } else { 1 }),
             spec,
             edge_bytes,
             update_bytes,
@@ -139,27 +146,10 @@ impl RunParams {
             verts_per_chunk: (cb / vstate_bytes).max(1) as usize,
             window: cfg.batch_window,
             placement: cfg.placement,
-            streaming: cfg.streaming,
-            block_records: 0,
+            selective,
+            block_records: if selective { cfg.block_records } else { 0 },
             scrub: cfg.scrub,
         }
-    }
-
-    /// Enables the source-clustered edge layout with `bins` sub-ranges per
-    /// partition (the builder default is the single-bin, unclustered
-    /// layout — [`crate::Cluster`] opts in when the run can profit).
-    pub fn with_cluster_bins(mut self, bins: u32) -> Self {
-        self.cluster = BinSpec::new(&self.spec, bins);
-        self
-    }
-
-    /// Enables key-sorted chunk interiors with block indexes at
-    /// `block_records` records per block (the builder default is `0`,
-    /// chunk-granularity serves — [`crate::Cluster`] opts in when the run
-    /// can profit).
-    pub fn with_block_records(mut self, block_records: u32) -> Self {
-        self.block_records = block_records;
-        self
     }
 
     /// Master machine of a partition (round-robin assignment).
@@ -224,7 +214,7 @@ mod tests {
     fn run_params_geometry() {
         let cfg = ChaosConfig::new(4);
         let spec = PartitionSpec::with_partitions(1000, 8);
-        let p = RunParams::new(&cfg, spec, 8, 8, 16);
+        let p = RunParams::new(&cfg, spec, 8, 8, 16, false);
         assert_eq!(p.master(5), 1);
         assert_eq!(p.edges_per_chunk, (cfg.chunk_bytes / 8) as usize);
         // Partition 0 has 125 vertices; verts_per_chunk is large, so one

@@ -89,9 +89,9 @@ impl<U> UpdateSink<U> for PartitionSink<'_, U> {
     }
 }
 
-/// Counting-only sink for the dense-streaming reference mode: skipped
-/// chunks stream into it, and any update that lands here is an activity-
-/// contract violation.
+/// Counting-only sink for the debug-build skip check: skipped chunks
+/// stream into it, and any update that lands here is an activity-contract
+/// violation.
 pub(crate) struct CountSink(pub(crate) u64);
 
 impl<U> UpdateSink<U> for CountSink {

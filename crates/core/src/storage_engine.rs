@@ -27,7 +27,6 @@ use chaos_storage::{
 
 use chaos_storage::FileBacking;
 
-use crate::config::Streaming;
 use crate::metrics::{FaultAccount, WindowHistogram};
 use crate::msg::{DataKind, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
@@ -690,7 +689,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 active,
             } => {
                 self.seal_edge_sets();
-                let materialize = self.params.streaming == Streaming::Reference;
+                let materialize = cfg!(debug_assertions);
                 let set = if reverse {
                     &mut self.redges[part]
                 } else {
@@ -698,8 +697,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 };
                 // Skipped chunks and skipped block runs cost neither device
                 // time nor wire bytes: the chunk and block indexes are
-                // in-memory metadata, skipped payloads are never read (the
-                // reference mode materializes them for oracle streaming
+                // in-memory metadata, skipped payloads are never read (debug
+                // builds materialize them for the activity-contract check
                 // without touching accounting), and a partial serve reads
                 // only the active block runs — the device and the wire are
                 // charged below for exactly the records served.
@@ -1231,10 +1230,9 @@ mod tests {
         const EPC: usize = 64;
         let mut cfg = ChaosConfig::new(1);
         cfg.chunk_bytes = EPC as u64 * 8;
+        let cfg = cfg.with_cluster_bins(4).with_block_records(16);
         let spec = PartitionSpec::with_partitions(256, 2);
-        let params = RunParams::new(&cfg, spec, 8, 8, 4)
-            .with_cluster_bins(4)
-            .with_block_records(16);
+        let params = RunParams::new(&cfg, spec, 8, 8, 4, true);
         let device = Device::new(DeviceProfile::ssd());
         let mut eng = StorageEngine::<Bfs>::new(0, Arc::new(params), device, 0, None);
         let mut ctx = Ctx::new(0, 0);

@@ -13,10 +13,9 @@
 //!
 //! The contract is *conservative*: if `is_active(v, state, iter)` is
 //! `false`, then `scatter(v, state, e, iter)` must return `None` for every
-//! edge whose scatter-side endpoint is `v`. The dense-streaming reference
-//! mode (`Streaming::Reference` in `chaos-core`) enforces this at run time
-//! by streaming every skipped chunk through the kernel and panicking if
-//! anything comes out.
+//! edge whose scatter-side endpoint is `v`. Debug builds of `chaos-core`
+//! enforce this at run time by streaming every skipped chunk through the
+//! kernel and panicking if anything comes out.
 
 use chaos_graph::VertexId;
 

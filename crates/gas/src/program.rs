@@ -238,6 +238,11 @@ pub trait GasProgram: Clone + Send + 'static {
     /// The program's activity contract (see [`crate::active`]). The
     /// default keeps the paper's dense streaming: every vertex is assumed
     /// able to scatter every iteration and nothing is ever skipped.
+    ///
+    /// The engine reads it when it builds the cluster, to decide whether
+    /// the run can skip and how its edges are laid out, so it must return
+    /// the same model for the whole run (per-phase activity goes through
+    /// [`GasProgram::is_active`]).
     fn activity(&self) -> ActivityModel {
         ActivityModel::Dense
     }
@@ -247,8 +252,8 @@ pub trait GasProgram: Clone + Send + 'static {
     ///
     /// Must be conservative: `false` promises that [`GasProgram::scatter`]
     /// returns `None` for every edge whose scatter-side endpoint is `v` at
-    /// this iteration. The dense-streaming reference mode enforces the
-    /// promise at run time.
+    /// this iteration. Debug builds of the engine enforce the promise at
+    /// run time on every skipped chunk and block.
     fn is_active(&self, _v: VertexId, _state: &Self::VertexState, _iter: u32) -> bool {
         true
     }

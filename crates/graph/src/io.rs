@@ -135,7 +135,8 @@ pub fn write_text(g: &InputGraph, path: &Path) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns an `InvalidData` error for unparseable lines.
+/// Returns an `InvalidData` error for unparseable lines and for vertex id
+/// `u64::MAX`, which leaves no room for the vertex count.
 pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
     let r = BufReader::new(std::fs::File::open(path)?);
     let bad = |line: usize, msg: &str| {
@@ -146,7 +147,7 @@ pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
     };
     let mut edges = Vec::new();
     let mut weighted = false;
-    let mut max_id = 0u64;
+    let mut num_vertices = 0u64;
     for (no, line) in r.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -171,10 +172,13 @@ pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
             }
             None => 1.0,
         };
-        max_id = max_id.max(src).max(dst);
+        let count = src
+            .max(dst)
+            .checked_add(1)
+            .ok_or_else(|| bad(no + 1, "vertex id 2^64 - 1 is out of range"))?;
+        num_vertices = num_vertices.max(count);
         edges.push(Edge { src, dst, weight });
     }
-    let num_vertices = if edges.is_empty() { 0 } else { max_id + 1 };
     Ok(InputGraph {
         num_vertices,
         edges,
@@ -245,6 +249,18 @@ mod tests {
         let p = tmp("badtxt");
         std::fs::write(&p, "0 x\n").expect("write");
         assert!(read_text(&p).is_err());
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn max_vertex_id_is_an_error_not_an_empty_graph() {
+        let p = tmp("maxid");
+        std::fs::write(&p, "0 1\n18446744073709551615 0\n").expect("write");
+        let err = read_text(&p).expect_err("no vertex count past u64::MAX");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
+        std::fs::write(&p, "18446744073709551614 0\n").expect("write");
+        assert_eq!(read_text(&p).expect("largest id").num_vertices, u64::MAX);
         std::fs::remove_file(&p).ok();
     }
 }

@@ -155,11 +155,6 @@ impl BinSpec {
         }
     }
 
-    /// The single-bin (unclustered) layout.
-    pub fn single(spec: &PartitionSpec) -> Self {
-        Self::new(spec, 1)
-    }
-
     /// Number of bins per partition.
     pub fn bins(&self) -> u32 {
         self.bins
@@ -323,7 +318,7 @@ mod tests {
     #[test]
     fn single_bin_is_the_unclustered_layout() {
         let spec = PartitionSpec::with_partitions(1000, 3);
-        let bs = BinSpec::single(&spec);
+        let bs = BinSpec::new(&spec, 1);
         assert_eq!(bs.bins(), 1);
         for part in 0..3 {
             let r = spec.range(part);

@@ -438,10 +438,10 @@ pub struct ServeOutcome<T> {
     /// Records in those skipped blocks (intra-chunk skips).
     pub skipped_records_intra: u64,
     /// Skipped payloads, materialized only when the caller asks (the
-    /// dense-streaming reference mode streams them through the kernels to
-    /// verify they produce nothing) — whole skipped chunks followed by the
-    /// served chunk's skipped block runs, in storage order. Empty under
-    /// selective streaming — skipping without reading is the point.
+    /// engine's debug builds stream them through the kernels to verify
+    /// they produce nothing) — whole skipped chunks followed by the served
+    /// chunk's skipped block runs, in storage order. Empty otherwise —
+    /// skipping without reading is the point.
     pub skipped_payloads: Vec<Arc<Vec<T>>>,
 }
 
@@ -677,8 +677,8 @@ impl<T: Record> ChunkSet<T> {
     /// them, [`ChunkSet::bytes_remaining`] drops by their size, and they
     /// come back only after [`ChunkSet::reset_epoch`]. With
     /// `materialize_skipped`, skipped payloads are read anyway and
-    /// returned for oracle verification (the dense-streaming reference
-    /// mode) — accounting is unchanged.
+    /// returned for oracle verification (the engine's debug-build skip
+    /// check) — accounting is unchanged.
     ///
     /// # Errors
     ///
@@ -1242,7 +1242,7 @@ mod tests {
         assert!(cs.exhausted() || cs.bytes_remaining() == 0);
         let r = cs.serve_next_selective(Some(&active), false).unwrap();
         assert!(r.served.is_none());
-        // Reference mode materializes exactly the same skip decisions.
+        // Materializing the skipped payloads makes the same decisions.
         cs.reset_epoch();
         let r = cs.serve_next_selective(Some(&active), true).unwrap();
         assert_eq!(r.served.expect("same decision").entry, 2);

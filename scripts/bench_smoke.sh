@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
-# Bench smoke: run the Figure 7 harness in the default selective mode and
-# in the dense-streaming reference mode, and require byte-identical stdout.
+# Bench smoke: run the Figure 7 harness from the release build and from a
+# checked build (the release profile with debug assertions on, in
+# target/checked), and require byte-identical stdout. The checked build
+# runs every debug_assert!, and its storage engines read every chunk and
+# block run selective streaming skips so the compute engines can check the
+# activity contract on it: fig7's skips are each proved a no-op, at
+# identical simulated accounting.
 # Wall-clock timings plus the hot-path metrics (record throughput, chunk-
 # and block-level skip counts, read from the runs' --metrics-json dumps)
-# land in the output file (default target/bench_smoke.json). The timings are a record, not a gate — one
-# `date` delta cannot tell a regression from host drift; host-time claims
-# are measured with chaos-perf (chaos-perf/README.md). Layout invariance
-# (unclustered, chunk-granularity serves) and the binary-heap event queue
-# are checked by tier-1 tests (tests/clustered_layout.rs,
-# tests/queue_equivalence.rs), not here.
+# land in the output file (default target/bench_smoke.json). The timings
+# are a record, not a gate — one `date` delta cannot tell a regression
+# from host drift; host-time claims are measured with chaos-perf
+# (chaos-perf/README.md). Layout invariance (unclustered,
+# chunk-granularity serves) and the binary-heap event queue are checked by
+# tier-1 tests (tests/clustered_layout.rs, tests/queue_equivalence.rs),
+# not here.
 #
 # A fig13 pass then measures checkpoint overhead (two-phase vertex
 # snapshots at every gather barrier, HDD cluster): each algorithm's
@@ -30,17 +36,20 @@ OUT_JSON="${1:-target/bench_smoke.json}"
 EXPERIMENT="${BENCH_EXPERIMENT:-fig7}"
 
 cargo build --release -p chaos-bench --bin figures --bin cellstats
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true CARGO_TARGET_DIR=target/checked \
+    cargo build --release -p chaos-bench --bin figures
 
 BIN=./target/release/figures
+CHECKED_BIN=./target/checked/release/figures
 SEQ_OUT=$(mktemp)
 SEQ_JSON=$(mktemp)
-REF_OUT=$(mktemp)
+CHECKED_OUT=$(mktemp)
 CKPT_OUT=$(mktemp)
 CELL_CLEAN=$(mktemp)
 CELL_DIRTY=$(mktemp)
 DIRTY_JSON=$(mktemp)
 ERR_LOG=$(mktemp)
-trap 'rm -f "$SEQ_OUT" "$SEQ_JSON" "$REF_OUT" "$CKPT_OUT" "$CELL_CLEAN" "$CELL_DIRTY" \
+trap 'rm -f "$SEQ_OUT" "$SEQ_JSON" "$CHECKED_OUT" "$CKPT_OUT" "$CELL_CLEAN" "$CELL_DIRTY" \
     "$DIRTY_JSON" "$ERR_LOG"' EXIT
 
 # One --metrics-json counter summed over every run of a dump.
@@ -52,26 +61,26 @@ print(sum(run[sys.argv[2]] for run in json.load(open(sys.argv[1]))["runs"]))' "$
 # Keep stderr (panics, asserts) out of the compared output but dump it on
 # failure so CI logs show *why* a run died, not just that it did.
 run_mode() {
-    local out="$1" err="$2"
-    shift 2
-    if ! "$BIN" "$EXPERIMENT" "$@" >"$out" 2>"$err"; then
-        echo "FAIL: $EXPERIMENT $* exited nonzero; stderr:" >&2
+    local bin="$1" out="$2" err="$3"
+    shift 3
+    if ! "$bin" "$EXPERIMENT" "$@" >"$out" 2>"$err"; then
+        echo "FAIL: $bin $EXPERIMENT $* exited nonzero; stderr:" >&2
         cat "$err" >&2
         exit 1
     fi
 }
 
 t0=$(date +%s.%N)
-run_mode "$SEQ_OUT" "$ERR_LOG" --metrics-json "$SEQ_JSON"
+run_mode "$BIN" "$SEQ_OUT" "$ERR_LOG" --metrics-json "$SEQ_JSON"
 t1=$(date +%s.%N)
-run_mode "$REF_OUT" "$ERR_LOG" --streaming reference
+run_mode "$CHECKED_BIN" "$CHECKED_OUT" "$ERR_LOG"
 t2=$(date +%s.%N)
-if ! cmp -s "$SEQ_OUT" "$REF_OUT"; then
-    echo "FAIL: $EXPERIMENT output differs vs the dense-streaming reference mode" >&2
-    diff "$SEQ_OUT" "$REF_OUT" | head -40 >&2
+if ! cmp -s "$SEQ_OUT" "$CHECKED_OUT"; then
+    echo "FAIL: $EXPERIMENT output differs between the release and checked builds" >&2
+    diff "$SEQ_OUT" "$CHECKED_OUT" | head -40 >&2
     exit 1
 fi
-echo "OK: $EXPERIMENT output is byte-identical vs the dense-streaming reference mode"
+echo "OK: $EXPERIMENT output is byte-identical between the release and checked builds"
 
 # Checkpoint-overhead measurement (fig13: per-barrier two-phase vertex
 # snapshots on the HDD cluster). Simulated, so the ratio is
@@ -130,12 +139,12 @@ sys.exit(0 if worst < limit else 1)
 PY
 
 SEQ_S=$(python3 -c "print(f'{$t1 - $t0:.2f}')")
-REF_S=$(python3 -c "print(f'{$t2 - $t1:.2f}')")
+CHECKED_S=$(python3 -c "print(f'{$t2 - $t1:.2f}')")
 CKPT_S=$(python3 -c "print(f'{$t3 - $t2:.2f}')")
 INTEGRITY_S=$(python3 -c "print(f'{$t4 - $t3:.2f}')")
 NCPU=$(nproc 2>/dev/null || echo 0)
-# Records streamed/skipped summed over the default run's metrics dump
-# (simulated, mode-invariant quantities); throughput = records per
+# Records streamed/skipped summed over the release run's metrics dump
+# (simulated quantities); throughput = records per
 # wall-second of that run.
 RECORDS=$(metric "$SEQ_JSON" records_streamed)
 SKIPPED=$(metric "$SEQ_JSON" records_skipped)
@@ -148,7 +157,7 @@ cat >"$OUT_JSON" <<EOF
   "experiment": "$EXPERIMENT",
   "scale": "quick",
   "wall_seconds": $SEQ_S,
-  "reference_streaming_seq_wall_seconds": $REF_S,
+  "checked_wall_seconds": $CHECKED_S,
   "records_streamed": $RECORDS,
   "records_skipped": $SKIPPED,
   "records_skipped_mid_wavefront": $SKIPPED_MID,

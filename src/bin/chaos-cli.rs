@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use chaos::algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
 use chaos::bench::cli::{self, Args, Flag, Options, Value};
-use chaos::core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
+use chaos::core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig};
 use chaos::graph::{io as graph_io, InputGraph, RmatConfig, WebGraphConfig};
 
 /// Every option any subcommand reads; the rules are `chaos::bench::cli`'s.
@@ -43,7 +43,6 @@ const OPTIONS: &Options = &[
     ("--one-gige", Flag),
     ("--checkpoint", Flag),
     ("--alpha", Value),
-    ("--streaming", Value),
     ("--seed", Value),
     ("--fault-seed", Value),
     ("--scrub", Flag),
@@ -81,8 +80,6 @@ CLUSTER OPTIONS:
   --one-gige          1 GigE fabric instead of 40 GigE
   --checkpoint        checkpoint vertex values at gather barriers
   --alpha <A>         work-stealing bias (default 1.0; 0 disables, inf always)
-  --streaming <S>     scatter streaming: selective (default), reference
-                      (dense oracle, bit-identical report), or dense
   --seed <S>          RNG seed
   --fault-seed <S>    inject the seed-S generated fault plan (crashes +
                       torn writes + device faults + fabric stragglers +
@@ -161,7 +158,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     cfg.mem_budget = kib(args, "--mem-kb", 1024)?;
     cfg.steal_alpha = args.get_or("--alpha", 1.0f64)?;
     cfg.checkpoint = args.flag("--checkpoint");
-    cfg.streaming = args.get_or("--streaming", Streaming::Selective)?;
     cfg.seed = args.get_or("--seed", cfg.seed)?;
     if let Some(seed) = args.get::<u64>("--fault-seed")? {
         cfg.checkpoint = true;

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use chaos_core::{
         run_chaos, ChaosConfig, Cluster, CorruptionFault, CrashFault, CrashTrigger,
         DeviceFault, FabricFault, FaultAccount, FaultPlan, FaultPlanConfig, IterSelectivity,
-        Placement, QueueKind, RunReport, Streaming,
+        Placement, QueueKind, RunReport,
     };
     pub use chaos_gas::{
         run_sequential, ActiveSet, ActivityModel, Control, Direction, GasProgram,

@@ -135,4 +135,17 @@ fn unknown_options_are_errors_not_ignored() {
     unknown_option_is_rejected(&["--cluster-bins", "1"], "--cluster-bins");
     unknown_option_is_rejected(&["--bins", "1"], "--bins");
     unknown_option_is_rejected(&["--block-records", "0"], "--block-records");
+    unknown_option_is_rejected(&["--streaming", "reference"], "--streaming");
+}
+
+/// Vertex id 2^64 − 1 leaves no room for a vertex count; wrapped to zero,
+/// it made an empty graph the engine indexed out of bounds.
+#[test]
+fn vertex_id_at_u64_max_is_an_error() {
+    let name = format!("chaos-cli-test-{}-max-id.txt", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, "18446744073709551615 0\n").expect("write the graph");
+    let graph = path.to_str().expect("utf-8 temp path");
+    run_fails_cleanly(&["--graph", graph], "line 1");
+    std::fs::remove_file(&path).ok();
 }

@@ -11,23 +11,22 @@
 //!    — narrower windows skip more — so only the computed quantities are
 //!    compared across layouts.
 //!
-//! 2. **Selective ≡ Reference, bit for bit, under clustering.** Within
-//!    the clustered layout the dense-streaming oracle makes identical
-//!    simulated decisions: whole-`RunReport` equality, as in
-//!    `tests/selective_streaming.rs`, now with stride-bitmap skips in
-//!    play.
+//! 2. **Every skip is checked under clustering.** Debug builds stream
+//!    every skipped chunk and block run through the scatter kernel and
+//!    panic if anything comes out (see `tests/selective_streaming.rs`),
+//!    so each run below also proves its stride-bitmap and block skips
+//!    were no-ops.
 //!
 //! 3. **Block-granularity invariance.** Key-sorted chunk interiors with
 //!    block indexes (`cfg.block_records > 0`) change which byte ranges
 //!    are read — never what is computed: final states, aggregates and
 //!    iteration counts are identical between `block_records = 0`
-//!    (chunk-granularity serves) and any block granularity, and the
-//!    dense-streaming oracle materializes every skipped block run.
+//!    (chunk-granularity serves) and any block granularity.
 
 mod common;
 
 use chaos::prelude::*;
-use common::{directed_graph, test_config, undirected_graph, weighted_graph};
+use common::{directed_graph, test_config, undirected_graph, weighted_graph, DenseActivity};
 use proptest::prelude::*;
 
 /// Pins all three properties for one (config, program, graph) cell.
@@ -37,14 +36,9 @@ where
     P::VertexState: PartialEq + std::fmt::Debug,
 {
     assert!(cfg.cluster_bins > 1, "cell must exercise a clustered layout");
-    let run = |bins: u32, streaming: Streaming| {
-        let mut c = cfg.clone().with_cluster_bins(bins);
-        c.streaming = streaming;
-        run_chaos(c, program.clone(), g)
-    };
-    let (rep_clu, states_clu) = run(cfg.cluster_bins, Streaming::Selective);
+    let (rep_clu, states_clu) = run_chaos(cfg.clone(), program.clone(), g);
     // 1. Results are layout-invariant.
-    let (rep_flat, states_flat) = run(1, Streaming::Selective);
+    let (rep_flat, states_flat) = run_chaos(cfg.clone().with_cluster_bins(1), program.clone(), g);
     assert_eq!(states_clu, states_flat, "final states: clustered vs unclustered");
     assert_eq!(
         rep_clu.iteration_aggs, rep_flat.iteration_aggs,
@@ -57,15 +51,6 @@ where
         "clustering lost skips: {} < {}",
         rep_clu.records_skipped(),
         rep_flat.records_skipped()
-    );
-    // 2. The dense-streaming oracle agrees bit for bit on the clustered
-    //    layout (stride-bitmap skip decisions included).
-    let (rep_ref, states_ref) = run(cfg.cluster_bins, Streaming::Reference);
-    assert_eq!(states_clu, states_ref, "final states: selective vs reference");
-    assert_eq!(
-        rep_clu, rep_ref,
-        "whole run report must be bit-identical between selective and \
-         reference under the clustered layout"
     );
     // 3. Block-granularity invariance: sub-chunk serving (and the
     //    compaction suppression it implies on partial serves) must not
@@ -251,10 +236,10 @@ fn mid_wavefront_skips_appear_only_with_activity() {
 
 #[test]
 fn block_records_cross_states_digest_invariant() {
-    // `block_records` in {0, 512, 64} over selective/reference must agree
-    // on the states digest (FNV-1a over the storage encodings, as
-    // `figures` prints it), with the block runs actually skipping
-    // intra-chunk on the frontier program.
+    // `block_records` in {0, 512, 64} must agree on the states digest
+    // (FNV-1a over the storage encodings, as `figures` prints it), with
+    // the block runs actually skipping intra-chunk on the frontier
+    // program.
     fn digest<S: chaos::gas::Record>(states: &[S]) -> u64 {
         let mut buf = Vec::new();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -275,28 +260,21 @@ fn block_records_cross_states_digest_invariant() {
     // chunks — the degenerate case must also hold), 64 = blocks that
     // genuinely split these chunks.
     for block_records in [0, 512, 64] {
-        for streaming in [Streaming::Selective, Streaming::Reference] {
-            let mut cfg = test_config(2);
-            cfg.mem_budget = 2 * 1024;
-            cfg.block_records = block_records;
-            cfg.streaming = streaming;
-            let (rep, states) = run_chaos(cfg, Bfs::new(0), &g);
-            digests.push(digest(&states));
-            skipped_intra.push(rep.records_skipped_intra());
-        }
+        let mut cfg = test_config(2);
+        cfg.mem_budget = 2 * 1024;
+        cfg.block_records = block_records;
+        let (rep, states) = run_chaos(cfg, Bfs::new(0), &g);
+        digests.push(digest(&states));
+        skipped_intra.push(rep.records_skipped_intra());
     }
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
-        "states digest must be invariant across the block-records × streaming cross: {digests:x?}"
+        "states digest must be invariant across block granularities: {digests:x?}"
     );
     assert_eq!(skipped_intra[0], 0, "blocks off cannot skip intra-chunk");
     assert!(
-        skipped_intra[4] > 0,
+        skipped_intra[2] > 0,
         "block indexes must skip intra-chunk on a collapsing frontier"
-    );
-    assert_eq!(
-        skipped_intra[4], skipped_intra[5],
-        "selective and reference agree on block skips"
     );
 }
 
@@ -335,8 +313,7 @@ fn selectivity_aware_stealing_preserves_results() {
     cfg.mem_budget = 2 * 1024;
     cfg.steal_alpha = f64::INFINITY;
     let (rep_sel, states_sel) = run_chaos(cfg.clone(), Bfs::new(0), &g);
-    cfg.streaming = Streaming::Dense;
-    let (rep_dense, states_dense) = run_chaos(cfg, Bfs::new(0), &g);
+    let (rep_dense, states_dense) = run_chaos(cfg, DenseActivity(Bfs::new(0)), &g);
     assert_eq!(states_sel, states_dense);
     assert_eq!(rep_sel.iteration_aggs, rep_dense.iteration_aggs);
 }

@@ -4,6 +4,8 @@
 //! only a subset of the helpers, so per-binary dead-code analysis is noise.
 #![allow(dead_code)]
 
+use chaos::gas::{UpdateRef, CUSTOM_AGGREGATES};
+use chaos::graph::VertexId;
 use chaos::prelude::*;
 
 /// A small cluster config tuned for test graphs: small chunks and a small
@@ -47,4 +49,134 @@ pub fn run_on_heap<P: GasProgram>(
     cluster.set_queue_kind(QueueKind::Heap);
     let report = cluster.run();
     (report, cluster.final_states())
+}
+
+/// `P` with the paper's dense activity model: the run streams every edge
+/// every iteration and never compacts — the full-stream reference that
+/// selective streaming must agree with in results. Every other method,
+/// chunk kernels included, is `P`'s own.
+#[derive(Debug, Clone)]
+pub struct DenseActivity<P>(pub P);
+
+impl<P: GasProgram> GasProgram for DenseActivity<P> {
+    type VertexState = P::VertexState;
+    type Update = P::Update;
+    type Accum = P::Accum;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn needs_undirected(&self) -> bool {
+        self.0.needs_undirected()
+    }
+
+    fn init(&self, v: VertexId, out_degree: u64) -> Self::VertexState {
+        self.0.init(v, out_degree)
+    }
+
+    fn direction(&self) -> Direction {
+        self.0.direction()
+    }
+
+    fn uses_reverse_edges(&self) -> bool {
+        self.0.uses_reverse_edges()
+    }
+
+    fn scatter(
+        &self,
+        v: VertexId,
+        state: &Self::VertexState,
+        edge: &Edge,
+        iter: u32,
+    ) -> Option<Self::Update> {
+        self.0.scatter(v, state, edge, iter)
+    }
+
+    fn gather(
+        &self,
+        acc: &mut Self::Accum,
+        dst: VertexId,
+        dst_state: &Self::VertexState,
+        payload: &Self::Update,
+    ) {
+        self.0.gather(acc, dst, dst_state, payload)
+    }
+
+    fn merge(&self, into: &mut Self::Accum, from: &Self::Accum) {
+        self.0.merge(into, from)
+    }
+
+    fn apply(
+        &self,
+        v: VertexId,
+        state: &mut Self::VertexState,
+        acc: &Self::Accum,
+        iter: u32,
+    ) -> bool {
+        self.0.apply(v, state, acc, iter)
+    }
+
+    fn scatter_chunk<S: UpdateSink<Self::Update>>(
+        &self,
+        base: VertexId,
+        states: &[Self::VertexState],
+        edges: &[Edge],
+        iter: u32,
+        out: &mut S,
+    ) {
+        self.0.scatter_chunk(base, states, edges, iter, out)
+    }
+
+    fn gather_chunk<R: UpdateRef<Self::Update>>(
+        &self,
+        base: VertexId,
+        states: &[Self::VertexState],
+        accums: &mut [Self::Accum],
+        updates: &[R],
+    ) {
+        self.0.gather_chunk(base, states, accums, updates)
+    }
+
+    fn activity(&self) -> ActivityModel {
+        ActivityModel::Dense
+    }
+
+    fn is_active(&self, v: VertexId, state: &Self::VertexState, iter: u32) -> bool {
+        self.0.is_active(v, state, iter)
+    }
+
+    fn edge_dead(&self, v: VertexId, state: &Self::VertexState, edge: &Edge, iter: u32) -> bool {
+        self.0.edge_dead(v, state, edge, iter)
+    }
+
+    fn shrinks_now(&self, iter: u32) -> bool {
+        self.0.shrinks_now(iter)
+    }
+
+    fn dead_edges(
+        &self,
+        base: VertexId,
+        states: &[Self::VertexState],
+        edges: &[Edge],
+        iter: u32,
+    ) -> u64 {
+        self.0.dead_edges(base, states, edges, iter)
+    }
+
+    fn aggregate(&self, state: &Self::VertexState) -> [f64; CUSTOM_AGGREGATES] {
+        self.0.aggregate(state)
+    }
+
+    fn end_iteration(&mut self, iter: u32, agg: &IterationAggregates) -> Control {
+        self.0.end_iteration(iter, agg)
+    }
+
+    fn update_payload_bytes(&self) -> u64 {
+        self.0.update_payload_bytes()
+    }
+
+    fn vertex_state_bytes(&self) -> u64 {
+        self.0.vertex_state_bytes()
+    }
 }

@@ -8,8 +8,7 @@
 //! write is the persistent case: it surfaces during rollback when the
 //! torn chunk's frame check fails, and the cluster falls back one
 //! snapshot down the depth-2 committed-checkpoint chain. Either way the
-//! final vertex states must be bit-identical to the fault-free run, in
-//! both streaming modes.
+//! final vertex states must be bit-identical to the fault-free run.
 
 mod common;
 
@@ -32,31 +31,24 @@ fn wide_window(machine: usize) -> CorruptionFault {
 #[test]
 fn corruption_windows_detect_and_repair_without_changing_results() {
     let g = directed_graph(9);
-    for streaming in [Streaming::Selective, Streaming::Reference] {
-        let mut cfg = test_config(3);
-        cfg.streaming = streaming;
-        let (clean, clean_states) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
-        cfg.faults = FaultPlan::none().with_corruption_fault(wide_window(0));
-        let (rep, states) = run_chaos(cfg, Pagerank::new(4), &g);
-        let tag = format!("{streaming:?}");
-        assert_eq!(clean_states, states, "{tag}: repair must be exact");
-        assert_eq!(clean.iteration_aggs, rep.iteration_aggs, "{tag}");
-        assert!(rep.faults.corruption_detected > 0, "{tag}: window never hit");
-        assert!(rep.faults.corruption_repaired > 0, "{tag}: nothing repaired");
-        assert!(
-            rep.runtime > clean.runtime,
-            "{tag}: re-reads must cost simulated time"
-        );
-        assert!(rep.faults.faulted_time > 0, "{tag}");
-        assert_eq!(rep.faults.aborts, 0, "{tag}: detection alone never aborts");
-        // Frames are always on; corruption only adds re-read charges.
-        assert!(clean.faults.checksum_bytes > 0, "{tag}");
-        assert!(
-            rep.faults.checksum_bytes > clean.faults.checksum_bytes,
-            "{tag}: repair re-reads re-verify frames"
-        );
-        assert_eq!(clean.faults.corruption_detected, 0, "{tag}");
-    }
+    let mut cfg = test_config(3);
+    let (clean, clean_states) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
+    cfg.faults = FaultPlan::none().with_corruption_fault(wide_window(0));
+    let (rep, states) = run_chaos(cfg, Pagerank::new(4), &g);
+    assert_eq!(clean_states, states, "repair must be exact");
+    assert_eq!(clean.iteration_aggs, rep.iteration_aggs);
+    assert!(rep.faults.corruption_detected > 0, "window never hit");
+    assert!(rep.faults.corruption_repaired > 0, "nothing repaired");
+    assert!(rep.runtime > clean.runtime, "re-reads must cost simulated time");
+    assert!(rep.faults.faulted_time > 0);
+    assert_eq!(rep.faults.aborts, 0, "detection alone never aborts");
+    // Frames are always on; corruption only adds re-read charges.
+    assert!(clean.faults.checksum_bytes > 0);
+    assert!(
+        rep.faults.checksum_bytes > clean.faults.checksum_bytes,
+        "repair re-reads re-verify frames"
+    );
+    assert_eq!(clean.faults.corruption_detected, 0);
 }
 
 #[test]

@@ -1,47 +1,35 @@
 //! Selective streaming ≡ dense streaming.
 //!
-//! Two separate equivalences are pinned here:
+//! Two oracles guard the skip path:
 //!
-//! 1. **Selective ≡ Reference, bit for bit.** `Streaming::Selective`
-//!    (skip without reading) and `Streaming::Reference` (read anyway,
-//!    stream through the kernels, panic if anything comes out) must make
-//!    identical simulated decisions: the whole [`RunReport`] — runtime,
-//!    iteration aggregates, device/fabric statistics, selectivity account
-//!    — compares equal. This is the fidelity argument for the skip path:
-//!    the reference mode *proves* every skipped chunk was a no-op while
-//!    accounting exactly like the skip.
+//! 1. **The skip check.** In debug builds (every `cargo test` here) the
+//!    storage engine reads every chunk and block run the active set
+//!    skips, without charging for it, and the compute engine streams it
+//!    through the scatter kernel and panics if anything comes out. Every
+//!    selective run below is therefore also a proof that each skip was a
+//!    no-op; the last two tests show the check firing on a program that
+//!    breaks the activity contract.
 //!
 //! 2. **Selective ≡ Dense in results.** With the activity machinery off
-//!    (`Streaming::Dense`, the paper's full-stream behavior) the final
-//!    vertex states, per-iteration aggregates and iteration count must
-//!    be unchanged — selective streaming and shrinking-graph compaction
-//!    never alter what is computed, only how much is moved to compute it.
+//!    (the program wrapped in [`DenseActivity`], the paper's full-stream
+//!    behavior) the final vertex states, per-iteration aggregates and
+//!    iteration count must be unchanged — selective streaming and
+//!    shrinking-graph compaction never alter what is computed, only how
+//!    much is moved to compute it.
 
 mod common;
 
 use chaos::prelude::*;
-use common::{test_config, undirected_graph, weighted_graph};
+use common::{test_config, undirected_graph, weighted_graph, DenseActivity};
 use proptest::prelude::*;
 
-/// Pins both equivalences for one (config, program, graph) cell.
+/// Pins both oracles for one (config, program, graph) cell.
 fn assert_streaming_equivalent<P: GasProgram>(cfg: ChaosConfig, program: P, g: &InputGraph)
 where
     P::VertexState: PartialEq + std::fmt::Debug,
 {
-    let run = |mode: Streaming| {
-        let mut c = cfg.clone();
-        c.streaming = mode;
-        run_chaos(c, program.clone(), g)
-    };
-    let (rep_sel, states_sel) = run(Streaming::Selective);
-    let (rep_ref, states_ref) = run(Streaming::Reference);
-    assert_eq!(states_sel, states_ref, "final states: selective vs reference");
-    assert_eq!(
-        rep_sel, rep_ref,
-        "whole run report must be bit-identical: skipping without reading \
-         vs reading-and-verifying must account identically"
-    );
-    let (rep_dense, states_dense) = run(Streaming::Dense);
+    let (rep_sel, states_sel) = run_chaos(cfg.clone(), program.clone(), g);
+    let (rep_dense, states_dense) = run_chaos(cfg, DenseActivity(program), g);
     assert_eq!(states_sel, states_dense, "final states: selective vs dense");
     assert_eq!(
         rep_sel.iteration_aggs, rep_dense.iteration_aggs,
@@ -117,9 +105,9 @@ fn local_only_placement_is_streaming_invariant() {
 #[test]
 fn spill_path_under_memory_pressure_is_streaming_invariant() {
     // Real files, a vertex memory budget forcing many partitions, and a
-    // starved page cache: chunk skips must skip the *file* read and
-    // compaction must rewrite the backing file, with identical simulated
-    // accounting to the dense-reference oracle.
+    // starved page cache: chunk skips must skip the *file* read (debug
+    // builds read it for the skip check only) and compaction must rewrite
+    // the backing file.
     let dir = chaos::storage::ScratchDir::new("chaos-selective-spill").expect("scratch dir");
     let mut cfg = test_config(2);
     cfg.mem_budget = 4 * 1024;
@@ -205,16 +193,94 @@ fn failure_recovery_does_not_double_count_selectivity() {
 #[test]
 fn centralized_placement_stays_dense() {
     // The Figure 15 directory strawman keeps the paper's dense streaming:
-    // selective mode must not skip anything there (its per-engine chunk
-    // counts cannot see multi-chunk consumption), and results must agree.
+    // a frontier program must not skip anything there (its per-engine
+    // chunk counts cannot see multi-chunk consumption), and results must
+    // agree with the program's dense form.
     let g = undirected_graph(7);
     let mut cfg = test_config(3);
     cfg.placement = Placement::Centralized;
     let (rep, states) = run_chaos(cfg.clone(), Bfs::new(0), &g);
     assert_eq!(rep.chunks_skipped(), 0);
     assert_eq!(rep.selectivity_total().compactions, 0);
-    cfg.streaming = Streaming::Dense;
-    let (rep_dense, states_dense) = run_chaos(cfg, Bfs::new(0), &g);
+    let (rep_dense, states_dense) = run_chaos(cfg, DenseActivity(Bfs::new(0)), &g);
     assert_eq!(states, states_dense);
     assert_eq!(rep.iteration_aggs, rep_dense.iteration_aggs);
+}
+
+/// Breaks the activity contract: `is_active` says the upper half of the
+/// vertices cannot emit, but `scatter` emits over every edge. The first
+/// iteration's skips therefore drop real updates, which the debug-build
+/// skip check must catch before the run ends.
+#[derive(Clone)]
+struct LyingFrontier {
+    vertices: u64,
+}
+
+impl GasProgram for LyingFrontier {
+    type VertexState = u64;
+    type Update = u64;
+    type Accum = u64;
+
+    fn name(&self) -> &'static str {
+        "LyingFrontier"
+    }
+
+    fn init(&self, v: u64, _out_degree: u64) -> u64 {
+        v
+    }
+
+    fn scatter(&self, v: u64, _state: &u64, _edge: &Edge, _iter: u32) -> Option<u64> {
+        Some(v)
+    }
+
+    fn gather(&self, acc: &mut u64, _dst: u64, _dst_state: &u64, payload: &u64) {
+        *acc = acc.wrapping_add(*payload);
+    }
+
+    fn merge(&self, into: &mut u64, from: &u64) {
+        *into = into.wrapping_add(*from);
+    }
+
+    fn apply(&self, _v: u64, _state: &mut u64, _acc: &u64, _iter: u32) -> bool {
+        false
+    }
+
+    fn activity(&self) -> ActivityModel {
+        ActivityModel::Frontier
+    }
+
+    fn is_active(&self, v: u64, _state: &u64, _iter: u32) -> bool {
+        v < self.vertices / 2
+    }
+
+    fn end_iteration(&mut self, _iter: u32, _agg: &IterationAggregates) -> Control {
+        Control::Done
+    }
+}
+
+/// One machine, one partition: the upper half of the key range is one
+/// contiguous inactive region.
+fn run_liar(cfg: ChaosConfig) {
+    let g = chaos::graph::builder::gnm(1024, 8192, false, 17);
+    run_chaos(cfg, LyingFrontier { vertices: g.num_vertices }, &g);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "activity contract violated")]
+fn skip_check_catches_a_lie_in_a_skipped_chunk() {
+    // 16 bins in 4 KiB chunks: the upper eight bins' chunks hold only
+    // inactive sources and are skipped whole (no block indexes).
+    let mut cfg = ChaosConfig::new(1).with_block_records(0);
+    cfg.chunk_bytes = 4 * 1024;
+    run_liar(cfg);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "activity contract violated")]
+fn skip_check_catches_a_lie_in_a_skipped_block_run() {
+    // One bin and one chunk holding every edge, key-sorted into 512-record
+    // blocks: the chunk is served, and its upper blocks are skipped.
+    run_liar(ChaosConfig::new(1).with_cluster_bins(1));
 }
