@@ -155,13 +155,13 @@ impl<P: GasProgram> Cluster<P> {
                     cfg.spill_dir.as_deref(),
                 )
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let mut directory = Directory::new(cfg.machines, cfg.directory_op_ns);
         // Distribute the unsorted input edge list randomly over all storage
         // devices (§8).
         for chunk in graph.edges.chunks(params.edges_per_chunk.max(1)) {
             let engine = rng.below(cfg.machines as u64) as usize;
-            storages[engine].preload_input(Arc::new(chunk.to_vec()));
+            storages[engine].preload_input(Arc::new(chunk.to_vec()))?;
             if cfg.placement == Placement::Centralized {
                 directory.preregister(DataKind::Input, 0, engine);
             }
@@ -362,4 +362,39 @@ pub fn run_chaos<P: GasProgram>(
     let report = cluster.run();
     let states = cluster.final_states();
     (report, states)
+}
+
+#[cfg(test)]
+mod tests {
+    use chaos_algos::{bfs::Bfs, pagerank::Pagerank};
+    use chaos_graph::RmatConfig;
+
+    use super::*;
+
+    /// Runs `program` over a scale-10 graph and checks that pre-processing
+    /// consumed the input: every payload was alive before the run and none
+    /// is after it, in a storage engine or anywhere else. Returns the run's
+    /// bin count.
+    fn run_consumes_input<P: GasProgram>(program: P, undirected: bool) -> u32 {
+        let mut g = RmatConfig::paper(10).generate();
+        if undirected {
+            g = g.to_undirected();
+        }
+        let mut cfg = ChaosConfig::new(4);
+        cfg.chunk_bytes = 4 * 1024;
+        let mut cluster = Cluster::new(cfg, program, &g).expect("valid configuration");
+        let loaded: usize = cluster.storages.iter().map(|s| s.input_payloads_alive()).sum();
+        assert!(loaded > 4, "{loaded} input chunks before the run");
+        let report = cluster.run();
+        for (i, s) in cluster.storages.iter().enumerate() {
+            assert_eq!(s.input_payloads_alive(), 0, "engine {i} kept input after the run");
+        }
+        report.cluster_bins
+    }
+
+    #[test]
+    fn no_input_payload_outlives_the_run() {
+        assert_eq!(run_consumes_input(Pagerank::new(2), false), 1, "PR: dense, one bin");
+        assert!(run_consumes_input(Bfs::new(0), true) > 1, "BFS: clustered");
+    }
 }

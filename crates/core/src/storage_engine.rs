@@ -15,9 +15,10 @@
 //! - update reads that fit the page cache bypass the device (§7, and the
 //!   Conductance effect of §9.1).
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use chaos_gas::{GasProgram, LocalUpdate};
+use chaos_gas::{GasProgram, LocalUpdate, Record};
 use chaos_graph::Edge;
 use chaos_runtime::Actor;
 use chaos_sim::{rng::mix2, Time, MICROS};
@@ -31,9 +32,26 @@ use crate::metrics::{FaultAccount, WindowHistogram};
 use crate::msg::{DataKind, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
 
-/// Opens the backing file for one (structure, partition) pair.
-fn open_backing(dir: &std::path::Path, name: &str, part: usize) -> FileBacking {
-    FileBacking::create(&dir.join(format!("{name}-{part}.dat"))).expect("create backing file")
+/// The backing file of one (structure, partition) pair.
+fn backing_path(dir: &Path, name: &str, part: usize) -> PathBuf {
+    dir.join(format!("{name}-{part}.dat"))
+}
+
+/// The chunk set of one (structure, partition) pair: in memory, or in
+/// its backing file under `dir`.
+fn chunk_set<T: Record>(
+    dir: Option<&Path>,
+    name: &str,
+    part: usize,
+    record_bytes: u64,
+) -> Result<ChunkSet<T>, String> {
+    let Some(dir) = dir else {
+        return Ok(ChunkSet::in_memory(record_bytes));
+    };
+    let path = backing_path(dir, name, part);
+    let file = FileBacking::create(&path)
+        .map_err(|e| format!("cannot create backing file {}: {e}", path.display()))?;
+    Ok(ChunkSet::file_backed(record_bytes, file))
 }
 
 /// Which of a partition's two edge sets, as files and panics name it.
@@ -155,7 +173,17 @@ pub struct StorageEngine<P: GasProgram> {
     /// Device queue model.
     pub device: Device,
     cache: PageCache,
+    /// This machine's spill directory, `spill_dir/machine-<i>/`, when the
+    /// chunk sets live in files.
+    dir: Option<PathBuf>,
+    /// The unsorted input edge list's chunks held here. Read once, by
+    /// pre-processing: each payload is handed over on serve
+    /// ([`ChunkSet::take_next`]) and freed once it has been binned.
     input: ChunkSet<Edge>,
+    /// Every input payload this engine was given, to check that none
+    /// outlives its binning.
+    #[cfg(test)]
+    input_seen: Vec<std::sync::Weak<Vec<Edge>>>,
     edges: Vec<ChunkSet<Edge>>,
     redges: Vec<ChunkSet<Edge>>,
     /// Open per-(partition, bin) accumulation buffers of the clustered
@@ -204,50 +232,47 @@ impl<P: GasProgram> StorageEngine<P> {
     /// reverse-edge, update and input chunks live in real files under
     /// `spill_dir/machine-<i>/` — one file per (partition, structure),
     /// exactly the layout §7 describes.
+    ///
+    /// # Errors
+    ///
+    /// Names the directory or file that could not be created.
     pub fn new(
         machine: usize,
         params: Arc<RunParams>,
         device: Device,
         pagecache_bytes: u64,
-        spill_dir: Option<&std::path::Path>,
-    ) -> Self {
+        spill_dir: Option<&Path>,
+    ) -> Result<Self, String> {
         let parts = params.spec.num_partitions;
-        let dir = spill_dir.map(|d| {
-            let dir = d.join(format!("machine-{machine}"));
-            std::fs::create_dir_all(&dir).expect("create spill directory");
-            dir
-        });
-        let make_edges = |name: &str, p: usize| -> ChunkSet<Edge> {
-            match &dir {
-                Some(d) => ChunkSet::file_backed(
-                    params.edge_bytes,
-                    crate::storage_engine::open_backing(d, name, p),
-                ),
-                None => ChunkSet::in_memory(params.edge_bytes),
-            }
-        };
+        let dir = spill_dir.map(|d| d.join(format!("machine-{machine}")));
+        if let Some(d) = &dir {
+            std::fs::create_dir_all(d).map_err(|e| {
+                format!("cannot create spill directory {}: {e}", d.display())
+            })?;
+        }
+        let d = dir.as_deref();
         let slots = parts * params.cluster.bins() as usize;
-        Self {
+        Ok(Self {
             machine,
             gen: 0,
             device,
             cache: PageCache::new(pagecache_bytes),
-            input: make_edges("input", 0),
-            edges: (0..parts).map(|p| make_edges("edges", p)).collect(),
-            redges: (0..parts).map(|p| make_edges("redges", p)).collect(),
+            input: chunk_set(d, "input", 0, params.edge_bytes)?,
+            #[cfg(test)]
+            input_seen: Vec::new(),
+            edges: (0..parts)
+                .map(|p| chunk_set(d, "edges", p, params.edge_bytes))
+                .collect::<Result<_, _>>()?,
+            redges: (0..parts)
+                .map(|p| chunk_set(d, "redges", p, params.edge_bytes))
+                .collect::<Result<_, _>>()?,
             open_edges: (0..slots).map(|_| Vec::new()).collect(),
             open_redges: (0..slots).map(|_| Vec::new()).collect(),
             sealed: params.cluster.bins() == 1,
             seal_scratch: SealScratch::default(),
             updates: (0..parts)
-                .map(|p| match &dir {
-                    Some(d) => ChunkSet::file_backed(
-                        params.update_bytes,
-                        open_backing(d, "updates", p),
-                    ),
-                    None => ChunkSet::in_memory(params.update_bytes),
-                })
-                .collect(),
+                .map(|p| chunk_set(d, "updates", p, params.update_bytes))
+                .collect::<Result<_, _>>()?,
             vertices: (0..parts)
                 .map(|_| VertexArray::new(params.vstate_bytes))
                 .collect(),
@@ -264,14 +289,31 @@ impl<P: GasProgram> StorageEngine<P> {
             read_seq: 0,
             pending_torn: false,
             account: FaultAccount::default(),
+            dir,
             params,
-        }
+        })
     }
 
     /// Pre-loads an input chunk during cluster setup (the input edge list
     /// starts "randomly distributed over all storage devices", §8).
-    pub fn preload_input(&mut self, chunk: Arc<Vec<Edge>>) {
-        chunk_io(self.input.append(chunk), "input", 0);
+    ///
+    /// # Errors
+    ///
+    /// Names the input file a spilled chunk could not be written to.
+    pub fn preload_input(&mut self, chunk: Arc<Vec<Edge>>) -> Result<(), String> {
+        #[cfg(test)]
+        self.input_seen.push(Arc::downgrade(&chunk));
+        self.input.append(chunk).map(drop).map_err(|e| {
+            let dir = self.dir.as_deref().unwrap_or(Path::new(""));
+            format!("cannot write {}: {e}", backing_path(dir, "input", 0).display())
+        })
+    }
+
+    /// How many of the input payloads this engine was given are still
+    /// alive anywhere.
+    #[cfg(test)]
+    pub(crate) fn input_payloads_alive(&self) -> usize {
+        self.input_seen.iter().filter(|w| w.strong_count() > 0).count()
     }
 
     /// Read access to the stored vertex chunks (used by the cluster to
@@ -656,7 +698,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
         let me = self.machine;
         match msg {
             // ------------------------------------------------------ reads
-            Msg::InputChunkReq { from } => match chunk_io(self.input.serve_next(), "input", 0) {
+            Msg::InputChunkReq { from } => match chunk_io(self.input.take_next(), "input", 0) {
                 Some(data) => {
                     let bytes = data.len() as u64 * self.params.edge_bytes;
                     let done = self.framed_read(now, bytes, Repair::Reread);
@@ -1234,7 +1276,7 @@ mod tests {
         let spec = PartitionSpec::with_partitions(256, 2);
         let params = RunParams::new(&cfg, spec, 8, 8, 4, true);
         let device = Device::new(DeviceProfile::ssd());
-        let mut eng = StorageEngine::<Bfs>::new(0, Arc::new(params), device, 0, None);
+        let mut eng = StorageEngine::<Bfs>::new(0, Arc::new(params), device, 0, None).unwrap();
         let mut ctx = Ctx::new(0, 0);
 
         let mut open: Vec<Vec<Edge>> = vec![Vec::new(); 4];

@@ -21,6 +21,9 @@ enum Payload<T> {
     Mem(Arc<Vec<T>>),
     /// Payload in the backing file at `(offset, encoded_len)`.
     File(u64, u64),
+    /// In-memory payload handed over by [`ChunkSet::take_next`]; the set
+    /// no longer holds it and cannot serve the entry again.
+    Taken,
 }
 
 /// Scatter-key index of one chunk: the inclusive key window `(lo, hi)` of
@@ -668,6 +671,33 @@ impl<T: Record> ChunkSet<T> {
             .map(|s| s.data))
     }
 
+    /// [`ChunkSet::serve_next`] for a set read exactly once: an in-memory
+    /// payload is handed over, not shared, so the set stops holding it the
+    /// moment it is served and no placeholder is allocated in its place.
+    /// The entry keeps its record count, so [`ChunkSet::stats`],
+    /// [`ChunkSet::bytes_remaining`] and [`ChunkSet::exhausted`] read
+    /// exactly as after `serve_next`; a later epoch that reaches it panics.
+    /// A file-backed payload stays in its file and is read as usual.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the file backend read fails.
+    pub fn take_next(&mut self) -> std::io::Result<Option<Arc<Vec<T>>>> {
+        let idx = self.cursor;
+        let Some(e) = self.entries.get_mut(idx) else {
+            return Ok(None);
+        };
+        self.cursor += 1;
+        self.records_remaining -= e.records;
+        match std::mem::replace(&mut e.payload, Payload::Taken) {
+            Payload::Mem(data) => Ok(Some(data)),
+            kept => {
+                e.payload = kept;
+                self.read_entry(idx).map(Some)
+            }
+        }
+    }
+
     /// Serves the next unprocessed chunk whose source window intersects
     /// `active`, consuming (but not reading) every indexed chunk in front
     /// of it that provably holds no active source. With `active = None`
@@ -801,6 +831,7 @@ impl<T: Record> ChunkSet<T> {
                     f.read_into(off + s * rec_width, (e - s) * rec_width, &mut data)?;
                 }
             }
+            Payload::Taken => panic!("entry {idx} was taken by a consume-once serve"),
         }
         Ok(data)
     }
@@ -814,6 +845,7 @@ impl<T: Record> ChunkSet<T> {
                 let f = self.file.as_mut().expect("file payload without backing");
                 Ok(Arc::new(f.read::<T>(off, len)?))
             }
+            Payload::Taken => panic!("entry {idx} was taken by a consume-once serve"),
         }
     }
 
@@ -1010,6 +1042,56 @@ mod tests {
         assert_eq!(again.as_slice(), a.as_slice());
         cs.clear().unwrap();
         assert!(cs.serve_next().unwrap().is_none());
+    }
+
+    /// `take_next` against a `serve_next` twin over the same chunks: the
+    /// same payloads in the same order, and the same `stats`,
+    /// `bytes_remaining` and `exhausted` after every serve. In memory the
+    /// taken payload has no other holder.
+    fn take_next_matches_serve_next(mut taken: ChunkSet<u64>, mut twin: ChunkSet<u64>) {
+        for n in [7u64, 1, 12, 0, 3] {
+            taken.append(chunk(100 * n, 100 * n + n)).unwrap();
+            twin.append(chunk(100 * n, 100 * n + n)).unwrap();
+        }
+        let in_memory = !taken.is_file_backed();
+        loop {
+            let got = taken.take_next().unwrap();
+            let want = twin.serve_next().unwrap();
+            assert_eq!(got.as_deref(), want.as_deref(), "same payload bytes, same order");
+            assert_eq!(taken.stats(), twin.stats());
+            assert_eq!(taken.bytes_remaining(), twin.bytes_remaining());
+            assert_eq!(taken.exhausted(), twin.exhausted());
+            let Some(got) = got else { break };
+            if in_memory {
+                assert_eq!(Arc::strong_count(&got), 1, "the set kept a reference");
+            }
+        }
+        assert!(taken.exhausted());
+    }
+
+    #[test]
+    fn take_next_hands_in_memory_payloads_over() {
+        take_next_matches_serve_next(ChunkSet::in_memory(8), ChunkSet::in_memory(8));
+    }
+
+    #[test]
+    fn take_next_reads_file_backed_payloads_like_serve_next() {
+        let dir = ScratchDir::new("chaos-chunkset-take").unwrap();
+        let file = |name: &str| FileBacking::create(&dir.path().join(name)).unwrap();
+        take_next_matches_serve_next(
+            ChunkSet::file_backed(8, file("taken.dat")),
+            ChunkSet::file_backed(8, file("twin.dat")),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 0 was taken by a consume-once serve")]
+    fn a_taken_entry_is_never_served_again() {
+        let mut cs = ChunkSet::<u64>::in_memory(8);
+        cs.append(chunk(0, 4)).unwrap();
+        cs.take_next().unwrap();
+        cs.reset_epoch();
+        let _ = cs.serve_next();
     }
 
     /// §6.3: a storage engine may serve any unprocessed chunk, but each

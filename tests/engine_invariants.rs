@@ -230,3 +230,20 @@ fn partitions_past_u32_offsets_are_a_config_error() {
         "names the problem: {err}"
     );
 }
+
+#[test]
+fn an_unusable_spill_dir_is_an_error_not_a_panic() {
+    let scratch = chaos::storage::ScratchDir::new("chaos-bad-spill").expect("scratch dir");
+    let file = scratch.path().join("not-a-directory");
+    std::fs::write(&file, b"x").expect("regular file");
+    let mut cfg = test_config(2);
+    cfg.spill_dir = Some(file.join("spill"));
+    let err = match Cluster::new(cfg, Pagerank::new(1), &directed_graph(6)) {
+        Ok(_) => panic!("a spill directory under a regular file must be rejected"),
+        Err(e) => e,
+    };
+    assert!(
+        err.contains("spill directory") && err.contains(&*file.to_string_lossy()),
+        "names the path: {err}"
+    );
+}
