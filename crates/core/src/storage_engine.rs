@@ -74,21 +74,22 @@ fn chunk_io<T>(res: std::io::Result<T>, structure: &str, part: usize) -> T {
 
 /// Moves records from the front of `rest` into the open buffer `buf` until
 /// it holds `target` records, and then hands the buffer over whole, leaving
-/// an empty one behind. The buffer is allocated at exactly `target` when
-/// its first record arrives, so a sealed chunk never carries spare
-/// capacity. `None` once `rest` is used up short of the target.
+/// an empty one behind. The buffer grows with what arrives, so one that
+/// never fills holds no more than its records; a chunk cut from it is
+/// shrunk to its length, so a sealed chunk never carries spare capacity.
+/// `None` once `rest` is used up short of the target.
 fn fill_open_chunk(
     buf: &mut Vec<Edge>,
     rest: &mut &[Edge],
     target: usize,
 ) -> Option<Arc<Vec<Edge>>> {
-    if buf.capacity() == 0 {
-        buf.reserve_exact(target);
-    }
     let (head, tail) = rest.split_at(rest.len().min(target - buf.len()));
     buf.extend_from_slice(head);
     *rest = tail;
-    (buf.len() == target && target > 0).then(|| Arc::new(std::mem::take(buf)))
+    (buf.len() == target && target > 0).then(|| {
+        buf.shrink_to_fit();
+        Arc::new(std::mem::take(buf))
+    })
 }
 
 /// Latency of a metadata-only reply (exhausted notices, remaining-bytes
@@ -519,7 +520,14 @@ impl<P: GasProgram> StorageEngine<P> {
                 for slot in slots {
                     let leftover = std::mem::take(&mut self.open_buffers(reverse)[slot]);
                     let mut rest = &leftover[..];
-                    while let Some(full) = fill_open_chunk(&mut run, &mut rest, epc.min(left)) {
+                    loop {
+                        if run.capacity() == 0 {
+                            run.reserve_exact(epc.min(left));
+                        }
+                        let Some(full) = fill_open_chunk(&mut run, &mut rest, epc.min(left))
+                        else {
+                            break;
+                        };
                         left -= full.len();
                         self.seal_edge_chunk(part, reverse, None, full);
                     }
