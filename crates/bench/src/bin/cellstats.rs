@@ -14,7 +14,11 @@
 //! skips), and tombstone/compaction counts — the shape of a frontier
 //! collapsing or a Borůvka contraction eating the edge set.
 //! `--metrics-json <path>` dumps the run's report plus per-iteration
-//! selectivity as stable JSON. `--fault-seed N` turns on checkpointing
+//! selectivity as stable JSON. One `memory:` line on stderr gives the
+//! process's resident-set high-water mark (`VmHWM`) over graph generation,
+//! over `Cluster::new` and over the run, each step measured on its own by
+//! restarting the mark through `/proc/self/clear_refs` (`n/a` where
+//! `/proc` offers neither). `--fault-seed N` turns on checkpointing
 //! and injects the seed-`N` generated fault plan (crashes + torn writes +
 //! device + fabric + corruption windows); the fault account and integrity
 //! lines show what the recovery protocol absorbed. `--scrub` enables the
@@ -72,12 +76,14 @@ fn run() -> Result<(), String> {
     } else {
         RmatConfig::paper(scale)
     };
+    let mut hwm = HighWater::default();
     let mut g = cfg_rmat
         .try_generate()
         .map_err(|e| format!("scale {scale}: {e}"))?;
     if needs_undirected(algo) {
         g = g.to_undirected();
     }
+    hwm.step("graph");
     let mut cfg = ChaosConfig::new(machines);
     cfg.chunk_bytes = 32 * 1024;
     cfg.mem_budget = 256 * 1024;
@@ -90,13 +96,16 @@ fn run() -> Result<(), String> {
     let params = AlgoParams::default();
     let (rep, digest) = with_algo!(algo, &params, |p| {
         let mut cluster = Cluster::new(cfg, p, &g)?;
+        hwm.step("Cluster::new");
         let rep = cluster.run();
+        hwm.step("run");
         (
             rep,
             chaos_bench::harness::digest_states(&cluster.final_states()),
         )
     });
     let wall = t0.elapsed().as_secs_f64();
+    eprintln!("memory: VmHWM {}", hwm.steps.join(", "));
     // `cluster_bins` is the run's *effective* layout — dense-activity
     // programs keep the single-bin arrival order whatever was requested.
     println!(
@@ -212,4 +221,33 @@ fn run() -> Result<(), String> {
         eprintln!("[metrics-json] wrote 1 run to {path}");
     }
     Ok(())
+}
+
+/// The resident-set high-water mark step by step: each step's `VmHWM` is
+/// read when it ends and the mark restarted at the current resident set,
+/// so the next reading covers the next step alone.
+#[derive(Default)]
+struct HighWater {
+    /// `"<step> <MB>"` per finished step, `"<step> n/a"` where `/proc`
+    /// has no `VmHWM` or could not restart the mark before the step.
+    steps: Vec<String>,
+    /// Whether a restart failed, which leaves later readings cumulative.
+    stale: bool,
+}
+
+impl HighWater {
+    fn step(&mut self, name: &str) {
+        let kb = std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|t| {
+                let line = t.lines().find(|l| l.starts_with("VmHWM:"))?;
+                line.split_whitespace().nth(1)?.parse::<u64>().ok()
+            })
+            .filter(|_| !self.stale);
+        self.steps.push(match kb {
+            Some(kb) => format!("{name} {:.1} MB", kb as f64 / 1024.0),
+            None => format!("{name} n/a"),
+        });
+        self.stale |= std::fs::write("/proc/self/clear_refs", "5").is_err();
+    }
 }
