@@ -11,78 +11,72 @@
 
 use chaos_core::Placement;
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
-/// Runs the probes.
-pub fn run(h: &Harness) {
-    chunk_size_sweep(h);
-    pagecache_conductance(h);
-    placement_probe(h);
+/// Runs the probes, one table each.
+pub fn run(h: &Harness) -> Vec<Table> {
+    vec![
+        chunk_size_sweep(h),
+        pagecache_conductance(h),
+        placement_probe(h),
+    ]
 }
 
-fn chunk_size_sweep(h: &Harness) {
+fn chunk_size_sweep(h: &Harness) -> Table {
     let m = 8;
     let scale = h.scale.base_scale + 3;
-    banner(
+    let mut t = Table::new(
         "ablation: chunk size",
-        &format!("PR on RMAT-{scale}, m={m}, normalized to the default"),
+        format!("PR on RMAT-{scale}, m={m}, normalized to the default"),
     );
     let sizes: [u64; 5] = [4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024];
     let g = h.rmat_for(scale, "PR");
-    let mut times = Vec::new();
-    for &s in &sizes {
-        let mut cfg = h.config(m);
-        cfg.chunk_bytes = s;
-        times.push(h.run("PR", cfg, &g).runtime as f64);
-    }
-    let reference = times[2];
-    let mut header = Vec::new();
-    let mut cells = Vec::new();
-    for (s, t) in sizes.iter().zip(times.iter()) {
-        header.push(format!("{}K", s / 1024));
-        cells.push(format!("{:.2}", t / reference));
-    }
-    println!("{}", row(&header));
-    println!("{}", row(&cells));
-    println!("tiny chunks pay per-request latency; huge chunks lose steal granularity");
+    let times: Vec<f64> = sizes
+        .iter()
+        .map(|&s| {
+            let mut cfg = h.config(m);
+            cfg.chunk_bytes = s;
+            h.run("PR", cfg, &g).runtime as f64
+        })
+        .collect();
+    t.push(sizes.iter().map(|s| format!("{}K", s / 1024)).collect());
+    t.push(
+        times
+            .iter()
+            .map(|t| format!("{:.2}", t / times[2]))
+            .collect(),
+    );
+    t.note("tiny chunks pay per-request latency; huge chunks lose steal granularity");
+    t
 }
 
-fn pagecache_conductance(h: &Harness) {
-    banner(
+fn pagecache_conductance(h: &Harness) -> Table {
+    let mut t = Table::new(
         "ablation: page cache",
         "Conductance weak scaling with and without the page cache (the 9.1 anomaly)",
     );
-    let base = h.scale.base_scale;
-    let mut header = vec!["series".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
+    t.push(h.machine_header("series", &[]));
     for cached in [true, false] {
-        let mut cells = vec![if cached { "cache on" } else { "cache off" }.to_string()];
-        let mut base_time = 0.0;
-        for &m in h.scale.machines {
-            let scale = base + (m as f64).log2().round() as u32;
-            let g = h.rmat_for(scale, "Cond");
+        let times = runtimes(&h.weak_series("Cond", |m| {
             let mut cfg = h.config(m);
             if !cached {
                 cfg.pagecache_bytes = 0;
             }
-            let rep = h.run("Cond", cfg, &g);
-            if m == 1 {
-                base_time = rep.runtime as f64;
-            }
-            cells.push(format!("{:.2}", rep.runtime as f64 / base_time));
-        }
-        println!("{}", row(&cells));
+            cfg
+        }));
+        let label = if cached { "cache on" } else { "cache off" };
+        t.push(series_row(label, &times, times[0], 2));
     }
-    println!("with the cache, per-machine update sets shrink with m and stop hitting the device");
+    t.note("with the cache, per-machine update sets shrink with m and stop hitting the device");
+    t
 }
 
-fn placement_probe(h: &Harness) {
+fn placement_probe(h: &Harness) -> Table {
     let m = 8;
     let scale = h.scale.base_scale + 3;
-    banner(
+    let mut t = Table::new(
         "ablation: placement",
-        &format!("PR on RMAT-{scale}, m={m}: random-uniform vs locality placement"),
+        format!("PR on RMAT-{scale}, m={m}: random-uniform vs locality placement"),
     );
     let g = h.rmat_for(scale, "PR");
     for placement in [Placement::RandomUniform, Placement::LocalOnly] {
@@ -90,18 +84,16 @@ fn placement_probe(h: &Harness) {
         cfg.mem_budget = h.scale.mem_budget / 2;
         cfg.placement = placement;
         let rep = h.run("PR", cfg, &g);
-        println!(
+        let max = rep.device_busy.iter().copied().max().unwrap_or(0) as f64;
+        let mean = rep.device_busy.iter().sum::<u64>() as f64 / rep.device_busy.len().max(1) as f64;
+        t.note(format!(
             "{:<16} runtime {:>8.3}s  max-device-busy/mean {:.2}  steals {}",
             format!("{placement:?}"),
             rep.seconds(),
-            {
-                let max = rep.device_busy.iter().copied().max().unwrap_or(0) as f64;
-                let mean = rep.device_busy.iter().sum::<u64>() as f64
-                    / rep.device_busy.len().max(1) as f64;
-                max / mean.max(1.0)
-            },
+            max / mean.max(1.0),
             rep.steals
-        );
+        ));
     }
-    println!("random placement evens device load; locality concentrates it on hub masters");
+    t.note("random placement evens device load; locality concentrates it on hub masters");
+    t
 }

@@ -91,7 +91,9 @@ fn run() -> Result<(), String> {
         h.set_dataset(std::path::Path::new(path))?;
     }
     for id in ids {
-        run_experiment(id, &h);
+        for table in run_experiment(id, &h) {
+            print!("{table}");
+        }
         if all {
             eprintln!("[{:7.1}s elapsed]", h.elapsed());
         }

@@ -8,23 +8,16 @@
 
 use chaos_core::capacity::{relative_error, CapacityModel};
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
-    banner("cap", "capacity scaling towards RMAT-36 (trillion edges), HDD");
-    let machines = 8usize;
-    println!(
-        "{}",
-        row(&[
-            "algo".into(),
-            "scale".into(),
-            "sim(s)".into(),
-            "io(MB)".into(),
-            "B/edge".into(),
-            "B/edge/it".into(),
-        ])
+pub fn run(h: &Harness) -> Table {
+    let mut t = Table::new(
+        "cap",
+        "capacity scaling towards RMAT-36 (trillion edges), HDD",
     );
+    let machines = 8usize;
+    t.header(&["algo", "scale", "sim(s)", "io(MB)", "B/edge", "B/edge/it"]);
     let base = h.scale.base_scale;
     for algo in ["BFS", "PR"] {
         let mut models = Vec::new();
@@ -34,17 +27,14 @@ pub fn run(h: &Harness) {
             let cfg = h.config(machines).with_hdd();
             let rep = h.run(algo, cfg, &g);
             let model = CapacityModel::from_report(&rep, g.num_edges());
-            println!(
-                "{}",
-                row(&[
-                    algo.into(),
-                    scale.to_string(),
-                    format!("{:.2}", rep.seconds()),
-                    format!("{:.1}", rep.total_device_bytes() as f64 / 1e6),
-                    format!("{:.1}", model.io_per_edge()),
-                    format!("{:.1}", model.io_per_edge() / rep.iterations as f64),
-                ])
-            );
+            t.push(vec![
+                algo.into(),
+                scale.to_string(),
+                format!("{:.2}", rep.seconds()),
+                format!("{:.1}", rep.total_device_bytes() as f64 / 1e6),
+                format!("{:.1}", model.io_per_edge()),
+                format!("{:.1}", model.io_per_edge() / rep.iterations as f64),
+            ]);
             iters.push(rep.iterations);
             models.push(model);
         }
@@ -55,7 +45,10 @@ pub fn run(h: &Harness) {
             .map(|(m, &i)| m.io_per_edge() / i as f64)
             .collect();
         let err = relative_error(per_it[2], per_it[0]);
-        println!("  {algo}: per-iteration bytes/edge spread {:.1}%", 100.0 * err);
+        t.note(format!(
+            "  {algo}: per-iteration bytes/edge spread {:.1}%",
+            100.0 * err
+        ));
 
         // Project to RMAT-36 on 32 machines. BFS iteration count grows
         // with the diameter (the paper's RMAT-36 BFS runs ~10-15 frontier
@@ -65,18 +58,21 @@ pub fn run(h: &Harness) {
         let measured_iters = *iters.last().expect("measured") as f64;
         let p = model.predict(1u64 << 40, 32.0 / machines as f64, 1.0);
         let io = p.io_bytes as f64 * target_iters / measured_iters;
-        let t = p.runtime as f64 * target_iters / measured_iters;
-        println!(
+        let time = p.runtime as f64 * target_iters / measured_iters;
+        t.note(format!(
             "  {algo}: projected RMAT-36 on 32 machines: {:.0} TB of I/O, {:.1} h  \
              (paper: {})",
             io / 1e12,
-            t / 3.6e12,
+            time / 3.6e12,
             if algo == "BFS" {
                 "214 TB, ~9 h"
             } else {
                 "395 TB, ~19 h"
             }
-        );
+        ));
     }
-    println!("\nthe paper's aggregate HDD bandwidth is 7 GB/s from 64 disks; ours scales the same way");
+    t.note(
+        "\nthe paper's aggregate HDD bandwidth is 7 GB/s from 64 disks; ours scales the same way",
+    );
+    t
 }

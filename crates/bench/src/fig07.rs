@@ -5,57 +5,49 @@
 //! larger problem, ranging from 0.97x (Conductance, thanks to the buffer
 //! cache) to 2.29x (MCST).
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let base = h.scale.base_scale;
-    banner(
+    let mut t = Table::new(
         "fig7",
-        &format!(
+        format!(
             "weak scaling, RMAT-{base} to RMAT-{}, normalized runtime",
             base + 5
         ),
     );
-    let mut header = vec!["algo".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
+    t.push(h.machine_header("algo", &[]));
+    let algos = h.algorithms();
     let mut sum_at_max = 0.0;
-    let mut count = 0usize;
-    for algo in h.algorithms() {
-        let mut cells = vec![algo.to_string()];
-        let mut base_time = 0.0;
-        let mut last = 0.0;
-        for &m in h.scale.machines {
-            let scale = base + (m as f64).log2().round() as u32;
-            let g = h.rmat_for(scale, algo);
-            let rep = h.run(algo, h.config(m), &g);
-            if m == 1 {
-                base_time = rep.runtime as f64;
-            }
-            last = rep.runtime as f64 / base_time;
-            cells.push(format!("{last:.2}"));
-        }
-        sum_at_max += last;
-        count += 1;
-        println!("{}", row(&cells));
+    for algo in &algos {
+        let times = runtimes(&h.weak_series(algo, |m| h.config(m)));
+        sum_at_max += times[times.len() - 1] / times[0];
+        t.push(series_row(algo, &times, times[0], 2));
     }
-    println!(
+    t.note(format!(
         "\nmean normalized runtime at m={}: {:.2} (paper: 1.61, range 0.97-2.29)",
         h.scale.machines.last().expect("non-empty sweep"),
-        sum_at_max / count as f64
-    );
+        sum_at_max / algos.len() as f64
+    ));
     // Host-throughput numerator for scripts/bench_smoke.sh: simulated
     // quantities, so the lines are identical between release and
     // debug-assertion builds.
     let sel = h.selectivity_total();
-    println!("records streamed: {}", h.records_streamed());
-    println!("records skipped: {}", sel.records_skipped);
-    println!("records skipped mid-wavefront: {}", sel.records_skipped_mid);
+    t.note(format!("records streamed: {}", h.records_streamed()));
+    t.note(format!("records skipped: {}", sel.records_skipped));
+    t.note(format!(
+        "records skipped mid-wavefront: {}",
+        sel.records_skipped_mid
+    ));
     // Sub-chunk selectivity from the block indexes.
-    println!("blocks skipped: {}", sel.blocks_skipped);
-    println!("records skipped intra-chunk: {}", sel.records_skipped_intra);
+    t.note(format!("blocks skipped: {}", sel.blocks_skipped));
+    t.note(format!(
+        "records skipped intra-chunk: {}",
+        sel.records_skipped_intra
+    ));
     // Layout-invariant fingerprint of every cell's final vertex states
     // (tests/clustered_layout.rs pins the invariance per program).
-    println!("states digest: {:016x}", h.states_digest());
+    t.note(format!("states digest: {:016x}", h.states_digest()));
+    t
 }

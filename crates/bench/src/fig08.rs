@@ -4,41 +4,30 @@
 //! machines (23x for Conductance, 8x for MCST), limited by the small graph
 //! size.
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let scale = h.scale.base_scale + 2;
-    banner(
+    let mut t = Table::new(
         "fig8",
-        &format!("strong scaling, RMAT-{scale}, normalized runtime (t_m / t_1)"),
+        format!("strong scaling, RMAT-{scale}, normalized runtime (t_m / t_1)"),
     );
-    let mut header = vec!["algo".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    header.push("speedup".into());
-    println!("{}", row(&header));
+    t.push(h.machine_header("algo", &["speedup"]));
     let mut speedups = Vec::new();
     for algo in h.algorithms() {
         let g = h.rmat_for(scale, algo);
-        let mut cells = vec![algo.to_string()];
-        let mut base_time = 0.0;
-        let mut last_norm = 1.0;
-        for &m in h.scale.machines {
-            let rep = h.run(algo, h.config(m), &g);
-            if m == 1 {
-                base_time = rep.runtime as f64;
-            }
-            last_norm = rep.runtime as f64 / base_time;
-            cells.push(format!("{last_norm:.3}"));
-        }
-        let speedup = 1.0 / last_norm;
+        let times = runtimes(&h.strong_series(algo, &g, |m| h.config(m)));
+        let speedup = 1.0 / (times[times.len() - 1] / times[0]);
         speedups.push(speedup);
+        let mut cells = series_row(algo, &times, times[0], 3);
         cells.push(format!("{speedup:.1}x"));
-        println!("{}", row(&cells));
+        t.push(cells);
     }
-    println!(
+    t.note(format!(
         "\nmean speedup at m={}: {:.1}x (paper: ~13x on RMAT-27; 8x to 23x)",
         h.scale.machines.last().expect("non-empty sweep"),
         speedups.iter().sum::<f64>() / speedups.len() as f64
-    );
+    ));
+    t
 }

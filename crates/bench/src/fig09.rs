@@ -5,35 +5,23 @@
 //! better than RMAT-27 strong scaling because the graph is much larger
 //! relative to memory. We use the synthetic Data-Commons stand-in.
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let pages = 1u64 << (h.scale.base_scale + 3);
-    banner(
+    let mut t = Table::new(
         "fig9",
-        &format!("strong scaling, {pages}-page web graph, HDD, normalized runtime"),
+        format!("strong scaling, {pages}-page web graph, HDD, normalized runtime"),
     );
-    let mut header = vec!["algo".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    header.push("speedup".into());
-    println!("{}", row(&header));
+    t.push(h.machine_header("algo", &["speedup"]));
     for algo in ["BFS", "PR"] {
         let g = h.webgraph(pages, algo == "BFS");
-        let mut cells = vec![algo.to_string()];
-        let mut base_time = 0.0;
-        let mut last = 1.0;
-        for &m in h.scale.machines {
-            let cfg = h.config(m).with_hdd();
-            let rep = h.run(algo, cfg, &g);
-            if m == 1 {
-                base_time = rep.runtime as f64;
-            }
-            last = rep.runtime as f64 / base_time;
-            cells.push(format!("{last:.3}"));
-        }
-        cells.push(format!("{:.1}x", 1.0 / last));
-        println!("{}", row(&cells));
+        let times = runtimes(&h.strong_series(algo, &g, |m| h.config(m).with_hdd()));
+        let mut cells = series_row(algo, &times, times[0], 3);
+        cells.push(format!("{:.1}x", 1.0 / (times[times.len() - 1] / times[0])));
+        t.push(cells);
     }
-    println!("\npaper: 20x (BFS) and 18.5x (PR) at 32 machines");
+    t.note("\npaper: 20x (BFS) and 18.5x (PR) at 32 machines");
+    t
 }

@@ -5,32 +5,29 @@
 //! the CPU cores", since cores only matter for sustaining network and
 //! storage throughput.
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
-    let base = h.scale.base_scale;
-    banner("fig10", "weak scaling at p = 8 / 12 / 16 cores, normalized to (m=1, p=16)");
-    let mut header = vec!["series".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
+pub fn run(h: &Harness) -> Table {
+    let mut t = Table::new(
+        "fig10",
+        "weak scaling at p = 8 / 12 / 16 cores, normalized to (m=1, p=16)",
+    );
+    t.push(h.machine_header("series", &[]));
     for algo in ["BFS", "PR"] {
-        let mut base_time = 0.0;
+        let mut base = 0.0;
         for cores in [16u32, 12, 8] {
-            let mut cells = vec![format!("{algo} p={cores}")];
-            for &m in h.scale.machines {
-                let scale = base + (m as f64).log2().round() as u32;
-                let g = h.rmat_for(scale, algo);
+            let times = runtimes(&h.weak_series(algo, |m| {
                 let mut cfg = h.config(m);
                 cfg.cores = cores;
-                let rep = h.run(algo, cfg, &g);
-                if m == 1 && cores == 16 {
-                    base_time = rep.runtime as f64;
-                }
-                cells.push(format!("{:.2}", rep.runtime as f64 / base_time));
+                cfg
+            }));
+            if cores == 16 {
+                base = times[0];
             }
-            println!("{}", row(&cells));
+            t.push(series_row(&format!("{algo} p={cores}"), &times, base, 2));
         }
     }
-    println!("\npaper: p=8 tracks p=16 closely; a minimum is needed for network throughput");
+    t.note("\npaper: p=8 tracks p=16 closely; a minimum is needed for network throughput");
+    t
 }

@@ -4,45 +4,26 @@
 //! expected regardless of the bandwidth, but the application takes time
 //! inversely proportional to the available bandwidth."
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
-    let base = h.scale.base_scale;
-    banner("fig11", "weak scaling from SSD vs HDD, normalized to (m=1, SSD)");
-    let mut header = vec!["series".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
+pub fn run(h: &Harness) -> Table {
+    let mut t = Table::new(
+        "fig11",
+        "weak scaling from SSD vs HDD, normalized to (m=1, SSD)",
+    );
+    t.push(h.machine_header("series", &[]));
     let mut hdd_over_ssd = Vec::new();
     for algo in ["BFS", "PR"] {
-        let mut base_time = 0.0;
-        let mut ssd_times = Vec::new();
-        for hdd in [false, true] {
-            let mut cells = vec![format!("{algo} {}", if hdd { "HDD" } else { "SSD" })];
-            for (i, &m) in h.scale.machines.iter().enumerate() {
-                let scale = base + (m as f64).log2().round() as u32;
-                let g = h.rmat_for(scale, algo);
-                let cfg = if hdd {
-                    h.config(m).with_hdd()
-                } else {
-                    h.config(m)
-                };
-                let rep = h.run(algo, cfg, &g);
-                if m == 1 && !hdd {
-                    base_time = rep.runtime as f64;
-                }
-                if hdd {
-                    hdd_over_ssd.push(rep.runtime as f64 / ssd_times[i]);
-                } else {
-                    ssd_times.push(rep.runtime as f64);
-                }
-                cells.push(format!("{:.2}", rep.runtime as f64 / base_time));
-            }
-            println!("{}", row(&cells));
-        }
+        let ssd = runtimes(&h.weak_series(algo, |m| h.config(m)));
+        let hdd = runtimes(&h.weak_series(algo, |m| h.config(m).with_hdd()));
+        hdd_over_ssd.extend(hdd.iter().zip(&ssd).map(|(d, s)| d / s));
+        t.push(series_row(&format!("{algo} SSD"), &ssd, ssd[0], 2));
+        t.push(series_row(&format!("{algo} HDD"), &hdd, ssd[0], 2));
     }
-    println!(
+    t.note(format!(
         "\nmean HDD/SSD ratio: {:.2} (paper: ~2, the bandwidth ratio)",
         hdd_over_ssd.iter().sum::<f64>() / hdd_over_ssd.len() as f64
-    );
+    ));
+    t
 }

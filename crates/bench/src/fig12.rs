@@ -5,44 +5,27 @@
 //! (normalized runtimes of 5-9x in the paper), "highlighting the need for
 //! network links which are faster than the storage bandwidth per machine".
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
-    let base = h.scale.base_scale;
-    banner("fig12", "weak scaling over 40GigE vs 1GigE, normalized to (m=1, 40G)");
-    let mut header = vec!["series".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
+pub fn run(h: &Harness) -> Table {
+    let mut t = Table::new(
+        "fig12",
+        "weak scaling over 40GigE vs 1GigE, normalized to (m=1, 40G)",
+    );
+    t.push(h.machine_header("series", &[]));
     let mut slow_norm_at_max = 0.0;
     for algo in ["BFS", "PR"] {
-        let mut base_time = 0.0;
-        for slow in [false, true] {
-            let mut cells = vec![format!("{algo} {}", if slow { "1G" } else { "40G" })];
-            for &m in h.scale.machines {
-                let scale = base + (m as f64).log2().round() as u32;
-                let g = h.rmat_for(scale, algo);
-                let cfg = if slow {
-                    h.config(m).with_one_gige()
-                } else {
-                    h.config(m)
-                };
-                let rep = h.run(algo, cfg, &g);
-                if m == 1 && !slow {
-                    base_time = rep.runtime as f64;
-                }
-                let norm = rep.runtime as f64 / base_time;
-                if slow {
-                    slow_norm_at_max = norm;
-                }
-                cells.push(format!("{norm:.2}"));
-            }
-            println!("{}", row(&cells));
-        }
+        let fast = runtimes(&h.weak_series(algo, |m| h.config(m)));
+        let slow = runtimes(&h.weak_series(algo, |m| h.config(m).with_one_gige()));
+        slow_norm_at_max = slow[slow.len() - 1] / fast[0];
+        t.push(series_row(&format!("{algo} 40G"), &fast, fast[0], 2));
+        t.push(series_row(&format!("{algo} 1G"), &slow, fast[0], 2));
     }
-    println!(
+    t.note(format!(
         "\n1GigE normalized runtime at m={}: {:.1} (paper: 5-9x; the network becomes the bottleneck)",
         h.scale.machines.last().expect("non-empty"),
         slow_norm_at_max
-    );
+    ));
+    t
 }

@@ -5,42 +5,33 @@
 //! (the fio-measured device bandwidth x machines): Chaos scales linearly
 //! and stays within ~3% of the devices' limit.
 
-use crate::harness::{banner, row, Harness};
+use chaos_core::RunReport;
+
+use crate::harness::{series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
-    let base = h.scale.base_scale;
-    banner(
+pub fn run(h: &Harness) -> Table {
+    let mut t = Table::new(
         "fig14",
         "aggregate storage bandwidth, weak scaling, normalized to 1 machine",
     );
-    let mut header = vec!["algo".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    header.push("of max".into());
-    println!("{}", row(&header));
+    t.push(h.machine_header("algo", &["of max"]));
+    let m = *h.scale.machines.last().expect("non-empty");
+    let device_max = m as f64 * h.config(m).device.bandwidth as f64;
     for algo in ["BFS", "WCC", "PR", "SpMV", "BP"] {
-        let mut cells = vec![algo.to_string()];
-        let mut base_bw = 0.0;
-        let mut frac_of_max = 0.0;
-        for &m in h.scale.machines {
-            let scale = base + (m as f64).log2().round() as u32;
-            let g = h.rmat_for(scale, algo);
+        let reps = h.weak_series(algo, |m| {
             let mut cfg = h.config(m);
             // Measure the devices, not the cache.
             cfg.pagecache_bytes = 0;
-            let device_bw = cfg.device.bandwidth as f64;
-            let rep = h.run(algo, cfg, &g);
-            let bw = rep.aggregate_bandwidth();
-            if m == 1 {
-                base_bw = bw;
-            }
-            frac_of_max = bw / (m as f64 * device_bw);
-            cells.push(format!("{:.1}", bw / base_bw));
-        }
-        cells.push(format!("{:.0}%", 100.0 * frac_of_max));
-        println!("{}", row(&cells));
+            cfg
+        });
+        let bws: Vec<f64> = reps.iter().map(RunReport::aggregate_bandwidth).collect();
+        let mut cells = series_row(algo, &bws, bws[0], 1);
+        cells.push(format!("{:.0}%", 100.0 * (bws[bws.len() - 1] / device_max)));
+        t.push(cells);
     }
-    println!("\npaper: linear scaling, within 3% of the fio-measured device maximum");
-    println!("note: 'of max' counts barriers and phase tails against the devices; the");
-    println!("      scaled-down runs have proportionally larger tails than RMAT-32");
+    t.note("\npaper: linear scaling, within 3% of the fio-measured device maximum");
+    t.note("note: 'of max' counts barriers and phase tails against the devices; the");
+    t.note("      scaled-down runs have proportionally larger tails than RMAT-32");
+    t
 }

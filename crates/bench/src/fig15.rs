@@ -6,40 +6,30 @@
 
 use chaos_core::Placement;
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
-    let base = h.scale.base_scale;
-    banner(
+pub fn run(h: &Harness) -> Table {
+    let mut t = Table::new(
         "fig15",
         "weak scaling: randomized chunks vs centralized directory, normalized to (m=1, Chaos)",
     );
-    let mut header = vec!["series".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
+    t.push(h.machine_header("series", &[]));
     for algo in ["BFS", "PR"] {
-        let mut base_time = 0.0;
-        for centralized in [false, true] {
-            let mut cells = vec![format!(
-                "{algo} {}",
-                if centralized { "central" } else { "chaos" }
-            )];
-            for &m in h.scale.machines {
-                let scale = base + (m as f64).log2().round() as u32;
-                let g = h.rmat_for(scale, algo);
-                let mut cfg = h.config(m);
-                if centralized {
-                    cfg.placement = Placement::Centralized;
-                }
-                let rep = h.run(algo, cfg, &g);
-                if m == 1 && !centralized {
-                    base_time = rep.runtime as f64;
-                }
-                cells.push(format!("{:.2}", rep.runtime as f64 / base_time));
-            }
-            println!("{}", row(&cells));
-        }
+        let chaos = runtimes(&h.weak_series(algo, |m| h.config(m)));
+        let central = runtimes(&h.weak_series(algo, |m| {
+            let mut cfg = h.config(m);
+            cfg.placement = Placement::Centralized;
+            cfg
+        }));
+        t.push(series_row(&format!("{algo} chaos"), &chaos, chaos[0], 2));
+        t.push(series_row(
+            &format!("{algo} central"),
+            &central,
+            chaos[0],
+            2,
+        ));
     }
-    println!("\npaper: the centralized entity increasingly becomes the bottleneck with m");
+    t.note("\npaper: the centralized entity increasingly becomes the bottleneck with m");
+    t
 }

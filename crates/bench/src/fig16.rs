@@ -4,20 +4,20 @@
 //! finds a sweet spot at φk = 10 (k = 5, φ = 2), matching the queueing
 //! analysis of §6.5; larger windows add queueing delay and incast.
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let m = *h.scale.machines.last().expect("non-empty");
     let scale = h.scale.base_scale + 5;
-    banner(
+    let mut t = Table::new(
         "fig16",
-        &format!("batch-factor sweep at m={m}, RMAT-{scale}, normalized to phi*k=10"),
+        format!("batch-factor sweep at m={m}, RMAT-{scale}, normalized to phi*k=10"),
     );
     let windows = [1usize, 2, 3, 5, 10, 16, 32];
     let mut header = vec!["algo".to_string()];
     header.extend(windows.iter().map(|w| format!("pk={w}")));
-    println!("{}", row(&header));
+    t.push(header);
     let algos = if h.scale.all_algorithms {
         vec!["BFS", "WCC", "PR", "Cond", "SpMV", "BP"]
     } else {
@@ -25,17 +25,17 @@ pub fn run(h: &Harness) {
     };
     for algo in algos {
         let g = h.rmat_for(scale, algo);
-        let mut times = Vec::new();
-        for &w in &windows {
-            let mut cfg = h.config(m);
-            cfg.batch_window = w;
-            let rep = h.run(algo, cfg, &g);
-            times.push(rep.runtime as f64);
-        }
-        let reference = times[4]; // phi*k = 10
-        let mut cells = vec![algo.to_string()];
-        cells.extend(times.iter().map(|t| format!("{:.2}", t / reference)));
-        println!("{}", row(&cells));
+        let times: Vec<f64> = windows
+            .iter()
+            .map(|&w| {
+                let mut cfg = h.config(m);
+                cfg.batch_window = w;
+                h.run(algo, cfg, &g).runtime as f64
+            })
+            .collect();
+        // Normalized to phi*k = 10.
+        t.push(series_row(algo, &times, times[4], 2));
     }
-    println!("\npaper: clear sweet spot at phi*k = 10; small windows starve devices");
+    t.note("\npaper: clear sweet spot at phi*k = 10; small windows starve devices");
+    t
 }

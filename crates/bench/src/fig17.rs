@@ -6,28 +6,25 @@
 //! wait, and barrier idle time. The paper reports 74-87% useful work,
 //! idle below 4%, copy+merge 0-22%.
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let m = *h.scale.machines.last().expect("non-empty");
     let scale = h.scale.base_scale + 5;
-    banner(
+    let mut t = Table::new(
         "fig17",
-        &format!("runtime breakdown at m={m}, RMAT-{scale} (fractions of attributed time)"),
+        format!("runtime breakdown at m={m}, RMAT-{scale} (fractions of attributed time)"),
     );
-    println!(
-        "{}",
-        row(&[
-            "algo".into(),
-            "gp_own".into(),
-            "gp_stolen".into(),
-            "copy".into(),
-            "merge".into(),
-            "mrg_wait".into(),
-            "barrier".into(),
-        ])
-    );
+    t.header(&[
+        "algo",
+        "gp_own",
+        "gp_stolen",
+        "copy",
+        "merge",
+        "mrg_wait",
+        "barrier",
+    ]);
     for algo in h.algorithms() {
         let g = h.rmat_for(scale, algo);
         let mut cfg = h.config(m);
@@ -47,7 +44,8 @@ pub fn run(h: &Harness) {
         let n = rep.breakdowns.len() as f64;
         let mut cells = vec![algo.to_string()];
         cells.extend(sums.iter().map(|s| format!("{:.0}%", 100.0 * s / n)));
-        println!("{}", row(&cells));
+        t.push(cells);
     }
-    println!("\npaper: gp 74-87% (avg 83%), idle <4%, copy+merge 0-22% (avg 14%)");
+    t.note("\npaper: gp 74-87% (avg 83%), idle <4%, copy+merge 0-22% (avg 14%)");
+    t
 }

@@ -5,15 +5,15 @@
 //! is fastest — under-stealing leaves imbalance, over-stealing pays vertex
 //! copies for no benefit.
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let m = *h.scale.machines.last().expect("non-empty");
     let scale = h.scale.base_scale + 5;
-    banner(
+    let mut t = Table::new(
         "fig18",
-        &format!("steal-bias sweep at m={m}, RMAT-{scale}, normalized to alpha=1"),
+        format!("steal-bias sweep at m={m}, RMAT-{scale}, normalized to alpha=1"),
     );
     let alphas: [(f64, &str); 5] = [
         (0.0, "0"),
@@ -25,26 +25,24 @@ pub fn run(h: &Harness) {
     let mut header = vec!["algo".to_string()];
     header.extend(alphas.iter().map(|(_, s)| format!("a={s}")));
     header.push("steals@1".into());
-    println!("{}", row(&header));
+    t.push(header);
     for algo in ["BFS", "PR"] {
         let g = h.rmat_for(scale, algo);
-        let mut times = Vec::new();
-        let mut steals_at_one = 0;
-        for &(alpha, _) in &alphas {
-            let mut cfg = h.config(m);
-            cfg.mem_budget = h.scale.mem_budget / 2;
-            cfg.steal_alpha = alpha;
-            let rep = h.run(algo, cfg, &g);
-            if alpha == 1.0 {
-                steals_at_one = rep.steals;
-            }
-            times.push(rep.runtime as f64);
-        }
-        let reference = times[2];
-        let mut cells = vec![algo.to_string()];
-        cells.extend(times.iter().map(|t| format!("{:.2}", t / reference)));
-        cells.push(steals_at_one.to_string());
-        println!("{}", row(&cells));
+        let reps: Vec<_> = alphas
+            .iter()
+            .map(|&(alpha, _)| {
+                let mut cfg = h.config(m);
+                cfg.mem_budget = h.scale.mem_budget / 2;
+                cfg.steal_alpha = alpha;
+                h.run(algo, cfg, &g)
+            })
+            .collect();
+        // Normalized to alpha = 1.
+        let times = runtimes(&reps);
+        let mut cells = series_row(algo, &times, times[2], 2);
+        cells.push(reps[2].steals.to_string());
+        t.push(cells);
     }
-    println!("\npaper: alpha = 1 obtains the best performance");
+    t.note("\npaper: alpha = 1 obtains the best performance");
+    t
 }

@@ -5,50 +5,36 @@
 //! and shows that static partitioning "severely affects scalability".
 
 use chaos_baselines::giraph_config;
-use chaos_core::ChaosConfig;
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{runtimes, series_row, Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let scale = h.scale.base_scale + 2;
-    banner(
+    let mut t = Table::new(
         "fig19",
-        &format!("PR strong scaling, RMAT-{scale}: Chaos vs Giraph-like, each normalized to itself"),
+        format!("PR strong scaling, RMAT-{scale}: Chaos vs Giraph-like, each normalized to itself"),
     );
     let g = h.rmat_for(scale, "PR");
-    let mut header = vec!["system".to_string()];
-    header.extend(h.scale.machines.iter().map(|m| format!("m={m}")));
-    println!("{}", row(&header));
-    let mut abs_ratio = 0.0;
-    for system in ["chaos", "giraph"] {
-        let mut cells = vec![system.to_string()];
-        let mut base_time = 0.0;
-        for &m in h.scale.machines {
-            let cfg = if system == "chaos" {
-                let mut c: ChaosConfig = h.config(m);
-                c.mem_budget = h.scale.mem_budget / 2;
-                c
-            } else {
-                let mut c = giraph_config(m);
-                c.chunk_bytes = h.scale.chunk_bytes;
-                c.mem_budget = h.scale.mem_budget / 2;
-                c
-            };
-            let rep = h.run("PR", cfg, &g);
-            if m == 1 {
-                if system == "chaos" {
-                    abs_ratio = rep.runtime as f64;
-                } else {
-                    abs_ratio = rep.runtime as f64 / abs_ratio;
-                }
-                base_time = rep.runtime as f64;
-            }
-            cells.push(format!("{:.2}", rep.runtime as f64 / base_time));
-        }
-        println!("{}", row(&cells));
-    }
-    println!("\nabsolute 1-machine ratio giraph/chaos: {abs_ratio:.1}x (the paper observed an");
-    println!("order of magnitude, dominated by JVM engineering; Figure 19 therefore compares");
-    println!("normalized curves, where Chaos keeps scaling while static partitions stall)");
+    t.push(h.machine_header("system", &[]));
+    let chaos = runtimes(&h.strong_series("PR", &g, |m| {
+        let mut cfg = h.config(m);
+        cfg.mem_budget = h.scale.mem_budget / 2;
+        cfg
+    }));
+    let giraph = runtimes(&h.strong_series("PR", &g, |m| {
+        let mut cfg = giraph_config(m);
+        cfg.chunk_bytes = h.scale.chunk_bytes;
+        cfg.mem_budget = h.scale.mem_budget / 2;
+        cfg
+    }));
+    t.push(series_row("chaos", &chaos, chaos[0], 2));
+    t.push(series_row("giraph", &giraph, giraph[0], 2));
+    t.note(format!(
+        "\nabsolute 1-machine ratio giraph/chaos: {:.1}x (the paper observed an",
+        giraph[0] / chaos[0]
+    ));
+    t.note("order of magnitude, dominated by JVM engineering; Figure 19 therefore compares");
+    t.note("normalized curves, where Chaos keeps scaling while static partitions stall)");
+    t
 }

@@ -9,25 +9,17 @@
 
 use chaos_baselines::GridPartitioner;
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let m = *h.scale.machines.last().expect("non-empty");
     let scale = h.scale.base_scale + 2;
-    banner(
+    let mut t = Table::new(
         "fig20",
-        &format!("rebalance cost vs PowerGraph grid partitioning, m={m}, RMAT-{scale}"),
+        format!("rebalance cost vs PowerGraph grid partitioning, m={m}, RMAT-{scale}"),
     );
-    println!(
-        "{}",
-        row(&[
-            "algo".into(),
-            "rebal(ms)".into(),
-            "grid(ms)".into(),
-            "ratio".into(),
-        ])
-    );
+    t.header(&["algo", "rebal(ms)", "grid(ms)", "ratio"]);
     let mut ratios = Vec::new();
     for algo in h.algorithms() {
         let g = h.rmat_for(scale, algo);
@@ -45,21 +37,19 @@ pub fn run(h: &Harness) {
         let grid = GridPartitioner::new(m).partition(&g);
         let ratio = rebalance as f64 / grid.time.max(1) as f64;
         ratios.push(ratio);
-        println!(
-            "{}",
-            row(&[
-                algo.into(),
-                format!("{:.2}", rebalance as f64 / 1e6),
-                format!("{:.2}", grid.time as f64 / 1e6),
-                format!("{ratio:.2}"),
-            ])
-        );
+        t.push(vec![
+            algo.into(),
+            format!("{:.2}", rebalance as f64 / 1e6),
+            format!("{:.2}", grid.time as f64 / 1e6),
+            format!("{ratio:.2}"),
+        ]);
     }
-    println!(
+    t.note(format!(
         "\nmean rebalance/partitioning ratio: {:.2} (paper: ~0.1; grid replication factor {:.1})",
         ratios.iter().sum::<f64>() / ratios.len() as f64,
         GridPartitioner::new(m)
             .partition(&h.rmat_for(scale, "PR"))
             .replication_factor
-    );
+    ));
+    t
 }

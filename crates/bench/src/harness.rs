@@ -1,7 +1,8 @@
-//! Shared experiment plumbing: scales, graph cache, run helpers, printing.
+//! Shared experiment plumbing: scales, graph cache, run helpers, tables.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -134,7 +135,11 @@ impl Harness {
     /// is a simulated quantity, so printing it keeps figure output
     /// byte-comparable.
     pub fn records_streamed(&self) -> u64 {
-        self.reports.borrow().iter().map(|(_, rep)| rep.records_streamed).sum()
+        self.reports
+            .borrow()
+            .iter()
+            .map(|(_, rep)| rep.records_streamed)
+            .sum()
     }
 
     /// The selectivity account summed over every iteration of every run so
@@ -284,8 +289,7 @@ impl Harness {
         });
         // Order-sensitive mix of the per-run digests (runs are driven in a
         // fixed order per experiment).
-        self.digest
-            .set(mix_digest(self.digest.get(), digest));
+        self.digest.set(mix_digest(self.digest.get(), digest));
         self.reports
             .borrow_mut()
             .push((format!("{algo}/m{}", cfg_machines), rep.clone()));
@@ -314,6 +318,48 @@ impl Harness {
         } else {
             vec!["BFS", "WCC", "PR", "Cond", "SpMV", "BP"]
         }
+    }
+
+    /// A column header: `first`, one `m=<machines>` column per machine
+    /// count of the sweep, then `extra`.
+    pub fn machine_header(&self, first: &str, extra: &[&str]) -> Vec<String> {
+        let mut cells = vec![first.to_string()];
+        cells.extend(self.scale.machines.iter().map(|m| format!("m={m}")));
+        cells.extend(extra.iter().map(ToString::to_string));
+        cells
+    }
+
+    /// Weak scaling: `algo` once per machine count of the sweep, on
+    /// RMAT-(base + log2 m) under `cfg(m)`, in sweep order.
+    pub fn weak_series(
+        &self,
+        algo: &str,
+        mut cfg: impl FnMut(usize) -> ChaosConfig,
+    ) -> Vec<RunReport> {
+        let machines = self.scale.machines;
+        machines
+            .iter()
+            .map(|&m| {
+                let scale = self.scale.base_scale + (m as f64).log2().round() as u32;
+                let g = self.rmat_for(scale, algo);
+                self.run(algo, cfg(m), &g)
+            })
+            .collect()
+    }
+
+    /// Strong scaling: `algo` on the one graph `g` once per machine count
+    /// of the sweep under `cfg(m)`, in sweep order.
+    pub fn strong_series(
+        &self,
+        algo: &str,
+        g: &InputGraph,
+        mut cfg: impl FnMut(usize) -> ChaosConfig,
+    ) -> Vec<RunReport> {
+        let machines = self.scale.machines;
+        machines
+            .iter()
+            .map(|&m| self.run(algo, cfg(m), g))
+            .collect()
     }
 }
 
@@ -382,7 +428,11 @@ pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
                 s.edge_records_streamed,
                 s.edges_tombstoned,
                 s.compactions,
-                if j + 1 < rep.selectivity.len() { "," } else { "" },
+                if j + 1 < rep.selectivity.len() {
+                    ","
+                } else {
+                    ""
+                },
             ));
         }
         out.push_str("      ]\n");
@@ -404,18 +454,91 @@ fn mix_digest(a: u64, b: u64) -> u64 {
     x
 }
 
-/// Prints a header for one experiment.
-pub fn banner(id: &str, what: &str) {
-    println!("\n==================================================================");
-    println!("{id}: {what}");
-    println!("==================================================================");
+/// What one experiment (or one probe of `ablations`) reports: a banner
+/// (`id: title`), then its lines in print order. Cells are rendered
+/// strings; by convention the first row is the column header.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Table {
+    /// The experiment id, or the probe's name.
+    pub id: String,
+    /// One-line description printed after the id.
+    pub title: String,
+    /// Body lines in print order.
+    pub lines: Vec<Line>,
 }
 
-/// Formats a row of fixed-width cells.
-pub fn row(cells: &[String]) -> String {
+/// One line of a [`Table`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Line {
+    /// Cells right-aligned in 10 columns, one space apart.
+    Row(Vec<String>),
+    /// Printed verbatim.
+    Text(String),
+}
+
+impl Table {
+    /// An empty table.
+    pub fn new(id: &str, title: impl Into<String>) -> Self {
+        Self {
+            id: id.to_string(),
+            title: title.into(),
+            lines: Vec::new(),
+        }
+    }
+
+    /// Appends a row.
+    pub fn push(&mut self, cells: Vec<String>) {
+        self.lines.push(Line::Row(cells));
+    }
+
+    /// Appends a row of fixed labels (a column header).
+    pub fn header(&mut self, cells: &[&str]) {
+        self.push(cells.iter().map(ToString::to_string).collect());
+    }
+
+    /// Appends a text line; a leading `\n` prints a blank line first.
+    pub fn note(&mut self, text: impl Into<String>) {
+        self.lines.push(Line::Text(text.into()));
+    }
+}
+
+impl fmt::Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Line::Row(cells) => {
+                for (i, c) in cells.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(" ")?;
+                    }
+                    write!(f, "{c:>10}")?;
+                }
+                Ok(())
+            }
+            Line::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rule = "=".repeat(66);
+        writeln!(f, "\n{rule}\n{}: {}\n{rule}", self.id, self.title)?;
+        for line in &self.lines {
+            writeln!(f, "{line}")?;
+        }
+        Ok(())
+    }
+}
+
+/// The runtimes of `reps`, in order.
+pub fn runtimes(reps: &[RunReport]) -> Vec<f64> {
+    reps.iter().map(|r| r.runtime as f64).collect()
+}
+
+/// A row: `label`, then each of `values` divided by `base` with `digits`
+/// decimals.
+pub fn series_row(label: &str, values: &[f64], base: f64, digits: usize) -> Vec<String> {
+    let mut cells = vec![label.to_string()];
+    cells.extend(values.iter().map(|v| format!("{:.*}", digits, v / base)));
     cells
-        .iter()
-        .map(|c| format!("{c:>10}"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }

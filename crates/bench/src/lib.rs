@@ -2,7 +2,7 @@
 //!
 //! One module per table/figure of the paper's evaluation (§8-§10); each
 //! regenerates the corresponding rows or series on the simulated cluster
-//! and prints them. The `figures` binary drives them:
+//! and returns them as a [`Table`]. The `figures` binary prints them:
 //!
 //! ```text
 //! cargo run -p chaos-bench --release --bin figures -- list
@@ -39,7 +39,7 @@ pub mod table1;
 #[cfg(test)]
 mod tests;
 
-pub use harness::{metrics_json, Harness, Scale};
+pub use harness::{metrics_json, Harness, Line, Scale, Table};
 
 /// All experiment ids in paper order, with a one-line description.
 pub const EXPERIMENTS: &[(&str, &str)] = &[
@@ -63,13 +63,14 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("ablations", "extra design-decision probes beyond the paper"),
 ];
 
-/// Runs one experiment by id.
+/// Runs one experiment by id and returns its tables (one each, several
+/// for `ablations`) in print order.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id; use [`EXPERIMENTS`] for the valid set.
-pub fn run_experiment(id: &str, h: &Harness) {
-    match id {
+pub fn run_experiment(id: &str, h: &Harness) -> Vec<Table> {
+    let table = match id {
         "table1" => table1::run(h),
         "fig5" => fig05::run(h),
         "fig7" => fig07::run(h),
@@ -87,7 +88,8 @@ pub fn run_experiment(id: &str, h: &Harness) {
         "fig18" => fig18::run(h),
         "fig19" => fig19::run(h),
         "fig20" => fig20::run(h),
-        "ablations" => ablations::run(h),
+        "ablations" => return ablations::run(h),
         other => panic!("unknown experiment {other:?}; try `list`"),
-    }
+    };
+    vec![table]
 }

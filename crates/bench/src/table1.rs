@@ -3,26 +3,21 @@
 //! The paper's Table 1 runs RMAT-27 on one machine with an SSD and finds
 //! Chaos between 0.96x and 2.47x the X-Stream runtime (client-server I/O
 //! and pagecache-mediated access vs direct I/O). We run both engines at
-//! the scaled-down size and print the same rows.
+//! the scaled-down size and report the same rows.
 
-use chaos_algos::{needs_undirected, needs_weights, with_algo};
+use chaos_algos::with_algo;
 use chaos_baselines::{XStream, XStreamConfig};
 
-use crate::harness::{banner, row, Harness};
+use crate::harness::{Harness, Table};
 
 /// Runs the experiment.
-pub fn run(h: &Harness) {
+pub fn run(h: &Harness) -> Table {
     let scale = h.scale.base_scale + 2;
-    banner("table1", &format!("X-Stream vs Chaos, 1 machine, RMAT-{scale}, SSD"));
-    println!(
-        "{}",
-        row(&[
-            "algo".into(),
-            "xstream(s)".into(),
-            "chaos(s)".into(),
-            "ratio".into()
-        ])
+    let mut t = Table::new(
+        "table1",
+        format!("X-Stream vs Chaos, 1 machine, RMAT-{scale}, SSD"),
     );
+    t.header(&["algo", "xstream(s)", "chaos(s)", "ratio"]);
     for algo in h.algorithms() {
         let g = h.rmat_for(scale, algo);
         // X-Stream streams large direct-I/O slabs; Chaos goes through the
@@ -39,16 +34,13 @@ pub fn run(h: &Harness) {
         let mut ccfg = h.config(1);
         ccfg.pagecache_bytes = 0;
         let cr = h.run(algo, ccfg, &g);
-        let _ = (needs_undirected(algo), needs_weights(algo));
-        println!(
-            "{}",
-            row(&[
-                algo.into(),
-                format!("{:.2}", xr.seconds()),
-                format!("{:.2}", cr.seconds()),
-                format!("{:.2}x", cr.runtime as f64 / xr.runtime as f64),
-            ])
-        );
+        t.push(vec![
+            algo.into(),
+            format!("{:.2}", xr.seconds()),
+            format!("{:.2}", cr.seconds()),
+            format!("{:.2}x", cr.runtime as f64 / xr.runtime as f64),
+        ]);
     }
-    println!("\npaper: Chaos/X-Stream between 0.96x (MIS) and 2.47x (SpMV), most rows 1.1-1.6x");
+    t.note("\npaper: Chaos/X-Stream between 0.96x (MIS) and 2.47x (SpMV), most rows 1.1-1.6x");
+    t
 }

@@ -17,7 +17,7 @@ fn tiny() -> Harness {
 fn cheap_experiments_run() {
     let h = tiny();
     for id in ["table1", "fig5", "fig13", "fig16", "fig18", "fig20"] {
-        run_experiment(id, &h);
+        assert!(!run_experiment(id, &h).is_empty());
     }
 }
 
@@ -25,7 +25,7 @@ fn cheap_experiments_run() {
 fn scaling_experiments_run() {
     let h = tiny();
     for id in ["fig7", "fig8", "fig9", "fig11", "fig12", "fig14", "fig15", "fig19"] {
-        run_experiment(id, &h);
+        assert!(!run_experiment(id, &h).is_empty());
     }
 }
 
@@ -33,7 +33,7 @@ fn scaling_experiments_run() {
 fn remaining_experiments_run() {
     let h = tiny();
     for id in ["cap", "fig10", "fig17", "ablations"] {
-        run_experiment(id, &h);
+        assert!(!run_experiment(id, &h).is_empty());
     }
 }
 
