@@ -3,23 +3,17 @@
 //! 1. Chunk-size sweep — §6.2 argues chunks must be "large enough for
 //!    sequential access, small enough to be units of distribution and
 //!    stealing"; the sweep shows both cliffs.
-//! 2. Page cache on/off — isolates the Conductance weak-scaling anomaly of
-//!    §9.1 ("updates fit in the buffer cache").
-//! 3. Placement policy — random-uniform vs locality-seeking placement at
+//! 2. Placement policy — random-uniform vs locality-seeking placement at
 //!    fixed machine count, isolating the "no locality needed" claim from
 //!    the stealing machinery (both run with stealing on).
 
 use chaos_core::Placement;
 
-use crate::harness::{runtimes, series_row, Harness, Table};
+use crate::harness::{Harness, Table};
 
 /// Runs the probes, one table each.
 pub fn run(h: &Harness) -> Vec<Table> {
-    vec![
-        chunk_size_sweep(h),
-        pagecache_conductance(h),
-        placement_probe(h),
-    ]
+    vec![chunk_size_sweep(h), placement_probe(h)]
 }
 
 fn chunk_size_sweep(h: &Harness) -> Table {
@@ -47,27 +41,6 @@ fn chunk_size_sweep(h: &Harness) -> Table {
             .collect(),
     );
     t.note("tiny chunks pay per-request latency; huge chunks lose steal granularity");
-    t
-}
-
-fn pagecache_conductance(h: &Harness) -> Table {
-    let mut t = Table::new(
-        "ablation: page cache",
-        "Conductance weak scaling with and without the page cache (the 9.1 anomaly)",
-    );
-    t.push(h.machine_header("series", &[]));
-    for cached in [true, false] {
-        let times = runtimes(&h.weak_series("Cond", |m| {
-            let mut cfg = h.config(m);
-            if !cached {
-                cfg.pagecache_bytes = 0;
-            }
-            cfg
-        }));
-        let label = if cached { "cache on" } else { "cache off" };
-        t.push(series_row(label, &times, times[0], 2));
-    }
-    t.note("with the cache, per-machine update sets shrink with m and stop hitting the device");
     t
 }
 

@@ -15,6 +15,9 @@
 //! `--metrics-json <path>` dumps every run's report plus per-iteration
 //! selectivity as stable JSON after the experiments finish.
 //!
+//! Stdout carries the tables and nothing else, so two runs print the same
+//! bytes; timings go to stderr.
+//!
 //! Every experiment id is checked before the first one runs. An unknown
 //! id or option, a missing or bad value, or a path that cannot be written
 //! is one `error:` line and exit 1, with nothing run (the option rules
@@ -99,7 +102,7 @@ fn run() -> Result<(), String> {
         }
     }
     if all {
-        println!("\nall experiments done in {:.1}s wall clock", h.elapsed());
+        eprintln!("all experiments done in {:.1}s wall clock", h.elapsed());
     }
     fault_stats(&h);
     if let Some((file, path)) = &mut metrics {

@@ -30,24 +30,5 @@ pub fn run(h: &Harness) -> Table {
         h.scale.machines.last().expect("non-empty sweep"),
         sum_at_max / algos.len() as f64
     ));
-    // Host-throughput numerator for scripts/bench_smoke.sh: simulated
-    // quantities, so the lines are identical between release and
-    // debug-assertion builds.
-    let sel = h.selectivity_total();
-    t.note(format!("records streamed: {}", h.records_streamed()));
-    t.note(format!("records skipped: {}", sel.records_skipped));
-    t.note(format!(
-        "records skipped mid-wavefront: {}",
-        sel.records_skipped_mid
-    ));
-    // Sub-chunk selectivity from the block indexes.
-    t.note(format!("blocks skipped: {}", sel.blocks_skipped));
-    t.note(format!(
-        "records skipped intra-chunk: {}",
-        sel.records_skipped_intra
-    ));
-    // Layout-invariant fingerprint of every cell's final vertex states
-    // (tests/clustered_layout.rs pins the invariance per program).
-    t.note(format!("states digest: {:016x}", h.states_digest()));
     t
 }

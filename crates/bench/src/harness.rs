@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, ChaosConfig, FaultAccount, IterSelectivity, RunReport};
+use chaos_core::{run_chaos, ChaosConfig, FaultAccount, RunReport};
 use chaos_graph::{InputGraph, RmatConfig, WebGraphConfig};
 
 /// Experiment sizing.
@@ -69,11 +69,12 @@ pub struct Harness {
     dataset: RefCell<Option<Rc<InputGraph>>>,
     dataset_shaped: RefCell<HashMap<(bool, bool), Rc<InputGraph>>>,
     start: Instant,
-    /// Order-sensitive mix of every run's final-state digest (the one
-    /// total the reports do not carry).
-    digest: Cell<u64>,
+    /// Order-sensitive mix of the final-state digests of the runs since
+    /// the last [`Harness::take_states_digest`] (the one total the reports
+    /// do not carry); `None` before the first.
+    digest: Cell<Option<u64>>,
     /// Every run's report in drive order, labeled `algo/m<machines>`: the
-    /// `--metrics-json` dump and every total below are read from here.
+    /// `--metrics-json` dump and the fault account are read from here.
     reports: RefCell<Vec<(String, RunReport)>>,
 }
 
@@ -120,7 +121,7 @@ impl Harness {
             dataset: RefCell::new(None),
             dataset_shaped: RefCell::new(HashMap::new()),
             start: Instant::now(),
-            digest: Cell::new(0xcbf2_9ce4_8422_2325),
+            digest: Cell::new(None),
             reports: RefCell::new(Vec::new()),
         }
     }
@@ -130,33 +131,11 @@ impl Harness {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Edge + update records streamed by every run this harness drove so
-    /// far (the numerator of the bench-smoke throughput metric). The count
-    /// is a simulated quantity, so printing it keeps figure output
-    /// byte-comparable.
-    pub fn records_streamed(&self) -> u64 {
-        self.reports
-            .borrow()
-            .iter()
-            .map(|(_, rep)| rep.records_streamed)
-            .sum()
-    }
-
-    /// The selectivity account summed over every iteration of every run so
-    /// far: chunk, mid-wavefront and intra-chunk block skips (simulated
-    /// quantities).
-    pub fn selectivity_total(&self) -> IterSelectivity {
-        let mut total = IterSelectivity::default();
-        for (_, rep) in self.reports.borrow().iter() {
-            total.absorb(&rep.selectivity_total());
-        }
-        total
-    }
-
-    /// Combined fingerprint of the final vertex states of every run so
-    /// far (see [`digest_states`]); layout-invariant.
-    pub fn states_digest(&self) -> u64 {
-        self.digest.get()
+    /// Combined fingerprint of the final vertex states of every run since
+    /// the last call (see [`digest_states`]), or `None` if there was no
+    /// run; restarts the fingerprint. Layout-invariant.
+    pub fn take_states_digest(&self) -> Option<u64> {
+        self.digest.take()
     }
 
     /// The summed fault account of every run so far: aborts, redone
@@ -289,7 +268,8 @@ impl Harness {
         });
         // Order-sensitive mix of the per-run digests (runs are driven in a
         // fixed order per experiment).
-        self.digest.set(mix_digest(self.digest.get(), digest));
+        let prev = self.digest.get().unwrap_or(0xcbf2_9ce4_8422_2325);
+        self.digest.set(Some(mix_digest(prev, digest)));
         self.reports
             .borrow_mut()
             .push((format!("{algo}/m{}", cfg_machines), rep.clone()));

@@ -64,32 +64,38 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
 ];
 
 /// Runs one experiment by id and returns its tables (one each, several
-/// for `ablations`) in print order.
+/// for `ablations`) in print order. An experiment that ran the engine ends
+/// with a `states digest:` line over its own runs, so its tables do not
+/// depend on what the harness ran before.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id; use [`EXPERIMENTS`] for the valid set.
 pub fn run_experiment(id: &str, h: &Harness) -> Vec<Table> {
-    let table = match id {
-        "table1" => table1::run(h),
-        "fig5" => fig05::run(h),
-        "fig7" => fig07::run(h),
-        "fig8" => fig08::run(h),
-        "fig9" => fig09::run(h),
-        "cap" => capacity::run(h),
-        "fig10" => fig10::run(h),
-        "fig11" => fig11::run(h),
-        "fig12" => fig12::run(h),
-        "fig13" => fig13::run(h),
-        "fig14" => fig14::run(h),
-        "fig15" => fig15::run(h),
-        "fig16" => fig16::run(h),
-        "fig17" => fig17::run(h),
-        "fig18" => fig18::run(h),
-        "fig19" => fig19::run(h),
-        "fig20" => fig20::run(h),
-        "ablations" => return ablations::run(h),
+    let mut tables = match id {
+        "table1" => vec![table1::run(h)],
+        "fig5" => vec![fig05::run(h)],
+        "fig7" => vec![fig07::run(h)],
+        "fig8" => vec![fig08::run(h)],
+        "fig9" => vec![fig09::run(h)],
+        "cap" => vec![capacity::run(h)],
+        "fig10" => vec![fig10::run(h)],
+        "fig11" => vec![fig11::run(h)],
+        "fig12" => vec![fig12::run(h)],
+        "fig13" => vec![fig13::run(h)],
+        "fig14" => vec![fig14::run(h)],
+        "fig15" => vec![fig15::run(h)],
+        "fig16" => vec![fig16::run(h)],
+        "fig17" => vec![fig17::run(h)],
+        "fig18" => vec![fig18::run(h)],
+        "fig19" => vec![fig19::run(h)],
+        "fig20" => vec![fig20::run(h)],
+        "ablations" => ablations::run(h),
         other => panic!("unknown experiment {other:?}; try `list`"),
     };
-    vec![table]
+    if let Some(digest) = h.take_states_digest() {
+        let last = tables.last_mut().expect("every experiment has a table");
+        last.note(format!("states digest: {digest:016x}"));
+    }
+    tables
 }

@@ -1,41 +1,7 @@
-//! Smoke tests: every experiment harness runs end to end at a tiny scale.
+//! Registry checks. What every experiment prints at a tiny scale is pinned
+//! by the root test `tests/figures_golden.rs`.
 
-use crate::harness::{Harness, Scale};
-use crate::{run_experiment, EXPERIMENTS};
-
-fn tiny() -> Harness {
-    Harness::new(Scale {
-        base_scale: 7,
-        chunk_bytes: 8 * 1024,
-        mem_budget: 16 * 1024,
-        machines: &[1, 2, 4],
-        all_algorithms: false,
-    })
-}
-
-#[test]
-fn cheap_experiments_run() {
-    let h = tiny();
-    for id in ["table1", "fig5", "fig13", "fig16", "fig18", "fig20"] {
-        assert!(!run_experiment(id, &h).is_empty());
-    }
-}
-
-#[test]
-fn scaling_experiments_run() {
-    let h = tiny();
-    for id in ["fig7", "fig8", "fig9", "fig11", "fig12", "fig14", "fig15", "fig19"] {
-        assert!(!run_experiment(id, &h).is_empty());
-    }
-}
-
-#[test]
-fn remaining_experiments_run() {
-    let h = tiny();
-    for id in ["cap", "fig10", "fig17", "ablations"] {
-        assert!(!run_experiment(id, &h).is_empty());
-    }
-}
+use crate::EXPERIMENTS;
 
 #[test]
 fn experiment_registry_is_complete() {

@@ -4,6 +4,9 @@
 //! only a subset of the helpers, so per-binary dead-code analysis is noise.
 #![allow(dead_code)]
 
+use std::fmt;
+use std::path::{Path, PathBuf};
+
 use chaos::gas::{UpdateRef, CUSTOM_AGGREGATES};
 use chaos::graph::VertexId;
 use chaos::prelude::*;
@@ -16,6 +19,64 @@ pub fn test_config(machines: usize) -> ChaosConfig {
     cfg.chunk_bytes = 16 * 1024;
     cfg.mem_budget = 16 * 1024;
     cfg
+}
+
+/// The first line where fresh output differs from a committed golden file.
+#[derive(Debug)]
+pub struct GoldenDiff {
+    /// The golden file's name under `tests/golden/`.
+    pub name: String,
+    /// Index of the first differing line (0-based).
+    pub line: usize,
+    /// That line in the golden file, or `<end>`.
+    pub golden: String,
+    /// That line in the fresh output, or `<end>`.
+    pub fresh: String,
+    /// Where the fresh output was written.
+    pub written: PathBuf,
+}
+
+impl fmt::Display for GoldenDiff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "differs from tests/golden/{} at line {}:\n  golden: {}\n  fresh:  {}\n\
+             fresh output written to {}",
+            self.name,
+            self.line + 1,
+            self.golden,
+            self.fresh,
+            self.written.display()
+        )
+    }
+}
+
+/// Compares `fresh` with the committed `tests/golden/<name>` byte for byte.
+/// On a mismatch, writes `fresh` to `target/golden/<name>` (copy it over
+/// the golden to regenerate) and returns the first differing line.
+pub fn golden_diff(name: &str, fresh: &str) -> Option<GoldenDiff> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(root.join("tests/golden").join(name))
+        .unwrap_or_else(|e| panic!("tests/golden/{name} is committed: {e}"));
+    if fresh == golden {
+        return None;
+    }
+    let written = root.join("target/golden").join(name);
+    std::fs::create_dir_all(written.parent().expect("has a parent")).expect("create target/golden");
+    std::fs::write(&written, fresh).expect("write the fresh output");
+    let (want, got): (Vec<&str>, Vec<&str>) = (golden.lines().collect(), fresh.lines().collect());
+    // Equal lines with different line endings report the line past the end.
+    let line = (0..want.len().max(got.len()))
+        .find(|&i| want.get(i) != got.get(i))
+        .unwrap_or(want.len());
+    let at = |v: &[&str]| v.get(line).map_or("<end>".to_string(), |s| s.to_string());
+    Some(GoldenDiff {
+        name: name.to_string(),
+        line,
+        golden: at(&want),
+        fresh: at(&got),
+        written,
+    })
 }
 
 /// Relative-tolerance float comparison.

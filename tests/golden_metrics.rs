@@ -15,14 +15,12 @@
 //!
 //! On a mismatch the test writes the fresh dump to
 //! `target/golden/metrics.json` and fails, naming the first differing
-//! line. To regenerate after an intended change of a simulated quantity:
+//! line (`common::golden_diff`). To regenerate after an intended change of a simulated quantity:
 //! `cargo test --test golden_metrics`, then copy
 //! `target/golden/metrics.json` over `tests/golden/metrics.json` and say
 //! in the change which quantity moved and why.
 
 mod common;
-
-use std::path::Path;
 
 use chaos::algos::{needs_undirected, needs_weights, with_algo};
 use chaos::prelude::*;
@@ -106,28 +104,7 @@ fn metrics_json_matches_the_golden_file() {
     runs.push(device_burst());
     runs.push(torn_fallback());
     let fresh = chaos::bench::metrics_json(&runs);
-
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let golden = std::fs::read_to_string(root.join("tests/golden/metrics.json"))
-        .expect("tests/golden/metrics.json is committed");
-    if fresh == golden {
-        return;
+    if let Some(diff) = common::golden_diff("metrics.json", &fresh) {
+        panic!("metrics JSON {diff}");
     }
-    let out = root.join("target/golden/metrics.json");
-    std::fs::create_dir_all(out.parent().expect("has a parent")).expect("create target/golden");
-    std::fs::write(&out, &fresh).expect("write the fresh dump");
-    let (want, got): (Vec<&str>, Vec<&str>) = (golden.lines().collect(), fresh.lines().collect());
-    // Equal lines with different line endings report the line past the end.
-    let i = (0..want.len().max(got.len()))
-        .find(|&i| want.get(i) != got.get(i))
-        .unwrap_or(want.len());
-    let at = |v: &Vec<&str>| v.get(i).map_or("<end>".to_string(), |s| s.to_string());
-    panic!(
-        "metrics JSON differs from tests/golden/metrics.json at line {}:\n  \
-         golden: {}\n  fresh:  {}\nfresh dump written to {}",
-        i + 1,
-        at(&want),
-        at(&got),
-        out.display()
-    );
 }
