@@ -37,7 +37,7 @@ fn chunk_size_sweep(h: &Harness) -> Table {
     t.push(
         times
             .iter()
-            .map(|t| format!("{:.2}", t / times[2]))
+            .map(|x| format!("{:.2}", x / times[2]))
             .collect(),
     );
     t.note("tiny chunks pay per-request latency; huge chunks lose steal granularity");

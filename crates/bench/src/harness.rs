@@ -316,8 +316,8 @@ impl Harness {
         algo: &str,
         mut cfg: impl FnMut(usize) -> ChaosConfig,
     ) -> Vec<RunReport> {
-        let machines = self.scale.machines;
-        machines
+        self.scale
+            .machines
             .iter()
             .map(|&m| {
                 let scale = self.scale.base_scale + (m as f64).log2().round() as u32;
@@ -335,8 +335,8 @@ impl Harness {
         g: &InputGraph,
         mut cfg: impl FnMut(usize) -> ChaosConfig,
     ) -> Vec<RunReport> {
-        let machines = self.scale.machines;
-        machines
+        self.scale
+            .machines
             .iter()
             .map(|&m| self.run(algo, cfg(m), g))
             .collect()
@@ -408,11 +408,7 @@ pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
                 s.edge_records_streamed,
                 s.edges_tombstoned,
                 s.compactions,
-                if j + 1 < rep.selectivity.len() {
-                    ","
-                } else {
-                    ""
-                },
+                if j + 1 < rep.selectivity.len() { "," } else { "" },
             ));
         }
         out.push_str("      ]\n");

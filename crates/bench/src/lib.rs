@@ -12,8 +12,11 @@
 //!
 //! Scales are reduced relative to the paper (RMAT-12..17 instead of
 //! RMAT-27..32 by default; `--full` raises them) with chunk sizes scaled
-//! accordingly; `EXPERIMENTS.md` records paper-vs-measured for one
-//! captured run.
+//! accordingly. Paper-vs-measured is recorded in the figure goldens:
+//! `tests/golden/figures_quick.txt` is `figures all` stdout, each
+//! experiment's measured rows next to its `paper:` line, and
+//! `tests/golden/figures_tiny.txt` pins all 18 at a tiny scale
+//! (`tests/figures_golden.rs`, tier-1).
 
 pub mod ablations;
 pub mod capacity;
