@@ -1,31 +1,35 @@
 //! One-cell microprobe: runs a single (algorithm, machines, scale) cell
-//! and prints wall time, event count, record throughput and the
-//! selective-streaming account — for sizing host-side optimizations
-//! without a full figure sweep.
+//! and prints its simulated account — for sizing host-side
+//! optimizations without a full figure sweep.
 //!
 //! ```text
 //! cellstats [ALGO [MACHINES [SCALE]]] \
 //!     [--iters] [--metrics-json <path>] [--fault-seed N] [--scrub]
 //! ```
 //!
-//! The positionals default to `PR 4 14`. `--iters` adds a
-//! per-iteration table: active-vertex fraction, chunks/records and
-//! blocks/records skipped (split into empty-frontier and mid-wavefront
-//! skips), and tombstone/compaction counts — the shape of a frontier
-//! collapsing or a Borůvka contraction eating the edge set.
-//! `--metrics-json <path>` dumps the run's report plus per-iteration
-//! selectivity as stable JSON. One `memory:` line on stderr gives the
-//! process's resident-set high-water mark (`VmHWM`) over graph generation,
-//! over `Cluster::new` and over the run, each step measured on its own by
-//! restarting the mark through `/proc/self/clear_refs` (`n/a` where
-//! `/proc` offers neither). `--fault-seed N` turns on checkpointing
-//! and injects the seed-`N` generated fault plan (crashes + torn writes +
-//! device + fabric + corruption windows); the fault account and integrity
-//! lines show what the recovery protocol absorbed. `--scrub` enables the
-//! between-iteration integrity scrub pass. The `states digest` line is a
-//! layout- and fault-invariant fingerprint of the final vertex states —
-//! `scripts/bench_smoke.sh` compares it between corruption-seeded and
-//! fault-free runs.
+//! The positionals default to `PR 4 14`. Stdout is a function of the cell
+//! alone, so two runs print the same bytes: the cell, one `key=value` line
+//! per counter group of the run (`run:`, `selectivity:`, `storage:`,
+//! `faults:` — the keys of the `--metrics-json` run object), the `states
+//! digest` line, and the end-of-run chunk window-width histogram.
+//! `--iters` adds one `iter <i>:` line per iteration with its selectivity
+//! counters — the shape of a frontier collapsing or a Borůvka contraction
+//! eating the edge set. `--metrics-json <path>` dumps the run's report
+//! plus per-iteration selectivity as stable JSON.
+//!
+//! Host measurements go to stderr: a `wall` line (seconds, events and
+//! records per second) and a `memory:` line with the process's resident-set
+//! high-water mark (`VmHWM`) over graph generation, over `Cluster::new` and
+//! over the run, each step measured on its own by restarting the mark
+//! through `/proc/self/clear_refs` (`n/a` where `/proc` offers neither).
+//!
+//! `--fault-seed N` turns on checkpointing and injects the seed-`N`
+//! generated fault plan (crashes + torn writes + device + fabric +
+//! corruption windows); the `faults:` line shows what the recovery
+//! protocol absorbed. `--scrub` enables the between-iteration integrity
+//! scrub pass. The `states digest` line is a layout- and fault-invariant
+//! fingerprint of the final vertex states — `scripts/bench_smoke.sh`
+//! compares it between corruption-seeded and fault-free runs.
 //!
 //! An unknown algorithm or option, a missing or bad value, an extra
 //! positional, a graph past the generator's limits, a configuration
@@ -106,61 +110,14 @@ fn run() -> Result<(), String> {
     });
     let wall = t0.elapsed().as_secs_f64();
     eprintln!("memory: VmHWM {}", hwm.steps.join(", "));
-    // `cluster_bins` is the run's *effective* layout — dense-activity
-    // programs keep the single-bin arrival order whatever was requested.
-    println!(
-        "{algo} m={machines} scale={scale} bins={}: \
-         wall {:.3}s, events {}, records {}, iters {}, {:.0} events/s, {:.0} records/s",
-        rep.cluster_bins,
-        wall,
-        rep.events,
-        rep.records_streamed,
-        rep.iterations,
+    eprintln!(
+        "wall {wall:.3}s, {:.0} events/s, {:.0} records/s",
         rep.events as f64 / wall,
         rep.records_streamed as f64 / wall,
     );
-    let fa = &rep.faults;
-    println!(
-        "faults: {} aborts, {} iterations redone, {} device retries, \
-         {:.3}s lost to faults; {} checkpoint bytes in {:.3}s",
-        fa.aborts,
-        fa.iterations_redone,
-        fa.device_retries,
-        fa.faulted_time as f64 / 1e9,
-        fa.checkpoint_bytes,
-        fa.checkpoint_time as f64 / 1e9,
-    );
-    println!(
-        "integrity: {} corruptions detected, {} repaired, {} frames scrubbed, \
-         {} checksum bytes",
-        fa.corruption_detected,
-        fa.corruption_repaired,
-        fa.frames_scrubbed,
-        fa.checksum_bytes,
-    );
+    println!("{algo} m={machines} scale={scale}");
+    print!("{rep}");
     println!("states digest: {digest:016x}");
-    let sel = rep.selectivity_total();
-    let streamed_plus_skipped = rep.records_streamed + sel.records_skipped;
-    println!(
-        "selectivity: {} chunks ({} records, {:.1}% of edge+update traffic) skipped \
-         [{} records on empty frontiers, {} mid-wavefront]; \
-         {} compactions dropped {} edges",
-        sel.chunks_skipped,
-        sel.records_skipped,
-        100.0 * sel.records_skipped as f64 / streamed_plus_skipped.max(1) as f64,
-        sel.records_skipped - sel.records_skipped_mid,
-        sel.records_skipped_mid,
-        sel.compactions,
-        sel.edges_tombstoned,
-    );
-    // Sub-chunk selectivity: blocks the block indexes proved inactive
-    // inside chunks that were otherwise served (zero under dense
-    // activity).
-    println!(
-        "block selectivity: {} blocks skipped inside served chunks \
-         ({} records never read or streamed)",
-        sel.blocks_skipped, sel.records_skipped_intra,
-    );
     // The layout's direct observable: how narrow the stored chunk windows
     // are relative to their partition's span.
     let h = &rep.window_widths;
@@ -186,32 +143,8 @@ fn run() -> Result<(), String> {
         parts.join(", "),
     );
     if args.flag("--iters") {
-        println!(
-            "{:>5} {:>8} {:>10} {:>12} {:>12} {:>12} {:>10} {:>12} {:>12} {:>12}",
-            "iter",
-            "active%",
-            "chunks-skp",
-            "records-skp",
-            "skp-empty",
-            "skp-mid",
-            "blocks-skp",
-            "skp-intra",
-            "tombstoned",
-            "compactions"
-        );
         for (i, s) in rep.selectivity.iter().enumerate() {
-            println!(
-                "{i:>5} {:>7.1}% {:>10} {:>12} {:>12} {:>12} {:>10} {:>12} {:>12} {:>12}",
-                100.0 * s.active_fraction(),
-                s.chunks_skipped,
-                s.records_skipped,
-                s.records_skipped - s.records_skipped_mid,
-                s.records_skipped_mid,
-                s.blocks_skipped,
-                s.records_skipped_intra,
-                s.edges_tombstoned,
-                s.compactions,
-            );
+            println!("iter {i}: {s}");
         }
     }
     if let Some((file, path)) = &mut metrics {

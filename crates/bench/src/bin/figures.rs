@@ -16,7 +16,8 @@
 //! selectivity as stable JSON after the experiments finish.
 //!
 //! Stdout carries the tables and nothing else, so two runs print the same
-//! bytes; timings go to stderr.
+//! bytes; timings and the summed fault account (`fault account:
+//! key=value ...`, every `FaultAccount` counter) go to stderr.
 //!
 //! Every experiment id is checked before the first one runs. An unknown
 //! id or option, a missing or bad value, or a path that cannot be written
@@ -33,30 +34,6 @@ const OPTIONS: &Options = &[
     ("--metrics-json", Value),
     ("--full", Flag),
 ];
-
-/// Prints the summed fault account to stderr (stdout carries the figure
-/// and nothing else).
-fn fault_stats(h: &Harness) {
-    let fa = h.fault_account();
-    eprintln!(
-        "fault account:  aborts={} redone={} device-retries={} faulted-ns={} \
-         ckpt-bytes={} ckpt-ns={}",
-        fa.aborts,
-        fa.iterations_redone,
-        fa.device_retries,
-        fa.faulted_time,
-        fa.checkpoint_bytes,
-        fa.checkpoint_time,
-    );
-    eprintln!(
-        "integrity:      corruption-detected={} repaired={} frames-scrubbed={} \
-         checksum-bytes={}",
-        fa.corruption_detected,
-        fa.corruption_repaired,
-        fa.frames_scrubbed,
-        fa.checksum_bytes,
-    );
-}
 
 fn run() -> Result<(), String> {
     let args = Args::parse(OPTIONS, std::env::args().skip(1))?;
@@ -104,7 +81,7 @@ fn run() -> Result<(), String> {
     if all {
         eprintln!("all experiments done in {:.1}s wall clock", h.elapsed());
     }
-    fault_stats(&h);
+    eprintln!("fault account: {}", h.fault_account());
     if let Some((file, path)) = &mut metrics {
         let runs = h
             .write_metrics_json(file)

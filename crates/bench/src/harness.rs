@@ -345,80 +345,29 @@ impl Harness {
 
 /// Serializes labeled run reports as JSON with a fixed key order, so two
 /// runs of the same build produce byte-identical dumps (a "stable JSON"
-/// diff target for tooling; all quantities here are simulated).
-/// Hand-rolled — the workspace takes no serialization dependency for one
-/// fixed shape.
+/// diff target for tooling; all quantities here are simulated). Each run
+/// object lists [`RunReport::counters`], each selectivity entry
+/// [`chaos_core::IterSelectivity::counters`]. Hand-rolled — the workspace
+/// takes no serialization dependency for one fixed shape.
 pub fn metrics_json(reports: &[(String, RunReport)]) -> String {
+    let comma = |i: usize, n: usize| if i + 1 < n { "," } else { "" };
     let mut out = String::from("{\n  \"runs\": [\n");
     for (i, (label, rep)) in reports.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"label\": \"{label}\",\n"));
-        let sel = rep.selectivity_total();
-        for (k, v) in [
-            ("runtime_ns", rep.runtime),
-            ("preprocess_ns", rep.preprocess_time),
-            ("iterations", u64::from(rep.iterations)),
-            ("partitions", rep.partitions as u64),
-            ("steals", rep.steals),
-            ("events", rep.events),
-            ("records_streamed", rep.records_streamed),
-            ("chunks_skipped", sel.chunks_skipped),
-            ("records_skipped", sel.records_skipped),
-            ("chunks_skipped_mid", sel.chunks_skipped_mid),
-            ("records_skipped_mid", sel.records_skipped_mid),
-            ("blocks_skipped", sel.blocks_skipped),
-            ("records_skipped_intra", sel.records_skipped_intra),
-            ("edges_tombstoned", sel.edges_tombstoned),
-            ("compactions", sel.compactions),
-            ("cluster_bins", u64::from(rep.cluster_bins)),
-            ("device_bytes", rep.total_device_bytes()),
-            ("aborts", rep.faults.aborts),
-            ("iterations_redone", rep.faults.iterations_redone),
-            ("device_retries", rep.faults.device_retries),
-            ("faulted_time_ns", rep.faults.faulted_time),
-            ("checkpoint_bytes", rep.faults.checkpoint_bytes),
-            ("checkpoint_time_ns", rep.faults.checkpoint_time),
-            ("corruption_detected", rep.faults.corruption_detected),
-            ("corruption_repaired", rep.faults.corruption_repaired),
-            ("frames_scrubbed", rep.faults.frames_scrubbed),
-            ("checksum_bytes", rep.faults.checksum_bytes),
-        ] {
-            out.push_str(&format!("      \"{k}\": {v},\n"));
+        out += &format!("    {{\n      \"label\": \"{label}\",\n");
+        for (k, v) in rep.counters() {
+            out += &format!("      \"{k}\": {v},\n");
         }
-        out.push_str("      \"selectivity\": [\n");
+        out += "      \"selectivity\": [\n";
         for (j, s) in rep.selectivity.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"iter\": {j}, \"active_vertices\": {}, \"total_vertices\": {}, \
-                 \"chunks_skipped\": {}, \"records_skipped\": {}, \
-                 \"chunks_skipped_mid\": {}, \"records_skipped_mid\": {}, \
-                 \"blocks_skipped\": {}, \"records_skipped_intra\": {}, \
-                 \"blocks_skipped_mid\": {}, \"records_skipped_intra_mid\": {}, \
-                 \"edge_records_streamed\": {}, \"edges_tombstoned\": {}, \
-                 \"compactions\": {}}}{}\n",
-                s.active_vertices,
-                s.total_vertices,
-                s.chunks_skipped,
-                s.records_skipped,
-                s.chunks_skipped_mid,
-                s.records_skipped_mid,
-                s.blocks_skipped,
-                s.records_skipped_intra,
-                s.blocks_skipped_mid,
-                s.records_skipped_intra_mid,
-                s.edge_records_streamed,
-                s.edges_tombstoned,
-                s.compactions,
-                if j + 1 < rep.selectivity.len() { "," } else { "" },
-            ));
+            out += &format!("        {{\"iter\": {j}");
+            for (k, v) in s.counters() {
+                out += &format!(", \"{k}\": {v}");
+            }
+            out += &format!("}}{}\n", comma(j, rep.selectivity.len()));
         }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
+        out += &format!("      ]\n    }}{}\n", comma(i, reports.len()));
     }
-    out.push_str("  ]\n}\n");
-    out
+    out + "  ]\n}\n"
 }
 
 /// SplitMix64-style combine of two digests.

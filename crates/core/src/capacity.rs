@@ -115,6 +115,7 @@ mod tests {
             window_widths: Default::default(),
             cluster_bins: 1,
             faults: Default::default(),
+            abort_log: vec![],
         }
     }
 

@@ -269,7 +269,6 @@ impl<P: GasProgram> Cluster<P> {
             aborts: self.coordinator.aborts,
             iterations_redone: self.coordinator.iterations_redone,
             faulted_time: self.fabric.stats().degraded_time,
-            abort_log: self.coordinator.abort_log.clone(),
             ..Default::default()
         };
         for s in &self.storages {
@@ -296,6 +295,7 @@ impl<P: GasProgram> Cluster<P> {
             window_widths,
             cluster_bins: self.params.cluster.bins(),
             faults,
+            abort_log: self.coordinator.abort_log.clone(),
         }
     }
 

@@ -1,130 +1,155 @@
 //! Runtime metrics: the per-machine breakdown of Figure 17, device and
 //! fabric statistics, and the consolidated run report.
 
+use std::fmt;
+
 use chaos_gas::IterationAggregates;
 use chaos_net::FabricStats;
 use chaos_sim::Time;
 use chaos_storage::device::DeviceStats;
 
-/// Per-machine wall-time breakdown in the categories of Figure 17.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Breakdown {
-    /// Graph processing on partitions this machine masters.
-    pub gp_master: Time,
-    /// Graph processing on stolen partitions.
-    pub gp_stolen: Time,
-    /// Copying overhead of load balancing: stealers loading vertex sets and
-    /// shipping accumulators.
-    pub copy: Time,
-    /// Master-side merging of stealer accumulators and apply.
-    pub merge: Time,
-    /// Waiting for the master/stealer accumulator exchange.
-    pub merge_wait: Time,
-    /// Idle at barriers.
-    pub barrier: Time,
+/// Writes `key=value` pairs separated by spaces: the one text form of
+/// every counter group.
+fn write_pairs(f: &mut fmt::Formatter<'_>, pairs: &[(&str, u64)]) -> fmt::Result {
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        write!(f, "{}{k}={v}", if i == 0 { "" } else { " " })?;
+    }
+    Ok(())
+}
+
+/// A counter's dump key: its field name, plus `_ns` for a simulated
+/// [`Time`].
+macro_rules! key {
+    ($field:ident Time) => {
+        concat!(stringify!($field), "_ns")
+    };
+    ($field:ident $ty:ident) => {
+        stringify!($field)
+    };
+}
+
+/// Declares a group of counters, one field each (`u64`, or `Time` in
+/// nanoseconds), and derives the rest from that one declaration: the
+/// struct, `absorb` (every counter adds), `counters` (each counter with its
+/// `key!` in declaration order: the dump and the text lines) and a
+/// `key=value` `Display`. A new counter is one more field here.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$doc:meta])* $field:ident: $ty:ident,)* }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name { $($(#[$doc])* pub $field: $ty,)* }
+
+        impl $name {
+            /// Element-wise accumulation (merging machines', engines' or
+            /// runs' accounts): every counter adds.
+            pub fn absorb(&mut self, o: &Self) {
+                $(self.$field += o.$field;)*
+            }
+
+            /// Every counter with its dump key, in declaration order.
+            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
+                [$((key!($field $ty), self.$field)),*]
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write_pairs(f, &self.counters())
+            }
+        }
+    };
+}
+
+counters! {
+    /// Per-machine wall-time breakdown in the categories of Figure 17.
+    pub struct Breakdown {
+        /// Graph processing on partitions this machine masters.
+        gp_master: Time,
+        /// Graph processing on stolen partitions.
+        gp_stolen: Time,
+        /// Copying overhead of load balancing: stealers loading vertex sets
+        /// and shipping accumulators.
+        copy: Time,
+        /// Master-side merging of stealer accumulators and apply.
+        merge: Time,
+        /// Waiting for the master/stealer accumulator exchange.
+        merge_wait: Time,
+        /// Idle at barriers.
+        barrier: Time,
+    }
 }
 
 impl Breakdown {
     /// Sum of all categories.
     pub fn total(&self) -> Time {
-        self.gp_master + self.gp_stolen + self.copy + self.merge + self.merge_wait + self.barrier
+        self.counters().iter().map(|&(_, t)| t).sum()
     }
 
     /// Fractions of `runtime` per category, in Figure 17 order
     /// `[gp_master, gp_stolen, copy, merge, merge_wait, barrier]`.
     pub fn fractions(&self, runtime: Time) -> [f64; 6] {
         let d = runtime.max(1) as f64;
-        [
-            self.gp_master as f64 / d,
-            self.gp_stolen as f64 / d,
-            self.copy as f64 / d,
-            self.merge as f64 / d,
-            self.merge_wait as f64 / d,
-            self.barrier as f64 / d,
-        ]
-    }
-
-    /// Element-wise accumulation.
-    pub fn absorb(&mut self, o: &Breakdown) {
-        self.gp_master += o.gp_master;
-        self.gp_stolen += o.gp_stolen;
-        self.copy += o.copy;
-        self.merge += o.merge;
-        self.merge_wait += o.merge_wait;
-        self.barrier += o.barrier;
+        self.counters().map(|(_, t)| t as f64 / d)
     }
 }
 
-/// Per-iteration selective-streaming observability: how much of the
-/// scatter work the activity filter proved unnecessary, and how far
-/// shrinking-graph compaction has eaten into the stored edge set.
-///
-/// All quantities are simulated and deterministic, and identical between
-/// release and debug builds (which read every skipped payload to check the
-/// activity contract, without charging for it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IterSelectivity {
-    /// Scatter-side vertices the activity contract declared able to emit,
-    /// summed over partitions (each partition counted once, by its master).
-    pub active_vertices: u64,
-    /// Vertices covered by those counts.
-    pub total_vertices: u64,
-    /// Edge chunks consumed without being read.
-    pub chunks_skipped: u64,
-    /// Records in those chunks.
-    pub records_skipped: u64,
-    /// The subset of [`IterSelectivity::chunks_skipped`] consumed while
-    /// the partition's frontier was *non-empty* — mid-wavefront skips,
-    /// possible only because the clustered layout keeps chunk windows
-    /// narrow (an arrival-order layout skips almost exclusively when the
-    /// whole partition is inactive).
-    pub chunks_skipped_mid: u64,
-    /// Records in the mid-wavefront skipped chunks.
-    pub records_skipped_mid: u64,
-    /// Blocks skipped *inside* served chunks by their block indexes —
-    /// intra-chunk selectivity, possible only with key-sorted interiors
-    /// (`block_records > 0`). Whole chunks whose every block proved
-    /// inactive count as chunk skips, not block skips.
-    pub blocks_skipped: u64,
-    /// Records in those skipped blocks: edge records never read or
-    /// streamed even though their chunk was served.
-    pub records_skipped_intra: u64,
-    /// The subset of [`IterSelectivity::blocks_skipped`] while the
-    /// partition's frontier was non-empty (in practice all of them — a
-    /// partial serve implies a live frontier; kept split for symmetry
-    /// with the chunk counters).
-    pub blocks_skipped_mid: u64,
-    /// Records in the mid-wavefront skipped blocks.
-    pub records_skipped_intra_mid: u64,
-    /// Edge records actually streamed through scatter kernels while
-    /// activity tracking was on (the denominator's live share; the
-    /// selectivity-aware steal criterion scales remaining-bytes estimates
-    /// by `streamed / (streamed + skipped)`).
-    pub edge_records_streamed: u64,
-    /// Edges dropped from storage by in-place chunk compaction.
-    pub edges_tombstoned: u64,
-    /// Chunk compactions performed.
-    pub compactions: u64,
+counters! {
+    /// Per-iteration selective-streaming observability: how much of the
+    /// scatter work the activity filter proved unnecessary, and how far
+    /// shrinking-graph compaction has eaten into the stored edge set.
+    ///
+    /// All quantities are simulated and deterministic, and identical between
+    /// release and debug builds (which read every skipped payload to check the
+    /// activity contract, without charging for it).
+    pub struct IterSelectivity {
+        /// Scatter-side vertices the activity contract declared able to emit,
+        /// summed over partitions (each partition counted once, by its master).
+        active_vertices: u64,
+        /// Vertices covered by those counts.
+        total_vertices: u64,
+        /// Edge chunks consumed without being read.
+        chunks_skipped: u64,
+        /// Records in those chunks.
+        records_skipped: u64,
+        /// The subset of [`IterSelectivity::chunks_skipped`] consumed while
+        /// the partition's frontier was *non-empty* — mid-wavefront skips,
+        /// possible only because the clustered layout keeps chunk windows
+        /// narrow (an arrival-order layout skips almost exclusively when the
+        /// whole partition is inactive).
+        chunks_skipped_mid: u64,
+        /// Records in the mid-wavefront skipped chunks.
+        records_skipped_mid: u64,
+        /// Blocks skipped *inside* served chunks by their block indexes —
+        /// intra-chunk selectivity, possible only with key-sorted interiors
+        /// (`block_records > 0`). Whole chunks whose every block proved
+        /// inactive count as chunk skips, not block skips.
+        blocks_skipped: u64,
+        /// Records in those skipped blocks: edge records never read or
+        /// streamed even though their chunk was served.
+        records_skipped_intra: u64,
+        /// The subset of [`IterSelectivity::blocks_skipped`] while the
+        /// partition's frontier was non-empty (in practice all of them — a
+        /// partial serve implies a live frontier; kept split for symmetry
+        /// with the chunk counters).
+        blocks_skipped_mid: u64,
+        /// Records in the mid-wavefront skipped blocks.
+        records_skipped_intra_mid: u64,
+        /// Edge records actually streamed through scatter kernels while
+        /// activity tracking was on (the denominator's live share; the
+        /// selectivity-aware steal criterion scales remaining-bytes estimates
+        /// by `streamed / (streamed + skipped)`).
+        edge_records_streamed: u64,
+        /// Edges dropped from storage by in-place chunk compaction.
+        edges_tombstoned: u64,
+        /// Chunk compactions performed.
+        compactions: u64,
+    }
 }
 
 impl IterSelectivity {
-    /// Element-wise accumulation (merging machines' accounts).
-    pub fn absorb(&mut self, o: &IterSelectivity) {
-        self.active_vertices += o.active_vertices;
-        self.total_vertices += o.total_vertices;
-        self.chunks_skipped += o.chunks_skipped;
-        self.records_skipped += o.records_skipped;
-        self.chunks_skipped_mid += o.chunks_skipped_mid;
-        self.records_skipped_mid += o.records_skipped_mid;
-        self.blocks_skipped += o.blocks_skipped;
-        self.records_skipped_intra += o.records_skipped_intra;
-        self.blocks_skipped_mid += o.blocks_skipped_mid;
-        self.records_skipped_intra_mid += o.records_skipped_intra_mid;
-        self.edge_records_streamed += o.edge_records_streamed;
-        self.edges_tombstoned += o.edges_tombstoned;
-        self.compactions += o.compactions;
-    }
-
     /// The fraction of scatter-side edge records that survived the
     /// activity filter on this account (`1.0` when nothing was observed) —
     /// the steal criterion's density correction. Intra-chunk (block)
@@ -193,7 +218,7 @@ impl WindowHistogram {
     }
 }
 
-/// One abort episode entry in the fault account's log: when the
+/// One abort episode entry in the run's abort log: when the
 /// coordinator started (or re-started, for overlapping crashes) an abort,
 /// at which protocol generation, and where the cluster resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,62 +235,43 @@ pub struct AbortRecord {
     pub redo: bool,
 }
 
-/// The fault-injection account of a run: recovery work performed and
-/// fault-induced costs. Everything here is simulated and deterministic.
-/// All zeros (and an empty log) for fault-free runs without checkpointing.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultAccount {
-    /// Abort rounds broadcast (one per crash, including overlapping
-    /// crashes that landed during a prior recovery).
-    pub aborts: u64,
-    /// Iterations rolled back and redone from a checkpoint.
-    pub iterations_redone: u64,
-    /// Storage-device operations that failed inside a fault window and
-    /// were retried with backoff.
-    pub device_retries: u64,
-    /// Simulated time lost to faults: device retry backoff plus fabric
-    /// degradation latency, summed over machines.
-    pub faulted_time: Time,
-    /// Bytes written to checkpoint areas (copy phase).
-    pub checkpoint_bytes: u64,
-    /// Device time spent writing checkpoints.
-    pub checkpoint_time: Time,
-    /// Framed reads whose checksum check failed (each ladder attempt that
-    /// saw corruption counts once), summed over storage engines.
-    pub corruption_detected: u64,
-    /// Corruption episodes resolved — re-read clean after waiting a window
-    /// out, extent rewritten from its verified source, or a torn committed
-    /// checkpoint replaced via the depth-2 chain fallback.
-    pub corruption_repaired: u64,
-    /// Frames walked and re-verified by between-iterations scrub passes
-    /// (0 unless [`crate::config::ChaosConfig::scrub`] is on).
-    pub frames_scrubbed: u64,
-    /// Checksum-frame bytes charged to devices on framed transfers — the
-    /// direct integrity overhead of end-to-end checksumming.
-    pub checksum_bytes: u64,
-    /// Pending checkpoint snapshots dropped by a failed validation round,
-    /// summed over storage engines (one per engine per refused round).
-    pub snapshots_dropped: u64,
-    /// One entry per abort broadcast, in order.
-    pub abort_log: Vec<AbortRecord>,
-}
-
-impl FaultAccount {
-    /// Accumulation (merging engines' or runs' accounts): counts and
-    /// times add, abort logs concatenate.
-    pub fn absorb(&mut self, o: &FaultAccount) {
-        self.aborts += o.aborts;
-        self.iterations_redone += o.iterations_redone;
-        self.device_retries += o.device_retries;
-        self.faulted_time += o.faulted_time;
-        self.checkpoint_bytes += o.checkpoint_bytes;
-        self.checkpoint_time += o.checkpoint_time;
-        self.corruption_detected += o.corruption_detected;
-        self.corruption_repaired += o.corruption_repaired;
-        self.frames_scrubbed += o.frames_scrubbed;
-        self.checksum_bytes += o.checksum_bytes;
-        self.snapshots_dropped += o.snapshots_dropped;
-        self.abort_log.extend_from_slice(&o.abort_log);
+counters! {
+    /// The fault-injection account of a run: recovery work performed and
+    /// fault-induced costs. Everything here is simulated and deterministic.
+    /// All zeros for fault-free runs without checkpointing.
+    pub struct FaultAccount {
+        /// Abort rounds broadcast (one per crash, including overlapping
+        /// crashes that landed during a prior recovery).
+        aborts: u64,
+        /// Iterations rolled back and redone from a checkpoint.
+        iterations_redone: u64,
+        /// Storage-device operations that failed inside a fault window and
+        /// were retried with backoff.
+        device_retries: u64,
+        /// Simulated time lost to faults: device retry backoff plus fabric
+        /// degradation latency, summed over machines.
+        faulted_time: Time,
+        /// Bytes written to checkpoint areas (copy phase).
+        checkpoint_bytes: u64,
+        /// Device time spent writing checkpoints.
+        checkpoint_time: Time,
+        /// Framed reads whose checksum check failed (each ladder attempt
+        /// that saw corruption counts once), summed over storage engines.
+        corruption_detected: u64,
+        /// Corruption episodes resolved — re-read clean after waiting a
+        /// window out, extent rewritten from its verified source, or a torn
+        /// committed checkpoint replaced via the depth-2 chain fallback.
+        corruption_repaired: u64,
+        /// Frames walked and re-verified by between-iterations scrub passes
+        /// (0 unless [`crate::config::ChaosConfig::scrub`] is on).
+        frames_scrubbed: u64,
+        /// Checksum-frame bytes charged to devices on framed transfers — the
+        /// direct integrity overhead of end-to-end checksumming.
+        checksum_bytes: u64,
+        /// Pending checkpoint snapshots dropped by a failed validation
+        /// round, summed over storage engines (one per engine per refused
+        /// round).
+        snapshots_dropped: u64,
     }
 }
 
@@ -322,6 +328,8 @@ pub struct RunReport {
     /// Fault-injection account: aborts, redone iterations, device retries,
     /// fault-induced latency and checkpoint costs (simulated quantities).
     pub faults: FaultAccount,
+    /// One entry per abort broadcast, in order (empty for fault-free runs).
+    pub abort_log: Vec<AbortRecord>,
 }
 
 impl RunReport {
@@ -401,6 +409,55 @@ impl RunReport {
         }
         out
     }
+
+    /// The run object of `--metrics-json` in key order, one named group
+    /// per text line: the run's own scalars, every selectivity total, the
+    /// layout and device bytes, then every fault counter.
+    pub fn counter_groups(&self) -> [(&'static str, Vec<(&'static str, u64)>); 4] {
+        [
+            (
+                "run",
+                vec![
+                    ("runtime_ns", self.runtime),
+                    ("preprocess_ns", self.preprocess_time),
+                    ("iterations", self.iterations.into()),
+                    ("partitions", self.partitions as u64),
+                    ("steals", self.steals),
+                    ("events", self.events),
+                    ("records_streamed", self.records_streamed),
+                ],
+            ),
+            ("selectivity", self.selectivity_total().counters().to_vec()),
+            (
+                "storage",
+                vec![
+                    ("cluster_bins", self.cluster_bins.into()),
+                    ("device_bytes", self.total_device_bytes()),
+                ],
+            ),
+            ("faults", self.faults.counters().to_vec()),
+        ]
+    }
+
+    /// Every counter of the run object, in key order.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.counter_groups()
+            .into_iter()
+            .flat_map(|(_, g)| g)
+            .collect()
+    }
+}
+
+/// One `<group>: key=value ...` line per [`RunReport::counter_groups`].
+impl fmt::Display for RunReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (group, pairs) in self.counter_groups() {
+            write!(f, "{group}: ")?;
+            write_pairs(f, &pairs)?;
+            writeln!(f)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -430,27 +487,54 @@ mod tests {
     }
 
     #[test]
-    fn fault_account_absorb_adds_counts_and_concatenates_logs() {
-        let rec = |gen| AbortRecord {
-            time: 7,
-            gen,
-            resume_iter: 1,
-            redo: true,
-        };
+    fn fault_account_absorb_adds_every_counter() {
         let mut a = FaultAccount {
             aborts: 1,
-            abort_log: vec![rec(1)],
+            faulted_time: 5,
             ..Default::default()
         };
         let b = FaultAccount {
             aborts: 2,
+            faulted_time: 7,
             snapshots_dropped: 3,
-            abort_log: vec![rec(2)],
             ..Default::default()
         };
         a.absorb(&b);
-        assert_eq!((a.aborts, a.snapshots_dropped), (3, 3));
-        assert_eq!(a.abort_log, [rec(1), rec(2)]);
+        assert_eq!((a.aborts, a.faulted_time, a.snapshots_dropped), (3, 12, 3));
+        assert_eq!(a.to_string().split(' ').nth(3), Some("faulted_time_ns=12"));
+    }
+
+    #[test]
+    fn run_object_lists_every_declared_counter_once() {
+        let rep = RunReport {
+            runtime: 0,
+            preprocess_time: 0,
+            iterations: 0,
+            iteration_aggs: vec![],
+            breakdowns: vec![],
+            devices: vec![],
+            device_busy: vec![],
+            fabric: FabricStats::default(),
+            steals: 0,
+            partitions: 0,
+            events: 0,
+            records_streamed: 0,
+            selectivity: vec![],
+            window_widths: WindowHistogram::default(),
+            cluster_bins: 1,
+            faults: FaultAccount::default(),
+            abort_log: vec![],
+        };
+        let keys: Vec<&str> = rep.counters().iter().map(|&(k, _)| k).collect();
+        let unique: std::collections::HashSet<&str> = keys.iter().copied().collect();
+        assert_eq!(unique.len(), keys.len(), "duplicate key in {keys:?}");
+        let declared = IterSelectivity::default().counters().into_iter();
+        for (k, _) in declared.chain(FaultAccount::default().counters()) {
+            assert!(
+                unique.contains(k),
+                "{k} is declared but not in the run object"
+            );
+        }
     }
 
     #[test]

@@ -224,7 +224,7 @@ pub struct StorageEngine<P: GasProgram> {
     pub pending_torn: bool,
     /// This engine's share of the run's fault and integrity account; the
     /// cluster report absorbs every engine's. The coordinator-side fields
-    /// (aborts, redone iterations, the abort log) stay zero here.
+    /// (aborts, redone iterations) stay zero here.
     pub account: FaultAccount,
 }
 

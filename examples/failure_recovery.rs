@@ -84,7 +84,7 @@ fn main() {
         fa.checkpoint_bytes as f64 / (1024.0 * 1024.0),
         fa.checkpoint_time as f64 / 1e9
     );
-    for a in &fa.abort_log {
+    for a in &failed.abort_log {
         println!(
             "               abort @ {:.3} s -> gen {}, resume at iteration {} ({})",
             a.time as f64 / 1e9,

@@ -74,7 +74,7 @@ fn main() {
         fallback.faults.aborts,
         fallback.faults.iterations_redone
     );
-    for a in &fallback.faults.abort_log {
+    for a in &fallback.abort_log {
         println!(
             "               abort @ {:.3} s -> gen {}, resume at iteration {} ({})",
             a.time as f64 / 1e9,

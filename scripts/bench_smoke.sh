@@ -13,9 +13,9 @@
 #   ./target/release/figures all > tests/golden/figures_quick.txt
 # and say in the change what moved.
 #
-# Wall-clock timings plus the hot-path counters (records streamed, chunk-
-# and block-level skip counts, summed over every run of every experiment
-# from the release run's --metrics-json dump) land in the output file
+# Wall-clock timings plus every counter of the release run's
+# --metrics-json dump, summed over every run of every experiment (the
+# "counters" object, keys as in the dump), land in the output file
 # (default target/bench_smoke.json). The timings are a record, not a gate
 # — one `date` delta cannot tell a regression from host drift; host-time
 # claims are measured with chaos-perf (chaos-perf/README.md). Layout
@@ -50,10 +50,14 @@ DIRTY_JSON=$(mktemp)
 ERR_LOG=$(mktemp)
 trap 'rm -f "$ALL_OUT" "$ALL_JSON" "$CELL_CLEAN" "$CELL_DIRTY" "$DIRTY_JSON" "$ERR_LOG"' EXIT
 
-# One --metrics-json counter summed over every run of a dump.
-metric() {
+# Every counter of a --metrics-json dump summed over its runs: the named
+# ones space-separated, or with no names all of them as one JSON object in
+# dump order.
+sums() {
     python3 -c 'import json, sys
-print(sum(run[sys.argv[2]] for run in json.load(open(sys.argv[1]))["runs"]))' "$1" "$2"
+runs = json.load(open(sys.argv[1]))["runs"]
+total = {k: sum(r[k] for r in runs) for k, v in runs[0].items() if type(v) is int}
+print(*[total[k] for k in sys.argv[2:]] or [json.dumps(total, indent=2).replace("\n", "\n  ")])' "$@"
 }
 
 # `figures all` from one build must print the golden. Stderr (panics,
@@ -102,10 +106,8 @@ if [ -z "$CLEAN_DIGEST" ] || [ "$CLEAN_DIGEST" != "$DIRTY_DIGEST" ]; then
     exit 1
 fi
 echo "OK: corruption-seeded results are byte-identical to fault-free (seed $FAULT_SEED)"
-CORR_DETECTED=$(metric "$DIRTY_JSON" corruption_detected)
-CORR_REPAIRED=$(metric "$DIRTY_JSON" corruption_repaired)
-FRAMES_SCRUBBED=$(metric "$DIRTY_JSON" frames_scrubbed)
-CHECKSUM_BYTES=$(metric "$DIRTY_JSON" checksum_bytes)
+read -r CORR_DETECTED CORR_REPAIRED FRAMES_SCRUBBED CHECKSUM_BYTES <<<"$(sums "$DIRTY_JSON" \
+    corruption_detected corruption_repaired frames_scrubbed checksum_bytes)"
 INTEGRITY="$CORR_DETECTED corruptions detected, $CORR_REPAIRED repaired, \
 $FRAMES_SCRUBBED frames scrubbed, $CHECKSUM_BYTES checksum bytes"
 if [ "$CORR_DETECTED" -lt 1 ] || [ "$CORR_REPAIRED" -lt 1 ]; then
@@ -118,26 +120,16 @@ SEQ_S=$(python3 -c "print(f'{$t1 - $t0:.2f}')")
 CHECKED_S=$(python3 -c "print(f'{$t2 - $t1:.2f}')")
 INTEGRITY_S=$(python3 -c "print(f'{$t3 - $t2:.2f}')")
 NCPU=$(nproc 2>/dev/null || echo 0)
-# Records streamed/skipped summed over every run of every experiment in
-# the release run's metrics dump (simulated quantities); throughput =
-# records per wall-second of that run.
-RECORDS=$(metric "$ALL_JSON" records_streamed)
-SKIPPED=$(metric "$ALL_JSON" records_skipped)
-SKIPPED_MID=$(metric "$ALL_JSON" records_skipped_mid)
-BLOCKS_SKIPPED=$(metric "$ALL_JSON" blocks_skipped)
-SKIPPED_INTRA=$(metric "$ALL_JSON" records_skipped_intra)
-THROUGHPUT=$(python3 -c "print(f'{$RECORDS / ($t1 - $t0):.0f}')")
+# Throughput = records streamed (summed over every run of every
+# experiment, a simulated quantity) per wall-second of the release run.
+THROUGHPUT=$(python3 -c "print(f'{$(sums "$ALL_JSON" records_streamed) / ($t1 - $t0):.0f}')")
 cat >"$OUT_JSON" <<EOF
 {
   "experiments": "all",
   "scale": "quick",
   "wall_seconds": $SEQ_S,
   "checked_wall_seconds": $CHECKED_S,
-  "records_streamed": $RECORDS,
-  "records_skipped": $SKIPPED,
-  "records_skipped_mid_wavefront": $SKIPPED_MID,
-  "blocks_skipped": $BLOCKS_SKIPPED,
-  "records_skipped_intra_chunk": $SKIPPED_INTRA,
+  "counters": $(sums "$ALL_JSON"),
   "records_per_wall_second_seq": $THROUGHPUT,
   "integrity_wall_seconds": $INTEGRITY_S,
   "corruption_fault_seed": $FAULT_SEED,

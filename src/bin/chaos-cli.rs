@@ -11,6 +11,12 @@
 //! `chaos::graph::io`, or generated on the fly with `--scale` (RMAT) /
 //! `--web-pages` (the Data-Commons-shaped generator).
 //!
+//! `run` prints the derived headline (simulated runtime, device I/O,
+//! bandwidth, network traffic, utilization), then one `key=value` line per
+//! counter group of the run — `run:`, `selectivity:`, `storage:`,
+//! `faults:`, the keys of the `--metrics-json` run object — and the final
+//! aggregates. Stdout is a function of the command line alone.
+//!
 //! Options follow the command. An unknown option, a missing or bad value,
 //! a positional after the command or an invalid configuration is one
 //! `error:` line and exit 1, with nothing run (the option rules are
@@ -195,58 +201,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let report = with_algo!(algo, &params, |p| run_chaos(cfg, p, &g).0);
     println!("simulated runtime   {:>10.3} s (preprocess {:.3} s)",
         report.seconds(), report.preprocess_time as f64 / 1e9);
-    println!("iterations          {:>10}", report.iterations);
-    println!("partitions          {:>10}", report.partitions);
-    println!("steals              {:>10}", report.steals);
     println!("device I/O          {:>10.1} MB", report.total_device_bytes() as f64 / 1e6);
     println!("aggregate bandwidth {:>10.1} MB/s", report.aggregate_bandwidth() / 1e6);
     println!("network traffic     {:>10.1} MB", report.fabric.remote_bytes as f64 / 1e6);
     println!("device utilization  {:>10.1} %", 100.0 * report.mean_device_utilization());
-    let sel = report.selectivity_total();
-    if sel.chunks_skipped > 0 || sel.compactions > 0 {
-        println!(
-            "selective streaming {:>10} chunks skipped ({} records; {} mid-wavefront); \
-             {} compactions dropped {} edges",
-            sel.chunks_skipped,
-            sel.records_skipped,
-            sel.records_skipped_mid,
-            sel.compactions,
-            sel.edges_tombstoned,
-        );
-    }
-    let fa = &report.faults;
-    if fa.aborts > 0 || fa.device_retries > 0 || fa.faulted_time > 0 {
-        println!(
-            "fault recovery      {:>10} aborts ({} iterations redone), {} device retries, \
-             {:.3} s lost to faults",
-            fa.aborts,
-            fa.iterations_redone,
-            fa.device_retries,
-            fa.faulted_time as f64 / 1e9,
-        );
-    }
-    if fa.checkpoint_bytes > 0 {
-        println!(
-            "checkpointing       {:>10.1} MB in {:.3} s",
-            fa.checkpoint_bytes as f64 / 1e6,
-            fa.checkpoint_time as f64 / 1e9,
-        );
-    }
-    if fa.corruption_detected > 0 || fa.frames_scrubbed > 0 {
-        println!(
-            "data integrity      {:>10} corruptions detected ({} repaired), \
-             {} frames scrubbed",
-            fa.corruption_detected,
-            fa.corruption_repaired,
-            fa.frames_scrubbed,
-        );
-    }
-    if fa.checksum_bytes > 0 {
-        println!(
-            "checksum overhead   {:>10.1} KB of frame bytes",
-            fa.checksum_bytes as f64 / 1e3,
-        );
-    }
+    print!("{report}");
     if let Some(agg) = report.iteration_aggs.last() {
         println!("final aggregates    updates={} changed={}", agg.updates_produced, agg.vertices_changed);
     }

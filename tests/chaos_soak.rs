@@ -86,8 +86,8 @@ where
                 "{tag}: crash schedule, nothing redone"
             );
         }
-        assert_eq!(rep.faults.aborts as usize, rep.faults.abort_log.len());
-        for pair in rep.faults.abort_log.windows(2) {
+        assert_eq!(rep.faults.aborts as usize, rep.abort_log.len());
+        for pair in rep.abort_log.windows(2) {
             assert!(
                 pair[1].gen > pair[0].gen && pair[1].time >= pair[0].time,
                 "{tag}: abort generations must strictly increase"

@@ -169,7 +169,7 @@ fn two_machines_failing_the_same_iteration_recover_exactly() {
     assert_eq!(clean, states);
     assert_eq!(failed.faults.aborts, 2);
     assert_eq!(failed.faults.iterations_redone, 2);
-    assert!(failed.faults.abort_log[1].gen > failed.faults.abort_log[0].gen);
+    assert!(failed.abort_log[1].gen > failed.abort_log[0].gen);
 }
 
 #[test]
@@ -188,7 +188,7 @@ fn crash_during_abort_collection_composes_recoveries() {
     cfg.faults = FaultPlan::crash(1, 2, downtime);
     let (scout, _) = run_chaos(cfg.clone(), Pagerank::new(4), &g);
     assert_eq!(scout.faults.aborts, 1);
-    let t_abort = scout.faults.abort_log[0].time;
+    let t_abort = scout.abort_log[0].time;
     // ...then schedule a time-triggered crash just inside its recovery
     // window.
     let mut cfg2 = cfg.clone();
@@ -201,7 +201,7 @@ fn crash_during_abort_collection_composes_recoveries() {
     let (failed, states) = run_chaos(cfg2, Pagerank::new(4), &g);
     assert_eq!(clean, states);
     assert_eq!(failed.faults.aborts, 2);
-    let log = &failed.faults.abort_log;
+    let log = &failed.abort_log;
     assert!(log[1].gen > log[0].gen, "generations strictly increase");
     assert!(
         log[1].time > log[0].time && log[1].time < log[0].time + downtime,

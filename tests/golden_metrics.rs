@@ -1,7 +1,10 @@
 //! Golden `--metrics-json` output: eight labelled runs whose every
-//! simulated counter — runtime, events, records, the selectivity account
-//! and the whole fault account — is pinned byte for byte in
-//! `tests/golden/metrics.json`.
+//! simulated counter — runtime, events, records, the whole selectivity
+//! account and the whole fault account — is pinned byte for byte in
+//! `tests/golden/metrics.json`. The keys are `RunReport::counters` and,
+//! per iteration, `IterSelectivity::counters`, so a counter declared in
+//! `chaos-core`'s `metrics.rs` shows up here with no other edit (and
+//! fails this test until the golden is regenerated).
 //!
 //! Six cells are `cellstats`' geometry (4 machines, scale 10, 32 KiB
 //! chunks, 256 KiB memory budget) for {PR, BFS, MCST} × {clean,

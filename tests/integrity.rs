@@ -88,7 +88,7 @@ fn torn_checkpoint_write_falls_back_down_the_depth2_chain() {
         rep.faults.corruption_repaired >= 1,
         "the deeper restore repairs the torn chunk"
     );
-    let log = &rep.faults.abort_log;
+    let log = &rep.abort_log;
     assert!(log[1].gen > log[0].gen, "generations strictly increase");
 }
 
