@@ -23,6 +23,7 @@ use crate::metrics::{Breakdown, IterSelectivity};
 use crate::msg::{DataKind, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
 use crate::sink::{BlockSink, CountSink, PartitionSink};
+use crate::window::ReadWindow;
 
 /// Progress of one partition being streamed (scatter or gather).
 ///
@@ -39,17 +40,8 @@ struct PartWork<P: GasProgram> {
     loaded_at: Time,
     /// Gather-side accumulators (one per vertex of the partition).
     accums: Vec<P::Accum>,
-    outstanding: usize,
-    /// In-flight requests per storage engine. A count, not a flag: with an
-    /// oversubscribed window (> machine count) two requests can target the
-    /// same engine, and the first response must not mark the engine free
-    /// while the second is still in flight.
-    requested: Vec<u32>,
-    exhausted: Vec<bool>,
-    exhausted_count: usize,
-    inflight_compute: usize,
-    /// Centralized placement: the directory reported global exhaustion.
-    dir_exhausted: bool,
+    /// The partition stream's request window.
+    win: ReadWindow,
     /// Active scatter-source summary for this stream, built from the
     /// loaded vertex states (scatter phases of non-dense programs only;
     /// `None` also when every vertex is active — a full set carries no
@@ -68,12 +60,7 @@ impl<P: GasProgram> PartWork<P> {
             loaded: false,
             loaded_at: 0,
             accums: Vec::new(),
-            outstanding: 0,
-            requested: vec![0; machines],
-            exhausted: vec![false; machines],
-            exhausted_count: 0,
-            inflight_compute: 0,
-            dir_exhausted: false,
+            win: ReadWindow::new(machines),
             active: None,
         }
     }
@@ -88,18 +75,8 @@ impl<P: GasProgram> PartWork<P> {
         self.vchunks_pending = 0;
         self.loaded = false;
         self.loaded_at = now;
-        self.outstanding = 0;
-        self.requested.iter_mut().for_each(|r| *r = 0);
-        self.exhausted.iter_mut().for_each(|e| *e = false);
-        self.exhausted_count = 0;
-        self.inflight_compute = 0;
-        self.dir_exhausted = false;
+        self.win.reset();
         self.active = None;
-    }
-
-    fn stream_done(&self, machines: usize) -> bool {
-        let exhausted = self.dir_exhausted || self.exhausted_count == machines;
-        self.loaded && exhausted && self.outstanding == 0 && self.inflight_compute == 0
     }
 }
 
@@ -146,13 +123,8 @@ impl StealScan {
 
 /// Pre-processing progress.
 struct Preprocess<P: GasProgram> {
-    outstanding: usize,
-    /// In-flight input requests per storage engine (see [`PartWork::requested`]).
-    requested: Vec<u32>,
-    exhausted: Vec<bool>,
-    exhausted_count: usize,
-    dir_exhausted: bool,
-    inflight_compute: usize,
+    /// The input stream's request window.
+    win: ReadWindow,
     edge_bufs: Vec<Vec<Edge>>,
     redge_bufs: Vec<Vec<Edge>>,
     /// Partial out-degree counts per partition, dense over the
@@ -174,20 +146,6 @@ enum CkptState {
     Idle,
     Copy(usize),
     Done,
-}
-
-/// Pending write under centralized placement, waiting for a directory
-/// placement decision.
-enum PendingDirWrite<P: GasProgram> {
-    Edges {
-        part: usize,
-        reverse: bool,
-        data: Arc<Vec<Edge>>,
-    },
-    Updates {
-        part: usize,
-        data: Arc<Vec<LocalUpdate<P::Update>>>,
-    },
 }
 
 /// The computation engine of one machine.
@@ -248,7 +206,9 @@ pub struct ComputeEngine<P: GasProgram> {
     pending_write_acks: usize,
     pending_inits: usize,
     ckpt: CkptState,
-    pending_dir_writes: VecDeque<PendingDirWrite<P>>,
+    /// Built chunk writes parked under centralized placement until the
+    /// directory names their engine: `(part, kind, message, wire bytes)`.
+    pending_dir_writes: VecDeque<(usize, DataKind, Msg<P>, u64)>,
 
     agg: IterationAggregates,
     barrier_sent: bool,
@@ -307,12 +267,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             phase: PhaseKind::Preprocess,
             iter: 0,
             pp: Preprocess {
-                outstanding: 0,
-                requested: vec![0; m],
-                exhausted: vec![false; m],
-                exhausted_count: 0,
-                dir_exhausted: false,
-                inflight_compute: 0,
+                win: ReadWindow::new(m),
                 edge_bufs: (0..nbufs).map(|_| Vec::new()).collect(),
                 redge_bufs: (0..nbufs).map(|_| Vec::new()).collect(),
                 degree_counts: (0..parts).map(|_| Vec::new()).collect(),
@@ -512,49 +467,8 @@ impl<P: GasProgram> ComputeEngine<P> {
     /// Kicks off pre-processing (called once by the cluster at t=0).
     pub fn start(&mut self, ctx: &mut Ctx<P>) {
         self.phase = PhaseKind::Preprocess;
-        self.pump_input(ctx);
+        self.pump(ctx);
         self.maybe_finish_preprocess(ctx);
-    }
-
-    fn pump_input(&mut self, ctx: &mut Ctx<P>) {
-        while self.pp.outstanding < self.params.window {
-            if self.centralized() {
-                if self.pp.dir_exhausted {
-                    break;
-                }
-                ctx.send(
-                    self.machine,
-                    Addr::Directory,
-                    Msg::DirRead {
-                        part: 0,
-                        kind: DataKind::Input,
-                        from: self.machine,
-                    },
-                    CONTROL_BYTES,
-                );
-                self.pp.outstanding += 1;
-            } else {
-                let local = self.local_only_target(None);
-                let oversub = self.params.window > self.m();
-                let Some(target) = pick_engine(
-                    &mut self.rng,
-                    &self.pp.requested,
-                    &self.pp.exhausted,
-                    local,
-                    oversub,
-                ) else {
-                    break;
-                };
-                self.pp.requested[target] += 1;
-                self.pp.outstanding += 1;
-                ctx.send(
-                    self.machine,
-                    Addr::Storage(target),
-                    Msg::InputChunkReq { from: self.machine },
-                    CONTROL_BYTES,
-                );
-            }
-        }
     }
 
     /// Under [`Placement::LocalOnly`], the only engine to talk to for a
@@ -567,37 +481,6 @@ impl<P: GasProgram> ComputeEngine<P> {
             Some(p) => self.params.master(p),
             None => self.machine,
         })
-    }
-
-    fn on_input_chunk(&mut self, ctx: &mut Ctx<P>, source: Option<usize>, data: Option<Arc<Vec<Edge>>>) {
-        self.pp.outstanding -= 1;
-        if let Some(s) = source {
-            self.pp.requested[s] = self.pp.requested[s].saturating_sub(1);
-        }
-        match data {
-            Some(chunk) => {
-                let cost = self.chunk_cost(chunk.len());
-                self.pp.inflight_compute += 1;
-                self.schedule_work(ctx, cost, Work::BinInputChunk { data: chunk });
-                self.pump_input(ctx);
-            }
-            None => {
-                match source {
-                    Some(s) => {
-                        if !self.pp.exhausted[s] {
-                            self.pp.exhausted[s] = true;
-                            self.pp.exhausted_count += 1;
-                        }
-                        if self.cfg.placement == Placement::LocalOnly {
-                            self.pp.dir_exhausted = true;
-                        }
-                    }
-                    None => self.pp.dir_exhausted = true,
-                }
-                self.pump_input(ctx);
-                self.maybe_finish_preprocess(ctx);
-            }
-        }
     }
 
     fn bin_input_chunk(&mut self, ctx: &mut Ctx<P>, data: Arc<Vec<Edge>>) {
@@ -636,48 +519,58 @@ impl<P: GasProgram> ComputeEngine<P> {
                 }
             }
         }
-        self.pp.inflight_compute -= 1;
+        self.pp.win.inflight_compute -= 1;
         self.maybe_finish_preprocess(ctx);
     }
 
     fn write_edges(&mut self, ctx: &mut Ctx<P>, part: usize, reverse: bool, data: Arc<Vec<Edge>>) {
+        let key = if reverse { data[0].dst } else { data[0].src };
+        let kind = if reverse {
+            DataKind::EdgesReverse
+        } else {
+            DataKind::Edges
+        };
+        let bytes = data.len() as u64 * self.params.edge_bytes + CONTROL_BYTES;
+        let msg = Msg::WriteEdgeChunk {
+            part,
+            reverse,
+            data,
+            from: self.machine,
+        };
+        self.send_write(ctx, part, kind, msg, bytes, |eng| {
+            eng.edge_write_target(part, reverse, key)
+        });
+    }
+
+    /// Sends a built chunk write to the engine `target` picks — or, under
+    /// centralized placement, parks it and asks the directory instead
+    /// (`target` is then never called, so it draws nothing).
+    fn send_write(
+        &mut self,
+        ctx: &mut Ctx<P>,
+        part: usize,
+        kind: DataKind,
+        msg: Msg<P>,
+        bytes: u64,
+        target: impl FnOnce(&mut Self) -> usize,
+    ) {
         self.pending_write_acks += 1;
         if self.centralized() {
-            self.pending_dir_writes.push_back(PendingDirWrite::Edges {
-                part,
-                reverse,
-                data,
-            });
+            self.pending_dir_writes.push_back((part, kind, msg, bytes));
             ctx.send(
                 self.machine,
                 Addr::Directory,
                 Msg::DirWrite {
                     part,
-                    kind: if reverse {
-                        DataKind::EdgesReverse
-                    } else {
-                        DataKind::Edges
-                    },
+                    kind,
                     from: self.machine,
                 },
                 CONTROL_BYTES,
             );
             return;
         }
-        let key = if reverse { data[0].dst } else { data[0].src };
-        let target = self.edge_write_target(part, reverse, key);
-        let bytes = data.len() as u64 * self.params.edge_bytes;
-        ctx.send(
-            self.machine,
-            Addr::Storage(target),
-            Msg::WriteEdgeChunk {
-                part,
-                reverse,
-                data,
-                from: self.machine,
-            },
-            bytes + CONTROL_BYTES,
-        );
+        let to = target(self);
+        ctx.send(self.machine, Addr::Storage(to), msg, bytes);
     }
 
     /// Storage engine an edge chunk of `(part, reverse)` containing `key`
@@ -700,19 +593,15 @@ impl<P: GasProgram> ComputeEngine<P> {
         })
     }
 
-    fn input_exhausted(&self) -> bool {
-        self.pp.dir_exhausted || self.pp.exhausted_count == self.m()
-    }
-
     fn maybe_finish_preprocess(&mut self, ctx: &mut Ctx<P>) {
         if self.phase != PhaseKind::Preprocess || self.barrier_sent {
             return;
         }
-        if !(self.input_exhausted() && self.pp.outstanding == 0 && self.pp.inflight_compute == 0)
-        {
+        if !self.pp.win.drained() {
             return;
         }
         if !self.pp.flushed {
+            self.check_window_idle(&self.pp.win, None, ctx.now);
             self.pp.flushed = true;
             // Flush partial edge buffers (one per partition and bin).
             let bins = self.params.cluster.bins() as usize;
@@ -1032,75 +921,84 @@ impl<P: GasProgram> ComputeEngine<P> {
         }
         if chunks == 0 {
             self.arm_scatter_activity();
-            self.pump_reads(ctx);
+            self.pump(ctx);
             self.check_stream_done(ctx);
         }
     }
 
-    /// Keeps the request window full for the current partition.
-    fn pump_reads(&mut self, ctx: &mut Ctx<P>) {
-        let kind = self.phase_kind_data(self.phase);
-        let me = self.machine;
-        let m = self.m();
-        let window = self.params.window;
-        let centralized = self.centralized();
-        let local_target = self.work.as_ref().map(|w| w.part).and_then(|p| self.local_only_target(Some(p)));
-        let Some(w) = &mut self.work else {
-            return;
+    /// Keeps the request window of the current stream full: the input
+    /// stream in pre-processing, the current partition's stream after
+    /// (once its vertex set is loaded).
+    fn pump(&mut self, ctx: &mut Ctx<P>) {
+        let part = match &self.work {
+            _ if self.phase == PhaseKind::Preprocess => None,
+            Some(w) if w.loaded => Some(w.part),
+            _ => return,
         };
-        if !w.loaded {
-            return;
+        let kind = self.phase_kind_data(self.phase);
+        let local = self.local_only_target(part);
+        let (me, window, centralized) = (self.machine, self.params.window, self.centralized());
+        let (win, active) = match (part, &mut self.work) {
+            (Some(_), Some(w)) => (&mut w.win, &w.active),
+            _ => (&mut self.pp.win, &None),
+        };
+        let part = part.unwrap_or(0);
+        while let Some(to) = win.next_target(&mut self.rng, window, centralized, local) {
+            let (msg, bytes) = match to {
+                Addr::Directory => (Msg::DirRead { part, kind, from: me }, CONTROL_BYTES),
+                _ => chunk_req(kind, part, me, active.clone()),
+            };
+            ctx.send(me, to, msg, bytes);
         }
-        while w.outstanding < window {
-            if centralized {
-                if w.dir_exhausted {
-                    break;
-                }
-                w.outstanding += 1;
-                ctx.send(
-                    me,
-                    Addr::Directory,
-                    Msg::DirRead {
-                        part: w.part,
-                        kind,
-                        from: me,
-                    },
-                    CONTROL_BYTES,
-                );
-                continue;
+    }
+
+    /// Books one reply of a chunk stream — of partition `part`, or the
+    /// input stream — from storage engine `source` (`None`: the
+    /// directory): a served chunk as `(records, work)` goes to the CPU, an
+    /// exhausted notice may finish the stream. Replies for a partition no
+    /// longer being worked are stale and dropped.
+    fn on_chunk_resp(
+        &mut self,
+        ctx: &mut Ctx<P>,
+        part: Option<usize>,
+        source: Option<usize>,
+        chunk: Option<(usize, Work<P>)>,
+    ) {
+        let local_only = self.cfg.placement == Placement::LocalOnly;
+        let win = match (part, &mut self.work) {
+            (None, _) => &mut self.pp.win,
+            (Some(p), Some(w)) if w.part == p => &mut w.win,
+            _ => return,
+        };
+        win.on_response(source, chunk.is_some(), local_only);
+        match chunk {
+            Some((records, work)) => {
+                let cost = self.chunk_cost(records);
+                self.schedule_work(ctx, cost, work);
+                self.pump(ctx);
             }
-            let Some(target) =
-                pick_engine(&mut self.rng, &w.requested, &w.exhausted, local_target, window > m)
-            else {
-                break;
-            };
-            w.requested[target] += 1;
-            w.outstanding += 1;
-            // The active summary rides on every edge request (and is
-            // charged for): requests are independent, so every storage
-            // engine sees the frontier it needs for its skip decisions.
-            let active_bytes = w.active.as_ref().map_or(0, |a| a.wire_bytes());
-            let msg = match kind {
-                DataKind::Edges => Msg::EdgeChunkReq {
-                    part: w.part,
-                    reverse: false,
-                    from: me,
-                    active: w.active.clone(),
-                },
-                DataKind::EdgesReverse => Msg::EdgeChunkReq {
-                    part: w.part,
-                    reverse: true,
-                    from: me,
-                    active: w.active.clone(),
-                },
-                DataKind::Updates => Msg::UpdateChunkReq {
-                    part: w.part,
-                    from: me,
-                },
-                DataKind::Input => unreachable!("input is handled by pump_input"),
-            };
-            ctx.send(me, Addr::Storage(target), msg, CONTROL_BYTES + active_bytes);
+            None => {
+                self.pump(ctx);
+                match part {
+                    Some(_) => self.check_stream_done(ctx),
+                    None => self.maybe_finish_preprocess(ctx),
+                }
+            }
         }
+    }
+
+    /// In debug builds, checks that a finished stream left no request in
+    /// flight at any storage engine.
+    fn check_window_idle(&self, win: &ReadWindow, part: Option<usize>, now: Time) {
+        debug_assert!(
+            win.requested.iter().all(|&r| r == 0),
+            "{} stream finished with requests in flight {:?}: machine {}, iteration {}, \
+             t={now} ns",
+            part.map_or_else(|| "input".to_string(), |p| format!("partition {p}")),
+            win.requested,
+            self.machine,
+            self.iter,
+        );
     }
 
     fn on_vertex_chunk(
@@ -1131,60 +1029,8 @@ impl<P: GasProgram> ComputeEngine<P> {
         if loaded_now {
             self.breakdown.copy += copy_ns;
             self.arm_scatter_activity();
-            self.pump_reads(ctx);
+            self.pump(ctx);
             self.check_stream_done(ctx);
-        }
-    }
-
-    /// Common handling of an edge/update chunk response.
-    fn on_stream_chunk<T>(
-        &mut self,
-        ctx: &mut Ctx<P>,
-        part: usize,
-        source: Option<usize>,
-        data: Option<Arc<Vec<T>>>,
-        make_work: impl FnOnce(Arc<Vec<T>>) -> Work<P>,
-    ) {
-        let local_only = self.cfg.placement == Placement::LocalOnly;
-        {
-            let Some(w) = &mut self.work else {
-                return;
-            };
-            if w.part != part {
-                return;
-            }
-            w.outstanding -= 1;
-            if let Some(s) = source {
-                w.requested[s] = w.requested[s].saturating_sub(1);
-            }
-        }
-        match data {
-            Some(chunk) => {
-                let cost = self.chunk_cost(chunk.len());
-                if let Some(w) = &mut self.work {
-                    w.inflight_compute += 1;
-                }
-                self.schedule_work(ctx, cost, make_work(chunk));
-                self.pump_reads(ctx);
-            }
-            None => {
-                if let Some(w) = &mut self.work {
-                    match source {
-                        Some(s) => {
-                            if !w.exhausted[s] {
-                                w.exhausted[s] = true;
-                                w.exhausted_count += 1;
-                            }
-                            if local_only {
-                                w.dir_exhausted = true;
-                            }
-                        }
-                        None => w.dir_exhausted = true,
-                    }
-                }
-                self.pump_reads(ctx);
-                self.check_stream_done(ctx);
-            }
         }
     }
 
@@ -1214,7 +1060,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             out.produced()
         };
         self.agg.updates_produced += produced;
-        w.inflight_compute -= 1;
+        w.win.inflight_compute -= 1;
         if self.params.selective {
             // The live side of the skip account: what actually streamed
             // (feeds the steal criterion's density correction).
@@ -1360,7 +1206,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         debug_assert_eq!(w.part, part);
         self.program
             .gather_chunk(base, &w.vertices, &mut w.accums, &data);
-        w.inflight_compute -= 1;
+        w.win.inflight_compute -= 1;
         self.check_stream_done(ctx);
     }
 
@@ -1386,55 +1232,37 @@ impl<P: GasProgram> ComputeEngine<P> {
         if data.is_empty() {
             return;
         }
-        self.pending_write_acks += 1;
-        if self.centralized() {
-            self.pending_dir_writes
-                .push_back(PendingDirWrite::Updates { part, data });
-            ctx.send(
-                self.machine,
-                Addr::Directory,
-                Msg::DirWrite {
-                    part,
-                    kind: DataKind::Updates,
-                    from: self.machine,
-                },
-                CONTROL_BYTES,
-            );
-            return;
-        }
-        let target = self
-            .local_only_target(Some(part))
-            .unwrap_or_else(|| self.rng.below(self.m() as u64) as usize);
-        let bytes = data.len() as u64 * self.params.update_bytes;
-        ctx.send(
-            self.machine,
-            Addr::Storage(target),
-            Msg::WriteUpdateChunk {
-                part,
-                data,
-                from: self.machine,
-            },
-            bytes + CONTROL_BYTES,
-        );
+        let bytes = data.len() as u64 * self.params.update_bytes + CONTROL_BYTES;
+        let msg = Msg::WriteUpdateChunk {
+            part,
+            data,
+            from: self.machine,
+        };
+        self.send_write(ctx, part, DataKind::Updates, msg, bytes, |eng| {
+            eng.local_only_target(Some(part))
+                .unwrap_or_else(|| eng.rng.below(eng.m() as u64) as usize)
+        });
     }
 
     /// Checks whether the current partition's stream is complete, and if so
     /// finishes the partition.
     fn check_stream_done(&mut self, ctx: &mut Ctx<P>) {
-        let m = self.m();
-        let Some(w) = &self.work else {
-            return;
-        };
-        if !w.stream_done(m) {
-            return;
+        match &self.work {
+            Some(w) if w.loaded && w.win.drained() => {
+                self.check_window_idle(&w.win, Some(w.part), ctx.now)
+            }
+            _ => return,
         }
-        let part = w.part;
-        let stolen = w.stolen;
-        if !stolen {
+        let mut w = self.work.take().expect("checked above");
+        let (part, stolen) = (w.part, w.stolen);
+        if stolen {
+            self.breakdown.gp_stolen += ctx.now - w.loaded_at;
+        } else {
             // Every engine is exhausted for this partition now, so its
             // remaining bytes are zero: later steal proposals can be
             // rejected without asking storage.
             self.finished_parts.insert(part);
+            self.breakdown.gp_master += ctx.now - w.started;
         }
         match self.phase {
             PhaseKind::Scatter => {
@@ -1442,44 +1270,28 @@ impl<P: GasProgram> ComputeEngine<P> {
                 for tp in 0..self.out_bufs.len() {
                     self.flush_updates(ctx, tp);
                 }
-                let w = self.work.take().expect("checked above");
-                let gp = ctx.now - if stolen { w.loaded_at } else { w.started };
-                if stolen {
-                    self.breakdown.gp_stolen += gp;
-                } else {
-                    self.breakdown.gp_master += gp;
-                }
                 self.retire_work(w);
                 self.advance(ctx);
             }
+            PhaseKind::Gather if stolen => {
+                // Hand the accumulators to the master when asked (Figure 4,
+                // line 52). The accumulator buffer leaves in an `Arc`; only
+                // the rest of the work state is recycled.
+                let accums = Arc::new(std::mem::take(&mut w.accums));
+                self.retire_work(w);
+                if self.pending_getaccums.remove(&part) {
+                    self.send_accums(ctx, part, accums);
+                    self.advance(ctx);
+                } else {
+                    self.waiting_getaccums = Some((part, accums));
+                    self.getaccums_wait_since = ctx.now;
+                }
+            }
             PhaseKind::Gather => {
-                let mut w = self.work.take().expect("checked above");
-                let gp = ctx.now - if stolen { w.loaded_at } else { w.started };
-                if stolen {
-                    self.breakdown.gp_stolen += gp;
-                } else {
-                    self.breakdown.gp_master += gp;
-                }
-                if stolen {
-                    // Hand the accumulators to the master when asked
-                    // (Figure 4, line 52). The accumulator buffer leaves
-                    // in an `Arc`; only the rest of the work state is
-                    // recycled.
-                    let accums = Arc::new(std::mem::take(&mut w.accums));
-                    self.retire_work(w);
-                    if self.pending_getaccums.remove(&part) {
-                        self.send_accums(ctx, part, accums);
-                        self.advance(ctx);
-                    } else {
-                        self.waiting_getaccums = Some((part, accums));
-                        self.getaccums_wait_since = ctx.now;
-                    }
-                } else {
-                    let vertices = std::mem::take(&mut w.vertices);
-                    let accums = std::mem::take(&mut w.accums);
-                    self.retire_work(w);
-                    self.master_finish_gather(ctx, part, vertices, accums);
-                }
+                let vertices = std::mem::take(&mut w.vertices);
+                let accums = std::mem::take(&mut w.accums);
+                self.retire_work(w);
+                self.master_finish_gather(ctx, part, vertices, accums);
             }
             _ => unreachable!("streaming only happens in scatter/gather"),
         }
@@ -1896,7 +1708,8 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
     fn handle(&mut self, ctx: &mut Ctx<P>, msg: Msg<P>) {
         match msg {
             Msg::InputChunkResp { source, data } => {
-                self.on_input_chunk(ctx, Some(source), data);
+                let chunk = data.map(|data| (data.len(), Work::BinInputChunk { data }));
+                self.on_chunk_resp(ctx, None, Some(source), chunk);
             }
             Msg::EdgeChunkResp {
                 part,
@@ -1917,17 +1730,13 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                 } else {
                     Some((source, entry))
                 };
-                self.on_stream_chunk(ctx, part, Some(source), data, |d| Work::ScatterChunk {
-                    part,
-                    data: d,
-                    origin,
-                });
+                let chunk =
+                    data.map(|data| (data.len(), Work::ScatterChunk { part, data, origin }));
+                self.on_chunk_resp(ctx, Some(part), Some(source), chunk);
             }
             Msg::UpdateChunkResp { part, source, data } => {
-                self.on_stream_chunk(ctx, part, Some(source), data, |d| Work::GatherChunk {
-                    part,
-                    data: d,
-                });
+                let chunk = data.map(|data| (data.len(), Work::GatherChunk { part, data }));
+                self.on_chunk_resp(ctx, Some(part), Some(source), chunk);
             }
             Msg::VertexChunkResp {
                 part,
@@ -2023,200 +1832,61 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                 torn: _,
                 rewind,
             } => self.on_abort(ctx, gen, iter, rewind),
-            Msg::DirWriteResp {
-                part,
-                kind,
-                engine,
-            } => self.on_dir_write_resp(ctx, part, kind, engine),
-            Msg::DirReadResp {
-                part,
-                kind,
-                engine,
-            } => self.on_dir_read_resp(ctx, part, kind, engine),
+            Msg::DirWriteResp { part, kind, engine } => {
+                let (p, k, msg, bytes) = self
+                    .pending_dir_writes
+                    .pop_front()
+                    .expect("directory write response without a parked write");
+                assert_eq!(
+                    (p, k),
+                    (part, kind),
+                    "directory write responses arrive in request order (per-link FIFO)"
+                );
+                ctx.send(self.machine, Addr::Storage(engine), msg, bytes);
+            }
+            Msg::DirReadResp { part, kind, engine } => match engine {
+                // Centralized placement keeps dense streaming (see
+                // `RunParams::selective`): no active summary.
+                Some(e) => {
+                    let (msg, bytes) = chunk_req(kind, part, self.machine, None);
+                    ctx.send(self.machine, Addr::Storage(e), msg, bytes);
+                }
+                None => {
+                    let part = (kind != DataKind::Input).then_some(part);
+                    self.on_chunk_resp(ctx, part, None, None);
+                }
+            },
             other => panic!("compute engine got unexpected message {other:?}"),
         }
     }
 }
 
-// Directory plumbing ---------------------------------------------------
-
-impl<P: GasProgram> ComputeEngine<P> {
-    fn on_dir_write_resp(
-        &mut self,
-        ctx: &mut Ctx<P>,
-        part: usize,
-        kind: DataKind,
-        engine: usize,
-    ) {
-        let pending = self
-            .pending_dir_writes
-            .pop_front()
-            .expect("directory write response without a pending write");
-        match (pending, kind) {
-            (
-                PendingDirWrite::Edges {
-                    part: p,
-                    reverse,
-                    data,
-                },
-                DataKind::Edges | DataKind::EdgesReverse,
-            ) => {
-                debug_assert_eq!(p, part);
-                let bytes = data.len() as u64 * self.params.edge_bytes;
-                ctx.send(
-                    self.machine,
-                    Addr::Storage(engine),
-                    Msg::WriteEdgeChunk {
-                        part,
-                        reverse,
-                        data,
-                        from: self.machine,
-                    },
-                    bytes + CONTROL_BYTES,
-                );
-            }
-            (PendingDirWrite::Updates { part: p, data }, DataKind::Updates) => {
-                debug_assert_eq!(p, part);
-                let bytes = data.len() as u64 * self.params.update_bytes;
-                ctx.send(
-                    self.machine,
-                    Addr::Storage(engine),
-                    Msg::WriteUpdateChunk {
-                        part,
-                        data,
-                        from: self.machine,
-                    },
-                    bytes + CONTROL_BYTES,
-                );
-            }
-            _ => panic!("directory response kind mismatch"),
-        }
-    }
-
-    fn on_dir_read_resp(
-        &mut self,
-        ctx: &mut Ctx<P>,
-        part: usize,
-        kind: DataKind,
-        engine: Option<usize>,
-    ) {
-        match kind {
-            DataKind::Input => match engine {
-                Some(e) => {
-                    ctx.send(
-                        self.machine,
-                        Addr::Storage(e),
-                        Msg::InputChunkReq { from: self.machine },
-                        CONTROL_BYTES,
-                    );
-                }
-                None => self.on_input_chunk(ctx, None, None),
-            },
-            DataKind::Edges | DataKind::EdgesReverse => match engine {
-                Some(e) => {
-                    ctx.send(
-                        self.machine,
-                        Addr::Storage(e),
-                        Msg::EdgeChunkReq {
-                            part,
-                            reverse: kind == DataKind::EdgesReverse,
-                            from: self.machine,
-                            // Centralized placement keeps dense streaming
-                            // (see `RunParams::selective`).
-                            active: None,
-                        },
-                        CONTROL_BYTES,
-                    );
-                }
-                None => self.on_stream_chunk::<Edge>(ctx, part, None, None, |_| unreachable!()),
-            },
-            DataKind::Updates => match engine {
-                Some(e) => {
-                    ctx.send(
-                        self.machine,
-                        Addr::Storage(e),
-                        Msg::UpdateChunkReq {
-                            part,
-                            from: self.machine,
-                        },
-                        CONTROL_BYTES,
-                    );
-                }
-                None => self
-                    .on_stream_chunk::<LocalUpdate<P::Update>>(ctx, part, None, None, |_| {
-                        unreachable!()
-                    }),
-            },
-        }
-    }
-
-}
-
-/// Picks a uniformly random engine that is neither already requested nor
-/// exhausted; under locality placement only `local` is eligible. With
-/// `oversubscribe`, a second request may target an already-busy engine
-/// (windows larger than the machine count, §6.5's past-the-sweet-spot
-/// regime).
-fn pick_engine(
-    rng: &mut Rng,
-    requested: &[u32],
-    exhausted: &[bool],
-    local: Option<usize>,
-    oversubscribe: bool,
-) -> Option<usize> {
-    if let Some(l) = local {
-        // LocalOnly: allow multiple outstanding requests to the single
-        // eligible engine (its device queue serializes them).
-        return (!exhausted[l]).then_some(l);
-    }
-    // Same distribution and rng consumption as indexing into a collected
-    // Vec of candidates: one draw over the idle engines if there are any,
-    // else (oversubscribed) one over the live ones.
-    let idle = pick_kth(
-        rng,
-        requested.iter().zip(exhausted).map(|(&r, &x)| r == 0 && !x),
-    );
-    if idle.is_some() || !oversubscribe {
-        return idle;
-    }
-    pick_kth(rng, exhausted.iter().map(|&x| !x))
-}
-
-/// A uniform pick among the positions where `eligible` yields `true`: one
-/// `below(count)` draw, then the drawn-th such position; `None`, and no
-/// draw, when there is none. This runs once per chunk request with an
-/// eligibility that is close to a coin flip per engine, so neither pass
-/// branches on it: the count is a sum, and the select packs 64 engines to
-/// a word and clears the low set bits.
-fn pick_kth(rng: &mut Rng, mut eligible: impl Iterator<Item = bool> + Clone) -> Option<usize> {
-    let count: u64 = eligible.clone().map(u64::from).sum();
-    if count == 0 {
-        return None;
-    }
-    let mut k = rng.below(count) as u32;
-    for base in (0..).step_by(64) {
-        let mut word = eligible
-            .by_ref()
-            .take(64)
-            .enumerate()
-            .fold(0u64, |w, (i, ok)| w | u64::from(ok) << i);
-        let ones = word.count_ones();
-        if k < ones {
-            for _ in 0..k {
-                word &= word - 1;
-            }
-            return Some(base + word.trailing_zeros() as usize);
-        }
-        k -= ones;
-    }
-    unreachable!("the draw is below the eligible count")
+/// The request for the next chunk of a `kind` stream of `part` from
+/// machine `from`, and its wire bytes. The active summary rides on every
+/// edge request (and is charged for): requests are independent, so every
+/// storage engine sees the frontier it needs for its skip decisions.
+fn chunk_req<P: GasProgram>(
+    kind: DataKind,
+    part: usize,
+    from: usize,
+    active: Option<Arc<ActiveSet>>,
+) -> (Msg<P>, u64) {
+    let bytes = CONTROL_BYTES + active.as_ref().map_or(0, |a| a.wire_bytes());
+    let msg = match kind {
+        DataKind::Input => Msg::InputChunkReq { from },
+        DataKind::Edges | DataKind::EdgesReverse => Msg::EdgeChunkReq {
+            part,
+            reverse: kind == DataKind::EdgesReverse,
+            from,
+            active,
+        },
+        DataKind::Updates => Msg::UpdateChunkReq { part, from },
+    };
+    (msg, bytes)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::pick_engine;
-    use chaos_sim::Rng;
-
     /// Steady-state allocation regression: once warm, streaming a chunk
     /// through the scatter or gather kernel must not allocate. Flush
     /// boundaries (a full buffer leaving in an `Arc`) are the one
@@ -2290,8 +1960,8 @@ mod tests {
                 w.accums = vec![0u64; 64];
             }
             w.loaded = true;
-            w.outstanding = 1; // Keeps the stream open across chunks.
-            w.inflight_compute = 1_000_000;
+            w.win.outstanding = 1; // Keeps the stream open across chunks.
+            w.win.inflight_compute = 1_000_000;
             eng.work = Some(w);
             eng
         }
@@ -2475,149 +2145,5 @@ mod tests {
             eng.on_remaining(&mut ctx, 0, 1 << 20);
             assert_eq!(eng.stealers.get(&0).map(Vec::len), Some(1));
         }
-    }
-
-    /// `pick_engine` as it was before the eligibility mask — two filtered
-    /// scans per draw — kept as the oracle for the test below.
-    fn pick_engine_two_scan(
-        rng: &mut Rng,
-        requested: &[u32],
-        exhausted: &[bool],
-        local: Option<usize>,
-        oversubscribe: bool,
-    ) -> Option<usize> {
-        if let Some(l) = local {
-            return (!exhausted[l]).then_some(l);
-        }
-        let idle = (0..requested.len())
-            .filter(|&e| requested[e] == 0 && !exhausted[e])
-            .count();
-        if idle > 0 {
-            let k = rng.below(idle as u64) as usize;
-            return (0..requested.len())
-                .filter(|&e| requested[e] == 0 && !exhausted[e])
-                .nth(k);
-        }
-        if oversubscribe {
-            let live = exhausted.iter().filter(|&&x| !x).count();
-            if live > 0 {
-                let k = rng.below(live as u64) as usize;
-                return (0..exhausted.len()).filter(|&e| !exhausted[e]).nth(k);
-            }
-        }
-        None
-    }
-
-    /// Same engine, same rng state afterwards, over random request and
-    /// exhaustion states — sparse, dense, all busy, all exhausted — at
-    /// machine counts on both sides of the mask's 64-engine word.
-    #[test]
-    fn pick_engine_matches_the_two_scan_oracle() {
-        let mut gen = Rng::new(0xE1161B1E);
-        for machines in [1usize, 7, 32, 64, 65, 130] {
-            for case in 0..600u64 {
-                // Out of 8: how many engines are busy, how many exhausted.
-                let (busy, gone) = (gen.below(10), gen.below(10));
-                let requested: Vec<u32> = (0..machines)
-                    .map(|_| u32::from(gen.below(8) < busy) * (1 + gen.below(3) as u32))
-                    .collect();
-                let exhausted: Vec<bool> = (0..machines).map(|_| gen.below(8) < gone).collect();
-                let local = (gen.below(4) == 0).then(|| gen.below(machines as u64) as usize);
-                let oversubscribe = gen.below(2) == 0;
-                let mut rng = Rng::new(case).derive(machines as u64);
-                let mut oracle_rng = rng.clone();
-                // Several draws per state: the rng states must stay in step.
-                for _ in 0..4 {
-                    assert_eq!(
-                        pick_engine(&mut rng, &requested, &exhausted, local, oversubscribe),
-                        pick_engine_two_scan(
-                            &mut oracle_rng,
-                            &requested,
-                            &exhausted,
-                            local,
-                            oversubscribe
-                        ),
-                        "m={machines} case={case} requested={requested:?} exhausted={exhausted:?}"
-                    );
-                    assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "rng out of step");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pick_engine_prefers_idle_engines() {
-        let mut rng = Rng::new(1);
-        // Engine 0 has an in-flight request; only engine 1 is eligible.
-        for _ in 0..32 {
-            assert_eq!(
-                pick_engine(&mut rng, &[1, 0], &[false, false], None, true),
-                Some(1)
-            );
-        }
-    }
-
-    /// Regression: with an oversubscribed window, two requests may be in
-    /// flight to one engine. After the *first* response the engine must
-    /// still count as busy — a boolean flag would have marked it free and
-    /// skewed the window accounting.
-    #[test]
-    fn one_response_does_not_clear_a_doubly_requested_engine() {
-        let mut rng = Rng::new(2);
-        let mut requested = vec![0u32, 0];
-        // Window of 3 over 2 engines: one request each, then the fallback
-        // doubles up on engine 0.
-        requested[0] += 1;
-        requested[1] += 1;
-        requested[0] += 1;
-        // First response from engine 0 arrives; one request is still in
-        // flight there.
-        requested[0] = requested[0].saturating_sub(1);
-        assert_eq!(requested[0], 1, "second request still in flight");
-        // With booleans the response would have freed engine 0 and the
-        // next pick could target it as "idle"; with counts there is no
-        // idle engine, so a non-oversubscribed pick finds nothing.
-        assert_eq!(
-            pick_engine(&mut rng, &requested, &[false, false], None, false),
-            None
-        );
-        // Once the second response drains engine 0, it is idle again.
-        requested[0] = requested[0].saturating_sub(1);
-        for _ in 0..32 {
-            assert_eq!(
-                pick_engine(&mut rng, &requested, &[false, false], None, false),
-                Some(0)
-            );
-        }
-    }
-
-    #[test]
-    fn oversubscribe_falls_back_to_busy_engines_only_when_all_are_busy() {
-        let mut rng = Rng::new(3);
-        let requested = vec![1u32, 2];
-        // Without oversubscription: nothing to pick.
-        assert_eq!(
-            pick_engine(&mut rng, &requested, &[false, false], None, false),
-            None
-        );
-        // With oversubscription: any non-exhausted engine may be doubled up.
-        let pick = pick_engine(&mut rng, &requested, &[false, true], None, true);
-        assert_eq!(pick, Some(0), "exhausted engines are never picked");
-    }
-
-    #[test]
-    fn local_only_ignores_inflight_counts() {
-        let mut rng = Rng::new(4);
-        // LocalOnly placement funnels everything to one engine; its device
-        // queue serializes, so in-flight counts do not gate it.
-        assert_eq!(
-            pick_engine(&mut rng, &[5, 0], &[false, false], Some(0), false),
-            Some(0)
-        );
-        assert_eq!(
-            pick_engine(&mut rng, &[5, 0], &[true, false], Some(0), false),
-            None,
-            "but an exhausted local engine ends the stream"
-        );
     }
 }

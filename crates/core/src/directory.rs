@@ -20,18 +20,9 @@ pub struct Directory<P: GasProgram> {
     machines: usize,
     ops: Resource,
     /// Per (kind, partition): available and total chunk counts per engine.
-    counts: HashMap<(u8, usize), (Vec<u64>, Vec<u64>)>,
+    counts: HashMap<(DataKind, usize), (Vec<u64>, Vec<u64>)>,
     rr: usize,
     _marker: std::marker::PhantomData<P>,
-}
-
-fn kind_tag(kind: DataKind) -> u8 {
-    match kind {
-        DataKind::Input => 0,
-        DataKind::Edges => 1,
-        DataKind::EdgesReverse => 2,
-        DataKind::Updates => 3,
-    }
 }
 
 impl<P: GasProgram> Directory<P> {
@@ -54,7 +45,7 @@ impl<P: GasProgram> Directory<P> {
         let m = self.machines;
         let entry = self
             .counts
-            .entry((kind_tag(kind), part))
+            .entry((kind, part))
             .or_insert_with(|| (vec![0; m], vec![0; m]));
         entry.0[engine] += 1;
         entry.1[engine] += 1;
@@ -87,7 +78,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                 let done = self.ops.serve(ctx.now, 1);
                 let engine = self
                     .counts
-                    .get_mut(&(kind_tag(kind), part))
+                    .get_mut(&(kind, part))
                     .and_then(|(avail, _)| {
                         let m = avail.len();
                         let start = self.rr % m;
@@ -113,19 +104,15 @@ impl<P: GasProgram> Actor for Directory<P> {
                 // Edge chunks become readable again for the next iteration;
                 // update counts stay consumed (update sets are deleted and
                 // rewritten each iteration).
-                for ((tag, _), (avail, total)) in self.counts.iter_mut() {
-                    if *tag == kind_tag(DataKind::Edges)
-                        || *tag == kind_tag(DataKind::EdgesReverse)
-                    {
+                for ((kind, _), (avail, total)) in self.counts.iter_mut() {
+                    if matches!(kind, DataKind::Edges | DataKind::EdgesReverse) {
                         avail.clone_from(total);
                     }
                 }
                 ctx.send(0, Addr::Coordinator, Msg::EpochResetAck, CONTROL_BYTES);
             }
             Msg::DeleteUpdates { part } => {
-                if let Some((avail, total)) =
-                    self.counts.get_mut(&(kind_tag(DataKind::Updates), part))
-                {
+                if let Some((avail, total)) = self.counts.get_mut(&(DataKind::Updates, part)) {
                     avail.iter_mut().for_each(|c| *c = 0);
                     total.iter_mut().for_each(|c| *c = 0);
                 }

@@ -58,6 +58,7 @@ pub mod msg;
 pub mod runtime;
 pub mod sink;
 pub mod storage_engine;
+mod window;
 
 pub use capacity::{CapacityModel, CapacityPrediction};
 pub use chaos_runtime::{Actor, ExecStats, Executor, Network, SequentialExecutor, Topology};

@@ -88,7 +88,7 @@ pub enum WriteKind {
 }
 
 /// Kind selector for directory / read operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataKind {
     /// Input edge-list chunks.
     Input,

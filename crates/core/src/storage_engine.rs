@@ -690,6 +690,13 @@ impl<P: GasProgram> StorageEngine<P> {
         );
     }
 
+    /// Answers a chunk request of machine `to` with `msg`: once the device
+    /// read `read = (done, payload bytes)` completes, or — when no chunk
+    /// was left — after a metadata-only lookup, with the exhausted notice.
+    fn respond_chunk(&self, ctx: &mut Ctx<P>, to: usize, read: Option<(Time, u64)>, msg: Msg<P>) {
+        let (at, bytes) = read.unwrap_or((ctx.now + METADATA_NS, 0));
+        self.respond_at(ctx, at, to, msg, bytes + CONTROL_BYTES);
+    }
 }
 
 impl<P: GasProgram> Actor for StorageEngine<P> {
@@ -706,32 +713,15 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
         let me = self.machine;
         match msg {
             // ------------------------------------------------------ reads
-            Msg::InputChunkReq { from } => match chunk_io(self.input.take_next(), "input", 0) {
-                Some(data) => {
-                    let bytes = data.len() as u64 * self.params.edge_bytes;
-                    let done = self.framed_read(now, bytes, Repair::Reread);
-                    self.respond_at(
-                        ctx,
-                        done,
-                        from,
-                        Msg::InputChunkResp {
-                            source: me,
-                            data: Some(data),
-                        },
-                        bytes + CONTROL_BYTES,
-                    );
-                }
-                None => self.respond_at(
-                    ctx,
-                    now + METADATA_NS,
-                    from,
-                    Msg::InputChunkResp {
-                        source: me,
-                        data: None,
-                    },
-                    CONTROL_BYTES,
-                ),
-            },
+            Msg::InputChunkReq { from } => {
+                let data = chunk_io(self.input.take_next(), "input", 0);
+                let read = data.as_ref().map(|d| {
+                    let bytes = d.len() as u64 * self.params.edge_bytes;
+                    (self.framed_read(now, bytes, Repair::Reread), bytes)
+                });
+                let resp = Msg::InputChunkResp { source: me, data };
+                self.respond_chunk(ctx, from, read, resp);
+            }
             Msg::EdgeChunkReq {
                 part,
                 reverse,
@@ -765,75 +755,40 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     partial: outcome.served.as_ref().is_some_and(|s| s.partial),
                     oracle: outcome.skipped_payloads,
                 };
-                match outcome.served {
-                    Some(served) => {
-                        let bytes = served.data.len() as u64 * self.params.edge_bytes;
-                        let done = self.framed_read(now, bytes, Repair::Reread);
-                        self.respond_at(
-                            ctx,
-                            done,
-                            from,
-                            Msg::EdgeChunkResp {
-                                part,
-                                source: me,
-                                entry: served.entry,
-                                data: Some(served.data),
-                                skipped,
-                            },
-                            bytes + CONTROL_BYTES,
-                        );
-                    }
-                    None => self.respond_at(
-                        ctx,
-                        now + METADATA_NS,
-                        from,
-                        Msg::EdgeChunkResp {
-                            part,
-                            source: me,
-                            entry: 0,
-                            data: None,
-                            skipped,
-                        },
-                        CONTROL_BYTES,
-                    ),
-                }
+                let read = outcome.served.as_ref().map(|served| {
+                    let bytes = served.data.len() as u64 * self.params.edge_bytes;
+                    (self.framed_read(now, bytes, Repair::Reread), bytes)
+                });
+                let (entry, data) = outcome.served.map_or((0, None), |s| (s.entry, Some(s.data)));
+                let resp = Msg::EdgeChunkResp {
+                    part,
+                    source: me,
+                    entry,
+                    data,
+                    skipped,
+                };
+                self.respond_chunk(ctx, from, read, resp);
             }
             Msg::UpdateChunkReq { part, from } => {
-                match chunk_io(self.updates[part].serve_next(), "updates", part) {
-                    Some(data) => {
-                        let bytes = data.len() as u64 * self.params.update_bytes;
-                        let done = if self.cache.read_hits() {
-                            // Cache hits are a memory path: device faults
-                            // cannot touch them, and the frame was verified
-                            // when the page entered the cache.
-                            self.device.cache_read(now, bytes) + METADATA_NS
-                        } else {
-                            self.framed_read(now, bytes, Repair::Reread)
-                        };
-                        self.respond_at(
-                            ctx,
-                            done,
-                            from,
-                            Msg::UpdateChunkResp {
-                                part,
-                                source: me,
-                                data: Some(data),
-                            },
-                            bytes + CONTROL_BYTES,
-                        );
-                    }
-                    None => self.respond_at(
-                        ctx,
-                        now + METADATA_NS,
-                        from,
-                        Msg::UpdateChunkResp {
-                            part,
-                            source: me,
-                            data: None,
-                        },
-                        CONTROL_BYTES,
-                    ),
-                }
+                let data = chunk_io(self.updates[part].serve_next(), "updates", part);
+                let read = data.as_ref().map(|d| {
+                    let bytes = d.len() as u64 * self.params.update_bytes;
+                    let done = if self.cache.read_hits() {
+                        // Cache hits are a memory path: device faults
+                        // cannot touch them, and the frame was verified
+                        // when the page entered the cache.
+                        self.device.cache_read(now, bytes) + METADATA_NS
+                    } else {
+                        self.framed_read(now, bytes, Repair::Reread)
+                    };
+                    (done, bytes)
+                });
+                let resp = Msg::UpdateChunkResp {
+                    part,
+                    source: me,
+                    data,
+                };
+                self.respond_chunk(ctx, from, read, resp);
             }
             Msg::VertexChunkReq {
                 part,
