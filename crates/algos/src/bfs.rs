@@ -1,6 +1,8 @@
 //! Breadth-First Search: level-synchronous frontier expansion.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{
+    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
+};
 use chaos_graph::{Edge, VertexId};
 
 /// Level of vertices not (yet) reached.
@@ -75,18 +77,18 @@ impl GasProgram for Bfs {
         [if *state != UNREACHED { 1.0 } else { 0.0 }, 0.0, 0.0, 0.0]
     }
 
-    fn scatter_chunk<S: UpdateSink<()>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<()>>(
         &self,
         base: VertexId,
         states: &[u32],
-        edges: &[Edge],
+        edges: &[E],
         iter: u32,
         out: &mut S,
     ) {
         // Frontier test only: vertices at level `iter` announce themselves.
         for e in edges {
-            if states[(e.src - base) as usize] == iter {
-                out.push(e.dst, ());
+            if states[(e.src() - base) as usize] == iter {
+                out.push(e.dst(), ());
             }
         }
     }

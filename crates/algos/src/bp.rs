@@ -4,7 +4,7 @@
 //! derived from its current belief over its out-edges; receivers combine
 //! incoming messages with their prior in log space.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::reference::{bp_prior, message_from_belief};
 use chaos_graph::{Edge, VertexId};
 
@@ -80,17 +80,20 @@ impl GasProgram for BeliefPropagation {
         [*state, 0.0, 0.0, 0.0]
     }
 
-    fn scatter_chunk<S: UpdateSink<f64>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f64>>(
         &self,
         base: VertexId,
         states: &[f64],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
         // Unconditional flood: one message per edge, no branches.
         for e in edges {
-            out.push(e.dst, message_from_belief(states[(e.src - base) as usize]));
+            out.push(
+                e.dst(),
+                message_from_belief(states[(e.src() - base) as usize]),
+            );
         }
     }
 

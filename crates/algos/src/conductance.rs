@@ -1,6 +1,6 @@
 //! Conductance of a deterministic pseudo-random vertex cut.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 use chaos_sim::rng::mix2;
 
@@ -115,17 +115,17 @@ impl GasProgram for Conductance {
         true
     }
 
-    fn scatter_chunk<S: UpdateSink<bool>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<bool>>(
         &self,
         base: VertexId,
         states: &[(bool, u32, u32)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
         // Unconditional membership flood: one bit per edge.
         for e in edges {
-            out.push(e.dst, states[(e.src - base) as usize].0);
+            out.push(e.dst(), states[(e.src() - base) as usize].0);
         }
     }
 

@@ -24,7 +24,7 @@
 //! Edge weights must be distinct (the standard Borůvka assumption; the
 //! generators in `chaos-graph` guarantee it).
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Record, UpdateRef, UpdateSink};
+use chaos_gas::{ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, Record, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// Candidate weight meaning "no outgoing edge".
@@ -400,10 +400,16 @@ impl GasProgram for Mcst {
         true
     }
 
-    fn dead_edges(&self, base: VertexId, states: &[McstState], edges: &[Edge], _iter: u32) -> u64 {
+    fn dead_edges<E: EdgeRef>(
+        &self,
+        base: VertexId,
+        states: &[McstState],
+        edges: &[E],
+        _iter: u32,
+    ) -> u64 {
         let mut dead = 0;
         for e in edges {
-            if states[(e.src - base) as usize].done || e.src == e.dst {
+            if states[(e.src() - base) as usize].done || e.src() == e.dst() {
                 dead += 1;
             }
         }
@@ -419,11 +425,11 @@ impl GasProgram for Mcst {
         ]
     }
 
-    fn scatter_chunk<S: UpdateSink<McstMsg>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<McstMsg>>(
         &self,
         base: VertexId,
         states: &[McstState],
-        edges: &[Edge],
+        edges: &[E],
         iter: u32,
         out: &mut S,
     ) {
@@ -431,40 +437,40 @@ impl GasProgram for Mcst {
         // hoisted out of the per-edge loop; MCST streams the full edge set
         // several times per Borůvka round, which makes this the hottest
         // kernel in the benchmark suite.
-        let msg_of = |s: &McstState, e: &Edge| McstMsg {
+        let msg_of = |s: &McstState, e: &E| McstMsg {
             comp: s.comp,
             label: s.label,
             cand_w: s.cand_w,
             cand_target: s.cand_target,
-            edge_w: e.weight,
+            edge_w: e.weight(),
         };
         let start = iter == self.phase_start;
         match self.phase {
             Phase::MinEdge => {
                 for e in edges {
-                    let s = &states[(e.src - base) as usize];
-                    if e.src != e.dst && !s.done {
-                        out.push(e.dst, msg_of(s, e));
+                    let s = &states[(e.src() - base) as usize];
+                    if e.src() != e.dst() && !s.done {
+                        out.push(e.dst(), msg_of(s, e));
                     }
                 }
             }
             Phase::Contract => {
                 for e in edges {
-                    let s = &states[(e.src - base) as usize];
-                    if e.src != e.dst && !s.done && (start || s.fresh) {
-                        out.push(e.dst, msg_of(s, e));
+                    let s = &states[(e.src() - base) as usize];
+                    if e.src() != e.dst() && !s.done && (start || s.fresh) {
+                        out.push(e.dst(), msg_of(s, e));
                     }
                 }
             }
             Phase::Reduce => {
                 for e in edges {
-                    let s = &states[(e.src - base) as usize];
-                    if e.src != e.dst
+                    let s = &states[(e.src() - base) as usize];
+                    if e.src() != e.dst()
                         && !s.done
                         && s.cand_w < NO_EDGE
                         && (start || s.fresh)
                     {
-                        out.push(e.dst, msg_of(s, e));
+                        out.push(e.dst(), msg_of(s, e));
                     }
                 }
             }

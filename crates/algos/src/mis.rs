@@ -7,7 +7,9 @@
 //! priority function is shared with the oracle in
 //! `chaos_graph::reference::mis`, so results match exactly.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{
+    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
+};
 use chaos_graph::reference::luby_priority;
 use chaos_graph::{Edge, VertexId};
 
@@ -175,11 +177,11 @@ impl GasProgram for Mis {
         true
     }
 
-    fn scatter_chunk<S: UpdateSink<(u64, u64)>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<(u64, u64)>>(
         &self,
         base: VertexId,
         states: &[(u32, bool)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
@@ -188,16 +190,19 @@ impl GasProgram for Mis {
         match self.phase {
             Phase::Select => {
                 for e in edges {
-                    if e.src != e.dst && states[(e.src - base) as usize].0 == UNDECIDED {
-                        out.push(e.dst, (luby_priority(e.src, self.round, self.seed), e.src));
+                    if e.src() != e.dst() && states[(e.src() - base) as usize].0 == UNDECIDED {
+                        out.push(
+                            e.dst(),
+                            (luby_priority(e.src(), self.round, self.seed), e.src()),
+                        );
                     }
                 }
             }
             Phase::Notify => {
                 for e in edges {
-                    let s = &states[(e.src - base) as usize];
-                    if e.src != e.dst && s.0 == IN && s.1 {
-                        out.push(e.dst, (0, e.src));
+                    let s = &states[(e.src() - base) as usize];
+                    if e.src() != e.dst() && s.0 == IN && s.1 {
+                        out.push(e.dst(), (0, e.src()));
                     }
                 }
             }

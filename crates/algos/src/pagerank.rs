@@ -1,6 +1,6 @@
 //! Pagerank, exactly as in Figure 2 of the paper.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// Pagerank with damping 0.85 for a fixed number of iterations:
@@ -64,18 +64,18 @@ impl GasProgram for Pagerank {
         [state.0 as f64, 0.0, 0.0, 0.0]
     }
 
-    fn scatter_chunk<S: UpdateSink<f32>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f32>>(
         &self,
         base: VertexId,
         states: &[(f32, u32)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
         for e in edges {
-            let (rank, deg) = states[(e.src - base) as usize];
+            let (rank, deg) = states[(e.src() - base) as usize];
             if deg > 0 {
-                out.push(e.dst, rank / deg as f32);
+                out.push(e.dst(), rank / deg as f32);
             }
         }
     }

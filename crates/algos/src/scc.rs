@@ -9,7 +9,7 @@
 //! SCC used by X-Stream, expressible edge-centrically because both sweeps
 //! are pure label propagations.
 
-use chaos_gas::{ActivityModel, Control, Direction, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{ActivityModel, Control, Direction, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 
 /// SCC label of unassigned vertices.
@@ -198,11 +198,11 @@ impl GasProgram for Scc {
         }
     }
 
-    fn scatter_chunk<S: UpdateSink<(u64, bool)>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<(u64, bool)>>(
         &self,
         base: VertexId,
         states: &[(u64, u64, bool)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
@@ -213,17 +213,17 @@ impl GasProgram for Scc {
         match self.phase {
             Phase::Forward => {
                 for e in edges {
-                    let s = &states[(e.src - base) as usize];
+                    let s = &states[(e.src() - base) as usize];
                     if s.1 == UNASSIGNED {
-                        out.push(e.dst, (s.0, false));
+                        out.push(e.dst(), (s.0, false));
                     }
                 }
             }
             Phase::BackwardInit | Phase::Backward => {
                 for e in edges {
-                    let s = &states[(e.dst - base) as usize];
+                    let s = &states[(e.dst() - base) as usize];
                     if s.2 {
-                        out.push(e.src, (s.0, true));
+                        out.push(e.src(), (s.0, true));
                     }
                 }
             }

@@ -1,6 +1,6 @@
 //! Sparse matrix-vector multiplication: one scatter/gather round.
 
-use chaos_gas::{Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
 use chaos_graph::{Edge, VertexId};
 use chaos_sim::rng::mix2;
 
@@ -62,17 +62,17 @@ impl GasProgram for Spmv {
         [state.1 as f64, 0.0, 0.0, 0.0]
     }
 
-    fn scatter_chunk<S: UpdateSink<f32>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f32>>(
         &self,
         base: VertexId,
         states: &[(f32, f32)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
         // Branchless: every edge carries a product term.
         for e in edges {
-            out.push(e.dst, states[(e.src - base) as usize].0 * e.weight);
+            out.push(e.dst(), states[(e.src() - base) as usize].0 * e.weight());
         }
     }
 

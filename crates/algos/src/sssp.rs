@@ -1,6 +1,8 @@
 //! Single-Source Shortest Paths: Bellman-Ford style relaxation.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{
+    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
+};
 use chaos_graph::{Edge, VertexId};
 
 /// Distance of unreached vertices.
@@ -91,18 +93,18 @@ impl GasProgram for Sssp {
         }
     }
 
-    fn scatter_chunk<S: UpdateSink<f32>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f32>>(
         &self,
         base: VertexId,
         states: &[(f32, bool)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
         for e in edges {
-            let (dist, changed) = states[(e.src - base) as usize];
+            let (dist, changed) = states[(e.src() - base) as usize];
             if changed {
-                out.push(e.dst, dist + e.weight);
+                out.push(e.dst(), dist + e.weight());
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Weakly Connected Components via min-label propagation.
 
-use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{
+    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
+};
 use chaos_graph::{Edge, VertexId};
 
 /// WCC: every vertex converges to the minimum vertex id in its (weakly)
@@ -72,18 +74,18 @@ impl GasProgram for Wcc {
         }
     }
 
-    fn scatter_chunk<S: UpdateSink<u64>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<u64>>(
         &self,
         base: VertexId,
         states: &[(u64, bool)],
-        edges: &[Edge],
+        edges: &[E],
         _iter: u32,
         out: &mut S,
     ) {
         for e in edges {
-            let (label, changed) = states[(e.src - base) as usize];
+            let (label, changed) = states[(e.src() - base) as usize];
             if changed {
-                out.push(e.dst, label);
+                out.push(e.dst(), label);
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use chaos_gas::GasProgram;
+use chaos_gas::{GasProgram, PackedEdge};
 use chaos_graph::{InputGraph, PartitionSpec, SizeModel};
 use chaos_net::{DegradedWindow, Fabric};
 use chaos_runtime::{DynActor, Executor, SequentialExecutor};
@@ -58,6 +58,17 @@ impl<P: GasProgram> Cluster<P> {
         if cfg.placement == Placement::Centralized && program.uses_reverse_edges() {
             return Err("centralized directory does not support reverse-edge programs".into());
         }
+        // The engine holds edges in the paper's compact format (§8), ids in
+        // a `u32` (`chaos_gas::PackedEdge`). Checked before anything is
+        // sized by the vertex count. It also bounds every partition's
+        // stride by 2^32, so an update's partition offset fits the `u32`
+        // of `chaos_gas::LocalUpdate`.
+        if graph.num_vertices > 1 << 32 {
+            return Err(format!(
+                "graph has {} vertices; the compact edge format holds at most 2^32",
+                graph.num_vertices
+            ));
+        }
         let sizes = SizeModel::for_graph(graph.num_vertices, graph.weighted);
         let vstate = program.vertex_state_bytes().max(1);
         let update_bytes = sizes.update_bytes(program.update_payload_bytes());
@@ -67,15 +78,6 @@ impl<P: GasProgram> Cluster<P> {
             cfg.mem_budget,
             cfg.machines,
         );
-        // The engine stores an update as its destination's offset within
-        // the partition, in a `u32` (`chaos_gas::LocalUpdate`).
-        if spec.stride > 1 << 32 {
-            return Err(format!(
-                "partitions of {} vertices exceed the 2^32 an update's partition \
-                 offset addresses; add machines or lower the memory budget",
-                spec.stride
-            ));
-        }
         // The one "can this run skip" rule (see `RunParams::selective`).
         let selective = cfg.placement != Placement::Centralized
             && program.activity() != chaos_gas::ActivityModel::Dense;
@@ -161,7 +163,8 @@ impl<P: GasProgram> Cluster<P> {
         // devices (§8).
         for chunk in graph.edges.chunks(params.edges_per_chunk.max(1)) {
             let engine = rng.below(cfg.machines as u64) as usize;
-            storages[engine].preload_input(Arc::new(chunk.to_vec()))?;
+            let packed = chunk.iter().map(PackedEdge::pack).collect();
+            storages[engine].preload_input(Arc::new(packed))?;
             if cfg.placement == Placement::Centralized {
                 directory.preregister(DataKind::Input, 0, engine);
             }

@@ -7,13 +7,14 @@
 //! outstanding requests to distinct, randomly chosen storage engines
 //! (§6.5). The steal criterion is Equation 2 with the α bias of §10.2.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use chaos_gas::{
-    ActiveSet, ActivityModel, Direction, GasProgram, IterationAggregates, LocalUpdate,
+    ActiveSet, ActivityModel, Direction, EdgeRef, GasProgram, IterationAggregates, LocalUpdate,
+    PackedEdge,
 };
-use chaos_graph::{Edge, VertexId};
+use chaos_graph::VertexId;
 use chaos_runtime::Actor;
 use chaos_sim::rng::mix2;
 use chaos_sim::{Resource, Rng, Time};
@@ -102,18 +103,26 @@ struct GatherFinish<P: GasProgram> {
 struct StealScan {
     candidates: Vec<usize>,
     started: bool,
-    awaiting: HashSet<usize>,
+    awaiting: PartSet,
     accepted: VecDeque<usize>,
 }
 
 impl StealScan {
-    fn idle() -> Self {
+    fn idle(partitions: usize) -> Self {
         Self {
             candidates: Vec::new(),
             started: true,
-            awaiting: HashSet::new(),
+            awaiting: PartSet::new(partitions),
             accepted: VecDeque::new(),
         }
+    }
+
+    /// Back to idle in place (an abort), keeping the tables.
+    fn stop(&mut self) {
+        self.candidates.clear();
+        self.started = true;
+        self.awaiting.clear();
+        self.accepted.clear();
     }
 
     fn finished(&self) -> bool {
@@ -121,12 +130,56 @@ impl StealScan {
     }
 }
 
+/// A set of partition indices, dense over the partition count: a lookup on
+/// the per-event path is an index, not a hash.
+struct PartSet {
+    member: Vec<bool>,
+    len: usize,
+}
+
+impl PartSet {
+    fn new(partitions: usize) -> Self {
+        Self {
+            member: vec![false; partitions],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, part: usize) -> bool {
+        self.member[part]
+    }
+
+    fn insert(&mut self, part: usize) {
+        if !std::mem::replace(&mut self.member[part], true) {
+            self.len += 1;
+        }
+    }
+
+    /// Removes `part`; whether it was present.
+    fn remove(&mut self, part: usize) -> bool {
+        let was = std::mem::replace(&mut self.member[part], false);
+        self.len -= usize::from(was);
+        was
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.member.fill(false);
+            self.len = 0;
+        }
+    }
+}
+
 /// Pre-processing progress.
 struct Preprocess<P: GasProgram> {
     /// The input stream's request window.
     win: ReadWindow,
-    edge_bufs: Vec<Vec<Edge>>,
-    redge_bufs: Vec<Vec<Edge>>,
+    edge_bufs: Vec<Vec<PackedEdge>>,
+    redge_bufs: Vec<Vec<PackedEdge>>,
     /// Partial out-degree counts per partition, dense over the
     /// partition's vertex range (allocated lazily on first touch; an
     /// empty vector means no edge of that partition seen here). Dense
@@ -164,8 +217,9 @@ pub struct ComputeEngine<P: GasProgram> {
     my_parts: Vec<usize>,
 
     pp: Preprocess<P>,
-    /// Master-side dense degree vectors, per owned partition.
-    degrees: HashMap<usize, Vec<u32>>,
+    /// Master-side dense degree vectors, by partition (empty until the
+    /// first count of an owned partition arrives).
+    degrees: Vec<Vec<u32>>,
 
     own_queue: VecDeque<usize>,
     work: Option<PartWork<P>>,
@@ -188,20 +242,20 @@ pub struct ComputeEngine<P: GasProgram> {
     scan: StealScan,
     gather_finish: Option<GatherFinish<P>>,
     waiting_getaccums: Option<(usize, Arc<Vec<P::Accum>>)>,
-    pending_getaccums: HashSet<usize>,
+    pending_getaccums: PartSet,
     /// Stealers accepted per owned partition, this phase.
-    stealers: HashMap<usize, Vec<usize>>,
+    stealers: Vec<Vec<usize>>,
     /// Owned partitions whose stream this engine completed this phase.
     /// Once a master finished a partition, every storage engine is
     /// exhausted for it (stream-done requires it), so its local
     /// remaining-bytes — and with it Equation 2's D — is provably zero:
     /// steal proposals are rejected immediately, without the
     /// master-to-storage remaining-bytes round trip.
-    finished_parts: HashSet<usize>,
+    finished_parts: PartSet,
     /// Proposers queued for a remaining-bytes query, per partition.
-    steal_queries: HashMap<usize, VecDeque<usize>>,
-    /// Whether a RemainingReq is in flight for a partition.
-    query_inflight: HashSet<usize>,
+    steal_queries: Vec<VecDeque<usize>>,
+    /// Partitions with a RemainingReq in flight.
+    query_inflight: PartSet,
 
     pending_write_acks: usize,
     pending_inits: usize,
@@ -275,7 +329,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 flushed: false,
                 _marker: std::marker::PhantomData,
             },
-            degrees: HashMap::new(),
+            degrees: (0..parts).map(|_| Vec::new()).collect(),
             my_parts,
             own_queue: VecDeque::new(),
             work: None,
@@ -285,14 +339,14 @@ impl<P: GasProgram> ComputeEngine<P> {
             sink: BlockSink::new(parts),
             state_pool: Vec::new(),
             accum_pool: Vec::new(),
-            scan: StealScan::idle(),
+            scan: StealScan::idle(parts),
             gather_finish: None,
             waiting_getaccums: None,
-            pending_getaccums: HashSet::new(),
-            stealers: HashMap::new(),
-            finished_parts: HashSet::new(),
-            steal_queries: HashMap::new(),
-            query_inflight: HashSet::new(),
+            pending_getaccums: PartSet::new(parts),
+            stealers: (0..parts).map(|_| Vec::new()).collect(),
+            finished_parts: PartSet::new(parts),
+            steal_queries: (0..parts).map(|_| VecDeque::new()).collect(),
+            query_inflight: PartSet::new(parts),
             pending_write_acks: 0,
             pending_inits: 0,
             ckpt: CkptState::Idle,
@@ -483,22 +537,23 @@ impl<P: GasProgram> ComputeEngine<P> {
         })
     }
 
-    fn bin_input_chunk(&mut self, ctx: &mut Ctx<P>, data: Arc<Vec<Edge>>) {
+    fn bin_input_chunk(&mut self, ctx: &mut Ctx<P>, data: Arc<Vec<PackedEdge>>) {
         let reverse_too = self.program.uses_reverse_edges();
         let stride = self.params.spec.stride;
         let cluster = self.params.cluster;
         let bins = cluster.bins() as usize;
         for e in data.iter() {
-            let p = self.params.spec.partition_of(e.src);
+            let (src, dst) = (e.src(), e.dst());
+            let p = self.params.spec.partition_of(src);
             let dv = &mut self.pp.degree_counts[p];
             if dv.is_empty() {
                 dv.resize(self.params.spec.len(p) as usize, 0);
             }
-            dv[(e.src - p as u64 * stride) as usize] += 1;
+            dv[(src - p as u64 * stride) as usize] += 1;
             // Buffers are bin-pure: an edge lands in the buffer of its
             // partition *and* scatter-key sub-range, so every flushed
             // chunk covers at most one bin of the partition.
-            let slot = p * bins + cluster.bin_of_offset(e.src - p as u64 * stride) as usize;
+            let slot = p * bins + cluster.bin_of_offset(src - p as u64 * stride) as usize;
             self.pp.edge_bufs[slot].push(*e);
             if self.pp.edge_bufs[slot].len() >= self.params.edges_per_chunk {
                 // Swap a pre-sized buffer in so the refill never regrows.
@@ -507,9 +562,8 @@ impl<P: GasProgram> ComputeEngine<P> {
                 self.write_edges(ctx, p, false, chunk);
             }
             if reverse_too {
-                let rp = self.params.spec.partition_of(e.dst);
-                let rslot =
-                    rp * bins + cluster.bin_of_offset(e.dst - rp as u64 * stride) as usize;
+                let rp = self.params.spec.partition_of(dst);
+                let rslot = rp * bins + cluster.bin_of_offset(dst - rp as u64 * stride) as usize;
                 self.pp.redge_bufs[rslot].push(*e);
                 if self.pp.redge_bufs[rslot].len() >= self.params.edges_per_chunk {
                     let buf = &mut self.pp.redge_bufs[rslot];
@@ -523,8 +577,18 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.maybe_finish_preprocess(ctx);
     }
 
-    fn write_edges(&mut self, ctx: &mut Ctx<P>, part: usize, reverse: bool, data: Arc<Vec<Edge>>) {
-        let key = if reverse { data[0].dst } else { data[0].src };
+    fn write_edges(
+        &mut self,
+        ctx: &mut Ctx<P>,
+        part: usize,
+        reverse: bool,
+        data: Arc<Vec<PackedEdge>>,
+    ) {
+        let key = if reverse {
+            data[0].dst()
+        } else {
+            data[0].src()
+        };
         let kind = if reverse {
             DataKind::EdgesReverse
         } else {
@@ -621,7 +685,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                             continue;
                         }
                         let part = slot / bins;
-                        let key = if reverse { buf[0].dst } else { buf[0].src };
+                        let key = if reverse { buf[0].dst() } else { buf[0].src() };
                         let target = self.edge_write_target(part, reverse, key);
                         batches[target].push(crate::msg::EdgeWrite {
                             part,
@@ -706,10 +770,10 @@ impl<P: GasProgram> ComputeEngine<P> {
         debug_assert_eq!(self.params.master(part), self.machine);
         let len = self.params.spec.len(part) as usize;
         let base = self.params.spec.range(part).start;
-        let dv = self
-            .degrees
-            .entry(part)
-            .or_insert_with(|| vec![0u32; len]);
+        let dv = &mut self.degrees[part];
+        if dv.is_empty() {
+            *dv = vec![0u32; len];
+        }
         for &(vid, c) in counts {
             dv[(vid - base) as usize] += c;
         }
@@ -745,12 +809,9 @@ impl<P: GasProgram> ComputeEngine<P> {
         let range = self.params.spec.range(part);
         let base = range.start;
         let mut states = self.take_state_buf();
-        let dv = self.degrees.get(&part);
+        let dv = &self.degrees[part];
         states.extend(range.clone().map(|v| {
-            let deg = dv
-                .and_then(|d| d.get((v - base) as usize))
-                .copied()
-                .unwrap_or(0) as u64;
+            let deg = dv.get((v - base) as usize).copied().unwrap_or(0) as u64;
             self.program.init(v, deg)
         }));
         self.write_vertex_set(ctx, part, &states);
@@ -809,6 +870,15 @@ impl<P: GasProgram> ComputeEngine<P> {
     // Scatter / gather phase driving
     // ------------------------------------------------------------------
 
+    /// Forgets the phase's steal bookkeeping, keeping the tables.
+    fn clear_steal_tables(&mut self) {
+        self.stealers.iter_mut().for_each(Vec::clear);
+        self.steal_queries.iter_mut().for_each(VecDeque::clear);
+        self.finished_parts.clear();
+        self.query_inflight.clear();
+        self.pending_getaccums.clear();
+    }
+
     fn start_phase(&mut self, ctx: &mut Ctx<P>, phase: PhaseKind, iter: u32) {
         self.phase = phase;
         self.iter = iter;
@@ -816,11 +886,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.ckpt = CkptState::Idle;
         self.own_queue.clear();
         self.own_queue.extend(self.my_parts.iter().copied());
-        self.stealers.clear();
-        self.finished_parts.clear();
-        self.steal_queries.clear();
-        self.query_inflight.clear();
-        self.pending_getaccums.clear();
+        self.clear_steal_tables();
         // Steal-scan candidates: every partition not owned by us, visited
         // in random order (§5.3). The scan's containers are reused across
         // phases (capacity retained).
@@ -1038,7 +1104,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         &mut self,
         ctx: &mut Ctx<P>,
         part: usize,
-        data: Arc<Vec<Edge>>,
+        data: Arc<Vec<PackedEdge>>,
         origin: Option<(usize, u32)>,
     ) {
         let base = self.params.spec.range(part).start;
@@ -1088,7 +1154,7 @@ impl<P: GasProgram> ComputeEngine<P> {
     fn maybe_compact_chunk(
         &mut self,
         ctx: &mut Ctx<P>,
-        data: &Arc<Vec<Edge>>,
+        data: &Arc<Vec<PackedEdge>>,
         origin: Option<(usize, u32)>,
     ) {
         let Some((source, entry)) = origin else {
@@ -1110,14 +1176,14 @@ impl<P: GasProgram> ComputeEngine<P> {
             return;
         }
         let reverse = self.program.direction() == Direction::In;
-        let survivors: Vec<Edge> = {
+        let survivors: Vec<PackedEdge> = {
             let program = &self.program;
             let vertices = &w.vertices;
             let iter = self.iter;
             data.iter()
                 .filter(|e| {
-                    let v = if reverse { e.dst } else { e.src };
-                    !program.edge_dead(v, &vertices[(v - base) as usize], e, iter)
+                    let v = if reverse { e.dst() } else { e.src() };
+                    !program.edge_dead(v, &vertices[(v - base) as usize], &e.edge(), iter)
                 })
                 .copied()
                 .collect()
@@ -1279,7 +1345,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 // the rest of the work state is recycled.
                 let accums = Arc::new(std::mem::take(&mut w.accums));
                 self.retire_work(w);
-                if self.pending_getaccums.remove(&part) {
+                if self.pending_getaccums.remove(part) {
                     self.send_accums(ctx, part, accums);
                     self.advance(ctx);
                 } else {
@@ -1321,7 +1387,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         vertices: Vec<P::VertexState>,
         accums: Vec<P::Accum>,
     ) {
-        let stealers = self.stealers.get(&part).cloned().unwrap_or_default();
+        let stealers = &self.stealers[part];
         let mut fin = GatherFinish {
             part,
             vertices,
@@ -1331,10 +1397,10 @@ impl<P: GasProgram> ComputeEngine<P> {
             wait_started: ctx.now,
             applying: false,
         };
-        for s in &stealers {
+        for &s in stealers {
             ctx.send(
                 self.machine,
-                Addr::Compute(*s),
+                Addr::Compute(s),
                 Msg::GetAccums {
                     part,
                     from: self.machine,
@@ -1408,7 +1474,7 @@ impl<P: GasProgram> ComputeEngine<P> {
     fn on_steal_propose(&mut self, ctx: &mut Ctx<P>, part: usize, phase: PhaseKind, from: usize) {
         if phase != self.phase
             || self.params.master(part) != self.machine
-            || self.finished_parts.contains(&part)
+            || self.finished_parts.contains(part)
         {
             // Stale proposal from a phase we already left, or a partition
             // whose stream we already finished — in both cases Equation 2
@@ -1425,20 +1491,12 @@ impl<P: GasProgram> ComputeEngine<P> {
             );
             return;
         }
-        self.steal_queries.entry(part).or_default().push_back(from);
+        self.steal_queries[part].push_back(from);
         self.maybe_query_remaining(ctx, part);
     }
 
     fn maybe_query_remaining(&mut self, ctx: &mut Ctx<P>, part: usize) {
-        if self.query_inflight.contains(&part) {
-            return;
-        }
-        if self
-            .steal_queries
-            .get(&part)
-            .map(|q| q.is_empty())
-            .unwrap_or(true)
-        {
+        if self.query_inflight.contains(part) || self.steal_queries[part].is_empty() {
             return;
         }
         self.query_inflight.insert(part);
@@ -1458,11 +1516,8 @@ impl<P: GasProgram> ComputeEngine<P> {
     }
 
     fn on_remaining(&mut self, ctx: &mut Ctx<P>, part: usize, local_bytes: u64) {
-        self.query_inflight.remove(&part);
-        let Some(q) = self.steal_queries.get_mut(&part) else {
-            return;
-        };
-        let Some(proposer) = q.pop_front() else {
+        self.query_inflight.remove(part);
+        let Some(proposer) = self.steal_queries[part].pop_front() else {
             return;
         };
         let mut d = (local_bytes * self.m() as u64) as f64;
@@ -1481,12 +1536,12 @@ impl<P: GasProgram> ComputeEngine<P> {
                 .map_or(1.0, IterSelectivity::live_fraction);
         }
         let v = self.params.vertex_part_bytes(part) as f64;
-        let h = 1.0 + self.stealers.get(&part).map(Vec::len).unwrap_or(0) as f64;
+        let h = 1.0 + self.stealers[part].len() as f64;
         let alpha = self.cfg.steal_alpha;
         // Equation 2 with the α bias of §10.2: V + D/(H+1) < α·D/H.
         let accept = d > 0.0 && (v + d / (h + 1.0)) < alpha * (d / h);
         if accept {
-            self.stealers.entry(part).or_default().push(proposer);
+            self.stealers[part].push(proposer);
         }
         ctx.send(
             self.machine,
@@ -1498,7 +1553,7 @@ impl<P: GasProgram> ComputeEngine<P> {
     }
 
     fn on_steal_reply(&mut self, ctx: &mut Ctx<P>, part: usize, accept: bool) {
-        if !self.scan.awaiting.remove(&part) {
+        if !self.scan.awaiting.remove(part) {
             return; // Stale reply after an abort.
         }
         if accept {
@@ -1664,14 +1719,10 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.flush_scratch.clear();
         self.gather_finish = None;
         self.waiting_getaccums = None;
-        self.pending_getaccums.clear();
-        self.stealers.clear();
-        self.finished_parts.clear();
-        self.steal_queries.clear();
-        self.query_inflight.clear();
+        self.clear_steal_tables();
         self.pending_write_acks = 0;
         self.pending_dir_writes.clear();
-        self.scan = StealScan::idle();
+        self.scan.stop();
         self.own_queue.clear();
         self.agg = IterationAggregates::default();
         self.barrier_sent = false;
@@ -1894,7 +1945,7 @@ mod tests {
     mod allocation_free {
         use std::sync::Arc;
 
-        use chaos_gas::{Control, GasProgram, IterationAggregates, LocalUpdate};
+        use chaos_gas::{Control, GasProgram, IterationAggregates, LocalUpdate, PackedEdge};
         use chaos_graph::{Edge, PartitionSpec, VertexId};
         use chaos_runtime::Actor;
         use chaos_sim::Rng;
@@ -1969,8 +2020,10 @@ mod tests {
         #[test]
         fn scatter_chunk_is_allocation_free_after_warmup() {
             let mut eng = mid_stream_engine(PhaseKind::Scatter);
-            let edges: Arc<Vec<Edge>> = Arc::new(
-                (0..512).map(|i| Edge::new(i % 64, (i * 7) % 256)).collect(),
+            let edges: Arc<Vec<PackedEdge>> = Arc::new(
+                (0..512)
+                    .map(|i| PackedEdge::pack(&Edge::new(i % 64, (i * 7) % 256)))
+                    .collect(),
             );
             let mut ctx = Ctx::new(0, 0);
             let chunk = |eng: &mut ComputeEngine<Flood>, ctx: &mut Ctx<Flood>| {
@@ -2102,7 +2155,7 @@ mod tests {
             let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, true));
             let mut eng = ComputeEngine::new(0, cfg, params, Sparse, Rng::new(1));
             eng.phase = PhaseKind::Scatter;
-            eng.steal_queries.entry(0).or_default().push_back(1);
+            eng.steal_queries[0].push_back(1);
             eng
         }
 
@@ -2118,7 +2171,7 @@ mod tests {
             let mut ctx = Ctx::new(0, 0);
             eng.on_remaining(&mut ctx, 0, 1 << 20);
             assert!(
-                eng.stealers.get(&0).is_none_or(Vec::is_empty),
+                eng.stealers[0].is_empty(),
                 "a fully-skippable remainder offers no work"
             );
         }
@@ -2134,7 +2187,7 @@ mod tests {
             }];
             let mut ctx = Ctx::new(0, 0);
             eng.on_remaining(&mut ctx, 0, 1 << 20);
-            assert_eq!(eng.stealers.get(&0).map(Vec::len), Some(1));
+            assert_eq!(eng.stealers[0].len(), 1);
         }
 
         #[test]
@@ -2143,7 +2196,7 @@ mod tests {
             // No selectivity account yet: live fraction defaults to 1.
             let mut ctx = Ctx::new(0, 0);
             eng.on_remaining(&mut ctx, 0, 1 << 20);
-            assert_eq!(eng.stealers.get(&0).map(Vec::len), Some(1));
+            assert_eq!(eng.stealers[0].len(), 1);
         }
     }
 }

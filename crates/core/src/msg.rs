@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, LocalUpdate};
-use chaos_graph::Edge;
+use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, LocalUpdate, PackedEdge};
 
 /// Account of chunks an activity filter consumed without serving (piggy-
 /// backed on the chunk response; metadata-only, no wire-size charge).
@@ -31,7 +30,7 @@ pub struct SkipInfo {
     /// Skipped payloads, riding along only in debug builds so the engine
     /// can verify they scatter to nothing (a host-side check, not
     /// simulated traffic).
-    pub oracle: Vec<Arc<Vec<Edge>>>,
+    pub oracle: Vec<Arc<Vec<PackedEdge>>>,
 }
 
 impl SkipInfo {
@@ -58,7 +57,7 @@ pub struct EdgeWrite {
     /// Whether the chunk belongs to the destination-keyed copy.
     pub reverse: bool,
     /// The edges (all from one cluster bin of `part`).
-    pub data: Arc<Vec<Edge>>,
+    pub data: Arc<Vec<PackedEdge>>,
 }
 
 /// Which engine phase a message refers to.
@@ -114,7 +113,7 @@ pub enum Msg<P: GasProgram> {
         /// Responding storage engine.
         source: usize,
         /// Chunk payload.
-        data: Option<Arc<Vec<Edge>>>,
+        data: Option<Arc<Vec<PackedEdge>>>,
     },
     /// Ask for any unprocessed edge chunk of `part` (§6.3).
     EdgeChunkReq {
@@ -140,7 +139,7 @@ pub enum Msg<P: GasProgram> {
         /// address compaction replacements target).
         entry: u32,
         /// Chunk payload, or `None` when exhausted here.
-        data: Option<Arc<Vec<Edge>>>,
+        data: Option<Arc<Vec<PackedEdge>>>,
         /// Chunks the activity filter consumed without serving.
         skipped: SkipInfo,
     },
@@ -188,7 +187,7 @@ pub enum Msg<P: GasProgram> {
         /// Whether this chunk belongs to the destination-keyed copy.
         reverse: bool,
         /// Edge records.
-        data: Arc<Vec<Edge>>,
+        data: Arc<Vec<PackedEdge>>,
         /// Writing machine (for the ack).
         from: usize,
     },
@@ -237,7 +236,7 @@ pub enum Msg<P: GasProgram> {
         /// Entry id reported by the serving [`Msg::EdgeChunkResp`].
         entry: u32,
         /// The surviving records.
-        data: Arc<Vec<Edge>>,
+        data: Arc<Vec<PackedEdge>>,
         /// Compacting machine (for the ack).
         from: usize,
     },
@@ -477,7 +476,7 @@ pub enum Work<P: GasProgram> {
         /// Partition being scattered.
         part: usize,
         /// The edges.
-        data: Arc<Vec<Edge>>,
+        data: Arc<Vec<PackedEdge>>,
         /// Chunk provenance `(storage engine, entry id)` so a compaction
         /// replacement can address the chunk in place; `None` when the
         /// chunk did not come from an addressable chunk set.
@@ -493,7 +492,7 @@ pub enum Work<P: GasProgram> {
     /// Bin an input chunk into per-partition edge buffers (pre-processing).
     BinInputChunk {
         /// The raw input edges.
-        data: Arc<Vec<Edge>>,
+        data: Arc<Vec<PackedEdge>>,
     },
     /// Merge stealer accumulators and apply a partition (gather finale).
     ApplyPartition {

@@ -24,8 +24,8 @@
 //! (`dst - tp·stride`), since the buffer an update sits in already names
 //! its partition.
 
-use chaos_gas::{GasProgram, LocalUpdate, UpdateSink};
-use chaos_graph::{Edge, PartitionSpec, VertexId};
+use chaos_gas::{EdgeRef, GasProgram, LocalUpdate, UpdateSink};
+use chaos_graph::{PartitionSpec, VertexId};
 
 /// Edges per block: the unit the spare-capacity check is made for.
 pub const BLOCK: usize = 256;
@@ -142,8 +142,9 @@ impl Route {
     }
 }
 
-/// The stored record. `Cluster::new` rejects a partitioning whose stride
-/// a `u32` offset cannot address, so a valid destination always fits.
+/// The stored record. `Cluster::new` rejects graphs of more than 2^32
+/// vertices, so no stride exceeds 2^32 and a valid destination's offset
+/// always fits.
 #[inline]
 fn local<U>(off: u64, payload: U) -> LocalUpdate<U> {
     debug_assert!(
@@ -196,12 +197,12 @@ impl<U> BlockSink<U> {
     /// block by block. Buffer contents, capacities, the fill-order list
     /// and `produced` end exactly as one `scatter_chunk` call into `out`
     /// leaves them. Returns how many blocks ran call-free.
-    pub fn scatter_chunk<P: GasProgram<Update = U>>(
+    pub fn scatter_chunk<P: GasProgram<Update = U>, E: EdgeRef>(
         &mut self,
         program: &P,
         base: VertexId,
         states: &[P::VertexState],
-        edges: &[Edge],
+        edges: &[E],
         iter: u32,
         out: &mut PartitionSink<'_, U>,
     ) -> usize {
@@ -209,7 +210,7 @@ impl<U> BlockSink<U> {
         let mut spare_blocks = 0;
         let mut rest = edges;
         while !rest.is_empty() {
-            let kernel = |block: &[Edge], sink: &mut SpareSink<'_, U>| {
+            let kernel = |block: &[E], sink: &mut SpareSink<'_, U>| {
                 program.scatter_chunk(base, states, block, iter, sink)
             };
             let taken = self.spare_run(out, route, rest, program.name(), kernel);
@@ -239,13 +240,13 @@ impl<U> BlockSink<U> {
     /// Kept out of line so the kernel's loop is compiled on its own, with
     /// its cursors, route and budget in registers.
     #[inline(never)]
-    fn spare_run(
+    fn spare_run<E>(
         &mut self,
         out: &mut PartitionSink<'_, U>,
         route: Route,
-        edges: &[Edge],
+        edges: &[E],
         program: &'static str,
-        mut kernel: impl FnMut(&[Edge], &mut SpareSink<'_, U>),
+        mut kernel: impl FnMut(&[E], &mut SpareSink<'_, U>),
     ) -> usize {
         let room = out
             .bufs
@@ -354,7 +355,10 @@ fn overrun(program: &str, edges: usize) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use chaos_gas::{Control, GasProgram, IterationAggregates, LocalUpdate, Update, UpdateSink};
+    use chaos_gas::{
+        Control, EdgeRef, GasProgram, IterationAggregates, LocalUpdate, PackedEdge, Update,
+        UpdateSink,
+    };
     use chaos_graph::{Edge, PartitionSpec, VertexId};
     use chaos_sim::Rng;
 
@@ -427,17 +431,17 @@ mod tests {
             Control::Done
         }
 
-        fn scatter_chunk<S: UpdateSink<u64>>(
+        fn scatter_chunk<E: EdgeRef, S: UpdateSink<u64>>(
             &self,
             _base: VertexId,
             _states: &[u64],
-            edges: &[Edge],
+            edges: &[E],
             _iter: u32,
             out: &mut S,
         ) {
             for e in edges {
-                out.push(e.dst, 1);
-                out.push(e.dst, 2);
+                out.push(e.dst(), 1);
+                out.push(e.dst(), 2);
             }
         }
     }
@@ -481,10 +485,11 @@ mod tests {
 
     /// Scatters `edges` three ways from the same buffer state — a plain
     /// `Vec<Update>` oracle routed afterwards by `partition_of`, one
-    /// `PartitionSink` call, the block driver — and asserts that each
-    /// buffer holds, as `(partition, base + off)`, the oracle's updates of
-    /// its partition, with identical capacities, fill-order lists and
-    /// `produced`. Returns the blocks that ran call-free.
+    /// `PartitionSink` call, the block driver over the edges packed as the
+    /// engine holds them — and asserts that each buffer holds, as
+    /// `(partition, base + off)`, the oracle's updates of its partition,
+    /// with identical capacities, fill-order lists and `produced`. Returns
+    /// the blocks that ran call-free.
     fn check(
         case: &str,
         parts: usize,
@@ -521,7 +526,8 @@ mod tests {
 
         let (mut blocked, mut blocked_full) = (buffers(init), Vec::new());
         let mut sink = PartitionSink::new(&spec, &mut blocked, cap, &mut blocked_full);
-        let spare = BlockSink::new(parts).scatter_chunk(&Sieve, 0, &states, edges, 0, &mut sink);
+        let packed: Vec<PackedEdge> = edges.iter().map(PackedEdge::pack).collect();
+        let spare = BlockSink::new(parts).scatter_chunk(&Sieve, 0, &states, &packed, 0, &mut sink);
         let blocked_produced = sink.produced();
 
         assert_eq!(

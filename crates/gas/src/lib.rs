@@ -27,4 +27,4 @@ pub use program::{
     Control, Direction, GasProgram, IterationAggregates, PerRecordKernels, UpdateSink,
     CUSTOM_AGGREGATES,
 };
-pub use record::{LocalUpdate, Record, Update, UpdateRef};
+pub use record::{EdgeRef, LocalUpdate, PackedEdge, Record, Update, UpdateRef};

@@ -3,7 +3,7 @@
 use chaos_graph::{Edge, VertexId};
 
 use crate::active::ActivityModel;
-use crate::record::{Record, Update, UpdateRef};
+use crate::record::{EdgeRef, Record, Update, UpdateRef};
 
 /// Which edge endpoint supplies scatter state this iteration.
 ///
@@ -182,31 +182,36 @@ pub trait GasProgram: Clone + Send + 'static {
     /// per-edge [`GasProgram::scatter`] would, in edge order — the engine's
     /// batched/per-edge equivalence is property-tested — so at most one
     /// update per edge, whatever slice of a stored chunk it is handed (the
-    /// engine's sink hands it fixed-size blocks). Override it on hot
-    /// programs with a branch-light batched body; the default simply loops
-    /// over `scatter` honoring [`GasProgram::direction`].
-    fn scatter_chunk<S: UpdateSink<Self::Update>>(
+    /// engine's sink hands it fixed-size blocks). The records are either
+    /// form of [`EdgeRef`] — the engine's compact
+    /// [`PackedEdge`](crate::PackedEdge)s or [`Edge`]s — and a body reads
+    /// them through its accessors, so one body serves both. Override it on
+    /// hot programs with a branch-light batched body; the default simply
+    /// loops over `scatter` honoring [`GasProgram::direction`].
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<Self::Update>>(
         &self,
         base: VertexId,
         states: &[Self::VertexState],
-        edges: &[Edge],
+        edges: &[E],
         iter: u32,
         out: &mut S,
     ) {
         match self.direction() {
             Direction::Out => {
                 for e in edges {
-                    if let Some(p) = self.scatter(e.src, &states[(e.src - base) as usize], e, iter)
+                    let (v, to) = (e.src(), e.dst());
+                    if let Some(p) = self.scatter(v, &states[(v - base) as usize], &e.edge(), iter)
                     {
-                        out.push(e.dst, p);
+                        out.push(to, p);
                     }
                 }
             }
             Direction::In => {
                 for e in edges {
-                    if let Some(p) = self.scatter(e.dst, &states[(e.dst - base) as usize], e, iter)
+                    let (v, to) = (e.dst(), e.src());
+                    if let Some(p) = self.scatter(v, &states[(v - base) as usize], &e.edge(), iter)
                     {
-                        out.push(e.src, p);
+                        out.push(to, p);
                     }
                 }
             }
@@ -279,25 +284,19 @@ pub trait GasProgram: Clone + Send + 'static {
     /// companion of [`GasProgram::edge_dead`], same equivalence contract
     /// as the scatter/gather kernels). The default loops over `edge_dead`
     /// honoring [`GasProgram::direction`].
-    fn dead_edges(&self, base: VertexId, states: &[Self::VertexState], edges: &[Edge], iter: u32) -> u64 {
-        let mut dead = 0;
-        match self.direction() {
-            Direction::Out => {
-                for e in edges {
-                    if self.edge_dead(e.src, &states[(e.src - base) as usize], e, iter) {
-                        dead += 1;
-                    }
-                }
-            }
-            Direction::In => {
-                for e in edges {
-                    if self.edge_dead(e.dst, &states[(e.dst - base) as usize], e, iter) {
-                        dead += 1;
-                    }
-                }
-            }
-        }
-        dead
+    fn dead_edges<E: EdgeRef>(
+        &self,
+        base: VertexId,
+        states: &[Self::VertexState],
+        edges: &[E],
+        iter: u32,
+    ) -> u64 {
+        let reverse = self.direction() == Direction::In;
+        let dead = edges.iter().filter(|e| {
+            let v = if reverse { e.dst() } else { e.src() };
+            self.edge_dead(v, &states[(v - base) as usize], &e.edge(), iter)
+        });
+        dead.count() as u64
     }
 
     /// Contribution of a vertex to the custom aggregate slots, sampled after

@@ -5,7 +5,7 @@
 //! (rather than serde) keeps the hot path allocation-free, the format
 //! stable, and the workspace dependency-light.
 
-use chaos_graph::VertexId;
+use chaos_graph::{Edge, VertexId};
 
 /// A fixed-size serializable record.
 ///
@@ -93,7 +93,7 @@ impl<A: Record, B: Record, C: Record> Record for (A, B, C) {
     }
 }
 
-impl Record for chaos_graph::Edge {
+impl Record for Edge {
     const ENCODED_BYTES: usize = 20;
     fn encode(&self, out: &mut Vec<u8>) {
         self.src.encode(out);
@@ -106,6 +106,125 @@ impl Record for chaos_graph::Edge {
             dst: u64::decode(&buf[8..]),
             weight: f32::decode(&buf[16..]),
         }
+    }
+}
+
+/// An edge in the compact format of the paper's §8: 4-byte vertex ids
+/// and a 4-byte weight, 12 bytes in memory instead of [`Edge`]'s 24. The
+/// engine holds every edge in this form, from the input copy it makes to
+/// the scatter kernels; `Cluster::new` rejects graphs of more than 2^32
+/// vertices, whose ids it cannot hold.
+///
+/// Its encoding is [`Edge`]'s 20 bytes, the ids written as `u64`s, so a
+/// stored edge chunk occupies the same bytes as before.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PackedEdge {
+    /// Source vertex.
+    pub src: u32,
+    /// Destination vertex.
+    pub dst: u32,
+    /// Edge weight (1.0 for unweighted graphs).
+    pub weight: f32,
+}
+
+impl PackedEdge {
+    /// Packs `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint does not fit in a `u32`.
+    #[inline]
+    pub fn pack(e: &Edge) -> Self {
+        let id = |v: VertexId| u32::try_from(v).expect("vertex id fits the compact edge format");
+        Self {
+            src: id(e.src),
+            dst: id(e.dst),
+            weight: e.weight,
+        }
+    }
+}
+
+impl Record for PackedEdge {
+    const ENCODED_BYTES: usize = Edge::ENCODED_BYTES;
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        let mut b = [0u8; 20];
+        b[..4].copy_from_slice(&self.src.to_le_bytes());
+        b[8..12].copy_from_slice(&self.dst.to_le_bytes());
+        b[16..].copy_from_slice(&self.weight.to_le_bytes());
+        out.extend_from_slice(&b);
+    }
+    /// Reads each id from the low half of its little-endian `u64`:
+    /// [`Record::encode`] writes the high halves zero, and a stored chunk
+    /// is checked against its CRC before it is decoded.
+    #[inline]
+    fn decode(buf: &[u8]) -> Self {
+        let buf = &buf[..Self::ENCODED_BYTES];
+        let le4 = |at: usize| [buf[at], buf[at + 1], buf[at + 2], buf[at + 3]];
+        debug_assert!(
+            le4(4) == [0; 4] && le4(12) == [0; 4],
+            "edge record with an id past the compact edge format"
+        );
+        Self {
+            src: u32::from_le_bytes(le4(0)),
+            dst: u32::from_le_bytes(le4(8)),
+            weight: f32::from_le_bytes(le4(16)),
+        }
+    }
+}
+
+/// What a scatter kernel reads off an edge record, whichever form it is
+/// in. [`GasProgram::scatter_chunk`](crate::GasProgram::scatter_chunk)
+/// and [`GasProgram::dead_edges`](crate::GasProgram::dead_edges) are
+/// generic over it, so one kernel body serves the engine's
+/// [`PackedEdge`]s and the [`Edge`]s of the sequential executor.
+pub trait EdgeRef {
+    /// Source vertex.
+    fn src(&self) -> VertexId;
+    /// Destination vertex.
+    fn dst(&self) -> VertexId;
+    /// Edge weight.
+    fn weight(&self) -> f32;
+    /// The edge as the per-edge [`GasProgram::scatter`](crate::GasProgram::scatter)
+    /// takes it.
+    fn edge(&self) -> Edge;
+}
+
+impl EdgeRef for Edge {
+    #[inline]
+    fn src(&self) -> VertexId {
+        self.src
+    }
+    #[inline]
+    fn dst(&self) -> VertexId {
+        self.dst
+    }
+    #[inline]
+    fn weight(&self) -> f32 {
+        self.weight
+    }
+    #[inline]
+    fn edge(&self) -> Edge {
+        *self
+    }
+}
+
+impl EdgeRef for PackedEdge {
+    #[inline]
+    fn src(&self) -> VertexId {
+        VertexId::from(self.src)
+    }
+    #[inline]
+    fn dst(&self) -> VertexId {
+        VertexId::from(self.dst)
+    }
+    #[inline]
+    fn weight(&self) -> f32 {
+        self.weight
+    }
+    #[inline]
+    fn edge(&self) -> Edge {
+        Edge::weighted(self.src(), self.dst(), self.weight)
     }
 }
 
@@ -308,6 +427,34 @@ mod tests {
         assert_eq!(global.offset(base), 9);
         assert_eq!(local.offset(base), 9);
         assert_eq!(global.payload(), local.payload());
+    }
+
+    #[test]
+    fn packed_edge_is_twelve_bytes_and_encodes_as_an_edge() {
+        assert_eq!(std::mem::size_of::<PackedEdge>(), 12);
+        assert_eq!(<PackedEdge as Record>::ENCODED_BYTES, 20);
+        for e in [
+            Edge::weighted(u32::MAX as u64, 0, -2.5),
+            Edge::new(7, 1 << 31),
+        ] {
+            let packed = PackedEdge::pack(&e);
+            roundtrip(packed);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            packed.encode(&mut a);
+            e.encode(&mut b);
+            assert_eq!(a, b);
+            assert_eq!(packed.edge(), e);
+            assert_eq!(
+                (packed.src(), packed.dst(), packed.weight()),
+                (e.src, e.dst, e.weight)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compact edge format")]
+    fn wide_ids_do_not_pack() {
+        let _ = PackedEdge::pack(&Edge::new(1 << 32, 0));
     }
 
     #[test]

@@ -9,16 +9,19 @@
 # of functions inlined into it at that point.
 #
 # Usage:
-#   scripts/pcsample.sh <workload> [seconds=8] [seed=1]
+#   scripts/pcsample.sh <workload> [seconds=8] [seed=1] [top=15]
 #   scripts/pcsample.sh bfs_selective
 #   scripts/pcsample.sh pr_dense 20 7
+#   scripts/pcsample.sh pr_events 8 1 60
 #
 # Prints the share of samples by outermost function (the symbol the address
 # lies in: what remains a function after inlining) and by innermost inlined
-# function (the source function the instruction came from). The samples
-# cover the whole process — graph generation, cluster set-up, the timed run
-# and the oracle check — which is how set-up cost shows up at all. To compare
-# two commits, run the script in a checkout of each.
+# function (the source function the instruction came from), `top` rows per
+# table. The long tail — hashing, 128-bit division, `Vec` clones — only
+# shows past the default fifteen rows. The samples cover the whole process —
+# graph generation, cluster set-up, the timed run and the oracle check —
+# which is how set-up cost shows up at all. To compare two commits, run the
+# script in a checkout of each.
 #
 # A sample outside the executable (libc's memmove, a system call in progress)
 # is named after its mapping and the exported symbol it lies in, and charged
@@ -38,13 +41,19 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-    echo "usage: scripts/pcsample.sh <workload> [seconds=8] [seed=1]" >&2
+    echo "usage: scripts/pcsample.sh <workload> [seconds=8] [seed=1] [top=15]" >&2
     exit 2
 fi
 WORKLOAD=$1
 RUN_SECONDS=${2:-8}
 SEED=${3:-1}
-TOP=15
+TOP=${4:-15}
+case $TOP in
+'' | *[!0-9]* | 0)
+    echo "pcsample: top must be a positive row count, not \"$TOP\"" >&2
+    exit 2
+    ;;
+esac
 
 for tool in cc addr2line; do
     if ! command -v "$tool" >/dev/null 2>&1; then

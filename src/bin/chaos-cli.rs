@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use chaos::algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
 use chaos::bench::cli::{self, Args, Flag, Options, Value};
-use chaos::core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig};
+use chaos::core::{ChaosConfig, Cluster, FaultPlan, FaultPlanConfig};
 use chaos::graph::{io as graph_io, InputGraph, RmatConfig, WebGraphConfig};
 
 /// Every option any subcommand reads; the rules are `chaos::bench::cli`'s.
@@ -191,14 +191,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         ..AlgoParams::default()
     };
 
-    println!(
-        "running {algo} on {} vertices / {} edges over {machines} machines ({}, {})...",
+    let fabric = if args.flag("--one-gige") {
+        "1GigE"
+    } else {
+        "40GigE"
+    };
+    let banner = format!(
+        "running {algo} on {} vertices / {} edges over {machines} machines ({}, {fabric})...",
         g.num_vertices,
         g.num_edges(),
         cfg.device.name,
-        if args.flag("--one-gige") { "1GigE" } else { "40GigE" },
     );
-    let report = with_algo!(algo, &params, |p| run_chaos(cfg, p, &g).0);
+    // Built before anything is printed: a graph the engine cannot hold is
+    // an error line, not a partial run.
+    let report = with_algo!(algo, &params, |p| {
+        let mut cluster = Cluster::new(cfg, p, &g)?;
+        println!("{banner}");
+        cluster.run()
+    });
     println!("simulated runtime   {:>10.3} s (preprocess {:.3} s)",
         report.seconds(), report.preprocess_time as f64 / 1e9);
     println!("device I/O          {:>10.1} MB", report.total_device_bytes() as f64 / 1e6);

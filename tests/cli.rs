@@ -142,10 +142,33 @@ fn unknown_options_are_errors_not_ignored() {
 /// it made an empty graph the engine indexed out of bounds.
 #[test]
 fn vertex_id_at_u64_max_is_an_error() {
-    let name = format!("chaos-cli-test-{}-max-id.txt", std::process::id());
+    run_on_graph_fails_cleanly("max-id.txt", b"18446744073709551615 0\n", "line 1");
+}
+
+/// Writes `bytes` to a temporary graph file and runs PR on it.
+fn run_on_graph_fails_cleanly(suffix: &str, bytes: &[u8], names: &str) {
+    let name = format!("chaos-cli-test-{}-{suffix}", std::process::id());
     let path = std::env::temp_dir().join(name);
-    std::fs::write(&path, "18446744073709551615 0\n").expect("write the graph");
+    std::fs::write(&path, bytes).expect("write the graph");
     let graph = path.to_str().expect("utf-8 temp path");
-    run_fails_cleanly(&["--graph", graph], "line 1");
+    run_fails_cleanly(&["--graph", graph], names);
     std::fs::remove_file(&path).ok();
+}
+
+/// 2^32 + 1 vertices do not fit the compact edge format's 4-byte ids; the
+/// parent sized per-partition state by the count first and aborted on an
+/// allocation of tens of GB.
+#[test]
+fn vertex_count_past_compact_ids_is_an_error() {
+    run_on_graph_fails_cleanly("wide.txt", b"0 1\n4294967296 0\n", "4294967297 vertices");
+}
+
+/// A binary header may claim any vertex count, with no edge to back it.
+#[test]
+fn binary_header_claiming_2_pow_40_vertices_is_an_error() {
+    let mut bytes = b"CHAOSEL1".to_vec();
+    bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&[0, 8]);
+    run_on_graph_fails_cleanly("wide.bin", &bytes, "1099511627776 vertices");
 }

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use chaos::gas::{UpdateRef, CUSTOM_AGGREGATES};
+use chaos::gas::{EdgeRef, UpdateRef, CUSTOM_AGGREGATES};
 use chaos::graph::VertexId;
 use chaos::prelude::*;
 
@@ -178,11 +178,11 @@ impl<P: GasProgram> GasProgram for DenseActivity<P> {
         self.0.apply(v, state, acc, iter)
     }
 
-    fn scatter_chunk<S: UpdateSink<Self::Update>>(
+    fn scatter_chunk<E: EdgeRef, S: UpdateSink<Self::Update>>(
         &self,
         base: VertexId,
         states: &[Self::VertexState],
-        edges: &[Edge],
+        edges: &[E],
         iter: u32,
         out: &mut S,
     ) {
@@ -215,11 +215,11 @@ impl<P: GasProgram> GasProgram for DenseActivity<P> {
         self.0.shrinks_now(iter)
     }
 
-    fn dead_edges(
+    fn dead_edges<E: EdgeRef>(
         &self,
         base: VertexId,
         states: &[Self::VertexState],
-        edges: &[Edge],
+        edges: &[E],
         iter: u32,
     ) -> u64 {
         self.0.dead_edges(base, states, edges, iter)

@@ -217,7 +217,8 @@ fn invalid_configs_are_rejected_by_cluster() {
 fn partitions_past_u32_offsets_are_a_config_error() {
     // One machine with memory for every vertex: a single partition of
     // 2^32 + 1 vertices, one more than a `u32` update offset addresses.
-    // Rejected before anything is sized by the vertex count.
+    // The compact edge format's id check rejects the graph before any
+    // partitioning, and with it every stride a `u32` cannot address.
     let g = InputGraph::new((1 << 32) + 1, Vec::new(), false);
     let mut cfg = test_config(1);
     cfg.mem_budget = u64::MAX / 2;

@@ -13,11 +13,14 @@
 //! Each program's one `gather_chunk` body serves both update record forms
 //! — the engine's partition-local `LocalUpdate`s and global `Update`s —
 //! and both must leave the accumulators exactly as the per-record
-//! `gather` fold does.
+//! `gather` fold does. Likewise its one `scatter_chunk` and `dead_edges`
+//! bodies serve both edge record forms — the engine's compact
+//! `PackedEdge`s and `Edge`s — with identical updates and dead counts.
 
 mod common;
 
-use chaos::gas::{LocalUpdate, Update};
+use chaos::gas::record::encode_all;
+use chaos::gas::{LocalUpdate, PackedEdge, Update};
 use chaos::graph::PartitionSpec;
 use chaos::prelude::*;
 use common::{test_config, undirected_graph, weighted_graph};
@@ -116,8 +119,10 @@ fn sequential_oracle_is_kernel_invariant() {
     assert_eq!(fast.iterations, slow.iterations);
 }
 
-/// Runs `program` sequentially for up to `iters` iterations and, at every
-/// gather, folds each partition's updates three ways into fresh
+/// Runs `program` sequentially for up to `iters` iterations. Every
+/// scatter runs over the edges and over the same edges packed, asserting
+/// the same updates (compared by their encoding, which spells out every
+/// float) and the same dead-edge count. At every gather it folds each partition's updates three ways into fresh
 /// accumulators — `gather_chunk` over `LocalUpdate`s, `gather_chunk` over
 /// the same updates as global `Update`s, and the per-record `gather` —
 /// asserting the three bit-identical (compared by their `Debug` form,
@@ -132,10 +137,23 @@ where
     let mut states: Vec<P::VertexState> = (0..g.num_vertices)
         .map(|v| program.init(v, degrees[v as usize]))
         .collect();
+    let packed: Vec<PackedEdge> = g.edges.iter().map(PackedEdge::pack).collect();
     let mut checked = 0;
     for iter in 0..iters {
         let mut updates: Vec<Update<P::Update>> = Vec::new();
         program.scatter_chunk(0, &states, &g.edges, iter, &mut updates);
+        let mut from_packed: Vec<Update<P::Update>> = Vec::new();
+        program.scatter_chunk(0, &states, &packed, iter, &mut from_packed);
+        let name = program.name();
+        assert!(
+            encode_all(&updates) == encode_all(&from_packed),
+            "{name}, iteration {iter}: packed edges scatter differently"
+        );
+        assert_eq!(
+            program.dead_edges(0, &states, &g.edges, iter),
+            program.dead_edges(0, &states, &packed, iter),
+            "{name}, iteration {iter}: packed edges count dead differently"
+        );
         let mut accums: Vec<P::Accum> = Vec::new();
         for p in 0..spec.num_partitions {
             let range = spec.range(p);
@@ -161,7 +179,6 @@ where
                 let off = (u.dst - base) as usize;
                 program.gather(&mut by_record[off], u.dst, &part_states[off], &u.payload);
             }
-            let name = program.name();
             assert_eq!(
                 format!("{by_local:?}"),
                 format!("{by_record:?}"),
