@@ -27,6 +27,7 @@ impl GasProgram for Bfs {
     type VertexState = u32;
     type Update = ();
     type Accum = bool;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "BFS"

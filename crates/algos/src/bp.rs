@@ -42,6 +42,7 @@ impl GasProgram for BeliefPropagation {
     /// The flooded message `m(1)`.
     type Update = f64;
     type Accum = LogLikelihoods;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "BP"

@@ -61,6 +61,7 @@ impl GasProgram for Conductance {
     type VertexState = (bool, u32, u32);
     type Update = bool;
     type Accum = SideCounts;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "Cond"

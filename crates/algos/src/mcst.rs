@@ -193,6 +193,7 @@ impl GasProgram for Mcst {
     type VertexState = McstState;
     type Update = McstMsg;
     type Accum = McstAccum;
+    type HeldEdge = chaos_gas::PackedEdge;
 
     fn name(&self) -> &'static str {
         "MCST"

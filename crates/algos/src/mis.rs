@@ -63,6 +63,7 @@ impl GasProgram for Mis {
     /// `(priority, vertex id)` in select; ignored content in notify.
     type Update = (u64, u64);
     type Accum = MisAccum;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "MIS"

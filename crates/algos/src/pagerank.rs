@@ -32,6 +32,7 @@ impl GasProgram for Pagerank {
     type VertexState = (f32, u32);
     type Update = f32;
     type Accum = RankSum;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "PR"

@@ -1,5 +1,7 @@
 //! Shared algorithm parameters.
 
+use chaos_gas::{EdgeRecord, GasProgram};
+
 /// Names of the ten algorithms in the order of Table 1.
 pub const ALGO_NAMES: [&str; 10] = [
     "BFS", "WCC", "MCST", "MIS", "SSSP", "SCC", "PR", "Cond", "SpMV", "BP",
@@ -37,9 +39,15 @@ pub fn needs_undirected(name: &str) -> bool {
     matches!(name, "BFS" | "WCC" | "MCST" | "MIS" | "SSSP")
 }
 
-/// Whether an algorithm requires edge weights.
+/// Whether an algorithm requires edge weights: whether its program holds
+/// its edges in a record that keeps them ([`GasProgram::HeldEdge`]).
+/// False for a name that is not in [`ALGO_NAMES`].
 pub fn needs_weights(name: &str) -> bool {
-    matches!(name, "MCST" | "SSSP" | "SpMV")
+    fn holds_weights<P: GasProgram>(_: &P) -> bool {
+        <P::HeldEdge as EdgeRecord>::WEIGHTED
+    }
+    ALGO_NAMES.contains(&name)
+        && crate::with_algo!(name, &AlgoParams::default(), |p| holds_weights(&p))
 }
 
 #[cfg(test)]
@@ -50,7 +58,11 @@ mod tests {
     fn ten_algorithms() {
         assert_eq!(ALGO_NAMES.len(), 10);
         assert_eq!(ALGO_NAMES.iter().filter(|n| needs_undirected(n)).count(), 5);
-        assert!(needs_weights("MCST") && needs_weights("SSSP") && needs_weights("SpMV"));
-        assert!(!needs_weights("PR"));
+        let weighted: Vec<&str> = ALGO_NAMES
+            .into_iter()
+            .filter(|n| needs_weights(n))
+            .collect();
+        assert_eq!(weighted, ["MCST", "SSSP", "SpMV"]);
+        assert!(!needs_weights("pr"));
     }
 }

@@ -65,6 +65,7 @@ impl GasProgram for Scc {
     /// `(color, is_member)`.
     type Update = (u64, bool);
     type Accum = SccAccum;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "SCC"

@@ -32,6 +32,7 @@ impl GasProgram for Spmv {
     type VertexState = (f32, f32);
     type Update = f32;
     type Accum = ProductSum;
+    type HeldEdge = chaos_gas::PackedEdge;
 
     fn name(&self) -> &'static str {
         "SpMV"

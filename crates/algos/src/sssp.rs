@@ -37,6 +37,7 @@ impl GasProgram for Sssp {
     type VertexState = (f32, bool);
     type Update = f32;
     type Accum = MinDist;
+    type HeldEdge = chaos_gas::PackedEdge;
 
     fn name(&self) -> &'static str {
         "SSSP"

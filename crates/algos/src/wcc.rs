@@ -24,6 +24,7 @@ impl GasProgram for Wcc {
     type Update = u64;
     /// Minimum label seen; identity is `u64::MAX`.
     type Accum = MinLabel;
+    type HeldEdge = chaos_gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "WCC"

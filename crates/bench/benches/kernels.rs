@@ -23,7 +23,7 @@ use chaos_baselines::GridPartitioner;
 use chaos_core::sink::{BlockSink, PartitionSink};
 use chaos_core::{run_chaos, ChaosConfig};
 use chaos_gas::record::{decode_all, encode_all};
-use chaos_gas::{run_sequential, GasProgram, LocalUpdate, PackedEdge};
+use chaos_gas::{run_sequential, EdgeRecord, GasProgram, LocalUpdate};
 use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig};
 use chaos_sim::{EventQueue, QueueKind, Rng, MICROS};
 use chaos_storage::{crc32, crc32_table, seal_chunk, ChunkSet, SealScratch};
@@ -215,11 +215,11 @@ fn bench_gas_kernels(c: &mut Criterion) {
 }
 
 /// The scatter sink's seam without a `Cluster`: PageRank's kernel over a
-/// warm 4096-edge chunk of the engine's compact edge records (sources in
-/// partition 0, destinations uniform over 8192 vertices, as at
-/// `pr_dense`'s scale) through the block driver into `p` pooled output
-/// buffers that flush at 4096 records — a flush here clears the buffer,
-/// so destinations stay warm. Four partitions is `pr_dense`'s count,
+/// warm 4096-edge chunk of the records the engine holds for it (8-byte
+/// `BareEdge`s; sources in partition 0, destinations uniform over 8192
+/// vertices, as at `pr_dense`'s scale) through the block driver into `p`
+/// pooled output buffers that flush at 4096 records — a flush here
+/// clears the buffer, so destinations stay warm. Four partitions is `pr_dense`'s count,
 /// eight `pr_faulted`'s. One iteration is 244 passes, 999 424 edges: ms
 /// per iteration reads as ns per edge.
 fn bench_scatter_sink(c: &mut Criterion) {
@@ -228,10 +228,10 @@ fn bench_scatter_sink(c: &mut Criterion) {
         let spec = PartitionSpec::with_partitions(8192, parts);
         let src = spec.range(0);
         let mut rng = Rng::new(13);
-        let edges: Vec<PackedEdge> = (0..4096)
+        let edges: Vec<<Pagerank as GasProgram>::HeldEdge> = (0..4096)
             .map(|_| {
                 let e = Edge::new(src.start + rng.below(src.end - src.start), rng.below(8192));
-                PackedEdge::pack(&e)
+                EdgeRecord::pack(&e)
             })
             .collect();
         let states: Vec<(f32, u32)> = src.clone().map(|v| (1.0, 1 + (v % 16) as u32)).collect();

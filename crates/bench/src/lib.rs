@@ -20,6 +20,7 @@
 
 pub mod ablations;
 pub mod capacity;
+pub mod cellstats;
 pub mod cli;
 pub mod fig05;
 pub mod fig07;

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use chaos_gas::{GasProgram, PackedEdge};
+use chaos_gas::{EdgeRecord, GasProgram};
 use chaos_graph::{InputGraph, PartitionSpec, SizeModel};
 use chaos_net::{DegradedWindow, Fabric};
 use chaos_runtime::{DynActor, Executor, SequentialExecutor};
@@ -59,7 +59,7 @@ impl<P: GasProgram> Cluster<P> {
             return Err("centralized directory does not support reverse-edge programs".into());
         }
         // The engine holds edges in the paper's compact format (§8), ids in
-        // a `u32` (`chaos_gas::PackedEdge`). Checked before anything is
+        // a `u32` (`GasProgram::HeldEdge`). Checked before anything is
         // sized by the vertex count. It also bounds every partition's
         // stride by 2^32, so an update's partition offset fits the `u32`
         // of `chaos_gas::LocalUpdate`.
@@ -163,7 +163,7 @@ impl<P: GasProgram> Cluster<P> {
         // devices (§8).
         for chunk in graph.edges.chunks(params.edges_per_chunk.max(1)) {
             let engine = rng.below(cfg.machines as u64) as usize;
-            let packed = chunk.iter().map(PackedEdge::pack).collect();
+            let packed = chunk.iter().map(P::HeldEdge::pack).collect();
             storages[engine].preload_input(Arc::new(packed))?;
             if cfg.placement == Placement::Centralized {
                 directory.preregister(DataKind::Input, 0, engine);

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use chaos_gas::{
     ActiveSet, ActivityModel, Direction, EdgeRef, GasProgram, IterationAggregates, LocalUpdate,
-    PackedEdge,
 };
 use chaos_graph::VertexId;
 use chaos_runtime::Actor;
@@ -21,7 +20,9 @@ use chaos_sim::{Resource, Rng, Time};
 
 use crate::config::{ChaosConfig, Placement};
 use crate::metrics::{Breakdown, IterSelectivity};
-use crate::msg::{DataKind, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES};
+use crate::msg::{
+    DataKind, EdgeChunk, EdgeWrite, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES,
+};
 use crate::runtime::{Addr, Ctx, RunParams};
 use crate::sink::{BlockSink, CountSink, PartitionSink};
 use crate::window::ReadWindow;
@@ -178,8 +179,8 @@ impl PartSet {
 struct Preprocess<P: GasProgram> {
     /// The input stream's request window.
     win: ReadWindow,
-    edge_bufs: Vec<Vec<PackedEdge>>,
-    redge_bufs: Vec<Vec<PackedEdge>>,
+    edge_bufs: Vec<Vec<P::HeldEdge>>,
+    redge_bufs: Vec<Vec<P::HeldEdge>>,
     /// Partial out-degree counts per partition, dense over the
     /// partition's vertex range (allocated lazily on first touch; an
     /// empty vector means no edge of that partition seen here). Dense
@@ -537,7 +538,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         })
     }
 
-    fn bin_input_chunk(&mut self, ctx: &mut Ctx<P>, data: Arc<Vec<PackedEdge>>) {
+    fn bin_input_chunk(&mut self, ctx: &mut Ctx<P>, data: EdgeChunk<P>) {
         let reverse_too = self.program.uses_reverse_edges();
         let stride = self.params.spec.stride;
         let cluster = self.params.cluster;
@@ -577,13 +578,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.maybe_finish_preprocess(ctx);
     }
 
-    fn write_edges(
-        &mut self,
-        ctx: &mut Ctx<P>,
-        part: usize,
-        reverse: bool,
-        data: Arc<Vec<PackedEdge>>,
-    ) {
+    fn write_edges(&mut self, ctx: &mut Ctx<P>, part: usize, reverse: bool, data: EdgeChunk<P>) {
         let key = if reverse {
             data[0].dst()
         } else {
@@ -675,7 +670,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 // traffic by the bin count. Group them by their bin-home
                 // target and ship one batched write per engine; the
                 // storage side merges each element into its open buffer.
-                let mut batches: Vec<Vec<crate::msg::EdgeWrite>> =
+                let mut batches: Vec<Vec<EdgeWrite<P>>> =
                     (0..self.m()).map(|_| Vec::new()).collect();
                 let edge_bufs = std::mem::take(&mut self.pp.edge_bufs);
                 let redge_bufs = std::mem::take(&mut self.pp.redge_bufs);
@@ -687,7 +682,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                         let part = slot / bins;
                         let key = if reverse { buf[0].dst() } else { buf[0].src() };
                         let target = self.edge_write_target(part, reverse, key);
-                        batches[target].push(crate::msg::EdgeWrite {
+                        batches[target].push(EdgeWrite {
                             part,
                             reverse,
                             data: Arc::new(buf),
@@ -1104,7 +1099,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         &mut self,
         ctx: &mut Ctx<P>,
         part: usize,
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
         origin: Option<(usize, u32)>,
     ) {
         let base = self.params.spec.range(part).start;
@@ -1154,7 +1149,7 @@ impl<P: GasProgram> ComputeEngine<P> {
     fn maybe_compact_chunk(
         &mut self,
         ctx: &mut Ctx<P>,
-        data: &Arc<Vec<PackedEdge>>,
+        data: &EdgeChunk<P>,
         origin: Option<(usize, u32)>,
     ) {
         let Some((source, entry)) = origin else {
@@ -1176,7 +1171,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             return;
         }
         let reverse = self.program.direction() == Direction::In;
-        let survivors: Vec<PackedEdge> = {
+        let survivors: Vec<P::HeldEdge> = {
             let program = &self.program;
             let vertices = &w.vertices;
             let iter = self.iter;
@@ -1214,7 +1209,7 @@ impl<P: GasProgram> ComputeEngine<P> {
     /// debug builds, streams their payloads through the scatter kernel to
     /// enforce the activity contract: a skipped chunk or block must
     /// produce nothing.
-    fn on_edge_skips(&mut self, part: usize, skipped: &SkipInfo) {
+    fn on_edge_skips(&mut self, part: usize, skipped: &SkipInfo<P>) {
         if skipped.chunks == 0 && skipped.blocks == 0 {
             return;
         }
@@ -1945,7 +1940,9 @@ mod tests {
     mod allocation_free {
         use std::sync::Arc;
 
-        use chaos_gas::{Control, GasProgram, IterationAggregates, LocalUpdate, PackedEdge};
+        use chaos_gas::{
+            BareEdge, Control, EdgeRecord, GasProgram, IterationAggregates, LocalUpdate,
+        };
         use chaos_graph::{Edge, PartitionSpec, VertexId};
         use chaos_runtime::Actor;
         use chaos_sim::Rng;
@@ -1964,6 +1961,7 @@ mod tests {
             type VertexState = u64;
             type Update = u64;
             type Accum = u64;
+            type HeldEdge = BareEdge;
 
             fn name(&self) -> &'static str {
                 "Flood"
@@ -2020,9 +2018,9 @@ mod tests {
         #[test]
         fn scatter_chunk_is_allocation_free_after_warmup() {
             let mut eng = mid_stream_engine(PhaseKind::Scatter);
-            let edges: Arc<Vec<PackedEdge>> = Arc::new(
+            let edges: Arc<Vec<BareEdge>> = Arc::new(
                 (0..512)
-                    .map(|i| PackedEdge::pack(&Edge::new(i % 64, (i * 7) % 256)))
+                    .map(|i| BareEdge::pack(&Edge::new(i % 64, (i * 7) % 256)))
                     .collect(),
             );
             let mut ctx = Ctx::new(0, 0);
@@ -2096,7 +2094,7 @@ mod tests {
     mod steal_scaling {
         use std::sync::Arc;
 
-        use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates};
+        use chaos_gas::{ActivityModel, BareEdge, Control, GasProgram, IterationAggregates};
         use chaos_graph::{Edge, PartitionSpec, VertexId};
         use chaos_sim::Rng;
 
@@ -2115,6 +2113,7 @@ mod tests {
             type VertexState = u64;
             type Update = u64;
             type Accum = u64;
+            type HeldEdge = BareEdge;
 
             fn name(&self) -> &'static str {
                 "Sparse"

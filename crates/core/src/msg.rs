@@ -9,11 +9,15 @@
 
 use std::sync::Arc;
 
-use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, LocalUpdate, PackedEdge};
+use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, LocalUpdate};
+
+/// A shared chunk of edges in the record the program declares
+/// ([`GasProgram::HeldEdge`]).
+pub type EdgeChunk<P> = Arc<Vec<<P as GasProgram>::HeldEdge>>;
 
 /// Account of chunks an activity filter consumed without serving (piggy-
 /// backed on the chunk response; metadata-only, no wire-size charge).
-pub struct SkipInfo {
+pub struct SkipInfo<P: GasProgram> {
     /// Chunks skipped.
     pub chunks: u32,
     /// Records in those chunks.
@@ -30,10 +34,10 @@ pub struct SkipInfo {
     /// Skipped payloads, riding along only in debug builds so the engine
     /// can verify they scatter to nothing (a host-side check, not
     /// simulated traffic).
-    pub oracle: Vec<Arc<Vec<PackedEdge>>>,
+    pub oracle: Vec<EdgeChunk<P>>,
 }
 
-impl SkipInfo {
+impl<P: GasProgram> SkipInfo<P> {
     /// The no-skip account.
     pub fn none() -> Self {
         Self {
@@ -51,13 +55,13 @@ impl SkipInfo {
 pub const CONTROL_BYTES: u64 = 64;
 
 /// One bin-pure partial edge chunk inside a [`Msg::WriteEdgeBatch`].
-pub struct EdgeWrite {
+pub struct EdgeWrite<P: GasProgram> {
     /// Partition the edges belong to.
     pub part: usize,
     /// Whether the chunk belongs to the destination-keyed copy.
     pub reverse: bool,
     /// The edges (all from one cluster bin of `part`).
-    pub data: Arc<Vec<PackedEdge>>,
+    pub data: EdgeChunk<P>,
 }
 
 /// Which engine phase a message refers to.
@@ -113,7 +117,7 @@ pub enum Msg<P: GasProgram> {
         /// Responding storage engine.
         source: usize,
         /// Chunk payload.
-        data: Option<Arc<Vec<PackedEdge>>>,
+        data: Option<EdgeChunk<P>>,
     },
     /// Ask for any unprocessed edge chunk of `part` (§6.3).
     EdgeChunkReq {
@@ -139,9 +143,9 @@ pub enum Msg<P: GasProgram> {
         /// address compaction replacements target).
         entry: u32,
         /// Chunk payload, or `None` when exhausted here.
-        data: Option<Arc<Vec<PackedEdge>>>,
+        data: Option<EdgeChunk<P>>,
         /// Chunks the activity filter consumed without serving.
-        skipped: SkipInfo,
+        skipped: SkipInfo<P>,
     },
     /// Ask for any unprocessed update chunk of `part`.
     UpdateChunkReq {
@@ -187,7 +191,7 @@ pub enum Msg<P: GasProgram> {
         /// Whether this chunk belongs to the destination-keyed copy.
         reverse: bool,
         /// Edge records.
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
         /// Writing machine (for the ack).
         from: usize,
     },
@@ -200,7 +204,7 @@ pub enum Msg<P: GasProgram> {
     /// of the payloads.
     WriteEdgeBatch {
         /// The partial chunks.
-        writes: Vec<EdgeWrite>,
+        writes: Vec<EdgeWrite<P>>,
         /// Writing machine (for the single ack).
         from: usize,
     },
@@ -236,7 +240,7 @@ pub enum Msg<P: GasProgram> {
         /// Entry id reported by the serving [`Msg::EdgeChunkResp`].
         entry: u32,
         /// The surviving records.
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
         /// Compacting machine (for the ack).
         from: usize,
     },
@@ -476,7 +480,7 @@ pub enum Work<P: GasProgram> {
         /// Partition being scattered.
         part: usize,
         /// The edges.
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
         /// Chunk provenance `(storage engine, entry id)` so a compaction
         /// replacement can address the chunk in place; `None` when the
         /// chunk did not come from an addressable chunk set.
@@ -492,7 +496,7 @@ pub enum Work<P: GasProgram> {
     /// Bin an input chunk into per-partition edge buffers (pre-processing).
     BinInputChunk {
         /// The raw input edges.
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
     },
     /// Merge stealer accumulators and apply a partition (gather finale).
     ApplyPartition {

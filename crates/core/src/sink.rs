@@ -356,8 +356,8 @@ fn overrun(program: &str, edges: usize) -> ! {
 #[cfg(test)]
 mod tests {
     use chaos_gas::{
-        Control, EdgeRef, GasProgram, IterationAggregates, LocalUpdate, PackedEdge, Update,
-        UpdateSink,
+        BareEdge, Control, EdgeRecord, EdgeRef, GasProgram, IterationAggregates, LocalUpdate,
+        Update, UpdateSink,
     };
     use chaos_graph::{Edge, PartitionSpec, VertexId};
     use chaos_sim::Rng;
@@ -372,6 +372,7 @@ mod tests {
         type VertexState = u64;
         type Update = u64;
         type Accum = u64;
+        type HeldEdge = BareEdge;
 
         fn name(&self) -> &'static str {
             "Sieve"
@@ -406,6 +407,7 @@ mod tests {
         type VertexState = u64;
         type Update = u64;
         type Accum = u64;
+        type HeldEdge = BareEdge;
 
         fn name(&self) -> &'static str {
             "Doubler"
@@ -526,7 +528,7 @@ mod tests {
 
         let (mut blocked, mut blocked_full) = (buffers(init), Vec::new());
         let mut sink = PartitionSink::new(&spec, &mut blocked, cap, &mut blocked_full);
-        let packed: Vec<PackedEdge> = edges.iter().map(PackedEdge::pack).collect();
+        let packed: Vec<BareEdge> = edges.iter().map(BareEdge::pack).collect();
         let spare = BlockSink::new(parts).scatter_chunk(&Sieve, 0, &states, &packed, 0, &mut sink);
         let blocked_produced = sink.produced();
 

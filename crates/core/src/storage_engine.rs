@@ -18,7 +18,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use chaos_gas::{EdgeRef, GasProgram, LocalUpdate, PackedEdge, Record};
+use chaos_gas::{EdgeRef, GasProgram, LocalUpdate, Record};
 use chaos_runtime::Actor;
 use chaos_sim::{rng::mix2, Time, MICROS};
 use chaos_storage::{
@@ -28,7 +28,7 @@ use chaos_storage::{
 use chaos_storage::FileBacking;
 
 use crate::metrics::{FaultAccount, WindowHistogram};
-use crate::msg::{DataKind, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
+use crate::msg::{DataKind, EdgeChunk, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
 
 /// The backing file of one (structure, partition) pair.
@@ -77,11 +77,11 @@ fn chunk_io<T>(res: std::io::Result<T>, structure: &str, part: usize) -> T {
 /// never fills holds no more than its records; a chunk cut from it is
 /// shrunk to its length, so a sealed chunk never carries spare capacity.
 /// `None` once `rest` is used up short of the target.
-fn fill_open_chunk(
-    buf: &mut Vec<PackedEdge>,
-    rest: &mut &[PackedEdge],
+fn fill_open_chunk<E: Clone>(
+    buf: &mut Vec<E>,
+    rest: &mut &[E],
     target: usize,
-) -> Option<Arc<Vec<PackedEdge>>> {
+) -> Option<Arc<Vec<E>>> {
     let (head, tail) = rest.split_at(rest.len().min(target - buf.len()));
     buf.extend_from_slice(head);
     *rest = tail;
@@ -179,13 +179,13 @@ pub struct StorageEngine<P: GasProgram> {
     /// The unsorted input edge list's chunks held here. Read once, by
     /// pre-processing: each payload is handed over on serve
     /// ([`ChunkSet::take_next`]) and freed once it has been binned.
-    input: ChunkSet<PackedEdge>,
+    input: ChunkSet<P::HeldEdge>,
     /// Every input payload this engine was given, to check that none
     /// outlives its binning.
     #[cfg(test)]
-    input_seen: Vec<std::sync::Weak<Vec<PackedEdge>>>,
-    edges: Vec<ChunkSet<PackedEdge>>,
-    redges: Vec<ChunkSet<PackedEdge>>,
+    input_seen: Vec<std::sync::Weak<Vec<P::HeldEdge>>>,
+    edges: Vec<ChunkSet<P::HeldEdge>>,
+    redges: Vec<ChunkSet<P::HeldEdge>>,
     /// Open per-(partition, bin) accumulation buffers of the clustered
     /// layout (slot = `part * bins + bin`), one pair for the forward and
     /// reverse copies. Writers of one bin all target this engine (the
@@ -195,8 +195,8 @@ pub struct StorageEngine<P: GasProgram> {
     /// partial-chunk count would scale with machines × partitions × bins.
     /// Sealed (flushed into the chunk sets) lazily at the first edge read
     /// or remaining-bytes query; empty and unused when `bins == 1`.
-    open_edges: Vec<Vec<PackedEdge>>,
-    open_redges: Vec<Vec<PackedEdge>>,
+    open_edges: Vec<Vec<P::HeldEdge>>,
+    open_redges: Vec<Vec<P::HeldEdge>>,
     sealed: bool,
     seal_scratch: SealScratch,
     updates: Vec<ChunkSet<LocalUpdate<P::Update>>>,
@@ -300,7 +300,7 @@ impl<P: GasProgram> StorageEngine<P> {
     /// # Errors
     ///
     /// Names the input file a spilled chunk could not be written to.
-    pub fn preload_input(&mut self, chunk: Arc<Vec<PackedEdge>>) -> Result<(), String> {
+    pub fn preload_input(&mut self, chunk: EdgeChunk<P>) -> Result<(), String> {
         #[cfg(test)]
         self.input_seen.push(Arc::downgrade(&chunk));
         self.input.append(chunk).map(drop).map_err(|e| {
@@ -387,7 +387,7 @@ impl<P: GasProgram> StorageEngine<P> {
         ctx: &mut Ctx<P>,
         part: usize,
         reverse: bool,
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
         entry: Option<u32>,
         from: usize,
     ) {
@@ -423,13 +423,13 @@ impl<P: GasProgram> StorageEngine<P> {
         part: usize,
         reverse: bool,
         entry: Option<u32>,
-        data: Arc<Vec<PackedEdge>>,
+        data: EdgeChunk<P>,
     ) -> ChunkIndex {
         let (scratch, blocks) = (&mut self.seal_scratch, self.params.block_records);
         let (sealed, set) = if reverse {
-            (seal_chunk(&data, PackedEdge::dst, blocks, scratch), &mut self.redges[part])
+            (seal_chunk(&data, EdgeRef::dst, blocks, scratch), &mut self.redges[part])
         } else {
-            (seal_chunk(&data, PackedEdge::src, blocks, scratch), &mut self.edges[part])
+            (seal_chunk(&data, EdgeRef::src, blocks, scratch), &mut self.edges[part])
         };
         let payload = sealed.sorted.map_or(data, Arc::new);
         let index = Some(sealed.index);
@@ -442,7 +442,7 @@ impl<P: GasProgram> StorageEngine<P> {
     }
 
     /// The open accumulation buffers of one direction, by slot.
-    fn open_buffers(&mut self, reverse: bool) -> &mut Vec<Vec<PackedEdge>> {
+    fn open_buffers(&mut self, reverse: bool) -> &mut Vec<Vec<P::HeldEdge>> {
         if reverse {
             &mut self.open_redges
         } else {
@@ -455,10 +455,10 @@ impl<P: GasProgram> StorageEngine<P> {
     /// chunk size. Every chunk cut here is single-bin by construction —
     /// the narrow-window invariant of the clustered layout
     /// (debug-asserted below).
-    fn merge_edge_write(&mut self, part: usize, reverse: bool, data: Arc<Vec<PackedEdge>>) {
+    fn merge_edge_write(&mut self, part: usize, reverse: bool, data: EdgeChunk<P>) {
         debug_assert!(!self.sealed, "edge appends happen only before the first read");
         let bin_of = |params: &RunParams, key| params.cluster.bin_of(&params.spec, part, key);
-        let key = |e: &PackedEdge| if reverse { e.dst() } else { e.src() };
+        let key = |e: &P::HeldEdge| if reverse { e.dst() } else { e.src() };
         let bin = bin_of(&self.params, key(&data[0]));
         debug_assert!(
             data.iter().all(|e| bin_of(&self.params, key(e)) == bin),
@@ -1151,6 +1151,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
 mod tests {
     use super::*;
     use chaos_algos::bfs::Bfs;
+    use chaos_gas::{BareEdge, EdgeRecord};
     use chaos_graph::{Edge, PartitionSpec};
     use chaos_storage::{BlockIndex, DeviceProfile, FaultWindow};
 
@@ -1241,9 +1242,9 @@ mod tests {
         let mut eng = StorageEngine::<Bfs>::new(0, Arc::new(params), device, 0, None).unwrap();
         let mut ctx = Ctx::new(0, 0);
 
-        let mut open: Vec<Vec<PackedEdge>> = vec![Vec::new(); 4];
-        let mut want: Vec<Vec<PackedEdge>> = Vec::new();
-        let seal = |mut chunk: Vec<PackedEdge>| {
+        let mut open: Vec<Vec<BareEdge>> = vec![Vec::new(); 4];
+        let mut want: Vec<Vec<BareEdge>> = Vec::new();
+        let seal = |mut chunk: Vec<BareEdge>| {
             chunk.sort_by_key(|e| e.src);
             chunk
         };
@@ -1251,12 +1252,12 @@ mod tests {
         for round in 0..5u64 {
             let mut writes = Vec::new();
             for bin in 0..4u64 {
-                let data: Vec<PackedEdge> = (0..25u64)
+                let data: Vec<BareEdge> = (0..25u64)
                     .map(|i| {
                         let nth = round * 25 + i;
                         let key = if bin == 0 { nth * 32 / 125 } else { nth * 13 % 32 };
                         arrival += 1;
-                        PackedEdge::pack(&Edge::new(bin * 32 + key, arrival))
+                        BareEdge::pack(&Edge::new(bin * 32 + key, arrival))
                     })
                     .collect();
                 let buf = &mut open[bin as usize];
@@ -1296,18 +1297,18 @@ mod tests {
     /// allocates the windows alone.
     #[test]
     fn seal_allocates_the_payload_and_the_block_windows_only() {
-        let chunk: Vec<PackedEdge> = (0..4096)
-            .map(|i| PackedEdge::pack(&Edge::new(i * 7919 % 256, i)))
+        let chunk: Vec<BareEdge> = (0..4096)
+            .map(|i| BareEdge::pack(&Edge::new(i * 7919 % 256, i)))
             .collect();
         let mut scratch = SealScratch::default();
-        seal_chunk(&chunk, PackedEdge::src, 512, &mut scratch);
+        seal_chunk(&chunk, BareEdge::src, 512, &mut scratch);
         let before = thread_allocations();
-        let sealed = seal_chunk(&chunk, PackedEdge::src, 512, &mut scratch);
+        let sealed = seal_chunk(&chunk, BareEdge::src, 512, &mut scratch);
         assert_eq!(thread_allocations() - before, 2);
         let sorted = sealed.sorted.expect("shuffled keys move");
         assert_eq!(sealed.blocks.expect("eight blocks").blocks(), 8);
         let before = thread_allocations();
-        let again = seal_chunk(&sorted, PackedEdge::src, 512, &mut scratch);
+        let again = seal_chunk(&sorted, BareEdge::src, 512, &mut scratch);
         assert_eq!(thread_allocations() - before, 1);
         assert!(again.sorted.is_none(), "a sorted chunk stays where it is");
     }

@@ -27,4 +27,6 @@ pub use program::{
     Control, Direction, GasProgram, IterationAggregates, PerRecordKernels, UpdateSink,
     CUSTOM_AGGREGATES,
 };
-pub use record::{EdgeRef, LocalUpdate, PackedEdge, Record, Update, UpdateRef};
+pub use record::{
+    BareEdge, EdgeRecord, EdgeRef, LocalUpdate, PackedEdge, Record, Update, UpdateRef,
+};

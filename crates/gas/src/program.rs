@@ -3,7 +3,7 @@
 use chaos_graph::{Edge, VertexId};
 
 use crate::active::ActivityModel;
-use crate::record::{EdgeRef, Record, Update, UpdateRef};
+use crate::record::{EdgeRecord, EdgeRef, Record, Update, UpdateRef};
 
 /// Which edge endpoint supplies scatter state this iteration.
 ///
@@ -107,6 +107,13 @@ pub trait GasProgram: Clone + Send + 'static {
     /// `Sync` because accumulator arrays are shared (`Arc`) across engine
     /// actors, and the runtime's actor table is `Send`.
     type Accum: Clone + Default + Send + Sync + 'static;
+    /// The edge record the engine holds for this program, from the input
+    /// copy `Cluster::new` makes to the scatter kernels:
+    /// [`PackedEdge`](crate::PackedEdge) if any kernel or per-edge body
+    /// reads a weight, else the 8-byte [`BareEdge`](crate::BareEdge).
+    /// A program that reads weights through a `BareEdge` panics or
+    /// computes NaN (see [`BareEdge`](crate::BareEdge)).
+    type HeldEdge: EdgeRecord;
 
     /// Short human-readable name ("BFS", "PR", ...).
     fn name(&self) -> &'static str;
@@ -182,10 +189,10 @@ pub trait GasProgram: Clone + Send + 'static {
     /// per-edge [`GasProgram::scatter`] would, in edge order — the engine's
     /// batched/per-edge equivalence is property-tested — so at most one
     /// update per edge, whatever slice of a stored chunk it is handed (the
-    /// engine's sink hands it fixed-size blocks). The records are either
-    /// form of [`EdgeRef`] — the engine's compact
-    /// [`PackedEdge`](crate::PackedEdge)s or [`Edge`]s — and a body reads
-    /// them through its accessors, so one body serves both. Override it on
+    /// engine's sink hands it fixed-size blocks). The records are any
+    /// [`EdgeRef`] — the engine's [`GasProgram::HeldEdge`]s or [`Edge`]s —
+    /// and a body reads them through its accessors, so one body serves
+    /// both. Override it on
     /// hot programs with a branch-light batched body; the default simply
     /// loops over `scatter` honoring [`GasProgram::direction`].
     fn scatter_chunk<E: EdgeRef, S: UpdateSink<Self::Update>>(
@@ -336,6 +343,7 @@ impl<P: GasProgram> GasProgram for PerRecordKernels<P> {
     type VertexState = P::VertexState;
     type Update = P::Update;
     type Accum = P::Accum;
+    type HeldEdge = P::HeldEdge;
 
     fn name(&self) -> &'static str {
         self.0.name()

@@ -109,11 +109,72 @@ impl Record for Edge {
     }
 }
 
+/// An edge record the engine can hold, as a program declares it
+/// ([`GasProgram::HeldEdge`](crate::GasProgram::HeldEdge)): [`PackedEdge`]
+/// for the programs that read weights, [`BareEdge`] for the rest. Every
+/// form encodes as [`Edge`]'s 20 bytes, so what is stored, spilled and
+/// checksummed does not depend on the choice.
+pub trait EdgeRecord: EdgeRef + Record + Copy + PartialEq + std::fmt::Debug {
+    /// Whether the record keeps the edge's weight.
+    const WEIGHTED: bool;
+
+    /// Packs `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint does not fit in a `u32`.
+    fn pack(e: &Edge) -> Self;
+}
+
+/// `v` as a compact-format id.
+#[inline]
+fn id32(v: VertexId) -> u32 {
+    u32::try_from(v).expect("vertex id fits the compact edge format")
+}
+
+/// Four bytes of `buf` from `at`.
+#[inline(always)]
+fn le4(buf: &[u8], at: usize) -> [u8; 4] {
+    [buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]
+}
+
+/// Appends an edge in [`Edge`]'s encoding, the ids as `u64`s.
+#[inline(always)]
+fn encode_edge(src: u32, dst: u32, weight: f32, out: &mut Vec<u8>) {
+    let mut b = [0u8; 20];
+    b[..4].copy_from_slice(&src.to_le_bytes());
+    b[8..12].copy_from_slice(&dst.to_le_bytes());
+    b[16..].copy_from_slice(&weight.to_le_bytes());
+    out.extend_from_slice(&b);
+}
+
+/// The ids of an encoded edge, each read from the low half of its
+/// little-endian `u64`: [`encode_edge`] writes the high halves zero, and a
+/// stored chunk is checked against its CRC before it is decoded. Inlined
+/// into every decode so the file read's decode loop stays one loop.
+#[inline(always)]
+fn decode_ids(buf: &[u8; 20]) -> (u32, u32) {
+    debug_assert!(
+        le4(buf, 4) == [0; 4] && le4(buf, 12) == [0; 4],
+        "edge record with an id past the compact edge format"
+    );
+    (
+        u32::from_le_bytes(le4(buf, 0)),
+        u32::from_le_bytes(le4(buf, 8)),
+    )
+}
+
+/// The first 20 bytes of `buf`, one edge's encoding.
+#[inline(always)]
+fn edge_encoding(buf: &[u8]) -> &[u8; 20] {
+    buf[..20].try_into().expect("a slice of 20 bytes")
+}
+
 /// An edge in the compact format of the paper's §8: 4-byte vertex ids
 /// and a 4-byte weight, 12 bytes in memory instead of [`Edge`]'s 24. The
-/// engine holds every edge in this form, from the input copy it makes to
-/// the scatter kernels; `Cluster::new` rejects graphs of more than 2^32
-/// vertices, whose ids it cannot hold.
+/// engine holds edges in this form for the programs that read weights;
+/// `Cluster::new` rejects graphs of more than 2^32 vertices, whose ids it
+/// cannot hold.
 ///
 /// Its encoding is [`Edge`]'s 20 bytes, the ids written as `u64`s, so a
 /// stored edge chunk occupies the same bytes as before.
@@ -127,18 +188,13 @@ pub struct PackedEdge {
     pub weight: f32,
 }
 
-impl PackedEdge {
-    /// Packs `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint does not fit in a `u32`.
+impl EdgeRecord for PackedEdge {
+    const WEIGHTED: bool = true;
     #[inline]
-    pub fn pack(e: &Edge) -> Self {
-        let id = |v: VertexId| u32::try_from(v).expect("vertex id fits the compact edge format");
+    fn pack(e: &Edge) -> Self {
         Self {
-            src: id(e.src),
-            dst: id(e.dst),
+            src: id32(e.src),
+            dst: id32(e.dst),
             weight: e.weight,
         }
     }
@@ -148,28 +204,59 @@ impl Record for PackedEdge {
     const ENCODED_BYTES: usize = Edge::ENCODED_BYTES;
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut b = [0u8; 20];
-        b[..4].copy_from_slice(&self.src.to_le_bytes());
-        b[8..12].copy_from_slice(&self.dst.to_le_bytes());
-        b[16..].copy_from_slice(&self.weight.to_le_bytes());
-        out.extend_from_slice(&b);
+        encode_edge(self.src, self.dst, self.weight, out);
     }
-    /// Reads each id from the low half of its little-endian `u64`:
-    /// [`Record::encode`] writes the high halves zero, and a stored chunk
-    /// is checked against its CRC before it is decoded.
     #[inline]
     fn decode(buf: &[u8]) -> Self {
-        let buf = &buf[..Self::ENCODED_BYTES];
-        let le4 = |at: usize| [buf[at], buf[at + 1], buf[at + 2], buf[at + 3]];
-        debug_assert!(
-            le4(4) == [0; 4] && le4(12) == [0; 4],
-            "edge record with an id past the compact edge format"
-        );
+        let buf = edge_encoding(buf);
+        let (src, dst) = decode_ids(buf);
         Self {
-            src: u32::from_le_bytes(le4(0)),
-            dst: u32::from_le_bytes(le4(8)),
-            weight: f32::from_le_bytes(le4(16)),
+            src,
+            dst,
+            weight: f32::from_le_bytes(le4(buf, 16)),
         }
+    }
+}
+
+/// An edge without its weight: two 4-byte ids, 8 bytes in memory. The
+/// engine holds edges in this form for the programs that never read a
+/// weight ([`EdgeRecord::WEIGHTED`] is false).
+///
+/// It encodes as [`Edge`]'s 20 bytes with the weight 1.0, an unweighted
+/// graph's, so an unweighted edge chunk stores the same bytes as in
+/// [`PackedEdge`] form; decoding drops the weight. A kernel that reads the
+/// weight anyway panics ([`EdgeRef::weight`]); a per-edge body handed
+/// [`EdgeRef::edge`] reads a NaN weight, so neither can pass for the
+/// weighted answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BareEdge {
+    /// Source vertex.
+    pub src: u32,
+    /// Destination vertex.
+    pub dst: u32,
+}
+
+impl EdgeRecord for BareEdge {
+    const WEIGHTED: bool = false;
+    #[inline]
+    fn pack(e: &Edge) -> Self {
+        Self {
+            src: id32(e.src),
+            dst: id32(e.dst),
+        }
+    }
+}
+
+impl Record for BareEdge {
+    const ENCODED_BYTES: usize = Edge::ENCODED_BYTES;
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_edge(self.src, self.dst, 1.0, out);
+    }
+    #[inline]
+    fn decode(buf: &[u8]) -> Self {
+        let (src, dst) = decode_ids(edge_encoding(buf));
+        Self { src, dst }
     }
 }
 
@@ -225,6 +312,28 @@ impl EdgeRef for PackedEdge {
     #[inline]
     fn edge(&self) -> Edge {
         Edge::weighted(self.src(), self.dst(), self.weight)
+    }
+}
+
+impl EdgeRef for BareEdge {
+    #[inline]
+    fn src(&self) -> VertexId {
+        VertexId::from(self.src)
+    }
+    #[inline]
+    fn dst(&self) -> VertexId {
+        VertexId::from(self.dst)
+    }
+    /// # Panics
+    ///
+    /// Always: the record holds no weight. A program whose kernel reads
+    /// one declares `HeldEdge = PackedEdge`.
+    fn weight(&self) -> f32 {
+        panic!("a BareEdge holds no weight: a program that reads weights holds PackedEdges")
+    }
+    #[inline]
+    fn edge(&self) -> Edge {
+        Edge::weighted(self.src(), self.dst(), f32::NAN)
     }
 }
 
@@ -449,6 +558,36 @@ mod tests {
                 (e.src, e.dst, e.weight)
             );
         }
+    }
+
+    #[test]
+    fn bare_edge_is_eight_bytes_and_encodes_as_an_unweighted_edge() {
+        assert_eq!(std::mem::size_of::<BareEdge>(), 8);
+        assert_eq!(<BareEdge as Record>::ENCODED_BYTES, 20);
+        for e in [Edge::new(u32::MAX as u64, 0), Edge::new(7, 1 << 31)] {
+            let bare = BareEdge::pack(&e);
+            roundtrip(bare);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            bare.encode(&mut a);
+            e.encode(&mut b);
+            assert_eq!(a, b);
+            assert_eq!((bare.src(), bare.dst()), (e.src, e.dst));
+            assert!(bare.edge().weight.is_nan());
+        }
+        // A weighted edge's weight is dropped on the way in and on decode.
+        let mut buf = Vec::new();
+        Edge::weighted(3, 4, 2.5).encode(&mut buf);
+        assert_eq!(BareEdge::decode(&buf), BareEdge { src: 3, dst: 4 });
+        assert_eq!(
+            BareEdge::pack(&Edge::weighted(3, 4, 2.5)),
+            BareEdge { src: 3, dst: 4 }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no weight")]
+    fn a_bare_edge_has_no_weight() {
+        let _ = BareEdge { src: 0, dst: 1 }.weight();
     }
 
     #[test]

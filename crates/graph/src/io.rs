@@ -252,6 +252,94 @@ mod tests {
         std::fs::remove_file(&p).ok();
     }
 
+    /// Seeded byte mutation of one valid file: every prefix of `base`
+    /// (`base.len() + 1` truncations, the empty file included), then
+    /// [`MUTANTS`] copies of it with 1 to 8 bits flipped, every fourth of
+    /// them also truncated at a random length. Every mutant must come back
+    /// `Ok` or `Err`; a panic fails the test, naming the mutant. Returns
+    /// how many came back `Ok` and how many `Err`.
+    fn mutate(
+        name: &str,
+        base: &[u8],
+        seed: u64,
+        parse: fn(&Path) -> std::io::Result<InputGraph>,
+    ) -> (usize, usize) {
+        let p = tmp(name);
+        let mut rng = chaos_sim::Rng::new(seed);
+        let truncations =
+            (0..=base.len()).map(|len| (format!("prefix {len}"), base[..len].to_vec()));
+        let flips = (0..MUTANTS).map(|i| {
+            let mut bytes = base.to_vec();
+            for _ in 0..=rng.below(8) {
+                let bit = rng.below(bytes.len() as u64 * 8);
+                bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+            if i % 4 == 0 {
+                bytes.truncate(rng.below(bytes.len() as u64) as usize);
+            }
+            (format!("mutant {i} of seed {seed}"), bytes)
+        });
+        let (mut ok, mut err) = (0, 0);
+        for (what, bytes) in truncations.chain(flips) {
+            std::fs::write(&p, &bytes).expect("write");
+            match std::panic::catch_unwind(|| parse(&p)) {
+                Ok(Ok(_)) => ok += 1,
+                Ok(Err(_)) => err += 1,
+                Err(_) => panic!("{name}: {what} ({} bytes) panicked the parser", bytes.len()),
+            }
+        }
+        std::fs::remove_file(&p).ok();
+        (ok, err)
+    }
+
+    /// Mutants per file after its truncations.
+    const MUTANTS: usize = 512;
+
+    /// The binary parser never panics on a damaged file. In particular no
+    /// truncated record reaches the three fixed-width `expect`s of
+    /// `read_binary`: a short payload is refused by the length check
+    /// before any record is decoded.
+    #[test]
+    fn damaged_binary_files_are_errors_not_panics() {
+        let weighted = builder::gnm(30, 40, true, 1);
+        let wide = InputGraph::new(
+            1 << 33,
+            vec![
+                Edge::new(0, (1 << 33) - 1),
+                Edge::new(1 << 32, 5),
+                Edge::new(7, 7),
+            ],
+            false,
+        );
+        let graphs = [RmatConfig::paper(4).generate(), weighted, wide];
+        for (i, g) in graphs.iter().enumerate() {
+            let p = tmp(&format!("fuzz-src-{i}"));
+            write_binary(g, &p).expect("write");
+            let base = std::fs::read(&p).expect("read back");
+            std::fs::remove_file(&p).ok();
+            let (ok, err) = mutate(&format!("fuzz-bin-{i}"), &base, i as u64, read_binary);
+            // The whole file parses; every shorter prefix is refused.
+            assert!(
+                ok >= 1 && err >= base.len(),
+                "binary file {i}: {ok} ok, {err} err"
+            );
+        }
+    }
+
+    /// The text parser never panics on a damaged file, invalid UTF-8
+    /// included.
+    #[test]
+    fn damaged_text_files_are_errors_not_panics() {
+        let mut text = String::from("# a comment\n\n");
+        let g = builder::gnm(20, 30, true, 2);
+        for e in &g.edges {
+            text.push_str(&format!("{} {} {}\n", e.src, e.dst, e.weight));
+        }
+        text.push_str("3 4\n18446744073709551614 0\n");
+        let (ok, err) = mutate("fuzz-txt", text.as_bytes(), 9, read_text);
+        assert!(ok > 0 && err > 0, "text: {ok} ok, {err} err");
+    }
+
     #[test]
     fn max_vertex_id_is_an_error_not_an_empty_graph() {
         let p = tmp("maxid");

@@ -28,6 +28,7 @@ impl GasProgram for KHopMass {
     type VertexState = State;
     type Update = u64;
     type Accum = u64;
+    type HeldEdge = chaos::gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "KHopMass"

@@ -123,6 +123,7 @@ impl<P: GasProgram> GasProgram for DenseActivity<P> {
     type VertexState = P::VertexState;
     type Update = P::Update;
     type Accum = P::Accum;
+    type HeldEdge = P::HeldEdge;
 
     fn name(&self) -> &'static str {
         self.0.name()

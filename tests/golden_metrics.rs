@@ -25,7 +25,7 @@
 
 mod common;
 
-use chaos::algos::{needs_undirected, needs_weights, with_algo};
+use chaos::bench::cellstats::Cell;
 use chaos::prelude::*;
 use chaos::sim::{MICROS, SECS};
 use common::{directed_graph, test_config};
@@ -34,24 +34,14 @@ use common::{directed_graph, test_config};
 /// checkpointing and scrub.
 fn cell(algo: &str, faulted: bool) -> (String, RunReport) {
     let machines = 4;
-    let rmat = if needs_weights(algo) {
-        RmatConfig::paper_weighted(10)
-    } else {
-        RmatConfig::paper(10)
+    let cell = Cell {
+        algo,
+        machines,
+        scale: 10,
+        fault_seed: faulted.then_some(2),
+        scrub: faulted,
     };
-    let mut g = rmat.generate();
-    if needs_undirected(algo) {
-        g = g.to_undirected();
-    }
-    let mut cfg = ChaosConfig::new(machines);
-    cfg.chunk_bytes = 32 * 1024;
-    cfg.mem_budget = 256 * 1024;
-    if faulted {
-        cfg.checkpoint = true;
-        cfg.faults = FaultPlan::generate(2, &FaultPlanConfig::soak(machines));
-        cfg.scrub = true;
-    }
-    let rep = with_algo!(algo, &AlgoParams::default(), |p| run_chaos(cfg, p, &g).0);
+    let (rep, _) = cell.run(&mut |_| {}).expect("a valid cell");
     let mode = if faulted { "seed2-scrub" } else { "clean" };
     (format!("{algo}/m{machines}/{mode}"), rep)
 }

@@ -14,16 +14,24 @@
 //! — the engine's partition-local `LocalUpdate`s and global `Update`s —
 //! and both must leave the accumulators exactly as the per-record
 //! `gather` fold does. Likewise its one `scatter_chunk` and `dead_edges`
-//! bodies serve both edge record forms — the engine's compact
-//! `PackedEdge`s and `Edge`s — with identical updates and dead counts.
+//! bodies serve both edge record forms — the record the program declares
+//! for the engine (`GasProgram::HeldEdge`) and `Edge`s — with identical
+//! updates and dead counts.
+//!
+//! The declared record is checked against the sequential executor over
+//! `Edge`s on a weighted graph: a program that declares the weightless
+//! `BareEdge` but reads a weight fails here, named, whether it reads it in
+//! a chunk kernel (a panic) or in a per-edge body (a NaN weight).
 
 mod common;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use chaos::gas::record::encode_all;
-use chaos::gas::{LocalUpdate, PackedEdge, Update};
+use chaos::gas::{EdgeRecord, LocalUpdate, Update};
 use chaos::graph::PartitionSpec;
 use chaos::prelude::*;
-use common::{test_config, undirected_graph, weighted_graph};
+use common::{close, test_config, undirected_graph, weighted_graph};
 use proptest::prelude::*;
 
 /// Runs `program` specialized and per-record under the same config and
@@ -119,8 +127,76 @@ fn sequential_oracle_is_kernel_invariant() {
     assert_eq!(fast.iterations, slow.iterations);
 }
 
+/// Runs `program` through a three-machine `Cluster` and through the
+/// sequential executor over `g`'s `Edge`s, and asserts the same iteration
+/// count and, vertex by vertex, `same` final states. A panic inside either
+/// run is raised again naming the program and the record it holds.
+fn assert_cluster_matches_sequential<P: GasProgram>(
+    program: P,
+    g: &InputGraph,
+    same: impl Fn(&P::VertexState, &P::VertexState) -> bool,
+) {
+    let name = program.name();
+    let held = std::any::type_name::<P::HeldEdge>();
+    let runs = catch_unwind(AssertUnwindSafe(|| {
+        let seq = run_sequential(program.clone(), g, 10_000);
+        (seq, run_chaos(test_config(3), program, g))
+    }));
+    let (seq, (report, states)) = runs.unwrap_or_else(|panic| {
+        let why = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("?");
+        panic!("{name} holding {held}: the run panicked: {why}")
+    });
+    assert_eq!(
+        report.iterations,
+        seq.num_iterations(),
+        "{name} holding {held}: iterations"
+    );
+    for (v, (got, want)) in states.iter().zip(&seq.states).enumerate() {
+        assert!(
+            same(got, want),
+            "{name} holding {held}: vertex {v} is {got:?} in the cluster, {want:?} sequentially"
+        );
+    }
+}
+
+/// Every program, with its own kernels and pinned to the per-record ones,
+/// computes on a weighted graph in the cluster what it computes over
+/// `Edge`s — so the record it declares keeps every field it reads.
+#[test]
+fn every_program_holds_the_edge_fields_it_reads() {
+    fn run<P: GasProgram>(
+        program: P,
+        g: &InputGraph,
+        same: impl Fn(&P::VertexState, &P::VertexState) -> bool + Copy,
+    ) {
+        assert_cluster_matches_sequential(program.clone(), g, same);
+        assert_cluster_matches_sequential(PerRecordKernels(program), g, same);
+    }
+    let near = |a: f64, b: f64| close(a, b, 1e-4);
+    let g = weighted_graph(300, 450, 11);
+    run(Bfs::new(0), &g, PartialEq::eq);
+    run(Wcc::new(), &g, PartialEq::eq);
+    run(Mcst::new(), &g, PartialEq::eq);
+    run(Mis::new(42), &g, PartialEq::eq);
+    run(Sssp::new(0), &g, PartialEq::eq);
+    run(Scc::new(), &g, PartialEq::eq);
+    run(Pagerank::new(3), &g, |a, b| {
+        near(a.0.into(), b.0.into()) && a.1 == b.1
+    });
+    run(Conductance::new(42), &g, PartialEq::eq);
+    run(Spmv::new(2), &g, |a, b| {
+        near(a.0.into(), b.0.into()) && near(a.1.into(), b.1.into())
+    });
+    run(BeliefPropagation::new(42, 3), &g, |a, b| near(*a, *b));
+}
+
 /// Runs `program` sequentially for up to `iters` iterations. Every
-/// scatter runs over the edges and over the same edges packed, asserting
+/// scatter runs over the edges and over the same edges in the record the
+/// program holds (`GasProgram::HeldEdge`), asserting
 /// the same updates (compared by their encoding, which spells out every
 /// float) and the same dead-edge count. At every gather it folds each partition's updates three ways into fresh
 /// accumulators — `gather_chunk` over `LocalUpdate`s, `gather_chunk` over
@@ -137,7 +213,7 @@ where
     let mut states: Vec<P::VertexState> = (0..g.num_vertices)
         .map(|v| program.init(v, degrees[v as usize]))
         .collect();
-    let packed: Vec<PackedEdge> = g.edges.iter().map(PackedEdge::pack).collect();
+    let packed: Vec<P::HeldEdge> = g.edges.iter().map(EdgeRecord::pack).collect();
     let mut checked = 0;
     for iter in 0..iters {
         let mut updates: Vec<Update<P::Update>> = Vec::new();
@@ -147,12 +223,12 @@ where
         let name = program.name();
         assert!(
             encode_all(&updates) == encode_all(&from_packed),
-            "{name}, iteration {iter}: packed edges scatter differently"
+            "{name}, iteration {iter}: held edges scatter differently"
         );
         assert_eq!(
             program.dead_edges(0, &states, &g.edges, iter),
             program.dead_edges(0, &states, &packed, iter),
-            "{name}, iteration {iter}: packed edges count dead differently"
+            "{name}, iteration {iter}: held edges count dead differently"
         );
         let mut accums: Vec<P::Accum> = Vec::new();
         for p in 0..spec.num_partitions {

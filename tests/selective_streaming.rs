@@ -220,6 +220,7 @@ impl GasProgram for LyingFrontier {
     type VertexState = u64;
     type Update = u64;
     type Accum = u64;
+    type HeldEdge = chaos::gas::BareEdge;
 
     fn name(&self) -> &'static str {
         "LyingFrontier"
