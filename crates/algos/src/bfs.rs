@@ -1,8 +1,6 @@
 //! Breadth-First Search: level-synchronous frontier expansion.
 
-use chaos_gas::{
-    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
-};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 
 /// Level of vertices not (yet) reached.
@@ -76,34 +74,6 @@ impl GasProgram for Bfs {
 
     fn aggregate(&self, state: &u32) -> [f64; 4] {
         [if *state != UNREACHED { 1.0 } else { 0.0 }, 0.0, 0.0, 0.0]
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<()>>(
-        &self,
-        base: VertexId,
-        states: &[u32],
-        edges: &[E],
-        iter: u32,
-        out: &mut S,
-    ) {
-        // Frontier test only: vertices at level `iter` announce themselves.
-        for e in edges {
-            if states[(e.src() - base) as usize] == iter {
-                out.push(e.dst(), ());
-            }
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<()>>(
-        &self,
-        base: VertexId,
-        _states: &[u32],
-        accums: &mut [bool],
-        updates: &[R],
-    ) {
-        for u in updates {
-            accums[u.offset(base)] = true;
-        }
     }
 
     fn end_iteration(&mut self, _iter: u32, agg: &IterationAggregates) -> Control {

@@ -4,7 +4,7 @@
 //! derived from its current belief over its out-edges; receivers combine
 //! incoming messages with their prior in log space.
 
-use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates};
 use chaos_graph::reference::{bp_prior, message_from_belief};
 use chaos_graph::{Edge, VertexId};
 
@@ -79,37 +79,6 @@ impl GasProgram for BeliefPropagation {
 
     fn aggregate(&self, state: &f64) -> [f64; 4] {
         [*state, 0.0, 0.0, 0.0]
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f64>>(
-        &self,
-        base: VertexId,
-        states: &[f64],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        // Unconditional flood: one message per edge, no branches.
-        for e in edges {
-            out.push(
-                e.dst(),
-                message_from_belief(states[(e.src() - base) as usize]),
-            );
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<f64>>(
-        &self,
-        base: VertexId,
-        _states: &[f64],
-        accums: &mut [LogLikelihoods],
-        updates: &[R],
-    ) {
-        for u in updates {
-            let a = &mut accums[u.offset(base)];
-            a.log1 += u.payload().ln();
-            a.log0 += (1.0 - *u.payload()).ln();
-        }
     }
 
     fn end_iteration(&mut self, iter: u32, _agg: &IterationAggregates) -> Control {

@@ -1,6 +1,6 @@
 //! Conductance of a deterministic pseudo-random vertex cut.
 
-use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 use chaos_sim::rng::mix2;
 
@@ -114,37 +114,6 @@ impl GasProgram for Conductance {
             acc.from_in as u32
         };
         true
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<bool>>(
-        &self,
-        base: VertexId,
-        states: &[(bool, u32, u32)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        // Unconditional membership flood: one bit per edge.
-        for e in edges {
-            out.push(e.dst(), states[(e.src() - base) as usize].0);
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<bool>>(
-        &self,
-        base: VertexId,
-        _states: &[(bool, u32, u32)],
-        accums: &mut [SideCounts],
-        updates: &[R],
-    ) {
-        for u in updates {
-            let a = &mut accums[u.offset(base)];
-            if *u.payload() {
-                a.from_in += 1;
-            } else {
-                a.from_out += 1;
-            }
-        }
     }
 
     fn aggregate(&self, state: &(bool, u32, u32)) -> [f64; 4] {

@@ -24,7 +24,7 @@
 //! Edge weights must be distinct (the standard Borůvka assumption; the
 //! generators in `chaos-graph` guarantee it).
 
-use chaos_gas::{ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, Record, UpdateRef, UpdateSink};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates, Record};
 use chaos_graph::{Edge, VertexId};
 
 /// Candidate weight meaning "no outgoing edge".
@@ -253,6 +253,9 @@ impl GasProgram for Mcst {
         }
     }
 
+    // Too large to be inlined across crates unasked: outlined, the engine's
+    // gather loop makes one call per update.
+    #[inline]
     fn gather(
         &self,
         acc: &mut McstAccum,
@@ -401,22 +404,6 @@ impl GasProgram for Mcst {
         true
     }
 
-    fn dead_edges<E: EdgeRef>(
-        &self,
-        base: VertexId,
-        states: &[McstState],
-        edges: &[E],
-        _iter: u32,
-    ) -> u64 {
-        let mut dead = 0;
-        for e in edges {
-            if states[(e.src() - base) as usize].done || e.src() == e.dst() {
-                dead += 1;
-            }
-        }
-        dead
-    }
-
     fn aggregate(&self, state: &McstState) -> [f64; 4] {
         [
             state.count_w as f64,
@@ -424,113 +411,6 @@ impl GasProgram for Mcst {
             0.0,
             0.0,
         ]
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<McstMsg>>(
-        &self,
-        base: VertexId,
-        states: &[McstState],
-        edges: &[E],
-        iter: u32,
-        out: &mut S,
-    ) {
-        // The phase test (and the phase-start test of the delta gating) is
-        // hoisted out of the per-edge loop; MCST streams the full edge set
-        // several times per Borůvka round, which makes this the hottest
-        // kernel in the benchmark suite.
-        let msg_of = |s: &McstState, e: &E| McstMsg {
-            comp: s.comp,
-            label: s.label,
-            cand_w: s.cand_w,
-            cand_target: s.cand_target,
-            edge_w: e.weight(),
-        };
-        let start = iter == self.phase_start;
-        match self.phase {
-            Phase::MinEdge => {
-                for e in edges {
-                    let s = &states[(e.src() - base) as usize];
-                    if e.src() != e.dst() && !s.done {
-                        out.push(e.dst(), msg_of(s, e));
-                    }
-                }
-            }
-            Phase::Contract => {
-                for e in edges {
-                    let s = &states[(e.src() - base) as usize];
-                    if e.src() != e.dst() && !s.done && (start || s.fresh) {
-                        out.push(e.dst(), msg_of(s, e));
-                    }
-                }
-            }
-            Phase::Reduce => {
-                for e in edges {
-                    let s = &states[(e.src() - base) as usize];
-                    if e.src() != e.dst()
-                        && !s.done
-                        && s.cand_w < NO_EDGE
-                        && (start || s.fresh)
-                    {
-                        out.push(e.dst(), msg_of(s, e));
-                    }
-                }
-            }
-            Phase::Commit => {}
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<McstMsg>>(
-        &self,
-        base: VertexId,
-        states: &[McstState],
-        accums: &mut [McstAccum],
-        updates: &[R],
-    ) {
-        match self.phase {
-            Phase::MinEdge => {
-                for u in updates {
-                    let off = u.offset(base);
-                    let m = u.payload();
-                    if m.comp != states[off].comp {
-                        let acc = &mut accums[off];
-                        let cand = (m.edge_w, m.comp);
-                        if better(cand, acc.best) {
-                            acc.best = cand;
-                        }
-                    }
-                }
-            }
-            Phase::Reduce => {
-                for u in updates {
-                    let off = u.offset(base);
-                    let m = u.payload();
-                    if m.comp == states[off].comp && m.cand_w < NO_EDGE {
-                        let acc = &mut accums[off];
-                        let cand = (m.cand_w, m.cand_target);
-                        if better(cand, acc.best) {
-                            acc.best = cand;
-                        }
-                    }
-                }
-            }
-            Phase::Contract => {
-                for u in updates {
-                    let off = u.offset(base);
-                    let dst = &states[off];
-                    let m = u.payload();
-                    let acc = &mut accums[off];
-                    let chosen_by_sender = m.cand_w == m.edge_w && m.cand_target == dst.comp;
-                    let chosen_by_us = dst.cand_w == m.edge_w && dst.cand_target == m.comp;
-                    if m.comp == dst.comp || chosen_by_sender || chosen_by_us {
-                        acc.min_label = acc.min_label.min(m.label);
-                    }
-                    if chosen_by_us && (!chosen_by_sender || dst.comp < m.comp) {
-                        acc.count_w = m.edge_w;
-                    }
-                }
-            }
-            Phase::Commit => {}
-        }
     }
 
     fn end_iteration(&mut self, iter: u32, agg: &IterationAggregates) -> Control {

@@ -7,9 +7,7 @@
 //! priority function is shared with the oracle in
 //! `chaos_graph::reference::mis`, so results match exactly.
 
-use chaos_gas::{
-    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
-};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates};
 use chaos_graph::reference::luby_priority;
 use chaos_graph::{Edge, VertexId};
 
@@ -176,70 +174,6 @@ impl GasProgram for Mis {
 
     fn shrinks_now(&self, _iter: u32) -> bool {
         true
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<(u64, u64)>>(
-        &self,
-        base: VertexId,
-        states: &[(u32, bool)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        // Phase test hoisted; the per-edge Luby hash stays (it is the
-        // message payload).
-        match self.phase {
-            Phase::Select => {
-                for e in edges {
-                    if e.src() != e.dst() && states[(e.src() - base) as usize].0 == UNDECIDED {
-                        out.push(
-                            e.dst(),
-                            (luby_priority(e.src(), self.round, self.seed), e.src()),
-                        );
-                    }
-                }
-            }
-            Phase::Notify => {
-                for e in edges {
-                    let s = &states[(e.src() - base) as usize];
-                    if e.src() != e.dst() && s.0 == IN && s.1 {
-                        out.push(e.dst(), (0, e.src()));
-                    }
-                }
-            }
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<(u64, u64)>>(
-        &self,
-        base: VertexId,
-        states: &[(u32, bool)],
-        accums: &mut [MisAccum],
-        updates: &[R],
-    ) {
-        match self.phase {
-            Phase::Select => {
-                for u in updates {
-                    let off = u.offset(base);
-                    if states[off].0 != UNDECIDED {
-                        continue;
-                    }
-                    let acc = &mut accums[off];
-                    let rival = Some(*u.payload());
-                    if acc.min_rival.is_none() || rival < acc.min_rival {
-                        acc.min_rival = rival;
-                    }
-                }
-            }
-            Phase::Notify => {
-                for u in updates {
-                    let off = u.offset(base);
-                    if states[off].0 == UNDECIDED {
-                        accums[off].blocked = true;
-                    }
-                }
-            }
-        }
     }
 
     fn aggregate(&self, state: &(u32, bool)) -> [f64; 4] {

@@ -1,6 +1,6 @@
 //! Pagerank, exactly as in Figure 2 of the paper.
 
-use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 
 /// Pagerank with damping 0.85 for a fixed number of iterations:
@@ -63,34 +63,6 @@ impl GasProgram for Pagerank {
 
     fn aggregate(&self, state: &(f32, u32)) -> [f64; 4] {
         [state.0 as f64, 0.0, 0.0, 0.0]
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f32>>(
-        &self,
-        base: VertexId,
-        states: &[(f32, u32)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        for e in edges {
-            let (rank, deg) = states[(e.src() - base) as usize];
-            if deg > 0 {
-                out.push(e.dst(), rank / deg as f32);
-            }
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<f32>>(
-        &self,
-        base: VertexId,
-        _states: &[(f32, u32)],
-        accums: &mut [RankSum],
-        updates: &[R],
-    ) {
-        for u in updates {
-            accums[u.offset(base)].0 += *u.payload() as f64;
-        }
     }
 
     fn end_iteration(&mut self, iter: u32, _agg: &IterationAggregates) -> Control {

@@ -9,7 +9,7 @@
 //! SCC used by X-Stream, expressible edge-centrically because both sweeps
 //! are pure label propagations.
 
-use chaos_gas::{ActivityModel, Control, Direction, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{ActivityModel, Control, Direction, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 
 /// SCC label of unassigned vertices.
@@ -196,73 +196,6 @@ impl GasProgram for Scc {
             // nobody scatters — both iterations skip every chunk.
             Phase::BackwardInit | Phase::Backward => state.2,
             Phase::Reset => false,
-        }
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<(u64, bool)>>(
-        &self,
-        base: VertexId,
-        states: &[(u64, u64, bool)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        // Phase test hoisted out of the per-edge loop. The backward arms
-        // are the `Direction::In` batched body: the scatter-side state is
-        // the edge *target* and members push their color against edge
-        // direction (the engine streams the destination-keyed edge copy).
-        match self.phase {
-            Phase::Forward => {
-                for e in edges {
-                    let s = &states[(e.src() - base) as usize];
-                    if s.1 == UNASSIGNED {
-                        out.push(e.dst(), (s.0, false));
-                    }
-                }
-            }
-            Phase::BackwardInit | Phase::Backward => {
-                for e in edges {
-                    let s = &states[(e.dst() - base) as usize];
-                    if s.2 {
-                        out.push(e.src(), (s.0, true));
-                    }
-                }
-            }
-            Phase::Reset => {}
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<(u64, bool)>>(
-        &self,
-        base: VertexId,
-        states: &[(u64, u64, bool)],
-        accums: &mut [SccAccum],
-        updates: &[R],
-    ) {
-        match self.phase {
-            Phase::Forward => {
-                for u in updates {
-                    let off = u.offset(base);
-                    if states[off].1 != UNASSIGNED {
-                        continue;
-                    }
-                    let acc = &mut accums[off];
-                    if !acc.any || u.payload().0 > acc.max_color {
-                        acc.max_color = u.payload().0;
-                        acc.any = true;
-                    }
-                }
-            }
-            Phase::BackwardInit | Phase::Backward => {
-                for u in updates {
-                    let off = u.offset(base);
-                    let dst = &states[off];
-                    if dst.1 == UNASSIGNED && u.payload().1 && u.payload().0 == dst.0 {
-                        accums[off].member_hit = true;
-                    }
-                }
-            }
-            Phase::Reset => {}
         }
     }
 

@@ -1,6 +1,6 @@
 //! Sparse matrix-vector multiplication: one scatter/gather round.
 
-use chaos_gas::{Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink};
+use chaos_gas::{Control, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 use chaos_sim::rng::mix2;
 
@@ -61,32 +61,6 @@ impl GasProgram for Spmv {
 
     fn aggregate(&self, state: &(f32, f32)) -> [f64; 4] {
         [state.1 as f64, 0.0, 0.0, 0.0]
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f32>>(
-        &self,
-        base: VertexId,
-        states: &[(f32, f32)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        // Branchless: every edge carries a product term.
-        for e in edges {
-            out.push(e.dst(), states[(e.src() - base) as usize].0 * e.weight());
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<f32>>(
-        &self,
-        base: VertexId,
-        _states: &[(f32, f32)],
-        accums: &mut [ProductSum],
-        updates: &[R],
-    ) {
-        for u in updates {
-            accums[u.offset(base)].0 += *u.payload() as f64;
-        }
     }
 
     fn end_iteration(&mut self, _iter: u32, _agg: &IterationAggregates) -> Control {

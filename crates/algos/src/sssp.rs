@@ -1,8 +1,6 @@
 //! Single-Source Shortest Paths: Bellman-Ford style relaxation.
 
-use chaos_gas::{
-    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
-};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 
 /// Distance of unreached vertices.
@@ -91,35 +89,6 @@ impl GasProgram for Sssp {
             Control::Done
         } else {
             Control::Continue
-        }
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<f32>>(
-        &self,
-        base: VertexId,
-        states: &[(f32, bool)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        for e in edges {
-            let (dist, changed) = states[(e.src() - base) as usize];
-            if changed {
-                out.push(e.dst(), dist + e.weight());
-            }
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<f32>>(
-        &self,
-        base: VertexId,
-        _states: &[(f32, bool)],
-        accums: &mut [MinDist],
-        updates: &[R],
-    ) {
-        for u in updates {
-            let a = &mut accums[u.offset(base)];
-            a.0 = a.0.min(*u.payload());
         }
     }
 }

@@ -1,8 +1,6 @@
 //! Weakly Connected Components via min-label propagation.
 
-use chaos_gas::{
-    ActivityModel, Control, EdgeRef, GasProgram, IterationAggregates, UpdateRef, UpdateSink,
-};
+use chaos_gas::{ActivityModel, Control, GasProgram, IterationAggregates};
 use chaos_graph::{Edge, VertexId};
 
 /// WCC: every vertex converges to the minimum vertex id in its (weakly)
@@ -72,35 +70,6 @@ impl GasProgram for Wcc {
             Control::Done
         } else {
             Control::Continue
-        }
-    }
-
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<u64>>(
-        &self,
-        base: VertexId,
-        states: &[(u64, bool)],
-        edges: &[E],
-        _iter: u32,
-        out: &mut S,
-    ) {
-        for e in edges {
-            let (label, changed) = states[(e.src() - base) as usize];
-            if changed {
-                out.push(e.dst(), label);
-            }
-        }
-    }
-
-    fn gather_chunk<R: UpdateRef<u64>>(
-        &self,
-        base: VertexId,
-        _states: &[(u64, bool)],
-        accums: &mut [MinLabel],
-        updates: &[R],
-    ) {
-        for u in updates {
-            let a = &mut accums[u.offset(base)];
-            a.0 = a.0.min(*u.payload());
         }
     }
 }

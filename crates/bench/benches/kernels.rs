@@ -9,7 +9,7 @@
 //! kernels at the out-of-core path's widths, the scatter/gather inner
 //! kernels via the sequential executor, the engine's scatter sink (block
 //! driver, no `Cluster`) and gather over its partition-local update
-//! records, the reference oracles, the grid
+//! records for PageRank, MCST and BFS, the reference oracles, the grid
 //! partitioner, and one end-to-end simulated cluster run.
 
 use std::sync::Arc;
@@ -17,6 +17,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use chaos_algos::bfs::{Bfs, UNREACHED};
+use chaos_algos::mcst::{Mcst, McstMsg};
 use chaos_algos::pagerank::Pagerank;
 use chaos_algos::wcc::Wcc;
 use chaos_baselines::GridPartitioner;
@@ -24,7 +26,7 @@ use chaos_core::sink::{BlockSink, PartitionSink};
 use chaos_core::{run_chaos, ChaosConfig};
 use chaos_gas::record::{decode_all, encode_all};
 use chaos_gas::{run_sequential, EdgeRecord, GasProgram, LocalUpdate};
-use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig};
+use chaos_graph::{partition_edges, reference, Edge, PartitionSpec, RmatConfig, VertexId};
 use chaos_sim::{EventQueue, QueueKind, Rng, MICROS};
 use chaos_storage::{crc32, crc32_table, seal_chunk, ChunkSet, SealScratch};
 
@@ -214,69 +216,116 @@ fn bench_gas_kernels(c: &mut Criterion) {
     });
 }
 
-/// The scatter sink's seam without a `Cluster`: PageRank's kernel over a
-/// warm 4096-edge chunk of the records the engine holds for it (8-byte
-/// `BareEdge`s; sources in partition 0, destinations uniform over 8192
-/// vertices, as at `pr_dense`'s scale) through the block driver into `p`
-/// pooled output buffers that flush at 4096 records — a flush here
-/// clears the buffer, so destinations stay warm. Four partitions is `pr_dense`'s count,
-/// eight `pr_faulted`'s. One iteration is 244 passes, 999 424 edges: ms
-/// per iteration reads as ns per edge.
+/// The scatter sink's seam without a `Cluster`: a program's kernel over a
+/// warm 4096-edge chunk of the records the engine holds for it (sources in
+/// partition 0, destinations uniform over 8192 vertices, as at `pr_dense`'s
+/// scale) through the block driver into `p` pooled output buffers that
+/// flush at 4096 records — a flush here clears the buffer, so destinations
+/// stay warm. One iteration is 244 passes, 999 424 edges: ms per iteration
+/// reads as ns per edge.
+///
+/// PageRank (8-byte `BareEdge`s, every edge emits) runs at four partitions,
+/// `pr_dense`'s count, eight, `pr_faulted`'s, and 32. MCST and BFS are the
+/// programs no benchmark workload streams through the engine: MCST in its
+/// MinEdge phase (16-byte `PackedEdge`s, every non-loop edge emits a
+/// 32-byte message carrying the weight), BFS with every other source on
+/// the frontier.
 fn bench_scatter_sink(c: &mut Criterion) {
-    const PASSES: usize = 244;
     for parts in [4usize, 8, 32] {
-        let spec = PartitionSpec::with_partitions(8192, parts);
-        let src = spec.range(0);
-        let mut rng = Rng::new(13);
-        let edges: Vec<<Pagerank as GasProgram>::HeldEdge> = (0..4096)
-            .map(|_| {
-                let e = Edge::new(src.start + rng.below(src.end - src.start), rng.below(8192));
-                EdgeRecord::pack(&e)
-            })
-            .collect();
-        let states: Vec<(f32, u32)> = src.clone().map(|v| (1.0, 1 + (v % 16) as u32)).collect();
-        let pr = Pagerank::new(1);
-        let mut bufs: Vec<Vec<LocalUpdate<f32>>> = vec![Vec::new(); parts];
-        let mut full = Vec::new();
-        let mut sink = BlockSink::new(parts);
-        c.bench_function(&format!("core/scatter_sink_pr_4096_p{parts}"), |b| {
-            b.iter(|| {
-                for _ in 0..PASSES {
-                    let mut out = PartitionSink::new(&spec, &mut bufs, 4096, &mut full);
-                    sink.scatter_chunk(&pr, src.start, &states, &edges, 0, &mut out);
-                    for &tp in &full {
-                        bufs[tp].clear();
-                    }
-                    full.clear();
-                }
-                black_box(bufs[0].len())
-            })
-        });
+        scatter_sink_case(c, "pr", &Pagerank::new(1), parts, |v| (1.0, 1 + (v % 16) as u32));
     }
+    let mcst = Mcst::new();
+    scatter_sink_case(c, "mcst", &mcst, 4, |v| mcst.init(v, 1));
+    scatter_sink_case(c, "bfs", &Bfs::new(0), 4, |v| (v % 2) as u32);
 }
 
-/// Gather's seam without a `Cluster`: PageRank's kernel folds a warm
+fn scatter_sink_case<P: GasProgram>(
+    c: &mut Criterion,
+    name: &str,
+    program: &P,
+    parts: usize,
+    state: impl Fn(VertexId) -> P::VertexState,
+) {
+    const PASSES: usize = 244;
+    let spec = PartitionSpec::with_partitions(8192, parts);
+    let src = spec.range(0);
+    let mut rng = Rng::new(13);
+    let edges: Vec<P::HeldEdge> = (0..4096)
+        .map(|i| {
+            let (s, d) = (src.start + rng.below(src.end - src.start), rng.below(8192));
+            EdgeRecord::pack(&Edge::weighted(s, d, (1 + i % 64) as f32))
+        })
+        .collect();
+    let states: Vec<P::VertexState> = src.clone().map(state).collect();
+    let mut bufs: Vec<Vec<LocalUpdate<P::Update>>> = vec![Vec::new(); parts];
+    let mut full = Vec::new();
+    let mut sink = BlockSink::new(parts);
+    c.bench_function(&format!("core/scatter_sink_{name}_4096_p{parts}"), |b| {
+        b.iter(|| {
+            for _ in 0..PASSES {
+                let mut out = PartitionSink::new(&spec, &mut bufs, 4096, &mut full);
+                sink.scatter_chunk(program, src.start, &states, &edges, 0, &mut out);
+                for &tp in &full {
+                    bufs[tp].clear();
+                }
+                full.clear();
+            }
+            black_box(bufs[0].len())
+        })
+    });
+}
+
+/// Gather's seam without a `Cluster`: a program's kernel folds a warm
 /// 4096-record chunk of partition-local updates (offsets uniform over a
 /// 2048-vertex partition, `pr_dense`'s four partitions of 8192 vertices)
 /// into the partition's accumulators. One iteration is 244 passes,
-/// 999 424 records: ms per iteration reads as ns per record.
+/// 999 424 records: ms per iteration reads as ns per record. MCST folds
+/// MinEdge messages from senders outside the partition, so every one is a
+/// candidate; BFS marks the destination reached.
 fn bench_gather(c: &mut Criterion) {
+    gather_case(c, "pr", &Pagerank::new(1), |_| (1.0, 1), |i| 1.0 / (1 + i % 16) as f32);
+    let mcst = Mcst::new();
+    gather_case(
+        c,
+        "mcst",
+        &mcst,
+        |v| mcst.init(v, 1),
+        |i| {
+            let sender = 2048 + i % 6144;
+            McstMsg {
+                comp: sender,
+                label: sender,
+                cand_w: f32::INFINITY,
+                cand_target: sender,
+                edge_w: (1 + i % 64) as f32,
+            }
+        },
+    );
+    gather_case(c, "bfs", &Bfs::new(0), |_| UNREACHED, |_| ());
+}
+
+fn gather_case<P: GasProgram>(
+    c: &mut Criterion,
+    name: &str,
+    program: &P,
+    state: impl Fn(VertexId) -> P::VertexState,
+    payload: impl Fn(u64) -> P::Update,
+) {
     const PASSES: usize = 244;
     const VERTICES: u64 = 2048;
     let mut rng = Rng::new(17);
-    let updates: Vec<LocalUpdate<f32>> = (0..4096)
+    let updates: Vec<LocalUpdate<P::Update>> = (0..4096)
         .map(|i| LocalUpdate {
             off: rng.below(VERTICES) as u32,
-            payload: 1.0 / (1 + i % 16) as f32,
+            payload: payload(i),
         })
         .collect();
-    let states = vec![(1.0f32, 1u32); VERTICES as usize];
-    let pr = Pagerank::new(1);
-    let mut accums = vec![Default::default(); VERTICES as usize];
-    c.bench_function("core/gather_pr_4096", |b| {
+    let states: Vec<P::VertexState> = (0..VERTICES).map(state).collect();
+    let mut accums = vec![P::Accum::default(); VERTICES as usize];
+    c.bench_function(&format!("core/gather_{name}_4096"), |b| {
         b.iter(|| {
             for _ in 0..PASSES {
-                pr.gather_chunk(0, &states, &mut accums, black_box(&updates));
+                program.gather_chunk(0, &states, &mut accums, black_box(&updates));
             }
             black_box(accums.len())
         })

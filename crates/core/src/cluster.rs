@@ -29,7 +29,7 @@ use crate::coordinator::Coordinator;
 use crate::directory::Directory;
 use crate::metrics::RunReport;
 use crate::msg::{DataKind, Msg};
-use crate::runtime::{Addr, ClusterTopology, Ctx, RunParams};
+use crate::runtime::{Addr, ClusterTopology, Ctx, Layout, RunParams};
 use crate::storage_engine::StorageEngine;
 
 /// A fully wired simulated Chaos cluster, ready to run one computation.
@@ -54,6 +54,39 @@ impl<P: GasProgram> Cluster<P> {
     /// invalid or inconsistent with the program (e.g. centralized placement
     /// with reverse-edge programs).
     pub fn new(cfg: ChaosConfig, program: P, graph: &InputGraph) -> Result<Self, String> {
+        Self::with_layout(cfg, program, graph, Layout::DEFAULT)
+    }
+
+    /// [`Cluster::new`] with a run that can skip laying its edges out in
+    /// `layout` instead of [`Layout::DEFAULT`]. A test hook: the layout
+    /// oracles compare the unclustered and chunk-granularity layouts with
+    /// the default through it, without the layout being a configuration
+    /// axis. It is a constructor because every engine sizes its bin
+    /// buffers from the layout when it is built.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout.cluster_bins` is not in `1..=4096` (more bins per
+    /// partition defeat chunking) or `layout.block_records` is in `1..16`
+    /// (a block index that fine costs more than it skips).
+    pub fn with_layout(
+        cfg: ChaosConfig,
+        program: P,
+        graph: &InputGraph,
+        layout: Layout,
+    ) -> Result<Self, String> {
+        assert!(
+            (1..=4096).contains(&layout.cluster_bins),
+            "cluster bins must be in 1..=4096 (1 = unclustered layout)"
+        );
+        assert!(
+            layout.block_records == 0 || layout.block_records >= 16,
+            "a block index needs at least 16 records per block (0 = none)"
+        );
         cfg.validate()?;
         if cfg.placement == Placement::Centralized && program.uses_reverse_edges() {
             return Err("centralized directory does not support reverse-edge programs".into());
@@ -88,6 +121,7 @@ impl<P: GasProgram> Cluster<P> {
             update_bytes,
             vstate,
             selective,
+            layout,
         ));
         let cfg = Arc::new(cfg);
         let mut rng = Rng::new(cfg.seed);

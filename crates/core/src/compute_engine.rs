@@ -287,7 +287,7 @@ pub struct ComputeEngine<P: GasProgram> {
     /// Stolen-partition count (metrics).
     pub steals: u64,
     /// Edge + update records streamed through this engine's scatter/gather
-    /// kernels (throughput accounting; kernel-invariant).
+    /// kernels (throughput accounting).
     pub records_processed: u64,
     /// Per-iteration selective-streaming account (indexed by iteration).
     pub selectivity: Vec<IterSelectivity>,
@@ -1951,7 +1951,7 @@ mod tests {
         use crate::compute_engine::{ComputeEngine, PartWork};
         use crate::config::ChaosConfig;
         use crate::msg::{Msg, PhaseKind, Work};
-        use crate::runtime::{Ctx, RunParams};
+        use crate::runtime::{Ctx, Layout, RunParams};
 
         /// Minimal branch-free program: every edge emits an update.
         #[derive(Clone)]
@@ -1998,7 +1998,7 @@ mod tests {
         fn mid_stream_engine(phase: PhaseKind) -> ComputeEngine<Flood> {
             let cfg = Arc::new(ChaosConfig::new(2));
             let spec = PartitionSpec::with_partitions(256, 4);
-            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, false));
+            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, false, Layout::DEFAULT));
             let mut eng =
                 ComputeEngine::new(0, Arc::clone(&cfg), params, Flood, Rng::new(7));
             eng.phase = phase;
@@ -2102,7 +2102,7 @@ mod tests {
         use crate::config::ChaosConfig;
         use crate::metrics::IterSelectivity;
         use crate::msg::PhaseKind;
-        use crate::runtime::{Ctx, RunParams};
+        use crate::runtime::{Ctx, Layout, RunParams};
 
         /// Frontier program that never scatters (only the activity model
         /// matters here).
@@ -2151,7 +2151,7 @@ mod tests {
         fn scatter_master() -> ComputeEngine<Sparse> {
             let cfg = Arc::new(ChaosConfig::new(2));
             let spec = PartitionSpec::with_partitions(256, 4);
-            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, true));
+            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, true, Layout::DEFAULT));
             let mut eng = ComputeEngine::new(0, cfg, params, Sparse, Rng::new(1));
             eng.phase = PhaseKind::Scatter;
             eng.steal_queries[0].push_back(1);

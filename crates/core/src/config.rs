@@ -63,30 +63,6 @@ pub struct ChaosConfig {
     /// §7 of the paper). `None` keeps payloads in memory; simulated I/O
     /// timing is identical either way.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Source-clustered edge layout: radix bins per partition at
-    /// pre-processing time. Each partition's edges are binned by scatter
-    /// key (src, or dst for the reverse copy) into this many consecutive
-    /// key sub-ranges before chunking, so each stored chunk's scatter-key
-    /// window covers ~1/bins of the partition instead of all of it — the
-    /// narrow, disjoint windows that let selective streaming skip chunks
-    /// mid-wavefront, not just on empty frontiers. `1` is the unclustered
-    /// (arrival-order) layout. Only layout changes: computed results are
-    /// identical for any value. Programs with a dense activity model (and
-    /// runs under centralized placement, which cannot skip) keep the
-    /// single-bin layout regardless, since clustering buys them nothing.
-    pub cluster_bins: u32,
-    /// Block-granular selective serving: each sealed edge chunk's interior
-    /// is key-sorted (stable, so equal-key records keep arrival order) and
-    /// carries a block index of fixed `block_records`-sized blocks with
-    /// per-block inclusive key windows. Serves consult it after the
-    /// chunk-level window/stride test and stream only the block runs the
-    /// active set touches — records streamed become proportional to the
-    /// live frontier, not to surviving-chunk count. `0` disables block
-    /// indexing (chunk-granularity serves only). Like `cluster_bins`, the
-    /// knob only changes layout and serve granularity: computed results
-    /// are identical for any value, and runs that cannot skip (dense
-    /// activity, centralized placement) ignore it.
-    pub block_records: u32,
     /// Between-iterations integrity scrub: at every epoch reset each
     /// storage engine re-reads and re-verifies every frame it holds (edge,
     /// reverse-edge and update chunks, live vertex chunks, and both levels
@@ -124,24 +100,9 @@ impl ChaosConfig {
             directory_op_ns: 10_000,
             faults: FaultPlan::none(),
             spill_dir: None,
-            cluster_bins: 16,
-            block_records: 512,
             scrub: false,
             seed: 0xC4A05,
         }
-    }
-
-    /// Switches the clustered-layout bin count (`1` = unclustered).
-    pub fn with_cluster_bins(mut self, bins: u32) -> Self {
-        self.cluster_bins = bins;
-        self
-    }
-
-    /// Switches the block-index granularity (`0` = chunk-granularity
-    /// serves only).
-    pub fn with_block_records(mut self, block_records: u32) -> Self {
-        self.block_records = block_records;
-        self
     }
 
     /// Schedules a single transient crash at a scatter barrier (requires
@@ -215,15 +176,6 @@ impl ChaosConfig {
                     .into(),
             );
         }
-        if self.cluster_bins == 0 {
-            return Err("cluster bins must be at least 1 (1 = unclustered layout)".into());
-        }
-        if self.cluster_bins > 4096 {
-            return Err("more than 4096 bins per partition defeats chunking".into());
-        }
-        if self.block_records != 0 && self.block_records < 16 {
-            return Err("block index below 16 records costs more than it skips".into());
-        }
         Ok(())
     }
 }
@@ -265,26 +217,6 @@ mod tests {
         // SSD latency 50us, 40GigE RTT 50us => phi = 2 (§10.1).
         let c = ChaosConfig::new(8);
         assert!((c.phi() - 2.0).abs() < 0.01, "phi = {}", c.phi());
-    }
-
-    #[test]
-    fn cluster_bins_validated() {
-        assert_eq!(ChaosConfig::new(2).cluster_bins, 16, "clustered by default");
-        let c = ChaosConfig::new(2).with_cluster_bins(1);
-        assert!(c.validate().is_ok(), "1 bin = unclustered layout");
-        assert!(ChaosConfig::new(2).with_cluster_bins(0).validate().is_err());
-        assert!(ChaosConfig::new(2)
-            .with_cluster_bins(8192)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
-    fn block_records_validated() {
-        assert_eq!(ChaosConfig::new(2).block_records, 512, "block-indexed by default");
-        assert!(ChaosConfig::new(2).with_block_records(0).validate().is_ok());
-        assert!(ChaosConfig::new(2).with_block_records(16).validate().is_ok());
-        assert!(ChaosConfig::new(2).with_block_records(7).validate().is_err());
     }
 
     #[test]

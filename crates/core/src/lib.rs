@@ -70,4 +70,4 @@ pub use fault::{
     FaultPlanConfig,
 };
 pub use metrics::{Breakdown, FaultAccount, IterSelectivity, RunReport, WindowHistogram};
-pub use runtime::{Addr, ChaosActor, ClusterTopology, RunParams};
+pub use runtime::{Addr, ChaosActor, ClusterTopology, Layout, RunParams};

@@ -308,9 +308,8 @@ pub struct RunReport {
     /// delivered.
     pub events: u64,
     /// Edge + update records streamed through the scatter/gather kernels,
-    /// summed over machines (host-throughput accounting; invariant across
-    /// batched/per-record kernels). Records skipped by
-    /// selective streaming are *not* counted here — they appear in
+    /// summed over machines (host-throughput accounting). Records skipped
+    /// by selective streaming are *not* counted here — they appear in
     /// [`RunReport::selectivity`].
     pub records_streamed: u64,
     /// Per-iteration selective-streaming account, summed over machines
@@ -321,7 +320,7 @@ pub struct RunReport {
     /// engines (a simulated-layout quantity).
     pub window_widths: WindowHistogram,
     /// The *effective* clustered-layout bin count of the run: the
-    /// configured [`crate::config::ChaosConfig::cluster_bins`], or 1 when
+    /// layout's [`crate::runtime::Layout::cluster_bins`], or 1 when
     /// the run cannot skip chunks anyway (dense activity model,
     /// centralized placement) and keeps the arrival-order layout.
     pub cluster_bins: u32,

@@ -4,7 +4,7 @@
 //! routing live in `chaos-runtime`; this module contributes only what is
 //! specific to a Chaos cluster: the actor address space ([`Addr`]), its
 //! mapping onto scheduler slots and machines ([`ClusterTopology`]), and the
-//! run-wide derived parameters ([`RunParams`]).
+//! run-wide derived parameters ([`RunParams`], [`Layout`]).
 
 use chaos_gas::GasProgram;
 use chaos_graph::{BinSpec, PartitionSpec};
@@ -74,6 +74,40 @@ impl Topology for ClusterTopology {
     }
 }
 
+/// Edge layout of a run that can skip chunks: how pre-processing places
+/// edges on storage and how finely serves can skip within a chunk. Only
+/// layout and serve granularity change with it; computed results are
+/// identical for any value. The engine runs [`Layout::DEFAULT`]; the
+/// layout oracles reach the others through
+/// [`Cluster::with_layout`](crate::Cluster::with_layout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// Radix bins per partition. Each partition's edges are binned by
+    /// scatter key (src, or dst for the reverse copy) into this many
+    /// consecutive key sub-ranges before chunking, so each stored chunk's
+    /// scatter-key window covers ~1/bins of the partition instead of all
+    /// of it: the narrow, disjoint windows that let selective streaming
+    /// skip chunks mid-wavefront, not just on empty frontiers. `1` is the
+    /// unclustered (arrival-order) layout.
+    pub cluster_bins: u32,
+    /// Records per block of a sealed edge chunk's block index. Each
+    /// sealed chunk's interior is key-sorted (stable, so equal-key records
+    /// keep arrival order) and carries per-block inclusive key windows;
+    /// serves consult them after the chunk-level window/stride test and
+    /// stream only the block runs the active set touches. `0` disables
+    /// block indexing (chunk-granularity serves only).
+    pub block_records: u32,
+}
+
+impl Layout {
+    /// The layout every run uses: 16 bins per partition, 512-record
+    /// blocks.
+    pub const DEFAULT: Self = Self {
+        cluster_bins: 16,
+        block_records: 512,
+    };
+}
+
 /// Derived, immutable parameters shared by all actors of a run.
 #[derive(Debug)]
 pub struct RunParams {
@@ -107,13 +141,12 @@ pub struct RunParams {
     pub selective: bool,
     /// Clustered-layout bin geometry: how pre-processing sub-bins each
     /// partition's edges by scatter key before chunking. Single-bin when
-    /// the run cannot skip chunks anyway; see
-    /// [`crate::config::ChaosConfig::cluster_bins`].
+    /// the run cannot skip chunks anyway; see [`Layout::cluster_bins`].
     pub cluster: BinSpec,
     /// Records per block in sealed edge chunks' block indexes; `0`
     /// disables block indexing (chunk-granularity serves). Zeroed, like
     /// the cluster bins, when the run cannot skip anyway; see
-    /// [`crate::config::ChaosConfig::block_records`].
+    /// [`Layout::block_records`].
     pub block_records: u32,
     /// Whether storage engines scrub every resident and on-disk frame
     /// between iterations (see [`crate::config::ChaosConfig::scrub`]).
@@ -123,8 +156,8 @@ pub struct RunParams {
 impl RunParams {
     /// Builds the derived parameters for a `(config, program, graph)` run.
     /// A `selective` run takes its clustered layout and block indexes from
-    /// `cfg`; any other keeps the single-bin layout and plain chunks, which
-    /// only refine skip decisions it never makes.
+    /// `layout`; any other keeps the single-bin layout and plain chunks,
+    /// which only refine skip decisions it never makes.
     pub fn new(
         cfg: &ChaosConfig,
         spec: PartitionSpec,
@@ -132,11 +165,12 @@ impl RunParams {
         update_bytes: u64,
         vstate_bytes: u64,
         selective: bool,
+        layout: Layout,
     ) -> Self {
         let cb = cfg.chunk_bytes;
         Self {
             machines: cfg.machines,
-            cluster: BinSpec::new(&spec, if selective { cfg.cluster_bins } else { 1 }),
+            cluster: BinSpec::new(&spec, if selective { layout.cluster_bins } else { 1 }),
             spec,
             edge_bytes,
             update_bytes,
@@ -147,7 +181,7 @@ impl RunParams {
             window: cfg.batch_window,
             placement: cfg.placement,
             selective,
-            block_records: if selective { cfg.block_records } else { 0 },
+            block_records: if selective { layout.block_records } else { 0 },
             scrub: cfg.scrub,
         }
     }
@@ -214,7 +248,7 @@ mod tests {
     fn run_params_geometry() {
         let cfg = ChaosConfig::new(4);
         let spec = PartitionSpec::with_partitions(1000, 8);
-        let p = RunParams::new(&cfg, spec, 8, 8, 16, false);
+        let p = RunParams::new(&cfg, spec, 8, 8, 16, false, Layout::DEFAULT);
         assert_eq!(p.master(5), 1);
         assert_eq!(p.edges_per_chunk, (cfg.chunk_bytes / 8) as usize);
         // Partition 0 has 125 vertices; verts_per_chunk is large, so one

@@ -1158,6 +1158,7 @@ mod tests {
     use crate::alloc_count::thread_allocations;
     use crate::config::ChaosConfig;
     use crate::msg::EdgeWrite;
+    use crate::runtime::Layout;
 
     fn faulted_device(until: Time) -> Device {
         let mut d = Device::new(DeviceProfile::ssd());
@@ -1235,9 +1236,12 @@ mod tests {
         const EPC: usize = 64;
         let mut cfg = ChaosConfig::new(1);
         cfg.chunk_bytes = EPC as u64 * 8;
-        let cfg = cfg.with_cluster_bins(4).with_block_records(16);
         let spec = PartitionSpec::with_partitions(256, 2);
-        let params = RunParams::new(&cfg, spec, 8, 8, 4, true);
+        let layout = Layout {
+            cluster_bins: 4,
+            block_records: 16,
+        };
+        let params = RunParams::new(&cfg, spec, 8, 8, 4, true, layout);
         let device = Device::new(DeviceProfile::ssd());
         let mut eng = StorageEngine::<Bfs>::new(0, Arc::new(params), device, 0, None).unwrap();
         let mut ctx = Ctx::new(0, 0);

@@ -60,9 +60,7 @@ pub fn run_sequential<P: GasProgram>(
             "{} failed to converge in {max_iterations} iterations",
             program.name()
         );
-        // Scatter (Figure 1): one pass over the edge list, through the
-        // chunk kernel (specialized programs take their batched path here
-        // too; the default loops over the per-edge `scatter`).
+        // Scatter (Figure 1): one pass over the edge list.
         let mut updates: Vec<Update<P::Update>> = Vec::new();
         program.scatter_chunk(0, &states, &graph.edges, iter, &mut updates);
         // Gather: fold updates into per-vertex accumulators.

@@ -24,8 +24,7 @@ pub mod record;
 pub use active::{ActiveSet, ActivityModel};
 pub use executor::{run_sequential, SequentialResult};
 pub use program::{
-    Control, Direction, GasProgram, IterationAggregates, PerRecordKernels, UpdateSink,
-    CUSTOM_AGGREGATES,
+    Control, Direction, GasProgram, IterationAggregates, UpdateSink, CUSTOM_AGGREGATES,
 };
 pub use record::{
     BareEdge, EdgeRecord, EdgeRef, LocalUpdate, PackedEdge, Record, Update, UpdateRef,

@@ -109,8 +109,8 @@ pub trait GasProgram: Clone + Send + 'static {
     type Accum: Clone + Default + Send + Sync + 'static;
     /// The edge record the engine holds for this program, from the input
     /// copy `Cluster::new` makes to the scatter kernels:
-    /// [`PackedEdge`](crate::PackedEdge) if any kernel or per-edge body
-    /// reads a weight, else the 8-byte [`BareEdge`](crate::BareEdge).
+    /// [`PackedEdge`](crate::PackedEdge) if a per-edge body reads a
+    /// weight, else the 8-byte [`BareEdge`](crate::BareEdge).
     /// A program that reads weights through a `BareEdge` panics or
     /// computes NaN (see [`BareEdge`](crate::BareEdge)).
     type HeldEdge: EdgeRecord;
@@ -185,16 +185,13 @@ pub trait GasProgram: Clone + Send + 'static {
     ///
     /// `base` is the first vertex id of the partition and `states` its
     /// (loaded) vertex set, so the scatter-side state of vertex `v` is
-    /// `states[v - base]`. The kernel must emit exactly the updates the
-    /// per-edge [`GasProgram::scatter`] would, in edge order — the engine's
-    /// batched/per-edge equivalence is property-tested — so at most one
-    /// update per edge, whatever slice of a stored chunk it is handed (the
-    /// engine's sink hands it fixed-size blocks). The records are any
-    /// [`EdgeRef`] — the engine's [`GasProgram::HeldEdge`]s or [`Edge`]s —
-    /// and a body reads them through its accessors, so one body serves
-    /// both. Override it on
-    /// hot programs with a branch-light batched body; the default simply
-    /// loops over `scatter` honoring [`GasProgram::direction`].
+    /// `states[v - base]`. This is the engine's batching seam over the
+    /// per-edge specification: it loops over [`GasProgram::scatter`]
+    /// honoring [`GasProgram::direction`], so it emits at most one update
+    /// per edge, in edge order, whatever slice of a stored chunk it is
+    /// handed (the engine's sink hands it fixed-size blocks). The records
+    /// are any [`EdgeRef`]: the engine's [`GasProgram::HeldEdge`]s or the
+    /// sequential executor's [`Edge`]s.
     fn scatter_chunk<E: EdgeRef, S: UpdateSink<Self::Update>>(
         &self,
         base: VertexId,
@@ -228,12 +225,11 @@ pub trait GasProgram: Clone + Send + 'static {
     /// Gathers a whole update chunk into one partition's accumulators.
     ///
     /// `base`, `states` and `accums` are partition-local (`v - base`
-    /// indexed); `accums[i]` must end exactly as the per-update
-    /// [`GasProgram::gather`] fold would leave it. The records are either
-    /// form of [`UpdateRef`] — the engine's partition-local
-    /// [`LocalUpdate`](crate::LocalUpdate)s or global [`Update`]s — and a
-    /// body indexes by `u.offset(base)`, so one body serves both. Override
-    /// on hot programs for a tight batched loop.
+    /// indexed). This is the engine's batching seam over the per-update
+    /// specification: it folds each update into `accums[u.offset(base)]`
+    /// with [`GasProgram::gather`]. The records are either form of
+    /// [`UpdateRef`]: the engine's partition-local
+    /// [`LocalUpdate`](crate::LocalUpdate)s or global [`Update`]s.
     fn gather_chunk<R: UpdateRef<Self::Update>>(
         &self,
         base: VertexId,
@@ -287,10 +283,9 @@ pub trait GasProgram: Clone + Send + 'static {
         false
     }
 
-    /// Counts the permanently dead edges in a chunk (chunk-granularity
-    /// companion of [`GasProgram::edge_dead`], same equivalence contract
-    /// as the scatter/gather kernels). The default loops over `edge_dead`
-    /// honoring [`GasProgram::direction`].
+    /// Counts the permanently dead edges in a chunk: the engine's batching
+    /// seam over [`GasProgram::edge_dead`], looping over it honoring
+    /// [`GasProgram::direction`].
     fn dead_edges<E: EdgeRef>(
         &self,
         base: VertexId,
@@ -324,116 +319,6 @@ pub trait GasProgram: Clone + Send + 'static {
     /// Encoded width of one vertex record, for the storage cost model.
     fn vertex_state_bytes(&self) -> u64 {
         Self::VertexState::ENCODED_BYTES as u64
-    }
-}
-
-/// Adapter that pins a program to the *default* per-record chunk kernels,
-/// ignoring any specialized [`GasProgram::scatter_chunk`] /
-/// [`GasProgram::gather_chunk`] the wrapped program defines.
-///
-/// Every scalar method delegates; the chunk kernels fall back to the trait
-/// defaults (which loop over the delegating `scatter`/`gather`). Running
-/// the same workload with `P` and with `PerRecordKernels<P>` must produce
-/// bit-identical results — the equivalence contract of the kernel API,
-/// pinned by the workspace property tests.
-#[derive(Debug, Clone, Default)]
-pub struct PerRecordKernels<P>(pub P);
-
-impl<P: GasProgram> GasProgram for PerRecordKernels<P> {
-    type VertexState = P::VertexState;
-    type Update = P::Update;
-    type Accum = P::Accum;
-    type HeldEdge = P::HeldEdge;
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn needs_undirected(&self) -> bool {
-        self.0.needs_undirected()
-    }
-
-    fn init(&self, v: VertexId, out_degree: u64) -> Self::VertexState {
-        self.0.init(v, out_degree)
-    }
-
-    fn direction(&self) -> Direction {
-        self.0.direction()
-    }
-
-    fn uses_reverse_edges(&self) -> bool {
-        self.0.uses_reverse_edges()
-    }
-
-    fn scatter(
-        &self,
-        v: VertexId,
-        state: &Self::VertexState,
-        edge: &Edge,
-        iter: u32,
-    ) -> Option<Self::Update> {
-        self.0.scatter(v, state, edge, iter)
-    }
-
-    fn gather(
-        &self,
-        acc: &mut Self::Accum,
-        dst: VertexId,
-        dst_state: &Self::VertexState,
-        payload: &Self::Update,
-    ) {
-        self.0.gather(acc, dst, dst_state, payload)
-    }
-
-    fn merge(&self, into: &mut Self::Accum, from: &Self::Accum) {
-        self.0.merge(into, from)
-    }
-
-    fn apply(
-        &self,
-        v: VertexId,
-        state: &mut Self::VertexState,
-        acc: &Self::Accum,
-        iter: u32,
-    ) -> bool {
-        self.0.apply(v, state, acc, iter)
-    }
-
-    fn activity(&self) -> ActivityModel {
-        self.0.activity()
-    }
-
-    fn is_active(&self, v: VertexId, state: &Self::VertexState, iter: u32) -> bool {
-        self.0.is_active(v, state, iter)
-    }
-
-    fn edge_dead(&self, v: VertexId, state: &Self::VertexState, edge: &Edge, iter: u32) -> bool {
-        self.0.edge_dead(v, state, edge, iter)
-    }
-
-    fn shrinks_now(&self, iter: u32) -> bool {
-        self.0.shrinks_now(iter)
-    }
-
-    // `dead_edges` is deliberately NOT forwarded: like `scatter_chunk` and
-    // `gather_chunk`, it is a chunk kernel pinned to the default per-edge
-    // loop (over the delegating `edge_dead`), so the equivalence tests also
-    // cover specialized dead-scan bodies.
-
-    fn aggregate(&self, state: &Self::VertexState) -> [f64; CUSTOM_AGGREGATES] {
-        self.0.aggregate(state)
-    }
-
-    fn end_iteration(&mut self, iter: u32, agg: &IterationAggregates) -> Control {
-        self.0.end_iteration(iter, agg)
-    }
-
-    fn update_payload_bytes(&self) -> u64 {
-        self.0.update_payload_bytes()
-    }
-
-    fn vertex_state_bytes(&self) -> u64 {
-        self.0.vertex_state_bytes()
     }
 }
 

@@ -224,8 +224,8 @@ impl Record for PackedEdge {
 ///
 /// It encodes as [`Edge`]'s 20 bytes with the weight 1.0, an unweighted
 /// graph's, so an unweighted edge chunk stores the same bytes as in
-/// [`PackedEdge`] form; decoding drops the weight. A kernel that reads the
-/// weight anyway panics ([`EdgeRef::weight`]); a per-edge body handed
+/// [`PackedEdge`] form; decoding drops the weight. Reading the weight
+/// anyway panics through [`EdgeRef::weight`], and a per-edge body handed
 /// [`EdgeRef::edge`] reads a NaN weight, so neither can pass for the
 /// weighted answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,8 +263,9 @@ impl Record for BareEdge {
 /// What a scatter kernel reads off an edge record, whichever form it is
 /// in. [`GasProgram::scatter_chunk`](crate::GasProgram::scatter_chunk)
 /// and [`GasProgram::dead_edges`](crate::GasProgram::dead_edges) are
-/// generic over it, so one kernel body serves the engine's
-/// [`PackedEdge`]s and the [`Edge`]s of the sequential executor.
+/// generic over it, so one loop serves the engine's held records
+/// ([`PackedEdge`]s or [`BareEdge`]s) and the [`Edge`]s of the sequential
+/// executor.
 pub trait EdgeRef {
     /// Source vertex.
     fn src(&self) -> VertexId;
@@ -326,8 +327,8 @@ impl EdgeRef for BareEdge {
     }
     /// # Panics
     ///
-    /// Always: the record holds no weight. A program whose kernel reads
-    /// one declares `HeldEdge = PackedEdge`.
+    /// Always: the record holds no weight. A program that reads one
+    /// declares `HeldEdge = PackedEdge`.
     fn weight(&self) -> f32 {
         panic!("a BareEdge holds no weight: a program that reads weights holds PackedEdges")
     }
@@ -395,8 +396,8 @@ impl<U: Record> Record for LocalUpdate<U> {
 /// What a gather kernel reads off an update record, whichever form it is
 /// in: the destination's partition-local offset and the payload.
 /// [`GasProgram::gather_chunk`](crate::GasProgram::gather_chunk) is
-/// generic over it, so one kernel body serves the engine's
-/// [`LocalUpdate`]s and the global [`Update`]s of the sequential executor.
+/// generic over it, so one loop serves the engine's [`LocalUpdate`]s and
+/// the global [`Update`]s of the sequential executor.
 pub trait UpdateRef<U> {
     /// Offset of the destination from `base`, the first vertex of the
     /// partition being gathered.

@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use chaos_gas::{
         run_sequential, ActiveSet, ActivityModel, Control, Direction, GasProgram,
-        IterationAggregates, PerRecordKernels, UpdateSink,
+        IterationAggregates, UpdateSink,
     };
     pub use chaos_graph::{Edge, InputGraph, RmatConfig, WebGraphConfig};
 }

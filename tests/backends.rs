@@ -2,15 +2,18 @@
 
 mod common;
 
+use chaos::core::Layout;
 use chaos::graph::reference;
 use chaos::prelude::*;
 use chaos::storage::ScratchDir;
-use common::{close, directed_graph, test_config, undirected_graph};
+use common::{close, directed_graph, run_with_layout, test_config, undirected_graph};
 
-/// Runs `program` in memory and on real files; everything simulated and
-/// every final state must agree. Returns the file run's report.
+/// Runs `program` in memory and on real files, its edges laid out in
+/// `layout`; everything simulated and every final state must agree.
+/// Returns the file run's report.
 fn assert_file_backend_matches_memory<P: GasProgram>(
     mem_cfg: ChaosConfig,
+    layout: Layout,
     program: P,
     g: &InputGraph,
 ) -> RunReport
@@ -21,8 +24,8 @@ where
     let mut file_cfg = mem_cfg.clone();
     file_cfg.spill_dir = Some(scratch.path().to_path_buf());
 
-    let (mem_rep, mem_states) = run_chaos(mem_cfg, program.clone(), g);
-    let (file_rep, file_states) = run_chaos(file_cfg, program, g);
+    let (mem_rep, mem_states) = run_with_layout(mem_cfg, program.clone(), g, layout);
+    let (file_rep, file_states) = run_with_layout(file_cfg, program, g, layout);
 
     assert_eq!(mem_states, file_states);
     assert_eq!(
@@ -37,14 +40,16 @@ where
 #[test]
 fn file_backend_matches_memory_backend_exactly() {
     let g = undirected_graph(8);
-    assert_file_backend_matches_memory(test_config(3), Wcc::new(), &g);
+    assert_file_backend_matches_memory(test_config(3), Layout::DEFAULT, Wcc::new(), &g);
     // BFS serves block runs as ranged file reads, which verify by the CRC
     // runs (64 records) enclosing them: blocks smaller than a run, blocks
     // that do not divide one, and no blocks at all.
     for block_records in [16, 24, 0] {
-        let mut cfg = test_config(3);
-        cfg.block_records = block_records;
-        let rep = assert_file_backend_matches_memory(cfg, Bfs::new(0), &g);
+        let layout = Layout {
+            block_records,
+            ..Layout::DEFAULT
+        };
+        let rep = assert_file_backend_matches_memory(test_config(3), layout, Bfs::new(0), &g);
         assert_eq!(
             rep.selectivity_total().blocks_skipped > 0,
             block_records > 0,

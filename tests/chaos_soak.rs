@@ -28,8 +28,11 @@
 
 mod common;
 
+use chaos::core::Layout;
 use chaos::prelude::*;
-use common::{directed_graph, run_on_heap, test_config, undirected_graph, weighted_graph};
+use common::{
+    directed_graph, run_on_heap, run_with_layout, test_config, undirected_graph, weighted_graph,
+};
 
 fn soak_seeds() -> u64 {
     std::env::var("CHAOS_SOAK_SEEDS")
@@ -138,8 +141,11 @@ fn seeded_schedules_survive_queue_and_block_index_axes() {
     assert_eq!(calendar_states, heap_states, "queue kind is host-side only");
     assert_eq!(calendar, heap_rep, "whole report must match on the heap");
 
-    let coarse = base.with_block_records(0);
-    let (coarse_rep, coarse_states) = run_chaos(coarse, Pagerank::new(4), &g);
+    let coarse = Layout {
+        block_records: 0,
+        ..Layout::DEFAULT
+    };
+    let (coarse_rep, coarse_states) = run_with_layout(base, Pagerank::new(4), &g, coarse);
     assert_eq!(
         calendar_states, coarse_states,
         "chunk-granularity serving changes layout, never results"

@@ -1,6 +1,6 @@
 //! Clustered chunk layout ≡ unclustered layout.
 //!
-//! The source-binned edge placement (`cfg.cluster_bins > 1`) changes only
+//! The source-binned edge placement (`Layout::cluster_bins > 1`) changes only
 //! *where* edges sit on storage — never what is computed. Three properties
 //! are pinned here:
 //!
@@ -18,27 +18,41 @@
 //!    were no-ops.
 //!
 //! 3. **Block-granularity invariance.** Key-sorted chunk interiors with
-//!    block indexes (`cfg.block_records > 0`) change which byte ranges
+//!    block indexes (`Layout::block_records > 0`) change which byte ranges
 //!    are read — never what is computed: final states, aggregates and
 //!    iteration counts are identical between `block_records = 0`
 //!    (chunk-granularity serves) and any block granularity.
+//!
+//! The layout is not a configuration axis: each run reaches it through the
+//! `Cluster::with_layout` test hook (`common::run_with_layout`).
 
 mod common;
 
+use chaos::core::Layout;
 use chaos::prelude::*;
-use common::{directed_graph, test_config, undirected_graph, weighted_graph, DenseActivity};
+use common::{
+    directed_graph, run_with_layout, test_config, undirected_graph, weighted_graph, DenseActivity,
+};
 use proptest::prelude::*;
 
-/// Pins all three properties for one (config, program, graph) cell.
-/// `cfg.cluster_bins` holds the clustered bin count under test.
-fn assert_layout_equivalent<P: GasProgram>(cfg: ChaosConfig, program: P, g: &InputGraph)
-where
+/// Pins all three properties for one (config, layout, program, graph)
+/// cell. `layout.cluster_bins` is the clustered bin count under test.
+fn assert_layout_equivalent<P: GasProgram>(
+    cfg: ChaosConfig,
+    layout: Layout,
+    program: P,
+    g: &InputGraph,
+) where
     P::VertexState: PartialEq + std::fmt::Debug,
 {
-    assert!(cfg.cluster_bins > 1, "cell must exercise a clustered layout");
-    let (rep_clu, states_clu) = run_chaos(cfg.clone(), program.clone(), g);
+    assert!(layout.cluster_bins > 1, "cell must exercise a clustered layout");
+    let run = |layout| run_with_layout(cfg.clone(), program.clone(), g, layout);
+    let (rep_clu, states_clu) = run(layout);
     // 1. Results are layout-invariant.
-    let (rep_flat, states_flat) = run_chaos(cfg.clone().with_cluster_bins(1), program.clone(), g);
+    let (rep_flat, states_flat) = run(Layout {
+        cluster_bins: 1,
+        ..layout
+    });
     assert_eq!(states_clu, states_flat, "final states: clustered vs unclustered");
     assert_eq!(
         rep_clu.iteration_aggs, rep_flat.iteration_aggs,
@@ -55,7 +69,10 @@ where
     // 3. Block-granularity invariance: sub-chunk serving (and the
     //    compaction suppression it implies on partial serves) must not
     //    change what is computed.
-    let (rep_nob, states_nob) = run_chaos(cfg.clone().with_block_records(0), program.clone(), g);
+    let (rep_nob, states_nob) = run(Layout {
+        block_records: 0,
+        ..layout
+    });
     assert_eq!(states_clu, states_nob, "final states: blocks on vs off");
     assert_eq!(
         rep_clu.iteration_aggs, rep_nob.iteration_aggs,
@@ -84,25 +101,27 @@ proptest! {
     ) {
         let mut cfg = test_config(machines);
         cfg.chunk_bytes = chunk_kb * 1024;
-        cfg.cluster_bins = bins;
-        // Vary the block geometry from many tiny blocks per chunk to the
-        // single-block degenerate case (which must behave like blocks off).
-        cfg.block_records = [16, 64, 2048][br_pick];
         cfg.seed = seed;
+        let layout = Layout {
+            cluster_bins: bins,
+            // Vary the block geometry from many tiny blocks per chunk to the
+            // single-block degenerate case (which must behave like blocks off).
+            block_records: [16, 64, 2048][br_pick],
+        };
         let g_dir = RmatConfig::paper(scale).generate();
         let g_und = undirected_graph(scale);
         let g_w = weighted_graph(300, 450, seed);
         match pick {
-            0 => assert_layout_equivalent(cfg, Bfs::new(0), &g_und),
-            1 => assert_layout_equivalent(cfg, Wcc::new(), &g_und),
-            2 => assert_layout_equivalent(cfg, Mcst::new(), &g_w),
-            3 => assert_layout_equivalent(cfg, Mis::new(seed), &g_und),
-            4 => assert_layout_equivalent(cfg, Sssp::new(0), &g_w),
-            5 => assert_layout_equivalent(cfg, Scc::new(), &g_dir),
-            6 => assert_layout_equivalent(cfg, Pagerank::new(3), &g_dir),
-            7 => assert_layout_equivalent(cfg, Conductance::new(seed), &g_dir),
-            8 => assert_layout_equivalent(cfg, Spmv::new(2), &g_dir),
-            _ => assert_layout_equivalent(cfg, BeliefPropagation::new(seed, 3), &g_dir),
+            0 => assert_layout_equivalent(cfg, layout, Bfs::new(0), &g_und),
+            1 => assert_layout_equivalent(cfg, layout, Wcc::new(), &g_und),
+            2 => assert_layout_equivalent(cfg, layout, Mcst::new(), &g_w),
+            3 => assert_layout_equivalent(cfg, layout, Mis::new(seed), &g_und),
+            4 => assert_layout_equivalent(cfg, layout, Sssp::new(0), &g_w),
+            5 => assert_layout_equivalent(cfg, layout, Scc::new(), &g_dir),
+            6 => assert_layout_equivalent(cfg, layout, Pagerank::new(3), &g_dir),
+            7 => assert_layout_equivalent(cfg, layout, Conductance::new(seed), &g_dir),
+            8 => assert_layout_equivalent(cfg, layout, Spmv::new(2), &g_dir),
+            _ => assert_layout_equivalent(cfg, layout, BeliefPropagation::new(seed, 3), &g_dir),
         }
     }
 }
@@ -115,16 +134,16 @@ fn every_program_is_layout_invariant() {
     let u = undirected_graph(7);
     let w = weighted_graph(300, 450, 7);
     let cfg = || test_config(3);
-    assert_layout_equivalent(cfg(), Pagerank::new(3), &d);
-    assert_layout_equivalent(cfg(), Spmv::new(2), &d);
-    assert_layout_equivalent(cfg(), Scc::new(), &d);
-    assert_layout_equivalent(cfg(), BeliefPropagation::new(3, 3), &d);
-    assert_layout_equivalent(cfg(), Conductance::new(9), &d);
-    assert_layout_equivalent(cfg(), Wcc::new(), &u);
-    assert_layout_equivalent(cfg(), Bfs::new(0), &u);
-    assert_layout_equivalent(cfg(), Mis::new(5), &u);
-    assert_layout_equivalent(cfg(), Sssp::new(0), &w);
-    assert_layout_equivalent(cfg(), Mcst::new(), &w);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Pagerank::new(3), &d);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Spmv::new(2), &d);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Scc::new(), &d);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, BeliefPropagation::new(3, 3), &d);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Conductance::new(9), &d);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Wcc::new(), &u);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Bfs::new(0), &u);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Mis::new(5), &u);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Sssp::new(0), &w);
+    assert_layout_equivalent(cfg(), Layout::DEFAULT, Mcst::new(), &w);
 }
 
 #[test]
@@ -133,7 +152,7 @@ fn mcst_phase_switching_is_layout_invariant() {
     // against narrow windows, per-phase activity, Shrinking tombstones
     // and compactions across many Borůvka rounds.
     let g = weighted_graph(300, 450, 11);
-    assert_layout_equivalent(test_config(3), Mcst::new(), &g);
+    assert_layout_equivalent(test_config(3), Layout::DEFAULT, Mcst::new(), &g);
 }
 
 #[test]
@@ -143,10 +162,10 @@ fn stealing_is_layout_invariant() {
     // replacements can originate from non-master machines.
     let mut cfg = test_config(3);
     cfg.steal_alpha = f64::INFINITY;
-    assert_layout_equivalent(cfg, Mis::new(7), &undirected_graph(7));
+    assert_layout_equivalent(cfg, Layout::DEFAULT, Mis::new(7), &undirected_graph(7));
     let mut cfg = test_config(3);
     cfg.steal_alpha = f64::INFINITY;
-    assert_layout_equivalent(cfg, Mcst::new(), &weighted_graph(400, 600, 42));
+    assert_layout_equivalent(cfg, Layout::DEFAULT, Mcst::new(), &weighted_graph(400, 600, 42));
 }
 
 #[test]
@@ -156,7 +175,7 @@ fn compaction_is_layout_invariant_and_reports_tombstones() {
     // and the account matches the unclustered run's results.
     let g = undirected_graph(8);
     let cfg = test_config(2);
-    assert_layout_equivalent(cfg.clone(), Mis::new(3), &g);
+    assert_layout_equivalent(cfg.clone(), Layout::DEFAULT, Mis::new(3), &g);
     let (rep, _) = run_chaos(cfg, Mis::new(3), &g);
     assert!(rep.selectivity_total().compactions > 0, "MIS must still compact under clustering");
     assert!(rep.selectivity_total().edges_tombstoned > 0);
@@ -173,12 +192,12 @@ fn spill_path_under_memory_pressure_is_layout_invariant() {
     cfg.mem_budget = 4 * 1024;
     cfg.pagecache_bytes = 1024;
     cfg.spill_dir = Some(dir.path().to_path_buf());
-    assert_layout_equivalent(cfg, Mcst::new(), &weighted_graph(250, 350, 5));
+    assert_layout_equivalent(cfg, Layout::DEFAULT, Mcst::new(), &weighted_graph(250, 350, 5));
     let mut cfg2 = test_config(2);
     cfg2.mem_budget = 4 * 1024;
     cfg2.pagecache_bytes = 1024;
     cfg2.spill_dir = Some(dir.path().to_path_buf());
-    assert_layout_equivalent(cfg2, Bfs::new(0), &undirected_graph(7));
+    assert_layout_equivalent(cfg2, Layout::DEFAULT, Bfs::new(0), &undirected_graph(7));
 }
 
 #[test]
@@ -192,7 +211,6 @@ fn clustered_windows_are_narrow() {
     let g = undirected_graph(10);
     let mut cfg = test_config(2);
     cfg.chunk_bytes = 4 * 1024;
-    cfg.cluster_bins = 16;
     let (rep, _) = run_chaos(cfg.clone(), Bfs::new(0), &g);
     let h = rep.window_widths;
     let narrow: u64 = h.buckets[..5].iter().sum(); // ≤ 1/8
@@ -201,8 +219,11 @@ fn clustered_windows_are_narrow() {
         "clustered layout should make most windows narrow: {:?}",
         h.buckets
     );
-    cfg.cluster_bins = 1;
-    let (rep_flat, _) = run_chaos(cfg, Bfs::new(0), &g);
+    let unclustered = Layout {
+        cluster_bins: 1,
+        ..Layout::DEFAULT
+    };
+    let (rep_flat, _) = run_with_layout(cfg, Bfs::new(0), &g, unclustered);
     let hf = rep_flat.window_widths;
     assert_eq!(
         hf.buckets[..5].iter().sum::<u64>(),
@@ -220,7 +241,6 @@ fn mid_wavefront_skips_appear_only_with_activity() {
     let g = chaos::graph::builder::path(600).to_undirected();
     let mut cfg = test_config(2);
     cfg.mem_budget = 2 * 1024;
-    cfg.cluster_bins = 16;
     let (rep, _) = run_chaos(cfg, Bfs::new(0), &g);
     assert!(
         rep.selectivity_total().records_skipped_mid > 0,
@@ -262,8 +282,11 @@ fn block_records_cross_states_digest_invariant() {
     for block_records in [0, 512, 64] {
         let mut cfg = test_config(2);
         cfg.mem_budget = 2 * 1024;
-        cfg.block_records = block_records;
-        let (rep, states) = run_chaos(cfg, Bfs::new(0), &g);
+        let layout = Layout {
+            block_records,
+            ..Layout::DEFAULT
+        };
+        let (rep, states) = run_with_layout(cfg, Bfs::new(0), &g, layout);
         digests.push(digest(&states));
         skipped_intra.push(rep.records_skipped_intra());
     }
@@ -288,8 +311,11 @@ fn block_serves_split_chunks_mid_wavefront() {
     let mut cfg = test_config(2);
     cfg.mem_budget = 2 * 1024;
     cfg.chunk_bytes = 4 * 1024;
-    cfg.block_records = 32;
-    let (rep, _) = run_chaos(cfg, Bfs::new(0), &g);
+    let layout = Layout {
+        block_records: 32,
+        ..Layout::DEFAULT
+    };
+    let (rep, _) = run_with_layout(cfg, Bfs::new(0), &g, layout);
     assert!(rep.selectivity_total().blocks_skipped > 0, "block serves must split chunks");
     assert!(rep.records_skipped_intra() > 0);
     for s in &rep.selectivity {

@@ -7,7 +7,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use chaos::gas::{EdgeRef, UpdateRef, CUSTOM_AGGREGATES};
+use chaos::core::Layout;
+use chaos::gas::CUSTOM_AGGREGATES;
 use chaos::graph::VertexId;
 use chaos::prelude::*;
 
@@ -112,10 +113,23 @@ pub fn run_on_heap<P: GasProgram>(
     (report, cluster.final_states())
 }
 
+/// `run_chaos` with a run that can skip laying its edges out in `layout`
+/// instead of `Layout::DEFAULT` (`Cluster::with_layout`).
+pub fn run_with_layout<P: GasProgram>(
+    cfg: ChaosConfig,
+    program: P,
+    g: &InputGraph,
+    layout: Layout,
+) -> (RunReport, Vec<P::VertexState>) {
+    let mut cluster = Cluster::with_layout(cfg, program, g, layout).expect("valid configuration");
+    let report = cluster.run();
+    (report, cluster.final_states())
+}
+
 /// `P` with the paper's dense activity model: the run streams every edge
 /// every iteration and never compacts — the full-stream reference that
-/// selective streaming must agree with in results. Every other method,
-/// chunk kernels included, is `P`'s own.
+/// selective streaming must agree with in results. Every other method is
+/// `P`'s own.
 #[derive(Debug, Clone)]
 pub struct DenseActivity<P>(pub P);
 
@@ -179,27 +193,6 @@ impl<P: GasProgram> GasProgram for DenseActivity<P> {
         self.0.apply(v, state, acc, iter)
     }
 
-    fn scatter_chunk<E: EdgeRef, S: UpdateSink<Self::Update>>(
-        &self,
-        base: VertexId,
-        states: &[Self::VertexState],
-        edges: &[E],
-        iter: u32,
-        out: &mut S,
-    ) {
-        self.0.scatter_chunk(base, states, edges, iter, out)
-    }
-
-    fn gather_chunk<R: UpdateRef<Self::Update>>(
-        &self,
-        base: VertexId,
-        states: &[Self::VertexState],
-        accums: &mut [Self::Accum],
-        updates: &[R],
-    ) {
-        self.0.gather_chunk(base, states, accums, updates)
-    }
-
     fn activity(&self) -> ActivityModel {
         ActivityModel::Dense
     }
@@ -214,16 +207,6 @@ impl<P: GasProgram> GasProgram for DenseActivity<P> {
 
     fn shrinks_now(&self, iter: u32) -> bool {
         self.0.shrinks_now(iter)
-    }
-
-    fn dead_edges<E: EdgeRef>(
-        &self,
-        base: VertexId,
-        states: &[Self::VertexState],
-        edges: &[E],
-        iter: u32,
-    ) -> u64 {
-        self.0.dead_edges(base, states, edges, iter)
     }
 
     fn aggregate(&self, state: &Self::VertexState) -> [f64; CUSTOM_AGGREGATES] {

@@ -1,27 +1,17 @@
-//! Batched-kernel ≡ per-record equivalence: running any workload with a
-//! program's specialized `scatter_chunk`/`gather_chunk` kernels must be
-//! bit-identical to running it through the default per-edge/per-update
-//! loops (`PerRecordKernels<P>` pins the defaults while delegating every
-//! scalar method).
+//! Each program's chunk methods over every record form the engine or the
+//! sequential executor hands them. The chunk methods (`scatter_chunk`,
+//! `gather_chunk`, `dead_edges`) are the trait's loops over the
+//! per-record specification, generic over the edge and update records.
 //!
-//! This is the contract that lets hot programs ship branch-light batched
-//! bodies without owning any semantics: the per-record methods remain the
-//! specification, the chunk kernels a pure optimization. Everything is
-//! compared — final vertex states, simulated completion time, event
-//! counts, device/fabric statistics and the records-streamed counter.
-//!
-//! Each program's one `gather_chunk` body serves both update record forms
-//! — the engine's partition-local `LocalUpdate`s and global `Update`s —
-//! and both must leave the accumulators exactly as the per-record
-//! `gather` fold does. Likewise its one `scatter_chunk` and `dead_edges`
-//! bodies serve both edge record forms — the record the program declares
-//! for the engine (`GasProgram::HeldEdge`) and `Edge`s — with identical
-//! updates and dead counts.
-//!
-//! The declared record is checked against the sequential executor over
-//! `Edge`s on a weighted graph: a program that declares the weightless
-//! `BareEdge` but reads a weight fails here, named, whether it reads it in
-//! a chunk kernel (a panic) or in a per-edge body (a NaN weight).
+//! - The record a program declares for the engine (`GasProgram::HeldEdge`)
+//!   keeps every field it reads: each program runs through the cluster on a
+//!   weighted graph and must compute what the sequential executor computes
+//!   over `Edge`s. A program that declares the weightless `BareEdge` but
+//!   reads a weight fails here, named.
+//! - Scatter and the dead-edge count read the held record and `Edge`s
+//!   alike, and gather folds the engine's partition-local `LocalUpdate`s,
+//!   global `Update`s and the per-record `gather` into bit-identical
+//!   accumulators, in every phase of every program.
 
 mod common;
 
@@ -32,100 +22,6 @@ use chaos::gas::{EdgeRecord, LocalUpdate, Update};
 use chaos::graph::PartitionSpec;
 use chaos::prelude::*;
 use common::{close, test_config, undirected_graph, weighted_graph};
-use proptest::prelude::*;
-
-/// Runs `program` specialized and per-record under the same config and
-/// asserts bit-identical reports and states.
-fn assert_kernels_equivalent<P: GasProgram>(cfg: ChaosConfig, program: P, g: &InputGraph)
-where
-    P::VertexState: PartialEq + std::fmt::Debug,
-{
-    let (rep_fast, states_fast) = run_chaos(cfg.clone(), program.clone(), g);
-    let (rep_ref, states_ref) = run_chaos(cfg, PerRecordKernels(program), g);
-    assert_eq!(states_fast, states_ref, "final vertex states must match");
-    assert_eq!(
-        rep_fast, rep_ref,
-        "whole run report must be bit-identical across kernel paths"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn random_runs_are_kernel_invariant(
-        machines in 1usize..5,
-        pick in 0usize..8,
-        scale in 6u32..8,
-        chunk_kb in 4u64..17,
-        window in 2usize..12,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut cfg = test_config(machines);
-        cfg.chunk_bytes = chunk_kb * 1024;
-        cfg.batch_window = window;
-        cfg.seed = seed;
-        let g_dir = RmatConfig::paper(scale).generate();
-        let g_und = undirected_graph(scale);
-        match pick {
-            0 => assert_kernels_equivalent(cfg, Pagerank::new(3), &g_dir),
-            1 => assert_kernels_equivalent(cfg, Wcc::new(), &g_und),
-            2 => assert_kernels_equivalent(cfg, Bfs::new(0), &g_und),
-            3 => assert_kernels_equivalent(cfg, Spmv::new(2), &g_dir),
-            4 => assert_kernels_equivalent(cfg, Mis::new(seed), &g_und),
-            5 => assert_kernels_equivalent(cfg, BeliefPropagation::new(seed, 3), &g_dir),
-            6 => assert_kernels_equivalent(cfg, Conductance::new(seed), &g_dir),
-            _ => assert_kernels_equivalent(cfg, Sssp::new(0), &weighted_graph(400, 600, seed)),
-        }
-    }
-}
-
-#[test]
-fn scc_backward_sweep_is_kernel_invariant() {
-    // SCC's backward phases stream the destination-keyed edge copy with
-    // `Direction::In`: the batched body reads scatter state from `e.dst`
-    // and emits to `e.src`. FW-BW coloring exercises all four phases
-    // (including the all-inactive BackwardInit and Reset iterations).
-    let g = RmatConfig::paper(7).generate();
-    assert_kernels_equivalent(test_config(3), Scc::new(), &g);
-}
-
-#[test]
-fn mis_rounds_are_kernel_invariant() {
-    // Luby select/notify alternation plus the Shrinking dead-edge scan
-    // (PerRecordKernels pins `dead_edges` to the per-edge loop too, so
-    // compaction decisions must also agree).
-    let g = undirected_graph(7);
-    assert_kernels_equivalent(test_config(3), Mis::new(42), &g);
-}
-
-#[test]
-fn mcst_phase_switching_is_kernel_invariant() {
-    // MCST exercises all four sub-phases (and with them every branch of
-    // its specialized kernels) across many iterations.
-    let g = weighted_graph(300, 450, 11);
-    assert_kernels_equivalent(test_config(3), Mcst::new(), &g);
-}
-
-#[test]
-fn stealing_is_kernel_invariant() {
-    // Aggressive stealing makes stolen partitions stream through the
-    // batched kernels on non-master machines.
-    let mut cfg = test_config(3);
-    cfg.steal_alpha = f64::INFINITY;
-    assert_kernels_equivalent(cfg, Sssp::new(0), &weighted_graph(500, 800, 42));
-}
-
-#[test]
-fn sequential_oracle_is_kernel_invariant() {
-    // The in-memory reference executor routes through the same kernel API;
-    // pin it too.
-    let g = undirected_graph(7);
-    let fast = run_sequential(Wcc::new(), &g, 10_000);
-    let slow = run_sequential(PerRecordKernels(Wcc::new()), &g, 10_000);
-    assert_eq!(fast.states, slow.states);
-    assert_eq!(fast.iterations, slow.iterations);
-}
 
 /// Runs `program` through a three-machine `Cluster` and through the
 /// sequential executor over `g`'s `Edge`s, and asserts the same iteration
@@ -163,35 +59,27 @@ fn assert_cluster_matches_sequential<P: GasProgram>(
     }
 }
 
-/// Every program, with its own kernels and pinned to the per-record ones,
-/// computes on a weighted graph in the cluster what it computes over
-/// `Edge`s — so the record it declares keeps every field it reads.
+/// Every program computes on a weighted graph in the cluster what it
+/// computes over `Edge`s — so the record it declares keeps every field it
+/// reads.
 #[test]
 fn every_program_holds_the_edge_fields_it_reads() {
-    fn run<P: GasProgram>(
-        program: P,
-        g: &InputGraph,
-        same: impl Fn(&P::VertexState, &P::VertexState) -> bool + Copy,
-    ) {
-        assert_cluster_matches_sequential(program.clone(), g, same);
-        assert_cluster_matches_sequential(PerRecordKernels(program), g, same);
-    }
     let near = |a: f64, b: f64| close(a, b, 1e-4);
     let g = weighted_graph(300, 450, 11);
-    run(Bfs::new(0), &g, PartialEq::eq);
-    run(Wcc::new(), &g, PartialEq::eq);
-    run(Mcst::new(), &g, PartialEq::eq);
-    run(Mis::new(42), &g, PartialEq::eq);
-    run(Sssp::new(0), &g, PartialEq::eq);
-    run(Scc::new(), &g, PartialEq::eq);
-    run(Pagerank::new(3), &g, |a, b| {
+    assert_cluster_matches_sequential(Bfs::new(0), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Wcc::new(), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Mcst::new(), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Mis::new(42), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Sssp::new(0), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Scc::new(), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Pagerank::new(3), &g, |a, b| {
         near(a.0.into(), b.0.into()) && a.1 == b.1
     });
-    run(Conductance::new(42), &g, PartialEq::eq);
-    run(Spmv::new(2), &g, |a, b| {
+    assert_cluster_matches_sequential(Conductance::new(42), &g, PartialEq::eq);
+    assert_cluster_matches_sequential(Spmv::new(2), &g, |a, b| {
         near(a.0.into(), b.0.into()) && near(a.1.into(), b.1.into())
     });
-    run(BeliefPropagation::new(42, 3), &g, |a, b| near(*a, *b));
+    assert_cluster_matches_sequential(BeliefPropagation::new(42, 3), &g, |a, b| near(*a, *b));
 }
 
 /// Runs `program` sequentially for up to `iters` iterations. Every

@@ -19,8 +19,9 @@
 
 mod common;
 
+use chaos::core::Layout;
 use chaos::prelude::*;
-use common::{test_config, undirected_graph, weighted_graph, DenseActivity};
+use common::{run_with_layout, test_config, undirected_graph, weighted_graph, DenseActivity};
 use proptest::prelude::*;
 
 /// Pins both oracles for one (config, program, graph) cell.
@@ -149,9 +150,11 @@ fn shrinking_compaction_reports_tombstones() {
     // index instead — pin chunk-granularity serves to exercise the full
     // compaction path.
     let g = undirected_graph(8);
-    let mut cfg = test_config(2);
-    cfg.block_records = 0;
-    let (rep, _) = run_chaos(cfg, Mis::new(3), &g);
+    let chunks_only = Layout {
+        block_records: 0,
+        ..Layout::DEFAULT
+    };
+    let (rep, _) = run_with_layout(test_config(2), Mis::new(3), &g, chunks_only);
     assert!(rep.selectivity_total().compactions > 0, "MIS must compact decided regions");
     assert!(
         rep.selectivity_total().edges_tombstoned > g.num_edges() / 2,
@@ -261,9 +264,9 @@ impl GasProgram for LyingFrontier {
 
 /// One machine, one partition: the upper half of the key range is one
 /// contiguous inactive region.
-fn run_liar(cfg: ChaosConfig) {
+fn run_liar(cfg: ChaosConfig, layout: Layout) {
     let g = chaos::graph::builder::gnm(1024, 8192, false, 17);
-    run_chaos(cfg, LyingFrontier { vertices: g.num_vertices }, &g);
+    run_with_layout(cfg, LyingFrontier { vertices: g.num_vertices }, &g, layout);
 }
 
 #[cfg(debug_assertions)]
@@ -272,9 +275,15 @@ fn run_liar(cfg: ChaosConfig) {
 fn skip_check_catches_a_lie_in_a_skipped_chunk() {
     // 16 bins in 4 KiB chunks: the upper eight bins' chunks hold only
     // inactive sources and are skipped whole (no block indexes).
-    let mut cfg = ChaosConfig::new(1).with_block_records(0);
+    let mut cfg = ChaosConfig::new(1);
     cfg.chunk_bytes = 4 * 1024;
-    run_liar(cfg);
+    run_liar(
+        cfg,
+        Layout {
+            block_records: 0,
+            ..Layout::DEFAULT
+        },
+    );
 }
 
 #[cfg(debug_assertions)]
@@ -283,5 +292,11 @@ fn skip_check_catches_a_lie_in_a_skipped_chunk() {
 fn skip_check_catches_a_lie_in_a_skipped_block_run() {
     // One bin and one chunk holding every edge, key-sorted into 512-record
     // blocks: the chunk is served, and its upper blocks are skipped.
-    run_liar(ChaosConfig::new(1).with_cluster_bins(1));
+    run_liar(
+        ChaosConfig::new(1),
+        Layout {
+            cluster_bins: 1,
+            ..Layout::DEFAULT
+        },
+    );
 }
