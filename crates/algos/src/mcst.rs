@@ -163,8 +163,8 @@ pub struct Mcst {
     /// iteration of a fixpoint sub-phase broadcasts from every eligible
     /// vertex (seeding propagation and the chosen-edge counting);
     /// subsequent iterations broadcast only from the `fresh` wavefront.
-    /// Maintained in `end_iteration`, which every machine replays with
-    /// identical global aggregates, so the value is cluster-consistent.
+    /// Maintained in `end_iteration`, which the coordinator runs once
+    /// and hands to every machine, so the value is cluster-consistent.
     phase_start: u32,
 }
 

@@ -309,7 +309,7 @@ impl<P: GasProgram> Cluster<P> {
             ..Default::default()
         };
         for s in &self.storages {
-            faults.absorb(&s.account);
+            faults.absorb(&s.io.account);
         }
         RunReport {
             runtime: self.sched.now(),
@@ -317,11 +317,11 @@ impl<P: GasProgram> Cluster<P> {
             iterations: self.coordinator.history.len() as u32,
             iteration_aggs: self.coordinator.history.clone(),
             breakdowns: self.computes.iter().map(|c| c.breakdown).collect(),
-            devices: self.storages.iter().map(|s| s.device.stats()).collect(),
+            devices: self.storages.iter().map(|s| s.io.device.stats()).collect(),
             device_busy: self
                 .storages
                 .iter()
-                .map(|s| s.device.busy_time())
+                .map(|s| s.io.device.busy_time())
                 .collect(),
             fabric: self.fabric.stats(),
             steals: self.computes.iter().map(|c| c.steals).sum(),
@@ -351,7 +351,7 @@ impl<P: GasProgram> Cluster<P> {
     /// so the coordinator's validation round refuses to promote it and the
     /// whole snapshot is dropped cluster-wide.
     pub fn inject_pending_tear(&mut self, machine: usize) {
-        self.storages[machine].pending_torn = true;
+        self.storages[machine].ckpt.pending_torn = true;
     }
 
     /// Test hook: runs the event loop on `kind`'s store instead of the

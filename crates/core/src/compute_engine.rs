@@ -268,19 +268,6 @@ pub struct ComputeEngine<P: GasProgram> {
     agg: IterationAggregates,
     barrier_sent: bool,
     arrive_time: Time,
-    /// Highest iteration whose predecessor's `end_iteration` this engine
-    /// has replayed (scatter-release bookkeeping). Not reset on abort: a
-    /// redo release must not replay the transition a second time —
-    /// `end_iteration` may switch program phase state (e.g. MCST's
-    /// min-edge/reduce/contract machine) and is exactly-once per
-    /// iteration.
-    replayed_iters: u32,
-    /// Program states captured before each replayed `end_iteration`,
-    /// labeled by the `replayed_iters` value they were taken at. The
-    /// depth-2 checkpoint fallback rewinds one completed iteration, which
-    /// un-does an `end_iteration` this engine already replayed; two levels
-    /// kept, matching the storage engines' checkpoint chain.
-    prog_snaps: Vec<(u32, P)>,
     getaccums_wait_since: Time,
     /// Per-machine Figure 17 breakdown.
     pub breakdown: Breakdown,
@@ -355,8 +342,6 @@ impl<P: GasProgram> ComputeEngine<P> {
             agg: IterationAggregates::default(),
             barrier_sent: false,
             arrive_time: 0,
-            replayed_iters: 0,
-            prog_snaps: Vec::new(),
             getaccums_wait_since: 0,
             breakdown: Breakdown::default(),
             steals: 0,
@@ -1646,43 +1631,19 @@ impl<P: GasProgram> ComputeEngine<P> {
         );
     }
 
-    fn on_release(
-        &mut self,
-        ctx: &mut Ctx<P>,
-        next: PhaseKind,
-        iter: u32,
-        agg: IterationAggregates,
-        done: bool,
-    ) {
+    /// The coordinator released the barrier: adopt its program — the
+    /// one end-of-iteration decision, rewound by the coordinator alone
+    /// when recovery redoes iterations — and enter `next`.
+    fn on_release(&mut self, ctx: &mut Ctx<P>, next: PhaseKind, iter: u32, program: P, done: bool) {
         self.breakdown.barrier += ctx.now - self.arrive_time;
+        self.program = program;
         if done {
             self.done = true;
             return;
         }
         match next {
             PhaseKind::VertexInit => self.start_vertex_init(ctx),
-            PhaseKind::Scatter => {
-                if iter > 0 && self.replayed_iters < iter {
-                    // Synchronize program phase state with the coordinator's
-                    // end-of-iteration decision (deterministic). Guarded so
-                    // a redo release after an abort does not replay a
-                    // transition this engine already made — end_iteration
-                    // is exactly-once per completed iteration. The state
-                    // about to be mutated is snapshotted first: a depth-2
-                    // checkpoint fallback rewinds exactly one replayed
-                    // transition.
-                    self.prog_snaps.retain(|(i, _)| *i != self.replayed_iters);
-                    self.prog_snaps
-                        .push((self.replayed_iters, self.program.clone()));
-                    if self.prog_snaps.len() > 2 {
-                        self.prog_snaps.remove(0);
-                    }
-                    let _ = self.program.end_iteration(iter - 1, &agg);
-                    self.replayed_iters = iter;
-                }
-                self.start_phase(ctx, PhaseKind::Scatter, iter);
-            }
-            PhaseKind::Gather => self.start_phase(ctx, PhaseKind::Gather, iter),
+            PhaseKind::Scatter | PhaseKind::Gather => self.start_phase(ctx, next, iter),
             PhaseKind::Preprocess => unreachable!("preprocess is never re-entered"),
         }
     }
@@ -1691,19 +1652,9 @@ impl<P: GasProgram> ComputeEngine<P> {
     // Failure recovery
     // ------------------------------------------------------------------
 
-    fn on_abort(&mut self, ctx: &mut Ctx<P>, gen: u32, iter: u32, rewind: bool) {
+    fn on_abort(&mut self, ctx: &mut Ctx<P>, gen: u32, iter: u32) {
         self.gen = gen;
         ctx.gen = gen;
-        if rewind {
-            // Depth-2 checkpoint fallback: iteration `iter` reruns, so the
-            // end_iteration transition this engine replayed on entering
-            // `iter + 1` must be un-done — restore the program state
-            // captured just before that replay.
-            if let Some((_, p)) = self.prog_snaps.iter().find(|(i, _)| *i == iter) {
-                self.program = p.clone();
-            }
-            self.replayed_iters = iter;
-        }
         self.work = None;
         // Partial update output of the aborted phase dies with it (the
         // buffers used to live on the PartWork; now they are pooled on the
@@ -1868,16 +1819,10 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
             Msg::BarrierRelease {
                 next,
                 iter,
-                agg,
+                program,
                 done,
-            } => self.on_release(ctx, next, iter, agg, done),
-            Msg::Abort {
-                gen,
-                iter,
-                commit: _,
-                torn: _,
-                rewind,
-            } => self.on_abort(ctx, gen, iter, rewind),
+            } => self.on_release(ctx, next, iter, program, done),
+            Msg::Abort { gen, iter, .. } => self.on_abort(ctx, gen, iter),
             Msg::DirWriteResp { part, kind, engine } => {
                 let (p, k, msg, bytes) = self
                     .pending_dir_writes

@@ -2,12 +2,13 @@
 //!
 //! Chaos has a global barrier after each scatter and each gather phase
 //! (§4). The coordinator actor collects `BarrierArrive` messages, combines
-//! the per-machine iteration aggregates, consults its own copy of the
-//! program for the end-of-iteration decision (every computation engine
-//! replays the same decision from the broadcast aggregates, so program
-//! phase state stays consistent cluster-wide), resets edge-chunk epochs
-//! between iterations, drives the checkpoint commit round, and runs
-//! transient-failure recovery (§6.6) for the fault plan's crash schedule.
+//! the per-machine iteration aggregates, makes the program's
+//! end-of-iteration decision — once, on its own copy, which every
+//! `BarrierRelease` hands to the computation engines, so program phase
+//! state is kept in one place and only the coordinator rewinds it —
+//! resets edge-chunk epochs between iterations, drives the checkpoint
+//! commit round, and runs transient-failure recovery (§6.6) for the fault
+//! plan's crash schedule.
 //!
 //! # Checkpoint commit
 //!
@@ -103,7 +104,8 @@ pub struct Coordinator<P: GasProgram> {
     /// Program states captured before each `end_iteration`, labeled by
     /// iteration; the depth-2 fallback re-runs a completed iteration, so
     /// its end-decision must replay from the same state. Two levels kept,
-    /// matching the checkpoint chain.
+    /// matching the checkpoint chain. The cluster's only program ring:
+    /// engines take the program from every [`Msg::BarrierRelease`].
     prog_snaps: Vec<(u32, P)>,
     reboot_pending: bool,
     reboot_at: Time,
@@ -178,14 +180,9 @@ impl<P: GasProgram> Coordinator<P> {
         self.abort_acks > 0 || self.reboot_pending
     }
 
+    /// Releases every computation engine into `next`, handing each the
+    /// program as the end-of-iteration decisions so far left it.
     fn release(&mut self, ctx: &mut Ctx<P>, next: PhaseKind, iter: u32, done: bool) {
-        let agg = if next == PhaseKind::Scatter && iter > 0 {
-            // Releasing into the next iteration: ship the completed
-            // iteration's aggregates so engines can replay end_iteration.
-            *self.history.last().expect("completed iteration recorded")
-        } else {
-            IterationAggregates::default()
-        };
         for c in 0..self.machines {
             ctx.send(
                 0,
@@ -193,7 +190,7 @@ impl<P: GasProgram> Coordinator<P> {
                 Msg::BarrierRelease {
                     next,
                     iter,
-                    agg,
+                    program: self.program.clone(),
                     done,
                 },
                 CONTROL_BYTES,
@@ -515,10 +512,11 @@ impl<P: GasProgram> Coordinator<P> {
 
     /// The round-1 restore found a torn committed snapshot: fall back one
     /// level down the checkpoint chain. A second abort round (with
-    /// `rewind`) makes every storage engine shift `committed ← prev` and
-    /// restore from the older snapshot, and every engine — including the
-    /// coordinator itself — rewinds its program state to redo the extra
-    /// iteration this costs.
+    /// `rewind`) makes every storage engine shift `committed ← prev`, put
+    /// back the compactions since the last promote and restore from the
+    /// older snapshot; the coordinator rewinds its program state to redo
+    /// the extra iteration this costs, and the next release hands it to
+    /// every computation engine.
     fn start_fallback_abort(&mut self, ctx: &mut Ctx<P>) {
         self.need_depth2 = false;
         self.torn_machine = None;
@@ -624,10 +622,7 @@ impl<P: GasProgram> Actor for Coordinator<P> {
                         ctx.send(
                             0,
                             Addr::Storage(s),
-                            Msg::CheckpointCommit {
-                                from: usize::MAX,
-                                promote,
-                            },
+                            Msg::CheckpointCommit { promote },
                             CONTROL_BYTES,
                         );
                     }

@@ -68,7 +68,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                     done,
                     Addr::Directory,
                     Msg::StorageRespond {
-                        to: from,
+                        to: Addr::Compute(from),
                         bytes: CONTROL_BYTES,
                         inner: Box::new(Msg::DirWriteResp { part, kind, engine }),
                     },
@@ -94,7 +94,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                     done,
                     Addr::Directory,
                     Msg::StorageRespond {
-                        to: from,
+                        to: Addr::Compute(from),
                         bytes: CONTROL_BYTES,
                         inner: Box::new(Msg::DirReadResp { part, kind, engine }),
                     },
@@ -117,9 +117,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                     total.iter_mut().for_each(|c| *c = 0);
                 }
             }
-            Msg::StorageRespond { to, bytes, inner } => {
-                ctx.send(0, Addr::Compute(to), *inner, bytes);
-            }
+            Msg::StorageRespond { to, bytes, inner } => ctx.send(0, to, *inner, bytes),
             other => panic!("directory got unexpected message {other:?}"),
         }
     }

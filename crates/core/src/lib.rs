@@ -53,6 +53,7 @@ pub mod config;
 pub mod coordinator;
 pub mod directory;
 pub mod fault;
+pub mod integrity;
 pub mod metrics;
 pub mod msg;
 pub mod runtime;

@@ -278,8 +278,6 @@ pub enum Msg<P: GasProgram> {
     /// Phase two: atomically promote the pending checkpoint (shifting the
     /// depth-2 committed chain), or discard it when validation failed.
     CheckpointCommit {
-        /// Committing machine.
-        from: usize,
         /// Promote (`true`) or discard the pending snapshot (`false`).
         promote: bool,
     },
@@ -351,9 +349,9 @@ pub enum Msg<P: GasProgram> {
         next: PhaseKind,
         /// Iteration number of that phase.
         iter: u32,
-        /// Global aggregates of the completed iteration (meaningful when a
-        /// gather phase just ended).
-        agg: IterationAggregates,
+        /// The coordinator's program after every `end_iteration` so far:
+        /// engines adopt it, so program phase state is decided once.
+        program: P,
         /// Whether the computation has converged.
         done: bool,
     },
@@ -377,9 +375,9 @@ pub enum Msg<P: GasProgram> {
         /// fallback round.
         torn: Option<usize>,
         /// Second (fallback) round of the episode: the committed snapshot
-        /// proved corrupt, so every engine shifts one snapshot down the
-        /// committed chain and the compute engines rewind their program
-        /// state to the matching iteration.
+        /// proved corrupt, so every storage engine shifts one snapshot down
+        /// the committed chain and puts back the compactions since the
+        /// last promote (the coordinator rewinds the program state).
         rewind: bool,
     },
     /// Storage finished restoring from checkpoint (or, with `fallback`,
@@ -463,9 +461,8 @@ pub enum Msg<P: GasProgram> {
     /// then routes `inner` over the fabric (keeps fabric calls
     /// time-ordered).
     StorageRespond {
-        /// Destination machine's computation engine (`usize::MAX` routes to
-        /// the coordinator).
-        to: usize,
+        /// Destination actor.
+        to: crate::runtime::Addr,
         /// Wire size of the inner message.
         bytes: u64,
         /// The deferred message.

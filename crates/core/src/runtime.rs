@@ -151,6 +151,9 @@ pub struct RunParams {
     /// Whether storage engines scrub every resident and on-disk frame
     /// between iterations (see [`crate::config::ChaosConfig::scrub`]).
     pub scrub: bool,
+    /// Whether the coordinator runs checkpoint rounds: storage engines
+    /// then keep what each compaction replaced until the next promote.
+    pub checkpoint: bool,
 }
 
 impl RunParams {
@@ -183,6 +186,7 @@ impl RunParams {
             selective,
             block_records: if selective { layout.block_records } else { 0 },
             scrub: cfg.scrub,
+            checkpoint: cfg.checkpoint,
         }
     }
 

@@ -14,20 +14,24 @@
 //! - an exhausted engine says so immediately (metadata-only reply);
 //! - update reads that fit the page cache bypass the device (§7, and the
 //!   Conductance effect of §9.1).
+//!
+//! Every device transfer goes through the framed, fault-tolerant I/O of
+//! [`crate::integrity`], which also holds the depth-2 checkpoint chain;
+//! this module serves, seals and dispatches.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use chaos_gas::{EdgeRef, GasProgram, LocalUpdate, Record};
 use chaos_runtime::Actor;
-use chaos_sim::{rng::mix2, Time, MICROS};
+use chaos_sim::Time;
 use chaos_storage::{
-    seal_chunk, ChunkIndex, ChunkSet, Device, PageCache, SealScratch, VertexArray, FRAME_BYTES,
+    seal_chunk, ChunkIndex, ChunkSet, Device, FileBacking, PageCache, SealScratch, VertexArray,
+    FRAME_BYTES,
 };
 
-use chaos_storage::FileBacking;
-
-use crate::metrics::{FaultAccount, WindowHistogram};
+use crate::integrity::{CheckpointChain, FramedDevice, Repair};
+use crate::metrics::WindowHistogram;
 use crate::msg::{DataKind, EdgeChunk, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
 use crate::runtime::{Addr, Ctx, RunParams};
 
@@ -95,83 +99,15 @@ fn fill_open_chunk<E: Clone>(
 /// queries) and of page-cache hits.
 const METADATA_NS: Time = 2_000;
 
-/// The fault layer's one retry rule, shared by device retries, framed
-/// re-reads and the torn-checkpoint probe: bounded exponential backoff
-/// starting at [`Backoff::BASE`], doubling up to [`Backoff::CAP`]; after
-/// [`Backoff::MAX_ATTEMPTS`] consecutive failures the caller stops probing
-/// and waits out the fault window itself. Fully deterministic — no
-/// randomness — so retry latency is a pure function of the run's inputs.
-#[derive(Default)]
-struct Backoff {
-    /// Probes that have failed so far.
-    failures: u32,
-}
-
-impl Backoff {
-    const BASE: Time = 100 * MICROS;
-    const CAP: Time = 1_600 * MICROS;
-    const MAX_ATTEMPTS: u32 = 6;
-
-    /// A probe failed: the delay before the next probe, or `None` once
-    /// `MAX_ATTEMPTS` probes have failed — stop probing.
-    fn failed(&mut self) -> Option<Time> {
-        self.failures += 1;
-        let doublings = self.failures - 1;
-        (self.failures < Self::MAX_ATTEMPTS).then(|| (Self::BASE << doublings).min(Self::CAP))
-    }
-}
-
-/// One device operation through the transient-fault retry discipline, as a
-/// free function so the boundary behavior is unit-testable in isolation: a
-/// [`chaos_storage::DeviceError`] is absorbed by retrying on the
-/// [`Backoff`] ladder; once it gives up, the caller jumps to the fault
-/// window's reported close. Returns `(completion, retries, waited)` where
-/// `waited` is the simulated time lost before the successful dispatch.
-pub(crate) fn retry_device_io(
-    device: &mut Device,
-    now: Time,
-    bytes: u64,
-    write: bool,
-) -> (Time, u64, Time) {
-    let mut at = now;
-    let mut backoff = Backoff::default();
-    loop {
-        let res = if write {
-            device.try_write(at, bytes)
-        } else {
-            device.try_read(at, bytes)
-        };
-        match res {
-            Ok(done) => return (done, u64::from(backoff.failures), at - now),
-            // Out of probes: the device told us when the fault window
-            // closes; resume right there.
-            Err(e) => at = backoff.failed().map_or(at.max(e.until), |delay| at + delay),
-        }
-    }
-}
-
-/// What the detect–repair ladder does once a corruption episode proves
-/// persistent (every bounded-backoff re-read inside the window failed its
-/// frame check).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Repair {
-    /// Wait the corrupting window out and re-read: the stored bytes are
-    /// intact (the corruption hit the wire), nothing durable to fix.
-    Reread,
-    /// Additionally rewrite the extent from its verified source — vertex
-    /// chunks and checkpoint frames are re-sealed so later reads start
-    /// from a freshly framed copy. Charged as one extra read + write.
-    Rewrite,
-}
-
 /// The storage engine of one machine.
 pub struct StorageEngine<P: GasProgram> {
     machine: usize,
     params: Arc<RunParams>,
     /// Protocol generation for failure recovery.
     pub gen: u32,
-    /// Device queue model.
-    pub device: Device,
+    /// The device behind its checksum frames, with this engine's share of
+    /// the run's fault and integrity account.
+    pub io: FramedDevice,
     cache: PageCache,
     /// This machine's spill directory, `spill_dir/machine-<i>/`, when the
     /// chunk sets live in files.
@@ -201,30 +137,8 @@ pub struct StorageEngine<P: GasProgram> {
     seal_scratch: SealScratch,
     updates: Vec<ChunkSet<LocalUpdate<P::Update>>>,
     vertices: Vec<VertexArray<P::VertexState>>,
-    ckpt_pending: Vec<VertexArray<P::VertexState>>,
-    ckpt_committed: Vec<VertexArray<P::VertexState>>,
-    /// One snapshot below `ckpt_committed` on the depth-2 chain: the
-    /// snapshot that was committed before the current one. Recovery falls
-    /// back here when the committed copy fails its frame check (a torn
-    /// checkpoint write surfacing during restore).
-    ckpt_prev: Vec<VertexArray<P::VertexState>>,
-    /// A committed chunk whose frame check fails persistently (torn by a
-    /// crash mid-write); detected during restore, cleared by the fallback
-    /// round.
-    torn_chunk: Option<(usize, u32)>,
-    /// Monotone framed-read counter: the deterministic "offset" identity
-    /// the corruption oracle hashes, advanced identically on every run
-    /// because per-engine message order is deterministic.
-    read_seq: u64,
-    /// Fault-injection hook for the validation round: marks the pending
-    /// snapshot torn so the next [`Msg::CheckpointValidate`] reports a
-    /// failed frame check and the coordinator drops the snapshot instead
-    /// of promoting it.
-    pub pending_torn: bool,
-    /// This engine's share of the run's fault and integrity account; the
-    /// cluster report absorbs every engine's. The coordinator-side fields
-    /// (aborts, redone iterations) stay zero here.
-    pub account: FaultAccount,
+    /// The depth-2 checkpoint chain.
+    pub(crate) ckpt: CheckpointChain<P::VertexState, P::HeldEdge>,
 }
 
 impl<P: GasProgram> StorageEngine<P> {
@@ -255,7 +169,7 @@ impl<P: GasProgram> StorageEngine<P> {
         Ok(Self {
             machine,
             gen: 0,
-            device,
+            io: FramedDevice::new(device),
             cache: PageCache::new(pagecache_bytes),
             input: chunk_set(d, "input", 0, params.edge_bytes)?,
             #[cfg(test)]
@@ -276,19 +190,7 @@ impl<P: GasProgram> StorageEngine<P> {
             vertices: (0..parts)
                 .map(|_| VertexArray::new(params.vstate_bytes))
                 .collect(),
-            ckpt_pending: (0..parts)
-                .map(|_| VertexArray::new(params.vstate_bytes))
-                .collect(),
-            ckpt_committed: (0..parts)
-                .map(|_| VertexArray::new(params.vstate_bytes))
-                .collect(),
-            ckpt_prev: (0..parts)
-                .map(|_| VertexArray::new(params.vstate_bytes))
-                .collect(),
-            torn_chunk: None,
-            read_seq: 0,
-            pending_torn: false,
-            account: FaultAccount::default(),
+            ckpt: CheckpointChain::new(parts, params.vstate_bytes, params.checkpoint),
             dir,
             params,
         })
@@ -328,29 +230,7 @@ impl<P: GasProgram> StorageEngine<P> {
         part: usize,
         chunk_no: u32,
     ) -> Option<Arc<Vec<P::VertexState>>> {
-        self.ckpt_committed[part].get(chunk_no)
-    }
-
-    /// Read access to the previous committed checkpoint on the depth-2
-    /// chain (tests / recovery).
-    pub fn checkpoint_prev_chunk(
-        &self,
-        part: usize,
-        chunk_no: u32,
-    ) -> Option<Arc<Vec<P::VertexState>>> {
-        self.ckpt_prev[part].get(chunk_no)
-    }
-
-    /// First chunk of the committed checkpoint in (partition, chunk)
-    /// order — the probe target when a torn checkpoint write surfaces
-    /// during restore.
-    fn first_committed_chunk(&self) -> Option<(usize, u32)> {
-        for part in 0..self.ckpt_committed.len() {
-            if let Some(no) = self.ckpt_committed[part].chunk_nos().next() {
-                return Some((part, no));
-            }
-        }
-        None
+        self.ckpt.committed_chunk(part, chunk_no)
     }
 
     /// Folds this engine's edge-chunk window widths (forward and reverse
@@ -398,16 +278,8 @@ impl<P: GasProgram> StorageEngine<P> {
         } else {
             self.seal_edge_chunk(part, reverse, entry, data);
         }
-        let done = self.framed_write(now, bytes);
-        self.respond_at(
-            ctx,
-            done,
-            from,
-            Msg::WriteAck {
-                kind: WriteKind::Edges,
-            },
-            CONTROL_BYTES,
-        );
+        let done = self.io.framed_write(now, bytes);
+        self.ack(ctx, done, from, WriteKind::Edges);
     }
 
     /// Seals one edge chunk into its set — appended, or replacing `entry`
@@ -435,7 +307,9 @@ impl<P: GasProgram> StorageEngine<P> {
         let index = Some(sealed.index);
         let stored = match entry {
             None => set.append_with_blocks(payload, index, sealed.blocks).map(drop),
-            Some(e) => set.replace_with_blocks(e, payload, index, sealed.blocks).map(drop),
+            Some(e) => set
+                .replace_with_blocks(e, payload, index, sealed.blocks)
+                .map(|old| self.ckpt.compacted(part, reverse, old)),
         };
         chunk_io(stored, edge_set_name(reverse), part);
         sealed.index
@@ -535,149 +409,9 @@ impl<P: GasProgram> StorageEngine<P> {
         }
     }
 
-    /// Serves one device operation through the fault layer. A transient
-    /// device fault ([`chaos_storage::DeviceError`]) is absorbed by
-    /// retrying on the [`Backoff`] ladder; once it gives up, the engine
-    /// waits out the fault window reported by the device. The backoff
-    /// delay is charged as storage latency (the request completes later),
-    /// counted in `device_retries` / `faulted_time`. With no fault window
-    /// covering `now` this is arithmetically identical to a plain
-    /// `Device::read`/`Device::write`.
-    fn device_io(&mut self, now: Time, bytes: u64, write: bool) -> Time {
-        let (done, retries, waited) = retry_device_io(&mut self.device, now, bytes, write);
-        self.account.device_retries += retries;
-        self.account.faulted_time += waited;
-        done
-    }
-
-    /// A device read with transient-fault retry (see [`Self::device_io`]).
-    fn device_read(&mut self, now: Time, bytes: u64) -> Time {
-        self.device_io(now, bytes, false)
-    }
-
-    /// A device write with transient-fault retry (see [`Self::device_io`]).
-    fn device_write(&mut self, now: Time, bytes: u64) -> Time {
-        self.device_io(now, bytes, true)
-    }
-
-    /// A framed device write: the payload travels with its
-    /// [`FRAME_BYTES`]-wide checksum frame, charged to the device and to
-    /// the `checksum_bytes` account so integrity overhead is measurable.
-    fn framed_write(&mut self, now: Time, bytes: u64) -> Time {
-        self.account.checksum_bytes += FRAME_BYTES;
-        self.device_write(now, bytes + FRAME_BYTES)
-    }
-
-    /// A framed device read through the detect–repair ladder.
-    ///
-    /// The read transfers `bytes + FRAME_BYTES` and then evaluates its
-    /// frame check at the completion instant against the device's
-    /// corruption oracle — a pure function of `(window salt, completion
-    /// time, read sequence)`, so the same reads corrupt on every run.
-    /// On a mismatch the engine re-reads on the [`Backoff`] ladder
-    /// (transient corruption usually clears: the stored bytes are fine,
-    /// the wire flipped a bit); if every probe inside the window fails, it
-    /// escalates per `repair`: wait the window out, re-read clean, and —
-    /// for vertex/checkpoint extents — rewrite the extent from its
-    /// verified committed copy.
-    fn framed_read_frames(&mut self, now: Time, bytes: u64, frames: u64, repair: Repair) -> Time {
-        let total = bytes + frames * FRAME_BYTES;
-        self.read_seq += 1;
-        let key = mix2(self.read_seq, bytes);
-        let mut start = now;
-        let mut backoff = Backoff::default();
-        loop {
-            // Every read, first or re-read, moves the frame bytes.
-            self.account.checksum_bytes += frames * FRAME_BYTES;
-            let done = self.device_io(start, total, false);
-            let Some(window_end) = self.device.corrupt_read(done, key) else {
-                // A clean read after at least one failed frame check is a
-                // repaired episode (the backoff re-read did its job).
-                if backoff.failures > 0 {
-                    self.account.corruption_repaired += 1;
-                }
-                return done;
-            };
-            self.account.corruption_detected += 1;
-            if let Some(delay) = backoff.failed() {
-                self.account.faulted_time += delay;
-                start = done + delay;
-                continue;
-            }
-            // Persistent inside this window: stop probing, resume at the
-            // window's close, and re-read clean.
-            let mut resume = done.max(window_end);
-            loop {
-                self.account.faulted_time += resume - done;
-                self.account.checksum_bytes += frames * FRAME_BYTES;
-                let fin = self.device_io(resume, total, false);
-                match self.device.corrupt_read(fin, key) {
-                    Some(until) => {
-                        // Another window covers the re-read; hop again.
-                        self.account.corruption_detected += 1;
-                        resume = fin.max(until);
-                    }
-                    None => {
-                        self.account.corruption_repaired += 1;
-                        return match repair {
-                            Repair::Reread => fin,
-                            Repair::Rewrite => {
-                                // Re-seal the extent from the verified
-                                // copy: one read of the source plus one
-                                // framed write of the extent.
-                                let r = self.device_io(fin, total, false);
-                                self.account.checksum_bytes += FRAME_BYTES;
-                                self.device_io(r, total, true)
-                            }
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    /// A framed single-chunk read (see [`Self::framed_read_frames`]).
-    fn framed_read(&mut self, now: Time, bytes: u64, repair: Repair) -> Time {
-        self.framed_read_frames(now, bytes, 1, repair)
-    }
-
-    /// Promotes the pending checkpoint snapshot to committed, shifting the
-    /// depth-2 chain: the outgoing committed snapshot becomes the fallback
-    /// (`ckpt_prev`) and is only dropped when the *next* promote pushes it
-    /// off the end (phase two of §6.6, extended for torn-write recovery).
-    fn promote_checkpoint(&mut self) {
-        for part in 0..self.ckpt_pending.len() {
-            if self.ckpt_pending[part].is_empty() {
-                // Nothing pending for this partition (e.g. a crash-driven
-                // re-promote after the snapshot already moved): keep the
-                // chain as is.
-                continue;
-            }
-            let pending = std::mem::replace(
-                &mut self.ckpt_pending[part],
-                VertexArray::new(self.params.vstate_bytes),
-            );
-            self.ckpt_prev[part] = std::mem::replace(
-                &mut self.ckpt_committed[part],
-                VertexArray::new(self.params.vstate_bytes),
-            );
-            for no in pending.chunk_nos() {
-                let c = pending.get(no).expect("iterated chunk exists");
-                self.ckpt_committed[part].put(no, c);
-            }
-        }
-    }
-
     /// Defers `msg` until the device completes at `at`, then sends it to
-    /// the computation engine of machine `to` with the given wire size.
-    fn respond_at(
-        &self,
-        ctx: &mut Ctx<P>,
-        at: Time,
-        to: usize,
-        msg: Msg<P>,
-        bytes: u64,
-    ) {
+    /// `to` with the given wire size.
+    fn respond_at(&self, ctx: &mut Ctx<P>, at: Time, to: Addr, msg: Msg<P>, bytes: u64) {
         ctx.at(
             at,
             Addr::Storage(self.machine),
@@ -694,7 +428,19 @@ impl<P: GasProgram> StorageEngine<P> {
     /// was left — after a metadata-only lookup, with the exhausted notice.
     fn respond_chunk(&self, ctx: &mut Ctx<P>, to: usize, read: Option<(Time, u64)>, msg: Msg<P>) {
         let (at, bytes) = read.unwrap_or((ctx.now + METADATA_NS, 0));
-        self.respond_at(ctx, at, to, msg, bytes + CONTROL_BYTES);
+        self.respond_at(ctx, at, Addr::Compute(to), msg, bytes + CONTROL_BYTES);
+    }
+
+    /// Sends a control message to the coordinator once the device
+    /// completes at `at`.
+    fn respond_coordinator(&self, ctx: &mut Ctx<P>, at: Time, msg: Msg<P>) {
+        self.respond_at(ctx, at, Addr::Coordinator, msg, CONTROL_BYTES);
+    }
+
+    /// Acks a write of machine `to` once the device completes it at `at`.
+    fn ack(&self, ctx: &mut Ctx<P>, at: Time, to: usize, kind: WriteKind) {
+        let msg = Msg::WriteAck { kind };
+        self.respond_at(ctx, at, Addr::Compute(to), msg, CONTROL_BYTES);
     }
 }
 
@@ -716,7 +462,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 let data = chunk_io(self.input.take_next(), "input", 0);
                 let read = data.as_ref().map(|d| {
                     let bytes = d.len() as u64 * self.params.edge_bytes;
-                    (self.framed_read(now, bytes, Repair::Reread), bytes)
+                    (self.io.framed_read(now, bytes, Repair::Reread), bytes)
                 });
                 let resp = Msg::InputChunkResp { source: me, data };
                 self.respond_chunk(ctx, from, read, resp);
@@ -756,7 +502,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 };
                 let read = outcome.served.as_ref().map(|served| {
                     let bytes = served.data.len() as u64 * self.params.edge_bytes;
-                    (self.framed_read(now, bytes, Repair::Reread), bytes)
+                    (self.io.framed_read(now, bytes, Repair::Reread), bytes)
                 });
                 let (entry, data) = outcome.served.map_or((0, None), |s| (s.entry, Some(s.data)));
                 let resp = Msg::EdgeChunkResp {
@@ -776,9 +522,9 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         // Cache hits are a memory path: device faults
                         // cannot touch them, and the frame was verified
                         // when the page entered the cache.
-                        self.device.cache_read(now, bytes) + METADATA_NS
+                        self.io.device.cache_read(now, bytes) + METADATA_NS
                     } else {
-                        self.framed_read(now, bytes, Repair::Reread)
+                        self.io.framed_read(now, bytes, Repair::Reread)
                     };
                     (done, bytes)
                 });
@@ -800,11 +546,11 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 let bytes = data.len() as u64 * self.params.vstate_bytes;
                 // Vertex chunks have a durable verified source (the vertex
                 // array itself): a persistent mismatch re-seals the extent.
-                let done = self.framed_read(now, bytes, Repair::Rewrite);
+                let done = self.io.framed_read(now, bytes, Repair::Rewrite);
                 self.respond_at(
                     ctx,
                     done,
-                    from,
+                    Addr::Compute(from),
                     Msg::VertexChunkResp {
                         part,
                         chunk_no,
@@ -826,7 +572,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 self.respond_at(
                     ctx,
                     now + METADATA_NS,
-                    from,
+                    Addr::Compute(from),
                     Msg::RemainingResp { part, bytes },
                     CONTROL_BYTES,
                 );
@@ -845,16 +591,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     bytes += w.data.len() as u64 * self.params.edge_bytes;
                     self.merge_edge_write(w.part, w.reverse, w.data);
                 }
-                let done = self.framed_write(now, bytes);
-                self.respond_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::WriteAck {
-                        kind: WriteKind::Edges,
-                    },
-                    CONTROL_BYTES,
-                );
+                let done = self.io.framed_write(now, bytes);
+                self.ack(ctx, done, from, WriteKind::Edges);
             }
             Msg::ReplaceEdgeChunk {
                 part,
@@ -867,16 +605,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 let bytes = data.len() as u64 * self.params.update_bytes;
                 chunk_io(self.updates[part].append(data), "updates", part);
                 self.cache.insert(bytes);
-                let done = self.framed_write(now, bytes);
-                self.respond_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::WriteAck {
-                        kind: WriteKind::Updates,
-                    },
-                    CONTROL_BYTES,
-                );
+                let done = self.io.framed_write(now, bytes);
+                self.ack(ctx, done, from, WriteKind::Updates);
             }
             Msg::WriteVertexChunk {
                 part,
@@ -885,16 +615,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 from,
             } => {
                 let bytes = self.vertices[part].put(chunk_no, data);
-                let done = self.framed_write(now, bytes);
-                self.respond_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::WriteAck {
-                        kind: WriteKind::Vertices,
-                    },
-                    CONTROL_BYTES,
-                );
+                let done = self.io.framed_write(now, bytes);
+                self.ack(ctx, done, from, WriteKind::Vertices);
             }
             Msg::DeleteUpdates { part } => {
                 let bytes = self.updates[part].stats().bytes;
@@ -930,15 +652,13 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         frames += s.chunks;
                         bytes += s.bytes;
                     }
-                    for arrs in [&self.vertices, &self.ckpt_committed, &self.ckpt_prev] {
-                        for va in arrs.iter() {
-                            frames += va.len() as u64;
-                            bytes += va.total_bytes();
-                        }
+                    for va in self.vertices.iter().chain(self.ckpt.committed_levels()) {
+                        frames += va.len() as u64;
+                        bytes += va.total_bytes();
                     }
-                    self.account.frames_scrubbed += frames;
-                    let done = self.framed_read_frames(now, bytes, frames, Repair::Reread);
-                    self.respond_at(ctx, done, usize::MAX, Msg::EpochResetAck, CONTROL_BYTES);
+                    self.io.account.frames_scrubbed += frames;
+                    let done = self.io.framed_read_frames(now, bytes, frames, Repair::Reread);
+                    self.respond_coordinator(ctx, done, Msg::EpochResetAck);
                 } else {
                     ctx.send(me, Addr::Coordinator, Msg::EpochResetAck, CONTROL_BYTES);
                 }
@@ -954,68 +674,41 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     .get(chunk_no)
                     .expect("checkpointing a chunk that exists");
                 let bytes = data.len() as u64 * self.params.vstate_bytes;
-                self.ckpt_pending[part].put(chunk_no, data);
+                self.ckpt.copy(part, chunk_no, data);
                 // The live chunk was just written by the master's apply and
                 // is still in the cache; the checkpoint copy costs one
                 // framed device write.
-                let done = self.framed_write(now, bytes);
-                self.account.checkpoint_bytes += bytes;
-                self.account.checkpoint_time += done - now;
-                self.respond_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::WriteAck {
-                        kind: WriteKind::Checkpoint,
-                    },
-                    CONTROL_BYTES,
-                );
+                let done = self.io.framed_write(now, bytes);
+                self.io.account.checkpoint_bytes += bytes;
+                self.io.account.checkpoint_time += done - now;
+                self.ack(ctx, done, from, WriteKind::Checkpoint);
             }
             Msg::CheckpointValidate => {
                 // Validation round between copy and promote: re-read the
                 // frame of every pending checkpoint chunk and verify it, so
                 // the coordinator only promotes snapshots whose on-device
-                // framing is sound on every machine.
-                let frames: u64 = self.ckpt_pending.iter().map(|p| p.len() as u64).sum();
-                // The copies were written moments ago and their frames are
-                // still cache-resident, so verification is a memory-path
-                // pass (a torn write is visible there too: the frame simply
-                // does not match the payload).
-                self.account.checksum_bytes += frames * FRAME_BYTES;
-                let done = self.device.cache_read(now, frames * FRAME_BYTES) + METADATA_NS;
-                let ok = !self.pending_torn;
-                self.respond_at(
-                    ctx,
-                    done,
-                    usize::MAX,
-                    Msg::CheckpointValidateAck { ok },
-                    CONTROL_BYTES,
-                );
+                // framing is sound on every machine. The copies were
+                // written moments ago and their frames are still
+                // cache-resident, so verification is a memory-path pass (a
+                // torn write is visible there too: the frame simply does
+                // not match the payload).
+                let frame_bytes = self.ckpt.pending_frames() * FRAME_BYTES;
+                self.io.account.checksum_bytes += frame_bytes;
+                let done = self.io.device.cache_read(now, frame_bytes) + METADATA_NS;
+                let ok = !self.ckpt.pending_torn;
+                self.respond_coordinator(ctx, done, Msg::CheckpointValidateAck { ok });
             }
-            Msg::CheckpointCommit { from, promote } => {
+            Msg::CheckpointCommit { promote } => {
+                // Phase two of the 2-phase protocol (§6.6): promote the
+                // pending copies — or, when validation failed on some
+                // machine, drop them; the committed chain stands and the
+                // next checkpoint round starts from scratch.
                 if promote {
-                    // Phase two of the 2-phase protocol: promote pending
-                    // copies, shifting the previous checkpoint one level
-                    // down the chain only now (§6.6).
-                    self.promote_checkpoint();
+                    self.ckpt.promote();
                 } else {
-                    // Validation failed on some machine: the snapshot is
-                    // not globally sound. Drop every pending copy; the
-                    // committed chain is untouched and the next checkpoint
-                    // round starts from scratch.
-                    self.pending_torn = false;
-                    self.account.snapshots_dropped += 1;
-                    for part in 0..self.ckpt_pending.len() {
-                        self.ckpt_pending[part] = VertexArray::new(self.params.vstate_bytes);
-                    }
+                    self.ckpt.drop_refused(&mut self.io.account);
                 }
-                self.respond_at(
-                    ctx,
-                    now + METADATA_NS,
-                    from,
-                    Msg::CheckpointCommitAck,
-                    CONTROL_BYTES,
-                );
+                self.respond_coordinator(ctx, now + METADATA_NS, Msg::CheckpointCommitAck);
             }
 
             // --------------------------------------------------- recovery
@@ -1030,31 +723,17 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 ctx.gen = gen;
                 if rewind {
                     // Depth-2 fallback round: the committed snapshot proved
-                    // torn during the first restore attempt, so drop one
-                    // level down the checkpoint chain — the previously
-                    // committed snapshot becomes the restore source.
-                    for part in 0..self.ckpt_committed.len() {
-                        self.ckpt_committed[part] = std::mem::replace(
-                            &mut self.ckpt_prev[part],
-                            VertexArray::new(self.params.vstate_bytes),
-                        );
-                    }
-                    if self.torn_chunk.take().is_some() {
-                        self.account.corruption_repaired += 1;
-                    }
+                    // torn during the first restore attempt, so restore one
+                    // level down the chain.
+                    self.ckpt.rewind(&mut self.io.account, &mut self.edges, &mut self.redges);
                 } else if commit {
                     // The crash hit after every machine finished its copy
                     // phase but before the commit round completed: the
                     // pending snapshot is globally consistent, so finish
                     // the commit now and recover from it.
-                    self.promote_checkpoint();
+                    self.ckpt.promote();
                 } else {
-                    // Discard any half-taken snapshot — recovery rolls
-                    // back to the last *committed* checkpoint, and the
-                    // next copy phase starts from scratch.
-                    for part in 0..self.ckpt_pending.len() {
-                        self.ckpt_pending[part] = VertexArray::new(self.params.vstate_bytes);
-                    }
+                    self.ckpt.discard_pending();
                 }
                 // Drop this iteration's partial update sets; rewind edge
                 // cursors.
@@ -1065,82 +744,20 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     self.edges[part].reset_epoch();
                     self.redges[part].reset_epoch();
                 }
-                if torn == Some(me) {
-                    if let Some((part, no)) = self.first_committed_chunk() {
-                        // The crash tore this machine's checkpoint write:
-                        // the first committed chunk fails its frame check on
-                        // every bounded-backoff re-read. Probing is charged
-                        // like the detect–repair ladder — the transfer plus
-                        // backoff per attempt — and then the engine
-                        // escalates instead of restoring from damaged data.
-                        self.torn_chunk = Some((part, no));
-                        let bytes =
-                            self.ckpt_committed[part].chunk_bytes(no) + FRAME_BYTES;
-                        let mut start = now;
-                        let mut backoff = Backoff::default();
-                        let done = loop {
-                            // Every probe moves the frame bytes.
-                            self.account.checksum_bytes += FRAME_BYTES;
-                            let done = self.device_read(start, bytes);
-                            self.account.corruption_detected += 1;
-                            let Some(delay) = backoff.failed() else {
-                                break done;
-                            };
-                            self.account.faulted_time += delay;
-                            start = done + delay;
-                        };
-                        ctx.at(
-                            done,
-                            Addr::Storage(me),
-                            Msg::StorageRespond {
-                                to: usize::MAX, // routed to the coordinator
-                                bytes: CONTROL_BYTES,
-                                inner: Box::new(Msg::AbortAck { fallback: true }),
-                            },
-                        );
-                        return;
-                    }
-                }
-                // Restore vertex chunks from the committed checkpoint.
-                let mut restored_bytes = 0;
-                let mut restored_frames = 0u64;
-                for part in 0..self.vertices.len() {
-                    let nos: Vec<u32> = self.ckpt_committed[part].chunk_nos().collect();
-                    for no in nos {
-                        let c = self.ckpt_committed[part].get(no).expect("iterated chunk");
-                        restored_bytes += c.len() as u64 * self.params.vstate_bytes;
-                        restored_frames += 1;
-                        self.vertices[part].put(no, c);
-                    }
-                }
-                // Restoration I/O: framed read of the checkpoint (every
-                // chunk re-verifies its frame), framed write of the live
-                // copies — through the fault layer, so a device fault
-                // during recovery only delays the AbortAck.
-                self.framed_read_frames(now, restored_bytes, restored_frames, Repair::Reread);
-                self.account.checksum_bytes += restored_frames * FRAME_BYTES;
-                let done =
-                    self.device_write(now, restored_bytes + restored_frames * FRAME_BYTES);
-                ctx.at(
-                    done,
-                    Addr::Storage(me),
-                    Msg::StorageRespond {
-                        to: usize::MAX, // routed to the coordinator below
-                        bytes: CONTROL_BYTES,
-                        inner: Box::new(Msg::AbortAck { fallback: false }),
-                    },
-                );
+                // A torn checkpoint write on this machine makes the
+                // coordinator fall back instead of restoring.
+                let probe = (torn == Some(me))
+                    .then(|| self.ckpt.torn_probe(&mut self.io, now))
+                    .flatten();
+                let (done, fallback) = match probe {
+                    Some(done) => (done, true),
+                    None => (self.ckpt.restore(&mut self.io, now, &mut self.vertices), false),
+                };
+                self.respond_coordinator(ctx, done, Msg::AbortAck { fallback });
             }
 
             // --------------------------------------------- deferred sends
-            Msg::StorageRespond { to, bytes, inner } => {
-                let dst = if to == usize::MAX {
-                    Addr::Coordinator
-                } else {
-                    Addr::Compute(to)
-                };
-                ctx.send(me, dst, *inner, bytes);
-            }
+            Msg::StorageRespond { to, bytes, inner } => ctx.send(me, to, *inner, bytes),
 
             other => panic!("storage engine got unexpected message {other:?}"),
         }
@@ -1153,77 +770,18 @@ mod tests {
     use chaos_algos::bfs::Bfs;
     use chaos_gas::{BareEdge, EdgeRecord};
     use chaos_graph::{Edge, PartitionSpec};
-    use chaos_storage::{BlockIndex, DeviceProfile, FaultWindow};
+    use chaos_storage::{BlockIndex, DeviceProfile};
 
     use crate::alloc_count::thread_allocations;
     use crate::config::ChaosConfig;
     use crate::msg::EdgeWrite;
     use crate::runtime::Layout;
 
-    fn faulted_device(until: Time) -> Device {
-        let mut d = Device::new(DeviceProfile::ssd());
-        d.set_faults(vec![FaultWindow {
-            from: 0,
-            until,
-            reads: true,
-            writes: true,
-        }]);
-        d
-    }
-
     #[test]
     #[should_panic(expected = "updates chunk set of partition 3: checksum mismatch")]
     fn chunk_set_failures_name_structure_partition_and_error() {
         let bad = std::io::Error::new(std::io::ErrorKind::InvalidData, "checksum mismatch");
         chunk_io::<()>(Err(bad), "updates", 3);
-    }
-
-    /// The one ladder: 100, 200, 400, 800 and 1600 µs before the second
-    /// to sixth probes, then stop — and stay stopped.
-    #[test]
-    fn backoff_doubles_to_the_cap_then_gives_up() {
-        let mut b = Backoff::default();
-        let delays: Vec<Time> = std::iter::from_fn(|| b.failed()).collect();
-        assert_eq!(delays, [100, 200, 400, 800, 1600].map(|us| us * MICROS));
-        assert_eq!(b.failed(), None);
-    }
-
-    /// From `now = 0` the probe times are 0, 100 µs, 300 µs, 700 µs,
-    /// 1500 µs and 3100 µs (base 100 µs doubling, capped at 1600 µs). A
-    /// window closing *exactly* at the sixth probe lets it succeed with
-    /// five retries and no jump.
-    #[test]
-    fn retry_succeeds_when_window_closes_at_the_sixth_probe() {
-        let mut d = faulted_device(3_100 * MICROS);
-        let (done, retries, waited) = retry_device_io(&mut d, 0, 1024, false);
-        assert_eq!(retries, 5, "five failed probes, sixth lands healthy");
-        assert_eq!(waited, 3_100 * MICROS);
-        assert!(done > 3_100 * MICROS, "the read itself still takes time");
-        assert_eq!(d.stats().reads, 1, "faulted probes never occupy the device");
-    }
-
-    /// One tick later and the sixth probe still faults: the engine stops
-    /// probing, jumps to the window close the device reported, and the
-    /// seventh dispatch succeeds — six retries total.
-    #[test]
-    fn retry_jumps_to_window_end_when_sixth_probe_still_faults() {
-        let until = 3_100 * MICROS + 1;
-        let mut d = faulted_device(until);
-        let (done, retries, waited) = retry_device_io(&mut d, 0, 1024, false);
-        assert_eq!(retries, 6, "sixth probe fails, then the jump succeeds");
-        assert_eq!(waited, until, "resumes exactly at the reported close");
-        assert!(done > until);
-        assert_eq!(d.stats().reads, 1);
-    }
-
-    /// Writes share the same discipline and accounting.
-    #[test]
-    fn retry_discipline_applies_to_writes() {
-        let mut d = faulted_device(250 * MICROS);
-        let (_, retries, waited) = retry_device_io(&mut d, 0, 1024, true);
-        assert_eq!(retries, 2, "fails at 0 and 100 µs, succeeds at 300 µs");
-        assert_eq!(waited, 300 * MICROS);
-        assert_eq!(d.stats().writes, 1);
     }
 
     /// Partition 0 (keys 0..128) in four 32-key bins, 64-edge chunks in

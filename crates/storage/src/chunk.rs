@@ -410,6 +410,15 @@ struct Entry<T> {
     blocks: Option<BlockIndex>,
 }
 
+/// An entry [`ChunkSet::replace_with_blocks`] took out of its set, for
+/// [`ChunkSet::put_back`]. On the file backend it names an extent of the
+/// log-structured backing file, which no later write overwrites.
+#[derive(Debug)]
+pub struct Replaced<T> {
+    entry: u32,
+    old: Entry<T>,
+}
+
 /// One chunk handed out by [`ChunkSet::serve_next_selective`].
 #[derive(Debug)]
 pub struct ServedChunk<T> {
@@ -596,12 +605,16 @@ impl<T: Record> ChunkSet<T> {
         records: Arc<Vec<T>>,
         index: Option<ChunkIndex>,
     ) -> std::io::Result<(u64, u64)> {
-        self.replace_with_blocks(entry, records, index, None)
+        let new_bytes = records.len() as u64 * self.record_bytes;
+        let replaced = self.replace_with_blocks(entry, records, index, None)?;
+        Ok((replaced.old.records * self.record_bytes, new_bytes))
     }
 
     /// [`ChunkSet::replace`] carrying a rebuilt block index for the
     /// compacted payload (compaction preserves record order, so survivors
     /// of a sorted chunk stay sorted and the rebuilt blocks stay monotone).
+    /// Returns the entry it took out, which [`ChunkSet::put_back`]
+    /// restores.
     ///
     /// # Errors
     ///
@@ -616,45 +629,62 @@ impl<T: Record> ChunkSet<T> {
         records: Arc<Vec<T>>,
         index: Option<ChunkIndex>,
         blocks: Option<BlockIndex>,
-    ) -> std::io::Result<(u64, u64)> {
+    ) -> std::io::Result<Replaced<T>> {
         let n = records.len() as u64;
         debug_assert!(block_index_consistent(blocks.as_ref(), index.as_ref(), n));
-        let new_bytes = n * self.record_bytes;
-        let e = &mut self.entries[entry as usize];
         // Compaction only removes records, so a replacement can narrow a
         // chunk's key window but never widen it (compaction-to-empty
         // yields the inverted always-skip window, which trivially
         // narrows). This is what keeps clustered-layout windows narrow
         // across arbitrarily many compaction rounds.
         debug_assert!(
-            match (&e.index, &index) {
+            match (&self.entries[entry as usize].index, &index) {
                 (Some(old), Some(new)) =>
                     new.lo > new.hi || (new.lo >= old.lo && new.hi <= old.hi),
                 _ => true,
             },
             "replacement widened a chunk window"
         );
-        let old_records = e.records;
-        let old_bytes = old_records * self.record_bytes;
-        e.payload = match &mut self.file {
+        let payload = match &mut self.file {
             Some(f) => {
                 let (off, len) = f.append(records.as_slice())?;
                 Payload::File(off, len)
             }
             None => Payload::Mem(records),
         };
-        e.records = n;
-        e.index = index;
-        e.blocks = blocks;
-        self.records_total = self.records_total - old_records + n;
+        let new = Entry {
+            payload,
+            records: n,
+            index,
+            blocks,
+        };
+        Ok(Replaced {
+            entry,
+            old: self.swap_entry(entry, new),
+        })
+    }
+
+    /// Puts an entry [`ChunkSet::replace_with_blocks`] took out back in
+    /// its place, undoing that compaction. Putting back every replacement
+    /// since some point, newest first, restores the set as it was then.
+    pub fn put_back(&mut self, replaced: Replaced<T>) {
+        self.swap_entry(replaced.entry, replaced.old);
+    }
+
+    /// Swaps `new` in for entry `entry`, keeping the record counters, and
+    /// returns the entry it displaced.
+    fn swap_entry(&mut self, entry: u32, new: Entry<T>) -> Entry<T> {
+        let n = new.records;
+        let old = std::mem::replace(&mut self.entries[entry as usize], new);
+        self.records_total = self.records_total - old.records + n;
         // Entries the cursor already consumed this epoch are not part of
         // the remaining-work estimate; compaction typically rewrites the
         // chunk just served, but a replacement can also land after an
         // epoch reset put the entry back in front of the cursor.
         if (entry as usize) >= self.cursor {
-            self.records_remaining = self.records_remaining - old_records + n;
+            self.records_remaining = self.records_remaining - old.records + n;
         }
-        Ok((old_bytes, new_bytes))
+        old
     }
 
     /// Serves the next unprocessed chunk for the current iteration, or
@@ -1253,6 +1283,28 @@ mod tests {
         cs.reset_epoch();
         let again = cs.serve_next().unwrap().unwrap();
         assert_eq!(again.as_slice(), a.as_slice());
+    }
+
+    /// Two compactions of one entry, put back newest first, leave the set
+    /// as it was before either: payload, index, totals — in memory and in
+    /// a file, whose first extent the compactions never overwrote.
+    #[test]
+    fn put_back_undoes_replacements_newest_first() {
+        let dir = ScratchDir::new("chaos-chunkset-put-back").unwrap();
+        let fb = FileBacking::create(&dir.path().join("edges.dat")).unwrap();
+        for mut cs in [ChunkSet::<u64>::in_memory(8), ChunkSet::file_backed(8, fb)] {
+            cs.append_indexed(chunk(0, 10), Some(ChunkIndex::span(0, 9))).unwrap();
+            cs.append_indexed(chunk(10, 20), Some(ChunkIndex::span(10, 19))).unwrap();
+            let first = cs.replace_with_blocks(0, chunk(4, 8), Some(ChunkIndex::span(4, 7)), None);
+            let second = cs.replace_with_blocks(0, chunk(6, 7), Some(ChunkIndex::span(6, 6)), None);
+            assert_eq!(cs.stats().records, 11);
+            cs.put_back(second.unwrap());
+            cs.put_back(first.unwrap());
+            assert_eq!(cs.stats().records, 20);
+            assert_eq!(cs.bytes_remaining(), 20 * 8);
+            assert_eq!(cs.indexes().next(), Some(Some(ChunkIndex::span(0, 9))));
+            assert_eq!(cs.serve_next().unwrap().unwrap().as_slice(), chunk(0, 10).as_slice());
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod vertex;
 
 pub use cache::PageCache;
 pub use chunk::{
-    seal_chunk, BlockIndex, ChunkIndex, ChunkSet, ChunkSetStats, SealScratch, SealedChunk,
-    ServeOutcome, ServedChunk,
+    seal_chunk, BlockIndex, ChunkIndex, ChunkSet, ChunkSetStats, Replaced, SealScratch,
+    SealedChunk, ServeOutcome, ServedChunk,
 };
 pub use device::{CorruptionWindow, Device, DeviceError, DeviceProfile, FaultWindow};
 pub use file::{FileBacking, ScratchDir};

@@ -5,9 +5,10 @@
 //! write), device-fault windows, fabric stragglers and silent-corruption
 //! windows, and the run must end with final vertex states
 //! **bit-identical** to the fault-free run of the same
-//! `(config, program, graph)`, for an aggregate-converging, a frontier and
-//! a stateful multi-phase algorithm. In debug builds every skipped chunk
-//! of every run is also checked against the activity contract.
+//! `(config, program, graph)`, for an aggregate-converging, a frontier, a
+//! compacting (shrinking-graph) and a stateful multi-phase algorithm. In
+//! debug builds every skipped chunk of every run is also checked against
+//! the activity contract.
 //!
 //! On top of each generated schedule the soak scripts one wide, early
 //! corruption window (machine 0, one-in-two reads), so every schedule is
@@ -107,6 +108,11 @@ fn pagerank_soaks_clean() {
 #[test]
 fn bfs_soaks_clean() {
     soak(Bfs::new(0), &undirected_graph(8), "bfs");
+}
+
+#[test]
+fn mis_soaks_clean() {
+    soak(Mis::new(3), &undirected_graph(8), "mis");
 }
 
 #[test]

@@ -14,7 +14,7 @@ mod common;
 
 use chaos::prelude::*;
 use chaos::sim::SECS;
-use common::{directed_graph, test_config};
+use common::{directed_graph, test_config, undirected_graph};
 
 /// A wide scripted window over the read-heavy start of the run, corrupting
 /// roughly every other framed read on one machine.
@@ -90,6 +90,39 @@ fn torn_checkpoint_write_falls_back_down_the_depth2_chain() {
     );
     let log = &rep.abort_log;
     assert!(log[1].gen > log[0].gen, "generations strictly increase");
+}
+
+#[test]
+fn depth2_fallback_puts_back_the_compactions_it_rewinds_past() {
+    // MIS compacts edges that are dead under the state at the start of an
+    // iteration. A torn crash at the scatter barrier of iteration t falls
+    // back to the snapshot from the end of t - 2, under which some of
+    // those edges are still live: the rewind must put the pre-compaction
+    // chunks back, or the redo streams too few edges.
+    let g = undirected_graph(9);
+    let mut cfg = test_config(4);
+    cfg.checkpoint = true;
+    let (clean, clean_states) = run_chaos(cfg.clone(), Mis::new(3), &g);
+    assert!(
+        clean.selectivity.iter().any(|s| s.compactions > 0),
+        "the run must compact for the rewind to matter"
+    );
+    for iteration in [2, 4] {
+        cfg.faults = FaultPlan::none().with_crash(CrashFault {
+            machine: 1,
+            trigger: CrashTrigger::Iteration {
+                iteration,
+                phase: chaos::core::msg::PhaseKind::Scatter,
+            },
+            downtime: SECS / 10,
+            torn: true,
+        });
+        let (rep, states) = run_chaos(cfg.clone(), Mis::new(3), &g);
+        assert_eq!(rep.faults.aborts, 2, "iteration {iteration}: depth-2 fallback");
+        let wrong = clean_states.iter().zip(&states).filter(|(a, b)| a != b).count();
+        assert_eq!(wrong, 0, "iteration {iteration}: vertices whose state differs");
+        assert_eq!(clean.iteration_aggs, rep.iteration_aggs, "iteration {iteration}");
+    }
 }
 
 #[test]
