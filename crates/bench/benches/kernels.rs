@@ -97,6 +97,15 @@ fn bench_rng(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // What starting one RMAT lane costs: a scale-15 list split in eight
+    // is 65 536 edges of 15 draws each.
+    c.bench_function("sim/rng_advance_983040", |b| {
+        let mut rng = Rng::new(3);
+        b.iter(|| {
+            rng.advance(983_040);
+            black_box(rng.next_u64())
+        })
+    });
 }
 
 fn bench_rmat(c: &mut Criterion) {
@@ -217,26 +226,47 @@ fn bench_gas_kernels(c: &mut Criterion) {
 }
 
 /// The scatter sink's seam without a `Cluster`: a program's kernel over a
-/// warm 4096-edge chunk of the records the engine holds for it (sources in
-/// partition 0, destinations uniform over 8192 vertices, as at `pr_dense`'s
-/// scale) through the block driver into `p` pooled output buffers that
-/// flush at 4096 records — a flush here clears the buffer, so destinations
-/// stay warm. One iteration is 244 passes, 999 424 edges: ms per iteration
-/// reads as ns per edge.
+/// 4096-edge chunk of the records the engine holds for it (sources in
+/// partition 0) through the block driver into `p` pooled output buffers
+/// that flush at 4096 records. One iteration is 244 passes, 999 424
+/// edges: ms per iteration reads as ns per edge.
 ///
-/// PageRank (8-byte `BareEdge`s, every edge emits) runs at four partitions,
-/// `pr_dense`'s count, eight, `pr_faulted`'s, and 32. MCST and BFS are the
-/// programs no benchmark workload streams through the engine: MCST in its
-/// MinEdge phase (16-byte `PackedEdge`s, every non-loop edge emits a
-/// 32-byte message carrying the weight), BFS with every other source on
-/// the frontier.
+/// The warm cases draw destinations uniformly over 8192 vertices, as at
+/// `pr_dense`'s scale, and a flush clears the full buffer, so every
+/// buffer warms past 4096 slots and every block runs call-free. PageRank
+/// (8-byte `BareEdge`s, every edge emits) runs at four partitions,
+/// `pr_dense`'s count, eight, `pr_faulted`'s, and 32. MCST and BFS are
+/// the programs no benchmark workload streams through the engine: MCST
+/// in its MinEdge phase (16-byte `PackedEdge`s, every non-loop edge
+/// emits a 32-byte message carrying the weight), BFS with every other
+/// source on the frontier.
+///
+/// `_flushed` is the engine's case: destinations skewed as RMAT draws
+/// them (those of a scale-13 RMAT list), and each pass one stream whose
+/// end flushes every buffer with its capacity kept. The buffers of the
+/// rarely targeted partitions stay within a block of full, so blocks
+/// run through the per-update sink.
 fn bench_scatter_sink(c: &mut Criterion) {
     for parts in [4usize, 8, 32] {
-        scatter_sink_case(c, "pr", &Pagerank::new(1), parts, |v| (1.0, 1 + (v % 16) as u32));
+        scatter_sink_case(c, "pr", &Pagerank::new(1), parts, Streams::Warm, |v| {
+            (1.0, 1 + (v % 16) as u32)
+        });
     }
+    scatter_sink_case(c, "pr", &Pagerank::new(1), 8, Streams::Flushed, |v| {
+        (1.0, 1 + (v % 16) as u32)
+    });
     let mcst = Mcst::new();
-    scatter_sink_case(c, "mcst", &mcst, 4, |v| mcst.init(v, 1));
-    scatter_sink_case(c, "bfs", &Bfs::new(0), 4, |v| (v % 2) as u32);
+    scatter_sink_case(c, "mcst", &mcst, 4, Streams::Warm, |v| mcst.init(v, 1));
+    scatter_sink_case(c, "bfs", &Bfs::new(0), 4, Streams::Warm, |v| (v % 2) as u32);
+}
+
+/// Where a scatter-sink case sends its updates and when it flushes.
+#[derive(Clone, Copy, PartialEq)]
+enum Streams {
+    /// Uniform destinations; a buffer is cleared only when it fills.
+    Warm,
+    /// RMAT destinations; every buffer is also cleared after each pass.
+    Flushed,
 }
 
 fn scatter_sink_case<P: GasProgram>(
@@ -244,15 +274,24 @@ fn scatter_sink_case<P: GasProgram>(
     name: &str,
     program: &P,
     parts: usize,
+    streams: Streams,
     state: impl Fn(VertexId) -> P::VertexState,
 ) {
     const PASSES: usize = 244;
     let spec = PartitionSpec::with_partitions(8192, parts);
     let src = spec.range(0);
     let mut rng = Rng::new(13);
+    let rmat = match streams {
+        Streams::Warm => Vec::new(),
+        Streams::Flushed => RmatConfig::paper(13).generate().edges,
+    };
     let edges: Vec<P::HeldEdge> = (0..4096)
         .map(|i| {
-            let (s, d) = (src.start + rng.below(src.end - src.start), rng.below(8192));
+            let s = src.start + rng.below(src.end - src.start);
+            let d = match streams {
+                Streams::Warm => rng.below(8192),
+                Streams::Flushed => rmat[i].dst,
+            };
             EdgeRecord::pack(&Edge::weighted(s, d, (1 + i % 64) as f32))
         })
         .collect();
@@ -260,7 +299,12 @@ fn scatter_sink_case<P: GasProgram>(
     let mut bufs: Vec<Vec<LocalUpdate<P::Update>>> = vec![Vec::new(); parts];
     let mut full = Vec::new();
     let mut sink = BlockSink::new(parts);
-    c.bench_function(&format!("core/scatter_sink_{name}_4096_p{parts}"), |b| {
+    let suffix = match streams {
+        Streams::Warm => "",
+        Streams::Flushed => "_flushed",
+    };
+    let id = format!("core/scatter_sink_{name}_4096_p{parts}{suffix}");
+    c.bench_function(&id, |b| {
         b.iter(|| {
             for _ in 0..PASSES {
                 let mut out = PartitionSink::new(&spec, &mut bufs, 4096, &mut full);
@@ -269,6 +313,9 @@ fn scatter_sink_case<P: GasProgram>(
                     bufs[tp].clear();
                 }
                 full.clear();
+                if streams == Streams::Flushed {
+                    bufs.iter_mut().for_each(Vec::clear);
+                }
             }
             black_box(bufs[0].len())
         })

@@ -30,20 +30,29 @@ fn bump() {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`, and
+        // `System` is handed the same `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump();
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for
+        // `layout`, and `System` is handed the same `layout`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
+        // SAFETY: `ptr` was allocated by this allocator, that is by
+        // `System`, with `layout`, and the caller upholds `realloc`'s
+        // contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator, that is by
+        // `System`, with `layout`, as `dealloc`'s caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 }

@@ -2,6 +2,13 @@
 //!
 //! The paper's synthetic workloads are RMAT graphs: "a scale-n RMAT graph
 //! has 2^n vertices and 2^(n+4) edges" (§8), i.e. an edge factor of 16.
+//!
+//! The edge list is one xoshiro256++ stream, `scale` draws per edge and
+//! one more per weighted edge. Where the CPU has AVX2 it is written as
+//! [`LANES`] lanes: [`Rng::lanes`] jumps the stream to the start of each
+//! eighth of the list, and two `u64×4` vectors run the eight descents
+//! side by side. The lanes write the edges the single stream writes, in
+//! the same slots; the unit tests hold them to the scalar descent.
 
 use chaos_sim::Rng;
 
@@ -88,23 +95,14 @@ impl RmatConfig {
         edges
             .try_reserve_exact(m)
             .map_err(|e| format!("cannot hold {m} edges in memory: {e}"))?;
-        // The same sums, in the same order, as the ladder
-        // `r < a`, `r < a + b`, `r < a + b + c` compares against.
-        let thresholds = [a, a + b, a + b + c].map(threshold);
-        let mut rng = Rng::new(self.seed);
-        // An exact-size iterator: the reserved vector is filled without a
-        // capacity check per edge.
-        edges.extend((0..m).map(|_| {
-            let (src, dst) = sample_edge(&mut rng, self.scale, thresholds);
-            let weight = if self.weighted {
-                // Strictly positive, effectively distinct weights so the
-                // MST oracle comparison is unambiguous.
-                (rng.f64() as f32).max(f32::MIN_POSITIVE)
-            } else {
-                1.0
-            };
-            Edge { src, dst, weight }
-        }));
+        let descent = Descent {
+            scale: self.scale,
+            // The same sums, in the same order, as the ladder
+            // `r < a`, `r < a + b`, `r < a + b + c` compares against.
+            thresholds: [a, a + b, a + b + c].map(threshold),
+            weighted: self.weighted,
+        };
+        fill(Rng::new(self.seed), &mut edges, m, descent);
         Ok(InputGraph::new(n, edges, self.weighted))
     }
 }
@@ -118,6 +116,182 @@ const UNIT: u64 = 1 << 53;
 /// integer `x` that is `x < ceil(p * 2^53)`; `p >= 1` admits every `x`.
 fn threshold(p: f64) -> u64 {
     (p * UNIT as f64).ceil().min(UNIT as f64) as u64
+}
+
+/// Edges the AVX2 kernel draws side by side: two vectors of four lanes.
+const LANES: usize = 8;
+
+/// What one edge is drawn from: `scale` levels of quadrant descent, then
+/// one weight draw if `weighted`.
+#[derive(Debug, Clone, Copy)]
+struct Descent {
+    scale: u32,
+    thresholds: [u64; 3],
+    weighted: bool,
+}
+
+impl Descent {
+    /// Draws of the stream per edge.
+    fn draws(self) -> u64 {
+        u64::from(self.scale) + u64::from(self.weighted)
+    }
+
+    fn edge(self, rng: &mut Rng) -> Edge {
+        let (src, dst) = sample_edge(rng, self.scale, self.thresholds);
+        let weight = if self.weighted {
+            weight(rng.next_u64())
+        } else {
+            1.0
+        };
+        Edge { src, dst, weight }
+    }
+}
+
+/// The weight drawn as `bits`: `rng.f64() as f32`, by [`Rng::f64`]'s own
+/// expression, kept strictly positive and effectively distinct so the MST
+/// oracle comparison is unambiguous.
+fn weight(bits: u64) -> f32 {
+    (((bits >> 11) as f64 * (1.0 / UNIT as f64)) as f32).max(f32::MIN_POSITIVE)
+}
+
+/// Appends `count` edges to `edges`: the descents of `rng`'s stream, one
+/// after the other. On `x86_64` with AVX2 the first `count - count % 8`
+/// are drawn as [`LANES`] lanes, lane `l` from draw `l·⌊count/8⌋·draws`,
+/// and the scalar descent finishes the tail from where the last lane
+/// ends; elsewhere the scalar descent draws them all.
+fn fill(rng: Rng, edges: &mut Vec<Edge>, count: usize, d: Descent) {
+    #[cfg(target_arch = "x86_64")]
+    if count >= LANES && is_x86_feature_detected!("avx2") {
+        let stride = count / LANES;
+        let [lanes @ .., tail] = rng.lanes::<{ LANES + 1 }>(stride as u64 * d.draws());
+        edges.reserve(count);
+        let body = &mut edges.spare_capacity_mut()[..stride * LANES];
+        // SAFETY: `avx2::fill` is compiled with `avx2` enabled and has no
+        // other requirement; `avx2` was just detected on this CPU.
+        unsafe { avx2::fill(&lanes, body, d) };
+        // SAFETY: `avx2::fill` wrote every slot of `body`, the first
+        // `stride·LANES` slots past the length, which `reserve` made room for.
+        unsafe { edges.set_len(edges.len() + stride * LANES) };
+        return fill_scalar(tail, edges, count % LANES, d);
+    }
+    fill_scalar(rng, edges, count, d)
+}
+
+/// [`fill`] by the scalar descent alone, whatever the CPU.
+fn fill_scalar(mut rng: Rng, edges: &mut Vec<Edge>, count: usize, d: Descent) {
+    // An exact-size iterator: reserved room is filled without a capacity
+    // check per edge.
+    edges.extend((0..count).map(|_| d.edge(&mut rng)));
+}
+
+/// The descent at SIMD width: two `u64×4` vectors hold eight xoshiro256++
+/// states word by word, and each level draws for all eight lanes.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    use chaos_sim::Rng;
+
+    use super::{weight, Descent, Edge, LANES};
+
+    /// `x` rotated left by `L` bits in each lane; `R` is `64 - L`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi64::<L>(x), _mm256_srli_epi64::<R>(x))
+    }
+
+    /// [`Rng::next_u64`] in each lane of `s`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn next(s: &mut [__m256i; 4]) -> __m256i {
+        let result = _mm256_add_epi64(rotl::<23, 41>(_mm256_add_epi64(s[0], s[3])), s[0]);
+        let t = _mm256_slli_epi64::<17>(s[1]);
+        s[2] = _mm256_xor_si256(s[2], s[0]);
+        s[3] = _mm256_xor_si256(s[3], s[1]);
+        s[1] = _mm256_xor_si256(s[1], s[2]);
+        s[0] = _mm256_xor_si256(s[0], s[3]);
+        s[2] = _mm256_xor_si256(s[2], t);
+        s[3] = rotl::<45, 19>(s[3]);
+        result
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn words(x: __m256i) -> [u64; 4] {
+        [
+            _mm256_extract_epi64::<0>(x) as u64,
+            _mm256_extract_epi64::<1>(x) as u64,
+            _mm256_extract_epi64::<2>(x) as u64,
+            _mm256_extract_epi64::<3>(x) as u64,
+        ]
+    }
+
+    /// Writes every slot of `out`: lane `l` draws slots `l·stride ..
+    /// (l+1)·stride` from `lanes[l]`, `stride = out.len() / LANES`, by
+    /// the scalar descent's arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is a positive multiple of [`LANES`] long: the
+    /// caller's `set_len` relies on every slot being written.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fill(lanes: &[Rng; LANES], out: &mut [MaybeUninit<Edge>], d: Descent) {
+        assert!(
+            !out.is_empty() && out.len().is_multiple_of(LANES),
+            "{} slots are not whole rows of {LANES} lanes",
+            out.len()
+        );
+        let stride = out.len() / LANES;
+        let state = lanes.each_ref().map(Rng::state);
+        let mut s = [[_mm256_setzero_si256(); 4]; 2];
+        for (v, quad) in s.iter_mut().enumerate() {
+            for (w, word) in quad.iter_mut().enumerate() {
+                let lane = |k: usize| state[4 * v + k][w] as i64;
+                *word = _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0));
+            }
+        }
+        // `x >= t` is `x > t - 1`; the signed compare is exact because
+        // `x < 2^53` and `0 <= t <= 2^53`.
+        let [t0, t1, t2] = d.thresholds.map(|t| _mm256_set1_epi64x(t as i64 - 1));
+        let rows: [&mut [MaybeUninit<Edge>]; LANES] = {
+            let mut rows = out.chunks_exact_mut(stride);
+            std::array::from_fn(|_| rows.next().expect("LANES rows of `stride` slots"))
+        };
+        for i in 0..stride {
+            let mut src = [_mm256_setzero_si256(); 2];
+            let mut dst = src;
+            for _ in 0..d.scale {
+                for v in 0..2 {
+                    let x = _mm256_srli_epi64::<11>(next(&mut s[v]));
+                    // All ones where the draw reached the threshold. The
+                    // quadrant's `src` bit is "reached t1", its `dst` bit
+                    // the parity of the thresholds reached; subtracting
+                    // all ones sets the bit the shift cleared.
+                    let [r0, r1, r2] = [t0, t1, t2].map(|t| _mm256_cmpgt_epi64(x, t));
+                    let parity = _mm256_xor_si256(_mm256_xor_si256(r0, r1), r2);
+                    src[v] = _mm256_sub_epi64(_mm256_slli_epi64::<1>(src[v]), r1);
+                    dst[v] = _mm256_sub_epi64(_mm256_slli_epi64::<1>(dst[v]), parity);
+                }
+            }
+            for v in 0..2 {
+                let weights = if d.weighted {
+                    words(next(&mut s[v])).map(weight)
+                } else {
+                    [1.0; 4]
+                };
+                let (src, dst) = (words(src[v]), words(dst[v]));
+                for k in 0..4 {
+                    rows[4 * v + k][i].write(Edge {
+                        src: src[k],
+                        dst: dst[k],
+                        weight: weights[k],
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// Draws one edge by recursive quadrant descent, one draw per level. The
@@ -251,6 +425,42 @@ mod tests {
                 );
             }
             assert_eq!(ours.next_u64(), oracle.next_u64());
+        }
+    }
+
+    /// Every length up to 40, and each side of every multiple of eight up
+    /// to 512: lanes of zero to 64 edges, with and without a tail.
+    fn fill_lengths() -> impl Iterator<Item = usize> {
+        (0..=40).chain((1..=64).flat_map(|k| [8 * k - 1, 8 * k, 8 * k + 1]))
+    }
+
+    #[test]
+    fn lanes_write_the_scalar_descents_edges() {
+        // On an AVX2 host `fill` takes the lanes from eight edges up;
+        // elsewhere both sides are the scalar descent.
+        for (i, probs) in PROBS.into_iter().enumerate() {
+            let (a, b, c) = probs;
+            for weighted in [false, true] {
+                let d = Descent {
+                    scale: 11,
+                    thresholds: [a, a + b, a + b + c].map(threshold),
+                    weighted,
+                };
+                for first in [0, 12_345] {
+                    let mut rng = Rng::new(SEEDS[i % SEEDS.len()]);
+                    rng.advance(first * d.draws());
+                    for len in fill_lengths() {
+                        let (mut lanes, mut scalar) = (Vec::new(), Vec::new());
+                        fill(rng.clone(), &mut lanes, len, d);
+                        fill_scalar(rng.clone(), &mut scalar, len, d);
+                        assert_eq!(lanes.len(), len);
+                        assert!(
+                            bits(&lanes).eq(bits(&scalar)),
+                            "{probs:?}, weighted {weighted}, first edge {first}, {len} edges"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -215,6 +215,11 @@ impl<T: Topology, M> Executor<T, M> for SequentialExecutor<T, M> {
                 self.absorb(&mut ctx, net);
             }
         }
+        // A drained queue holds nothing and has delivered all it was handed.
+        #[cfg(debug_assertions)]
+        if self.queue.is_empty() {
+            self.queue.assert_quiesced();
+        }
         ExecStats {
             now: self.queue.now(),
             delivered: self.delivered(),

@@ -159,6 +159,26 @@ impl<M> EventQueue<M> {
         self.len() == 0
     }
 
+    /// Asserts that the queue has quiesced clean: nothing pending, every
+    /// slab slot vacant, and every event pushed also delivered. An event
+    /// lost between push and pop fails it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the counts, if any of the three does not hold.
+    pub fn assert_quiesced(&self) {
+        let held = self.slab.iter().filter(|slot| slot.is_some()).count();
+        assert!(
+            self.is_empty() && held == 0 && self.pushed() == self.delivered(),
+            "event queue quiesced unclean: {} pending, {held} of {} slab slots occupied, \
+             pushed {}, delivered {}",
+            self.len(),
+            self.slab.len(),
+            self.pushed(),
+            self.delivered()
+        );
+    }
+
     /// Schedules `msg` for delivery to actor `dst` at absolute time `time`.
     ///
     /// Scheduling in the past is a logic error in the embedding simulation;
@@ -438,6 +458,51 @@ mod tests {
                     drops.borrow().iter().find(|&&n| n != 1)
                 );
             }
+        }
+    }
+
+    /// A seeded workload of pushes and pops, then drained: nothing held.
+    #[test]
+    fn a_drained_queue_quiesces_clean() {
+        for kind in [QueueKind::Calendar, QueueKind::Heap] {
+            let mut rng = Rng::new(0x0515);
+            let mut q = EventQueue::with_kind(kind);
+            for _ in 0..5_000 {
+                if rng.below(3) < 2 {
+                    let (time, dst) = (q.now() + rng.below(10_000), rng.below(8) as usize);
+                    q.push(time, dst, rng.next_u64());
+                } else {
+                    q.pop();
+                }
+            }
+            while q.pop().is_some() {}
+            assert!(q.pushed() > 3_000, "kind {kind:?}: the workload pushed");
+            q.assert_quiesced();
+        }
+    }
+
+    /// A planted leak: the store loses its pending keys, so their payloads
+    /// stay in the slab undelivered and the queue reads empty.
+    #[test]
+    fn the_quiesce_check_catches_a_lost_event() {
+        for kind in [QueueKind::Calendar, QueueKind::Heap] {
+            let mut q = EventQueue::with_kind(kind);
+            for t in 0..10 {
+                q.push(t, 0, t);
+            }
+            q.pop();
+            q.store = Store::new(kind);
+            assert!(q.is_empty());
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.assert_quiesced()))
+                    .expect_err("the check must catch the leak");
+            let msg = caught
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(
+                msg.contains("9 of 10 slab slots occupied, pushed 10, delivered 1"),
+                "kind {kind:?}: {msg}"
+            );
         }
     }
 
