@@ -5,7 +5,10 @@
 //! after the scatter barrier it executes gather (+ apply) the same way.
 //! All storage access goes through the chunk protocol with a window of φk
 //! outstanding requests to distinct, randomly chosen storage engines
-//! (§6.5). The steal criterion is Equation 2 with the α bias of §10.2.
+//! (§6.5). This module is the phase state machine and the message
+//! dispatch; pre-processing ([`crate::preprocess`]), work stealing
+//! ([`crate::steal`]) and the master's gather-apply ([`crate::apply`])
+//! each keep their state and decisions in a module of their own.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,13 +21,16 @@ use chaos_runtime::Actor;
 use chaos_sim::rng::mix2;
 use chaos_sim::{Resource, Rng, Time};
 
+use crate::apply::GatherFinish;
 use crate::config::{ChaosConfig, Placement};
 use crate::metrics::{Breakdown, IterSelectivity};
 use crate::msg::{
     DataKind, EdgeChunk, EdgeWrite, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES,
 };
+use crate::preprocess::Preprocess;
 use crate::runtime::{Addr, Ctx, RunParams};
 use crate::sink::{BlockSink, CountSink, PartitionSink};
+use crate::steal::{remaining_work, Steal};
 use crate::window::ReadWindow;
 
 /// Progress of one partition being streamed (scatter or gather).
@@ -82,115 +88,26 @@ impl<P: GasProgram> PartWork<P> {
     }
 }
 
-/// Master-side wait for stealer accumulators, then apply.
-struct GatherFinish<P: GasProgram> {
-    part: usize,
-    vertices: Vec<P::VertexState>,
-    accums: Vec<P::Accum>,
-    collected: Vec<Arc<Vec<P::Accum>>>,
-    awaiting: usize,
-    wait_started: Time,
-    applying: bool,
-}
+/// Recycled partition-sized buffers: the hot-path ownership discipline.
+/// Buffers that stay on this engine are recycled; buffers handed off in an
+/// `Arc` — update chunks, stolen accumulators — are the protocol's to keep.
+struct Pool<T>(Vec<Vec<T>>);
 
-/// Steal-scan progress for the current phase.
-///
-/// Proposals fan out to all candidate masters concurrently (one message
-/// each); accepted partitions queue up and are worked one at a time. The
-/// paper describes a sequential scan, but at scaled-down graph sizes the
-/// per-proposal round trips would dominate the very imbalance stealing
-/// removes; the fan-out preserves the protocol's semantics (each master
-/// still applies the §5.4 criterion per proposal).
-struct StealScan {
-    candidates: Vec<usize>,
-    started: bool,
-    awaiting: PartSet,
-    accepted: VecDeque<usize>,
-}
+impl<T> Pool<T> {
+    /// An empty buffer, with a recycled one's capacity when there is one.
+    fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
 
-impl StealScan {
-    fn idle(partitions: usize) -> Self {
-        Self {
-            candidates: Vec::new(),
-            started: true,
-            awaiting: PartSet::new(partitions),
-            accepted: VecDeque::new(),
+    /// Returns a buffer, cleared. Capacity-less buffers (fields already
+    /// moved elsewhere) are dropped so the pool stays balanced at one-in,
+    /// one-out.
+    fn give(&mut self, mut v: Vec<T>) {
+        if v.capacity() > 0 {
+            v.clear();
+            self.0.push(v);
         }
     }
-
-    /// Back to idle in place (an abort), keeping the tables.
-    fn stop(&mut self) {
-        self.candidates.clear();
-        self.started = true;
-        self.awaiting.clear();
-        self.accepted.clear();
-    }
-
-    fn finished(&self) -> bool {
-        self.started && self.awaiting.is_empty() && self.accepted.is_empty()
-    }
-}
-
-/// A set of partition indices, dense over the partition count: a lookup on
-/// the per-event path is an index, not a hash.
-struct PartSet {
-    member: Vec<bool>,
-    len: usize,
-}
-
-impl PartSet {
-    fn new(partitions: usize) -> Self {
-        Self {
-            member: vec![false; partitions],
-            len: 0,
-        }
-    }
-
-    fn contains(&self, part: usize) -> bool {
-        self.member[part]
-    }
-
-    fn insert(&mut self, part: usize) {
-        if !std::mem::replace(&mut self.member[part], true) {
-            self.len += 1;
-        }
-    }
-
-    /// Removes `part`; whether it was present.
-    fn remove(&mut self, part: usize) -> bool {
-        let was = std::mem::replace(&mut self.member[part], false);
-        self.len -= usize::from(was);
-        was
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn clear(&mut self) {
-        if self.len > 0 {
-            self.member.fill(false);
-            self.len = 0;
-        }
-    }
-}
-
-/// Pre-processing progress.
-struct Preprocess<P: GasProgram> {
-    /// The input stream's request window.
-    win: ReadWindow,
-    edge_bufs: Vec<Vec<P::HeldEdge>>,
-    redge_bufs: Vec<Vec<P::HeldEdge>>,
-    /// Partial out-degree counts per partition, dense over the
-    /// partition's vertex range (allocated lazily on first touch; an
-    /// empty vector means no edge of that partition seen here). Dense
-    /// indexing beats a hash map on this per-edge path — pre-processing
-    /// touches every edge exactly once and most partitions see most of
-    /// their high-degree sources anyway.
-    degree_counts: Vec<Vec<u32>>,
-    degree_acks_pending: usize,
-    flushed: bool,
-    _marker: std::marker::PhantomData<P>,
 }
 
 /// Checkpoint copy progress at a barrier (phase one of §6.6; phase two —
@@ -217,10 +134,7 @@ pub struct ComputeEngine<P: GasProgram> {
     iter: u32,
     my_parts: Vec<usize>,
 
-    pp: Preprocess<P>,
-    /// Master-side dense degree vectors, by partition (empty until the
-    /// first count of an owned partition arrives).
-    degrees: Vec<Vec<u32>>,
+    pp: Preprocess<P::HeldEdge>,
 
     own_queue: VecDeque<usize>,
     work: Option<PartWork<P>>,
@@ -236,27 +150,12 @@ pub struct ComputeEngine<P: GasProgram> {
     flush_scratch: Vec<usize>,
     /// The scatter sink's block driver (one cursor per output buffer).
     sink: BlockSink<P::Update>,
-    /// Recycled vertex-state buffers (partition-sized).
-    state_pool: Vec<Vec<P::VertexState>>,
-    /// Recycled accumulator buffers (partition-sized).
-    accum_pool: Vec<Vec<P::Accum>>,
-    scan: StealScan,
+    /// Recycled vertex-state buffers.
+    states: Pool<P::VertexState>,
+    /// Recycled accumulator buffers.
+    accums: Pool<P::Accum>,
+    steal: Steal<P::Accum>,
     gather_finish: Option<GatherFinish<P>>,
-    waiting_getaccums: Option<(usize, Arc<Vec<P::Accum>>)>,
-    pending_getaccums: PartSet,
-    /// Stealers accepted per owned partition, this phase.
-    stealers: Vec<Vec<usize>>,
-    /// Owned partitions whose stream this engine completed this phase.
-    /// Once a master finished a partition, every storage engine is
-    /// exhausted for it (stream-done requires it), so its local
-    /// remaining-bytes — and with it Equation 2's D — is provably zero:
-    /// steal proposals are rejected immediately, without the
-    /// master-to-storage remaining-bytes round trip.
-    finished_parts: PartSet,
-    /// Proposers queued for a remaining-bytes query, per partition.
-    steal_queries: Vec<VecDeque<usize>>,
-    /// Partitions with a RemainingReq in flight.
-    query_inflight: PartSet,
 
     pending_write_acks: usize,
     pending_inits: usize,
@@ -268,7 +167,6 @@ pub struct ComputeEngine<P: GasProgram> {
     agg: IterationAggregates,
     barrier_sent: bool,
     arrive_time: Time,
-    getaccums_wait_since: Time,
     /// Per-machine Figure 17 breakdown.
     pub breakdown: Breakdown,
     /// Stolen-partition count (metrics).
@@ -294,11 +192,8 @@ impl<P: GasProgram> ComputeEngine<P> {
         let my_parts: Vec<usize> = (0..parts)
             .filter(|p| params.master(*p) == machine)
             .collect();
-        let m = cfg.machines;
         let cpu = Resource::new(cfg.cores as u64 * 1_000_000_000, 0);
-        // One pre-processing edge buffer per (partition, cluster bin):
-        // bin-pure buffers are what give stored chunks single-bin windows.
-        let nbufs = parts * params.cluster.bins() as usize;
+        let pp = Preprocess::new(&params, program.uses_reverse_edges());
         Self {
             machine,
             params,
@@ -308,16 +203,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             gen: 0,
             phase: PhaseKind::Preprocess,
             iter: 0,
-            pp: Preprocess {
-                win: ReadWindow::new(m),
-                edge_bufs: (0..nbufs).map(|_| Vec::new()).collect(),
-                redge_bufs: (0..nbufs).map(|_| Vec::new()).collect(),
-                degree_counts: (0..parts).map(|_| Vec::new()).collect(),
-                degree_acks_pending: 0,
-                flushed: false,
-                _marker: std::marker::PhantomData,
-            },
-            degrees: (0..parts).map(|_| Vec::new()).collect(),
+            pp,
             my_parts,
             own_queue: VecDeque::new(),
             work: None,
@@ -325,16 +211,10 @@ impl<P: GasProgram> ComputeEngine<P> {
             out_bufs: (0..parts).map(|_| Vec::new()).collect(),
             flush_scratch: Vec::new(),
             sink: BlockSink::new(parts),
-            state_pool: Vec::new(),
-            accum_pool: Vec::new(),
-            scan: StealScan::idle(parts),
+            states: Pool(Vec::new()),
+            accums: Pool(Vec::new()),
+            steal: Steal::new(parts),
             gather_finish: None,
-            waiting_getaccums: None,
-            pending_getaccums: PartSet::new(parts),
-            stealers: (0..parts).map(|_| Vec::new()).collect(),
-            finished_parts: PartSet::new(parts),
-            steal_queries: (0..parts).map(|_| VecDeque::new()).collect(),
-            query_inflight: PartSet::new(parts),
             pending_write_acks: 0,
             pending_inits: 0,
             ckpt: CkptState::Idle,
@@ -342,7 +222,6 @@ impl<P: GasProgram> ComputeEngine<P> {
             agg: IterationAggregates::default(),
             barrier_sent: false,
             arrive_time: 0,
-            getaccums_wait_since: 0,
             breakdown: Breakdown::default(),
             steals: 0,
             records_processed: 0,
@@ -425,54 +304,15 @@ impl<P: GasProgram> ComputeEngine<P> {
     }
 
     /// CPU cost in core-nanosecond units for processing `records` records.
-    fn chunk_cost(&self, records: usize) -> u64 {
-        records as u64 * self.cfg.ns_per_record + self.cfg.msg_cpu_ns
-    }
-
-    // ------------------------------------------------------------------
-    // Buffer pools (hot-path ownership discipline: buffers that stay on
-    // this engine are recycled; buffers handed off in an `Arc` — update
-    // chunks, stolen accumulators — are the protocol's to keep).
-    // ------------------------------------------------------------------
-
-    /// A cleared vertex-state buffer from the pool (capacity retained).
-    fn take_state_buf(&mut self) -> Vec<P::VertexState> {
-        let mut v = self.state_pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// A cleared accumulator buffer from the pool (capacity retained).
-    fn take_accum_buf(&mut self) -> Vec<P::Accum> {
-        let mut v = self.accum_pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns a vertex-state buffer to the pool. Capacity-less buffers
-    /// (fields already moved elsewhere) are dropped so the pool stays
-    /// balanced at one-in, one-out.
-    fn recycle_state_buf(&mut self, mut v: Vec<P::VertexState>) {
-        if v.capacity() > 0 {
-            v.clear();
-            self.state_pool.push(v);
-        }
-    }
-
-    /// Returns an accumulator buffer to the pool (see
-    /// [`ComputeEngine::recycle_state_buf`]).
-    fn recycle_accum_buf(&mut self, mut v: Vec<P::Accum>) {
-        if v.capacity() > 0 {
-            v.clear();
-            self.accum_pool.push(v);
-        }
+    fn chunk_cost(&self, records: u64) -> u64 {
+        records * self.cfg.ns_per_record + self.cfg.msg_cpu_ns
     }
 
     /// Retires a finished partition's work state: buffers return to the
     /// pools, the carcass is recycled by the next [`PartWork`].
     fn retire_work(&mut self, mut w: PartWork<P>) {
-        self.recycle_state_buf(std::mem::take(&mut w.vertices));
-        self.recycle_accum_buf(std::mem::take(&mut w.accums));
+        self.states.give(std::mem::take(&mut w.vertices));
+        self.accums.give(std::mem::take(&mut w.accums));
         self.spare_work = Some(w);
     }
 
@@ -485,10 +325,7 @@ impl<P: GasProgram> ComputeEngine<P> {
 
     /// Which edge structure the current scatter direction streams.
     fn scatter_kind(&self) -> DataKind {
-        match self.program.direction() {
-            Direction::Out => DataKind::Edges,
-            Direction::In => DataKind::EdgesReverse,
-        }
+        DataKind::edges(self.program.direction() == Direction::In)
     }
 
     /// The data kind streamed in the given phase.
@@ -523,57 +360,20 @@ impl<P: GasProgram> ComputeEngine<P> {
         })
     }
 
+    /// Bins one input chunk. A filled buffer is written at once, which
+    /// takes the whole engine, so `pp` is moved out for the pass.
     fn bin_input_chunk(&mut self, ctx: &mut Ctx<P>, data: EdgeChunk<P>) {
-        let reverse_too = self.program.uses_reverse_edges();
-        let stride = self.params.spec.stride;
-        let cluster = self.params.cluster;
-        let bins = cluster.bins() as usize;
-        for e in data.iter() {
-            let (src, dst) = (e.src(), e.dst());
-            let p = self.params.spec.partition_of(src);
-            let dv = &mut self.pp.degree_counts[p];
-            if dv.is_empty() {
-                dv.resize(self.params.spec.len(p) as usize, 0);
-            }
-            dv[(src - p as u64 * stride) as usize] += 1;
-            // Buffers are bin-pure: an edge lands in the buffer of its
-            // partition *and* scatter-key sub-range, so every flushed
-            // chunk covers at most one bin of the partition.
-            let slot = p * bins + cluster.bin_of_offset(src - p as u64 * stride) as usize;
-            self.pp.edge_bufs[slot].push(*e);
-            if self.pp.edge_bufs[slot].len() >= self.params.edges_per_chunk {
-                // Swap a pre-sized buffer in so the refill never regrows.
-                let buf = &mut self.pp.edge_bufs[slot];
-                let chunk = Arc::new(std::mem::replace(buf, Vec::with_capacity(buf.capacity())));
-                self.write_edges(ctx, p, false, chunk);
-            }
-            if reverse_too {
-                let rp = self.params.spec.partition_of(dst);
-                let rslot = rp * bins + cluster.bin_of_offset(dst - rp as u64 * stride) as usize;
-                self.pp.redge_bufs[rslot].push(*e);
-                if self.pp.redge_bufs[rslot].len() >= self.params.edges_per_chunk {
-                    let buf = &mut self.pp.redge_bufs[rslot];
-                    let chunk =
-                        Arc::new(std::mem::replace(buf, Vec::with_capacity(buf.capacity())));
-                    self.write_edges(ctx, rp, true, chunk);
-                }
-            }
-        }
+        let (mut pp, params) = (std::mem::take(&mut self.pp), Arc::clone(&self.params));
+        pp.bin(&params, &data, |part, reverse, chunk| {
+            self.write_edges(ctx, part, reverse, chunk)
+        });
+        self.pp = pp;
         self.pp.win.inflight_compute -= 1;
         self.maybe_finish_preprocess(ctx);
     }
 
     fn write_edges(&mut self, ctx: &mut Ctx<P>, part: usize, reverse: bool, data: EdgeChunk<P>) {
-        let key = if reverse {
-            data[0].dst()
-        } else {
-            data[0].src()
-        };
-        let kind = if reverse {
-            DataKind::EdgesReverse
-        } else {
-            DataKind::Edges
-        };
+        let key = data[0].key(reverse);
         let bytes = data.len() as u64 * self.params.edge_bytes + CONTROL_BYTES;
         let msg = Msg::WriteEdgeChunk {
             part,
@@ -581,7 +381,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             data,
             from: self.machine,
         };
-        self.send_write(ctx, part, kind, msg, bytes, |eng| {
+        self.send_write(ctx, part, DataKind::edges(reverse), msg, bytes, |eng| {
             eng.edge_write_target(part, reverse, key)
         });
     }
@@ -601,17 +401,12 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.pending_write_acks += 1;
         if self.centralized() {
             self.pending_dir_writes.push_back((part, kind, msg, bytes));
-            ctx.send(
-                self.machine,
-                Addr::Directory,
-                Msg::DirWrite {
-                    part,
-                    kind,
-                    from: self.machine,
-                },
-                CONTROL_BYTES,
-            );
-            return;
+            let ask = Msg::DirWrite {
+                part,
+                kind,
+                from: self.machine,
+            };
+            return ctx.send(self.machine, Addr::Directory, ask, CONTROL_BYTES);
         }
         let to = target(self);
         ctx.send(self.machine, Addr::Storage(to), msg, bytes);
@@ -637,132 +432,65 @@ impl<P: GasProgram> ComputeEngine<P> {
         })
     }
 
+    /// Once the input stream drained, flushes the partial edge buffers and
+    /// ships the partial degree counts to the partition masters.
     fn maybe_finish_preprocess(&mut self, ctx: &mut Ctx<P>) {
-        if self.phase != PhaseKind::Preprocess || self.barrier_sent {
+        if self.phase != PhaseKind::Preprocess {
             return;
         }
-        if !self.pp.win.drained() {
-            return;
-        }
-        if !self.pp.flushed {
+        if !self.barrier_sent && !self.pp.flushed && self.pp.win.drained() {
             self.check_window_idle(&self.pp.win, None, ctx.now);
-            self.pp.flushed = true;
-            // Flush partial edge buffers (one per partition and bin).
-            let bins = self.params.cluster.bins() as usize;
-            if bins > 1 && !self.centralized() {
-                // Clustered layout: the per-bin partials are tiny, so a
-                // message per buffer would multiply pre-processing
-                // traffic by the bin count. Group them by their bin-home
-                // target and ship one batched write per engine; the
-                // storage side merges each element into its open buffer.
-                let mut batches: Vec<Vec<EdgeWrite<P>>> =
-                    (0..self.m()).map(|_| Vec::new()).collect();
-                let edge_bufs = std::mem::take(&mut self.pp.edge_bufs);
-                let redge_bufs = std::mem::take(&mut self.pp.redge_bufs);
-                for (reverse, bufs) in [(false, edge_bufs), (true, redge_bufs)] {
-                    for (slot, buf) in bufs.into_iter().enumerate() {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        let part = slot / bins;
-                        let key = if reverse { buf[0].dst() } else { buf[0].src() };
-                        let target = self.edge_write_target(part, reverse, key);
-                        batches[target].push(EdgeWrite {
-                            part,
-                            reverse,
-                            data: Arc::new(buf),
-                        });
-                    }
-                }
-                for (target, writes) in batches.into_iter().enumerate() {
-                    if writes.is_empty() {
-                        continue;
-                    }
-                    let bytes: u64 = writes
-                        .iter()
-                        .map(|w| w.data.len() as u64)
-                        .sum::<u64>()
-                        * self.params.edge_bytes;
-                    self.pending_write_acks += 1;
-                    ctx.send(
-                        self.machine,
-                        Addr::Storage(target),
-                        Msg::WriteEdgeBatch {
-                            writes,
-                            from: self.machine,
-                        },
-                        bytes + CONTROL_BYTES,
-                    );
-                }
-            } else {
-                for slot in 0..self.pp.edge_bufs.len() {
-                    let p = slot / bins;
-                    if !self.pp.edge_bufs[slot].is_empty() {
-                        let chunk = Arc::new(std::mem::take(&mut self.pp.edge_bufs[slot]));
-                        self.write_edges(ctx, p, false, chunk);
-                    }
-                    if !self.pp.redge_bufs[slot].is_empty() {
-                        let chunk = Arc::new(std::mem::take(&mut self.pp.redge_bufs[slot]));
-                        self.write_edges(ctx, p, true, chunk);
-                    }
-                }
-            }
-            // Ship partial degree counts to partition masters (sparse
-            // pairs, scanned out of the dense per-partition counters).
-            for p in 0..self.params.spec.num_partitions {
-                if self.pp.degree_counts[p].is_empty() {
-                    continue;
-                }
-                let base = self.params.spec.range(p).start;
-                let dv = std::mem::take(&mut self.pp.degree_counts[p]);
-                let entries: Vec<(u64, u32)> = dv
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(off, &c)| (base + off as u64, c))
-                    .collect();
+            self.flush_edges(ctx);
+            for (part, entries) in self.pp.take_counts(&self.params) {
                 let bytes = entries.len() as u64 * 12 + CONTROL_BYTES;
-                self.pp.degree_acks_pending += 1;
-                ctx.send(
-                    self.machine,
-                    Addr::Compute(self.params.master(p)),
-                    Msg::DegreeContrib {
-                        part: p,
-                        counts: Arc::new(entries),
-                        from: self.machine,
-                    },
-                    bytes,
-                );
+                let msg = Msg::DegreeContrib {
+                    part,
+                    counts: Arc::new(entries),
+                    from: self.machine,
+                };
+                let master = Addr::Compute(self.params.master(part));
+                ctx.send(self.machine, master, msg, bytes);
             }
         }
-        if self.pending_write_acks == 0 && self.pp.degree_acks_pending == 0 {
-            self.arrive_barrier(ctx);
-        }
+        self.maybe_barrier(ctx);
     }
 
-    fn on_degree_contrib(
-        &mut self,
-        ctx: &mut Ctx<P>,
-        part: usize,
-        counts: &[(u64, u32)],
-        from: usize,
-    ) {
-        debug_assert_eq!(self.params.master(part), self.machine);
-        let len = self.params.spec.len(part) as usize;
-        let base = self.params.spec.range(part).start;
-        let dv = &mut self.degrees[part];
-        if dv.is_empty() {
-            *dv = vec![0u32; len];
+    /// Writes the partial edge buffers out. Under the clustered layout they
+    /// are tiny, so a message per buffer would multiply pre-processing
+    /// traffic by the bin count: they are grouped by their bin-home engine
+    /// into one batched write each, and the storage side merges each
+    /// element into its open buffer.
+    fn flush_edges(&mut self, ctx: &mut Ctx<P>) {
+        let (mut pp, params) = (std::mem::take(&mut self.pp), Arc::clone(&self.params));
+        if params.cluster.bins() == 1 || self.centralized() {
+            pp.flush(&params, |part, reverse, chunk| {
+                self.write_edges(ctx, part, reverse, chunk)
+            });
+        } else {
+            let mut batches: Vec<Vec<EdgeWrite<P>>> = (0..self.m()).map(|_| Vec::new()).collect();
+            pp.flush(&params, |part, reverse, data| {
+                let target = self.edge_write_target(part, reverse, data[0].key(reverse));
+                batches[target].push(EdgeWrite {
+                    part,
+                    reverse,
+                    data,
+                });
+            });
+            for (target, writes) in batches.into_iter().enumerate() {
+                if writes.is_empty() {
+                    continue;
+                }
+                let records: u64 = writes.iter().map(|w| w.data.len() as u64).sum();
+                let bytes = records * params.edge_bytes + CONTROL_BYTES;
+                self.pending_write_acks += 1;
+                let msg = Msg::WriteEdgeBatch {
+                    writes,
+                    from: self.machine,
+                };
+                ctx.send(self.machine, Addr::Storage(target), msg, bytes);
+            }
         }
-        for &(vid, c) in counts {
-            dv[(vid - base) as usize] += c;
-        }
-        ctx.send(
-            self.machine,
-            Addr::Compute(from),
-            Msg::DegreeAck,
-            CONTROL_BYTES,
-        );
+        self.pp = pp;
     }
 
     // ------------------------------------------------------------------
@@ -773,31 +501,26 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.phase = PhaseKind::VertexInit;
         self.barrier_sent = false;
         self.pending_inits = self.my_parts.len();
-        if self.pending_inits == 0 {
-            self.arrive_barrier(ctx);
-            return;
-        }
         for i in 0..self.my_parts.len() {
             let part = self.my_parts[i];
-            let records = self.params.spec.len(part);
-            let cost = records * self.cfg.ns_per_record + self.cfg.msg_cpu_ns;
+            let cost = self.chunk_cost(self.params.spec.len(part));
             self.schedule_work(ctx, cost, Work::InitPartition { part });
         }
+        self.maybe_barrier(ctx);
     }
 
     fn init_partition(&mut self, ctx: &mut Ctx<P>, part: usize) {
         let range = self.params.spec.range(part);
         let base = range.start;
-        let mut states = self.take_state_buf();
-        let dv = &self.degrees[part];
-        states.extend(range.clone().map(|v| {
-            let deg = dv.get((v - base) as usize).copied().unwrap_or(0) as u64;
+        let mut states = self.states.take();
+        states.extend(range.map(|v| {
+            let deg = self.pp.degree(part, (v - base) as usize);
             self.program.init(v, deg)
         }));
         self.write_vertex_set(ctx, part, &states);
-        self.recycle_state_buf(states);
+        self.states.give(states);
         self.pending_inits -= 1;
-        self.maybe_arrive_simple(ctx);
+        self.maybe_barrier(ctx);
     }
 
     /// Writes a full vertex set as chunks to their home engines.
@@ -805,59 +528,22 @@ impl<P: GasProgram> ComputeEngine<P> {
         for c in 0..self.params.vertex_chunks(part) {
             let rows = self.params.vertex_chunk_rows(part, c);
             let data = Arc::new(states[rows].to_vec());
-            let bytes = data.len() as u64 * self.params.vstate_bytes;
+            let bytes = data.len() as u64 * self.params.vstate_bytes + CONTROL_BYTES;
             let home = self.params.vertex_home(part, c);
             self.pending_write_acks += 1;
-            ctx.send(
-                self.machine,
-                Addr::Storage(home),
-                Msg::WriteVertexChunk {
-                    part,
-                    chunk_no: c,
-                    data,
-                    from: self.machine,
-                },
-                bytes + CONTROL_BYTES,
-            );
-        }
-    }
-
-    /// VertexInit barrier check. With checkpointing on, the initial vertex
-    /// states are copied into the checkpoint area before arriving, so the
-    /// commit round at this barrier gives iteration 0 a committed snapshot
-    /// to roll back to.
-    fn maybe_arrive_simple(&mut self, ctx: &mut Ctx<P>) {
-        if self.phase == PhaseKind::VertexInit
-            && !self.barrier_sent
-            && self.pending_inits == 0
-            && self.pending_write_acks == 0
-        {
-            if self.cfg.checkpoint {
-                match self.ckpt {
-                    CkptState::Idle => {
-                        self.start_checkpoint(ctx);
-                        return;
-                    }
-                    CkptState::Copy(_) => return,
-                    CkptState::Done => {}
-                }
-            }
-            self.arrive_barrier(ctx);
+            let msg = Msg::WriteVertexChunk {
+                part,
+                chunk_no: c,
+                data,
+                from: self.machine,
+            };
+            ctx.send(self.machine, Addr::Storage(home), msg, bytes);
         }
     }
 
     // ------------------------------------------------------------------
     // Scatter / gather phase driving
     // ------------------------------------------------------------------
-
-    /// Forgets the phase's steal bookkeeping, keeping the tables.
-    fn clear_steal_tables(&mut self) {
-        self.stealers.iter_mut().for_each(Vec::clear);
-        self.steal_queries.iter_mut().for_each(VecDeque::clear);
-        self.finished_parts.clear();
-        self.query_inflight.clear();
-        self.pending_getaccums.clear();
-    }
 
     fn start_phase(&mut self, ctx: &mut Ctx<P>, phase: PhaseKind, iter: u32) {
         self.phase = phase;
@@ -866,66 +552,45 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.ckpt = CkptState::Idle;
         self.own_queue.clear();
         self.own_queue.extend(self.my_parts.iter().copied());
-        self.clear_steal_tables();
-        // Steal-scan candidates: every partition not owned by us, visited
-        // in random order (§5.3). The scan's containers are reused across
-        // phases (capacity retained).
-        self.scan.candidates.clear();
-        self.scan
-            .candidates
-            .extend((0..self.params.spec.num_partitions).filter(|p| self.params.master(*p) != self.machine));
-        self.rng.shuffle(&mut self.scan.candidates);
-        self.scan.started = false;
-        self.scan.awaiting.clear();
-        self.scan.accepted.clear();
+        // Steal-scan candidates: every partition not owned by us (§5.3).
+        let (params, me) = (&self.params, self.machine);
+        let foreign = (0..params.spec.num_partitions).filter(|&p| params.master(p) != me);
+        self.steal.arm(foreign, &mut self.rng);
         self.advance(ctx);
+    }
+
+    /// Whether a partition is being worked, applied or handed back, or the
+    /// barrier is reached: nothing new starts then.
+    fn busy(&self) -> bool {
+        let streaming = self.work.is_some() || self.gather_finish.is_some();
+        self.barrier_sent || streaming || self.steal.holding()
     }
 
     /// Moves to the next unit of work: own partitions first, then stealing,
     /// then the barrier.
     fn advance(&mut self, ctx: &mut Ctx<P>) {
-        if self.done
-            || self.barrier_sent
-            || self.work.is_some()
-            || self.gather_finish.is_some()
-            || self.waiting_getaccums.is_some()
-        {
+        if self.done || self.busy() {
             return;
         }
         if let Some(p) = self.own_queue.pop_front() {
             self.start_partition(ctx, p, false);
             return;
         }
-        // Steal scan: fan out one proposal per foreign partition. The
-        // candidate list is taken (not cloned) around the loop; it is not
-        // consulted again once the scan has started.
-        if !self.scan.started {
-            self.scan.started = true;
-            if self.cfg.steal_alpha != 0.0 {
-                let cands = std::mem::take(&mut self.scan.candidates);
-                for &p in &cands {
-                    self.scan.awaiting.insert(p);
-                    ctx.send(
-                        self.machine,
-                        Addr::Compute(self.params.master(p)),
-                        Msg::StealPropose {
-                            part: p,
-                            phase: self.phase,
-                            from: self.machine,
-                        },
-                        CONTROL_BYTES,
-                    );
-                }
-                self.scan.candidates = cands;
-            }
+        // Steal scan: fan out one proposal per foreign partition.
+        for &part in self.steal.proposals(self.cfg.steal_alpha) {
+            let msg = Msg::StealPropose {
+                part,
+                phase: self.phase,
+                from: self.machine,
+            };
+            let master = Addr::Compute(self.params.master(part));
+            ctx.send(self.machine, master, msg, CONTROL_BYTES);
         }
-        if let Some(p) = self.scan.accepted.pop_front() {
+        if let Some(p) = self.steal.next_accepted() {
             self.start_partition(ctx, p, true);
             return;
         }
-        if self.scan.finished() {
-            self.maybe_barrier(ctx);
-        }
+        self.maybe_barrier(ctx);
     }
 
     fn start_partition(&mut self, ctx: &mut Ctx<P>, part: usize, stolen: bool) {
@@ -936,10 +601,10 @@ impl<P: GasProgram> ComputeEngine<P> {
         };
         w.reset(part, stolen, ctx.now);
         let n = self.params.spec.len(part) as usize;
-        w.vertices = self.take_state_buf();
+        w.vertices = self.states.take();
         w.vertices.resize(n, P::VertexState::default());
         if self.phase == PhaseKind::Gather {
-            w.accums = self.take_accum_buf();
+            w.accums = self.accums.take();
             w.accums.resize(n, P::Accum::default());
         }
         if stolen {
@@ -954,16 +619,12 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.work = Some(w);
         for c in 0..chunks {
             let home = self.params.vertex_home(part, c);
-            ctx.send(
-                self.machine,
-                Addr::Storage(home),
-                Msg::VertexChunkReq {
-                    part,
-                    chunk_no: c,
-                    from: self.machine,
-                },
-                CONTROL_BYTES,
-            );
+            let msg = Msg::VertexChunkReq {
+                part,
+                chunk_no: c,
+                from: self.machine,
+            };
+            ctx.send(self.machine, Addr::Storage(home), msg, CONTROL_BYTES);
         }
         if chunks == 0 {
             self.arm_scatter_activity();
@@ -992,7 +653,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         while let Some(to) = win.next_target(&mut self.rng, window, centralized, local) {
             let (msg, bytes) = match to {
                 Addr::Directory => (Msg::DirRead { part, kind, from: me }, CONTROL_BYTES),
-                _ => chunk_req(kind, part, me, active.clone()),
+                _ => Msg::chunk_req(kind, part, me, active.clone()),
             };
             ctx.send(me, to, msg, bytes);
         }
@@ -1019,7 +680,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         win.on_response(source, chunk.is_some(), local_only);
         match chunk {
             Some((records, work)) => {
-                let cost = self.chunk_cost(records);
+                let cost = self.chunk_cost(records as u64);
                 self.schedule_work(ctx, cost, work);
                 self.pump(ctx);
             }
@@ -1170,23 +831,19 @@ impl<P: GasProgram> ComputeEngine<P> {
         };
         debug_assert_eq!(survivors.len() as u64, data.len() as u64 - dead);
         let part = w.part;
-        let bytes = survivors.len() as u64 * self.params.edge_bytes;
+        let bytes = survivors.len() as u64 * self.params.edge_bytes + CONTROL_BYTES;
         let sel = self.sel_mut();
         sel.edges_tombstoned += dead;
         sel.compactions += 1;
         self.pending_write_acks += 1;
-        ctx.send(
-            self.machine,
-            Addr::Storage(source),
-            Msg::ReplaceEdgeChunk {
-                part,
-                reverse,
-                entry,
-                data: Arc::new(survivors),
-                from: self.machine,
-            },
-            bytes + CONTROL_BYTES,
-        );
+        let msg = Msg::ReplaceEdgeChunk {
+            part,
+            reverse,
+            entry,
+            data: Arc::new(survivors),
+            from: self.machine,
+        };
+        ctx.send(self.machine, Addr::Storage(source), msg, bytes);
     }
 
     /// Accounts chunks — and, under block indexing, block runs inside the
@@ -1307,7 +964,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             // Every engine is exhausted for this partition now, so its
             // remaining bytes are zero: later steal proposals can be
             // rejected without asking storage.
-            self.finished_parts.insert(part);
+            self.steal.finish(part);
             self.breakdown.gp_master += ctx.now - w.started;
         }
         match self.phase {
@@ -1325,12 +982,9 @@ impl<P: GasProgram> ComputeEngine<P> {
                 // the rest of the work state is recycled.
                 let accums = Arc::new(std::mem::take(&mut w.accums));
                 self.retire_work(w);
-                if self.pending_getaccums.remove(part) {
+                if let Some(accums) = self.steal.hand_back(part, accums, ctx.now) {
                     self.send_accums(ctx, part, accums);
                     self.advance(ctx);
-                } else {
-                    self.waiting_getaccums = Some((part, accums));
-                    self.getaccums_wait_since = ctx.now;
                 }
             }
             PhaseKind::Gather => {
@@ -1348,16 +1002,13 @@ impl<P: GasProgram> ComputeEngine<P> {
         // Shipping accumulators is load-balancing overhead ("copy").
         let nic = Resource::new(self.cfg.fabric.nic_bytes_per_sec, 0);
         self.breakdown.copy += nic.transfer_time(bytes);
-        ctx.send(
-            self.machine,
-            Addr::Compute(self.params.master(part)),
-            Msg::Accums {
-                part,
-                accums,
-                from: self.machine,
-            },
-            bytes + CONTROL_BYTES,
-        );
+        let msg = Msg::Accums {
+            part,
+            accums,
+            from: self.machine,
+        };
+        let master = Addr::Compute(self.params.master(part));
+        ctx.send(self.machine, master, msg, bytes + CONTROL_BYTES);
     }
 
     fn master_finish_gather(
@@ -1367,82 +1018,45 @@ impl<P: GasProgram> ComputeEngine<P> {
         vertices: Vec<P::VertexState>,
         accums: Vec<P::Accum>,
     ) {
-        let stealers = &self.stealers[part];
-        let mut fin = GatherFinish {
-            part,
-            vertices,
-            accums,
-            collected: Vec::new(),
-            awaiting: stealers.len(),
-            wait_started: ctx.now,
-            applying: false,
-        };
+        let stealers = &self.steal.stealers[part];
         for &s in stealers {
-            ctx.send(
-                self.machine,
-                Addr::Compute(s),
-                Msg::GetAccums {
-                    part,
-                    from: self.machine,
-                },
-                CONTROL_BYTES,
-            );
+            let msg = Msg::GetAccums {
+                part,
+                from: self.machine,
+            };
+            ctx.send(self.machine, Addr::Compute(s), msg, CONTROL_BYTES);
         }
-        if fin.awaiting == 0 {
-            self.schedule_apply(ctx, &mut fin);
+        let fin = GatherFinish::new(part, vertices, accums, stealers.len(), ctx.now);
+        if fin.ready() {
+            self.schedule_apply(ctx, part, fin.records());
         }
         self.gather_finish = Some(fin);
     }
 
-    fn schedule_apply(&mut self, ctx: &mut Ctx<P>, fin: &mut GatherFinish<P>) {
-        fin.applying = true;
-        let n = fin.vertices.len() as u64;
-        let cost = n * (1 + fin.collected.len() as u64) * self.cfg.ns_per_record
-            + self.cfg.msg_cpu_ns;
+    /// Merge and apply cost the master's CPU by the records they touch.
+    fn schedule_apply(&mut self, ctx: &mut Ctx<P>, part: usize, records: u64) {
+        let cost = self.chunk_cost(records);
         self.breakdown.merge += cost / self.cfg.cores as u64;
-        let done = self.cpu.serve(ctx.now, cost);
-        ctx.at(
-            done,
-            Addr::Compute(self.machine),
-            Msg::Processed {
-                work: Work::ApplyPartition { part: fin.part },
-            },
-        );
+        self.schedule_work(ctx, cost, Work::ApplyPartition { part });
     }
 
     fn apply_partition(&mut self, ctx: &mut Ctx<P>, part: usize) {
-        let mut fin = self.gather_finish.take().expect("apply without finish state");
+        let fin = self
+            .gather_finish
+            .take()
+            .expect("apply without finish state");
         debug_assert_eq!(fin.part, part);
         let base = self.params.spec.range(part).start;
-        // Merge replica accumulators (commutative), then apply once.
-        for arr in &fin.collected {
-            for (into, from) in fin.accums.iter_mut().zip(arr.iter()) {
-                self.program.merge(into, from);
-            }
-        }
-        for (off, (state, acc)) in fin.vertices.iter_mut().zip(fin.accums.iter()).enumerate() {
-            let v = base + off as u64;
-            if self.program.apply(v, state, acc, self.iter) {
-                self.agg.vertices_changed += 1;
-            }
-            let c = self.program.aggregate(state);
-            for (slot, x) in self.agg.custom.iter_mut().zip(c.iter()) {
-                *slot += x;
-            }
-        }
+        let (states, accums) = fin.apply(&self.program, base, self.iter, &mut self.agg);
         // Write the new vertex values back and drop the update set (§6.1);
         // the partition-sized buffers return to the engine pools.
-        let states = std::mem::take(&mut fin.vertices);
         self.write_vertex_set(ctx, part, &states);
-        self.recycle_state_buf(states);
-        self.recycle_accum_buf(std::mem::take(&mut fin.accums));
+        self.states.give(states);
+        self.accums.give(accums);
+
         for s in 0..self.m() {
-            ctx.send(
-                self.machine,
-                Addr::Storage(s),
-                Msg::DeleteUpdates { part },
-                CONTROL_BYTES,
-            );
+            let msg = Msg::DeleteUpdates { part };
+            ctx.send(self.machine, Addr::Storage(s), msg, CONTROL_BYTES);
         }
         self.advance(ctx);
     }
@@ -1451,122 +1065,59 @@ impl<P: GasProgram> ComputeEngine<P> {
     // Stealing (master side)
     // ------------------------------------------------------------------
 
-    fn on_steal_propose(&mut self, ctx: &mut Ctx<P>, part: usize, phase: PhaseKind, from: usize) {
-        if phase != self.phase
-            || self.params.master(part) != self.machine
-            || self.finished_parts.contains(part)
-        {
-            // Stale proposal from a phase we already left, or a partition
-            // whose stream we already finished — in both cases Equation 2
-            // evaluates with D = 0 and must reject, so skip the
-            // remaining-bytes round trip.
-            ctx.send(
-                self.machine,
-                Addr::Compute(from),
-                Msg::StealReply {
-                    part,
-                    accept: false,
-                },
-                CONTROL_BYTES,
-            );
-            return;
-        }
-        self.steal_queries[part].push_back(from);
-        self.maybe_query_remaining(ctx, part);
-    }
-
     fn maybe_query_remaining(&mut self, ctx: &mut Ctx<P>, part: usize) {
-        if self.query_inflight.contains(part) || self.steal_queries[part].is_empty() {
-            return;
-        }
-        self.query_inflight.insert(part);
-        // "It estimates the value of D by multiplying the amount of edge or
-        // update data still to be processed on the local storage engine by
-        // the number of machines" (§5.4).
-        ctx.send(
-            self.machine,
-            Addr::Storage(self.machine),
-            Msg::RemainingReq {
+        if self.steal.query(part) {
+            let msg = Msg::RemainingReq {
                 part,
                 kind: self.phase_kind_data(self.phase),
                 from: self.machine,
-            },
-            CONTROL_BYTES,
-        );
+            };
+            let local = Addr::Storage(self.machine);
+            ctx.send(self.machine, local, msg, CONTROL_BYTES);
+        }
     }
 
+    /// Answers the oldest proposal for `part` now that local storage
+    /// reported `local_bytes` of it left.
     fn on_remaining(&mut self, ctx: &mut Ctx<P>, part: usize, local_bytes: u64) {
-        self.query_inflight.remove(part);
-        let Some(proposer) = self.steal_queries[part].pop_front() else {
-            return;
-        };
-        let mut d = (local_bytes * self.m() as u64) as f64;
-        // Selectivity-aware steal criterion: `bytes_remaining` counts
-        // *stored* bytes, but under selective streaming only the live
-        // fraction of them becomes work — the rest is consumed unread.
-        // Scale D by this engine's observed live fraction for the current
-        // scatter iteration so stealers stop chasing work that will be
-        // skipped (a fully-skipped remainder offers D = 0 and is never
-        // handed out). Deterministic, and identical in debug builds, which
-        // make the same skip decisions.
-        if self.phase == PhaseKind::Scatter && self.params.selective {
-            d *= self
-                .selectivity
-                .get(self.iter as usize)
-                .map_or(1.0, IterSelectivity::live_fraction);
-        }
+        let selective_scatter = self.phase == PhaseKind::Scatter && self.params.selective;
+        let account = self.selectivity.get(self.iter as usize);
+        let d = remaining_work(local_bytes, self.m(), account.filter(|_| selective_scatter));
         let v = self.params.vertex_part_bytes(part) as f64;
-        let h = 1.0 + self.stealers[part].len() as f64;
-        let alpha = self.cfg.steal_alpha;
-        // Equation 2 with the α bias of §10.2: V + D/(H+1) < α·D/H.
-        let accept = d > 0.0 && (v + d / (h + 1.0)) < alpha * (d / h);
-        if accept {
-            self.stealers[part].push(proposer);
+        let answer = self.steal.on_remaining(part, v, d, self.cfg.steal_alpha);
+        if let Some((proposer, accept)) = answer {
+            let msg = Msg::StealReply { part, accept };
+            ctx.send(self.machine, Addr::Compute(proposer), msg, CONTROL_BYTES);
+            self.maybe_query_remaining(ctx, part);
         }
-        ctx.send(
-            self.machine,
-            Addr::Compute(proposer),
-            Msg::StealReply { part, accept },
-            CONTROL_BYTES,
-        );
-        self.maybe_query_remaining(ctx, part);
-    }
-
-    fn on_steal_reply(&mut self, ctx: &mut Ctx<P>, part: usize, accept: bool) {
-        if !self.scan.awaiting.remove(part) {
-            return; // Stale reply after an abort.
-        }
-        if accept {
-            self.scan.accepted.push_back(part);
-        }
-        self.advance(ctx);
     }
 
     // ------------------------------------------------------------------
     // Barrier + checkpoint
     // ------------------------------------------------------------------
 
+    /// Arrives at the barrier once the phase's work is done and every
+    /// write acknowledged: pre-processing flushed with its degree counts
+    /// acknowledged, every owned vertex set initialized, or — in scatter
+    /// and gather — the own partitions, the steal scan and every apply and
+    /// hand-back finished. With checkpointing on, the vertex states are
+    /// first copied into the checkpoint area at the VertexInit barrier
+    /// (giving iteration 0 a committed snapshot to roll back to) and at
+    /// every gather barrier.
     fn maybe_barrier(&mut self, ctx: &mut Ctx<P>) {
-        if self.barrier_sent
-            || self.work.is_some()
-            || self.gather_finish.is_some()
-            || self.waiting_getaccums.is_some()
-            || !self.own_queue.is_empty()
-            || !self.scan.finished()
-            || self.pending_write_acks != 0
-        {
+        let done = match self.phase {
+            PhaseKind::Preprocess => self.pp.flushed && self.pp.acks_pending == 0,
+            PhaseKind::VertexInit => self.pending_inits == 0,
+            PhaseKind::Scatter | PhaseKind::Gather => {
+                !self.busy() && self.own_queue.is_empty() && self.steal.scan_finished()
+            }
+        };
+        if self.barrier_sent || !done || self.pending_write_acks != 0 {
             return;
         }
-        match self.phase {
-            PhaseKind::Scatter | PhaseKind::Gather => {}
-            _ => return,
-        }
-        if self.cfg.checkpoint && self.phase == PhaseKind::Gather {
+        if self.cfg.checkpoint && matches!(self.phase, PhaseKind::VertexInit | PhaseKind::Gather) {
             match self.ckpt {
-                CkptState::Idle => {
-                    self.start_checkpoint(ctx);
-                    return;
-                }
+                CkptState::Idle => return self.start_checkpoint(ctx),
                 CkptState::Copy(_) => return,
                 CkptState::Done => {}
             }
@@ -1579,16 +1130,13 @@ impl<P: GasProgram> ComputeEngine<P> {
         for &part in &self.my_parts {
             for c in 0..self.params.vertex_chunks(part) {
                 pending += 1;
-                ctx.send(
-                    self.machine,
-                    Addr::Storage(self.params.vertex_home(part, c)),
-                    Msg::CheckpointChunk {
-                        part,
-                        chunk_no: c,
-                        from: self.machine,
-                    },
-                    CONTROL_BYTES,
-                );
+                let msg = Msg::CheckpointChunk {
+                    part,
+                    chunk_no: c,
+                    from: self.machine,
+                };
+                let home = Addr::Storage(self.params.vertex_home(part, c));
+                ctx.send(self.machine, home, msg, CONTROL_BYTES);
             }
         }
         if pending == 0 {
@@ -1620,15 +1168,11 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.barrier_sent = true;
         self.arrive_time = ctx.now;
         let agg = std::mem::take(&mut self.agg);
-        ctx.send(
-            self.machine,
-            Addr::Coordinator,
-            Msg::BarrierArrive {
-                from: self.machine,
-                agg,
-            },
-            CONTROL_BYTES,
-        );
+        let msg = Msg::BarrierArrive {
+            from: self.machine,
+            agg,
+        };
+        ctx.send(self.machine, Addr::Coordinator, msg, CONTROL_BYTES);
     }
 
     /// The coordinator released the barrier: adopt its program — the
@@ -1664,11 +1208,9 @@ impl<P: GasProgram> ComputeEngine<P> {
         }
         self.flush_scratch.clear();
         self.gather_finish = None;
-        self.waiting_getaccums = None;
-        self.clear_steal_tables();
+        self.steal.reset();
         self.pending_write_acks = 0;
         self.pending_dir_writes.clear();
-        self.scan.stop();
         self.own_queue.clear();
         self.agg = IterationAggregates::default();
         self.barrier_sent = false;
@@ -1679,14 +1221,9 @@ impl<P: GasProgram> ComputeEngine<P> {
         // (`iter` is the resume iteration, so a crash that advances past a
         // completed iteration keeps that iteration's row.)
         self.selectivity.truncate(iter as usize);
-        ctx.send(
-            self.machine,
-            Addr::Coordinator,
-            Msg::AbortAck { fallback: false },
-            CONTROL_BYTES,
-        );
+        let ack = Msg::AbortAck { fallback: false };
+        ctx.send(self.machine, Addr::Coordinator, ack, CONTROL_BYTES);
     }
-
 }
 
 // ----------------------------------------------------------------------
@@ -1740,72 +1277,64 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                 chunk_no,
                 data,
             } => self.on_vertex_chunk(ctx, part, chunk_no, data),
-            Msg::WriteAck { kind } => {
-                match kind {
-                    WriteKind::Checkpoint => self.on_ckpt_ack(ctx),
-                    _ => {
-                        self.pending_write_acks -= 1;
-                        match self.phase {
-                            PhaseKind::Preprocess => self.maybe_finish_preprocess(ctx),
-                            PhaseKind::VertexInit => self.maybe_arrive_simple(ctx),
-                            _ => self.maybe_barrier(ctx),
-                        }
-                    }
-                }
+            Msg::WriteAck {
+                kind: WriteKind::Checkpoint,
+            } => self.on_ckpt_ack(ctx),
+            Msg::WriteAck { .. } => {
+                self.pending_write_acks -= 1;
+                self.maybe_barrier(ctx);
             }
             Msg::DegreeContrib { part, counts, from } => {
-                self.on_degree_contrib(ctx, part, &counts, from)
+                debug_assert_eq!(self.params.master(part), self.machine);
+                self.pp.add_counts(&self.params, part, &counts);
+                let ack = Msg::DegreeAck;
+                ctx.send(self.machine, Addr::Compute(from), ack, CONTROL_BYTES);
             }
             Msg::DegreeAck => {
-                self.pp.degree_acks_pending -= 1;
-                self.maybe_finish_preprocess(ctx);
+                self.pp.acks_pending -= 1;
+                self.maybe_barrier(ctx);
             }
             Msg::StealPropose { part, phase, from } => {
-                self.on_steal_propose(ctx, part, phase, from)
+                let stale = phase != self.phase || self.params.master(part) != self.machine;
+                if self.steal.propose(part, from, stale) {
+                    self.maybe_query_remaining(ctx, part);
+                } else {
+                    let msg = Msg::StealReply {
+                        part,
+                        accept: false,
+                    };
+                    ctx.send(self.machine, Addr::Compute(from), msg, CONTROL_BYTES);
+                }
             }
-            Msg::StealReply { part, accept } => self.on_steal_reply(ctx, part, accept),
+            Msg::StealReply { part, accept } => {
+                if self.steal.on_reply(part, accept) {
+                    self.advance(ctx);
+                }
+            }
             Msg::RemainingResp { part, bytes } => self.on_remaining(ctx, part, bytes),
             Msg::GetAccums { part, from: _ } => {
-                if let Some((p, accums)) = self.waiting_getaccums.take() {
-                    if p == part {
-                        self.breakdown.merge_wait += ctx.now - self.getaccums_wait_since;
-                        self.send_accums(ctx, part, accums);
-                        self.advance(ctx);
-                        return;
-                    }
-                    self.waiting_getaccums = Some((p, accums));
-                }
-                if let Some(idx) = self.scan.accepted.iter().position(|&q| q == part) {
-                    // Accepted but never started: the master finished its
-                    // stream already, so abandon the steal and hand back
-                    // identity accumulators.
-                    self.scan.accepted.remove(idx);
-                    let n = self.params.spec.len(part) as usize;
-                    let empty: Arc<Vec<P::Accum>> =
-                        Arc::new((0..n).map(|_| P::Accum::default()).collect());
-                    self.send_accums(ctx, part, empty);
+                let len = self.params.spec.len(part) as usize;
+                if let Some((accums, since)) = self.steal.on_get_accums(part, len, ctx.now) {
+                    self.breakdown.merge_wait += ctx.now - since;
+                    self.send_accums(ctx, part, accums);
                     self.advance(ctx);
-                    return;
                 }
-                self.pending_getaccums.insert(part);
             }
             Msg::Accums {
                 part,
                 accums,
                 from: _,
             } => {
-                let mut fin = self
+                let fin = self
                     .gather_finish
-                    .take()
+                    .as_mut()
                     .expect("accums only arrive while the master waits");
                 debug_assert_eq!(fin.part, part);
-                fin.collected.push(accums);
-                fin.awaiting -= 1;
-                if fin.awaiting == 0 {
-                    self.breakdown.merge_wait += ctx.now - fin.wait_started;
-                    self.schedule_apply(ctx, &mut fin);
+                if let Some(waited) = fin.collect(accums, ctx.now) {
+                    let records = fin.records();
+                    self.breakdown.merge_wait += waited;
+                    self.schedule_apply(ctx, part, records);
                 }
-                self.gather_finish = Some(fin);
             }
             Msg::Processed { work } => match work {
                 Work::BinInputChunk { data } => self.bin_input_chunk(ctx, data),
@@ -1839,7 +1368,7 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                 // Centralized placement keeps dense streaming (see
                 // `RunParams::selective`): no active summary.
                 Some(e) => {
-                    let (msg, bytes) = chunk_req(kind, part, self.machine, None);
+                    let (msg, bytes) = Msg::chunk_req(kind, part, self.machine, None);
                     ctx.send(self.machine, Addr::Storage(e), msg, bytes);
                 }
                 None => {
@@ -1852,30 +1381,6 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
     }
 }
 
-/// The request for the next chunk of a `kind` stream of `part` from
-/// machine `from`, and its wire bytes. The active summary rides on every
-/// edge request (and is charged for): requests are independent, so every
-/// storage engine sees the frontier it needs for its skip decisions.
-fn chunk_req<P: GasProgram>(
-    kind: DataKind,
-    part: usize,
-    from: usize,
-    active: Option<Arc<ActiveSet>>,
-) -> (Msg<P>, u64) {
-    let bytes = CONTROL_BYTES + active.as_ref().map_or(0, |a| a.wire_bytes());
-    let msg = match kind {
-        DataKind::Input => Msg::InputChunkReq { from },
-        DataKind::Edges | DataKind::EdgesReverse => Msg::EdgeChunkReq {
-            part,
-            reverse: kind == DataKind::EdgesReverse,
-            from,
-            active,
-        },
-        DataKind::Updates => Msg::UpdateChunkReq { part, from },
-    };
-    (msg, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     /// Steady-state allocation regression: once warm, streaming a chunk
@@ -1885,10 +1390,9 @@ mod tests {
     mod allocation_free {
         use std::sync::Arc;
 
-        use chaos_gas::{
-            BareEdge, Control, EdgeRecord, GasProgram, IterationAggregates, LocalUpdate,
-        };
-        use chaos_graph::{Edge, PartitionSpec, VertexId};
+        use chaos_algos::pagerank::{Pagerank, RankSum};
+        use chaos_gas::{BareEdge, EdgeRecord, LocalUpdate};
+        use chaos_graph::{Edge, PartitionSpec};
         use chaos_runtime::Actor;
         use chaos_sim::Rng;
 
@@ -1898,60 +1402,21 @@ mod tests {
         use crate::msg::{Msg, PhaseKind, Work};
         use crate::runtime::{Ctx, Layout, RunParams};
 
-        /// Minimal branch-free program: every edge emits an update.
-        #[derive(Clone)]
-        struct Flood;
-
-        impl GasProgram for Flood {
-            type VertexState = u64;
-            type Update = u64;
-            type Accum = u64;
-            type HeldEdge = BareEdge;
-
-            fn name(&self) -> &'static str {
-                "Flood"
-            }
-
-            fn init(&self, v: VertexId, _d: u64) -> u64 {
-                v
-            }
-
-            fn scatter(&self, _v: VertexId, state: &u64, edge: &Edge, _i: u32) -> Option<u64> {
-                Some(state ^ edge.dst)
-            }
-
-            fn gather(&self, acc: &mut u64, _dst: VertexId, _s: &u64, payload: &u64) {
-                *acc = acc.wrapping_add(*payload);
-            }
-
-            fn merge(&self, into: &mut u64, from: &u64) {
-                *into = into.wrapping_add(*from);
-            }
-
-            fn apply(&self, _v: VertexId, _s: &mut u64, _a: &u64, _i: u32) -> bool {
-                false
-            }
-
-            fn end_iteration(&mut self, _i: u32, _a: &IterationAggregates) -> Control {
-                Control::Done
-            }
-        }
-
         /// An engine frozen mid-stream on partition 0 of a 4-partition
         /// layout, with enough in-flight accounting that no chunk
-        /// completes the stream (so handlers do pure kernel work).
-        fn mid_stream_engine(phase: PhaseKind) -> ComputeEngine<Flood> {
+        /// completes the stream (so handlers do pure kernel work). Every
+        /// vertex has out-degree 1, so every edge emits an update.
+        fn mid_stream_engine(phase: PhaseKind) -> ComputeEngine<Pagerank> {
             let cfg = Arc::new(ChaosConfig::new(2));
             let spec = PartitionSpec::with_partitions(256, 4);
             let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, false, Layout::DEFAULT));
-            let mut eng =
-                ComputeEngine::new(0, Arc::clone(&cfg), params, Flood, Rng::new(7));
+            let mut eng = ComputeEngine::new(0, cfg, params, Pagerank::new(1), Rng::new(7));
             eng.phase = phase;
             let mut w = PartWork::new(2);
             w.reset(0, false, 0);
-            w.vertices = (0..64u64).collect();
+            w.vertices = vec![(1.0, 1); 64];
             if phase == PhaseKind::Gather {
-                w.accums = vec![0u64; 64];
+                w.accums = vec![RankSum::default(); 64];
             }
             w.loaded = true;
             w.win.outstanding = 1; // Keeps the stream open across chunks.
@@ -1969,7 +1434,7 @@ mod tests {
                     .collect(),
             );
             let mut ctx = Ctx::new(0, 0);
-            let chunk = |eng: &mut ComputeEngine<Flood>, ctx: &mut Ctx<Flood>| {
+            let chunk = |eng: &mut ComputeEngine<Pagerank>, ctx: &mut Ctx<Pagerank>| {
                 eng.handle(
                     ctx,
                     Msg::Processed {
@@ -2004,11 +1469,11 @@ mod tests {
         #[test]
         fn gather_chunk_is_allocation_free() {
             let mut eng = mid_stream_engine(PhaseKind::Gather);
-            let updates: Arc<Vec<LocalUpdate<u64>>> = Arc::new(
-                (0..512u64)
+            let updates: Arc<Vec<LocalUpdate<f32>>> = Arc::new(
+                (0..512u32)
                     .map(|i| LocalUpdate {
-                        off: (i % 64) as u32,
-                        payload: i,
+                        off: i % 64,
+                        payload: i as f32,
                     })
                     .collect(),
             );
@@ -2030,117 +1495,6 @@ mod tests {
                 0,
                 "gather chunks never allocate, warm or cold"
             );
-        }
-    }
-
-    /// The selectivity-aware steal criterion: Equation 2's D is the
-    /// stored remaining bytes scaled by this engine's observed live
-    /// fraction for the current scatter iteration.
-    mod steal_scaling {
-        use std::sync::Arc;
-
-        use chaos_gas::{ActivityModel, BareEdge, Control, GasProgram, IterationAggregates};
-        use chaos_graph::{Edge, PartitionSpec, VertexId};
-        use chaos_sim::Rng;
-
-        use crate::compute_engine::ComputeEngine;
-        use crate::config::ChaosConfig;
-        use crate::metrics::IterSelectivity;
-        use crate::msg::PhaseKind;
-        use crate::runtime::{Ctx, Layout, RunParams};
-
-        /// Frontier program that never scatters (only the activity model
-        /// matters here).
-        #[derive(Clone)]
-        struct Sparse;
-
-        impl GasProgram for Sparse {
-            type VertexState = u64;
-            type Update = u64;
-            type Accum = u64;
-            type HeldEdge = BareEdge;
-
-            fn name(&self) -> &'static str {
-                "Sparse"
-            }
-
-            fn init(&self, v: VertexId, _d: u64) -> u64 {
-                v
-            }
-
-            fn scatter(&self, _v: VertexId, _s: &u64, _e: &Edge, _i: u32) -> Option<u64> {
-                None
-            }
-
-            fn gather(&self, _acc: &mut u64, _dst: VertexId, _s: &u64, _p: &u64) {}
-
-            fn merge(&self, _into: &mut u64, _from: &u64) {}
-
-            fn apply(&self, _v: VertexId, _s: &mut u64, _a: &u64, _i: u32) -> bool {
-                false
-            }
-
-            fn end_iteration(&mut self, _i: u32, _a: &IterationAggregates) -> Control {
-                Control::Done
-            }
-
-            fn activity(&self) -> ActivityModel {
-                ActivityModel::Frontier
-            }
-
-            fn is_active(&self, _v: VertexId, _s: &u64, _i: u32) -> bool {
-                false
-            }
-        }
-
-        fn scatter_master() -> ComputeEngine<Sparse> {
-            let cfg = Arc::new(ChaosConfig::new(2));
-            let spec = PartitionSpec::with_partitions(256, 4);
-            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, true, Layout::DEFAULT));
-            let mut eng = ComputeEngine::new(0, cfg, params, Sparse, Rng::new(1));
-            eng.phase = PhaseKind::Scatter;
-            eng.steal_queries[0].push_back(1);
-            eng
-        }
-
-        #[test]
-        fn fully_skipped_remainder_is_never_handed_out() {
-            let mut eng = scatter_master();
-            // Everything observed this iteration was skipped unread:
-            // D scales to zero, so plentiful stored bytes still reject.
-            eng.selectivity = vec![IterSelectivity {
-                records_skipped: 10_000,
-                ..Default::default()
-            }];
-            let mut ctx = Ctx::new(0, 0);
-            eng.on_remaining(&mut ctx, 0, 1 << 20);
-            assert!(
-                eng.stealers[0].is_empty(),
-                "a fully-skippable remainder offers no work"
-            );
-        }
-
-        #[test]
-        fn live_stream_still_accepts() {
-            let mut eng = scatter_master();
-            // Same stored bytes, but the stream is observed fully live:
-            // V + D/2 < D holds and the proposal is accepted.
-            eng.selectivity = vec![IterSelectivity {
-                edge_records_streamed: 10_000,
-                ..Default::default()
-            }];
-            let mut ctx = Ctx::new(0, 0);
-            eng.on_remaining(&mut ctx, 0, 1 << 20);
-            assert_eq!(eng.stealers[0].len(), 1);
-        }
-
-        #[test]
-        fn unobserved_iteration_defaults_to_dense() {
-            let mut eng = scatter_master();
-            // No selectivity account yet: live fraction defaults to 1.
-            let mut ctx = Ctx::new(0, 0);
-            eng.on_remaining(&mut ctx, 0, 1 << 20);
-            assert_eq!(eng.stealers[0].len(), 1);
         }
     }
 }

@@ -112,12 +112,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Enables or disables the between-iterations integrity scrub.
-    pub fn with_scrub(mut self, scrub: bool) -> Self {
-        self.scrub = scrub;
-        self
-    }
-
     /// Switches to the HDD profile (Figure 11 / §9.3).
     pub fn with_hdd(mut self) -> Self {
         self.device = DeviceProfile::hdd();

@@ -337,19 +337,13 @@ impl<S, E: Record> CheckpointChain<S, E> {
     /// The depth-2 fallback: the committed snapshot proved torn, so the
     /// previous one becomes the restore source, and every compaction since
     /// the last promote is put back, newest first.
-    pub(crate) fn rewind(
-        &mut self,
-        account: &mut FaultAccount,
-        edges: &mut [ChunkSet<E>],
-        redges: &mut [ChunkSet<E>],
-    ) {
+    pub(crate) fn rewind(&mut self, account: &mut FaultAccount, edges: &mut [Vec<ChunkSet<E>>; 2]) {
         for part in 0..self.committed.len() {
             self.committed[part] =
                 std::mem::replace(&mut self.prev[part], VertexArray::new(self.vstate_bytes));
         }
         for (part, reverse, replaced) in self.kept.drain(..).rev() {
-            let sets = if reverse { &mut *redges } else { &mut *edges };
-            sets[part].put_back(replaced);
+            edges[usize::from(reverse)][part].put_back(replaced);
         }
         if self.torn_chunk.take().is_some() {
             account.corruption_repaired += 1;
@@ -559,10 +553,10 @@ mod tests {
         let snap = |v: u64| Arc::new(vec![v; 4]);
         let committed = |c: &CheckpointChain<u64, u64>| c.committed_chunk(0, 0).map(|d| d[0]);
         let mut account = FaultAccount::default();
-        let mut edges = vec![ChunkSet::<u64>::in_memory(8)];
-        let mut redges = vec![ChunkSet::<u64>::in_memory(8)];
-        edges[0]
-            .append_indexed(Arc::new((0..10).collect()), Some(ChunkIndex::span(0, 9)))
+        let mut edges = [(); 2].map(|()| vec![ChunkSet::<u64>::in_memory(8)]);
+        let forward = Arc::new((0..10).collect());
+        edges[0][0]
+            .append_with_blocks(forward, Some(ChunkIndex::span(0, 9)), None)
             .unwrap();
         let compact = |set: &mut ChunkSet<u64>, lo: u64| {
             set.replace_with_blocks(
@@ -579,14 +573,14 @@ mod tests {
             chain.promote();
         }
         // Iteration 2 compacts; a promote forgets it.
-        let r = compact(&mut edges[0], 2);
+        let r = compact(&mut edges[0][0], 2);
         chain.compacted(0, false, r);
         chain.copy(0, 0, snap(3));
         chain.promote();
         assert_eq!(committed(&chain), Some(3));
         // Iteration 3 compacts twice; its snapshot is refused.
         for lo in [4, 6] {
-            let r = compact(&mut edges[0], lo);
+            let r = compact(&mut edges[0][0], lo);
             chain.compacted(0, false, r);
         }
         chain.copy(0, 0, snap(4));
@@ -596,24 +590,24 @@ mod tests {
         assert!(!chain.pending_torn);
         assert_eq!(committed(&chain), Some(3));
         // The fallback restores snapshot 2 over the edges promote 3 saw.
-        chain.rewind(&mut account, &mut edges, &mut redges);
+        chain.rewind(&mut account, &mut edges);
         assert_eq!(committed(&chain), Some(2));
         assert_eq!(
-            edges[0].stats().records,
+            edges[0][0].stats().records,
             8,
             "iteration 2's compaction stays"
         );
         assert_eq!(
-            edges[0].indexes().next(),
+            edges[0][0].indexes().next(),
             Some(Some(ChunkIndex::span(2, 9)))
         );
         assert_eq!(account.corruption_repaired, 0, "nothing was found torn");
 
         // With checkpointing off nothing is kept.
         let mut chain = CheckpointChain::<u64, u64>::new(1, 8, false);
-        let r = compact(&mut edges[0], 5);
+        let r = compact(&mut edges[0][0], 5);
         chain.compacted(0, false, r);
-        chain.rewind(&mut account, &mut edges, &mut redges);
-        assert_eq!(edges[0].stats().records, 5);
+        chain.rewind(&mut account, &mut edges);
+        assert_eq!(edges[0][0].stats().records, 5);
     }
 }

@@ -45,6 +45,7 @@
 
 #[cfg(test)]
 mod alloc_count;
+mod apply;
 pub mod batching;
 pub mod capacity;
 pub mod cluster;
@@ -56,8 +57,10 @@ pub mod fault;
 pub mod integrity;
 pub mod metrics;
 pub mod msg;
+pub mod preprocess;
 pub mod runtime;
 pub mod sink;
+pub mod steal;
 pub mod storage_engine;
 mod window;
 

@@ -104,6 +104,17 @@ pub enum DataKind {
     Updates,
 }
 
+impl DataKind {
+    /// The edge set of one direction: destination-keyed when `reverse`.
+    pub(crate) fn edges(reverse: bool) -> Self {
+        if reverse {
+            Self::EdgesReverse
+        } else {
+            Self::Edges
+        }
+    }
+}
+
 /// A message of the Chaos protocol, generic over the running program.
 pub enum Msg<P: GasProgram> {
     // ------------------------------------------------------ storage reads
@@ -505,6 +516,33 @@ pub enum Work<P: GasProgram> {
         /// Partition to initialize.
         part: usize,
     },
+}
+
+impl<P: GasProgram> Msg<P> {
+    /// The request for the next chunk of a `kind` stream of `part` from
+    /// machine `from`, and its wire bytes. The active summary rides on
+    /// every edge request (and is charged for): requests are independent,
+    /// so every storage engine sees the frontier it needs for its skip
+    /// decisions.
+    pub(crate) fn chunk_req(
+        kind: DataKind,
+        part: usize,
+        from: usize,
+        active: Option<Arc<ActiveSet>>,
+    ) -> (Self, u64) {
+        let bytes = CONTROL_BYTES + active.as_ref().map_or(0, |a| a.wire_bytes());
+        let msg = match kind {
+            DataKind::Input => Msg::InputChunkReq { from },
+            DataKind::Edges | DataKind::EdgesReverse => Msg::EdgeChunkReq {
+                part,
+                reverse: kind == DataKind::EdgesReverse,
+                from,
+                active,
+            },
+            DataKind::Updates => Msg::UpdateChunkReq { part, from },
+        };
+        (msg, bytes)
+    }
 }
 
 impl<P: GasProgram> std::fmt::Debug for Msg<P> {

@@ -120,19 +120,17 @@ pub struct StorageEngine<P: GasProgram> {
     /// outlives its binning.
     #[cfg(test)]
     input_seen: Vec<std::sync::Weak<Vec<P::HeldEdge>>>,
-    edges: Vec<ChunkSet<P::HeldEdge>>,
-    redges: Vec<ChunkSet<P::HeldEdge>>,
-    /// Open per-(partition, bin) accumulation buffers of the clustered
-    /// layout (slot = `part * bins + bin`), one pair for the forward and
-    /// reverse copies. Writers of one bin all target this engine (the
-    /// bin's deterministic home), so sub-chunk writes from different
-    /// pre-processing machines consolidate here into full-size, bin-pure
-    /// chunks instead of each leaving a partial — without this the
+    /// The edge sets by direction (`[forward, reverse]`), by partition.
+    edges: [Vec<ChunkSet<P::HeldEdge>>; 2],
+    /// Open accumulation buffers of the clustered layout by direction,
+    /// each indexed by (partition, bin) slot. Writers of one bin all target
+    /// this engine (the bin's deterministic home), so sub-chunk writes from
+    /// different pre-processing machines consolidate here into full-size,
+    /// bin-pure chunks instead of each leaving a partial — without this the
     /// partial-chunk count would scale with machines × partitions × bins.
     /// Sealed (flushed into the chunk sets) lazily at the first edge read
     /// or remaining-bytes query; empty and unused when `bins == 1`.
-    open_edges: Vec<Vec<P::HeldEdge>>,
-    open_redges: Vec<Vec<P::HeldEdge>>,
+    open: [Vec<Vec<P::HeldEdge>>; 2],
     sealed: bool,
     seal_scratch: SealScratch,
     updates: Vec<ChunkSet<LocalUpdate<P::Update>>>,
@@ -165,7 +163,13 @@ impl<P: GasProgram> StorageEngine<P> {
             })?;
         }
         let d = dir.as_deref();
-        let slots = parts * params.cluster.bins() as usize;
+        let slots = params.cluster.slot(parts, 0);
+        let edge_sets = |reverse| {
+            let name = edge_set_name(reverse);
+            (0..parts)
+                .map(|p| chunk_set(d, name, p, params.edge_bytes))
+                .collect::<Result<_, _>>()
+        };
         Ok(Self {
             machine,
             gen: 0,
@@ -174,14 +178,8 @@ impl<P: GasProgram> StorageEngine<P> {
             input: chunk_set(d, "input", 0, params.edge_bytes)?,
             #[cfg(test)]
             input_seen: Vec::new(),
-            edges: (0..parts)
-                .map(|p| chunk_set(d, "edges", p, params.edge_bytes))
-                .collect::<Result<_, _>>()?,
-            redges: (0..parts)
-                .map(|p| chunk_set(d, "redges", p, params.edge_bytes))
-                .collect::<Result<_, _>>()?,
-            open_edges: (0..slots).map(|_| Vec::new()).collect(),
-            open_redges: (0..slots).map(|_| Vec::new()).collect(),
+            edges: [edge_sets(false)?, edge_sets(true)?],
+            open: [(); 2].map(|()| (0..slots).map(|_| Vec::new()).collect()),
             sealed: params.cluster.bins() == 1,
             seal_scratch: SealScratch::default(),
             updates: (0..parts)
@@ -236,7 +234,7 @@ impl<P: GasProgram> StorageEngine<P> {
     /// Folds this engine's edge-chunk window widths (forward and reverse
     /// sets) into `h`, each relative to its partition's vertex span.
     pub fn accumulate_window_stats(&self, h: &mut WindowHistogram) {
-        for sets in [&self.edges, &self.redges] {
+        for sets in &self.edges {
             for (part, set) in sets.iter().enumerate() {
                 let span = self.params.spec.len(part);
                 for ix in set.indexes() {
@@ -298,11 +296,8 @@ impl<P: GasProgram> StorageEngine<P> {
         data: EdgeChunk<P>,
     ) -> ChunkIndex {
         let (scratch, blocks) = (&mut self.seal_scratch, self.params.block_records);
-        let (sealed, set) = if reverse {
-            (seal_chunk(&data, EdgeRef::dst, blocks, scratch), &mut self.redges[part])
-        } else {
-            (seal_chunk(&data, EdgeRef::src, blocks, scratch), &mut self.edges[part])
-        };
+        let sealed = seal_chunk(&data, |e| e.key(reverse), blocks, scratch);
+        let set = &mut self.edges[usize::from(reverse)][part];
         let payload = sealed.sorted.map_or(data, Arc::new);
         let index = Some(sealed.index);
         let stored = match entry {
@@ -315,15 +310,6 @@ impl<P: GasProgram> StorageEngine<P> {
         sealed.index
     }
 
-    /// The open accumulation buffers of one direction, by slot.
-    fn open_buffers(&mut self, reverse: bool) -> &mut Vec<Vec<P::HeldEdge>> {
-        if reverse {
-            &mut self.open_redges
-        } else {
-            &mut self.open_edges
-        }
-    }
-
     /// Consolidates one bin-pure edge write into the open per-(partition,
     /// bin) buffer, sealing the buffer whole each time it reaches the
     /// chunk size. Every chunk cut here is single-bin by construction —
@@ -332,15 +318,15 @@ impl<P: GasProgram> StorageEngine<P> {
     fn merge_edge_write(&mut self, part: usize, reverse: bool, data: EdgeChunk<P>) {
         debug_assert!(!self.sealed, "edge appends happen only before the first read");
         let bin_of = |params: &RunParams, key| params.cluster.bin_of(&params.spec, part, key);
-        let key = |e: &P::HeldEdge| if reverse { e.dst() } else { e.src() };
+        let key = |e: &P::HeldEdge| e.key(reverse);
         let bin = bin_of(&self.params, key(&data[0]));
         debug_assert!(
             data.iter().all(|e| bin_of(&self.params, key(e)) == bin),
             "writer sent a bin-impure edge chunk for partition {part}"
         );
-        let slot = part * self.params.cluster.bins() as usize + bin as usize;
+        let (dir, slot) = (usize::from(reverse), self.params.cluster.slot(part, bin));
         let epc = self.params.edges_per_chunk;
-        if self.open_buffers(reverse)[slot].is_empty() && data.len() == epc {
+        if self.open[dir][slot].is_empty() && data.len() == epc {
             // Fast path for the common case: writers cut their mid-stream
             // flushes at exactly the chunk size, so a full bin-pure chunk
             // arriving on an empty buffer is already a storage chunk —
@@ -351,9 +337,7 @@ impl<P: GasProgram> StorageEngine<P> {
             return;
         }
         let mut rest = &data[..];
-        while let Some(full) =
-            fill_open_chunk(&mut self.open_buffers(reverse)[slot], &mut rest, epc)
-        {
+        while let Some(full) = fill_open_chunk(&mut self.open[dir][slot], &mut rest, epc) {
             let index = self.seal_edge_chunk(part, reverse, None, full);
             debug_assert!(
                 bin_of(&self.params, index.lo) == bin && bin_of(&self.params, index.hi) == bin,
@@ -380,18 +364,16 @@ impl<P: GasProgram> StorageEngine<P> {
             return;
         }
         self.sealed = true;
-        let bins = self.params.cluster.bins() as usize;
         let epc = self.params.edges_per_chunk;
-        for part in 0..self.edges.len() {
+        for part in 0..self.params.spec.num_partitions {
             for reverse in [false, true] {
-                let slots = part * bins..(part + 1) * bins;
+                let (dir, slots) = (usize::from(reverse), self.params.cluster.slots(part));
                 // Records of this partition not yet sealed: the last chunk
                 // is cut, and allocated, at what is left of them.
-                let mut left: usize =
-                    self.open_buffers(reverse)[slots.clone()].iter().map(Vec::len).sum();
+                let mut left: usize = self.open[dir][slots.clone()].iter().map(Vec::len).sum();
                 let mut run = Vec::new();
                 for slot in slots {
-                    let leftover = std::mem::take(&mut self.open_buffers(reverse)[slot]);
+                    let leftover = std::mem::take(&mut self.open[dir][slot]);
                     let mut rest = &leftover[..];
                     loop {
                         if run.capacity() == 0 {
@@ -475,11 +457,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
             } => {
                 self.seal_edge_sets();
                 let materialize = cfg!(debug_assertions);
-                let set = if reverse {
-                    &mut self.redges[part]
-                } else {
-                    &mut self.edges[part]
-                };
+                let set = &mut self.edges[usize::from(reverse)][part];
                 // Skipped chunks and skipped block runs cost neither device
                 // time nor wire bytes: the chunk and block indexes are
                 // in-memory metadata, skipped payloads are never read (debug
@@ -564,8 +542,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     self.seal_edge_sets();
                 }
                 let bytes = match kind {
-                    DataKind::Edges => self.edges[part].bytes_remaining(),
-                    DataKind::EdgesReverse => self.redges[part].bytes_remaining(),
+                    DataKind::Edges => self.edges[0][part].bytes_remaining(),
+                    DataKind::EdgesReverse => self.edges[1][part].bytes_remaining(),
                     DataKind::Updates => self.updates[part].bytes_remaining(),
                     DataKind::Input => self.input.bytes_remaining(),
                 };
@@ -626,10 +604,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
             }
             Msg::ResetEdgeEpoch => {
                 self.seal_edge_sets();
-                for cs in &mut self.edges {
-                    cs.reset_epoch();
-                }
-                for cs in &mut self.redges {
+                for cs in self.edges.iter_mut().flatten() {
                     cs.reset_epoch();
                 }
                 if self.params.scrub {
@@ -642,7 +617,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     // as iteration-boundary latency.
                     let mut frames = 0u64;
                     let mut bytes = 0u64;
-                    for set in self.edges.iter().chain(&self.redges) {
+                    for set in self.edges.iter().flatten() {
                         let s = set.stats();
                         frames += s.chunks;
                         bytes += s.bytes;
@@ -725,7 +700,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     // Depth-2 fallback round: the committed snapshot proved
                     // torn during the first restore attempt, so restore one
                     // level down the chain.
-                    self.ckpt.rewind(&mut self.io.account, &mut self.edges, &mut self.redges);
+                    self.ckpt.rewind(&mut self.io.account, &mut self.edges);
                 } else if commit {
                     // The crash hit after every machine finished its copy
                     // phase but before the commit round completed: the
@@ -741,8 +716,9 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     let b = self.updates[part].stats().bytes;
                     self.cache.remove(b);
                     chunk_io(self.updates[part].clear(), "updates", part);
-                    self.edges[part].reset_epoch();
-                    self.redges[part].reset_epoch();
+                }
+                for cs in self.edges.iter_mut().flatten() {
+                    cs.reset_epoch();
                 }
                 // A torn checkpoint write on this machine makes the
                 // coordinator fall back instead of restoring.
@@ -839,19 +815,19 @@ mod tests {
         assert_eq!(want.len(), 4, "one merge cut per bin");
         want.extend(open.concat().chunks(EPC).map(|c| seal(c.to_vec())));
         eng.seal_edge_sets();
-        assert!(eng.open_edges.iter().all(|b| b.capacity() == 0), "open buffers released");
+        assert!(eng.open[0].iter().all(|b| b.capacity() == 0), "open buffers released");
 
-        let blocks: Vec<usize> = eng.edges[0]
+        let blocks: Vec<usize> = eng.edges[0][0]
             .block_indexes()
             .map(|b| b.map_or(1, BlockIndex::blocks))
             .collect();
         for (i, chunk) in want.iter().enumerate() {
-            let got = eng.edges[0].serve_next().unwrap().expect("a chunk per expected chunk");
+            let got = eng.edges[0][0].serve_next().unwrap().expect("a chunk per expected chunk");
             assert_eq!(*got, *chunk, "chunk {i}");
             assert_eq!(got.capacity(), got.len(), "chunk {i} carries spare capacity");
             assert_eq!(blocks[i], chunk.len().div_ceil(16), "chunk {i}");
         }
-        assert!(eng.edges[0].serve_next().unwrap().is_none());
+        assert!(eng.edges[0][0].serve_next().unwrap().is_none());
     }
 
     /// Once the scratch has grown, sealing a chunk allocates the sorted

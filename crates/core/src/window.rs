@@ -13,7 +13,7 @@ use chaos_sim::Rng;
 use crate::runtime::Addr;
 
 /// Request-window state of one chunk stream.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct ReadWindow {
     /// Requests sent and not yet answered.
     pub outstanding: usize,

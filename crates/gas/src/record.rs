@@ -276,6 +276,17 @@ pub trait EdgeRef {
     /// The edge as the per-edge [`GasProgram::scatter`](crate::GasProgram::scatter)
     /// takes it.
     fn edge(&self) -> Edge;
+    /// The scatter key of the copy the record is stored in: the
+    /// destination in the destination-keyed (`reverse`) copy, else the
+    /// source.
+    #[inline]
+    fn key(&self, reverse: bool) -> VertexId {
+        if reverse {
+            self.dst()
+        } else {
+            self.src()
+        }
+    }
 }
 
 impl EdgeRef for Edge {

@@ -176,6 +176,17 @@ impl BinSpec {
         (b as u32).min(self.bins - 1)
     }
 
+    /// Index of `bin` of `part` in a flat per-(partition, bin) table.
+    #[inline]
+    pub fn slot(&self, part: usize, bin: u32) -> usize {
+        part * self.bins as usize + bin as usize
+    }
+
+    /// The slots of partition `part`, in bin order.
+    pub fn slots(&self, part: usize) -> std::ops::Range<usize> {
+        self.slot(part, 0)..self.slot(part + 1, 0)
+    }
+
     /// Bin of vertex `v`, which must lie in partition `part` of `spec`.
     #[inline]
     pub fn bin_of(&self, spec: &PartitionSpec, part: usize, v: VertexId) -> u32 {

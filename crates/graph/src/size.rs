@@ -35,11 +35,6 @@ impl SizeModel {
         self.id_bytes + payload_bytes
     }
 
-    /// Bytes of one vertex record for a given algorithm state size.
-    pub fn vertex_bytes(&self, state_bytes: u64) -> u64 {
-        state_bytes
-    }
-
     /// Total input bytes for an edge list of `num_edges` edges.
     pub fn input_bytes(&self, num_edges: u64) -> u64 {
         num_edges * self.edge_bytes()
@@ -80,10 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn update_and_vertex_bytes() {
+    fn update_bytes_add_the_payload() {
         let m = SizeModel::for_graph(1000, false);
         assert_eq!(m.edge_bytes(), 8);
         assert_eq!(m.update_bytes(4), 8);
-        assert_eq!(m.vertex_bytes(8), 8);
     }
 }

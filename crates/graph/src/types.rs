@@ -120,11 +120,6 @@ impl InputGraph {
     pub fn adjacency(&self) -> Adjacency {
         Adjacency::forward(self)
     }
-
-    /// Builds a reverse (in-edge) adjacency view.
-    pub fn reverse_adjacency(&self) -> Adjacency {
-        Adjacency::reverse(self)
-    }
 }
 
 /// Compressed-sparse-row adjacency used by the reference oracles.
@@ -242,7 +237,7 @@ mod tests {
         assert_eq!(adj.degree(1), 0);
         assert_eq!(adj.degree(3), 1);
 
-        let rev = g.reverse_adjacency();
+        let rev = Adjacency::reverse(&g);
         let into0: Vec<_> = rev.neighbors(0).collect();
         assert_eq!(into0, vec![(3, 1.5)]);
     }

@@ -9,7 +9,7 @@
 //! are the properties that drive the per-partition load imbalance that the
 //! strong-scaling experiment stresses.
 
-use chaos_sim::{rng::mix64, Rng};
+use chaos_sim::Rng;
 
 use crate::types::{Edge, InputGraph};
 
@@ -114,11 +114,6 @@ impl WebGraphConfig {
         let scaled = raw * self.mean_out_degree * (alpha - 1.0).max(0.1) / alpha;
         (scaled.round() as u64).clamp(1, self.max_out_degree)
     }
-}
-
-/// Deterministic per-page popularity used by tests.
-pub fn page_popularity(page: u64) -> u64 {
-    mix64(page)
 }
 
 #[cfg(test)]

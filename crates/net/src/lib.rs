@@ -192,23 +192,6 @@ impl Fabric {
         // build up here), paying any straggler penalty on top.
         self.rx[to].serve(through + self.cfg.propagation, bytes) + extra
     }
-
-    /// Aggregate bytes moved through the switch per second over `[0, horizon]`.
-    pub fn aggregate_remote_throughput(&self, horizon: Time) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.stats.remote_bytes as f64 / (horizon as f64 / 1e9)
-        }
-    }
-
-    /// Utilization of the busiest receive NIC over `[0, horizon]`.
-    pub fn max_rx_utilization(&self, horizon: Time) -> f64 {
-        self.rx
-            .iter()
-            .map(|r| r.utilization(horizon))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The fabric is the actor runtime's network model: the executor asks it
@@ -355,13 +338,5 @@ mod tests {
         assert_eq!(f.stats().remote_messages, 0);
         // The calendar-queue hint is the smaller latency constant.
         assert_eq!(chaos_runtime::Network::time_quantum(&f), MICROS);
-    }
-
-    #[test]
-    fn throughput_accounting() {
-        let mut f = fabric(2);
-        f.send(0, 0, 1, 500 * MIB);
-        let thr = f.aggregate_remote_throughput(chaos_sim::SECS);
-        assert!((thr - (500 * MIB) as f64).abs() < 1.0);
     }
 }

@@ -47,29 +47,6 @@ pub enum QueueKind {
     Heap,
 }
 
-impl std::str::FromStr for QueueKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "calendar" | "cal" => Ok(Self::Calendar),
-            "heap" | "binary-heap" => Ok(Self::Heap),
-            other => Err(format!(
-                "unknown queue kind {other:?} (expected \"calendar\" or \"heap\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Calendar => "calendar",
-            Self::Heap => "heap",
-        })
-    }
-}
-
 /// The bucket shift matching a network latency `quantum`: its floor-log2
 /// plus 10 — i.e. buckets ~1024 quanta wide — clamped so buckets stay
 /// between 64 ns and ~67 ms. `None` when the network offers no hint
@@ -530,12 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_kind_parses_and_displays() {
-        assert_eq!("calendar".parse::<QueueKind>(), Ok(QueueKind::Calendar));
-        assert_eq!("heap".parse::<QueueKind>(), Ok(QueueKind::Heap));
-        assert!("fifo".parse::<QueueKind>().is_err());
-        assert_eq!(QueueKind::Calendar.to_string(), "calendar");
-        assert_eq!(QueueKind::Heap.to_string(), "heap");
+    fn queue_kind_defaults_to_calendar() {
         assert_eq!(QueueKind::default(), QueueKind::Calendar);
     }
 }

@@ -99,22 +99,6 @@ impl Resource {
         self.busy_until
     }
 
-    /// Like [`Resource::serve`] but without the per-request latency; used for
-    /// cache hits that still consume bus bandwidth.
-    pub fn serve_no_latency(&mut self, now: Time, bytes: u64) -> Time {
-        let start = now.max(self.busy_until);
-        let service = self.transfer_time(bytes);
-        self.busy_until = start + service;
-        self.bytes_served += bytes;
-        self.busy_time += service;
-        self.busy_until
-    }
-
-    /// The earliest time a new request could start service.
-    pub fn free_at(&self) -> Time {
-        self.busy_until
-    }
-
     /// Total bytes served so far.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served

@@ -531,21 +531,7 @@ impl<T: Record> ChunkSet<T> {
     ///
     /// Returns an I/O error if the file backend write fails.
     pub fn append(&mut self, records: Arc<Vec<T>>) -> std::io::Result<u64> {
-        self.append_indexed(records, None)
-    }
-
-    /// Appends a chunk carrying a scatter-key index over the records'
-    /// scatter-side vertex ids. Returns its storage size in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file backend write fails.
-    pub fn append_indexed(
-        &mut self,
-        records: Arc<Vec<T>>,
-        index: Option<ChunkIndex>,
-    ) -> std::io::Result<u64> {
-        self.append_with_blocks(records, index, None)
+        self.append_with_blocks(records, None, None)
     }
 
     /// Appends a chunk carrying both a scatter-key index and a block-level
@@ -584,37 +570,16 @@ impl<T: Record> ChunkSet<T> {
 
     /// Replaces the payload of entry `entry` in place (chunk compaction:
     /// tombstoned records removed, identity and serve-once semantics
-    /// preserved). Returns `(old_bytes, new_bytes)` at the configured
-    /// record width. On the file backend the survivors are appended and
-    /// the entry repointed — log-structured compaction; the dead extent
-    /// stays in the backing file until the set is cleared or dropped
-    /// (edge sets are never cleared mid-run, so their files only shrink
-    /// when the run's scratch directory goes away — growth is bounded,
-    /// since each replacement writes at most half the previous extent).
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file backend write fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` is out of range.
-    pub fn replace(
-        &mut self,
-        entry: u32,
-        records: Arc<Vec<T>>,
-        index: Option<ChunkIndex>,
-    ) -> std::io::Result<(u64, u64)> {
-        let new_bytes = records.len() as u64 * self.record_bytes;
-        let replaced = self.replace_with_blocks(entry, records, index, None)?;
-        Ok((replaced.old.records * self.record_bytes, new_bytes))
-    }
-
-    /// [`ChunkSet::replace`] carrying a rebuilt block index for the
-    /// compacted payload (compaction preserves record order, so survivors
-    /// of a sorted chunk stay sorted and the rebuilt blocks stay monotone).
-    /// Returns the entry it took out, which [`ChunkSet::put_back`]
-    /// restores.
+    /// preserved), with a rebuilt block index for the compacted payload
+    /// (compaction preserves record order, so survivors of a sorted chunk
+    /// stay sorted and the rebuilt blocks stay monotone). On the file
+    /// backend the survivors are appended and the entry repointed —
+    /// log-structured compaction; the dead extent stays in the backing
+    /// file until the set is cleared or dropped (edge sets are never
+    /// cleared mid-run, so their files only shrink when the run's scratch
+    /// directory goes away — growth is bounded, since each replacement
+    /// writes at most half the previous extent). Returns the entry it took
+    /// out, which [`ChunkSet::put_back`] restores.
     ///
     /// # Errors
     ///
@@ -1206,9 +1171,9 @@ mod tests {
     fn selective_serve_skips_inactive_windows() {
         use chaos_gas::ActiveSet;
         let mut cs = ChunkSet::<u64>::in_memory(8);
-        cs.append_indexed(chunk(0, 10), Some(ChunkIndex::span(0, 9))).unwrap();
-        cs.append_indexed(chunk(10, 20), Some(ChunkIndex::span(10, 19))).unwrap();
-        cs.append_indexed(chunk(20, 30), Some(ChunkIndex::span(20, 29))).unwrap();
+        cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None).unwrap();
+        cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None).unwrap();
+        cs.append_with_blocks(chunk(20, 30), Some(ChunkIndex::span(20, 29)), None).unwrap();
         cs.append(chunk(30, 32)).unwrap(); // unindexed: never skipped
         // Only 20..30 active.
         let active = ActiveSet::from_fn(0, 32, |off| (20..30).contains(&off));
@@ -1235,8 +1200,8 @@ mod tests {
     fn reference_mode_materializes_skipped_payloads() {
         use chaos_gas::ActiveSet;
         let mut cs = ChunkSet::<u64>::in_memory(8);
-        cs.append_indexed(chunk(0, 5), Some(ChunkIndex::span(0, 4))).unwrap();
-        cs.append_indexed(chunk(5, 9), Some(ChunkIndex::span(5, 8))).unwrap();
+        cs.append_with_blocks(chunk(0, 5), Some(ChunkIndex::span(0, 4)), None).unwrap();
+        cs.append_with_blocks(chunk(5, 9), Some(ChunkIndex::span(5, 8)), None).unwrap();
         let active = ActiveSet::from_fn(0, 16, |_| false);
         let r = cs.serve_next_selective(Some(&active), true).unwrap();
         assert!(r.served.is_none());
@@ -1249,17 +1214,16 @@ mod tests {
     #[test]
     fn replace_compacts_in_place_preserving_identity() {
         let mut cs = ChunkSet::<u64>::in_memory(8);
-        cs.append_indexed(chunk(0, 10), Some(ChunkIndex::span(0, 9))).unwrap();
-        cs.append_indexed(chunk(10, 20), Some(ChunkIndex::span(10, 19))).unwrap();
-        let (old, new) = cs.replace(0, chunk(0, 3), Some(ChunkIndex::span(0, 2))).unwrap();
-        assert_eq!((old, new), (80, 24));
+        cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None).unwrap();
+        cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None).unwrap();
+        cs.replace_with_blocks(0, chunk(0, 3), Some(ChunkIndex::span(0, 2)), None).unwrap();
         assert_eq!(cs.stats().records, 13);
         assert_eq!(cs.stats().chunks, 2, "identity preserved");
         // The replaced entry serves its new, smaller payload.
         let a = cs.serve_next().unwrap().unwrap();
         assert_eq!(a.as_slice(), &[0, 1, 2]);
         // Compaction to empty yields an always-skippable inverted window.
-        cs.replace(1, Arc::new(Vec::new()), Some(ChunkIndex::EMPTY)).unwrap();
+        cs.replace_with_blocks(1, Arc::new(Vec::new()), Some(ChunkIndex::EMPTY), None).unwrap();
         cs.reset_epoch();
         use chaos_gas::ActiveSet;
         let everything = ActiveSet::from_fn(0, 32, |_| true);
@@ -1276,8 +1240,8 @@ mod tests {
         let dir = ScratchDir::new("chaos-chunkset-replace").unwrap();
         let fb = FileBacking::create(&dir.path().join("edges.dat")).unwrap();
         let mut cs = ChunkSet::<u64>::file_backed(8, fb);
-        cs.append_indexed(chunk(0, 100), Some(ChunkIndex::span(0, 99))).unwrap();
-        cs.replace(0, chunk(40, 50), Some(ChunkIndex::span(40, 49))).unwrap();
+        cs.append_with_blocks(chunk(0, 100), Some(ChunkIndex::span(0, 99)), None).unwrap();
+        cs.replace_with_blocks(0, chunk(40, 50), Some(ChunkIndex::span(40, 49)), None).unwrap();
         let a = cs.serve_next().unwrap().unwrap();
         assert_eq!(a.as_slice(), &(40..50).collect::<Vec<_>>()[..]);
         cs.reset_epoch();
@@ -1293,8 +1257,8 @@ mod tests {
         let dir = ScratchDir::new("chaos-chunkset-put-back").unwrap();
         let fb = FileBacking::create(&dir.path().join("edges.dat")).unwrap();
         for mut cs in [ChunkSet::<u64>::in_memory(8), ChunkSet::file_backed(8, fb)] {
-            cs.append_indexed(chunk(0, 10), Some(ChunkIndex::span(0, 9))).unwrap();
-            cs.append_indexed(chunk(10, 20), Some(ChunkIndex::span(10, 19))).unwrap();
+            cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None).unwrap();
+            cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None).unwrap();
             let first = cs.replace_with_blocks(0, chunk(4, 8), Some(ChunkIndex::span(4, 7)), None);
             let second = cs.replace_with_blocks(0, chunk(6, 7), Some(ChunkIndex::span(6, 6)), None);
             assert_eq!(cs.stats().records, 11);
@@ -1361,8 +1325,8 @@ mod tests {
         let c1: Arc<Vec<u64>> = Arc::new(vec![10, 11, 80]);
         let c2: Arc<Vec<u64>> = Arc::new(vec![0, 50, 95]);
         for c in [&c0, &c1, &c2] {
-            cs.append_indexed(Arc::clone(c), Some(ChunkIndex::from_keys(c.iter().copied())))
-                .unwrap();
+            let index = ChunkIndex::from_keys(c.iter().copied());
+            cs.append_with_blocks(Arc::clone(c), Some(index), None).unwrap();
         }
         // Active only around 50: inside every window, outside c0/c1's
         // occupied strides.
@@ -1630,10 +1594,12 @@ mod tests {
         assert!(r.served.expect("chunk 1").partial);
         assert_eq!(cs.bytes_remaining(), 20 * 8, "both consumed in full");
         // Replace an already-served entry: total changes, remaining doesn't.
-        cs.replace(0, Arc::new(vec![1, 2]), Some(ChunkIndex::span(1, 2))).unwrap();
+        let compacted = Arc::new(vec![1, 2]);
+        cs.replace_with_blocks(0, compacted, Some(ChunkIndex::span(1, 2)), None).unwrap();
         assert_eq!(cs.bytes_remaining(), 20 * 8);
         // Replace an unserved entry: remaining adjusts.
-        cs.replace(3, Arc::new(vec![33]), Some(ChunkIndex::span(33, 33))).unwrap();
+        let compacted = Arc::new(vec![33]);
+        cs.replace_with_blocks(3, compacted, Some(ChunkIndex::span(33, 33)), None).unwrap();
         assert_eq!(cs.bytes_remaining(), 11 * 8);
         cs.reset_epoch();
         assert_eq!(cs.bytes_remaining(), (2 + 10 + 10 + 1) * 8);

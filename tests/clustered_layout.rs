@@ -171,7 +171,7 @@ fn stealing_is_layout_invariant() {
 #[test]
 fn compaction_is_layout_invariant_and_reports_tombstones() {
     // MIS under compaction: survivors of a clustered chunk stay within
-    // the source chunk's window (debug-asserted inside ChunkSet::replace)
+    // the source chunk's window (debug-asserted inside ChunkSet::replace_with_blocks)
     // and the account matches the unclustered run's results.
     let g = undirected_graph(8);
     let cfg = test_config(2);

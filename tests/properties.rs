@@ -3,6 +3,7 @@
 mod common;
 
 use chaos::core::batching;
+use chaos::core::steal::accepts;
 use chaos::gas::record::{decode_all, encode_all};
 use chaos::graph::{partition_edges, Edge, InputGraph, PartitionSpec};
 use chaos::prelude::*;
@@ -121,13 +122,11 @@ proptest! {
         extra in 1u64..1_000_000_000,
         h in 1u64..16,
     ) {
-        // Equation 2: accept iff V + D/(H+1) < D/H. If it holds for D it
-        // must hold for any larger D' (stealing only gets more attractive
-        // as more work remains).
-        let accept = |d: u64| {
-            let (v, d, h) = (v as f64, d as f64, h as f64);
-            v + d / (h + 1.0) < d / h
-        };
+        // Equation 2 (α = 1): accept iff V + D/(H+1) < D/H, where H
+        // counts the master and the h - 1 stealers it accepted. If it holds
+        // for D it must hold for any larger D' (stealing only gets more
+        // attractive as more work remains).
+        let accept = |d: u64| accepts(v as f64, d as f64, h as usize - 1, 1.0);
         if accept(d_lo) {
             prop_assert!(accept(d_lo + extra));
         }
