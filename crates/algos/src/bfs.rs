@@ -98,7 +98,13 @@ mod tests {
         let got: Vec<u32> = res.states;
         let want: Vec<u32> = oracle
             .iter()
-            .map(|&l| if l == chaos_graph::reference::UNREACHED { UNREACHED } else { l })
+            .map(|&l| {
+                if l == chaos_graph::reference::UNREACHED {
+                    UNREACHED
+                } else {
+                    l
+                }
+            })
             .collect();
         assert_eq!(got, want);
     }

@@ -101,10 +101,7 @@ mod tests {
         let res = run_sequential(BeliefPropagation::new(seed, iters), g, iters + 1);
         let want = oracle_bp(g, seed, iters);
         for (v, (got, w)) in res.states.iter().zip(want.iter()).enumerate() {
-            assert!(
-                (got - w).abs() <= 1e-6,
-                "vertex {v}: got {got} want {w}"
-            );
+            assert!((got - w).abs() <= 1e-6, "vertex {v}: got {got} want {w}");
         }
     }
 

@@ -216,13 +216,7 @@ impl GasProgram for Mcst {
         }
     }
 
-    fn scatter(
-        &self,
-        _v: VertexId,
-        state: &McstState,
-        edge: &Edge,
-        iter: u32,
-    ) -> Option<McstMsg> {
+    fn scatter(&self, _v: VertexId, state: &McstState, edge: &Edge, iter: u32) -> Option<McstMsg> {
         if edge.src == edge.dst || state.done {
             // Self-loops are never spanning-tree edges; finished
             // components have nothing left to say (their messages were
@@ -246,9 +240,7 @@ impl GasProgram for Mcst {
         match self.phase {
             Phase::MinEdge => Some(msg),
             Phase::Contract => (start || state.fresh).then_some(msg),
-            Phase::Reduce => {
-                (state.cand_w < NO_EDGE && (start || state.fresh)).then_some(msg)
-            }
+            Phase::Reduce => (state.cand_w < NO_EDGE && (start || state.fresh)).then_some(msg),
             Phase::Commit => None,
         }
     }
@@ -256,13 +248,7 @@ impl GasProgram for Mcst {
     // Too large to be inlined across crates unasked: outlined, the engine's
     // gather loop makes one call per update.
     #[inline]
-    fn gather(
-        &self,
-        acc: &mut McstAccum,
-        _dst: VertexId,
-        dst: &McstState,
-        m: &McstMsg,
-    ) {
+    fn gather(&self, acc: &mut McstAccum, _dst: VertexId, dst: &McstState, m: &McstMsg) {
         match self.phase {
             Phase::MinEdge => {
                 // Cross-component edges only.
@@ -311,13 +297,7 @@ impl GasProgram for Mcst {
         }
     }
 
-    fn apply(
-        &self,
-        _v: VertexId,
-        state: &mut McstState,
-        acc: &McstAccum,
-        _iter: u32,
-    ) -> bool {
+    fn apply(&self, _v: VertexId, state: &mut McstState, acc: &McstAccum, _iter: u32) -> bool {
         // A count contribution lives for exactly one aggregation.
         state.count_w = 0.0;
         let changed = match self.phase {
@@ -383,9 +363,7 @@ impl GasProgram for Mcst {
             Phase::Commit => false,
             // Fixpoint sub-phases: full flood at phase start, wavefront
             // afterwards (mirrors the `scatter` gating exactly).
-            Phase::Reduce => {
-                !state.done && state.cand_w < NO_EDGE && (start || state.fresh)
-            }
+            Phase::Reduce => !state.done && state.cand_w < NO_EDGE && (start || state.fresh),
             Phase::Contract => !state.done && (start || state.fresh),
             Phase::MinEdge => !state.done,
         }
@@ -449,8 +427,8 @@ impl GasProgram for Mcst {
 mod tests {
     use super::*;
     use chaos_gas::run_sequential;
-    use chaos_graph::reference::minimum_spanning_forest_weight;
     use chaos_graph::builder;
+    use chaos_graph::reference::minimum_spanning_forest_weight;
     use chaos_graph::types::InputGraph;
 
     fn check(g: &InputGraph) {
@@ -462,8 +440,7 @@ mod tests {
             "got {got} want {want}"
         );
         // Contraction must leave one component label per tree.
-        let comps: std::collections::HashSet<u64> =
-            res.states.iter().map(|s| s.comp).collect();
+        let comps: std::collections::HashSet<u64> = res.states.iter().map(|s| s.comp).collect();
         let oracle_comps: std::collections::HashSet<u64> =
             chaos_graph::reference::weakly_connected_components(g)
                 .into_iter()

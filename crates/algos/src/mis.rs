@@ -231,7 +231,10 @@ mod tests {
     #[test]
     fn matches_oracle_on_random_graphs() {
         for seed in 0..4 {
-            check(&builder::gnm(80, 300, false, seed).to_undirected(), seed + 10);
+            check(
+                &builder::gnm(80, 300, false, seed).to_undirected(),
+                seed + 10,
+            );
         }
         check(&RmatConfig::paper(7).generate().to_undirected(), 2);
     }

@@ -136,13 +136,7 @@ impl GasProgram for Scc {
         into.member_hit |= from.member_hit;
     }
 
-    fn apply(
-        &self,
-        v: VertexId,
-        state: &mut (u64, u64, bool),
-        acc: &SccAccum,
-        _iter: u32,
-    ) -> bool {
+    fn apply(&self, v: VertexId, state: &mut (u64, u64, bool), acc: &SccAccum, _iter: u32) -> bool {
         match self.phase {
             Phase::Forward => {
                 if state.1 == UNASSIGNED && acc.any && acc.max_color > state.0 {
@@ -200,12 +194,7 @@ impl GasProgram for Scc {
     }
 
     fn aggregate(&self, state: &(u64, u64, bool)) -> [f64; 4] {
-        [
-            if state.1 == UNASSIGNED { 1.0 } else { 0.0 },
-            0.0,
-            0.0,
-            0.0,
-        ]
+        [if state.1 == UNASSIGNED { 1.0 } else { 0.0 }, 0.0, 0.0, 0.0]
     }
 
     fn end_iteration(&mut self, _iter: u32, agg: &IterationAggregates) -> Control {

@@ -72,8 +72,8 @@ impl GasProgram for Spmv {
 mod tests {
     use super::*;
     use chaos_gas::run_sequential;
-    use chaos_graph::reference::spmv as oracle_spmv;
     use chaos_graph::builder;
+    use chaos_graph::reference::spmv as oracle_spmv;
 
     #[test]
     fn matches_oracle() {

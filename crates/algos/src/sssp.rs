@@ -97,8 +97,8 @@ impl GasProgram for Sssp {
 mod tests {
     use super::*;
     use chaos_gas::run_sequential;
-    use chaos_graph::reference::dijkstra;
     use chaos_graph::builder;
+    use chaos_graph::reference::dijkstra;
 
     fn check(g: &chaos_graph::InputGraph, root: u64) {
         let res = run_sequential(Sssp::new(root), g, 100_000);

@@ -109,8 +109,7 @@ impl GridPartitioner {
     /// Partitions the graph; returns placements and quality metrics.
     pub fn partition(&self, graph: &InputGraph) -> GridPartitioning {
         let mut load = vec![0u64; self.machines];
-        let mut replicas: Vec<HashSet<u32>> =
-            vec![HashSet::new(); graph.num_vertices as usize];
+        let mut replicas: Vec<HashSet<u32>> = vec![HashSet::new(); graph.num_vertices as usize];
         for e in &graph.edges {
             let cu = self.candidates(e.src);
             let cv = self.candidates(e.dst);

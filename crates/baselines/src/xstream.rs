@@ -97,12 +97,8 @@ impl XStream {
         let vstate = program.vertex_state_bytes().max(1);
         let update_bytes = sizes.update_bytes(program.update_payload_bytes());
         let edge_bytes = sizes.edge_bytes();
-        let spec = PartitionSpec::for_memory(
-            graph.num_vertices.max(1),
-            vstate,
-            self.cfg.mem_budget,
-            1,
-        );
+        let spec =
+            PartitionSpec::for_memory(graph.num_vertices.max(1), vstate, self.cfg.mem_budget, 1);
         let mut device = Resource::new(self.cfg.device.bandwidth, self.cfg.device.latency);
         let cpu_rate = self.cfg.cores as u64 * 1_000_000_000;
         let mut cpu = Resource::new(cpu_rate, 0);
@@ -113,10 +109,10 @@ impl XStream {
         // device and the CPU pipeline through double buffering, so the
         // segment takes max(io, compute) (X-Stream's in-memory buffers).
         let stream = |clock: &mut Time,
-                          device: &mut Resource,
-                          cpu: &mut Resource,
-                          bytes: u64,
-                          records: u64| {
+                      device: &mut Resource,
+                      cpu: &mut Resource,
+                      bytes: u64,
+                      records: u64| {
             if bytes == 0 && records == 0 {
                 return;
             }
@@ -139,7 +135,13 @@ impl XStream {
         let input_bytes = sizes.input_bytes(graph.num_edges());
         let reverse = program.uses_reverse_edges();
         let pp_write = input_bytes * if reverse { 2 } else { 1 };
-        stream(&mut clock, &mut device, &mut cpu, input_bytes, graph.num_edges());
+        stream(
+            &mut clock,
+            &mut device,
+            &mut cpu,
+            input_bytes,
+            graph.num_edges(),
+        );
         stream(&mut clock, &mut device, &mut cpu, pp_write, 0);
         let degrees = graph.out_degrees();
         // Vertex init + write vertex files.
@@ -168,8 +170,7 @@ impl XStream {
             .collect();
 
         let mut iteration_aggs = Vec::new();
-        let mut updates_binned: Vec<Vec<Update<P::Update>>> =
-            vec![Vec::new(); spec.num_partitions];
+        let mut updates_binned: Vec<Vec<Update<P::Update>>> = vec![Vec::new(); spec.num_partitions];
 
         for iter in 0.. {
             assert!(iter < 1_000_000, "{} failed to converge", program.name());
@@ -271,7 +272,11 @@ mod tests {
         let (report, states) = xs.run(Bfs::new(0), &g);
         let oracle = reference::bfs_levels(&g, 0);
         for (s, o) in states.iter().zip(oracle.iter()) {
-            let o = if *o == reference::UNREACHED { u32::MAX } else { *o };
+            let o = if *o == reference::UNREACHED {
+                u32::MAX
+            } else {
+                *o
+            };
             assert_eq!(*s, o);
         }
         assert!(report.runtime > report.preprocess_time);

@@ -332,7 +332,13 @@ fn scatter_sink_case<P: GasProgram>(
 /// MinEdge messages from senders outside the partition, so every one is a
 /// candidate; BFS marks the destination reached.
 fn bench_gather(c: &mut Criterion) {
-    gather_case(c, "pr", &Pagerank::new(1), |_| (1.0, 1), |i| 1.0 / (1 + i % 16) as f32);
+    gather_case(
+        c,
+        "pr",
+        &Pagerank::new(1),
+        |_| (1.0, 1),
+        |i| 1.0 / (1 + i % 16) as f32,
+    );
     let mcst = Mcst::new();
     gather_case(
         c,

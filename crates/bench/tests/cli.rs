@@ -80,7 +80,10 @@ fn malformed_invocations_are_errors() {
 
 /// `bin args` must stop before running anything, naming `option`.
 fn unknown_option_is_rejected(bin: &str, args: &[&str], option: &str) {
-    let run = Command::new(bin).args(args).output().expect("binary starts");
+    let run = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("binary starts");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
     assert_eq!(

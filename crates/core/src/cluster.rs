@@ -420,18 +420,30 @@ mod tests {
         let mut cfg = ChaosConfig::new(4);
         cfg.chunk_bytes = 4 * 1024;
         let mut cluster = Cluster::new(cfg, program, &g).expect("valid configuration");
-        let loaded: usize = cluster.storages.iter().map(|s| s.input_payloads_alive()).sum();
+        let loaded: usize = cluster
+            .storages
+            .iter()
+            .map(|s| s.input_payloads_alive())
+            .sum();
         assert!(loaded > 4, "{loaded} input chunks before the run");
         let report = cluster.run();
         for (i, s) in cluster.storages.iter().enumerate() {
-            assert_eq!(s.input_payloads_alive(), 0, "engine {i} kept input after the run");
+            assert_eq!(
+                s.input_payloads_alive(),
+                0,
+                "engine {i} kept input after the run"
+            );
         }
         report.cluster_bins
     }
 
     #[test]
     fn no_input_payload_outlives_the_run() {
-        assert_eq!(run_consumes_input(Pagerank::new(2), false), 1, "PR: dense, one bin");
+        assert_eq!(
+            run_consumes_input(Pagerank::new(2), false),
+            1,
+            "PR: dense, one bin"
+        );
         assert!(run_consumes_input(Bfs::new(0), true) > 1, "BFS: clustered");
     }
 }

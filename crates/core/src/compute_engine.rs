@@ -652,7 +652,14 @@ impl<P: GasProgram> ComputeEngine<P> {
         let part = part.unwrap_or(0);
         while let Some(to) = win.next_target(&mut self.rng, window, centralized, local) {
             let (msg, bytes) = match to {
-                Addr::Directory => (Msg::DirRead { part, kind, from: me }, CONTROL_BYTES),
+                Addr::Directory => (
+                    Msg::DirRead {
+                        part,
+                        kind,
+                        from: me,
+                    },
+                    CONTROL_BYTES,
+                ),
                 _ => Msg::chunk_req(kind, part, me, active.clone()),
             };
             ctx.send(me, to, msg, bytes);
@@ -808,9 +815,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             return;
         };
         let base = self.params.spec.range(w.part).start;
-        let dead = self
-            .program
-            .dead_edges(base, &w.vertices, data, self.iter);
+        let dead = self.program.dead_edges(base, &w.vertices, data, self.iter);
         /// Minimum dead-edge fraction of a chunk that pays for rewriting it.
         const COMPACT_THRESHOLD: f64 = 0.5;
         if dead == 0 || (dead as f64) < data.len() as f64 * COMPACT_THRESHOLD {
@@ -1409,7 +1414,15 @@ mod tests {
         fn mid_stream_engine(phase: PhaseKind) -> ComputeEngine<Pagerank> {
             let cfg = Arc::new(ChaosConfig::new(2));
             let spec = PartitionSpec::with_partitions(256, 4);
-            let params = Arc::new(RunParams::new(&cfg, spec, 20, 16, 8, false, Layout::DEFAULT));
+            let params = Arc::new(RunParams::new(
+                &cfg,
+                spec,
+                20,
+                16,
+                8,
+                false,
+                Layout::DEFAULT,
+            ));
             let mut eng = ComputeEngine::new(0, cfg, params, Pagerank::new(1), Rng::new(7));
             eng.phase = phase;
             let mut w = PartWork::new(2);

@@ -76,19 +76,16 @@ impl<P: GasProgram> Actor for Directory<P> {
             }
             Msg::DirRead { part, kind, from } => {
                 let done = self.ops.serve(ctx.now, 1);
-                let engine = self
-                    .counts
-                    .get_mut(&(kind, part))
-                    .and_then(|(avail, _)| {
-                        let m = avail.len();
-                        let start = self.rr % m;
-                        (0..m)
-                            .map(|i| (start + i) % m)
-                            .find(|&e| avail[e] > 0)
-                            .inspect(|&e| {
-                                avail[e] -= 1;
-                            })
-                    });
+                let engine = self.counts.get_mut(&(kind, part)).and_then(|(avail, _)| {
+                    let m = avail.len();
+                    let start = self.rr % m;
+                    (0..m)
+                        .map(|i| (start + i) % m)
+                        .find(|&e| avail[e] > 0)
+                        .inspect(|&e| {
+                            avail[e] -= 1;
+                        })
+                });
                 self.rr += 1;
                 ctx.at(
                     done,

@@ -66,12 +66,11 @@ mod window;
 
 pub use capacity::{CapacityModel, CapacityPrediction};
 pub use chaos_runtime::{Actor, ExecStats, Executor, Network, SequentialExecutor, Topology};
-pub use cluster::{run_chaos, Cluster};
 pub use chaos_sim::QueueKind;
+pub use cluster::{run_chaos, Cluster};
 pub use config::{ChaosConfig, Placement};
 pub use fault::{
-    CorruptionFault, CrashFault, CrashTrigger, DeviceFault, FabricFault, FaultPlan,
-    FaultPlanConfig,
+    CorruptionFault, CrashFault, CrashTrigger, DeviceFault, FabricFault, FaultPlan, FaultPlanConfig,
 };
 pub use metrics::{Breakdown, FaultAccount, IterSelectivity, RunReport, WindowHistogram};
 pub use runtime::{Addr, ChaosActor, ClusterTopology, Layout, RunParams};

@@ -512,10 +512,7 @@ mod tests {
         for u in &all {
             let tp = spec.partition_of(u.dst);
             want[tp].push(u.clone());
-            want_caps[tp].push(LocalUpdate {
-                off: 0,
-                payload: 0,
-            });
+            want_caps[tp].push(LocalUpdate { off: 0, payload: 0 });
             if want[tp].len() == cap {
                 want_full.push(tp);
             }

@@ -158,9 +158,8 @@ impl<P: GasProgram> StorageEngine<P> {
         let parts = params.spec.num_partitions;
         let dir = spill_dir.map(|d| d.join(format!("machine-{machine}")));
         if let Some(d) = &dir {
-            std::fs::create_dir_all(d).map_err(|e| {
-                format!("cannot create spill directory {}: {e}", d.display())
-            })?;
+            std::fs::create_dir_all(d)
+                .map_err(|e| format!("cannot create spill directory {}: {e}", d.display()))?;
         }
         let d = dir.as_deref();
         let slots = params.cluster.slot(parts, 0);
@@ -205,7 +204,10 @@ impl<P: GasProgram> StorageEngine<P> {
         self.input_seen.push(Arc::downgrade(&chunk));
         self.input.append(chunk).map(drop).map_err(|e| {
             let dir = self.dir.as_deref().unwrap_or(Path::new(""));
-            format!("cannot write {}: {e}", backing_path(dir, "input", 0).display())
+            format!(
+                "cannot write {}: {e}",
+                backing_path(dir, "input", 0).display()
+            )
         })
     }
 
@@ -213,7 +215,10 @@ impl<P: GasProgram> StorageEngine<P> {
     /// alive anywhere.
     #[cfg(test)]
     pub(crate) fn input_payloads_alive(&self) -> usize {
-        self.input_seen.iter().filter(|w| w.strong_count() > 0).count()
+        self.input_seen
+            .iter()
+            .filter(|w| w.strong_count() > 0)
+            .count()
     }
 
     /// Read access to the stored vertex chunks (used by the cluster to
@@ -223,11 +228,7 @@ impl<P: GasProgram> StorageEngine<P> {
     }
 
     /// Read access to the committed checkpoint (tests / recovery).
-    pub fn checkpoint_chunk(
-        &self,
-        part: usize,
-        chunk_no: u32,
-    ) -> Option<Arc<Vec<P::VertexState>>> {
+    pub fn checkpoint_chunk(&self, part: usize, chunk_no: u32) -> Option<Arc<Vec<P::VertexState>>> {
         self.ckpt.committed_chunk(part, chunk_no)
     }
 
@@ -301,7 +302,9 @@ impl<P: GasProgram> StorageEngine<P> {
         let payload = sealed.sorted.map_or(data, Arc::new);
         let index = Some(sealed.index);
         let stored = match entry {
-            None => set.append_with_blocks(payload, index, sealed.blocks).map(drop),
+            None => set
+                .append_with_blocks(payload, index, sealed.blocks)
+                .map(drop),
             Some(e) => set
                 .replace_with_blocks(e, payload, index, sealed.blocks)
                 .map(|old| self.ckpt.compacted(part, reverse, old)),
@@ -316,7 +319,10 @@ impl<P: GasProgram> StorageEngine<P> {
     /// the narrow-window invariant of the clustered layout
     /// (debug-asserted below).
     fn merge_edge_write(&mut self, part: usize, reverse: bool, data: EdgeChunk<P>) {
-        debug_assert!(!self.sealed, "edge appends happen only before the first read");
+        debug_assert!(
+            !self.sealed,
+            "edge appends happen only before the first read"
+        );
         let bin_of = |params: &RunParams, key| params.cluster.bin_of(&params.spec, part, key);
         let key = |e: &P::HeldEdge| e.key(reverse);
         let bin = bin_of(&self.params, key(&data[0]));
@@ -379,8 +385,7 @@ impl<P: GasProgram> StorageEngine<P> {
                         if run.capacity() == 0 {
                             run.reserve_exact(epc.min(left));
                         }
-                        let Some(full) = fill_open_chunk(&mut run, &mut rest, epc.min(left))
-                        else {
+                        let Some(full) = fill_open_chunk(&mut run, &mut rest, epc.min(left)) else {
                             break;
                         };
                         left -= full.len();
@@ -482,7 +487,9 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     let bytes = served.data.len() as u64 * self.params.edge_bytes;
                     (self.io.framed_read(now, bytes, Repair::Reread), bytes)
                 });
-                let (entry, data) = outcome.served.map_or((0, None), |s| (s.entry, Some(s.data)));
+                let (entry, data) = outcome
+                    .served
+                    .map_or((0, None), |s| (s.entry, Some(s.data)));
                 let resp = Msg::EdgeChunkResp {
                     part,
                     source: me,
@@ -632,7 +639,9 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         bytes += va.total_bytes();
                     }
                     self.io.account.frames_scrubbed += frames;
-                    let done = self.io.framed_read_frames(now, bytes, frames, Repair::Reread);
+                    let done = self
+                        .io
+                        .framed_read_frames(now, bytes, frames, Repair::Reread);
                     self.respond_coordinator(ctx, done, Msg::EpochResetAck);
                 } else {
                     ctx.send(me, Addr::Coordinator, Msg::EpochResetAck, CONTROL_BYTES);
@@ -727,7 +736,10 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     .flatten();
                 let (done, fallback) = match probe {
                     Some(done) => (done, true),
-                    None => (self.ckpt.restore(&mut self.io, now, &mut self.vertices), false),
+                    None => (
+                        self.ckpt.restore(&mut self.io, now, &mut self.vertices),
+                        false,
+                    ),
                 };
                 self.respond_coordinator(ctx, done, Msg::AbortAck { fallback });
             }
@@ -793,7 +805,11 @@ mod tests {
                 let data: Vec<BareEdge> = (0..25u64)
                     .map(|i| {
                         let nth = round * 25 + i;
-                        let key = if bin == 0 { nth * 32 / 125 } else { nth * 13 % 32 };
+                        let key = if bin == 0 {
+                            nth * 32 / 125
+                        } else {
+                            nth * 13 % 32
+                        };
                         arrival += 1;
                         BareEdge::pack(&Edge::new(bin * 32 + key, arrival))
                     })
@@ -815,16 +831,26 @@ mod tests {
         assert_eq!(want.len(), 4, "one merge cut per bin");
         want.extend(open.concat().chunks(EPC).map(|c| seal(c.to_vec())));
         eng.seal_edge_sets();
-        assert!(eng.open[0].iter().all(|b| b.capacity() == 0), "open buffers released");
+        assert!(
+            eng.open[0].iter().all(|b| b.capacity() == 0),
+            "open buffers released"
+        );
 
         let blocks: Vec<usize> = eng.edges[0][0]
             .block_indexes()
             .map(|b| b.map_or(1, BlockIndex::blocks))
             .collect();
         for (i, chunk) in want.iter().enumerate() {
-            let got = eng.edges[0][0].serve_next().unwrap().expect("a chunk per expected chunk");
+            let got = eng.edges[0][0]
+                .serve_next()
+                .unwrap()
+                .expect("a chunk per expected chunk");
             assert_eq!(*got, *chunk, "chunk {i}");
-            assert_eq!(got.capacity(), got.len(), "chunk {i} carries spare capacity");
+            assert_eq!(
+                got.capacity(),
+                got.len(),
+                "chunk {i} carries spare capacity"
+            );
             assert_eq!(blocks[i], chunk.len().div_ceil(16), "chunk {i}");
         }
         assert!(eng.edges[0][0].serve_next().unwrap().is_none());

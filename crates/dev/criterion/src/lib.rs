@@ -110,7 +110,11 @@ impl Criterion {
     /// Runs one named benchmark, unless the name filter excludes it, and
     /// prints its mean and minimum time per call.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        if self.filter.as_deref().is_some_and(|want| !name.contains(want)) {
+        if self
+            .filter
+            .as_deref()
+            .is_some_and(|want| !name.contains(want))
+        {
             return self;
         }
         let mut b = Bencher::new(self.sample_size);
@@ -171,7 +175,11 @@ mod tests {
             filter: name_filter(args(&["--bench", "core/scatter"])),
         };
         let mut ran = Vec::new();
-        for name in ["core/scatter_sink_pr_4096_p4", "core/gather_pr_4096", "core/scatter"] {
+        for name in [
+            "core/scatter_sink_pr_4096_p4",
+            "core/gather_pr_4096",
+            "core/scatter",
+        ] {
             c.bench_function(name, |b| {
                 ran.push(name);
                 b.iter(|| 1 + 1);

@@ -248,7 +248,10 @@ mod tests {
                 if let Some(v) = first {
                     assert!(s.contains(v) && v >= lo && v <= hi);
                     if v > lo {
-                        assert!(!s.any_in_window(lo, v - 1), "nothing active below the returned key");
+                        assert!(
+                            !s.any_in_window(lo, v - 1),
+                            "nothing active below the returned key"
+                        );
                     }
                 }
             }

@@ -239,7 +239,12 @@ pub trait GasProgram: Clone + Send + 'static {
     ) {
         for u in updates {
             let off = u.offset(base);
-            self.gather(&mut accums[off], base + off as u64, &states[off], u.payload());
+            self.gather(
+                &mut accums[off],
+                base + off as u64,
+                &states[off],
+                u.payload(),
+            );
         }
     }
 
@@ -271,7 +276,13 @@ pub trait GasProgram: Clone + Send + 'static {
     /// and drop it from storage during chunk compaction. `v`/`state` are
     /// the scatter-side endpoint and its current value. Must only return
     /// `true` when deadness is *permanent* — compaction is irreversible.
-    fn edge_dead(&self, _v: VertexId, _state: &Self::VertexState, _edge: &Edge, _iter: u32) -> bool {
+    fn edge_dead(
+        &self,
+        _v: VertexId,
+        _state: &Self::VertexState,
+        _edge: &Edge,
+        _iter: u32,
+    ) -> bool {
         false
     }
 

@@ -509,7 +509,10 @@ mod tests {
             off: u32::MAX,
             payload: 0.5f32,
         });
-        roundtrip(LocalUpdate { off: 0, payload: () });
+        roundtrip(LocalUpdate {
+            off: 0,
+            payload: (),
+        });
         roundtrip(LocalUpdate {
             off: u32::MAX,
             payload: (),
@@ -544,7 +547,10 @@ mod tests {
             dst: base + 9,
             payload: 3u64,
         };
-        let local = LocalUpdate { off: 9, payload: 3u64 };
+        let local = LocalUpdate {
+            off: 9,
+            payload: 3u64,
+        };
         assert_eq!(global.offset(base), 9);
         assert_eq!(local.offset(base), 9);
         assert_eq!(global.payload(), local.payload());

@@ -118,7 +118,12 @@ pub fn read_binary(path: &Path) -> std::io::Result<InputGraph> {
 /// Returns any I/O error from the underlying writer.
 pub fn write_text(g: &InputGraph, path: &Path) -> std::io::Result<()> {
     let mut w = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(w, "# chaos edge list: {} vertices, {} edges", g.num_vertices, g.num_edges())?;
+    writeln!(
+        w,
+        "# chaos edge list: {} vertices, {} edges",
+        g.num_vertices,
+        g.num_edges()
+    )?;
     for e in &g.edges {
         if g.weighted {
             writeln!(w, "{} {} {}", e.src, e.dst, e.weight)?;

@@ -42,9 +42,7 @@ pub fn luby_mis(g: &InputGraph, seed: u64) -> Vec<bool> {
                 if u == v {
                     continue; // Self-loops never block MIS membership.
                 }
-                if state[u as usize] == S::Undecided
-                    && (luby_priority(u, round, seed), u) < pv
-                {
+                if state[u as usize] == S::Undecided && (luby_priority(u, round, seed), u) < pv {
                     wins = false;
                     break;
                 }
@@ -92,10 +90,7 @@ pub fn is_maximal_independent_set(g: &InputGraph, member: &[bool]) -> bool {
             }
         }
     }
-    member
-        .iter()
-        .zip(&blocked)
-        .all(|(&m, &b)| m || b)
+    member.iter().zip(&blocked).all(|(&m, &b)| m || b)
 }
 
 #[cfg(test)]

@@ -86,12 +86,7 @@ mod tests {
         // A spanning tree of 50 vertices has 49 edges, all with weight > 1.
         assert!(w > 49.0);
         // And the MSF weight must not exceed the total of all distinct edges.
-        let all: f64 = g
-            .edges
-            .iter()
-            .map(|e| e.weight as f64)
-            .sum::<f64>()
-            / 2.0;
+        let all: f64 = g.edges.iter().map(|e| e.weight as f64).sum::<f64>() / 2.0;
         assert!(w < all);
     }
 

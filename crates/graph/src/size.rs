@@ -18,7 +18,11 @@ pub struct SizeModel {
 impl SizeModel {
     /// Chooses compact or non-compact encoding for a graph.
     pub fn for_graph(num_vertices: u64, weighted: bool) -> Self {
-        let id_bytes = if num_vertices <= u32::MAX as u64 { 4 } else { 8 };
+        let id_bytes = if num_vertices <= u32::MAX as u64 {
+            4
+        } else {
+            8
+        };
         Self {
             id_bytes,
             weight_bytes: if weighted { id_bytes } else { 0 },

@@ -423,10 +423,10 @@ mod tests {
                     // ring-distance jumps, past-the-ring jumps, deep overflow.
                     let s = CalendarQueue::<u64>::DEFAULT_SHIFT;
                     let spread = match rng.below(10) {
-                        0..=5 => rng.below(1 << (s - 1)),      // in-bucket / near
-                        6..=7 => rng.below(1 << (s + 9)),      // within the ring
-                        8 => rng.below(1 << (s + 16)),         // past the ring
-                        _ => (1 << 40) + rng.below(1 << 50),   // deep overflow
+                        0..=5 => rng.below(1 << (s - 1)),    // in-bucket / near
+                        6..=7 => rng.below(1 << (s + 9)),    // within the ring
+                        8 => rng.below(1 << (s + 16)),       // past the ring
+                        _ => (1 << 40) + rng.below(1 << 50), // deep overflow
                     };
                     let t = floor + spread;
                     cal.push(t, seq, seq ^ 0xABCD);

@@ -26,4 +26,4 @@ pub use calendar::{shift_for_quantum, CalendarQueue, QueueKind};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::Rng;
 pub use stats::{OnlineStats, RateMeter};
-pub use time::{Resource, Time, GIB, KIB, MIB, MILLIS, MICROS, NANOS, SECS};
+pub use time::{Resource, Time, GIB, KIB, MIB, MICROS, MILLIS, NANOS, SECS};

@@ -114,7 +114,10 @@ impl<M> EventQueue<M> {
     ///
     /// Panics if events are pending (switching mid-run is not supported).
     pub fn set_kind(&mut self, kind: QueueKind) {
-        assert!(self.is_empty(), "cannot switch queue kind with events pending");
+        assert!(
+            self.is_empty(),
+            "cannot switch queue kind with events pending"
+        );
         if kind != self.kind() {
             self.store = Store::new(kind);
         }

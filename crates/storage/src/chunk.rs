@@ -157,7 +157,10 @@ impl BlockIndex {
         let mut fill = 0u32;
         let mut last = 0u64;
         for k in keys {
-            debug_assert!(windows.is_empty() && fill == 0 || k >= last, "keys must be sorted");
+            debug_assert!(
+                windows.is_empty() && fill == 0 || k >= last,
+                "keys must be sorted"
+            );
             last = k;
             if fill == 0 {
                 windows.push((k, k));
@@ -332,7 +335,11 @@ fn stable_key_order<T: Copy>(
     let buckets = 1usize << digit_bits;
     let digit = |r: &T, pass: u32| ((key(r) - lo) >> (pass * digit_bits)) as usize & (buckets - 1);
 
-    let SealScratch { counts, order, next } = scratch;
+    let SealScratch {
+        counts,
+        order,
+        next,
+    } = scratch;
     counts.clear();
     counts.resize(passes as usize * buckets, 0);
     for r in records {
@@ -383,11 +390,7 @@ fn stride_index<T>(run: &[T], key: &impl Fn(&T) -> u64, lo: u64, hi: u64) -> Chu
 
 /// [`BlockIndex::from_sorted_keys`] of a key-sorted run, sampling each
 /// block's first and last record.
-fn block_windows<T>(
-    run: &[T],
-    key: &impl Fn(&T) -> u64,
-    block_records: u32,
-) -> Option<BlockIndex> {
+fn block_windows<T>(run: &[T], key: &impl Fn(&T) -> u64, block_records: u32) -> Option<BlockIndex> {
     let block = block_records as usize;
     (run.len() > block).then(|| BlockIndex {
         block_records,
@@ -604,8 +607,7 @@ impl<T: Record> ChunkSet<T> {
         // across arbitrarily many compaction rounds.
         debug_assert!(
             match (&self.entries[entry as usize].index, &index) {
-                (Some(old), Some(new)) =>
-                    new.lo > new.hi || (new.lo >= old.lo && new.hi <= old.hi),
+                (Some(old), Some(new)) => new.lo > new.hi || (new.lo >= old.lo && new.hi <= old.hi),
                 _ => true,
             },
             "replacement widened a chunk window"
@@ -800,7 +802,10 @@ impl<T: Record> ChunkSet<T> {
     /// `idx`, reading only those byte ranges on the file backend.
     fn read_runs(&mut self, idx: usize, runs: &[(u32, u32)]) -> std::io::Result<Vec<T>> {
         let records = self.entries[idx].records;
-        let bix = self.entries[idx].blocks.as_ref().expect("block runs without index");
+        let bix = self.entries[idx]
+            .blocks
+            .as_ref()
+            .expect("block runs without index");
         let rec_runs: Vec<(u64, u64)> = runs
             .iter()
             .map(|&(s, e)| {
@@ -851,7 +856,10 @@ impl<T: Record> ChunkSet<T> {
     pub fn bytes_remaining(&self) -> u64 {
         debug_assert_eq!(
             self.records_remaining,
-            self.entries[self.cursor..].iter().map(|e| e.records).sum::<u64>(),
+            self.entries[self.cursor..]
+                .iter()
+                .map(|e| e.records)
+                .sum::<u64>(),
             "memoized remaining-records counter drifted from the entries"
         );
         self.records_remaining * self.record_bytes
@@ -1052,7 +1060,11 @@ mod tests {
         loop {
             let got = taken.take_next().unwrap();
             let want = twin.serve_next().unwrap();
-            assert_eq!(got.as_deref(), want.as_deref(), "same payload bytes, same order");
+            assert_eq!(
+                got.as_deref(),
+                want.as_deref(),
+                "same payload bytes, same order"
+            );
             assert_eq!(taken.stats(), twin.stats());
             assert_eq!(taken.bytes_remaining(), twin.bytes_remaining());
             assert_eq!(taken.exhausted(), twin.exhausted());
@@ -1142,7 +1154,11 @@ mod tests {
         cs.serve_next().unwrap();
         assert_eq!(cs.bytes_remaining(), 2 * 10 * 8);
         cs.reset_epoch();
-        assert_eq!(cs.bytes_remaining(), 4 * 10 * 8, "rewind restores all bytes");
+        assert_eq!(
+            cs.bytes_remaining(),
+            4 * 10 * 8,
+            "rewind restores all bytes"
+        );
         let mut count = 0;
         while cs.serve_next().unwrap().is_some() {
             count += 1;
@@ -1171,11 +1187,14 @@ mod tests {
     fn selective_serve_skips_inactive_windows() {
         use chaos_gas::ActiveSet;
         let mut cs = ChunkSet::<u64>::in_memory(8);
-        cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None).unwrap();
-        cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None).unwrap();
-        cs.append_with_blocks(chunk(20, 30), Some(ChunkIndex::span(20, 29)), None).unwrap();
+        cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None)
+            .unwrap();
+        cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None)
+            .unwrap();
+        cs.append_with_blocks(chunk(20, 30), Some(ChunkIndex::span(20, 29)), None)
+            .unwrap();
         cs.append(chunk(30, 32)).unwrap(); // unindexed: never skipped
-        // Only 20..30 active.
+                                           // Only 20..30 active.
         let active = ActiveSet::from_fn(0, 32, |off| (20..30).contains(&off));
         let r = cs.serve_next_selective(Some(&active), false).unwrap();
         let served = r.served.expect("active chunk served");
@@ -1183,7 +1202,10 @@ mod tests {
         assert_eq!(served.data[0], 20);
         assert_eq!(r.skipped_chunks, 2);
         assert_eq!(r.skipped_records, 20);
-        assert!(r.skipped_payloads.is_empty(), "selective mode never reads skips");
+        assert!(
+            r.skipped_payloads.is_empty(),
+            "selective mode never reads skips"
+        );
         // Skipped chunks are consumed for the epoch.
         assert_eq!(cs.bytes_remaining(), 2 * 8);
         let r = cs.serve_next_selective(Some(&active), false).unwrap();
@@ -1200,8 +1222,10 @@ mod tests {
     fn reference_mode_materializes_skipped_payloads() {
         use chaos_gas::ActiveSet;
         let mut cs = ChunkSet::<u64>::in_memory(8);
-        cs.append_with_blocks(chunk(0, 5), Some(ChunkIndex::span(0, 4)), None).unwrap();
-        cs.append_with_blocks(chunk(5, 9), Some(ChunkIndex::span(5, 8)), None).unwrap();
+        cs.append_with_blocks(chunk(0, 5), Some(ChunkIndex::span(0, 4)), None)
+            .unwrap();
+        cs.append_with_blocks(chunk(5, 9), Some(ChunkIndex::span(5, 8)), None)
+            .unwrap();
         let active = ActiveSet::from_fn(0, 16, |_| false);
         let r = cs.serve_next_selective(Some(&active), true).unwrap();
         assert!(r.served.is_none());
@@ -1214,23 +1238,30 @@ mod tests {
     #[test]
     fn replace_compacts_in_place_preserving_identity() {
         let mut cs = ChunkSet::<u64>::in_memory(8);
-        cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None).unwrap();
-        cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None).unwrap();
-        cs.replace_with_blocks(0, chunk(0, 3), Some(ChunkIndex::span(0, 2)), None).unwrap();
+        cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None)
+            .unwrap();
+        cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None)
+            .unwrap();
+        cs.replace_with_blocks(0, chunk(0, 3), Some(ChunkIndex::span(0, 2)), None)
+            .unwrap();
         assert_eq!(cs.stats().records, 13);
         assert_eq!(cs.stats().chunks, 2, "identity preserved");
         // The replaced entry serves its new, smaller payload.
         let a = cs.serve_next().unwrap().unwrap();
         assert_eq!(a.as_slice(), &[0, 1, 2]);
         // Compaction to empty yields an always-skippable inverted window.
-        cs.replace_with_blocks(1, Arc::new(Vec::new()), Some(ChunkIndex::EMPTY), None).unwrap();
+        cs.replace_with_blocks(1, Arc::new(Vec::new()), Some(ChunkIndex::EMPTY), None)
+            .unwrap();
         cs.reset_epoch();
         use chaos_gas::ActiveSet;
         let everything = ActiveSet::from_fn(0, 32, |_| true);
         let r = cs.serve_next_selective(Some(&everything), false).unwrap();
         assert_eq!(r.served.expect("live chunk").entry, 0);
         let r = cs.serve_next_selective(Some(&everything), false).unwrap();
-        assert!(r.served.is_none(), "empty chunk skipped under any active set");
+        assert!(
+            r.served.is_none(),
+            "empty chunk skipped under any active set"
+        );
         assert_eq!(r.skipped_chunks, 1);
         assert_eq!(r.skipped_records, 0);
     }
@@ -1240,8 +1271,10 @@ mod tests {
         let dir = ScratchDir::new("chaos-chunkset-replace").unwrap();
         let fb = FileBacking::create(&dir.path().join("edges.dat")).unwrap();
         let mut cs = ChunkSet::<u64>::file_backed(8, fb);
-        cs.append_with_blocks(chunk(0, 100), Some(ChunkIndex::span(0, 99)), None).unwrap();
-        cs.replace_with_blocks(0, chunk(40, 50), Some(ChunkIndex::span(40, 49)), None).unwrap();
+        cs.append_with_blocks(chunk(0, 100), Some(ChunkIndex::span(0, 99)), None)
+            .unwrap();
+        cs.replace_with_blocks(0, chunk(40, 50), Some(ChunkIndex::span(40, 49)), None)
+            .unwrap();
         let a = cs.serve_next().unwrap().unwrap();
         assert_eq!(a.as_slice(), &(40..50).collect::<Vec<_>>()[..]);
         cs.reset_epoch();
@@ -1257,8 +1290,10 @@ mod tests {
         let dir = ScratchDir::new("chaos-chunkset-put-back").unwrap();
         let fb = FileBacking::create(&dir.path().join("edges.dat")).unwrap();
         for mut cs in [ChunkSet::<u64>::in_memory(8), ChunkSet::file_backed(8, fb)] {
-            cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None).unwrap();
-            cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None).unwrap();
+            cs.append_with_blocks(chunk(0, 10), Some(ChunkIndex::span(0, 9)), None)
+                .unwrap();
+            cs.append_with_blocks(chunk(10, 20), Some(ChunkIndex::span(10, 19)), None)
+                .unwrap();
             let first = cs.replace_with_blocks(0, chunk(4, 8), Some(ChunkIndex::span(4, 7)), None);
             let second = cs.replace_with_blocks(0, chunk(6, 7), Some(ChunkIndex::span(6, 6)), None);
             assert_eq!(cs.stats().records, 11);
@@ -1267,7 +1302,10 @@ mod tests {
             assert_eq!(cs.stats().records, 20);
             assert_eq!(cs.bytes_remaining(), 20 * 8);
             assert_eq!(cs.indexes().next(), Some(Some(ChunkIndex::span(0, 9))));
-            assert_eq!(cs.serve_next().unwrap().unwrap().as_slice(), chunk(0, 10).as_slice());
+            assert_eq!(
+                cs.serve_next().unwrap().unwrap().as_slice(),
+                chunk(0, 10).as_slice()
+            );
         }
     }
 
@@ -1326,7 +1364,8 @@ mod tests {
         let c2: Arc<Vec<u64>> = Arc::new(vec![0, 50, 95]);
         for c in [&c0, &c1, &c2] {
             let index = ChunkIndex::from_keys(c.iter().copied());
-            cs.append_with_blocks(Arc::clone(c), Some(index), None).unwrap();
+            cs.append_with_blocks(Arc::clone(c), Some(index), None)
+                .unwrap();
         }
         // Active only around 50: inside every window, outside c0/c1's
         // occupied strides.
@@ -1513,7 +1552,10 @@ mod tests {
         // Skipped block runs [0,1), [2,4) materialized in storage order.
         assert_eq!(r.skipped_payloads.len(), 2);
         assert_eq!(r.skipped_payloads[0].as_slice(), &[0, 1, 2, 3]);
-        assert_eq!(r.skipped_payloads[1].as_slice(), &[8, 9, 10, 11, 12, 13, 14, 15]);
+        assert_eq!(
+            r.skipped_payloads[1].as_slice(),
+            &[8, 9, 10, 11, 12, 13, 14, 15]
+        );
         // Served + materialized-skipped covers every record exactly once.
         let mut all: Vec<u64> = served.data.iter().copied().collect();
         for p in &r.skipped_payloads {
@@ -1531,8 +1573,12 @@ mod tests {
         let mut cs = ChunkSet::<u64>::file_backed(8, fb);
         let data: Arc<Vec<u64>> = Arc::new((100..160).collect());
         let bix = BlockIndex::from_sorted_keys(data.iter().copied(), 16).unwrap();
-        cs.append_with_blocks(Arc::clone(&data), Some(ChunkIndex::span(100, 159)), Some(bix))
-            .unwrap();
+        cs.append_with_blocks(
+            Arc::clone(&data),
+            Some(ChunkIndex::span(100, 159)),
+            Some(bix),
+        )
+        .unwrap();
         // Active key 130 lives in block 1 (records 16..32 = keys 116..131).
         let active = ActiveSet::from_fn(100, 60, |off| off == 30);
         let r = cs.serve_next_selective(Some(&active), false).unwrap();
@@ -1544,7 +1590,10 @@ mod tests {
         // Identical decisions with materialization (reference oracle).
         cs.reset_epoch();
         let r2 = cs.serve_next_selective(Some(&active), true).unwrap();
-        assert_eq!(r2.served.expect("same").data.as_slice(), served.data.as_slice());
+        assert_eq!(
+            r2.served.expect("same").data.as_slice(),
+            served.data.as_slice()
+        );
         let skipped: u64 = r2.skipped_payloads.iter().map(|p| p.len() as u64).sum();
         assert_eq!(skipped, 44);
     }
@@ -1567,7 +1616,11 @@ mod tests {
             Some(new_bix),
         )
         .unwrap();
-        assert_eq!(cs.bytes_remaining(), 20 * 8, "remaining tracks the replacement");
+        assert_eq!(
+            cs.bytes_remaining(),
+            20 * 8,
+            "remaining tracks the replacement"
+        );
         // Serves consult the rebuilt index: key 25 -> survivor block 0.
         let active = ActiveSet::from_fn(0, 40, |off| off == 25);
         let r = cs.serve_next_selective(Some(&active), false).unwrap();
@@ -1595,11 +1648,13 @@ mod tests {
         assert_eq!(cs.bytes_remaining(), 20 * 8, "both consumed in full");
         // Replace an already-served entry: total changes, remaining doesn't.
         let compacted = Arc::new(vec![1, 2]);
-        cs.replace_with_blocks(0, compacted, Some(ChunkIndex::span(1, 2)), None).unwrap();
+        cs.replace_with_blocks(0, compacted, Some(ChunkIndex::span(1, 2)), None)
+            .unwrap();
         assert_eq!(cs.bytes_remaining(), 20 * 8);
         // Replace an unserved entry: remaining adjusts.
         let compacted = Arc::new(vec![33]);
-        cs.replace_with_blocks(3, compacted, Some(ChunkIndex::span(33, 33)), None).unwrap();
+        cs.replace_with_blocks(3, compacted, Some(ChunkIndex::span(33, 33)), None)
+            .unwrap();
         assert_eq!(cs.bytes_remaining(), 11 * 8);
         cs.reset_epoch();
         assert_eq!(cs.bytes_remaining(), (2 + 10 + 10 + 1) * 8);
@@ -1652,14 +1707,29 @@ mod tests {
             ("reverse sorted", reversed(draw(1000, 4096, 256))),
             // 150 sorted records of keys 0, 1, 2: each key's run crosses a
             // block end at every block size below.
-            ("equal keys straddling block ends", (0..150u64).map(|i| i / 50).collect()),
-            ("equal keys straddling, shuffled", (0..150u64).map(|i| i * 7 % 3).collect()),
+            (
+                "equal keys straddling block ends",
+                (0..150u64).map(|i| i / 50).collect(),
+            ),
+            (
+                "equal keys straddling, shuffled",
+                (0..150u64).map(|i| i * 7 % 3).collect(),
+            ),
             ("one-bin window", draw(4096, 1 << 20, 2048)),
-            ("window of exactly one digit", draw(4096, 9, 1 << MAX_DIGIT_BITS)),
+            (
+                "window of exactly one digit",
+                draw(4096, 9, 1 << MAX_DIGIT_BITS),
+            ),
             ("two-digit window", draw(4096, 0, (1 << MAX_DIGIT_BITS) + 1)),
             ("whole-partition window", draw(4096, 1 << 33, 1 << 22)),
-            ("window far wider than the chunk", draw(999, 3, u64::MAX - 3)),
-            ("window touching both ends of u64", vec![u64::MAX, 0, u64::MAX - 1, 1, u64::MAX]),
+            (
+                "window far wider than the chunk",
+                draw(999, 3, u64::MAX - 3),
+            ),
+            (
+                "window touching both ends of u64",
+                vec![u64::MAX, 0, u64::MAX - 1, 1, u64::MAX],
+            ),
         ];
         let mut scratch = SealScratch::default();
         for (what, keys) in &cases {
@@ -1696,7 +1766,11 @@ mod tests {
             // Block indexing off: arrival order kept, chunk index only.
             let got = seal_chunk(&records, |r| r.fwd, 0, &mut scratch);
             assert!(got.sorted.is_none() && got.blocks.is_none(), "{what}");
-            assert_eq!(got.index, ChunkIndex::from_keys(keys.iter().copied()), "{what}");
+            assert_eq!(
+                got.index,
+                ChunkIndex::from_keys(keys.iter().copied()),
+                "{what}"
+            );
         }
     }
 

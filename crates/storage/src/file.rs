@@ -32,10 +32,7 @@ impl ScratchDir {
     /// Returns any I/O error from directory creation.
     pub fn new(prefix: &str) -> std::io::Result<Self> {
         let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "{prefix}-{}-{seq}",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("{prefix}-{}-{seq}", std::process::id()));
         std::fs::create_dir_all(&path)?;
         Ok(Self { path })
     }

@@ -49,8 +49,7 @@ fn main() {
          and identical simulated time",
         bytes as f64 / 1e6
     );
-    let components: std::collections::HashSet<u64> =
-        mem_states.iter().map(|s| s.0).collect();
+    let components: std::collections::HashSet<u64> = mem_states.iter().map(|s| s.0).collect();
     println!("components found: {}", components.len());
 }
 

@@ -62,6 +62,9 @@ fn main() {
             .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
             .expect("non-empty graph");
         assert!(best < 32, "RMAT hubs live at low ids");
-        println!("  hottest vertex: v{best} with rank {rank:.1}\n", rank = rank.0);
+        println!(
+            "  hottest vertex: v{best} with rank {rank:.1}\n",
+            rank = rank.0
+        );
     }
 }

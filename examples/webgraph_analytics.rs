@@ -24,7 +24,10 @@ fn main() {
     // directed graph.
     let undirected = graph.to_undirected();
 
-    println!("{:<6} {:>12} {:>12} {:>10} {:>10}", "m", "BFS (s)", "PR (s)", "BFS x", "PR x");
+    println!(
+        "{:<6} {:>12} {:>12} {:>10} {:>10}",
+        "m", "BFS (s)", "PR (s)", "BFS x", "PR x"
+    );
     let mut bfs1 = 0.0;
     let mut pr1 = 0.0;
     for m in [1usize, 2, 4, 8, 16] {

@@ -154,7 +154,10 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let algo = args.value("--algo").ok_or("run needs --algo <NAME>")?;
     if !ALGO_NAMES.contains(&algo) {
-        return Err(format!("unknown algorithm {algo:?}; one of {}", ALGO_NAMES.join(", ")));
+        return Err(format!(
+            "unknown algorithm {algo:?}; one of {}",
+            ALGO_NAMES.join(", ")
+        ));
     }
     let algo: &str = algo;
     let g = load_or_generate(args, Some(algo))?;
@@ -209,15 +212,33 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("{banner}");
         cluster.run()
     });
-    println!("simulated runtime   {:>10.3} s (preprocess {:.3} s)",
-        report.seconds(), report.preprocess_time as f64 / 1e9);
-    println!("device I/O          {:>10.1} MB", report.total_device_bytes() as f64 / 1e6);
-    println!("aggregate bandwidth {:>10.1} MB/s", report.aggregate_bandwidth() / 1e6);
-    println!("network traffic     {:>10.1} MB", report.fabric.remote_bytes as f64 / 1e6);
-    println!("device utilization  {:>10.1} %", 100.0 * report.mean_device_utilization());
+    println!(
+        "simulated runtime   {:>10.3} s (preprocess {:.3} s)",
+        report.seconds(),
+        report.preprocess_time as f64 / 1e9
+    );
+    println!(
+        "device I/O          {:>10.1} MB",
+        report.total_device_bytes() as f64 / 1e6
+    );
+    println!(
+        "aggregate bandwidth {:>10.1} MB/s",
+        report.aggregate_bandwidth() / 1e6
+    );
+    println!(
+        "network traffic     {:>10.1} MB",
+        report.fabric.remote_bytes as f64 / 1e6
+    );
+    println!(
+        "device utilization  {:>10.1} %",
+        100.0 * report.mean_device_utilization()
+    );
     print!("{report}");
     if let Some(agg) = report.iteration_aggs.last() {
-        println!("final aggregates    updates={} changed={}", agg.updates_produced, agg.vertices_changed);
+        println!(
+            "final aggregates    updates={} changed={}",
+            agg.updates_produced, agg.vertices_changed
+        );
     }
     if let Some((file, path)) = &mut metrics {
         let dump = chaos::bench::metrics_json(&[(format!("{algo}/m{machines}"), report)]);
@@ -242,7 +263,11 @@ fn main() -> ExitCode {
                 for a in ALGO_NAMES {
                     println!(
                         "{a:<6} {}{}",
-                        if needs_undirected(a) { "undirected " } else { "directed " },
+                        if needs_undirected(a) {
+                            "undirected "
+                        } else {
+                            "directed "
+                        },
                         if needs_weights(a) { "weighted" } else { "" }
                     );
                 }

@@ -64,9 +64,9 @@ pub mod prelude {
     pub use chaos_algos::wcc::Wcc;
     pub use chaos_algos::{AlgoParams, ALGO_NAMES};
     pub use chaos_core::{
-        run_chaos, ChaosConfig, Cluster, CorruptionFault, CrashFault, CrashTrigger,
-        DeviceFault, FabricFault, FaultAccount, FaultPlan, FaultPlanConfig, IterSelectivity,
-        Placement, QueueKind, RunReport,
+        run_chaos, ChaosConfig, Cluster, CorruptionFault, CrashFault, CrashTrigger, DeviceFault,
+        FabricFault, FaultAccount, FaultPlan, FaultPlanConfig, IterSelectivity, Placement,
+        QueueKind, RunReport,
     };
     pub use chaos_gas::{
         run_sequential, ActiveSet, ActivityModel, Control, Direction, GasProgram,

@@ -101,9 +101,8 @@ fn pagerank_matches_oracle() {
 #[test]
 fn scc_matches_tarjan() {
     let g = directed_graph(8);
-    let want = chaos::algos::scc::normalize_partition(
-        &reference::strongly_connected_components(&g),
-    );
+    let want =
+        chaos::algos::scc::normalize_partition(&reference::strongly_connected_components(&g));
     for m in MACHINES {
         let (_, states) = run_chaos(test_config(m), Scc::new(), &g);
         let got: Vec<u64> = states.iter().map(|s| s.1).collect();
@@ -115,8 +114,7 @@ fn scc_matches_tarjan() {
 fn conductance_matches_count_exactly() {
     let g = directed_graph(9);
     let seed = 0xFACE;
-    let want =
-        reference::conductance_counts(&g, |v| chaos::algos::conductance::in_set(v, seed));
+    let want = reference::conductance_counts(&g, |v| chaos::algos::conductance::in_set(v, seed));
     for m in MACHINES {
         let (report, _) = run_chaos(test_config(m), Conductance::new(seed), &g);
         let got = Conductance::counts(report.iteration_aggs.last().expect("one iteration"));

@@ -101,7 +101,11 @@ fn spill_path_survives_memory_pressure() {
     );
     assert_eq!(states.len() as u64, g.num_vertices);
     for (v, (got, want)) in states.iter().zip(oracle.iter()).enumerate() {
-        assert!(close(got.0 as f64, *want, 1e-3), "v{v}: {} vs {want}", got.0);
+        assert!(
+            close(got.0 as f64, *want, 1e-3),
+            "v{v}: {} vs {want}",
+            got.0
+        );
     }
 
     // The chunks really hit the files: every machine spilled data, and the

@@ -56,15 +56,13 @@ where
     let (clean, clean_states) = run_chaos(base.clone(), program.clone(), graph);
     assert_eq!(clean.faults.aborts, 0);
     for seed in 0..soak_seeds() {
-        let plan = FaultPlan::generate(seed, &shape).with_corruption_fault(
-            CorruptionFault {
-                machine: 0,
-                from: 0,
-                until: chaos::sim::SECS,
-                salt: seed ^ 0x5C0B_B1E5,
-                one_in: 2,
-            },
-        );
+        let plan = FaultPlan::generate(seed, &shape).with_corruption_fault(CorruptionFault {
+            machine: 0,
+            from: 0,
+            until: chaos::sim::SECS,
+            salt: seed ^ 0x5C0B_B1E5,
+            one_in: 2,
+        });
         let crashes = plan.crashes.len();
         let mut cfg = base.clone();
         cfg.faults = plan;
@@ -158,5 +156,9 @@ fn seeded_schedules_survive_queue_and_block_index_axes() {
     );
     assert_eq!(calendar.faults.aborts, coarse_rep.faults.aborts);
     assert!(coarse_rep.faults.corruption_detected >= 1);
-    assert_eq!(coarse_rep.selectivity_total().blocks_skipped, 0, "no block indexes to skip with");
+    assert_eq!(
+        coarse_rep.selectivity_total().blocks_skipped,
+        0,
+        "no block indexes to skip with"
+    );
 }

@@ -59,7 +59,11 @@ fn unknown_option_is_rejected(flags: &[&str], option: &str) {
         .lines()
         .filter(|l| l.starts_with("error: "))
         .collect();
-    assert_eq!(errors, [format!("error: unknown option {option}")], "{stderr}");
+    assert_eq!(
+        errors,
+        [format!("error: unknown option {option}")],
+        "{stderr}"
+    );
     assert!(run.stdout.is_empty(), "{flags:?} ran the cell");
 }
 

@@ -45,7 +45,10 @@ fn assert_layout_equivalent<P: GasProgram>(
 ) where
     P::VertexState: PartialEq + std::fmt::Debug,
 {
-    assert!(layout.cluster_bins > 1, "cell must exercise a clustered layout");
+    assert!(
+        layout.cluster_bins > 1,
+        "cell must exercise a clustered layout"
+    );
     let run = |layout| run_with_layout(cfg.clone(), program.clone(), g, layout);
     let (rep_clu, states_clu) = run(layout);
     // 1. Results are layout-invariant.
@@ -53,7 +56,10 @@ fn assert_layout_equivalent<P: GasProgram>(
         cluster_bins: 1,
         ..layout
     });
-    assert_eq!(states_clu, states_flat, "final states: clustered vs unclustered");
+    assert_eq!(
+        states_clu, states_flat,
+        "final states: clustered vs unclustered"
+    );
     assert_eq!(
         rep_clu.iteration_aggs, rep_flat.iteration_aggs,
         "the layout must not change what is computed"
@@ -165,7 +171,12 @@ fn stealing_is_layout_invariant() {
     assert_layout_equivalent(cfg, Layout::DEFAULT, Mis::new(7), &undirected_graph(7));
     let mut cfg = test_config(3);
     cfg.steal_alpha = f64::INFINITY;
-    assert_layout_equivalent(cfg, Layout::DEFAULT, Mcst::new(), &weighted_graph(400, 600, 42));
+    assert_layout_equivalent(
+        cfg,
+        Layout::DEFAULT,
+        Mcst::new(),
+        &weighted_graph(400, 600, 42),
+    );
 }
 
 #[test]
@@ -177,7 +188,10 @@ fn compaction_is_layout_invariant_and_reports_tombstones() {
     let cfg = test_config(2);
     assert_layout_equivalent(cfg.clone(), Layout::DEFAULT, Mis::new(3), &g);
     let (rep, _) = run_chaos(cfg, Mis::new(3), &g);
-    assert!(rep.selectivity_total().compactions > 0, "MIS must still compact under clustering");
+    assert!(
+        rep.selectivity_total().compactions > 0,
+        "MIS must still compact under clustering"
+    );
     assert!(rep.selectivity_total().edges_tombstoned > 0);
 }
 
@@ -192,7 +206,12 @@ fn spill_path_under_memory_pressure_is_layout_invariant() {
     cfg.mem_budget = 4 * 1024;
     cfg.pagecache_bytes = 1024;
     cfg.spill_dir = Some(dir.path().to_path_buf());
-    assert_layout_equivalent(cfg, Layout::DEFAULT, Mcst::new(), &weighted_graph(250, 350, 5));
+    assert_layout_equivalent(
+        cfg,
+        Layout::DEFAULT,
+        Mcst::new(),
+        &weighted_graph(250, 350, 5),
+    );
     let mut cfg2 = test_config(2);
     cfg2.mem_budget = 4 * 1024;
     cfg2.pagecache_bytes = 1024;
@@ -316,7 +335,10 @@ fn block_serves_split_chunks_mid_wavefront() {
         ..Layout::DEFAULT
     };
     let (rep, _) = run_with_layout(cfg, Bfs::new(0), &g, layout);
-    assert!(rep.selectivity_total().blocks_skipped > 0, "block serves must split chunks");
+    assert!(
+        rep.selectivity_total().blocks_skipped > 0,
+        "block serves must split chunks"
+    );
     assert!(rep.records_skipped_intra() > 0);
     for s in &rep.selectivity {
         assert!(s.blocks_skipped_mid <= s.blocks_skipped);

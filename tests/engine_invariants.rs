@@ -13,7 +13,10 @@ fn runs_are_deterministic_in_results_and_time() {
     let run = || run_chaos(test_config(4), Pagerank::new(4), &g);
     let (r1, s1) = run();
     let (r2, s2) = run();
-    assert_eq!(r1.runtime, r2.runtime, "simulated time must be reproducible");
+    assert_eq!(
+        r1.runtime, r2.runtime,
+        "simulated time must be reproducible"
+    );
     assert_eq!(r1.events, r2.events);
     assert_eq!(s1, s2);
     // A different seed changes the schedule but not the result.
@@ -179,7 +182,10 @@ fn partition_rule_is_smallest_multiple_of_machines() {
         // One fewer multiple would not fit.
         if parts > m {
             let fewer = parts - m;
-            assert!(1024u64.div_ceil(fewer as u64) * 8 > 2048, "smallest multiple");
+            assert!(
+                1024u64.div_ceil(fewer as u64) * 8 > 2048,
+                "smallest multiple"
+            );
         }
     }
 }

@@ -23,7 +23,10 @@ fn checkpoint_overhead_is_small() {
     let (ck, _) = run_chaos(cfg, Pagerank::new(5), &g);
     let overhead = ck.runtime as f64 / bare.runtime as f64 - 1.0;
     assert!(overhead >= 0.0);
-    assert!(overhead < 0.15, "checkpoint overhead {overhead:.3} too high");
+    assert!(
+        overhead < 0.15,
+        "checkpoint overhead {overhead:.3} too high"
+    );
     assert!(ck.faults.checkpoint_bytes > 0);
     assert!(ck.faults.checkpoint_time > 0);
     assert_eq!(bare.faults.checkpoint_bytes, 0);

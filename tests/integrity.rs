@@ -39,7 +39,10 @@ fn corruption_windows_detect_and_repair_without_changing_results() {
     assert_eq!(clean.iteration_aggs, rep.iteration_aggs);
     assert!(rep.faults.corruption_detected > 0, "window never hit");
     assert!(rep.faults.corruption_repaired > 0, "nothing repaired");
-    assert!(rep.runtime > clean.runtime, "re-reads must cost simulated time");
+    assert!(
+        rep.runtime > clean.runtime,
+        "re-reads must cost simulated time"
+    );
     assert!(rep.faults.faulted_time > 0);
     assert_eq!(rep.faults.aborts, 0, "detection alone never aborts");
     // Frames are always on; corruption only adds re-read charges.
@@ -118,10 +121,23 @@ fn depth2_fallback_puts_back_the_compactions_it_rewinds_past() {
             torn: true,
         });
         let (rep, states) = run_chaos(cfg.clone(), Mis::new(3), &g);
-        assert_eq!(rep.faults.aborts, 2, "iteration {iteration}: depth-2 fallback");
-        let wrong = clean_states.iter().zip(&states).filter(|(a, b)| a != b).count();
-        assert_eq!(wrong, 0, "iteration {iteration}: vertices whose state differs");
-        assert_eq!(clean.iteration_aggs, rep.iteration_aggs, "iteration {iteration}");
+        assert_eq!(
+            rep.faults.aborts, 2,
+            "iteration {iteration}: depth-2 fallback"
+        );
+        let wrong = clean_states
+            .iter()
+            .zip(&states)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(
+            wrong, 0,
+            "iteration {iteration}: vertices whose state differs"
+        );
+        assert_eq!(
+            clean.iteration_aggs, rep.iteration_aggs,
+            "iteration {iteration}"
+        );
     }
 }
 
@@ -166,8 +182,7 @@ fn failed_validation_drops_the_pending_snapshot_cluster_wide() {
     cluster.inject_pending_tear(0);
     let rep = cluster.run();
     assert_eq!(
-        rep.faults.snapshots_dropped as usize,
-        machines,
+        rep.faults.snapshots_dropped as usize, machines,
         "one machine's tear drops the round on every machine"
     );
     assert_eq!(cluster.final_states(), clean_states);

@@ -196,5 +196,8 @@ fn gather_is_record_form_invariant_for_every_program() {
         // All four MCST sub-phases.
         assert_gather_forms_agree(Mcst::new(), &g_w, 200),
     ];
-    assert!(checked.iter().all(|&n| n >= 3), "every program gathered: {checked:?}");
+    assert!(
+        checked.iter().all(|&n| n >= 3),
+        "every program gathered: {checked:?}"
+    );
 }

@@ -12,11 +12,7 @@ use common::{directed_graph, run_on_heap, test_config, undirected_graph, weighte
 /// Runs `(cfg, program, graph)` on the calendar queue (the default) and on
 /// the binary-heap reference and asserts the final states and the whole
 /// report match. Returns the calendar report for further assertions.
-fn assert_queue_invariant<P: GasProgram>(
-    cfg: ChaosConfig,
-    program: P,
-    g: &InputGraph,
-) -> RunReport
+fn assert_queue_invariant<P: GasProgram>(cfg: ChaosConfig, program: P, g: &InputGraph) -> RunReport
 where
     P::VertexState: std::fmt::Debug + PartialEq,
 {

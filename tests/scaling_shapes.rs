@@ -22,23 +22,18 @@ fn strong_scaling_gives_real_speedup() {
     let (t1, _) = run_chaos(sized_config(1), Pagerank::new(4), &g);
     let (t8, _) = run_chaos(sized_config(8), Pagerank::new(4), &g);
     let speedup = t1.runtime as f64 / t8.runtime as f64;
-    assert!(speedup > 2.5, "8 machines speedup {speedup:.2} (paper: near-linear region)");
+    assert!(
+        speedup > 2.5,
+        "8 machines speedup {speedup:.2} (paper: near-linear region)"
+    );
 }
 
 #[test]
 fn weak_scaling_stays_bounded() {
     // Paper: 32x the problem on 32 machines costs 1.61x on average; at our
     // scaled size the factor at 8 machines must stay well under 2.5.
-    let (t1, _) = run_chaos(
-        sized_config(1),
-        Pagerank::new(4),
-        &directed_graph(12),
-    );
-    let (t8, _) = run_chaos(
-        sized_config(8),
-        Pagerank::new(4),
-        &directed_graph(15),
-    );
+    let (t1, _) = run_chaos(sized_config(1), Pagerank::new(4), &directed_graph(12));
+    let (t8, _) = run_chaos(sized_config(8), Pagerank::new(4), &directed_graph(15));
     let factor = t8.runtime as f64 / t1.runtime as f64;
     assert!(factor < 2.5, "weak-scaling factor {factor:.2}");
 }

@@ -131,7 +131,10 @@ fn selectivity_account_reports_real_skips() {
     let mut cfg = test_config(2);
     cfg.mem_budget = 2 * 1024; // many partitions, most of them frontier-free
     let (rep, _) = run_chaos(cfg, Bfs::new(0), &g);
-    assert!(rep.chunks_skipped() > 0, "a collapsing frontier must skip chunks");
+    assert!(
+        rep.chunks_skipped() > 0,
+        "a collapsing frontier must skip chunks"
+    );
     assert!(rep.records_skipped() > 0);
     let last = rep.selectivity.last().expect("iterations ran");
     assert!(
@@ -155,7 +158,10 @@ fn shrinking_compaction_reports_tombstones() {
         ..Layout::DEFAULT
     };
     let (rep, _) = run_with_layout(test_config(2), Mis::new(3), &g, chunks_only);
-    assert!(rep.selectivity_total().compactions > 0, "MIS must compact decided regions");
+    assert!(
+        rep.selectivity_total().compactions > 0,
+        "MIS must compact decided regions"
+    );
     assert!(
         rep.selectivity_total().edges_tombstoned > g.num_edges() / 2,
         "most of the edge set dies: {} of {}",
@@ -166,7 +172,10 @@ fn shrinking_compaction_reports_tombstones() {
     // than rewritten: compaction still runs on fully served chunks, and
     // the skip account moves intra-chunk.
     let (blocked, _) = run_chaos(test_config(2), Mis::new(3), &g);
-    assert!(blocked.selectivity_total().compactions > 0, "full serves still compact");
+    assert!(
+        blocked.selectivity_total().compactions > 0,
+        "full serves still compact"
+    );
     assert!(
         blocked.selectivity_total().blocks_skipped > 0,
         "decided regions must skip at block granularity"
@@ -266,7 +275,14 @@ impl GasProgram for LyingFrontier {
 /// contiguous inactive region.
 fn run_liar(cfg: ChaosConfig, layout: Layout) {
     let g = chaos::graph::builder::gnm(1024, 8192, false, 17);
-    run_with_layout(cfg, LyingFrontier { vertices: g.num_vertices }, &g, layout);
+    run_with_layout(
+        cfg,
+        LyingFrontier {
+            vertices: g.num_vertices,
+        },
+        &g,
+        layout,
+    );
 }
 
 #[cfg(debug_assertions)]
