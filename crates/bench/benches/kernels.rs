@@ -7,9 +7,9 @@
 //! graph generation, the streaming-partition pass, the record codec, the
 //! chunk-store serve path, sort-on-seal of one edge chunk, the CRC-32
 //! kernels at the out-of-core path's widths, the scatter/gather inner
-//! kernels via the sequential executor, the engine's scatter sink (block
-//! driver, no `Cluster`) and gather over its partition-local update
-//! records for PageRank, MCST and BFS, pre-processing's binning pass, the
+//! kernels via the sequential executor, the engine's scatter sink (no
+//! `Cluster`) and gather over its partition-local update records for
+//! PageRank, MCST and BFS, pre-processing's binning pass, the
 //! reference oracles, the grid partitioner, and one end-to-end simulated
 //! cluster run.
 
@@ -24,7 +24,7 @@ use chaos_algos::pagerank::Pagerank;
 use chaos_algos::wcc::Wcc;
 use chaos_baselines::GridPartitioner;
 use chaos_core::preprocess::Preprocess;
-use chaos_core::sink::{BlockSink, PartitionSink};
+use chaos_core::sink::{self, Cursors};
 use chaos_core::{run_chaos, ChaosConfig, Layout, RunParams};
 use chaos_gas::record::{decode_all, encode_all};
 use chaos_gas::{run_sequential, BareEdge, EdgeRecord, GasProgram, LocalUpdate};
@@ -229,14 +229,14 @@ fn bench_gas_kernels(c: &mut Criterion) {
 
 /// The scatter sink's seam without a `Cluster`: a program's kernel over a
 /// 4096-edge chunk of the records the engine holds for it (sources in
-/// partition 0) through the block driver into `p` pooled output buffers
-/// that flush at 4096 records. One iteration is 244 passes, 999 424
-/// edges: ms per iteration reads as ns per edge.
+/// partition 0) through `sink::scatter_chunk` into `p` pooled output
+/// buffers that flush at 4096 records. One iteration is 244 passes,
+/// 999 424 edges: ms per iteration reads as ns per edge.
 ///
 /// The warm cases draw destinations uniformly over 8192 vertices, as at
 /// `pr_dense`'s scale, and a flush clears the full buffer, so every
-/// buffer warms past 4096 slots and every block runs call-free. PageRank
-/// (8-byte `BareEdge`s, every edge emits) runs at four partitions,
+/// buffer warms past 4096 slots and grows no more. PageRank (8-byte
+/// `BareEdge`s, every edge emits) runs at four partitions,
 /// `pr_dense`'s count, eight, `pr_faulted`'s, and 32. MCST and BFS are
 /// the programs no benchmark workload streams through the engine: MCST
 /// in its MinEdge phase (16-byte `PackedEdge`s, every non-loop edge
@@ -245,9 +245,8 @@ fn bench_gas_kernels(c: &mut Criterion) {
 ///
 /// `_flushed` is the engine's case: destinations skewed as RMAT draws
 /// them (those of a scale-13 RMAT list), and each pass one stream whose
-/// end flushes every buffer with its capacity kept. The buffers of the
-/// rarely targeted partitions stay within a block of full, so blocks
-/// run through the per-update sink.
+/// end flushes every buffer with its capacity kept, so the buffers of
+/// the rarely targeted partitions keep small capacities.
 fn bench_scatter_sink(c: &mut Criterion) {
     for parts in [4usize, 8, 32] {
         scatter_sink_case(c, "pr", &Pagerank::new(1), parts, Streams::Warm, |v| {
@@ -299,8 +298,7 @@ fn scatter_sink_case<P: GasProgram>(
         .collect();
     let states: Vec<P::VertexState> = src.clone().map(state).collect();
     let mut bufs: Vec<Vec<LocalUpdate<P::Update>>> = vec![Vec::new(); parts];
-    let mut full = Vec::new();
-    let mut sink = BlockSink::new(parts);
+    let mut cursors = Cursors::new(&spec, 4096);
     let suffix = match streams {
         Streams::Warm => "",
         Streams::Flushed => "_flushed",
@@ -309,12 +307,19 @@ fn scatter_sink_case<P: GasProgram>(
     c.bench_function(&id, |b| {
         b.iter(|| {
             for _ in 0..PASSES {
-                let mut out = PartitionSink::new(&spec, &mut bufs, 4096, &mut full);
-                sink.scatter_chunk(program, src.start, &states, &edges, 0, &mut out);
-                for &tp in &full {
+                sink::scatter_chunk(
+                    program,
+                    src.start,
+                    &states,
+                    &edges,
+                    0,
+                    &mut bufs,
+                    &mut cursors,
+                );
+                for &tp in &cursors.full {
                     bufs[tp].clear();
                 }
-                full.clear();
+                cursors.full.clear();
                 if streams == Streams::Flushed {
                     bufs.iter_mut().for_each(Vec::clear);
                 }

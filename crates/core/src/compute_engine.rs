@@ -29,7 +29,7 @@ use crate::msg::{
 };
 use crate::preprocess::Preprocess;
 use crate::runtime::{Addr, Ctx, RunParams};
-use crate::sink::{BlockSink, CountSink, PartitionSink};
+use crate::sink::{self, CountSink, Cursors};
 use crate::steal::{remaining_work, Steal};
 use crate::window::ReadWindow;
 
@@ -145,11 +145,10 @@ pub struct ComputeEngine<P: GasProgram> {
     /// partitions and phases; flushing swaps a full buffer out instead of
     /// reallocating it (see [`ComputeEngine::flush_updates`]).
     out_bufs: Vec<Vec<LocalUpdate<P::Update>>>,
-    /// Scratch: partitions whose output buffer filled during the current
-    /// chunk (fill order).
-    flush_scratch: Vec<usize>,
-    /// The scatter sink's block driver (one cursor per output buffer).
-    sink: BlockSink<P::Update>,
+    /// The scatter sink's scratch: one cursor per output buffer, and the
+    /// partitions whose buffer filled during the current chunk (fill
+    /// order).
+    cursors: Cursors<P::Update>,
     /// Recycled vertex-state buffers.
     states: Pool<P::VertexState>,
     /// Recycled accumulator buffers.
@@ -194,6 +193,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             .collect();
         let cpu = Resource::new(cfg.cores as u64 * 1_000_000_000, 0);
         let pp = Preprocess::new(&params, program.uses_reverse_edges());
+        let cursors = Cursors::new(&params.spec, params.updates_per_chunk);
         Self {
             machine,
             params,
@@ -209,8 +209,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             work: None,
             spare_work: None,
             out_bufs: (0..parts).map(|_| Vec::new()).collect(),
-            flush_scratch: Vec::new(),
-            sink: BlockSink::new(parts),
+            cursors,
             states: Pool(Vec::new()),
             accums: Pool(Vec::new()),
             steal: Steal::new(parts),
@@ -546,6 +545,8 @@ impl<P: GasProgram> ComputeEngine<P> {
     // ------------------------------------------------------------------
 
     fn start_phase(&mut self, ctx: &mut Ctx<P>, phase: PhaseKind, iter: u32) {
+        // VertexInit, the one reader of the out-degrees, is over.
+        self.pp.free_degrees();
         self.phase = phase;
         self.iter = iter;
         self.barrier_sent = false;
@@ -715,6 +716,23 @@ impl<P: GasProgram> ComputeEngine<P> {
         );
     }
 
+    /// In debug builds, checks that an engine arriving at a scatter
+    /// barrier holds no update: every output buffer and the fill-order
+    /// list are empty.
+    fn check_updates_flushed(&self, now: Time) {
+        let held = |tp: &usize| !self.out_bufs[*tp].is_empty();
+        debug_assert!(
+            self.phase != PhaseKind::Scatter
+                || (self.out_bufs.iter().all(Vec::is_empty) && self.cursors.full.is_empty()),
+            "scatter barrier reached with updates held for partitions {:?} (fill-order list \
+             {:?}): machine {}, iteration {}, t={now} ns",
+            (0..self.out_bufs.len()).filter(held).collect::<Vec<_>>(),
+            self.cursors.full,
+            self.machine,
+            self.iter,
+        );
+    }
+
     fn on_vertex_chunk(
         &mut self,
         ctx: &mut Ctx<P>,
@@ -759,21 +777,18 @@ impl<P: GasProgram> ComputeEngine<P> {
         self.records_processed += data.len() as u64;
         let w = self.work.as_mut().expect("scatter work in progress");
         debug_assert_eq!(w.part, part);
-        // The block driver routes updates into the pooled per-partition
-        // buffers. In steady state (no buffer crossing its flush
-        // threshold) this path performs no allocation.
-        let produced = {
-            let mut out = PartitionSink::new(
-                &self.params.spec,
-                &mut self.out_bufs,
-                self.params.updates_per_chunk,
-                &mut self.flush_scratch,
-            );
-            self.sink
-                .scatter_chunk(&self.program, base, &w.vertices, &data, self.iter, &mut out);
-            out.produced()
-        };
-        self.agg.updates_produced += produced;
+        // The sink routes updates into the pooled per-partition buffers.
+        // In steady state (no buffer crossing its flush threshold) this
+        // path performs no allocation.
+        self.agg.updates_produced += sink::scatter_chunk(
+            &self.program,
+            base,
+            &w.vertices,
+            &data,
+            self.iter,
+            &mut self.out_bufs,
+            &mut self.cursors,
+        );
         w.win.inflight_compute -= 1;
         if self.params.selective {
             // The live side of the skip account: what actually streamed
@@ -782,12 +797,12 @@ impl<P: GasProgram> ComputeEngine<P> {
             self.sel_mut().edge_records_streamed += n;
         }
         let mut k = 0;
-        while k < self.flush_scratch.len() {
-            let tp = self.flush_scratch[k];
+        while k < self.cursors.full.len() {
+            let tp = self.cursors.full[k];
             k += 1;
             self.flush_updates(ctx, tp);
         }
-        self.flush_scratch.clear();
+        self.cursors.full.clear();
         self.maybe_compact_chunk(ctx, &data, origin);
         self.check_stream_done(ctx);
     }
@@ -1170,6 +1185,7 @@ impl<P: GasProgram> ComputeEngine<P> {
 
     fn arrive_barrier(&mut self, ctx: &mut Ctx<P>) {
         debug_assert!(!self.barrier_sent);
+        self.check_updates_flushed(ctx.now);
         self.barrier_sent = true;
         self.arrive_time = ctx.now;
         let agg = std::mem::take(&mut self.agg);
@@ -1211,7 +1227,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         for b in &mut self.out_bufs {
             b.clear();
         }
-        self.flush_scratch.clear();
+        self.cursors.full.clear();
         self.gather_finish = None;
         self.steal.reset();
         self.pending_write_acks = 0;
@@ -1508,6 +1524,72 @@ mod tests {
                 0,
                 "gather chunks never allocate, warm or cold"
             );
+        }
+    }
+
+    /// The checks at the phase boundaries, on an engine without a
+    /// `Cluster`.
+    mod boundaries {
+        use std::sync::Arc;
+
+        use chaos_algos::pagerank::Pagerank;
+        use chaos_gas::LocalUpdate;
+        use chaos_graph::PartitionSpec;
+        use chaos_sim::Rng;
+
+        use crate::compute_engine::ComputeEngine;
+        use crate::config::ChaosConfig;
+        use crate::msg::PhaseKind;
+        use crate::runtime::{Ctx, Layout, RunParams};
+
+        /// Machine 0 of two, owning partitions 0 and 2 of four, before
+        /// VertexInit.
+        fn engine() -> ComputeEngine<Pagerank> {
+            let cfg = Arc::new(ChaosConfig::new(2));
+            let spec = PartitionSpec::with_partitions(256, 4);
+            let params = RunParams::new(&cfg, spec, 20, 16, 8, false, Layout::DEFAULT);
+            ComputeEngine::new(0, cfg, Arc::new(params), Pagerank::new(1), Rng::new(7))
+        }
+
+        /// Drives an engine with nothing left to stream to the scatter
+        /// barrier at t = 5 ns.
+        fn arrive_at_scatter_barrier(eng: &mut ComputeEngine<Pagerank>) {
+            eng.phase = PhaseKind::Scatter;
+            eng.advance(&mut Ctx::new(5, 0));
+            assert!(eng.barrier_sent, "the engine arrived");
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(
+            expected = "scatter barrier reached with updates held for partitions [2] \
+                                   (fill-order list []): machine 0, iteration 0, t=5 ns"
+        )]
+        fn an_unflushed_update_at_the_scatter_barrier_is_named() {
+            arrive_at_scatter_barrier(&mut engine());
+            let mut eng = engine();
+            // The planted bug: an update the stream's end did not flush.
+            eng.out_bufs[2].push(LocalUpdate {
+                off: 0,
+                payload: 1.0,
+            });
+            arrive_at_scatter_barrier(&mut eng);
+        }
+
+        #[test]
+        #[should_panic(expected = "out-degree tables used after VertexInit freed them")]
+        fn degree_tables_are_freed_when_vertex_init_ends() {
+            let mut eng = engine();
+            let mut ctx = Ctx::new(0, 0);
+            let params = Arc::clone(&eng.params);
+            eng.pp.add_counts(&params, 0, &[(3, 2)]);
+            eng.start_vertex_init(&mut ctx);
+            for part in [0, 2] {
+                eng.init_partition(&mut ctx, part);
+            }
+            assert_eq!(eng.pp.degree(0, 3), 2, "VertexInit reads the tables");
+            eng.on_release(&mut ctx, PhaseKind::Scatter, 0, Pagerank::new(1), false);
+            eng.pp.degree(0, 3);
         }
     }
 }

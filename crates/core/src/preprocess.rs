@@ -40,8 +40,9 @@ pub struct Preprocess<E> {
     /// their high-degree sources anyway.
     counts: Vec<Vec<u32>>,
     /// Master side: summed out-degrees per owned partition (empty until
-    /// the first contribution to it arrives).
-    degrees: Vec<Vec<u32>>,
+    /// the first contribution to it arrives); `None` once freed at the end
+    /// of VertexInit, their one reader.
+    degrees: Option<Vec<Vec<u32>>>,
     /// Degree contributions sent and not yet acknowledged.
     pub(crate) acks_pending: usize,
     /// Whether the end-of-stream flush ran.
@@ -56,7 +57,7 @@ impl<E> Default for Preprocess<E> {
             bufs: Default::default(),
             reverse_too: false,
             counts: Vec::new(),
-            degrees: Vec::new(),
+            degrees: None,
             acks_pending: 0,
             flushed: false,
         }
@@ -74,7 +75,7 @@ impl<E: EdgeRecord> Preprocess<E> {
             bufs: [(); 2].map(|()| (0..slots).map(|_| Vec::new()).collect()),
             reverse_too,
             counts: (0..parts).map(|_| Vec::new()).collect(),
-            degrees: (0..parts).map(|_| Vec::new()).collect(),
+            degrees: Some((0..parts).map(|_| Vec::new()).collect()),
             ..Self::default()
         }
     }
@@ -154,7 +155,7 @@ impl<E: EdgeRecord> Preprocess<E> {
     /// `part`'s out-degrees.
     pub(crate) fn add_counts(&mut self, params: &RunParams, part: usize, counts: &[(u64, u32)]) {
         let base = params.spec.range(part).start;
-        let degrees = &mut self.degrees[part];
+        let degrees = &mut self.degrees.as_mut().expect(FREED)[part];
         if degrees.is_empty() {
             *degrees = vec![0; params.spec.len(part) as usize];
         }
@@ -165,10 +166,23 @@ impl<E: EdgeRecord> Preprocess<E> {
 
     /// Master: the out-degree of the vertex at offset `off` of owned
     /// partition `part` (0 for a vertex no contribution named).
+    ///
+    /// # Panics
+    ///
+    /// Panics once [`Preprocess::free_degrees`] ran.
     pub(crate) fn degree(&self, part: usize, off: usize) -> u64 {
-        self.degrees[part].get(off).copied().unwrap_or(0) as u64
+        let degrees = self.degrees.as_ref().expect(FREED);
+        degrees[part].get(off).copied().unwrap_or(0) as u64
+    }
+
+    /// Master: frees the out-degree tables. VertexInit is their one
+    /// reader, and it is never re-entered.
+    pub(crate) fn free_degrees(&mut self) {
+        self.degrees = None;
     }
 }
+
+const FREED: &str = "out-degree tables used after VertexInit freed them";
 
 #[cfg(test)]
 mod tests {

@@ -1,25 +1,18 @@
 //! The scatter sink (§3, §5 of the paper): every update a scatter kernel
 //! emits is appended to the output buffer of its destination's streaming
-//! partition. That append is the engine's innermost loop, so it has two
-//! forms behind one block driver.
+//! partition. That append is the engine's innermost loop.
 //!
-//! [`BlockSink::scatter_chunk`] runs the kernel over an edge chunk in
-//! blocks of [`BLOCK`] edges. Before each block it checks that every
-//! output buffer has at least as much spare capacity as the block has
-//! edges. If so, the block runs through a call-free sink that writes
-//! through one cursor per buffer; consecutive such blocks share their
-//! cursors and commit together, one `set_len` per buffer. Otherwise the
-//! block runs through [`PartitionSink`], one bounds-checked `Vec::push`
-//! per update — the only place a buffer grows.
-//! A buffer therefore grows at exactly the pushes it grew at when every
-//! update went through `PartitionSink`, so capacities, allocations, flush
-//! points and flush order are those of the per-update sink.
+//! [`scatter_chunk`] runs a program's kernel over one edge chunk into a
+//! sink that writes through one cursor per output buffer. A push routes
+//! the destination, compares the buffer's cursor with its limit, writes
+//! and moves the cursor on. The limit is the slot whose write brings the
+//! buffer to the flush threshold, or else the end of its allocation. At
+//! the limit an out-of-line helper records the buffer in the fill-order
+//! list or grows it by `Vec::push`'s amortised rule, so capacities,
+//! allocations, flush points and flush order are those of one `Vec::push`
+//! per update, and a kernel may emit any number of updates per edge.
 //!
-//! Memory safety of the call-free form rests on the sink, not on the
-//! kernel: it counts a write budget of one update per edge of the block
-//! and panics, naming the program, when a kernel emits more.
-//!
-//! Kernels push global destination ids; both forms store a
+//! Kernels push global destination ids; the sink stores a
 //! [`LocalUpdate`], the destination's offset within its partition
 //! (`dst - tp·stride`), since the buffer an update sits in already names
 //! its partition.
@@ -27,66 +20,197 @@
 use chaos_gas::{EdgeRef, GasProgram, LocalUpdate, UpdateSink};
 use chaos_graph::{PartitionSpec, VertexId};
 
-/// Edges per block: the unit the spare-capacity check is made for.
-pub const BLOCK: usize = 256;
-
-/// Routes kernel-emitted updates into the engine's pooled per-partition
-/// output buffers, recording which buffers filled during the chunk. Each
-/// update is one route and one bounds-checked push.
-pub struct PartitionSink<'a, U> {
-    route: Route,
-    bufs: &'a mut [Vec<LocalUpdate<U>>],
-    /// Target records per update chunk; a buffer crossing this is flushed
-    /// after the kernel returns.
-    cap: usize,
-    /// Buffers that reached `cap` during this chunk, in fill order.
-    full: &'a mut Vec<usize>,
-    produced: u64,
+/// Runs `program`'s scatter kernel over `edges` against one partition's
+/// vertex set (`base`, `states`, as [`GasProgram::scatter_chunk`] takes
+/// them) into `bufs`, one output buffer per partition, and appends each
+/// buffer that reaches the threshold to `scratch.full`, in fill order.
+/// Returns the updates the kernel emitted.
+///
+/// Kept out of line so the kernel's loop is compiled on its own, with the
+/// route and the sink's slices in registers.
+///
+/// # Panics
+///
+/// Panics if `bufs` does not hold one buffer per partition of `scratch`.
+#[inline(never)]
+pub fn scatter_chunk<P: GasProgram, E: EdgeRef>(
+    program: &P,
+    base: VertexId,
+    states: &[P::VertexState],
+    edges: &[E],
+    iter: u32,
+    bufs: &mut [Vec<LocalUpdate<P::Update>>],
+    scratch: &mut Cursors<P::Update>,
+) -> u64 {
+    let before: usize = bufs.iter().map(Vec::len).sum();
+    program.scatter_chunk(
+        base,
+        states,
+        edges,
+        iter,
+        &mut PartitionSink::new(bufs, scratch),
+    );
+    (bufs.iter().map(Vec::len).sum::<usize>() - before) as u64
 }
 
-impl<'a, U> PartitionSink<'a, U> {
-    /// A sink over one output buffer per partition of `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bufs` does not hold exactly one buffer per partition.
-    pub fn new(
-        spec: &PartitionSpec,
-        bufs: &'a mut [Vec<LocalUpdate<U>>],
-        cap: usize,
-        full: &'a mut Vec<usize>,
-    ) -> Self {
-        assert_eq!(
-            bufs.len(),
-            spec.num_partitions,
-            "one output buffer per partition"
-        );
+/// The sink's scratch, kept by its owner across chunks so that a chunk
+/// allocates nothing for it: one cursor per output buffer, the route and
+/// threshold they write under, and the fill-order list.
+pub struct Cursors<U> {
+    cursors: Vec<Cursor<U>>,
+    route: Route,
+    /// Target records per update chunk; a buffer reaching it is flushed
+    /// after the kernel returns.
+    cap: usize,
+    /// Buffers that reached `cap` during the last chunks, in fill order;
+    /// the owner drains it.
+    pub full: Vec<usize>,
+}
+
+// SAFETY: `full`, `route` and `cap` are plain data. The cursors are
+// dereferenced only by a `PartitionSink`, which sets them afresh from the
+// `&mut` borrow of the buffers it holds; between chunks they are inert
+// addresses, so sending the scratch sends no access.
+unsafe impl<U: Send> Send for Cursors<U> {}
+
+impl<U> Cursors<U> {
+    /// Scratch for one output buffer per partition of `spec`, flushed at
+    /// `cap` records.
+    pub fn new(spec: &PartitionSpec, cap: usize) -> Self {
         Self {
+            cursors: (0..spec.num_partitions)
+                .map(|_| Cursor {
+                    at: std::ptr::null_mut(),
+                    limit: std::ptr::null(),
+                })
+                .collect(),
             route: Route::new(spec),
-            bufs,
             cap,
-            full,
-            produced: 0,
+            full: Vec::new(),
+        }
+    }
+}
+
+/// One output buffer's write position while a sink is alive.
+struct Cursor<U> {
+    /// The next free slot.
+    at: *mut LocalUpdate<U>,
+    /// The next slot whose write needs [`at_limit`]: the one that brings
+    /// the buffer to `cap` records, or else the end of the allocation.
+    limit: *const LocalUpdate<U>,
+}
+
+impl<U> Cursor<U> {
+    /// A cursor at slot `at` of `buf`, with the limit at the first slot
+    /// from `next` on that needs [`at_limit`].
+    fn new(buf: &mut Vec<LocalUpdate<U>>, at: usize, next: usize, cap: usize) -> Self {
+        let crossing = if next < cap { cap - 1 } else { usize::MAX };
+        let slots = buf.as_mut_ptr();
+        Self {
+            at: slots.wrapping_add(at),
+            limit: slots.wrapping_add(crossing.min(buf.capacity())),
         }
     }
 
-    /// Updates emitted into this sink so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
+    /// Sets `buf`'s length to the cursor; returns it.
+    fn commit(&self, buf: &mut Vec<LocalUpdate<U>>) -> usize {
+        // SAFETY: `at` was placed at `buf`'s length inside its current
+        // allocation (`Cursor::new`), and each push wrote the slot at it
+        // before moving it one forward, never past the limit, which is at
+        // most the capacity. So `len <= capacity` and every slot below it
+        // is initialised.
+        unsafe {
+            let len = self.at.offset_from(buf.as_ptr()) as usize;
+            buf.set_len(len);
+            len
+        }
+    }
+}
+
+/// Routes kernel-emitted updates into the output buffers through one
+/// cursor each; dropping it commits every buffer's length.
+struct PartitionSink<'a, U> {
+    route: Route,
+    cap: usize,
+    bufs: &'a mut [Vec<LocalUpdate<U>>],
+    cursors: &'a mut [Cursor<U>],
+    full: &'a mut Vec<usize>,
+}
+
+impl<'a, U> PartitionSink<'a, U> {
+    fn new(bufs: &'a mut [Vec<LocalUpdate<U>>], scratch: &'a mut Cursors<U>) -> Self {
+        assert_eq!(
+            bufs.len(),
+            scratch.cursors.len(),
+            "one output buffer per partition"
+        );
+        let cap = scratch.cap;
+        for (c, b) in scratch.cursors.iter_mut().zip(bufs.iter_mut()) {
+            let len = b.len();
+            *c = Cursor::new(b, len, len, cap);
+        }
+        Self {
+            route: scratch.route,
+            cap,
+            bufs,
+            cursors: &mut scratch.cursors,
+            full: &mut scratch.full,
+        }
     }
 }
 
 impl<U> UpdateSink<U> for PartitionSink<'_, U> {
     #[inline]
     fn push(&mut self, dst: VertexId, payload: U) {
-        self.produced += 1;
         let (tp, off) = self.route.of(dst);
-        let b = &mut self.bufs[tp];
-        b.push(local(off, payload));
-        if b.len() == self.cap {
-            self.full.push(tp);
+        let c = &mut self.cursors[tp];
+        if c.at.cast_const() == c.limit {
+            at_limit(&mut self.bufs[tp], c, self.full, tp, self.cap);
+        }
+        // SAFETY: `at` lies inside `bufs[tp]`'s allocation and before the
+        // limit, which is at most its end (`Cursor::new`; `at_limit` moves
+        // a limit that `at` reached past it), so it is a free slot of the
+        // buffer's spare capacity.
+        unsafe {
+            let at = c.at;
+            at.write(local(off, payload));
+            c.at = at.add(1);
         }
     }
+}
+
+impl<U> Drop for PartitionSink<'_, U> {
+    fn drop(&mut self) {
+        for (c, b) in self.cursors.iter().zip(self.bufs.iter_mut()) {
+            c.commit(b);
+        }
+    }
+}
+
+/// A push reached `c`'s limit in `buf`, partition `tp`'s buffer: grows a
+/// full buffer by `reserve(1)`, `Vec::push`'s amortised rule, records the
+/// buffer when the coming write brings it to `cap` records, and moves the
+/// limit past the slot the write takes.
+///
+/// Takes the sink's parts, not the sink, so that the sink's address does
+/// not escape the kernel's loop and its fields stay in registers.
+#[cold]
+#[inline(never)]
+fn at_limit<U>(
+    buf: &mut Vec<LocalUpdate<U>>,
+    c: &mut Cursor<U>,
+    full: &mut Vec<usize>,
+    tp: usize,
+    cap: usize,
+) {
+    let len = c.commit(buf);
+    if len == buf.capacity() {
+        buf.reserve(1);
+    }
+    if len + 1 == cap {
+        full.push(tp);
+    }
+    *c = Cursor::new(buf, len, len + 1, cap);
 }
 
 /// Counting-only sink for the debug-build skip check: skipped chunks
@@ -130,8 +254,9 @@ impl Route {
     /// `(partition, v mod stride)`: for an id in range the offset is
     /// `v - partition·stride`. It is taken from the unclamped quotient (a
     /// mask, or the remainder the division yields anyway), so it does
-    /// not wait on the clamp; the clamp is for memory safety, and an id
-    /// past the last partition breaks the kernel's contract either way.
+    /// not wait on the clamp; the clamp keeps the partition in range, and
+    /// an id past the last partition breaks the kernel's contract either
+    /// way.
     #[inline]
     fn of(self, v: VertexId) -> (usize, u64) {
         let (q, off) = match self.shift {
@@ -157,202 +282,6 @@ fn local<U>(off: u64, payload: U) -> LocalUpdate<U> {
     }
 }
 
-/// One output buffer's write position during a call-free run.
-struct Cursor<U> {
-    /// The next free slot.
-    at: *mut LocalUpdate<U>,
-    /// `at` after the write that brings the buffer to `cap` records.
-    mark: *const LocalUpdate<U>,
-}
-
-/// The block driver and its scratch: one cursor per output buffer and a
-/// fill-order list, both sized once for the partition count, so a block
-/// allocates nothing. The engine owns one.
-pub struct BlockSink<U> {
-    cursors: Vec<Cursor<U>>,
-    crossed: Vec<usize>,
-}
-
-// SAFETY: the cursors are dereferenced only inside `spare_run`, which
-// holds the `&mut` borrow of the buffers they point into; between runs
-// they are inert addresses, so sending the scratch sends no access.
-unsafe impl<U: Send> Send for BlockSink<U> {}
-
-impl<U> BlockSink<U> {
-    /// Scratch for `partitions` output buffers.
-    pub fn new(partitions: usize) -> Self {
-        Self {
-            cursors: (0..partitions)
-                .map(|_| Cursor {
-                    at: std::ptr::null_mut(),
-                    mark: std::ptr::null(),
-                })
-                .collect(),
-            crossed: vec![0; partitions],
-        }
-    }
-
-    /// Scatters `edges` against one partition's vertex set (`base`,
-    /// `states`, as [`GasProgram::scatter_chunk`] takes them) into `out`,
-    /// block by block. Buffer contents, capacities, the fill-order list
-    /// and `produced` end exactly as one `scatter_chunk` call into `out`
-    /// leaves them. Returns how many blocks ran call-free.
-    pub fn scatter_chunk<P: GasProgram<Update = U>, E: EdgeRef>(
-        &mut self,
-        program: &P,
-        base: VertexId,
-        states: &[P::VertexState],
-        edges: &[E],
-        iter: u32,
-        out: &mut PartitionSink<'_, U>,
-    ) -> usize {
-        let route = out.route;
-        let mut spare_blocks = 0;
-        let mut rest = edges;
-        while !rest.is_empty() {
-            let kernel = |block: &[E], sink: &mut SpareSink<'_, U>| {
-                program.scatter_chunk(base, states, block, iter, sink)
-            };
-            let taken = self.spare_run(out, route, rest, program.name(), kernel);
-            spare_blocks += taken.div_ceil(BLOCK);
-            rest = &rest[taken..];
-            if taken == 0 {
-                let (block, tail) = rest.split_at(BLOCK.min(rest.len()));
-                program.scatter_chunk(base, states, block, iter, out);
-                rest = tail;
-            }
-        }
-        spare_blocks
-    }
-
-    /// Runs `kernel` block by block over the leading blocks of `edges` into
-    /// the spare capacity of `out`'s buffers and commits, stopping before
-    /// the first block for which some buffer may lack room. Returns the
-    /// edges it took: none when the first block does not fit.
-    ///
-    /// The check before each block is exact without a pass over the
-    /// buffers: `room`, the least spare capacity of any buffer at the
-    /// start, less the updates written since, bounds every buffer's spare
-    /// capacity from below. When the bound says no, the caller's next call
-    /// measures `room` afresh, so a block runs here if and only if every
-    /// buffer has room for one update per edge of it.
-    ///
-    /// Kept out of line so the kernel's loop is compiled on its own, with
-    /// its cursors, route and budget in registers.
-    #[inline(never)]
-    fn spare_run<E>(
-        &mut self,
-        out: &mut PartitionSink<'_, U>,
-        route: Route,
-        edges: &[E],
-        program: &'static str,
-        mut kernel: impl FnMut(&[E], &mut SpareSink<'_, U>),
-    ) -> usize {
-        let room = out
-            .bufs
-            .iter()
-            .map(|b| b.capacity() - b.len())
-            .min()
-            .unwrap_or(0);
-        if room < edges.len().min(BLOCK) {
-            return 0;
-        }
-        if self.cursors.len() != out.bufs.len() {
-            *self = Self::new(out.bufs.len());
-        }
-        for (c, b) in self.cursors.iter_mut().zip(out.bufs.iter_mut()) {
-            c.mark = b.as_ptr().wrapping_add(out.cap);
-            c.at = b.spare_capacity_mut().as_mut_ptr().cast();
-        }
-        let mut sink = SpareSink {
-            cursors: &mut self.cursors,
-            route,
-            crossed: &mut self.crossed,
-            filled: 0,
-            budget: 0,
-            edges: 0,
-            program,
-        };
-        let (mut taken, mut written) = (0, 0);
-        for block in edges.chunks(BLOCK) {
-            if written + block.len() > room {
-                break;
-            }
-            sink.budget = block.len();
-            sink.edges = block.len();
-            kernel(block, &mut sink);
-            written += block.len() - sink.budget;
-            taken += block.len();
-        }
-        let filled = sink.filled;
-        for (c, b) in self.cursors.iter().zip(out.bufs.iter_mut()) {
-            // SAFETY: `at` started at this buffer's spare capacity and only
-            // moved forward inside it (see `SpareSink::push`), so
-            // `[len, at)` are the slots this run initialised, in order.
-            let len = unsafe { c.at.offset_from(b.as_ptr()) } as usize;
-            out.produced += (len - b.len()) as u64;
-            // SAFETY: as above: `len <= capacity` and every slot below it
-            // is initialised.
-            unsafe { b.set_len(len) };
-        }
-        // Push by push, as `PartitionSink` records them.
-        for &tp in &self.crossed[..filled] {
-            out.full.push(tp);
-        }
-        taken
-    }
-}
-
-/// The call-free sink of one run of blocks: one cursor write per update.
-struct SpareSink<'a, U> {
-    cursors: &'a mut [Cursor<U>],
-    route: Route,
-    /// Buffers that reached `cap` in this run, in fill order (a cursor
-    /// passes its mark at most once, so one slot per buffer suffices).
-    crossed: &'a mut [usize],
-    filled: usize,
-    /// Writes left in the current block: one per edge.
-    budget: usize,
-    /// Edges in the current block.
-    edges: usize,
-    program: &'static str,
-}
-
-impl<U> UpdateSink<U> for SpareSink<'_, U> {
-    #[inline]
-    fn push(&mut self, dst: VertexId, payload: U) {
-        if self.budget == 0 {
-            overrun(self.program, self.edges);
-        }
-        self.budget -= 1;
-        let (tp, off) = self.route.of(dst);
-        let c = &mut self.cursors[tp];
-        let (at, mark) = (c.at, c.mark);
-        // SAFETY: `spare_run` starts a block only while every buffer has at
-        // least `edges` spare slots left, and the budget admits at most
-        // `edges` writes in the block, so `at` is a free slot inside the
-        // buffer's spare capacity.
-        let next = unsafe {
-            at.write(local(off, payload));
-            at.add(1)
-        };
-        c.at = next;
-        if next.cast_const() == mark {
-            self.crossed[self.filled] = tp;
-            self.filled += 1;
-        }
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn overrun(program: &str, edges: usize) -> ! {
-    panic!(
-        "{program}'s scatter kernel emitted more updates than its {edges}-edge block has \
-         edges (an UpdateSink takes at most one update per edge)"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use chaos_gas::{
@@ -362,7 +291,7 @@ mod tests {
     use chaos_graph::{Edge, PartitionSpec, VertexId};
     use chaos_sim::Rng;
 
-    use super::{BlockSink, PartitionSink, Route, BLOCK};
+    use super::{scatter_chunk, Cursors, Route};
 
     /// Emits `state ^ dst` over every edge whose source is not 3 mod 7.
     #[derive(Clone)]
@@ -399,7 +328,7 @@ mod tests {
         }
     }
 
-    /// Breaks the one-update-per-edge contract: two per edge.
+    /// Emits two updates per edge, `1` then `2`, to its destination.
     #[derive(Clone)]
     struct Doubler;
 
@@ -485,25 +414,27 @@ mod tests {
             .collect()
     }
 
-    /// Scatters `edges` three ways from the same buffer state — a plain
-    /// `Vec<Update>` oracle routed afterwards by `partition_of`, one
-    /// `PartitionSink` call, the block driver over the edges packed as the
-    /// engine holds them — and asserts that each buffer holds, as
-    /// `(partition, base + off)`, the oracle's updates of its partition,
-    /// with identical capacities, fill-order lists and `produced`. Returns
-    /// the blocks that ran call-free.
-    fn check(
+    /// Scatters `edges` two ways from the same buffer state — a plain
+    /// `Vec<Update>` oracle routed afterwards by `partition_of` and pushed
+    /// one `Vec::push` per update, and [`scatter_chunk`] over the edges
+    /// packed as the engine holds them — and asserts that each buffer
+    /// holds, as `(partition, base + off)`, the oracle's updates of its
+    /// partition, with identical capacities, fill-order list and count.
+    fn check<P>(
+        program: &P,
         case: &str,
         parts: usize,
         cap: usize,
         init: &[(usize, usize)],
         edges: &[Edge],
-    ) -> usize {
+    ) where
+        P: GasProgram<VertexState = u64, Update = u64>,
+    {
         let spec = PartitionSpec::with_partitions(N, parts);
         let states: Vec<u64> = (0..N).collect();
 
         let mut all: Vec<Update<u64>> = Vec::new();
-        Sieve.scatter_chunk(0, &states, edges, 0, &mut all);
+        program.scatter_chunk(0, &states, edges, 0, &mut all);
         // The oracle in global ids, and plain pushes for the capacities
         // (a `Vec` grows by record count, whatever the record).
         let start = buffers(init);
@@ -518,53 +449,19 @@ mod tests {
             }
         }
 
-        let (mut per_update, mut per_update_full) = (buffers(init), Vec::new());
-        let mut sink = PartitionSink::new(&spec, &mut per_update, cap, &mut per_update_full);
-        Sieve.scatter_chunk(0, &states, edges, 0, &mut sink);
-        let per_update_produced = sink.produced();
-
-        let (mut blocked, mut blocked_full) = (buffers(init), Vec::new());
-        let mut sink = PartitionSink::new(&spec, &mut blocked, cap, &mut blocked_full);
+        let mut bufs = buffers(init);
+        let mut scratch = Cursors::new(&spec, cap);
         let packed: Vec<BareEdge> = edges.iter().map(BareEdge::pack).collect();
-        let spare = BlockSink::new(parts).scatter_chunk(&Sieve, 0, &states, &packed, 0, &mut sink);
-        let blocked_produced = sink.produced();
+        let produced = scatter_chunk(program, 0, &states, &packed, 0, &mut bufs, &mut scratch);
 
+        assert_eq!(globalize(&spec, &bufs), want, "{case}: contents");
         assert_eq!(
-            globalize(&spec, &per_update),
-            want,
-            "{case}: PartitionSink contents"
-        );
-        assert_eq!(
-            globalize(&spec, &blocked),
-            want,
-            "{case}: block driver contents"
-        );
-        assert_eq!(
-            capacities(&per_update),
+            capacities(&bufs),
             capacities(&want_caps),
-            "{case}: PartitionSink capacities"
+            "{case}: capacities"
         );
-        assert_eq!(
-            capacities(&blocked),
-            capacities(&want_caps),
-            "{case}: block driver capacities"
-        );
-        assert_eq!(
-            per_update_full, want_full,
-            "{case}: PartitionSink fill order"
-        );
-        assert_eq!(blocked_full, want_full, "{case}: block driver fill order");
-        assert_eq!(
-            per_update_produced,
-            all.len() as u64,
-            "{case}: PartitionSink produced"
-        );
-        assert_eq!(
-            blocked_produced,
-            all.len() as u64,
-            "{case}: block driver produced"
-        );
-        spare
+        assert_eq!(scratch.full, want_full, "{case}: fill order");
+        assert_eq!(produced, all.len() as u64, "{case}: produced");
     }
 
     /// Edges from emitting sources (0 mod 7) to the given destinations.
@@ -593,29 +490,21 @@ mod tests {
         }
     }
 
-    /// Seeded destination streams over every partition count, with buffers
-    /// roomy, tight and in between, so blocks go both ways within a chunk.
+    /// Seeded destination streams over every partition count, from
+    /// buffers empty, roomy, nearly full and past the threshold.
     #[test]
-    fn block_driver_matches_partition_sink_and_vec_oracle() {
+    fn cursor_sink_matches_vec_oracle() {
         let mut rng = Rng::new(0x5CA7);
-        let (mut spare, mut blocks) = (0, 0);
         for parts in [1usize, 3, 4, 8, 32, 100] {
             for case in 0..40 {
                 let cap = 1 + rng.below(600) as usize;
-                let tight = rng.below(3);
-                let tight_one = rng.below(parts as u64) as usize;
                 let init: Vec<(usize, usize)> = (0..parts)
-                    .map(|p| {
+                    .map(|_| {
                         let len = rng.below(cap as u64 + 50) as usize;
-                        let is_tight = match tight {
-                            0 => false,
-                            1 => p == tight_one,
-                            _ => rng.below(4) == 0,
-                        };
-                        let extra = if is_tight {
-                            rng.below(BLOCK as u64)
-                        } else {
-                            BLOCK as u64 + rng.below(2000)
+                        let extra = match rng.below(3) {
+                            0 => 0,
+                            1 => rng.below(8),
+                            _ => rng.below(2000),
                         };
                         (len, len + extra as usize)
                     })
@@ -623,79 +512,73 @@ mod tests {
                 let edges: Vec<Edge> = (0..rng.below(1500))
                     .map(|_| Edge::new(rng.below(N), rng.below(N)))
                     .collect();
-                spare += check(
-                    &format!("{parts} partitions, case {case}"),
-                    parts,
-                    cap,
-                    &init,
-                    &edges,
-                );
-                blocks += edges.len().div_ceil(BLOCK);
+                let case = format!("{parts} partitions, case {case}");
+                check(&Sieve, &case, parts, cap, &init, &edges);
             }
         }
-        assert!(
-            spare > 0 && spare < blocks,
-            "{spare} of {blocks} blocks call-free: both paths ran"
-        );
     }
 
     #[test]
-    fn crossing_at_either_side_of_a_block_boundary() {
-        // Write 256 ends block 0; write 257 opens block 1.
-        for cap in [BLOCK, BLOCK + 1] {
-            let spare = check(&format!("cap {cap}"), 1, cap, &[(0, 4096)], &to(0..600));
-            assert_eq!(spare, 3, "every block had room");
-        }
-        // One buffer among four ends block 0 one short of `cap` and crosses
-        // on block 1's first write.
-        let init = [(0, 4096), (45, 4096), (0, 4096), (0, 4096)];
-        let edges = to((256..510).chain([0, 1]).chain([256, 0, 257]));
-        assert_eq!(check("four", 4, 300, &init, &edges), 2);
+    fn a_buffer_exactly_full_at_the_start_grows_on_its_first_write() {
+        let edges = to((0..300u64).map(|i| (i * 37) % N));
+        let init = [(10, 4096), (0, 0), (100, 100), (3, 3)];
+        check(&Sieve, "full", 4, 150, &init, &edges);
+        check(&Sieve, "empty", 3, 40, &[(0, 0); 3], &edges);
+        check(&Sieve, "no edges", 3, 40, &[(7, 7); 3], &[]);
     }
 
     #[test]
-    fn two_crossings_in_one_block_keep_fill_order() {
-        let init = [(0, 4096), (98, 4096), (0, 4096), (99, 4096)];
-        // Partition 3 fills first (one short of 100), then partition 1.
-        let edges = to([800, 10, 300, 700, 301, 5]);
-        assert_eq!(check("two crossings", 4, 100, &init, &edges), 1);
+    fn the_cap_th_write_landing_on_a_grow_is_recorded_once() {
+        // Partition 1 holds 99 of 99 slots: write 100 both grows it and
+        // brings it to `cap`; partition 3 crosses after it, without a grow.
+        let init = [(0, 4096), (99, 99), (0, 4096), (98, 4096)];
+        let edges = to([300, 10, 800, 801, 5, 302]);
+        check(&Sieve, "grow and cross", 4, 100, &init, &edges);
+        check(&Sieve, "one partition", 1, 64, &[(63, 63)], &to(0..200));
     }
 
     #[test]
-    fn a_buffer_at_capacity_forces_the_per_update_sink() {
-        // Partition 2 is exactly full: the first blocks must grow it.
-        let init = [(10, 4096), (0, 4096), (100, 100), (3, 4096)];
-        let edges = to((0..1000u64).map(|i| (i * 37) % N));
-        let spare = check("at capacity", 4, 150, &init, &edges);
-        assert!(spare < 4, "block 0 fell back ({spare} call-free)");
+    fn a_cap_above_capacity_grows_before_it_crosses() {
+        // The first limit is the allocation's end; after the grows, the
+        // limit is the crossing slot.
+        let init = [(0, 0), (5, 8), (0, 4)];
+        check(&Sieve, "cap above capacity", 3, 100, &init, &to(0..1000));
     }
 
     #[test]
-    fn a_chunk_shorter_than_one_block() {
-        let init = [(0, 512), (7, 512), (0, 512)];
-        let spare = check(
-            "short",
-            3,
-            40,
+    fn a_length_at_or_above_cap_is_never_recorded() {
+        let init = [(50, 64), (51, 51), (200, 256), (49, 4096)];
+        check(
+            &Sieve,
+            "at or above",
+            4,
+            50,
             &init,
-            &to((0..100u64).map(|i| (i * 13) % N)),
+            &to((0..900u64).map(|i| (i * 13) % N)),
         );
-        assert_eq!(spare, 1);
-        assert_eq!(check("empty", 3, 40, &init, &[]), 0);
+        check(&Sieve, "cap zero", 2, 0, &[(0, 0), (4, 4)], &to(0..600));
     }
 
     #[test]
-    #[should_panic(
-        expected = "Doubler's scatter kernel emitted more updates than its 256-edge block"
-    )]
-    fn a_kernel_emitting_two_updates_per_edge_panics_instead_of_overrunning() {
-        let spec = PartitionSpec::with_partitions(N, 4);
-        let states: Vec<u64> = (0..N).collect();
-        // Exactly one block of spare room: without the budget, write 257
-        // would land past partition 0's allocation.
-        let mut bufs = buffers(&[(0, BLOCK); 4]);
-        let mut full = Vec::new();
-        let mut sink = PartitionSink::new(&spec, &mut bufs, 4096, &mut full);
-        BlockSink::new(4).scatter_chunk(&Doubler, 0, &states, &to(0..300), 0, &mut sink);
+    fn a_kernel_emitting_two_updates_per_edge_lands_all_in_order() {
+        // 300 edges into partition 0's 300 free slots: a room bound of one
+        // update per edge would let the second half write past the end.
+        let init = [(0, 300); 4];
+        check(
+            &Doubler,
+            "doubler",
+            4,
+            4096,
+            &init,
+            &to((0..300u64).map(|i| i % 256)),
+        );
+        check(
+            &Doubler,
+            "doubler crossing",
+            4,
+            100,
+            &[(0, 0); 4],
+            &to((0..500u64).map(|i| (i * 7) % N)),
+        );
     }
 }

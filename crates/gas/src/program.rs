@@ -50,17 +50,10 @@ impl IterationAggregates {
 /// Destination for updates emitted by a scatter kernel.
 ///
 /// The engine supplies the sink; [`GasProgram::scatter_chunk`] calls
-/// [`UpdateSink::push`] once per produced update, in edge order, and **at
-/// most once per edge** of the chunk it was given. Keeping the sink a
-/// trait (rather than a `Vec`) lets the distributed engine route updates
-/// straight into per-partition output buffers without an intermediate
-/// copy.
-///
-/// The at-most-one-per-edge bound is load-bearing: the engine's sink
-/// (`chaos_core::sink`) writes a block of edges' updates into spare
-/// capacity it sized by the block's edge count. It counts its writes and
-/// panics, naming the program, when a kernel exceeds the bound, so a
-/// kernel that breaks it fails loudly rather than unsafely.
+/// [`UpdateSink::push`] once per produced update, in edge order. Keeping
+/// the sink a trait (rather than a `Vec`) lets the distributed engine
+/// route updates straight into per-partition output buffers without an
+/// intermediate copy.
 pub trait UpdateSink<U> {
     /// Emits one update addressed to vertex `dst`.
     fn push(&mut self, dst: VertexId, payload: U);
@@ -189,9 +182,8 @@ pub trait GasProgram: Clone + Send + 'static {
     /// per-edge specification: it loops over [`GasProgram::scatter`]
     /// honoring [`GasProgram::direction`], so it emits at most one update
     /// per edge, in edge order, whatever slice of a stored chunk it is
-    /// handed (the engine's sink hands it fixed-size blocks). The records
-    /// are any [`EdgeRef`]: the engine's [`GasProgram::HeldEdge`]s or the
-    /// sequential executor's [`Edge`]s.
+    /// handed. The records are any [`EdgeRef`]: the engine's
+    /// [`GasProgram::HeldEdge`]s or the sequential executor's [`Edge`]s.
     fn scatter_chunk<E: EdgeRef, S: UpdateSink<Self::Update>>(
         &self,
         base: VertexId,
