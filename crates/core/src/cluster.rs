@@ -192,7 +192,7 @@ impl<P: GasProgram> Cluster<P> {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let mut directory = Directory::new(cfg.machines, cfg.directory_op_ns);
+        let mut directory = Directory::new(Arc::clone(&params), cfg.directory_op_ns);
         // Distribute the unsorted input edge list randomly over all storage
         // devices (§8).
         for chunk in graph.edges.chunks(params.edges_per_chunk.max(1)) {
@@ -203,13 +203,8 @@ impl<P: GasProgram> Cluster<P> {
                 directory.preregister(DataKind::Input, 0, engine);
             }
         }
-        let coordinator = Coordinator::new(
-            cfg.machines,
-            program,
-            cfg.faults.crashes.clone(),
-            cfg.checkpoint,
-            cfg.placement == Placement::Centralized,
-        );
+        let coordinator =
+            Coordinator::new(Arc::clone(&params), program, cfg.faults.crashes.clone());
         let mut sched = SequentialExecutor::new(ClusterTopology {
             machines: cfg.machines,
         });

@@ -7,7 +7,7 @@
 //! outstanding requests to distinct, randomly chosen storage engines
 //! (§6.5). This module is the phase state machine and the message
 //! dispatch; pre-processing ([`crate::preprocess`]), work stealing
-//! ([`crate::steal`]) and the master's gather-apply ([`crate::apply`])
+//! ([`crate::steal`]) and the master's gather-apply (`crate::apply`)
 //! each keep their state and decisions in a module of their own.
 
 use std::collections::VecDeque;
@@ -24,11 +24,9 @@ use chaos_sim::{Resource, Rng, Time};
 use crate::apply::GatherFinish;
 use crate::config::{ChaosConfig, Placement};
 use crate::metrics::{Breakdown, IterSelectivity};
-use crate::msg::{
-    DataKind, EdgeChunk, EdgeWrite, Msg, PhaseKind, SkipInfo, Work, WriteKind, CONTROL_BYTES,
-};
+use crate::msg::{DataKind, EdgeChunk, EdgeWrite, Msg, PhaseKind, SkipInfo, Work, WriteKind};
 use crate::preprocess::Preprocess;
-use crate::runtime::{Addr, Ctx, RunParams};
+use crate::runtime::{Addr, Ctx, Post, RunParams};
 use crate::sink::{self, CountSink, Cursors};
 use crate::steal::{remaining_work, Steal};
 use crate::window::ReadWindow;
@@ -160,8 +158,8 @@ pub struct ComputeEngine<P: GasProgram> {
     pending_inits: usize,
     ckpt: CkptState,
     /// Built chunk writes parked under centralized placement until the
-    /// directory names their engine: `(part, kind, message, wire bytes)`.
-    pending_dir_writes: VecDeque<(usize, DataKind, Msg<P>, u64)>,
+    /// directory names their engine: `(part, kind, message)`.
+    pending_dir_writes: VecDeque<(usize, DataKind, Msg<P>)>,
 
     agg: IterationAggregates,
     barrier_sent: bool,
@@ -373,14 +371,13 @@ impl<P: GasProgram> ComputeEngine<P> {
 
     fn write_edges(&mut self, ctx: &mut Ctx<P>, part: usize, reverse: bool, data: EdgeChunk<P>) {
         let key = data[0].key(reverse);
-        let bytes = data.len() as u64 * self.params.edge_bytes + CONTROL_BYTES;
         let msg = Msg::WriteEdgeChunk {
             part,
             reverse,
             data,
             from: self.machine,
         };
-        self.send_write(ctx, part, DataKind::edges(reverse), msg, bytes, |eng| {
+        self.send_write(ctx, part, DataKind::edges(reverse), msg, |eng| {
             eng.edge_write_target(part, reverse, key)
         });
     }
@@ -394,21 +391,20 @@ impl<P: GasProgram> ComputeEngine<P> {
         part: usize,
         kind: DataKind,
         msg: Msg<P>,
-        bytes: u64,
         target: impl FnOnce(&mut Self) -> usize,
     ) {
         self.pending_write_acks += 1;
         if self.centralized() {
-            self.pending_dir_writes.push_back((part, kind, msg, bytes));
+            self.pending_dir_writes.push_back((part, kind, msg));
             let ask = Msg::DirWrite {
                 part,
                 kind,
                 from: self.machine,
             };
-            return ctx.send(self.machine, Addr::Directory, ask, CONTROL_BYTES);
+            return ctx.post(&self.params, self.machine, Addr::Directory, ask);
         }
         let to = target(self);
-        ctx.send(self.machine, Addr::Storage(to), msg, bytes);
+        ctx.post(&self.params, self.machine, Addr::Storage(to), msg);
     }
 
     /// Storage engine an edge chunk of `(part, reverse)` containing `key`
@@ -441,14 +437,13 @@ impl<P: GasProgram> ComputeEngine<P> {
             self.check_window_idle(&self.pp.win, None, ctx.now);
             self.flush_edges(ctx);
             for (part, entries) in self.pp.take_counts(&self.params) {
-                let bytes = entries.len() as u64 * 12 + CONTROL_BYTES;
                 let msg = Msg::DegreeContrib {
                     part,
                     counts: Arc::new(entries),
                     from: self.machine,
                 };
                 let master = Addr::Compute(self.params.master(part));
-                ctx.send(self.machine, master, msg, bytes);
+                ctx.post(&self.params, self.machine, master, msg);
             }
         }
         self.maybe_barrier(ctx);
@@ -479,14 +474,12 @@ impl<P: GasProgram> ComputeEngine<P> {
                 if writes.is_empty() {
                     continue;
                 }
-                let records: u64 = writes.iter().map(|w| w.data.len() as u64).sum();
-                let bytes = records * params.edge_bytes + CONTROL_BYTES;
                 self.pending_write_acks += 1;
                 let msg = Msg::WriteEdgeBatch {
                     writes,
                     from: self.machine,
                 };
-                ctx.send(self.machine, Addr::Storage(target), msg, bytes);
+                ctx.post(&params, self.machine, Addr::Storage(target), msg);
             }
         }
         self.pp = pp;
@@ -527,7 +520,6 @@ impl<P: GasProgram> ComputeEngine<P> {
         for c in 0..self.params.vertex_chunks(part) {
             let rows = self.params.vertex_chunk_rows(part, c);
             let data = Arc::new(states[rows].to_vec());
-            let bytes = data.len() as u64 * self.params.vstate_bytes + CONTROL_BYTES;
             let home = self.params.vertex_home(part, c);
             self.pending_write_acks += 1;
             let msg = Msg::WriteVertexChunk {
@@ -536,7 +528,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 data,
                 from: self.machine,
             };
-            ctx.send(self.machine, Addr::Storage(home), msg, bytes);
+            ctx.post(&self.params, self.machine, Addr::Storage(home), msg);
         }
     }
 
@@ -585,7 +577,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 from: self.machine,
             };
             let master = Addr::Compute(self.params.master(part));
-            ctx.send(self.machine, master, msg, CONTROL_BYTES);
+            ctx.post(&self.params, self.machine, master, msg);
         }
         if let Some(p) = self.steal.next_accepted() {
             self.start_partition(ctx, p, true);
@@ -625,7 +617,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 chunk_no: c,
                 from: self.machine,
             };
-            ctx.send(self.machine, Addr::Storage(home), msg, CONTROL_BYTES);
+            ctx.post(&self.params, self.machine, Addr::Storage(home), msg);
         }
         if chunks == 0 {
             self.arm_scatter_activity();
@@ -652,18 +644,15 @@ impl<P: GasProgram> ComputeEngine<P> {
         };
         let part = part.unwrap_or(0);
         while let Some(to) = win.next_target(&mut self.rng, window, centralized, local) {
-            let (msg, bytes) = match to {
-                Addr::Directory => (
-                    Msg::DirRead {
-                        part,
-                        kind,
-                        from: me,
-                    },
-                    CONTROL_BYTES,
-                ),
+            let msg = match to {
+                Addr::Directory => Msg::DirRead {
+                    part,
+                    kind,
+                    from: me,
+                },
                 _ => Msg::chunk_req(kind, part, me, active.clone()),
             };
-            ctx.send(me, to, msg, bytes);
+            ctx.post(&self.params, me, to, msg);
         }
     }
 
@@ -851,7 +840,6 @@ impl<P: GasProgram> ComputeEngine<P> {
         };
         debug_assert_eq!(survivors.len() as u64, data.len() as u64 - dead);
         let part = w.part;
-        let bytes = survivors.len() as u64 * self.params.edge_bytes + CONTROL_BYTES;
         let sel = self.sel_mut();
         sel.edges_tombstoned += dead;
         sel.compactions += 1;
@@ -863,7 +851,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             data: Arc::new(survivors),
             from: self.machine,
         };
-        ctx.send(self.machine, Addr::Storage(source), msg, bytes);
+        ctx.post(&self.params, self.machine, Addr::Storage(source), msg);
     }
 
     /// Accounts chunks — and, under block indexing, block runs inside the
@@ -955,13 +943,12 @@ impl<P: GasProgram> ComputeEngine<P> {
         if data.is_empty() {
             return;
         }
-        let bytes = data.len() as u64 * self.params.update_bytes + CONTROL_BYTES;
         let msg = Msg::WriteUpdateChunk {
             part,
             data,
             from: self.machine,
         };
-        self.send_write(ctx, part, DataKind::Updates, msg, bytes, |eng| {
+        self.send_write(ctx, part, DataKind::Updates, msg, |eng| {
             eng.local_only_target(Some(part))
                 .unwrap_or_else(|| eng.rng.below(eng.m() as u64) as usize)
         });
@@ -1018,17 +1005,16 @@ impl<P: GasProgram> ComputeEngine<P> {
     }
 
     fn send_accums(&mut self, ctx: &mut Ctx<P>, part: usize, accums: Arc<Vec<P::Accum>>) {
-        let bytes = self.params.vertex_part_bytes(part);
         // Shipping accumulators is load-balancing overhead ("copy").
         let nic = Resource::new(self.cfg.fabric.nic_bytes_per_sec, 0);
-        self.breakdown.copy += nic.transfer_time(bytes);
+        self.breakdown.copy += nic.transfer_time(self.params.vertex_part_bytes(part));
         let msg = Msg::Accums {
             part,
             accums,
             from: self.machine,
         };
         let master = Addr::Compute(self.params.master(part));
-        ctx.send(self.machine, master, msg, bytes + CONTROL_BYTES);
+        ctx.post(&self.params, self.machine, master, msg);
     }
 
     fn master_finish_gather(
@@ -1044,7 +1030,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 part,
                 from: self.machine,
             };
-            ctx.send(self.machine, Addr::Compute(s), msg, CONTROL_BYTES);
+            ctx.post(&self.params, self.machine, Addr::Compute(s), msg);
         }
         let fin = GatherFinish::new(part, vertices, accums, stealers.len(), ctx.now);
         if fin.ready() {
@@ -1076,7 +1062,7 @@ impl<P: GasProgram> ComputeEngine<P> {
 
         for s in 0..self.m() {
             let msg = Msg::DeleteUpdates { part };
-            ctx.send(self.machine, Addr::Storage(s), msg, CONTROL_BYTES);
+            ctx.post(&self.params, self.machine, Addr::Storage(s), msg);
         }
         self.advance(ctx);
     }
@@ -1093,7 +1079,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                 from: self.machine,
             };
             let local = Addr::Storage(self.machine);
-            ctx.send(self.machine, local, msg, CONTROL_BYTES);
+            ctx.post(&self.params, self.machine, local, msg);
         }
     }
 
@@ -1107,7 +1093,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         let answer = self.steal.on_remaining(part, v, d, self.cfg.steal_alpha);
         if let Some((proposer, accept)) = answer {
             let msg = Msg::StealReply { part, accept };
-            ctx.send(self.machine, Addr::Compute(proposer), msg, CONTROL_BYTES);
+            ctx.post(&self.params, self.machine, Addr::Compute(proposer), msg);
             self.maybe_query_remaining(ctx, part);
         }
     }
@@ -1156,7 +1142,7 @@ impl<P: GasProgram> ComputeEngine<P> {
                     from: self.machine,
                 };
                 let home = Addr::Storage(self.params.vertex_home(part, c));
-                ctx.send(self.machine, home, msg, CONTROL_BYTES);
+                ctx.post(&self.params, self.machine, home, msg);
             }
         }
         if pending == 0 {
@@ -1193,7 +1179,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             from: self.machine,
             agg,
         };
-        ctx.send(self.machine, Addr::Coordinator, msg, CONTROL_BYTES);
+        ctx.post(&self.params, self.machine, Addr::Coordinator, msg);
     }
 
     /// The coordinator released the barrier: adopt its program — the
@@ -1243,7 +1229,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         // completed iteration keeps that iteration's row.)
         self.selectivity.truncate(iter as usize);
         let ack = Msg::AbortAck { fallback: false };
-        ctx.send(self.machine, Addr::Coordinator, ack, CONTROL_BYTES);
+        ctx.post(&self.params, self.machine, Addr::Coordinator, ack);
     }
 }
 
@@ -1309,7 +1295,7 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                 debug_assert_eq!(self.params.master(part), self.machine);
                 self.pp.add_counts(&self.params, part, &counts);
                 let ack = Msg::DegreeAck;
-                ctx.send(self.machine, Addr::Compute(from), ack, CONTROL_BYTES);
+                ctx.post(&self.params, self.machine, Addr::Compute(from), ack);
             }
             Msg::DegreeAck => {
                 self.pp.acks_pending -= 1;
@@ -1324,7 +1310,7 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                         part,
                         accept: false,
                     };
-                    ctx.send(self.machine, Addr::Compute(from), msg, CONTROL_BYTES);
+                    ctx.post(&self.params, self.machine, Addr::Compute(from), msg);
                 }
             }
             Msg::StealReply { part, accept } => {
@@ -1374,7 +1360,7 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
             } => self.on_release(ctx, next, iter, program, done),
             Msg::Abort { gen, iter, .. } => self.on_abort(ctx, gen, iter),
             Msg::DirWriteResp { part, kind, engine } => {
-                let (p, k, msg, bytes) = self
+                let (p, k, msg) = self
                     .pending_dir_writes
                     .pop_front()
                     .expect("directory write response without a parked write");
@@ -1383,14 +1369,14 @@ impl<P: GasProgram> Actor for ComputeEngine<P> {
                     (part, kind),
                     "directory write responses arrive in request order (per-link FIFO)"
                 );
-                ctx.send(self.machine, Addr::Storage(engine), msg, bytes);
+                ctx.post(&self.params, self.machine, Addr::Storage(engine), msg);
             }
             Msg::DirReadResp { part, kind, engine } => match engine {
                 // Centralized placement keeps dense streaming (see
                 // `RunParams::selective`): no active summary.
                 Some(e) => {
-                    let (msg, bytes) = Msg::chunk_req(kind, part, self.machine, None);
-                    ctx.send(self.machine, Addr::Storage(e), msg, bytes);
+                    let msg = Msg::chunk_req(kind, part, self.machine, None);
+                    ctx.post(&self.params, self.machine, Addr::Storage(e), msg);
                 }
                 None => {
                     let part = (kind != DataKind::Input).then_some(part);

@@ -38,14 +38,17 @@
 //! per recovery episode (at its first crash) and kept by later overlapping
 //! crashes, which restore the same committed snapshot.
 
+use std::sync::Arc;
+
 use chaos_gas::{Control, GasProgram, IterationAggregates};
 use chaos_runtime::Actor;
 use chaos_sim::Time;
 
+use crate::config::Placement;
 use crate::fault::{CrashFault, CrashTrigger};
 use crate::metrics::AbortRecord;
-use crate::msg::{Msg, PhaseKind, CONTROL_BYTES};
-use crate::runtime::{Addr, Ctx};
+use crate::msg::{Msg, PhaseKind};
+use crate::runtime::{Addr, Ctx, Post, RunParams};
 
 /// Where the cluster resumes once the current recovery episode quiesces.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +71,7 @@ enum Resume {
 
 /// The coordinator actor (one per cluster, co-located with machine 0).
 pub struct Coordinator<P: GasProgram> {
-    machines: usize,
+    params: Arc<RunParams>,
     program: P,
     phase: PhaseKind,
     iter: u32,
@@ -85,7 +88,6 @@ pub struct Coordinator<P: GasProgram> {
     pub gen: u32,
     /// Remaining crash schedule (`None` = fired).
     crashes: Vec<Option<CrashFault>>,
-    checkpoint: bool,
     commit_pending: usize,
     /// Outstanding `CheckpointValidateAck`s of the validation round that
     /// runs between the copy phase and the promote broadcast.
@@ -110,7 +112,6 @@ pub struct Coordinator<P: GasProgram> {
     reboot_pending: bool,
     reboot_at: Time,
     resume: Resume,
-    centralized: bool,
     /// Number of global barriers crossed (metrics).
     pub barriers: u64,
     /// Abort rounds broadcast (fault account).
@@ -122,17 +123,12 @@ pub struct Coordinator<P: GasProgram> {
 }
 
 impl<P: GasProgram> Coordinator<P> {
-    /// Creates the coordinator; `checkpoint` enables the commit rounds,
-    /// `centralized` adds the directory to the epoch-reset round.
-    pub fn new(
-        machines: usize,
-        program: P,
-        crashes: Vec<CrashFault>,
-        checkpoint: bool,
-        centralized: bool,
-    ) -> Self {
+    /// Creates the coordinator of `params.machines` machines;
+    /// [`RunParams::checkpoint`] enables the commit rounds, centralized
+    /// placement adds the directory to the epoch-reset round.
+    pub fn new(params: Arc<RunParams>, program: P, crashes: Vec<CrashFault>) -> Self {
         Self {
-            machines,
+            params,
             program,
             phase: PhaseKind::Preprocess,
             iter: 0,
@@ -144,7 +140,6 @@ impl<P: GasProgram> Coordinator<P> {
             done: false,
             gen: 0,
             crashes: crashes.into_iter().map(Some).collect(),
-            checkpoint,
             commit_pending: 0,
             validate_pending: 0,
             validate_ok: true,
@@ -155,7 +150,6 @@ impl<P: GasProgram> Coordinator<P> {
             reboot_pending: false,
             reboot_at: 0,
             resume: Resume::Redo { iter: 0 },
-            centralized,
             barriers: 0,
             aborts: 0,
             iterations_redone: 0,
@@ -180,21 +174,23 @@ impl<P: GasProgram> Coordinator<P> {
         self.abort_acks > 0 || self.reboot_pending
     }
 
+    /// Sends `msg` to `to` from machine 0, the coordinator's host.
+    fn post(&self, ctx: &mut Ctx<P>, to: Addr, msg: Msg<P>) {
+        ctx.post(&self.params, 0, to, msg);
+    }
+
     /// Releases every computation engine into `next`, handing each the
     /// program as the end-of-iteration decisions so far left it.
     fn release(&mut self, ctx: &mut Ctx<P>, next: PhaseKind, iter: u32, done: bool) {
-        for c in 0..self.machines {
-            ctx.send(
-                0,
-                Addr::Compute(c),
-                Msg::BarrierRelease {
-                    next,
-                    iter,
-                    program: self.program.clone(),
-                    done,
-                },
-                CONTROL_BYTES,
-            );
+        for c in 0..self.params.machines {
+            let program = self.program.clone();
+            let msg = Msg::BarrierRelease {
+                next,
+                iter,
+                program,
+                done,
+            };
+            self.post(ctx, Addr::Compute(c), msg);
         }
         if !done {
             self.phase = next;
@@ -224,12 +220,13 @@ impl<P: GasProgram> Coordinator<P> {
             self.release(ctx, PhaseKind::Scatter, self.iter + 1, true);
         } else {
             // Edge cursors rewind before the next scatter (§7).
-            self.epoch_acks = self.machines + usize::from(self.centralized);
-            for s in 0..self.machines {
-                ctx.send(0, Addr::Storage(s), Msg::ResetEdgeEpoch, CONTROL_BYTES);
+            let centralized = self.params.placement == Placement::Centralized;
+            self.epoch_acks = self.params.machines + usize::from(centralized);
+            for s in 0..self.params.machines {
+                self.post(ctx, Addr::Storage(s), Msg::ResetEdgeEpoch);
             }
-            if self.centralized {
-                ctx.send(0, Addr::Directory, Msg::ResetEdgeEpoch, CONTROL_BYTES);
+            if centralized {
+                self.post(ctx, Addr::Directory, Msg::ResetEdgeEpoch);
             }
         }
     }
@@ -240,11 +237,11 @@ impl<P: GasProgram> Coordinator<P> {
     /// commit broadcast promote (otherwise the snapshot is dropped
     /// cluster-wide and the committed chain stands).
     fn start_commit(&mut self, ctx: &mut Ctx<P>) {
-        self.commit_pending = self.machines;
-        self.validate_pending = self.machines;
+        self.commit_pending = self.params.machines;
+        self.validate_pending = self.params.machines;
         self.validate_ok = true;
-        for s in 0..self.machines {
-            ctx.send(0, Addr::Storage(s), Msg::CheckpointValidate, CONTROL_BYTES);
+        for s in 0..self.params.machines {
+            self.post(ctx, Addr::Storage(s), Msg::CheckpointValidate);
         }
     }
 
@@ -270,7 +267,7 @@ impl<P: GasProgram> Coordinator<P> {
                 self.release(ctx, PhaseKind::VertexInit, 0, false);
             }
             PhaseKind::VertexInit => {
-                if self.checkpoint {
+                if self.params.checkpoint {
                     // Commit the initial checkpoint so iteration 0 has a
                     // snapshot to roll back to.
                     self.start_commit(ctx);
@@ -284,7 +281,7 @@ impl<P: GasProgram> Coordinator<P> {
                 self.release(ctx, PhaseKind::Gather, self.iter, false);
             }
             PhaseKind::Gather => {
-                if self.checkpoint {
+                if self.params.checkpoint {
                     // A commit-window crash must be decided *before* the
                     // commit round's messages are queued: sends are
                     // generation-stamped at drain time, so a broadcast
@@ -293,7 +290,7 @@ impl<P: GasProgram> Coordinator<P> {
                     // abort itself promotes the pending snapshot at every
                     // storage engine (`commit: true`), so the round's
                     // effect still happens — via recovery instead.
-                    self.commit_pending = self.machines;
+                    self.commit_pending = self.params.machines;
                     if !self.try_commit_crash(ctx) {
                         self.start_commit(ctx);
                     }
@@ -450,7 +447,7 @@ impl<P: GasProgram> Coordinator<P> {
             // restores from the committed snapshot (a redo) and there is a
             // previous committed snapshot to fall back to (iter >= 1).
             self.torn_machine = match self.resume {
-                Resume::Redo { iter } if crash.torn && self.checkpoint && iter >= 1 => {
+                Resume::Redo { iter } if crash.torn && self.params.checkpoint && iter >= 1 => {
                     Some(crash.machine)
                 }
                 _ => None,
@@ -470,32 +467,21 @@ impl<P: GasProgram> Coordinator<P> {
             redo,
         });
         // All engines abandon the attempt; storage restores checkpoints.
-        self.abort_acks = 2 * self.machines;
-        for i in 0..self.machines {
-            ctx.send(
-                0,
-                Addr::Compute(i),
-                Msg::Abort {
+        self.abort_acks = 2 * self.params.machines;
+        for i in 0..self.params.machines {
+            for (addr, torn) in [
+                (Addr::Compute(i), None),
+                (Addr::Storage(i), self.torn_machine),
+            ] {
+                let msg = Msg::Abort {
                     gen: self.gen,
                     iter: resume_iter,
                     commit,
-                    torn: None,
+                    torn,
                     rewind: false,
-                },
-                CONTROL_BYTES,
-            );
-            ctx.send(
-                0,
-                Addr::Storage(i),
-                Msg::Abort {
-                    gen: self.gen,
-                    iter: resume_iter,
-                    commit,
-                    torn: self.torn_machine,
-                    rewind: false,
-                },
-                CONTROL_BYTES,
-            );
+                };
+                self.post(ctx, addr, msg);
+            }
         }
         // The failed machine rejoins after its configured downtime;
         // overlapping reboots compose by max.
@@ -541,21 +527,17 @@ impl<P: GasProgram> Coordinator<P> {
             resume_iter: target,
             redo: true,
         });
-        self.abort_acks = 2 * self.machines;
-        for i in 0..self.machines {
+        self.abort_acks = 2 * self.params.machines;
+        for i in 0..self.params.machines {
             for addr in [Addr::Compute(i), Addr::Storage(i)] {
-                ctx.send(
-                    0,
-                    addr,
-                    Msg::Abort {
-                        gen: self.gen,
-                        iter: target,
-                        commit: false,
-                        torn: None,
-                        rewind: true,
-                    },
-                    CONTROL_BYTES,
-                );
+                let msg = Msg::Abort {
+                    gen: self.gen,
+                    iter: target,
+                    commit: false,
+                    torn: None,
+                    rewind: true,
+                };
+                self.post(ctx, addr, msg);
             }
         }
         // The generation bump invalidated the pending reboot self-event
@@ -602,7 +584,7 @@ impl<P: GasProgram> Actor for Coordinator<P> {
                 }
                 self.agg.absorb(&agg);
                 self.arrived += 1;
-                if self.arrived == self.machines {
+                if self.arrived == self.params.machines {
                     self.arrived = 0;
                     self.on_all_arrived(ctx);
                 }
@@ -618,13 +600,8 @@ impl<P: GasProgram> Actor for Coordinator<P> {
                 self.validate_pending -= 1;
                 if self.validate_pending == 0 {
                     let promote = self.validate_ok;
-                    for s in 0..self.machines {
-                        ctx.send(
-                            0,
-                            Addr::Storage(s),
-                            Msg::CheckpointCommit { promote },
-                            CONTROL_BYTES,
-                        );
+                    for s in 0..self.params.machines {
+                        self.post(ctx, Addr::Storage(s), Msg::CheckpointCommit { promote });
                     }
                 }
             }

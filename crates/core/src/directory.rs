@@ -7,17 +7,18 @@
 //! bottleneck as machines are added.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use chaos_gas::GasProgram;
 use chaos_runtime::Actor;
-use chaos_sim::Resource;
+use chaos_sim::{Resource, Time};
 
-use crate::msg::{DataKind, Msg, CONTROL_BYTES};
-use crate::runtime::{Addr, Ctx};
+use crate::msg::{DataKind, Msg};
+use crate::runtime::{Addr, Ctx, Post, RunParams};
 
 /// The directory actor.
 pub struct Directory<P: GasProgram> {
-    machines: usize,
+    params: Arc<RunParams>,
     ops: Resource,
     /// Per (kind, partition): available and total chunk counts per engine.
     counts: HashMap<(DataKind, usize), (Vec<u64>, Vec<u64>)>,
@@ -26,10 +27,11 @@ pub struct Directory<P: GasProgram> {
 }
 
 impl<P: GasProgram> Directory<P> {
-    /// Creates the directory; `op_ns` is the service time per operation.
-    pub fn new(machines: usize, op_ns: u64) -> Self {
+    /// Creates the directory over `params.machines` storage engines;
+    /// `op_ns` is the service time per operation.
+    pub fn new(params: Arc<RunParams>, op_ns: u64) -> Self {
         Self {
-            machines,
+            params,
             // One op takes `op_ns`; the Resource rate is ops/sec expressed
             // as "1 unit per op".
             ops: Resource::new(1_000_000_000 / op_ns.max(1), 0),
@@ -42,13 +44,19 @@ impl<P: GasProgram> Directory<P> {
     /// Registers chunks distributed during cluster setup (the input edge
     /// list is pre-spread over the devices).
     pub fn preregister(&mut self, kind: DataKind, part: usize, engine: usize) {
-        let m = self.machines;
+        let m = self.params.machines;
         let entry = self
             .counts
             .entry((kind, part))
             .or_insert_with(|| (vec![0; m], vec![0; m]));
         entry.0[engine] += 1;
         entry.1[engine] += 1;
+    }
+
+    /// Replies to machine `to` once the service queue is done at `at`.
+    fn respond_at(ctx: &mut Ctx<P>, at: Time, to: usize, msg: Msg<P>) {
+        let (to, inner) = (Addr::Compute(to), Box::new(msg));
+        ctx.at(at, Addr::Directory, Msg::Deferred { to, inner });
     }
 }
 
@@ -61,18 +69,10 @@ impl<P: GasProgram> Actor for Directory<P> {
         match msg {
             Msg::DirWrite { part, kind, from } => {
                 let done = self.ops.serve(ctx.now, 1);
-                let engine = self.rr % self.machines;
+                let engine = self.rr % self.params.machines;
                 self.rr += 1;
                 self.preregister(kind, part, engine);
-                ctx.at(
-                    done,
-                    Addr::Directory,
-                    Msg::StorageRespond {
-                        to: Addr::Compute(from),
-                        bytes: CONTROL_BYTES,
-                        inner: Box::new(Msg::DirWriteResp { part, kind, engine }),
-                    },
-                );
+                Self::respond_at(ctx, done, from, Msg::DirWriteResp { part, kind, engine });
             }
             Msg::DirRead { part, kind, from } => {
                 let done = self.ops.serve(ctx.now, 1);
@@ -87,15 +87,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                         })
                 });
                 self.rr += 1;
-                ctx.at(
-                    done,
-                    Addr::Directory,
-                    Msg::StorageRespond {
-                        to: Addr::Compute(from),
-                        bytes: CONTROL_BYTES,
-                        inner: Box::new(Msg::DirReadResp { part, kind, engine }),
-                    },
-                );
+                Self::respond_at(ctx, done, from, Msg::DirReadResp { part, kind, engine });
             }
             Msg::ResetEdgeEpoch => {
                 // Edge chunks become readable again for the next iteration;
@@ -106,7 +98,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                         avail.clone_from(total);
                     }
                 }
-                ctx.send(0, Addr::Coordinator, Msg::EpochResetAck, CONTROL_BYTES);
+                ctx.post(&self.params, 0, Addr::Coordinator, Msg::EpochResetAck);
             }
             Msg::DeleteUpdates { part } => {
                 if let Some((avail, total)) = self.counts.get_mut(&(DataKind::Updates, part)) {
@@ -114,7 +106,7 @@ impl<P: GasProgram> Actor for Directory<P> {
                     total.iter_mut().for_each(|c| *c = 0);
                 }
             }
-            Msg::StorageRespond { to, bytes, inner } => ctx.send(0, to, *inner, bytes),
+            Msg::Deferred { to, inner } => ctx.post(&self.params, 0, to, *inner),
             other => panic!("directory got unexpected message {other:?}"),
         }
     }

@@ -1,5 +1,5 @@
 //! The storage engine's integrity layer: the fault layer's one retry
-//! ladder ([`Backoff`]), framed device I/O through it
+//! ladder (`Backoff`), framed device I/O through it
 //! ([`FramedDevice`]), and the depth-2 checkpoint chain
 //! ([`CheckpointChain`], §6.6).
 //!

@@ -4,12 +4,14 @@
 //! Every variant is an actual message in the simulated cluster: it is
 //! routed through the fabric model with a byte size, and it carries the
 //! real typed data (chunks of edges/updates, accumulator arrays, degree
-//! contributions). Small control messages are accounted at
-//! [`CONTROL_BYTES`].
+//! contributions). The size is [`Msg::wire_bytes`], the one rule: a
+//! message costs [`CONTROL_BYTES`] plus the records it carries.
 
 use std::sync::Arc;
 
 use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, LocalUpdate};
+
+use crate::runtime::RunParams;
 
 /// A shared chunk of edges in the record the program declares
 /// ([`GasProgram::HeldEdge`]).
@@ -468,14 +470,14 @@ pub enum Msg<P: GasProgram> {
     /// due time trigger (the event time is the trigger time, so injection
     /// is a pure function of simulated time).
     FaultTimer,
-    /// Storage-internal deferred send: fires when the device completes,
-    /// then routes `inner` over the fabric (keeps fabric calls
+    /// A send deferred to a later time: the storage engine's reply once
+    /// its device completes, the directory's once its service queue does.
+    /// Delivered to the sender itself, which then posts `inner` over the
+    /// fabric, charged at `inner`'s [`Msg::wire_bytes`] (fabric calls stay
     /// time-ordered).
-    StorageRespond {
+    Deferred {
         /// Destination actor.
         to: crate::runtime::Addr,
-        /// Wire size of the inner message.
-        bytes: u64,
         /// The deferred message.
         inner: Box<Msg<P>>,
     },
@@ -518,20 +520,67 @@ pub enum Work<P: GasProgram> {
     },
 }
 
+/// Wire bytes charged for one `(vertex, count)` pair of a
+/// [`Msg::DegreeContrib`].
+pub const DEGREE_PAIR_BYTES: u64 = 12;
+
 impl<P: GasProgram> Msg<P> {
+    /// The bytes the fabric charges for this message: [`CONTROL_BYTES`]
+    /// plus the records it carries at their storage size — edges at
+    /// [`RunParams::edge_bytes`] (input, edge and replacement chunks, and
+    /// every element of a [`Msg::WriteEdgeBatch`]), updates at
+    /// [`RunParams::update_bytes`] and vertex states at
+    /// [`RunParams::vstate_bytes`]; a reply without a chunk carries none.
+    /// The irregular charges:
+    /// - an [`Msg::EdgeChunkReq`] adds its active set's
+    ///   [`ActiveSet::wire_bytes`];
+    /// - a [`Msg::DegreeContrib`] costs [`DEGREE_PAIR_BYTES`] per pair;
+    /// - a stealer's [`Msg::Accums`] are charged at the vertex-state size,
+    ///   not the accumulator's;
+    /// - skip accounts, iteration aggregates, the program in a
+    ///   [`Msg::BarrierRelease`] and the count of a [`Msg::RemainingResp`]
+    ///   ride free.
+    ///
+    /// A [`Msg::Deferred`] never crosses the fabric itself: its inner
+    /// message is posted, and charged, when it fires.
+    pub fn wire_bytes(&self, p: &RunParams) -> u64 {
+        fn len<T>(data: &Option<Arc<Vec<T>>>) -> u64 {
+            data.as_ref().map_or(0, |d| d.len() as u64)
+        }
+        let payload = match self {
+            Msg::InputChunkResp { data, .. } | Msg::EdgeChunkResp { data, .. } => {
+                len(data) * p.edge_bytes
+            }
+            Msg::WriteEdgeChunk { data, .. } | Msg::ReplaceEdgeChunk { data, .. } => {
+                data.len() as u64 * p.edge_bytes
+            }
+            Msg::WriteEdgeBatch { writes, .. } => {
+                writes.iter().map(|w| w.data.len() as u64).sum::<u64>() * p.edge_bytes
+            }
+            Msg::UpdateChunkResp { data, .. } => len(data) * p.update_bytes,
+            Msg::WriteUpdateChunk { data, .. } => data.len() as u64 * p.update_bytes,
+            Msg::VertexChunkResp { data, .. } | Msg::WriteVertexChunk { data, .. } => {
+                data.len() as u64 * p.vstate_bytes
+            }
+            Msg::EdgeChunkReq { active, .. } => active.as_ref().map_or(0, |a| a.wire_bytes()),
+            Msg::DegreeContrib { counts, .. } => counts.len() as u64 * DEGREE_PAIR_BYTES,
+            Msg::Accums { accums, .. } => accums.len() as u64 * p.vstate_bytes,
+            _ => 0,
+        };
+        CONTROL_BYTES + payload
+    }
+
     /// The request for the next chunk of a `kind` stream of `part` from
-    /// machine `from`, and its wire bytes. The active summary rides on
-    /// every edge request (and is charged for): requests are independent,
-    /// so every storage engine sees the frontier it needs for its skip
-    /// decisions.
+    /// machine `from`. The active summary rides on every edge request (and
+    /// is charged for): requests are independent, so every storage engine
+    /// sees the frontier it needs for its skip decisions.
     pub(crate) fn chunk_req(
         kind: DataKind,
         part: usize,
         from: usize,
         active: Option<Arc<ActiveSet>>,
-    ) -> (Self, u64) {
-        let bytes = CONTROL_BYTES + active.as_ref().map_or(0, |a| a.wire_bytes());
-        let msg = match kind {
+    ) -> Self {
+        match kind {
             DataKind::Input => Msg::InputChunkReq { from },
             DataKind::Edges | DataKind::EdgesReverse => Msg::EdgeChunkReq {
                 part,
@@ -540,57 +589,268 @@ impl<P: GasProgram> Msg<P> {
                 active,
             },
             DataKind::Updates => Msg::UpdateChunkReq { part, from },
-        };
-        (msg, bytes)
+        }
     }
+}
+
+/// Declares [`MsgKind`] and [`Msg::kind`] from one list of variant names.
+/// The match in `kind` is exhaustive, so a variant missing from the list
+/// fails to compile.
+macro_rules! msg_kinds {
+    ($($kind:ident),* $(,)?) => {
+        /// The kind of a [`Msg`]: its variant, without the payload. The
+        /// discriminants are dense (`kind as usize` is `0..` in declaration
+        /// order), so a per-kind table is an array indexed by kind.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum MsgKind {
+            $(
+                #[doc = concat!("[`Msg::", stringify!($kind), "`].")]
+                $kind,
+            )*
+        }
+
+        impl<P: GasProgram> Msg<P> {
+            /// The message's kind.
+            pub fn kind(&self) -> MsgKind {
+                match self {
+                    $(Msg::$kind { .. } => MsgKind::$kind,)*
+                }
+            }
+        }
+    };
+}
+
+msg_kinds! {
+    InputChunkReq, InputChunkResp, EdgeChunkReq, EdgeChunkResp, UpdateChunkReq,
+    UpdateChunkResp, VertexChunkReq, VertexChunkResp,
+    WriteEdgeChunk, WriteEdgeBatch, WriteUpdateChunk, WriteVertexChunk, ReplaceEdgeChunk,
+    WriteAck, DeleteUpdates, CheckpointChunk, CheckpointValidate, CheckpointValidateAck,
+    CheckpointCommit, CheckpointCommitAck, ResetEdgeEpoch, EpochResetAck,
+    DegreeContrib, DegreeAck, StealPropose, StealReply, GetAccums, Accums,
+    BarrierArrive, BarrierRelease, Abort, AbortAck,
+    DirWrite, DirWriteResp, DirRead, DirReadResp,
+    Processed, RemainingReq, RemainingResp, RebootDone, FaultTimer, Deferred,
 }
 
 impl<P: GasProgram> std::fmt::Debug for Msg<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            Msg::InputChunkReq { .. } => "InputChunkReq",
-            Msg::InputChunkResp { .. } => "InputChunkResp",
-            Msg::EdgeChunkReq { .. } => "EdgeChunkReq",
-            Msg::EdgeChunkResp { .. } => "EdgeChunkResp",
-            Msg::UpdateChunkReq { .. } => "UpdateChunkReq",
-            Msg::UpdateChunkResp { .. } => "UpdateChunkResp",
-            Msg::VertexChunkReq { .. } => "VertexChunkReq",
-            Msg::VertexChunkResp { .. } => "VertexChunkResp",
-            Msg::WriteEdgeChunk { .. } => "WriteEdgeChunk",
-            Msg::WriteEdgeBatch { .. } => "WriteEdgeBatch",
-            Msg::ReplaceEdgeChunk { .. } => "ReplaceEdgeChunk",
-            Msg::WriteUpdateChunk { .. } => "WriteUpdateChunk",
-            Msg::WriteVertexChunk { .. } => "WriteVertexChunk",
-            Msg::WriteAck { .. } => "WriteAck",
-            Msg::DeleteUpdates { .. } => "DeleteUpdates",
-            Msg::CheckpointChunk { .. } => "CheckpointChunk",
-            Msg::CheckpointValidate => "CheckpointValidate",
-            Msg::CheckpointValidateAck { .. } => "CheckpointValidateAck",
-            Msg::CheckpointCommit { .. } => "CheckpointCommit",
-            Msg::CheckpointCommitAck => "CheckpointCommitAck",
-            Msg::ResetEdgeEpoch => "ResetEdgeEpoch",
-            Msg::EpochResetAck => "EpochResetAck",
-            Msg::DegreeContrib { .. } => "DegreeContrib",
-            Msg::DegreeAck => "DegreeAck",
-            Msg::StealPropose { .. } => "StealPropose",
-            Msg::StealReply { .. } => "StealReply",
-            Msg::GetAccums { .. } => "GetAccums",
-            Msg::Accums { .. } => "Accums",
-            Msg::BarrierArrive { .. } => "BarrierArrive",
-            Msg::BarrierRelease { .. } => "BarrierRelease",
-            Msg::Abort { .. } => "Abort",
-            Msg::AbortAck { .. } => "AbortAck",
-            Msg::DirWrite { .. } => "DirWrite",
-            Msg::DirWriteResp { .. } => "DirWriteResp",
-            Msg::DirRead { .. } => "DirRead",
-            Msg::DirReadResp { .. } => "DirReadResp",
-            Msg::Processed { .. } => "Processed",
-            Msg::RemainingReq { .. } => "RemainingReq",
-            Msg::RemainingResp { .. } => "RemainingResp",
-            Msg::RebootDone => "RebootDone",
-            Msg::FaultTimer => "FaultTimer",
-            Msg::StorageRespond { .. } => "StorageRespond",
+        self.kind().fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use chaos_algos::pagerank::{Pagerank, RankSum};
+    use chaos_gas::BareEdge;
+    use chaos_graph::PartitionSpec;
+    use chaos_runtime::{Actor, Executor, Network, SequentialExecutor};
+    use chaos_sim::Time;
+
+    use super::*;
+    use crate::config::ChaosConfig;
+    use crate::directory::Directory;
+    use crate::runtime::{Addr, ClusterTopology, Ctx, Layout};
+
+    type M = Msg<Pagerank>;
+
+    /// Edge, update and vertex records of distinct sizes, so a payload
+    /// charged at the wrong size shows.
+    fn params() -> RunParams {
+        let spec = PartitionSpec::with_partitions(1000, 8);
+        RunParams::new(&ChaosConfig::new(4), spec, 8, 12, 20, true, Layout::DEFAULT)
+    }
+
+    fn edges(n: usize) -> EdgeChunk<Pagerank> {
+        Arc::new(vec![BareEdge { src: 1, dst: 2 }; n])
+    }
+
+    fn updates(n: usize) -> Arc<Vec<LocalUpdate<f32>>> {
+        Arc::new(vec![
+            LocalUpdate {
+                off: 0,
+                payload: 1.0
+            };
+            n
+        ])
+    }
+
+    #[test]
+    fn payloads_are_charged_per_record_at_their_storage_size() {
+        let p = params();
+        let (part, from, source) = (3, 1, 2);
+        let cases: [(M, u64); 11] = [
+            (
+                Msg::InputChunkResp {
+                    source,
+                    data: Some(edges(5)),
+                },
+                5 * 8,
+            ),
+            (
+                Msg::EdgeChunkResp {
+                    part,
+                    source,
+                    entry: 0,
+                    data: Some(edges(7)),
+                    skipped: SkipInfo::none(),
+                },
+                7 * 8,
+            ),
+            (
+                Msg::WriteEdgeChunk {
+                    part,
+                    reverse: false,
+                    data: edges(9),
+                    from,
+                },
+                9 * 8,
+            ),
+            (
+                Msg::ReplaceEdgeChunk {
+                    part,
+                    reverse: true,
+                    entry: 4,
+                    data: edges(2),
+                    from,
+                },
+                2 * 8,
+            ),
+            (
+                Msg::UpdateChunkResp {
+                    part,
+                    source,
+                    data: Some(updates(6)),
+                },
+                6 * 12,
+            ),
+            (
+                Msg::WriteUpdateChunk {
+                    part,
+                    data: updates(10),
+                    from,
+                },
+                10 * 12,
+            ),
+            (
+                Msg::VertexChunkResp {
+                    part,
+                    chunk_no: 0,
+                    data: Arc::new(vec![(0.0, 0); 4]),
+                },
+                4 * 20,
+            ),
+            (
+                Msg::WriteVertexChunk {
+                    part,
+                    chunk_no: 1,
+                    data: Arc::new(vec![(0.0, 0); 3]),
+                    from,
+                },
+                3 * 20,
+            ),
+            (
+                Msg::DegreeContrib {
+                    part,
+                    counts: Arc::new(vec![(5, 1); 11]),
+                    from,
+                },
+                11 * DEGREE_PAIR_BYTES,
+            ),
+            // Accumulators ride at the vertex-state size.
+            (
+                Msg::Accums {
+                    part,
+                    accums: Arc::new(vec![RankSum(0.0); 13]),
+                    from,
+                },
+                13 * 20,
+            ),
+            (
+                Msg::WriteEdgeBatch {
+                    writes: [(0, 3), (5, 4)]
+                        .map(|(part, n)| EdgeWrite {
+                            part,
+                            reverse: false,
+                            data: edges(n),
+                        })
+                        .into(),
+                    from,
+                },
+                (3 + 4) * 8,
+            ),
+        ];
+        for (msg, payload) in cases {
+            assert_eq!(msg.wire_bytes(&p), CONTROL_BYTES + payload, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn an_edge_request_carries_its_active_set() {
+        let p = params();
+        let dense: M = Msg::chunk_req(DataKind::Edges, 3, 1, None);
+        assert_eq!(dense.wire_bytes(&p), CONTROL_BYTES);
+        let active = Arc::new(ActiveSet::from_fn(0, 1024, |v| v % 2 == 0));
+        let extra = active.wire_bytes();
+        let selective: M = Msg::chunk_req(DataKind::EdgesReverse, 3, 1, Some(active));
+        assert_eq!(selective.kind(), MsgKind::EdgeChunkReq);
+        assert_eq!(selective.wire_bytes(&p), CONTROL_BYTES + extra);
+    }
+
+    #[test]
+    fn replies_without_a_chunk_and_control_kinds_cost_the_control_size() {
+        let p = params();
+        let exhausted: M = Msg::EdgeChunkResp {
+            part: 0,
+            source: 1,
+            entry: 0,
+            data: None,
+            skipped: SkipInfo {
+                chunks: 3,
+                records: 900,
+                ..SkipInfo::none()
+            },
         };
-        f.write_str(name)
+        assert_eq!(exhausted.wire_bytes(&p), CONTROL_BYTES);
+        let remaining: M = Msg::RemainingResp {
+            part: 0,
+            bytes: 1 << 30,
+        };
+        assert_eq!(remaining.wire_bytes(&p), CONTROL_BYTES);
+        let ack: M = Msg::DegreeAck;
+        assert_eq!(ack.wire_bytes(&p), CONTROL_BYTES);
+        assert_eq!(format!("{ack:?}"), "DegreeAck");
+    }
+
+    /// Records the size of every message the fabric is handed.
+    struct Sizes(Vec<u64>);
+
+    impl Network for Sizes {
+        fn send(&mut self, now: Time, _from: usize, _to: usize, bytes: u64) -> Time {
+            self.0.push(bytes);
+            now
+        }
+    }
+
+    #[test]
+    fn a_deferred_send_is_charged_its_inner_size_when_it_fires() {
+        let p = Arc::new(params());
+        let inner: M = Msg::VertexChunkResp {
+            part: 2,
+            chunk_no: 0,
+            data: Arc::new(vec![(0.0, 0); 6]),
+        };
+        let want = inner.wire_bytes(&p);
+        assert_eq!(want, CONTROL_BYTES + 6 * 20);
+        let deferred = Msg::Deferred {
+            to: Addr::Compute(1),
+            inner: Box::new(inner),
+        };
+        let mut dir = Directory::new(Arc::clone(&p), 1_000);
+        let mut ctx = Ctx::new(0, 0);
+        dir.handle(&mut ctx, deferred);
+        let mut exec = SequentialExecutor::new(ClusterTopology { machines: 4 });
+        let mut fabric = Sizes(Vec::new());
+        exec.absorb(&mut ctx, &mut fabric);
+        assert_eq!(fabric.0, [want]);
     }
 }

@@ -3,8 +3,10 @@
 //! The event loop, send context, envelope/generation filtering and network
 //! routing live in `chaos-runtime`; this module contributes only what is
 //! specific to a Chaos cluster: the actor address space ([`Addr`]), its
-//! mapping onto scheduler slots and machines ([`ClusterTopology`]), and the
-//! run-wide derived parameters ([`RunParams`], [`Layout`]).
+//! mapping onto scheduler slots and machines ([`ClusterTopology`]), the
+//! run-wide derived parameters ([`RunParams`], [`Layout`]), and the one
+//! network send, `Post::post`, which charges every message its
+//! [`Msg::wire_bytes`].
 
 use chaos_gas::GasProgram;
 use chaos_graph::{BinSpec, PartitionSpec};
@@ -18,8 +20,20 @@ use crate::msg::Msg;
 /// [`Msg`]).
 pub type Ctx<P> = chaos_runtime::Ctx<Addr, Msg<P>>;
 
-/// A buffered outgoing Chaos message.
-pub type Send<P> = chaos_runtime::Send<Addr, Msg<P>>;
+/// The one network send of a Chaos actor: every message crosses the
+/// fabric through [`Post::post`], charged at [`Msg::wire_bytes`].
+pub(crate) trait Post<P: GasProgram> {
+    /// Sends `msg` from machine `from`'s NIC to `to`.
+    fn post(&mut self, p: &RunParams, from: usize, to: Addr, msg: Msg<P>);
+}
+
+impl<P: GasProgram> Post<P> for Ctx<P> {
+    #[inline]
+    fn post(&mut self, p: &RunParams, from: usize, to: Addr, msg: Msg<P>) {
+        let bytes = msg.wire_bytes(p);
+        self.send(from, to, msg, bytes);
+    }
+}
 
 /// Address of an actor in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

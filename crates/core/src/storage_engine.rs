@@ -32,8 +32,8 @@ use chaos_storage::{
 
 use crate::integrity::{CheckpointChain, FramedDevice, Repair};
 use crate::metrics::WindowHistogram;
-use crate::msg::{DataKind, EdgeChunk, Msg, SkipInfo, WriteKind, CONTROL_BYTES};
-use crate::runtime::{Addr, Ctx, RunParams};
+use crate::msg::{DataKind, EdgeChunk, Msg, SkipInfo, WriteKind};
+use crate::runtime::{Addr, Ctx, Post, RunParams};
 
 /// The backing file of one (structure, partition) pair.
 fn backing_path(dir: &Path, name: &str, part: usize) -> PathBuf {
@@ -397,37 +397,29 @@ impl<P: GasProgram> StorageEngine<P> {
     }
 
     /// Defers `msg` until the device completes at `at`, then sends it to
-    /// `to` with the given wire size.
-    fn respond_at(&self, ctx: &mut Ctx<P>, at: Time, to: Addr, msg: Msg<P>, bytes: u64) {
-        ctx.at(
-            at,
-            Addr::Storage(self.machine),
-            Msg::StorageRespond {
-                to,
-                bytes,
-                inner: Box::new(msg),
-            },
-        );
+    /// `to`.
+    fn respond_at(&self, ctx: &mut Ctx<P>, at: Time, to: Addr, msg: Msg<P>) {
+        let inner = Box::new(msg);
+        ctx.at(at, Addr::Storage(self.machine), Msg::Deferred { to, inner });
     }
 
     /// Answers a chunk request of machine `to` with `msg`: once the device
-    /// read `read = (done, payload bytes)` completes, or — when no chunk
-    /// was left — after a metadata-only lookup, with the exhausted notice.
-    fn respond_chunk(&self, ctx: &mut Ctx<P>, to: usize, read: Option<(Time, u64)>, msg: Msg<P>) {
-        let (at, bytes) = read.unwrap_or((ctx.now + METADATA_NS, 0));
-        self.respond_at(ctx, at, Addr::Compute(to), msg, bytes + CONTROL_BYTES);
+    /// read completing at `read` is done, or — when no chunk was left —
+    /// after a metadata-only lookup, with the exhausted notice.
+    fn respond_chunk(&self, ctx: &mut Ctx<P>, to: usize, read: Option<Time>, msg: Msg<P>) {
+        let at = read.unwrap_or(ctx.now + METADATA_NS);
+        self.respond_at(ctx, at, Addr::Compute(to), msg);
     }
 
     /// Sends a control message to the coordinator once the device
     /// completes at `at`.
     fn respond_coordinator(&self, ctx: &mut Ctx<P>, at: Time, msg: Msg<P>) {
-        self.respond_at(ctx, at, Addr::Coordinator, msg, CONTROL_BYTES);
+        self.respond_at(ctx, at, Addr::Coordinator, msg);
     }
 
     /// Acks a write of machine `to` once the device completes it at `at`.
     fn ack(&self, ctx: &mut Ctx<P>, at: Time, to: usize, kind: WriteKind) {
-        let msg = Msg::WriteAck { kind };
-        self.respond_at(ctx, at, Addr::Compute(to), msg, CONTROL_BYTES);
+        self.respond_at(ctx, at, Addr::Compute(to), Msg::WriteAck { kind });
     }
 }
 
@@ -449,7 +441,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 let data = chunk_io(self.input.take_next(), "input", 0);
                 let read = data.as_ref().map(|d| {
                     let bytes = d.len() as u64 * self.params.edge_bytes;
-                    (self.io.framed_read(now, bytes, Repair::Reread), bytes)
+                    self.io.framed_read(now, bytes, Repair::Reread)
                 });
                 let resp = Msg::InputChunkResp { source: me, data };
                 self.respond_chunk(ctx, from, read, resp);
@@ -485,7 +477,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 };
                 let read = outcome.served.as_ref().map(|served| {
                     let bytes = served.data.len() as u64 * self.params.edge_bytes;
-                    (self.io.framed_read(now, bytes, Repair::Reread), bytes)
+                    self.io.framed_read(now, bytes, Repair::Reread)
                 });
                 let (entry, data) = outcome
                     .served
@@ -503,15 +495,14 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 let data = chunk_io(self.updates[part].serve_next(), "updates", part);
                 let read = data.as_ref().map(|d| {
                     let bytes = d.len() as u64 * self.params.update_bytes;
-                    let done = if self.cache.read_hits() {
+                    if self.cache.read_hits() {
                         // Cache hits are a memory path: device faults
                         // cannot touch them, and the frame was verified
                         // when the page entered the cache.
                         self.io.device.cache_read(now, bytes) + METADATA_NS
                     } else {
                         self.io.framed_read(now, bytes, Repair::Reread)
-                    };
-                    (done, bytes)
+                    }
                 });
                 let resp = Msg::UpdateChunkResp {
                     part,
@@ -532,17 +523,12 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                 // Vertex chunks have a durable verified source (the vertex
                 // array itself): a persistent mismatch re-seals the extent.
                 let done = self.io.framed_read(now, bytes, Repair::Rewrite);
-                self.respond_at(
-                    ctx,
-                    done,
-                    Addr::Compute(from),
-                    Msg::VertexChunkResp {
-                        part,
-                        chunk_no,
-                        data,
-                    },
-                    bytes + CONTROL_BYTES,
-                );
+                let resp = Msg::VertexChunkResp {
+                    part,
+                    chunk_no,
+                    data,
+                };
+                self.respond_at(ctx, done, Addr::Compute(from), resp);
             }
             Msg::RemainingReq { part, kind, from } => {
                 if matches!(kind, DataKind::Edges | DataKind::EdgesReverse) {
@@ -554,13 +540,8 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                     DataKind::Updates => self.updates[part].bytes_remaining(),
                     DataKind::Input => self.input.bytes_remaining(),
                 };
-                self.respond_at(
-                    ctx,
-                    now + METADATA_NS,
-                    Addr::Compute(from),
-                    Msg::RemainingResp { part, bytes },
-                    CONTROL_BYTES,
-                );
+                let resp = Msg::RemainingResp { part, bytes };
+                self.respond_at(ctx, now + METADATA_NS, Addr::Compute(from), resp);
             }
 
             // ----------------------------------------------------- writes
@@ -644,7 +625,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
                         .framed_read_frames(now, bytes, frames, Repair::Reread);
                     self.respond_coordinator(ctx, done, Msg::EpochResetAck);
                 } else {
-                    ctx.send(me, Addr::Coordinator, Msg::EpochResetAck, CONTROL_BYTES);
+                    ctx.post(&self.params, me, Addr::Coordinator, Msg::EpochResetAck);
                 }
             }
 
@@ -745,7 +726,7 @@ impl<P: GasProgram> Actor for StorageEngine<P> {
             }
 
             // --------------------------------------------- deferred sends
-            Msg::StorageRespond { to, bytes, inner } => ctx.send(me, to, *inner, bytes),
+            Msg::Deferred { to, inner } => ctx.post(&self.params, me, to, *inner),
 
             other => panic!("storage engine got unexpected message {other:?}"),
         }

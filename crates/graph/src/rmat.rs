@@ -5,7 +5,7 @@
 //!
 //! The edge list is one xoshiro256++ stream, `scale` draws per edge and
 //! one more per weighted edge. Where the CPU has AVX2 it is written as
-//! [`LANES`] lanes: [`Rng::lanes`] jumps the stream to the start of each
+//! `LANES` lanes: [`Rng::lanes`] jumps the stream to the start of each
 //! eighth of the list, and two `u64×4` vectors run the eight descents
 //! side by side. The lanes write the edges the single stream writes, in
 //! the same slots; the unit tests hold them to the scalar descent.

@@ -14,7 +14,7 @@
 //!   *ascending* by `(time, seq)`: popping the minimum is a `pop_front`,
 //!   and a push landing in the staged bucket — the common case — probes
 //!   the back, then binary-inserts; the deque moves the shorter side.
-//! - `ring` holds the next [`CalendarQueue::RING_BUCKETS`] buckets as
+//! - `ring` holds the next `CalendarQueue::RING_BUCKETS` buckets as
 //!   unsorted append-only `Vec`s, indexed by bucket number modulo ring
 //!   size. Entries are sorted once, when their bucket becomes `day`.
 //! - `overflow` is a plain binary heap for entries beyond the ring's
@@ -24,7 +24,7 @@
 //!
 //! Invariant: every ring entry's bucket lies in `(day, day + RING_BUCKETS]`,
 //! so at most one bucket value occupies a ring slot at a time and the
-//! advance walk in [`CalendarQueue::restage`] terminates within one lap.
+//! advance walk in `CalendarQueue::restage` terminates within one lap.
 //!
 //! Ordering contract: identical to the binary-heap queue — strictly
 //! increasing `(time, seq)` pops, ties at equal times broken by insertion
@@ -55,7 +55,7 @@ pub enum QueueKind {
 /// Why so much wider than the quantum: this simulator's pending set is
 /// small (hundreds of events, all scheduled within a few service times of
 /// the clock). Quantum-width buckets hold one or two events each, so the
-/// advance-and-sort in [`CalendarQueue::restage`] runs on nearly every
+/// advance-and-sort in `CalendarQueue::restage` runs on nearly every
 /// pop and its fixed cost dominates. Buckets three orders of magnitude
 /// wider batch whole service intervals into one staging sort, which a
 /// shift sweep on the fig7 cells measured as the crossover where the

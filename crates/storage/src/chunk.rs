@@ -474,7 +474,7 @@ pub struct ChunkSetStats {
 /// An append-only set of typed chunks for one (partition, structure) pair.
 ///
 /// `record_bytes` is the *storage* width of a record (per the graph's
-/// [`chaos_graph::SizeModel`]), which may differ from the in-memory width;
+/// `chaos_graph::SizeModel`), which may differ from the in-memory width;
 /// all byte accounting uses it.
 #[derive(Debug)]
 pub struct ChunkSet<T> {

@@ -24,7 +24,7 @@
 //! | [`algos`] | the ten evaluation algorithms of Table 1 |
 //! | [`core`] | the Chaos engine itself |
 //! | [`baselines`] | X-Stream, Giraph-like engine, PowerGraph grid partitioner |
-//! | [`bench`] | figure/table harnesses and the stable metrics-JSON dump |
+//! | [`bench`](mod@bench) | figure/table harnesses and the stable metrics-JSON dump |
 //!
 //! # Quickstart
 //!
